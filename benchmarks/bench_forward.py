@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
-"""Benchmark the compiled kernels against the pure-numpy fallback.
+"""Benchmark the compiled-model forward and the kernel backends.
 
 The forward pass of compiled networks is the hot loop of every study (rate
-grids, Lipschitz probing, adversarial search), so both backends implement the
-same two primitives and this script times them on representative workloads:
+grids, Lipschitz probing, adversarial search).  This script times
 
-* single-point model evaluation (adversarial coordinate-ascent pattern),
-* batched model evaluation (rate-study grid pattern),
-* batched scalar-net evaluation (functional-path pattern).
+* model evaluation at a single point (adversarial coordinate-ascent pattern)
+  and on a batch (rate-study grid pattern), through the execution plan of
+  ``resnet_forward_batch`` against the sequential reference
+  ``resnet_forward_reference``;
+* batched scalar-net evaluation (functional-path pattern) on the numpy
+  backend and, when it is built, the compiled one.
 
 Usage: python benchmarks/bench_forward.py
 """
@@ -19,7 +21,7 @@ import numpy as np
 
 from sobolev_forge import kernels
 from sobolev_forge.kernels import _core_numpy
-from sobolev_forge.netcore import resnet_forward, resnet_forward_batch
+from sobolev_forge.netcore import resnet_forward_batch, resnet_forward_reference
 from sobolev_forge.scalarnets import build_product2
 from sobolev_forge.targets import get_target
 from sobolev_forge.taylor import build_euclidean
@@ -45,48 +47,54 @@ def _time(fn, min_seconds=0.5):
     return elapsed / reps
 
 
+def _table(title, columns, rows):
+    width = max(len(label) for label in rows)
+    speedup = f"{'speedup':>10}" if len(columns) > 1 else ""
+    print(f"{title:<{width}}  " + "".join(f"{c:>12}" for c in columns) + speedup)
+    for label, times in rows.items():
+        cells = "".join(f"{t * 1e3:>10.3f}ms" for t in times)
+        speedup = f"{times[0] / times[-1]:>9.2f}x" if len(times) > 1 else ""
+        print(f"{label:<{width}}  {cells}{speedup}")
+
+
 def main():
     compiled_available = kernels.backend_name() == "compiled"
     print(f"active backend: {kernels.backend_name()}")
-    if not compiled_available:
-        print("compiled extension not built; timing the numpy backend only")
 
     target = get_target("sinprod", alpha=2, dim=2)
     approx = build_euclidean(target, s=0, p=math.inf, N=4, compile_model=True, check_points=10)
     model = approx.model
     rng = np.random.default_rng(0)
-    x1 = rng.uniform(0, 1, 2)
-    X = rng.uniform(0, 1, (1000, 2))
+    points = {
+        "model single point": rng.uniform(0, 1, (1, 2)),
+        "model batch 1000": rng.uniform(0, 1, (1000, 2)),
+    }
+    _table(
+        "forward",
+        ["reference", "plan"],
+        {
+            label: [_time(lambda: fwd(model, X)) for fwd in (resnet_forward_reference, resnet_forward_batch)]
+            for label, X in points.items()
+        },
+    )
+
     times_net = build_product2(1e-4, 6.0)
     P = rng.uniform(-6, 6, (20000, 2))
-
-    workloads = {
-        "model single point": lambda: resnet_forward(model, x1),
-        "model batch 1000": lambda: resnet_forward_batch(model, X),
-        "scalar net batch 20000": lambda: times_net.forward(P),
-    }
-
     backends = [("numpy", _core_numpy.conv_layer, _core_numpy.mlp_layer)]
     if compiled_available:
         backends.append(("compiled", kernels.conv_layer, kernels.mlp_layer))
-
-    results = {}
-    for name, conv, mlp in backends:
-        for label, fn in workloads.items():
-            results[(name, label)] = _with_backend(conv, mlp, lambda: _time(fn))
-
-    width = max(len(label) for label in workloads)
-    header = f"{'workload':<{width}}  " + "".join(f"{n:>12}" for n, _, _ in backends)
-    if compiled_available:
-        header += f"{'speedup':>10}"
-    print(header)
-    for label in workloads:
-        row = f"{label:<{width}}  "
-        for name, _, _ in backends:
-            row += f"{results[(name, label)] * 1e3:>10.3f}ms"
-        if compiled_available:
-            row += f"{results[('numpy', label)] / results[('compiled', label)]:>9.2f}x"
-        print(row)
+    else:
+        print("compiled extension not built; timing the numpy backend only")
+    _table(
+        "kernels",
+        [name for name, _, _ in backends],
+        {
+            "scalar net batch 20000": [
+                _with_backend(conv, mlp, lambda: _time(lambda: times_net.forward(P)))
+                for _, conv, mlp in backends
+            ]
+        },
+    )
 
 
 if __name__ == "__main__":

@@ -71,10 +71,20 @@ def cmd_build(args):
     return 0
 
 
+def _parse_point(text, dim):
+    try:
+        x = [float(t) for t in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"--at {text!r}: coordinates must be numbers") from None
+    if len(x) != dim:
+        raise ConfigError(f"--at {text!r} has {len(x)} coordinates; the network takes {dim}")
+    return x
+
+
 def cmd_eval(args):
     net = serialize.load(args.net)
     if args.at:
-        X = np.array([[float(t) for t in point.split(",")] for point in args.at])
+        X = np.array([_parse_point(point, net.input_dim) for point in args.at])
     else:
         axis = (np.arange(args.grid) + 0.5) / args.grid
         mesh = np.meshgrid(*([axis] * net.input_dim), indexing="ij")

@@ -2,8 +2,8 @@
 
 The compiled extension (Cython) is picked at import time when it built
 successfully; set SOBOLEV_FORGE_PURE=1 to force the numpy backend.  Both
-backends implement identical semantics; benchmarks/bench_forward.py compares
-them.
+backends implement identical semantics; benchmarks/bench_forward.py times
+them on a scalar-net batch.
 """
 
 import os

@@ -9,14 +9,12 @@ def conv_layer(w, b, z):
     w: (Cout, K, Cin), b: (D, Cout), z: (n, D, Cin) -> (n, D, Cout).
     Rows past the end of the input read as zero.
     """
-    n, D, _ = z.shape
+    D = z.shape[1]
     K = w.shape[1]
-    y = np.broadcast_to(b, (n,) + b.shape).copy()
-    for k in range(min(K, D)):
-        if k == 0:
-            y += z @ w[:, 0, :].T
-        else:
-            y[:, : D - k, :] += z[:, k:, :] @ w[:, k, :].T
+    y = z @ w[:, 0, :].T
+    y += b  # the bias and the first tap, added in either order, round the same
+    for k in range(1, min(K, D)):
+        y[:, : D - k, :] += z[:, k:, :] @ w[:, k, :].T
     np.maximum(y, 0.0, out=y)
     return y
 

@@ -13,9 +13,37 @@ Conventions fixed here and relied on by every other module:
 
 All arithmetic is float64.  Models are immutable after construction; forward
 evaluation is pure.
+
+Execution plan.  ``resnet_forward_batch`` lowers a model once into a plan,
+cached on the model (the cache is sound only because models are never
+mutated after construction).  The plan applies when the weights show that
+
+* the readout is first-row-only,
+* each block's first filter reads only channel 0, and
+* each block's last filter and last bias leave channel 0 at zero.
+
+Then every block reads only the padded input and writes only channels
+1..C-1, and only row 0 reaches the readout, so the blocks are independent
+and each layer needs only the rows that feed row 0 through the filter widths
+behind it.  Blocks are grouped by their layer shapes; within a group, a
+layer whose filter and bias are the same in every block runs as one product
+over all (block, point) rows, and any other layer as one stacked batched
+product holding one copy of each distinct filter and bias.  Points are taken
+in chunks so the stacked activations stay under ``_PLAN_ROW_BUDGET`` rows.
+
+The plan adds the block summands in block order and makes the kind of
+product the reference makes: matrix-matrix for D >= 2 and one row at a time
+for D = 1.  With finite parameters and the numpy backend it therefore
+reproduces the sequential loop ``resnet_forward_reference`` bit for bit,
+provided BLAS rounds a row of a matrix product the same whatever the row
+count.  Some BLAS builds do not for inner dimensions of 32 and more (wide
+``Jt``-grouped models), and the compiled backend sums in its own order; there
+the two agree to rounding.  Models that fail a condition, including models
+without blocks, run the sequential loop.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -126,6 +154,10 @@ class ConvResNetModel:
         if self.first_row_only and np.any(self.fc_weight[1:, :] != 0.0):
             raise ShapeError("first_row_only model has nonzero fc entries below row 1")
 
+    @cached_property
+    def _plan(self):
+        return _lower(self)
+
 
 @dataclass
 class MlpModel:
@@ -226,15 +258,37 @@ def pad_input(x_batch: np.ndarray, channels: int) -> np.ndarray:
     return Z
 
 
-def resnet_forward_batch(net: ConvResNetModel, X: np.ndarray) -> np.ndarray:
-    """Forward pass over a batch of inputs, shape (n, D) -> (n,)."""
+def _check_batch(net, X):
     X = _as_f64(X)
     if X.ndim != 2 or X.shape[1] != net.input_dim:
         raise ShapeError(f"input shape {X.shape} != (n, {net.input_dim})")
+    return X
+
+
+def resnet_forward_reference(net: ConvResNetModel, X: np.ndarray) -> np.ndarray:
+    """Sequential forward pass, block by block over full D x C activations.
+
+    The reference semantics, and the path of models the plan does not cover.
+    """
+    X = _check_batch(net, X)
     Z = pad_input(X, net.padding_channels)
     for blk in net.blocks:
         Z = Z + block_stack(blk, Z)
+    return _readout(net, Z)
+
+
+def _readout(net, Z):
     return np.tensordot(Z, net.fc_weight, axes=([1, 2], [0, 1])) + net.fc_bias
+
+
+def resnet_forward_batch(net: ConvResNetModel, X: np.ndarray) -> np.ndarray:
+    """Forward pass over a batch of inputs, shape (n, D) -> (n,), through the
+    model's execution plan when it has one."""
+    X = _check_batch(net, X)
+    plan = net._plan
+    if plan is None:
+        return resnet_forward_reference(net, X)
+    return plan.forward(net, X)
 
 
 def resnet_forward(net: ConvResNetModel, x: np.ndarray) -> float:
@@ -286,3 +340,164 @@ def audit_class(net: ConvResNetModel) -> NetClassParams:
     kappa2 = max(float(np.max(np.abs(net.fc_weight))), abs(net.fc_bias))
     fro = bool(np.all(net.fc_weight[1:, :] == 0.0)) if net.input_dim > 1 else True
     return NetClassParams(M=M, L=L, J=J, K=K, kappa1=kappa1, kappa2=kappa2, first_row_only=fro)
+
+
+# Stacked activations of one chunk of points stay under this many rows,
+# counted over (block, point, row).
+_PLAN_ROW_BUDGET = 1 << 14
+
+
+@dataclass
+class _PlanLayer:
+    """One conv layer of a block group, with one copy of each distinct weight.
+
+    ``filters`` is (U, Cout, K, Cin) and ``biases`` (V, rows_in, Cout); the
+    index arrays give each block's filter and bias, or are None when the
+    whole group shares one.
+    """
+
+    filters: np.ndarray
+    filter_index: object
+    biases: np.ndarray
+    bias_index: object
+    rows_in: int
+    rows_out: int
+
+
+@dataclass
+class _PlanGroup:
+    """Blocks with one layer-shape signature, by position in the model."""
+
+    blocks: np.ndarray
+    layers: list
+
+
+@dataclass
+class _Plan:
+    """Execution plan of one model; see the module docstring."""
+
+    groups: list
+    n_blocks: int
+    step: int  # points per chunk
+
+    def forward(self, net, X):
+        n, D = X.shape
+        acc = np.empty((n, net.padding_channels - 1))
+        for a in range(0, n, self.step):
+            Xc = X[a : a + self.step]
+            m = len(Xc)
+            if D > 1 and m == 1:
+                # evaluate a lone point twice so every product stays
+                # matrix-matrix, as in the reference (BLAS rounds a
+                # vector-matrix product differently)
+                Xc = np.repeat(Xc, 2, axis=0)
+            S = np.empty((self.n_blocks, len(Xc), net.padding_channels - 1))
+            for g in self.groups:
+                S[g.blocks] = _group_summands(g, Xc, D)
+            # the reference adds the summands one block after another
+            acc[a : a + m] = np.cumsum(S, axis=0)[-1, :m]
+        Z = pad_input(X, net.padding_channels)
+        Z[:, 0, 1:] = acc
+        return _readout(net, Z)
+
+
+def _distinct(arrays):
+    """One copy of each distinct array, and each input's index among them
+    (None when all inputs are equal)."""
+    position, unique, index = {}, [], []
+    for a in arrays:
+        key = a.tobytes()
+        if key not in position:
+            position[key] = len(unique)
+            unique.append(a)
+        index.append(position[key])
+    return np.stack(unique), (np.array(index) if len(unique) > 1 else None)
+
+
+def _lower(net):
+    """The execution plan of ``net``, or None when a condition fails."""
+    if not net.blocks or not net.first_row_only:
+        return None
+    for blk in net.blocks:
+        if np.any(blk.filters[0].entries[:, :, 1:] != 0.0):
+            return None
+        if np.any(blk.filters[-1].entries[0] != 0.0) or np.any(blk.biases[-1][:, 0] != 0.0):
+            return None
+    groups = {}
+    for i, blk in enumerate(net.blocks):
+        groups.setdefault(tuple(f.entries.shape for f in blk.filters), []).append(i)
+    plan = [_lower_group(net, idx) for idx in groups.values()]
+    for g in plan:
+        for layer in g.layers:
+            if not (np.all(np.isfinite(layer.filters)) and np.all(np.isfinite(layer.biases))):
+                return None
+    per_point = max(len(g.blocks) * max(layer.rows_in for layer in g.layers) for g in plan)
+    step = max(1, _PLAN_ROW_BUDGET // max(len(net.blocks), per_point))
+    return _Plan(plan, len(net.blocks), step)
+
+
+def _lower_group(net, index):
+    blocks = [net.blocks[i] for i in index]
+    depth = blocks[0].depth
+    # rows[l]: rows of layer l's input that row 0 of the block output needs
+    rows = [1] * (depth + 1)
+    for ell in reversed(range(depth)):
+        rows[ell] = min(net.input_dim, rows[ell + 1] + blocks[0].filters[ell].width - 1)
+    layers = []
+    for ell in range(depth):
+        filters = [b.filters[ell].entries for b in blocks]
+        if ell == 0:
+            filters = [w[:, :, :1] for w in filters]
+        biases = [b.biases[ell][: rows[ell]] for b in blocks]
+        layers.append(_PlanLayer(*_distinct(filters), *_distinct(biases), rows[ell], rows[ell + 1]))
+    return _PlanGroup(np.array(index), layers)
+
+
+def _group_summands(g, X, D):
+    """Row 0 of channels 1..C-1 of every block's conv stack: (blocks, n, C-1)."""
+    H = X[None, :, : g.layers[0].rows_in, None]  # channel 0 of the padded input
+    for layer in g.layers:
+        H = _plan_layer(layer, H, D)
+    return H[:, :, 0, 1:]
+
+
+def _plan_layer(layer, H, D):
+    """Apply one layer to activations H of shape (B, n, rows_in, Cin), where
+    B is 1 while every block still holds the same values."""
+    B, n, r_in, cin = H.shape
+    W, r = layer.filters, layer.rows_out
+    cout, K = W.shape[1], W.shape[2]
+    if layer.filter_index is None and layer.bias_index is None:
+        if D > 1 and K == 1:
+            # one matrix product over all (block, point) rows
+            rows = B * n * r
+            b = np.broadcast_to(layer.biases[0][None], (B * n, r, cout)).reshape(rows, cout)
+            y = kernels.conv_layer(W[0], b, H.reshape(1, rows, cin))
+        else:
+            y = kernels.conv_layer(W[0], layer.biases[0], H.reshape(B * n, r_in, cin))[:, :r]
+        return y.reshape(B, n, r, cout)
+    bias = layer.biases[:, None, :r]
+    if layer.bias_index is not None:
+        bias = bias[layer.bias_index]
+    fi = layer.filter_index
+    if fi is not None and B > 1:
+        W = W[fi]
+    # as in kernels.conv_layer: bias plus the first tap, then the other taps in order
+    for k in range(min(K, D)):
+        rk = min(r, D - k)
+        Z = H[:, :, k : k + rk]
+        Wk = W[:, :, k, :].swapaxes(1, 2)
+        if D == 1:
+            P = Z @ Wk[:, None]  # single-row products, as in the reference
+        elif len(Wk) == 1:
+            P = (Z.reshape(-1, cin) @ Wk[0]).reshape(B, n, rk, cout)
+        else:
+            P = (Z.reshape(B, n * rk, cin) @ Wk).reshape(-1, n, rk, cout)
+        if fi is not None and B == 1:
+            P = P[fi]
+        if k == 0:
+            y = P + bias
+        else:
+            y[:, :, :rk] += P
+    np.maximum(y, 0.0, out=y)
+    return y

@@ -2,7 +2,8 @@
 
 Round-trips are bit-exact for finite doubles: floats are emitted through
 Python's shortest-roundtrip repr.  Files carry a schema version; loading an
-unknown version or a malformed document raises SerializationError.
+unknown version, a document with missing keys, inconsistent shapes or a
+non-finite parameter raises SerializationError.
 """
 
 import json
@@ -12,7 +13,7 @@ import tempfile
 import numpy as np
 
 from .algebra import CnnFunction
-from .netcore import ConvResNetModel, FilterTensor, ResidualBlockSpec
+from .netcore import ConvResNetModel, FilterTensor, ResidualBlockSpec, ShapeError
 
 SCHEMA_VERSION = 1
 
@@ -31,6 +32,38 @@ def _unarr(d):
         return np.array(d["data"], dtype=np.float64).reshape(d["dims"])
     except (KeyError, TypeError, ValueError) as e:
         raise SerializationError(f"malformed array record: {e}") from e
+
+
+def _finite(arrays, what):
+    # one pass per block: a call per array would dominate loading
+    if arrays and not np.isfinite(np.concatenate([np.ravel(a) for a in arrays])).all():
+        raise SerializationError(f"non-finite value in {what}")
+
+
+def _require(doc, keys, what):
+    missing = [k for k in keys if not isinstance(doc, dict) or k not in doc]
+    if missing:
+        raise SerializationError(f"{what} is missing required keys {missing}")
+
+
+def _fc(doc, D):
+    _require(doc, ("fc",), "network document")
+    _require(doc["fc"], ("weight", "bias"), "fc record")
+    try:
+        weight = np.array(doc["fc"]["weight"], dtype=np.float64).reshape(D, -1)
+        bias = float(doc["fc"]["bias"])
+    except (TypeError, ValueError) as e:
+        raise SerializationError(f"malformed fc record: {e}") from e
+    _finite([weight, bias], "fc record")
+    return weight, bias
+
+
+def _block_from_dict(block):
+    _require(block, ("filters", "biases"), "block record")
+    filters = [_unarr(f) for f in block["filters"]]
+    biases = [_unarr(b) for b in block["biases"]]
+    _finite(filters + biases, "block parameters")
+    return filters, biases
 
 
 def _block_to_dict(filters, biases):
@@ -54,18 +87,15 @@ def model_to_dict(net: ConvResNetModel) -> dict:
 
 def model_from_dict(doc: dict) -> ConvResNetModel:
     _check_version(doc, "convresnet")
+    _require(doc, ("D", "C", "blocks"), "network document")
     D, C = int(doc["D"]), int(doc["C"])
-    blocks = [
-        ResidualBlockSpec(
-            [FilterTensor(_unarr(f)) for f in b["filters"]],
-            [_unarr(x) for x in b["biases"]],
-        )
-        for b in doc["blocks"]
-    ]
-    fc = np.array(doc["fc"]["weight"], dtype=np.float64).reshape(D, C)
-    return ConvResNetModel(
-        D, C, blocks, fc, float(doc["fc"]["bias"]), bool(doc.get("first_row_only", False))
-    )
+    fc, fc_bias = _fc(doc, D)
+    stacks = [_block_from_dict(b) for b in doc["blocks"]]
+    try:
+        blocks = [ResidualBlockSpec([FilterTensor(f) for f in fs], bs) for fs, bs in stacks]
+        return ConvResNetModel(D, C, blocks, fc, fc_bias, bool(doc.get("first_row_only", False)))
+    except ShapeError as e:
+        raise SerializationError(f"inconsistent network shapes: {e}") from e
 
 
 def cnn_to_dict(f: CnnFunction) -> dict:
@@ -83,21 +113,23 @@ def cnn_to_dict(f: CnnFunction) -> dict:
 
 def cnn_from_dict(doc: dict) -> CnnFunction:
     _check_version(doc, "cnn")
+    _require(doc, ("D", "blocks"), "network document")
     D = int(doc["D"])
-    (block,) = doc["blocks"]
-    stack = [
-        (FilterTensor(_unarr(f)), _unarr(b))
-        for f, b in zip(block["filters"], block["biases"])
-    ]
-    fc = np.array(doc["fc"]["weight"], dtype=np.float64).reshape(D, -1)
-    return CnnFunction(
-        D,
-        stack,
-        fc,
-        float(doc["fc"]["bias"]),
-        first_row_only=bool(doc.get("first_row_only", True)),
-        input_pair_layer=bool(doc.get("input_pair_layer", False)),
-    )
+    fc, fc_bias = _fc(doc, D)
+    if not isinstance(doc["blocks"], list) or len(doc["blocks"]) != 1:
+        raise SerializationError("a cnn document holds exactly one block")
+    filters, biases = _block_from_dict(doc["blocks"][0])
+    try:
+        return CnnFunction(
+            D,
+            list(zip(map(FilterTensor, filters), biases)),
+            fc,
+            fc_bias,
+            first_row_only=bool(doc.get("first_row_only", True)),
+            input_pair_layer=bool(doc.get("input_pair_layer", False)),
+        )
+    except ShapeError as e:
+        raise SerializationError(f"inconsistent network shapes: {e}") from e
 
 
 def _check_version(doc, kind):

@@ -154,3 +154,22 @@ def test_manifold_study_mini(tmp_path):
     assert len(lines) == 1 + 2 * 2
     assert summary["chart_count"] >= 32
     assert summary["slope_k0"] < -1.0
+
+
+def test_eval_rejects_a_nan_model_with_exit_2(tmp_path, capsys):
+    doc = serialize.model_to_dict(assemble_resnet([mlp_to_cnn(build_trapezoid(0, 1).as_mlp(), 2)]))
+    doc["fc"]["bias"] = float("nan")
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(doc))
+    assert main(["eval", "--net", str(path), "--at", "0.5"]) == 2
+    assert "non-finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("point, message", [("0.3", "has 1 coordinates"), ("a,b", "must be numbers")])
+def test_eval_rejects_bad_points_with_exit_2(tmp_path, capsys, point, message):
+    build_cfg = _write_cfg(tmp_path, {"target": "sinprod", "alpha": 2, "N": 2}, "build.json")
+    assert main(["--out", str(tmp_path / "art"), "build", "--config", build_cfg]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--net", str(tmp_path / "art" / "model.json"), "--at", point]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err

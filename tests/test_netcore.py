@@ -1,7 +1,11 @@
+import functools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sobolev_forge import kernels, netcore
 from sobolev_forge.algebra import assemble_resnet, mlp_to_cnn
 from sobolev_forge.netcore import (
     ConvResNetModel,
@@ -15,8 +19,11 @@ from sobolev_forge.netcore import (
     mlp_forward,
     resnet_forward,
     resnet_forward_batch,
+    resnet_forward_reference,
 )
 from sobolev_forge.scalarnets import build_trapezoid, reference_psi_mlp
+from sobolev_forge.targets import get_target
+from sobolev_forge.taylor import build_euclidean
 
 
 def test_conv_hand_example():
@@ -154,3 +161,127 @@ def test_audit_monotone(rng):
     damped = copy.deepcopy(one)
     damped.blocks[0].filters[0].entries[0, 0, 0] = 0.0
     assert audit_class(damped).kappa1 <= audit_class(one).kappa1
+
+
+# --- execution plan vs the sequential reference ----------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _built_model(D, alpha, N, Jt=None):
+    target = get_target("sinprod", alpha=alpha, dim=D)
+    return build_euclidean(target, s=0, p=math.inf, N=N, Jt=Jt, check_points=4).model
+
+
+def _plan_matches_reference(net, X):
+    assert net._plan is not None
+    assert np.array_equal(resnet_forward_batch(net, X), resnet_forward_reference(net, X))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from([1, 2]),
+    st.sampled_from([2, 3]),
+    st.integers(2, 4),
+    st.integers(1, 40),
+    st.integers(0, 2**32 - 1),
+)
+def test_plan_matches_reference_on_built_models(D, alpha, N, n, seed):
+    net = _built_model(D, alpha, N)
+    X = np.random.default_rng(seed).uniform(-0.25, 1.25, (n, D))
+    _plan_matches_reference(net, X)
+
+
+@pytest.mark.parametrize("D, alpha, N, Jt", [(2, 2, 3, 28), (1, 2, 4, 40), (1, 3, 3, 64)])
+def test_plan_matches_reference_on_grouped_models(D, alpha, N, Jt, rng):
+    net = _built_model(D, alpha, N, Jt)
+    assert any(f.in_channels > 16 for blk in net.blocks for f in blk.filters)  # grouped
+    for n in (1, 2, 7, 300):
+        _plan_matches_reference(net, rng.uniform(0.0, 1.0, (n, D)))
+
+
+@pytest.mark.parametrize("alpha, N, Jt", [(2, 3, 64), (3, 2, 32)])
+def test_plan_on_wide_layers_agrees_to_rounding(alpha, N, Jt, rng):
+    # With D >= 2 the plan multiplies all (block, point) rows at once, the
+    # reference D rows at a time.  For inner dimensions of 32 and more some
+    # BLAS builds round such products differently by row count, so grouped
+    # models that wide agree to rounding only.
+    net = _built_model(2, alpha, N, Jt)
+    X = rng.uniform(0.0, 1.0, (200, 2))
+    ref = resnet_forward_reference(net, X)
+    assert np.max(np.abs(resnet_forward_batch(net, X) - ref)) <= 1e-14 * max(1.0, np.max(np.abs(ref)))
+
+
+def test_plan_chunks_a_batch_larger_than_the_row_budget(rng):
+    net = _built_model(2, 2, 2)
+    assert net._plan.step * len(net.blocks) <= netcore._PLAN_ROW_BUDGET
+    _plan_matches_reference(net, rng.uniform(0.0, 1.0, (2 * net._plan.step + 3, 2)))
+
+
+def test_plan_is_lowered_once_and_calls_the_kernel_per_layer_at_most(monkeypatch, rng):
+    net = _built_model(2, 2, 2)
+    assert net._plan is net._plan
+    calls = []
+    conv = kernels.conv_layer
+    monkeypatch.setattr(kernels, "conv_layer", lambda *a: calls.append(1) or conv(*a))
+    resnet_forward(net, np.array([0.3, 0.6]))
+    assert 0 < len(calls) <= max(blk.depth for blk in net.blocks)
+
+
+def _trapezoid_net():
+    return assemble_resnet([mlp_to_cnn(build_trapezoid(1, 2).as_mlp(), 2)] * 2)
+
+
+def _edited(net, edit):
+    """A fresh model from copies of ``net``'s parameters, changed by ``edit``."""
+    blocks = [
+        ResidualBlockSpec([FilterTensor(f.entries.copy()) for f in b.filters], [x.copy() for x in b.biases])
+        for b in net.blocks
+    ]
+    fields = dict(blocks=blocks, fc_weight=net.fc_weight.copy(), first_row_only=net.first_row_only)
+    edit(fields)
+    return ConvResNetModel(net.input_dim, net.padding_channels, fc_bias=net.fc_bias, **fields)
+
+
+def _set_first_filter_channel_1(f):
+    f["blocks"][1].filters[0].entries[0, 0, 1] = 0.5
+
+
+def _set_last_filter_channel_0(f):
+    f["blocks"][0].filters[-1].entries[0, 0, 0] = 0.5
+
+
+def _set_last_bias_channel_0(f):
+    f["blocks"][1].biases[-1][0, 0] = 0.25
+
+
+def _clear_first_row_only(f):
+    f["first_row_only"] = False
+
+
+def _drop_blocks(f):
+    f["blocks"] = []
+
+
+def _set_nonfinite_bias(f):
+    f["blocks"][0].biases[1][0, 0] = np.inf
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _set_first_filter_channel_1,
+        _set_last_filter_channel_0,
+        _set_last_bias_channel_0,
+        _clear_first_row_only,
+        _drop_blocks,
+        _set_nonfinite_bias,
+    ],
+)
+def test_models_outside_the_plan_fall_back_to_the_reference(edit):
+    assert _trapezoid_net()._plan is not None
+    net = _edited(_trapezoid_net(), edit)
+    assert net._plan is None
+    X = np.linspace(-1.0, 2.0, 41)[:, None]
+    with np.errstate(invalid="ignore"):  # the inf bias makes 0 * inf in the reference
+        got, ref = resnet_forward_batch(net, X), resnet_forward_reference(net, X)
+    assert np.array_equal(got, ref, equal_nan=True)

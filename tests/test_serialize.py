@@ -83,3 +83,37 @@ def test_atomic_write_no_partial(tmp_path):
     assert path.read_text() == "hello"
     leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
     assert not leftovers
+
+
+def _psi_doc():
+    return json.loads(json.dumps(serialize.model_to_dict(_psi_model())))
+
+
+def test_nan_fc_bias_rejected(tmp_path):
+    doc = _psi_doc()
+    doc["fc"]["bias"] = float("nan")
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc))  # json writes the literal NaN, as a stray tool would
+    with pytest.raises(serialize.SerializationError, match="non-finite"):
+        serialize.load(path)
+
+
+def test_inf_filter_entry_rejected():
+    doc = _psi_doc()
+    doc["blocks"][0]["filters"][1]["data"][0] = float("inf")
+    with pytest.raises(serialize.SerializationError, match="non-finite"):
+        serialize.model_from_dict(doc)
+
+
+def test_missing_fc_rejected():
+    doc = _psi_doc()
+    del doc["fc"]
+    with pytest.raises(serialize.SerializationError, match="fc"):
+        serialize.model_from_dict(doc)
+
+
+def test_inconsistent_shapes_rejected():
+    doc = _psi_doc()
+    doc["C"] = 4
+    with pytest.raises(serialize.SerializationError, match="shapes"):
+        serialize.model_from_dict(doc)
