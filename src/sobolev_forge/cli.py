@@ -17,8 +17,7 @@ import numpy as np
 
 from . import serialize
 from .netcore import resnet_forward_batch
-from .studies import ConfigError, run_study, validate_config, write_json
-from .targets import get_target
+from .studies import ConfigError, check_ints, load_target, run_study, validate_config, write_json
 from .taylor import build_euclidean
 
 
@@ -39,6 +38,8 @@ def _threads(args):
 
 def cmd_build(args):
     cfg = _load_config(args.config)
+    if not isinstance(cfg, dict):
+        raise ConfigError("build config must be a JSON object")
     allowed = {"target", "alpha", "dim", "N", "Mt", "Jt", "compile", "seed"}
     unknown = set(cfg) - allowed
     if unknown:
@@ -46,7 +47,8 @@ def cmd_build(args):
     for key in ("target", "alpha"):
         if key not in cfg:
             raise ConfigError(f"build config missing required key {key!r}")
-    target = get_target(cfg["target"], alpha=cfg["alpha"], dim=cfg.get("dim", 2))
+    check_ints(cfg, ("alpha", "dim", "N", "Mt", "Jt"))
+    target = load_target(cfg["target"], cfg["alpha"], cfg.get("dim", 2))
     approx = build_euclidean(
         target,
         s=0,

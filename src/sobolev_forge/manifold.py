@@ -19,6 +19,7 @@ Delta = 8 c2 r / N is available as parameters="paper".
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -70,7 +71,7 @@ class ManifoldSpec:
     tangent_basis: callable  # (D,) point on M -> (D, d) orthonormal columns
     param_of_point: callable  # (D,) -> (d,) parameter
     param_samples: callable  # count -> (n, d) dense deterministic parameters
-    chart_solver: callable = None  # optional analytic chart inversion
+    chart_solver: callable = None  # optional analytic (chart, (n, d) Z) -> ((n, D) X, ok)
 
     def sample_points(self, count):
         return self.embed(self.param_samples(count))
@@ -102,12 +103,12 @@ def circle_manifold(ambient_dim=3, radius=1.0) -> ManifoldSpec:
     def samples(count):
         return np.linspace(0.0, 2 * math.pi, count, endpoint=False)[:, None]
 
-    def solver(chart, z):
+    def solver(chart, Z):
         # in-plane: x = V p + (c/R) sqrt(R^2 - p^2), p the tangent coordinate
-        p = (np.asarray(z).ravel()[0] - chart.shift[0]) / chart.scale
-        if abs(p) > R:
-            raise ChartError(f"chart coordinate {z} has no preimage (|p| > R)")
-        return chart.frame[:, 0] * p + chart.center * math.sqrt(max(R * R - p * p, 0.0)) / R
+        P = (Z[:, 0] - chart.shift[0]) / chart.scale
+        height = np.sqrt(np.maximum(R * R - P * P, 0.0))
+        X = chart.frame[:, 0] * P[:, None] + chart.center * height[:, None] / R
+        return X, np.abs(P) <= R
 
     return ManifoldSpec(
         "circle", 1, D, R, R, 2 * math.pi * R, embed, tangent, param_of, samples, solver
@@ -144,12 +145,13 @@ def sphere_manifold(radius=1.0) -> ManifoldSpec:
         ph = math.pi * (1 + math.sqrt(5.0)) * i
         return np.stack([th, ph % (2 * math.pi)], axis=1)
 
-    def solver(chart, z):
-        p = (np.asarray(z).ravel() - chart.shift) / chart.scale
-        q2 = R * R - float(p @ p)
-        if q2 < 0:
-            raise ChartError(f"chart coordinate {z} has no preimage (|p| > R)")
-        return chart.frame @ p + chart.center * math.sqrt(q2) / R
+    def solver(chart, Z):
+        P = (Z - chart.shift) / chart.scale
+        q2 = R * R - _row_dots(P, P)
+        # stacked per-row products: each row rounds as a one-point solve does
+        X = np.matmul(chart.frame, P[:, :, None])[:, :, 0]
+        X = X + chart.center * np.sqrt(np.maximum(q2, 0.0))[:, None] / R
+        return X, q2 >= 0
 
     return ManifoldSpec(
         "sphere", 2, 3, R, R, 4 * math.pi * R * R, embed, tangent, param_of, samples, solver
@@ -239,6 +241,28 @@ class Atlas:
     def chart_count(self):
         return len(self.charts)
 
+    @cached_property
+    def centers(self):
+        """(charts, D) stack of the chart centers."""
+        return np.array([ch.center for ch in self.charts])
+
+
+def _row_dots(A, B):
+    """Row-wise dot products, one product per row: each row rounds exactly as
+    a one-point ``a @ b`` does, whatever the number of rows."""
+    return np.matmul(A[:, None, :], B[:, :, None])[:, 0, 0]
+
+
+def _row_norms(V):
+    """Row-wise Euclidean norms, equal to ``np.linalg.norm`` of each row."""
+    return np.sqrt(_row_dots(V, V))
+
+
+def _sqdist(X, C):
+    """(points, centers) squared distances, each summed as the per-center
+    ``np.sum((X - c) ** 2, axis=1)`` sums it."""
+    return np.sum((X[:, None, :] - C[None]) ** 2, axis=2)
+
 
 def build_atlas(m: ManifoldSpec, r: float, sample_count=4096, spacing_factor=0.45) -> Atlas:
     """Greedy covering of M by balls of radius r/2 with centers on M.
@@ -251,12 +275,14 @@ def build_atlas(m: ManifoldSpec, r: float, sample_count=4096, spacing_factor=0.4
         raise ChartError(f"need 0 < r < reach/4 = {m.reach / 4.0}, got r={r}")
     pts = m.sample_points(sample_count)
     spacing = spacing_factor * r
-    centers = []
+    chosen = np.empty_like(pts)
+    k = 0
     for x in pts:
-        if not centers or min(np.linalg.norm(x - c) for c in centers) > spacing:
-            centers.append(x)
-    centers = np.array(centers)
-    d2 = np.sum((pts[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+        if k == 0 or np.min(_row_norms(x - chosen[:k])) > spacing:
+            chosen[k] = x
+            k += 1
+    centers = chosen[:k]
+    d2 = _sqdist(pts, centers)
     nearest = np.sqrt(d2.min(axis=1))
     if np.max(nearest) >= r / 2.0:
         raise ChartError(f"covering failure: sample at distance {np.max(nearest)} >= r/2")
@@ -291,40 +317,53 @@ def chart_project(chart: Chart, x, check=True):
     return Z[0] if single else Z
 
 
-def chart_invert(chart: Chart, m: ManifoldSpec, z):
-    """Find the manifold point with phi(x) = z; analytic when the kit provides
-    a solver, Newton on the parametrization otherwise."""
-    z = np.asarray(z, dtype=np.float64).ravel()
+def chart_invert_batch(chart: Chart, m: ManifoldSpec, Z):
+    """Manifold points X with phi(X) = Z row by row, and the mask of rows that
+    have one: residual <= 1e-8 and the point in the chart ball (other rows of
+    X are nan).  Analytic when the kit provides a solver, Newton otherwise."""
+    Z = np.atleast_2d(np.asarray(Z, dtype=np.float64))
     if m.chart_solver is not None:
-        x = m.chart_solver(chart, z)
+        X, ok = m.chart_solver(chart, Z)
     else:
-        u = m.param_of_point(chart.center).copy()
-        for _ in range(60):
-            x = m.embed(u[None])[0]
-            res = chart_project(chart, x, check=False) - z
-            if np.max(np.abs(res)) < 1e-13:
-                break
-            h = 1e-6
-            Jp = np.empty((m.intrinsic_dim, m.intrinsic_dim))
-            for j in range(m.intrinsic_dim):
-                up, um = u.copy(), u.copy()
-                up[j] += h
-                um[j] -= h
-                Jp[:, j] = (
-                    chart_project(chart, m.embed(up[None])[0], check=False)
-                    - chart_project(chart, m.embed(um[None])[0], check=False)
-                ) / (2 * h)
-            try:
-                u = u - np.linalg.solve(Jp, res)
-            except np.linalg.LinAlgError as e:
-                raise ChartError(f"chart inversion failed at z={z}: {e}") from e
-        x = m.embed(u[None])[0]
-    gap = np.max(np.abs(chart_project(chart, x, check=False) - z))
-    if gap > 1e-8:
-        raise ChartError(f"chart inversion failed at z={z}: residual {gap:.3e}")
-    if np.linalg.norm(x - chart.center) > chart.radius * (1 + 1e-6):
-        raise ChartError(f"chart coordinate {z} maps outside the chart ball")
-    return x
+        X, ok = _newton_invert(chart, m, Z)
+    gap = np.max(np.abs(chart_project(chart, X, check=False) - Z), axis=1)
+    ok &= (gap <= 1e-8) & (_row_norms(X - chart.center) <= chart.radius * (1 + 1e-6))
+    X[~ok] = np.nan
+    return X, ok
+
+
+def _newton_invert(chart, m, Z):
+    """Newton on the parametrization for all rows together; a row stops once
+    its residual is below 1e-13, and a singular Jacobian fails only its row."""
+    d = Z.shape[1]
+    U = np.tile(m.param_of_point(chart.center), (len(Z), 1))
+    ok, live, h = np.ones(len(Z), dtype=bool), np.arange(len(Z)), 1e-6
+
+    def phi(V):
+        return chart_project(chart, m.embed(V), check=False)
+
+    for _ in range(60):
+        res = phi(U[live]) - Z[live]
+        going = ~(np.max(np.abs(res), axis=1) < 1e-13)
+        live, res = live[going], res[going]
+        if not live.size:
+            break
+        J = np.stack([(phi(U[live] + e) - phi(U[live] - e)) / (2 * h) for e in h * np.eye(d)], 2)
+        solved = np.linalg.det(J) != 0.0  # 0 exactly when solve()'s LU has a zero pivot
+        ok[live[~solved]] = False
+        live, J, res = live[solved], J[solved], res[solved]
+        U[live] -= np.linalg.solve(J, res[:, :, None])[:, :, 0]
+    return m.embed(U), ok
+
+
+def chart_invert(chart: Chart, m: ManifoldSpec, z):
+    """One-point chart_invert_batch; raises ChartError when z has no
+    preimage in the chart ball."""
+    z = np.asarray(z, dtype=np.float64).ravel()
+    X, ok = chart_invert_batch(chart, m, z[None])
+    if not ok[0]:
+        raise ChartError(f"chart coordinate {z} has no preimage in the chart ball")
+    return X[0]
 
 
 def rho_weights(atlas: Atlas, x) -> np.ndarray:
@@ -333,14 +372,7 @@ def rho_weights(atlas: Atlas, x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
     X = np.atleast_2d(x)
-    rt2 = atlas.r_tilde**2
-    H = np.stack(
-        [
-            np.maximum(0.0, 1.0 - np.sum((X - ch.center) ** 2, axis=1) / rt2) ** 3
-            for ch in atlas.charts
-        ],
-        axis=1,
-    )
+    H = np.maximum(0.0, 1.0 - _sqdist(X, atlas.centers) / atlas.r_tilde**2) ** 3
     total = H.sum(axis=1)
     if np.any(total <= 0.0):
         raise ChartError("point not covered by any inner ball (covering bug)")
@@ -445,23 +477,22 @@ def build_indicator(p: IndicatorParams) -> ScalarNet:
 def pullback_evaluator(f_on_M, atlas: Atlas, i: int):
     """(f * rho_i) composed with the chart inverse, extended by zero off the
     chart image.  Returns a batch evaluator on chart coordinates."""
-    chart = atlas.charts[i]
-    m = atlas.manifold
+    return lambda Z: _weighted_pullback(f_on_M, atlas, i, Z)[0]
 
-    def F(Z):
-        Z = np.atleast_2d(np.asarray(Z, dtype=np.float64))
-        out = np.zeros(Z.shape[0])
-        for t, z in enumerate(Z):
-            try:
-                x = chart_invert(chart, m, z)
-            except ChartError:
-                continue
-            w = rho_weights(atlas, x[None])[0, i]
-            if w != 0.0:
-                out[t] = float(np.asarray(f_on_M(x[None])).ravel()[0]) * w
-        return out
 
-    return F
+def _weighted_pullback(fun, atlas, i, Z):
+    """(fun * rho_i)(phi_i^{-1}(z)) for the rows z of Z, zero where rho_i
+    vanishes (fun is not called there) or z has no preimage, together with
+    the mask of rows that have one."""
+    Z = np.atleast_2d(np.asarray(Z, dtype=np.float64))
+    X, ok = chart_invert_batch(atlas.charts[i], atlas.manifold, Z)
+    out = np.zeros(Z.shape[0])
+    rows = np.flatnonzero(ok)
+    w = rho_weights(atlas, X[rows])[:, i]
+    rows, w = rows[w != 0.0], w[w != 0.0]
+    if rows.size:
+        out[rows] = np.asarray(fun(X[rows]), dtype=np.float64).ravel() * w
+    return out, ok
 
 
 def _fd_deriv(F, Z, a, h):
@@ -497,37 +528,32 @@ def chart_boundary_data(atlas: Atlas, i: int, Delta: float, n_dirs=32):
             dirs = rng.standard_normal((n_dirs, d))
             dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
 
-    def radial_point(w, target):
-        def g(t):
-            return float(np.linalg.norm(m.embed((u0 + t * w)[None])[0] - chart.center)) - target
-
-        t_hi = 1e-3
-        for _ in range(60):
-            if g(t_hi) > 0:
-                break
-            t_hi *= 1.7
-        else:
-            raise ChartError("no boundary bracket along direction")
-        t_lo = 0.0
-        for _ in range(80):
-            mid = 0.5 * (t_lo + t_hi)
-            if g(mid) > 0:
-                t_hi = mid
-            else:
-                t_lo = mid
-        return m.embed((u0 + 0.5 * (t_lo + t_hi) * w)[None])[0]
-
+    # two rays per direction: the outer boundary d = r and the inner edge of
+    # the transition band d = sqrt(r^2 - Delta); all bisected together
     r = chart.radius
-    inner_target = math.sqrt(max(r * r - Delta, 0.0))
-    z_outer, width = [], 0.0
-    for w in dirs:
-        xo = radial_point(w, r)
-        xi = radial_point(w, inner_target)
-        zo = chart_project(chart, xo, check=False)
-        zi = chart_project(chart, xi, check=False)
-        z_outer.append(zo)
-        width = max(width, float(np.max(np.abs(zo - zi))))
-    return np.array(z_outer), width
+    rays = np.concatenate([dirs, dirs])
+    target = np.repeat([r, math.sqrt(max(r * r - Delta, 0.0))], len(dirs))
+
+    def g(T):
+        return _row_norms(m.embed(u0 + T[:, None] * rays) - chart.center) - target
+
+    t_hi = np.full(len(rays), 1e-3)
+    for _ in range(60):
+        short = ~(g(t_hi) > 0)
+        if not short.any():
+            break
+        t_hi = np.where(short, t_hi * 1.7, t_hi)
+    else:
+        raise ChartError("no boundary bracket along direction")
+    t_lo = np.zeros(len(rays))
+    for _ in range(80):
+        mid = 0.5 * (t_lo + t_hi)
+        above = g(mid) > 0
+        t_hi = np.where(above, mid, t_hi)
+        t_lo = np.where(above, t_lo, mid)
+    Zb = chart_project(chart, m.embed(u0 + (0.5 * (t_lo + t_hi))[:, None] * rays), check=False)
+    z_outer, z_inner = Zb[: len(dirs)], Zb[len(dirs) :]
+    return z_outer, float(np.max(np.abs(z_outer - z_inner)))
 
 
 def chart_coefficients(
@@ -551,13 +577,10 @@ def chart_coefficients(
     table = _monomial_expansion_rows(nodes, derivs, v_list)
     z_bound, band = chart_boundary_data(atlas, i, Delta)
     kill_radius = band + 1.0 / N
-    killed = 0
-    for t, node in enumerate(nodes):
-        gap = np.min(np.max(np.abs(z_bound - node), axis=1))
-        if gap <= kill_radius:
-            if np.any(table[t] != 0.0):
-                killed += 1
-            table[t] = 0.0
+    gap = np.min(np.max(np.abs(z_bound[None] - nodes[:, None]), axis=2), axis=1)
+    kill = gap <= kill_radius
+    killed = int(np.count_nonzero(np.any(table[kill] != 0.0, axis=1)))
+    table[kill] = 0.0
     coeffs = SurrogateCoefficients(d, N, alpha, v_list, table)
     return coeffs, {"band_width": band, "kill_radius": kill_radius, "killed_nodes": killed}
 
@@ -635,13 +658,10 @@ class ManifoldApproximator:
     def eval(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         out = np.zeros(X.shape[0])
-        r2 = self.atlas.r**2
-        for i, chart in enumerate(self.atlas.charts):
-            d2 = np.sum((X - chart.center) ** 2, axis=1)
-            mask = d2 <= 1.44 * r2  # beyond this the indicator is exactly 0
-            if not np.any(mask):
-                continue
-            out[mask] += self.per_chart_eval(i, X[mask])
+        # beyond 1.2 r from a center the chart's indicator is exactly 0
+        near = _sqdist(X, self.atlas.centers) <= 1.44 * self.atlas.r**2
+        for i in np.flatnonzero(near.any(axis=0)):
+            out[near[:, i]] += self.per_chart_eval(i, X[near[:, i]])
         return out
 
     def __call__(self, x):
@@ -664,14 +684,11 @@ def _estimate_c2(atlas: Atlas, i: int, count=200, seed=3):
         idx = np.random.default_rng(seed).choice(len(local), count, replace=False)
         local = local[idx]
     Z = chart_project(chart, local, check=False)
-    best = math.inf
-    for a in range(0, len(local), 7):
-        dx = np.linalg.norm(local - local[a], axis=1)
-        dz = np.linalg.norm(Z - Z[a], axis=1)
-        keep = dz > 1e-12
-        if np.any(keep):
-            best = min(best, float(np.min(dx[keep] / dz[keep])))
-    return best
+    anchors = np.arange(0, len(local), 7)
+    dx = np.linalg.norm(local[None] - local[anchors, None], axis=2)
+    dz = np.linalg.norm(Z[None] - Z[anchors, None], axis=2)
+    ratio = np.divide(dx, dz, out=np.full(dx.shape, math.inf), where=dz > 1e-12)
+    return float(np.min(ratio, initial=math.inf))
 
 
 def build_manifold_approx(
@@ -818,54 +835,27 @@ def manifold_norm(e_on_M, atlas: Atlas, k: int, resolution=60, fd_step=1e-5):
     """
     if k not in (0, 1):
         raise ValueError(f"k must be 0 or 1, got {k}")
-    m = atlas.manifold
-    d = m.intrinsic_dim
+    d = atlas.manifold.intrinsic_dim
     total, skipped = 0.0, 0
     axis = (np.arange(resolution) + 0.5) / resolution + math.sqrt(2.0) * 1e-7
-    if d == 1:
-        Zg = axis[:, None]
-    else:
-        mesh = np.meshgrid(*([axis] * d), indexing="ij")
-        Zg = np.stack([mm.ravel() for mm in mesh], axis=1)
-
+    Zg = np.stack([mm.ravel() for mm in np.meshgrid(*([axis] * d), indexing="ij")], axis=1)
+    # k = 1: the +-fd_step stencil of every grid point that has a preimage
+    steps = fd_step * np.eye(d)[:, None, :]
     for i in range(atlas.chart_count):
-        F = _weighted_pullback(e_on_M, atlas, i)
-        best = 0.0
-        for z in Zg:
-            val = F(z)
-            if val is None:
-                skipped += 1
-                continue
-            best = max(best, abs(val))
-            if k == 1:
-                for j in range(d):
-                    hi, lo = z.copy(), z.copy()
-                    hi[j] += fd_step
-                    lo[j] -= fd_step
-                    vh, vl = F(hi), F(lo)
-                    if vh is None or vl is None:
-                        skipped += 1
-                        continue
-                    best = max(best, abs(vh - vl) / (2.0 * fd_step))
+        vals, ok = _weighted_pullback(e_on_M, atlas, i, Zg)
+        skipped += int(np.count_nonzero(~ok))
+        best = float(np.max(np.abs(vals[ok]), initial=0.0))
+        if k == 1:
+            base = Zg[ok]
+            stencil = np.concatenate([base + steps, base - steps]).reshape(-1, d)
+            sv, sok = _weighted_pullback(e_on_M, atlas, i, stencil)
+            sv, sok = sv.reshape(2, d, -1), sok.reshape(2, d, -1)
+            both = sok[0] & sok[1]
+            skipped += int(np.count_nonzero(~both))
+            slope = np.abs(sv[0] - sv[1]) / (2.0 * fd_step)
+            best = max(best, float(np.max(slope[both], initial=0.0)))
         total += best
     return total, skipped
-
-
-def _weighted_pullback(e_on_M, atlas, i):
-    chart = atlas.charts[i]
-    m = atlas.manifold
-
-    def F(z):
-        try:
-            x = chart_invert(chart, m, z)
-        except ChartError:
-            return None
-        w = rho_weights(atlas, x[None])[0, i]
-        if w == 0.0:
-            return 0.0
-        return float(np.asarray(e_on_M(x[None])).ravel()[0]) * w
-
-    return F
 
 
 def atlas_to_dict(atlas: Atlas) -> dict:

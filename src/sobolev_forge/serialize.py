@@ -185,4 +185,6 @@ def load(path):
             doc = json.load(fh)
     except json.JSONDecodeError as e:
         raise SerializationError(f"corrupt network file {path}: {e}") from e
+    except OSError as e:
+        raise SerializationError(f"cannot read network file {path}: {e}") from e
     return from_dict(doc)

@@ -15,7 +15,7 @@ from .metrics import EvalGrid, fit_loglog_slope, grid_norm
 from .netcore import audit_class
 from .manifold import build_atlas, build_manifold_approx, manifold_norm
 from .risk import RiskConfig, adversarial_gap_check, empirical_residual_study
-from .targets import get_manifold_target, get_target
+from .targets import EUCLIDEAN_TARGETS, MANIFOLD_TARGETS, get_manifold_target, get_target
 from .taylor import build_euclidean
 
 
@@ -77,7 +77,45 @@ def validate_config(doc):
     for key, default in schema["optional"].items():
         out.setdefault(key, default)
     out.setdefault("seed", 0)
+    check_ints(out, ("alpha", "N", "dim"))
+    if "target" in out:
+        known = MANIFOLD_TARGETS if kind == "manifold-rate" else EUCLIDEAN_TARGETS
+        if not isinstance(out["target"], str) or out["target"] not in known:
+            raise ConfigError(f"unknown target {out['target']!r} for kind {kind!r}; "
+                              f"known: {sorted(known)}")
+    if "N_list" in out:
+        N_list = out["N_list"]
+        least = 2 if kind == "manifold-rate" else 1  # the manifold builder needs N >= 2
+        if not isinstance(N_list, list) or not all(_is_int(N, least) for N in N_list):
+            raise ConfigError(f"N_list must be a list of integers >= {least}, got {N_list!r}")
+        if len(set(N_list)) < 2:
+            raise ConfigError(f"N_list needs at least 2 distinct values to fit a slope, "
+                              f"got {N_list}")
     return out
+
+
+def _is_int(value, least):
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
+
+
+def check_ints(cfg, keys):
+    """ConfigError unless every key of cfg that is present and not null holds
+    an integer >= 1."""
+    for key in keys:
+        value = cfg.get(key)
+        if value is not None and not _is_int(value, 1):
+            raise ConfigError(f"{key} must be an integer >= 1, got {value!r}")
+
+
+def load_target(name, alpha, dim):
+    """The registry target; an unknown name, or an order beyond the target's
+    derivative table, is a ConfigError."""
+    if not isinstance(name, str):
+        raise ConfigError(f"target must be a name, got {name!r}")
+    try:
+        return get_target(name, alpha=alpha, dim=dim)
+    except KeyError as e:
+        raise ConfigError(e.args[0]) from None
 
 
 def _fmt(x):
@@ -148,7 +186,7 @@ def _window(cfg_value, nominal):
 
 def run_euclidean_rate(cfg, out: Path):
     alpha = cfg["alpha"]
-    target = get_target(cfg["target"], alpha=alpha, dim=cfg["dim"])
+    target = load_target(cfg["target"], alpha, cfg["dim"])
     p = math.inf if cfg["p"] == "inf" else int(cfg["p"])
     grid = EvalGrid(target.dim, cfg["grid"])
     rows, errs = [], {0: [], 1: []}
@@ -251,7 +289,7 @@ def run_manifold_rate(cfg, out: Path):
 
 
 def run_risk(cfg, out: Path, threads=1):
-    target = get_target(cfg["target"], alpha=cfg["alpha"], dim=cfg["dim"])
+    target = load_target(cfg["target"], cfg["alpha"], cfg["dim"])
     ap = build_euclidean(target, s=0, p=math.inf, N=cfg["N"], compile_model=False)
     rc = RiskConfig(
         n=cfg["n"],
@@ -283,7 +321,7 @@ def run_risk(cfg, out: Path, threads=1):
 
 
 def run_adversarial(cfg, out: Path):
-    target = get_target(cfg["target"], alpha=cfg["alpha"], dim=cfg["dim"])
+    target = load_target(cfg["target"], cfg["alpha"], cfg["dim"])
     ap = build_euclidean(target, s=0, p=math.inf, N=cfg["N"], compile_model=False)
     eps = cfg["eps"]
     if eps is None:

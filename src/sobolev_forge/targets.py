@@ -145,12 +145,17 @@ class ManifoldTarget:
         return np.asarray(self._fun(np.atleast_2d(X)), dtype=np.float64).ravel()
 
 
+MANIFOLD_TARGETS = ("circle-sin", "sphere-harmonic")
+
+
 def get_manifold_target(name, ambient_dim=3, order=2):
     """Returns (manifold, target) for the named manifold study target."""
     if name == "circle-sin":
         m = circle_manifold(ambient_dim)
         e1 = m.embed(np.array([[math.pi / 2.0]]))[0]
-        return m, ManifoldTarget(name, lambda X: X @ e1, order)
+        # stacked one-row products: ``X @ e1`` rounds by the row count, and the
+        # chart pullbacks' finite differences would amplify that
+        return m, ManifoldTarget(name, lambda X: (X[:, None, :] @ e1[:, None])[:, 0, 0], order)
     if name == "sphere-harmonic":
         m = sphere_manifold()
         c = 3.0**1.5  # max |x1 x2 x3| on the unit sphere is 3^-1.5

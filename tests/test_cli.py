@@ -173,3 +173,56 @@ def test_eval_rejects_bad_points_with_exit_2(tmp_path, capsys, point, message):
     assert main(["eval", "--net", str(tmp_path / "art" / "model.json"), "--at", point]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and message in err
+
+
+@pytest.mark.parametrize(
+    "kind, change, message",
+    [
+        ("euclidean-rate", {"N_list": [4]}, "2 distinct"),
+        ("euclidean-rate", {"N_list": [4, 4]}, "2 distinct"),
+        ("euclidean-rate", {"N_list": [0, 4]}, "integers >= 1"),
+        ("euclidean-rate", {"N_list": [2.5, 4]}, "integers >= 1"),
+        ("euclidean-rate", {"N_list": "4"}, "list"),
+        ("euclidean-rate", {"alpha": 2.5}, "alpha"),
+        ("euclidean-rate", {"target": "nope"}, "unknown target"),
+        ("manifold-rate", {"N_list": [1, 4]}, "integers >= 2"),
+        ("manifold-rate", {"target": "sinprod"}, "unknown target"),
+        ("risk", {"N": 0}, "N must be"),
+    ],
+)
+def test_validate_rejects_bad_values(kind, change, message):
+    base = {
+        "euclidean-rate": {"target": "sinprod", "alpha": 2, "N_list": [2, 4]},
+        "manifold-rate": {"target": "circle-sin", "alpha": 2, "N_list": [4, 8]},
+        "risk": {"target": "sinprod", "alpha": 2, "N": 4},
+    }[kind]
+    with pytest.raises(ConfigError, match=message):
+        validate_config({"kind": kind, **base, **change})
+
+
+@pytest.mark.parametrize("change", [{"N_list": [4]}, {"N_list": [0, 4]}, {"target": "nope"}])
+def test_rate_study_bad_values_exit_2(tmp_path, capsys, change):
+    cfg = _write_cfg(tmp_path, {"target": "sinprod", "alpha": 2, "N_list": [2, 4], **change})
+    assert main(["--out", str(tmp_path / "out"), "rate-study", "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"target": "sinprod", "alpha": 2, "N": "4"}, "N must be an integer"),
+        ({"target": "nope", "alpha": 2, "N": 2}, "unknown target"),
+        ({"target": "gauss-bump", "alpha": 5, "N": 2}, "not available"),
+    ],
+)
+def test_build_bad_config_exit_2(tmp_path, capsys, doc, message):
+    cfg = _write_cfg(tmp_path, doc, "build.json")
+    assert main(["--out", str(tmp_path / "art"), "build", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err
+
+
+@pytest.mark.parametrize("command", [["eval"], ["audit"], ["net-io", "check"]])
+def test_missing_network_file_exit_2(tmp_path, capsys, command):
+    assert main(command + ["--net", str(tmp_path / "absent.json")]) == 2
+    assert "cannot read network file" in capsys.readouterr().err

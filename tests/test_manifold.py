@@ -1,8 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from sobolev_forge import manifold
 from sobolev_forge.manifold import (
     ChartError,
     IndicatorParams,
@@ -11,9 +14,11 @@ from sobolev_forge.manifold import (
     build_manifold_approx,
     build_sqdist_net,
     chart_invert,
+    chart_invert_batch,
     chart_project,
     circle_manifold,
     manifold_norm,
+    pullback_evaluator,
     rho_weights,
     sphere_manifold,
     torus_manifold,
@@ -305,3 +310,154 @@ def test_atlas_from_dict_guards(circle, atlas):
     doc["manifold"] = "sphere"
     with pytest.raises(ChartError, match="sphere"):
         atlas_from_dict(doc, circle)
+
+
+@pytest.fixture(scope="module")
+def sphere_atlas():
+    return build_atlas(sphere_manifold(), 0.24, sample_count=2400)
+
+
+@pytest.mark.parametrize("make, r, count", [(circle_manifold, 0.2, 4096), (sphere_manifold, 0.24, 1200)])
+def test_atlas_centers_match_per_center_first_fit(make, r, count):
+    m = make()
+    centers = []
+    for x in m.sample_points(count):
+        if not centers or min(np.linalg.norm(x - c) for c in centers) > 0.45 * r:
+            centers.append(x)
+    assert np.array_equal(build_atlas(m, r, sample_count=count).centers, np.array(centers))
+
+
+@pytest.mark.parametrize("kit, newton", [("circle", False), ("circle", True),
+                                         ("sphere", False), ("sphere", True)])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_chart_invert_batch_matches_one_point(kit, newton, atlas, sphere_atlas, data):
+    """Row t of the batch is the one-point inversion of z_t, including the
+    points with no preimage in the chart ball (z beyond [0, 1] mostly)."""
+    at = atlas if kit == "circle" else sphere_atlas
+    m = dataclasses.replace(at.manifold, chart_solver=None) if newton else at.manifold
+    d = m.intrinsic_dim
+    ch = at.charts[data.draw(st.integers(0, at.chart_count - 1))]
+    coord = st.floats(-3.0, 4.0) | st.floats(0.0, 1.0)
+    Z = np.array(data.draw(st.lists(st.lists(coord, min_size=d, max_size=d), min_size=1, max_size=12)))
+    X, ok = chart_invert_batch(ch, m, Z)
+    for t, z in enumerate(Z):
+        try:
+            x = chart_invert(ch, m, z)
+        except ChartError:
+            assert not ok[t] and np.all(np.isnan(X[t]))
+            continue
+        assert ok[t]
+        if newton:  # the batch projects in one multi-row product, which rounds by row count
+            assert np.max(np.abs(X[t] - x)) <= 1e-12
+        else:
+            assert np.array_equal(X[t], x)
+
+
+def test_newton_singular_jacobian_fails_only_its_row(circle, atlas):
+    """Parametrized by u^2 around the first center (parameter 0), the circle's
+    Newton Jacobian there is exactly 0; the center itself still inverts."""
+    m = dataclasses.replace(circle, chart_solver=None, param_of_point=lambda x: np.zeros(1),
+                            embed=lambda U: circle.embed(np.atleast_2d(U) ** 2))
+    ch = atlas.charts[0]
+    X, ok = chart_invert_batch(ch, m, np.array([ch.shift, [0.6]]))
+    assert ok.tolist() == [True, False]
+    assert np.array_equal(X[0], ch.center)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.floats(0.0, 2 * math.pi), min_size=1, max_size=30))
+def test_rho_weights_rows_match_one_point(circle, atlas, params):
+    X = circle.embed(np.array(params)[:, None])
+    W = rho_weights(atlas, X)
+    for x, row in zip(X, W):
+        assert np.array_equal(rho_weights(atlas, x), row)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 68), st.lists(st.floats(-0.2, 1.2), min_size=1, max_size=20))
+def test_pullback_evaluator_batch_matches_one_point(atlas, circle_sin, i, zs):
+    F = pullback_evaluator(circle_sin[1], atlas, i % atlas.chart_count)
+    Z = np.array(zs)[:, None]
+    assert np.array_equal(F(Z), [F(z[None])[0] for z in Z])
+
+
+def _per_point_pullback(f_on_M, atlas, i):
+    """Reference pullback: one inversion, one weight row and one target call
+    per point."""
+    chart = atlas.charts[i]
+
+    def F(Z):
+        out = np.zeros(len(Z))
+        for t, z in enumerate(Z):
+            try:
+                x = chart_invert(chart, atlas.manifold, z)
+            except ChartError:
+                continue
+            w = rho_weights(atlas, x)[i]
+            if w != 0.0:
+                out[t] = float(f_on_M(x[None])[0]) * w
+        return out
+
+    return F
+
+
+def test_circle_build_matches_per_point_pullback(circle, atlas, circle_sin, monkeypatch):
+    target = circle_sin[1]
+    ap = build_manifold_approx(target, circle, N=8, atlas=atlas)
+    monkeypatch.setattr(manifold, "pullback_evaluator", _per_point_pullback)
+    ref = build_manifold_approx(target, circle, N=8, atlas=atlas)
+    for a, b in zip(ap.per_chart, ref.per_chart):
+        assert np.array_equal(a.table, b.table)
+    assert ap.record["kill_info"] == ref.record["kill_info"]
+    assert any(np.any(c.table != 0.0) for c in ap.per_chart)
+
+
+def _per_point_norm(e_on_M, atlas, k, resolution, fd_step=1e-5):
+    """Reference manifold_norm: every grid point and stencil point on its own."""
+    d = atlas.manifold.intrinsic_dim
+    axis = (np.arange(resolution) + 0.5) / resolution + math.sqrt(2.0) * 1e-7
+    Zg = np.stack([g.ravel() for g in np.meshgrid(*([axis] * d), indexing="ij")], axis=1)
+    total, skipped = 0.0, 0
+    for i, chart in enumerate(atlas.charts):
+
+        def F(z):
+            try:
+                x = chart_invert(chart, atlas.manifold, z)
+            except ChartError:
+                return None
+            w = rho_weights(atlas, x)[i]
+            return 0.0 if w == 0.0 else float(e_on_M(x[None])[0]) * w
+
+        best = 0.0
+        for z in Zg:
+            val = F(z)
+            if val is None:
+                skipped += 1
+                continue
+            best = max(best, abs(val))
+            for j in range(d if k == 1 else 0):
+                hi, lo = z.copy(), z.copy()
+                hi[j] += fd_step
+                lo[j] -= fd_step
+                vh, vl = F(hi), F(lo)
+                if vh is None or vl is None:
+                    skipped += 1
+                    continue
+                best = max(best, abs(vh - vl) / (2.0 * fd_step))
+        total += best
+    return total, skipped
+
+
+@pytest.mark.parametrize("kit, k, resolution", [("circle", 0, 210), ("sphere", 1, 3)])
+def test_manifold_norm_matches_per_point(atlas, sphere_atlas, kit, k, resolution):
+    """At resolution 210 the first and last grid points of every circle chart
+    lie outside the chart ball, so the norm skips them; the sphere case
+    covers the two-direction stencils (at resolution 3 only the middle grid
+    point lies where rho_i > 0)."""
+    at = atlas if kit == "circle" else sphere_atlas
+    e = lambda X: X[:, 0] * X[:, 1] + X[:, 2]
+    val, skipped = manifold_norm(e, at, k, resolution=resolution)
+    assert val > 0.0
+    assert (val, skipped) == _per_point_norm(e, at, k, resolution)
+    assert skipped == (2 * at.chart_count if kit == "circle" else 0)
