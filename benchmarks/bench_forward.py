@@ -8,6 +8,8 @@ grids, Lipschitz probing, adversarial search).  This script times
   and on a batch (rate-study grid pattern), through the execution plan of
   ``resnet_forward_batch`` against the sequential reference
   ``resnet_forward_reference``;
+* the functional path ``ConstructedApproximator.eval`` of the N=8 model at
+  1, 200 and 5000 points, the evaluator the studies run;
 * batched scalar-net evaluation (functional-path pattern) on the numpy
   backend and, when it is built, the compiled one.
 
@@ -75,6 +77,16 @@ def main():
         {
             label: [_time(lambda: fwd(model, X)) for fwd in (resnet_forward_reference, resnet_forward_batch)]
             for label, X in points.items()
+        },
+    )
+
+    functional = build_euclidean(target, s=0, p=math.inf, N=8, compile_model=False)
+    _table(
+        "functional",
+        ["eval"],
+        {
+            f"N=8, {n} points": [_time(lambda: functional.eval(X))]
+            for n, X in ((n, rng.uniform(0, 1, (n, 2))) for n in (1, 200, 5000))
         },
     )
 

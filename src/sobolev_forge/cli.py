@@ -17,7 +17,15 @@ import numpy as np
 
 from . import serialize
 from .netcore import resnet_forward_batch
-from .studies import ConfigError, check_ints, load_target, run_study, validate_config, write_json
+from .studies import (
+    ConfigError,
+    audit_document,
+    check_ints,
+    load_target,
+    run_study,
+    validate_config,
+    write_json,
+)
 from .taylor import build_euclidean
 
 
@@ -80,6 +88,8 @@ def _parse_point(text, dim):
         raise ConfigError(f"--at {text!r}: coordinates must be numbers") from None
     if len(x) != dim:
         raise ConfigError(f"--at {text!r} has {len(x)} coordinates; the network takes {dim}")
+    if not all(0.0 <= t <= 1.0 for t in x):
+        raise ConfigError(f"--at {text!r} lies outside the domain [0, 1]^{dim}")
     return x
 
 
@@ -104,21 +114,7 @@ def cmd_eval(args):
 
 
 def cmd_audit(args):
-    from .netcore import audit_class
-
-    params = audit_class(serialize.load(args.net))
-    doc = {
-        "kind": "audit",
-        "net": args.net,
-        "M": params.M,
-        "L": params.L,
-        "J": params.J,
-        "K": params.K,
-        "kappa1": params.kappa1,
-        "kappa2": params.kappa2,
-        "first_row_only": params.first_row_only,
-        "pass": True,
-    }
+    doc = audit_document(args.net)
     if args.out:
         write_json(Path(args.out) / "audit.json", doc)
     sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")

@@ -29,8 +29,6 @@ from .scalarnets import (
     ScalarNet,
     build_product2,
     build_square,
-    monomial_factors,
-    psi_value,
     sn_affine,
     sn_chain,
     sn_input_affine,
@@ -41,9 +39,8 @@ from .scalarnets import (
 from .taylor import (
     CompileEqualityError,
     SurrogateCoefficients,
-    _candidate_offsets,
-    _candidates,
     _monomial_expansion_rows,
+    _stacked_fold,
     multi_indices,
 )
 
@@ -334,7 +331,8 @@ def chart_invert_batch(chart: Chart, m: ManifoldSpec, Z):
 
 def _newton_invert(chart, m, Z):
     """Newton on the parametrization for all rows together; a row stops once
-    its residual is below 1e-13, and a singular Jacobian fails only its row."""
+    its residual is below 1e-13, and a non-finite residual or a singular
+    Jacobian fails only its row."""
     d = Z.shape[1]
     U = np.tile(m.param_of_point(chart.center), (len(Z), 1))
     ok, live, h = np.ones(len(Z), dtype=bool), np.arange(len(Z)), 1e-6
@@ -344,7 +342,9 @@ def _newton_invert(chart, m, Z):
 
     for _ in range(60):
         res = phi(U[live]) - Z[live]
-        going = ~(np.max(np.abs(res), axis=1) < 1e-13)
+        err = np.max(np.abs(res), axis=1)
+        ok[live[~np.isfinite(err)]] = False
+        going = np.isfinite(err) & (err >= 1e-13)
         live, res = live[going], res[going]
         if not live.size:
             break
@@ -615,45 +615,13 @@ class ManifoldApproximator:
         return self.indicator_net.forward(d2[:, None])
 
     def per_chart_eval(self, i, X):
-        """Contribution of chart i (exactly zero off its indicator support)."""
+        """Contribution of chart i (exactly zero off its indicator support):
+        the stacked fold of times_eta over chart coordinates, multiplied by
+        the indicator through times_delta as its last step."""
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        chart = self.atlas.charts[i]
-        coeffs = self.per_chart[i]
-        N, d = coeffs.N, coeffs.dim
-        Z = chart_project(chart, X, check=False)
-        ind = self.indicator_values(i, X)
-        out = np.zeros(X.shape[0])
-        m_lo = _candidates(N, Z)
-        for off in _candidate_offsets(d):
-            mm = m_lo + np.array(off, dtype=np.int64)
-            valid = np.all((mm >= 0) & (mm <= N), axis=1)
-            if not np.any(valid):
-                continue
-            mc = np.clip(mm, 0, N)
-            idx = np.zeros(X.shape[0], dtype=np.int64)
-            for k in range(d):
-                idx = idx * (N + 1) + mc[:, k]
-            c_rows = coeffs.table[idx]
-            psis = [psi_value(3.0 * N * Z[:, k] - 3.0 * mc[:, k]) for k in range(d)]
-            for j, v in enumerate(coeffs.v_list):
-                cj = np.where(valid, c_rows[:, j], 0.0)
-                if not np.any(cj != 0.0):
-                    continue
-                g = self._fold_term(Z, psis, v)
-                out += cj * self.times_delta.forward(np.stack([g, ind], axis=1))
-        return out
-
-    def _fold_term(self, Z, psis, v):
-        coords = monomial_factors(v)
-        if coords:
-            running = Z[:, coords[0]].copy()
-            factors = [Z[:, j] for j in coords[1:]] + psis
-        else:
-            running = np.ones(Z.shape[0])
-            factors = list(psis)
-        for fac in factors:
-            running = self.times_eta.forward(np.stack([running, fac], axis=1))
-        return running
+        Z = chart_project(self.atlas.charts[i], X, check=False)
+        tail = (self.times_delta, self.indicator_values(i, X))
+        return _stacked_fold(self.per_chart[i], Z, self.times_eta, tail=tail)
 
     def eval(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))

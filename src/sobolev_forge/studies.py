@@ -341,12 +341,13 @@ def run_adversarial(cfg, out: Path):
     return (0 if report["pass"] else 1), report
 
 
-def run_audit(cfg, out: Path):
-    net = serialize.load(cfg["net"])
-    params = audit_class(net)
-    doc = {
+def audit_document(net_path):
+    """Class parameters of the saved network at ``net_path`` as the audit
+    document that ``audit`` prints and the audit study writes."""
+    params = audit_class(serialize.load(net_path))
+    return {
         "kind": "audit",
-        "net": cfg["net"],
+        "net": net_path,
         "M": params.M,
         "L": params.L,
         "J": params.J,
@@ -356,6 +357,10 @@ def run_audit(cfg, out: Path):
         "first_row_only": params.first_row_only,
         "pass": True,
     }
+
+
+def run_audit(cfg, out: Path):
+    doc = audit_document(cfg["net"])
     write_json(out / "summary.json", doc)
     return 0, doc
 

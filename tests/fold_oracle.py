@@ -1,0 +1,83 @@
+"""Per-term reference for the stacked functional fold.
+
+The evaluator once ran the shared product net over every point for each
+(candidate offset, v) term in turn; these functions keep that loop as the
+oracle the stacked, compacted fold is compared against.
+"""
+
+from itertools import product as iter_product
+
+import numpy as np
+
+from sobolev_forge.manifold import chart_project
+from sobolev_forge.scalarnets import monomial_factors, psi_value
+
+
+def _covering_terms(coeffs, X):
+    """(valid, c_rows, psis) per candidate offset, psis at the clipped node."""
+    N, D = coeffs.N, X.shape[1]
+    m_lo = np.floor(N * X - 2.0 / 3.0).astype(np.int64) + 1
+    for off in iter_product((0, 1), repeat=D):
+        m = m_lo + np.array(off, dtype=np.int64)
+        valid = np.all((m >= 0) & (m <= N), axis=1)
+        mc = np.clip(m, 0, N)
+        idx = np.zeros(X.shape[0], dtype=np.int64)
+        for k in range(D):
+            idx = idx * (N + 1) + mc[:, k]
+        psis = [psi_value(3.0 * N * X[:, k] - 3.0 * mc[:, k]) for k in range(D)]
+        yield valid, coeffs.table[idx], psis
+
+
+def fold_term(times, X, psis, v, tracker=None):
+    coords = monomial_factors(v)
+    if coords:
+        running = X[:, coords[0]].copy()
+        factors = [X[:, j] for j in coords[1:]] + psis
+    else:
+        running = np.ones(X.shape[0])
+        factors = list(psis)
+    for fac in factors:
+        if tracker is not None:
+            tracker[0] = max(tracker[0], float(np.max(np.abs(running))))
+        running = times.forward(np.stack([running, fac], axis=1))
+    return running
+
+
+def _sum_terms(coeffs, X, times, term_value):
+    out = np.zeros(X.shape[0])
+    for valid, c_rows, psis in _covering_terms(coeffs, X):
+        if not np.any(valid):
+            continue
+        for j, v in enumerate(coeffs.v_list):
+            cj = np.where(valid, c_rows[:, j], 0.0)
+            if not np.any(cj != 0.0):
+                continue
+            out += cj * term_value(fold_term(times, X, psis, v))
+    return out
+
+
+def eval_oracle(ap, X):
+    """ConstructedApproximator.eval, one product-net pass per term and step."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    return _sum_terms(ap.coeffs, X, ap.times_net, lambda g: g)
+
+
+def max_intermediate_oracle(ap, X):
+    """audit_intermediate_magnitudes()["max_intermediate"], every row folded."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    tracker = [0.0]
+    for _, _, psis in _covering_terms(ap.coeffs, X):
+        for v in ap.coeffs.v_list:
+            fold_term(ap.times_net, X, psis, v, tracker=tracker)
+    return tracker[0]
+
+
+def per_chart_eval_oracle(ap, i, X):
+    """ManifoldApproximator.per_chart_eval, one pass per term and step."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    Z = chart_project(ap.atlas.charts[i], X, check=False)
+    ind = ap.indicator_values(i, X)
+    return _sum_terms(
+        ap.per_chart[i], Z, ap.times_eta,
+        lambda g: ap.times_delta.forward(np.stack([g, ind], axis=1)),
+    )

@@ -165,7 +165,12 @@ def test_eval_rejects_a_nan_model_with_exit_2(tmp_path, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("point, message", [("0.3", "has 1 coordinates"), ("a,b", "must be numbers")])
+@pytest.mark.parametrize("point, message", [
+    ("0.3", "has 1 coordinates"),
+    ("a,b", "must be numbers"),
+    ("1.5,0.5", "outside the domain"),
+    ("0.5,nan", "outside the domain"),
+])
 def test_eval_rejects_bad_points_with_exit_2(tmp_path, capsys, point, message):
     build_cfg = _write_cfg(tmp_path, {"target": "sinprod", "alpha": 2, "N": 2}, "build.json")
     assert main(["--out", str(tmp_path / "art"), "build", "--config", build_cfg]) == 0

@@ -1,8 +1,10 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
+from fold_oracle import per_chart_eval_oracle
 from hypothesis import given, settings, strategies as st
 
 from sobolev_forge import manifold
@@ -363,6 +365,31 @@ def test_newton_singular_jacobian_fails_only_its_row(circle, atlas):
     X, ok = chart_invert_batch(ch, m, np.array([ch.shift, [0.6]]))
     assert ok.tolist() == [True, False]
     assert np.array_equal(X[0], ch.center)
+
+
+def test_newton_rejects_a_nan_coordinate_without_warnings(circle, atlas):
+    m = dataclasses.replace(circle, chart_solver=None)
+    ch = atlas.charts[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        X, ok = chart_invert_batch(ch, m, np.array([ch.shift, [np.nan]]))
+    assert ok.tolist() == [True, False]
+    assert np.isnan(X[1]).all()
+
+
+def test_per_chart_eval_matches_per_term_oracle(circle, atlas, circle_sin):
+    """The stacked fold with the indicator as its last step equals the
+    per-term loop, with killed (zeroed) nodes in every other chart."""
+    m, target = circle_sin
+    ap = build_manifold_approx(target, m, N=8, atlas=atlas)
+    rng = np.random.default_rng(4)
+    for c in ap.per_chart[::2]:
+        c.table = np.where(rng.random((len(c.table), 1)) < 0.3, 0.0, c.table)
+    pts = circle.sample_points(600)
+    for i in range(atlas.chart_count):
+        vals = ap.per_chart_eval(i, pts)
+        assert np.array_equal(vals, per_chart_eval_oracle(ap, i, pts))
+        assert all(ap.per_chart_eval(i, pts[j : j + 1])[0] == vals[j] for j in range(0, 600, 50))
 
 
 @settings(max_examples=20, deadline=None)

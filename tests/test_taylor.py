@@ -1,7 +1,10 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from fold_oracle import eval_oracle, max_intermediate_oracle
+from hypothesis import given, settings, strategies as st
 
 from sobolev_forge.metrics import EvalGrid, grid_norm, lipschitz_estimate, sample_pairs
 from sobolev_forge.targets import get_target
@@ -210,3 +213,66 @@ def test_intermediate_magnitudes_within_box(sinprod2, rng):
     audit = ap.audit_intermediate_magnitudes(rng.uniform(0, 1, (200, 2)))
     assert audit["ok"]
     assert audit["max_intermediate"] <= audit["box"]
+
+
+@functools.cache
+def _approx(name, dim, alpha, N):
+    target = get_target(name, alpha=alpha, dim=dim)
+    return build_euclidean(target, s=0, p=math.inf, N=N, compile_model=False)
+
+
+@st.composite
+def _fold_cases(draw):
+    dim, alpha, N = draw(st.integers(1, 3)), draw(st.integers(2, 3)), draw(st.integers(2, 9))
+    coord = st.one_of(
+        st.floats(0.0, 1.0),
+        st.integers(0, N).map(lambda k: k / N),  # node-aligned
+        st.sampled_from([0.0, 1.0]),  # faces of the cube
+    )
+    points = draw(st.lists(st.lists(coord, min_size=dim, max_size=dim), min_size=2, max_size=40))
+    return _approx("sinprod", dim, alpha, N), np.array(points)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_fold_cases())
+def test_stacked_fold_matches_per_term_oracle(case):
+    ap, X = case
+    batch = ap.eval(X)
+    assert np.array_equal(batch, eval_oracle(ap, X))
+    # a point alone is folded as a padded pair: its value inside the batch
+    assert all(ap.eval(x[None])[0] == y for x, y in zip(X, batch))
+
+
+def test_stacked_fold_chunks_and_lone_rows(rng):
+    ap = _approx("sinprod", 3, 3, 4)
+    X = rng.uniform(0.0, 1.0, (3000, 3))  # > 4096 rows in a fold group
+    assert np.array_equal(ap.eval(X), eval_oracle(ap, X))
+    # the node-aligned point leaves one row of fold length 3, the point past
+    # the cube none: a lone row, padded to a pair, inside a two-point batch
+    ap = _approx("sinprod", 1, 3, 4)
+    X = np.array([[0.25], [2.0]])
+    assert np.array_equal(ap.eval(X), eval_oracle(ap, X))
+
+
+@pytest.mark.parametrize("name, dim, alpha", [("sinprod", 1, 3), ("sinprod", 2, 2),
+                                              ("sinprod", 3, 3), ("poly-xy", 2, 3)])
+def test_single_point_differs_from_one_row_products_by_rounding(rng, name, dim, alpha):
+    """The per-term loop ran one point through one-row products, which round
+    differently from the padded pair the stacked fold uses."""
+    for N in (2, 4, 7):
+        ap = _approx(name, dim, alpha, N)
+        X = rng.uniform(0.0, 1.0, (40, dim))
+        single = np.array([ap.eval(x[None])[0] for x in X])
+        one_row = np.array([eval_oracle(ap, x[None])[0] for x in X])
+        assert np.max(np.abs(single - one_row)) <= 512 * np.finfo(float).eps * ap.coeffs.max_abs
+
+
+@pytest.mark.parametrize("dim, alpha, N", [(1, 3, 3), (2, 2, 4), (2, 3, 5), (3, 3, 2)])
+def test_audit_max_intermediate_matches_oracle(rng, dim, alpha, N):
+    """Every row is folded for the audit, also rows whose later trapezoid
+    factor is 0; points past the cube push products above 1."""
+    ap = _approx("sinprod", dim, alpha, N)
+    X = rng.uniform(-0.4, 1.4, (60, dim))
+    audit = ap.audit_intermediate_magnitudes(X)
+    assert audit["max_intermediate"] == max_intermediate_oracle(ap, X)
+    assert audit["max_intermediate"] > 1.0
