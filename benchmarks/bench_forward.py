@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Benchmark the compiled-model forward and the kernel backends.
+"""Benchmark the compiled-model forward and the functional path.
 
 The forward pass of compiled networks is the hot loop of every study (rate
 grids, Lipschitz probing, adversarial search).  This script times
@@ -9,9 +9,7 @@ grids, Lipschitz probing, adversarial search).  This script times
   ``resnet_forward_batch`` against the sequential reference
   ``resnet_forward_reference``;
 * the functional path ``ConstructedApproximator.eval`` of the N=8 model at
-  1, 200 and 5000 points, the evaluator the studies run;
-* batched scalar-net evaluation (functional-path pattern) on the numpy
-  backend and, when it is built, the compiled one.
+  1, 200 and 5000 points, the evaluator the studies run.
 
 Usage: python benchmarks/bench_forward.py
 """
@@ -21,21 +19,9 @@ import time
 
 import numpy as np
 
-from sobolev_forge import kernels
-from sobolev_forge.kernels import _core_numpy
 from sobolev_forge.netcore import resnet_forward_batch, resnet_forward_reference
-from sobolev_forge.scalarnets import build_product2
 from sobolev_forge.targets import get_target
 from sobolev_forge.taylor import build_euclidean
-
-
-def _with_backend(conv, mlp, fn):
-    saved = kernels.conv_layer, kernels.mlp_layer
-    kernels.conv_layer, kernels.mlp_layer = conv, mlp
-    try:
-        return fn()
-    finally:
-        kernels.conv_layer, kernels.mlp_layer = saved
 
 
 def _time(fn, min_seconds=0.5):
@@ -60,9 +46,6 @@ def _table(title, columns, rows):
 
 
 def main():
-    compiled_available = kernels.backend_name() == "compiled"
-    print(f"active backend: {kernels.backend_name()}")
-
     target = get_target("sinprod", alpha=2, dim=2)
     approx = build_euclidean(target, s=0, p=math.inf, N=4, compile_model=True, check_points=10)
     model = approx.model
@@ -87,24 +70,6 @@ def main():
         {
             f"N=8, {n} points": [_time(lambda: functional.eval(X))]
             for n, X in ((n, rng.uniform(0, 1, (n, 2))) for n in (1, 200, 5000))
-        },
-    )
-
-    times_net = build_product2(1e-4, 6.0)
-    P = rng.uniform(-6, 6, (20000, 2))
-    backends = [("numpy", _core_numpy.conv_layer, _core_numpy.mlp_layer)]
-    if compiled_available:
-        backends.append(("compiled", kernels.conv_layer, kernels.mlp_layer))
-    else:
-        print("compiled extension not built; timing the numpy backend only")
-    _table(
-        "kernels",
-        [name for name, _, _ in backends],
-        {
-            "scalar net batch 20000": [
-                _with_backend(conv, mlp, lambda: _time(lambda: times_net.forward(P)))
-                for _, conv, mlp in backends
-            ]
         },
     )
 

@@ -8,7 +8,6 @@ adv-study, net-io.  Exit codes: 0 success, 1 failed acceptance check,
 import argparse
 import json
 import math
-import os
 import sys
 
 from pathlib import Path
@@ -35,13 +34,6 @@ def _load_config(path):
             return json.load(fh)
     except (OSError, json.JSONDecodeError) as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
-
-
-def _threads(args):
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("SOBOLEV_FORGE_THREADS")
-    return int(env) if env else 1
 
 
 def cmd_build(args):
@@ -140,13 +132,15 @@ def cmd_net_io(args):
 def _study_command(kind):
     def run(args):
         doc = _load_config(args.config)
+        if not isinstance(doc, dict):
+            raise ConfigError("config must be a JSON object")
         doc.setdefault("kind", kind)
         if doc["kind"] != kind:
             raise ConfigError(f"config kind {doc['kind']!r} does not match subcommand {kind!r}")
         if args.seed is not None:
             doc["seed"] = args.seed
         validate_config(doc)
-        code, summary = run_study(doc, args.out or "study-out", threads=_threads(args))
+        code, summary = run_study(doc, args.out or "study-out")
         status = "PASS" if code == 0 else "FAIL"
         print(f"[{status}] {kind} -> {args.out or 'study-out'}")
         for key in ("slope_k0", "slope_k1", "success_fraction", "theoretical_floor"):
@@ -164,8 +158,6 @@ def _shared_flags(for_subcommand):
     p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--seed", type=int, default=default, help="override config seed")
     p.add_argument("--out", default=default, help="output directory")
-    p.add_argument("--threads", type=int, default=default,
-                   help="worker threads (or SOBOLEV_FORGE_THREADS)")
     return p
 
 

@@ -1,6 +1,13 @@
-"""Pure-numpy forward kernels (fallback backend)."""
+"""Forward kernels: one convolutional and one affine layer over a batch.
+
+Every forward pass of the package runs through these two numpy functions.
+"""
 
 import numpy as np
+
+
+def backend_name():
+    return "numpy"
 
 
 def conv_layer(w, b, z):

@@ -33,12 +33,11 @@ in chunks so the stacked activations stay under ``_PLAN_ROW_BUDGET`` rows.
 
 The plan adds the block summands in block order and makes the kind of
 product the reference makes: matrix-matrix for D >= 2 and one row at a time
-for D = 1.  With finite parameters and the numpy backend it therefore
-reproduces the sequential loop ``resnet_forward_reference`` bit for bit,
-provided BLAS rounds a row of a matrix product the same whatever the row
-count.  Some BLAS builds do not for inner dimensions of 32 and more (wide
-``Jt``-grouped models), and the compiled backend sums in its own order; there
-the two agree to rounding.  Models that fail a condition, including models
+for D = 1.  With finite parameters it therefore reproduces the sequential
+loop ``resnet_forward_reference`` bit for bit, provided BLAS rounds a row of
+a matrix product the same whatever the row count.  Some BLAS builds do not
+for inner dimensions of 32 and more (wide ``Jt``-grouped models); there the
+two agree to rounding.  Models that fail a condition, including models
 without blocks, run the sequential loop.
 """
 

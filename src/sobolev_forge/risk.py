@@ -10,7 +10,6 @@ by construction.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +29,6 @@ class RiskConfig:
     lip_slack: float = 0.5
     search_directions: int = 64
     ascent_steps: int = 20
-    threads: int = 1
 
 
 def bernstein_floor(n, eps, sigma):
@@ -70,15 +68,9 @@ def empirical_residual_study(cfg: RiskConfig, target, approx) -> dict:
         X = rr.uniform(0.0, 1.0, size=(cfg.n, D))
         xi = rr.uniform(-cfg.sigma, cfg.sigma, size=cfg.n) if cfg.sigma > 0 else np.zeros(cfg.n)
         y = target(X) + xi
-        resid = float(np.mean((approx.eval(X) - y) ** 2))
-        return resid
+        return float(np.mean((approx.eval(X) - y) ** 2))
 
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(cfg.threads) as ex:
-            residuals = list(ex.map(one_rep, range(cfg.reps)))
-    else:
-        residuals = [one_rep(r) for r in range(cfg.reps)]
-    residuals = np.array(residuals)
+    residuals = np.array([one_rep(r) for r in range(cfg.reps)])
     successes = (residuals <= threshold) & lip_ok
 
     big = np.random.default_rng([cfg.seed, 10**6]).uniform(0.0, 1.0, size=(100000, D))

@@ -91,10 +91,6 @@ class ScalarNet:
         return MlpModel([w for w, _ in self.layers], [b for _, b in self.layers])
 
 
-def from_mlp(mlp: MlpModel, eta=0.0, box=None):
-    return ScalarNet([(w, b) for w, b in zip(mlp.weights, mlp.biases)], eta=eta, box=box)
-
-
 # ---------------------------------------------------------------------------
 # combinators (pair-boundary composition keeps weight magnitudes from
 # multiplying and keeps exact zeros exact: y = relu(y) - relu(-y) bit-exactly)

@@ -288,7 +288,7 @@ def run_manifold_rate(cfg, out: Path):
     return (0 if summary["pass"] else 1), summary
 
 
-def run_risk(cfg, out: Path, threads=1):
+def run_risk(cfg, out: Path):
     target = load_target(cfg["target"], cfg["alpha"], cfg["dim"])
     ap = build_euclidean(target, s=0, p=math.inf, N=cfg["N"], compile_model=False)
     rc = RiskConfig(
@@ -297,7 +297,6 @@ def run_risk(cfg, out: Path, threads=1):
         eps=cfg["eps"],
         reps=cfg["reps"],
         seed=cfg["seed"],
-        threads=threads,
     )
     report = empirical_residual_study(rc, target, ap)
     report["kind"] = "risk"
@@ -365,7 +364,7 @@ def run_audit(cfg, out: Path):
     return 0, doc
 
 
-def run_study(doc, out_dir, threads=1):
+def run_study(doc, out_dir):
     """Validate and execute one study; returns (exit_code, summary)."""
     cfg = validate_config(doc)
     out = Path(out_dir)
@@ -376,7 +375,7 @@ def run_study(doc, out_dir, threads=1):
     if kind == "manifold-rate":
         return run_manifold_rate(cfg, out)
     if kind == "risk":
-        return run_risk(cfg, out, threads=threads)
+        return run_risk(cfg, out)
     if kind == "adversarial":
         return run_adversarial(cfg, out)
     return run_audit(cfg, out)

@@ -112,15 +112,6 @@ class SurrogateCoefficients:
     v_list: list
     table: np.ndarray  # ((N+1)^D, n_v)
 
-    def node_index(self, m):
-        idx = 0
-        for mk in m:
-            idx = idx * (self.N + 1) + int(mk)
-        return idx
-
-    def get(self, m, v):
-        return float(self.table[self.node_index(m), self.v_list.index(tuple(v))])
-
     @property
     def max_abs(self):
         return float(np.max(np.abs(self.table)))
@@ -208,12 +199,28 @@ def _cover(N, X):
         yield valid, idx, psi_value(3.0 * N * X - 3.0 * mc)
 
 
+def _on_finite_rows(evaluate, X):
+    """evaluate(X) over the rows of X whose coordinates are all finite; the
+    other rows get nan, as they do in the compiled model."""
+    if np.isfinite(X).all():
+        return evaluate(X)
+    finite = np.all(np.isfinite(X), axis=1)
+    out = np.full(X.shape[0], np.nan)
+    out[finite] = evaluate(X[finite])
+    return out
+
+
 def surrogate_eval(coeffs: SurrogateCoefficients, X) -> np.ndarray:
-    """Evaluate f_hat = sum c_{m,v} phi_m x^v, touching only covering bumps."""
+    """Evaluate f_hat = sum c_{m,v} phi_m x^v, touching only covering bumps;
+    nan at a point with a non-finite coordinate."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    if X.shape[1] != coeffs.dim:
+        raise ShapeError(f"points have dim {X.shape[1]}, coefficients dim {coeffs.dim}")
+    return _on_finite_rows(lambda Y: _surrogate_sum(coeffs, Y), X)
+
+
+def _surrogate_sum(coeffs, X):
     n, D = X.shape
-    if D != coeffs.dim:
-        raise ShapeError(f"points have dim {D}, coefficients dim {coeffs.dim}")
     out = np.zeros(n)
     monos = np.stack(
         [np.prod(X ** np.array(v, dtype=np.float64), axis=1) for v in coeffs.v_list],
@@ -228,8 +235,7 @@ def surrogate_eval(coeffs: SurrogateCoefficients, X) -> np.ndarray:
 
 
 # rows per product-net pass: a 12-wide layer over 4096 rows stays in cache,
-# while one pass over a 26k-row stack ran 2x slower per row (2-core Xeon VM,
-# numpy backend)
+# while one pass over a 26k-row stack ran 2x slower per row (2-core Xeon VM)
 _FOLD_ROWS = 4096
 
 
@@ -317,9 +323,10 @@ class ConstructedApproximator:
         return self.record["eta"]
 
     def eval(self, X) -> np.ndarray:
-        """Functional path: the stacked sparse fold of the shared product net."""
+        """Functional path: the stacked sparse fold of the shared product net;
+        nan at a point with a non-finite coordinate."""
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        return _stacked_fold(self.coeffs, X, self.times_net)
+        return _on_finite_rows(lambda Y: _stacked_fold(self.coeffs, Y, self.times_net), X)
 
     def audit_intermediate_magnitudes(self, X):
         """Largest intermediate product magnitude versus the declared box

@@ -76,6 +76,30 @@ def test_rate_study_determinism(tmp_path):
     assert (tmp_path / "a" / "rates.csv").read_bytes() == (tmp_path / "b" / "rates.csv").read_bytes()
 
 
+@pytest.mark.parametrize(
+    "command, doc, csv_name, header",
+    [
+        ("risk-study", {"n": 200, "reps": 5}, "risk.csv",
+         "n,sigma,eps,reps,success_fraction,theoretical_floor"),
+        ("adv-study", {"n_data": 20, "deltas": [0.02]}, "gaps.csv", "delta,gap,bound"),
+    ],
+    ids=["risk", "adversarial"],
+)
+def test_risk_and_adversarial_studies_through_cli(tmp_path, capsys, command, doc, csv_name, header):
+    cfg = _write_cfg(tmp_path, {"target": "sinprod", "alpha": 2, "N": 4, **doc})
+    csvs = []
+    for run in ("a", "b"):
+        out = tmp_path / run
+        code = main(["--out", str(out), command, "--config", cfg])
+        summary = json.loads((out / "summary.json").read_text())
+        assert code == (0 if summary["pass"] else 1)
+        assert f"[{'PASS' if summary['pass'] else 'FAIL'}]" in capsys.readouterr().out
+        csvs.append((out / csv_name).read_bytes())
+    lines = csvs[0].decode().splitlines()
+    assert lines[0] == header and len(lines) == 2
+    assert csvs[0] == csvs[1]
+
+
 def test_build_eval_audit_netio_flow(tmp_path, capsys):
     build_cfg = _write_cfg(
         tmp_path, {"target": "poly-xy", "alpha": 3, "N": 2, "compile": True}, "build.json"
@@ -205,10 +229,21 @@ def test_validate_rejects_bad_values(kind, change, message):
         validate_config({"kind": kind, **base, **change})
 
 
-@pytest.mark.parametrize("change", [{"N_list": [4]}, {"N_list": [0, 4]}, {"target": "nope"}])
+@pytest.mark.parametrize(
+    "change",
+    [{"N_list": [4]}, {"N_list": [0, 4]}, {"target": "nope"}, {"kind": "risk"},
+     pytest.param("{", id="malformed-json"), pytest.param("[2, 4]", id="json-list"),
+     pytest.param(None, id="missing-file")],
+)
 def test_rate_study_bad_values_exit_2(tmp_path, capsys, change):
-    cfg = _write_cfg(tmp_path, {"target": "sinprod", "alpha": 2, "N_list": [2, 4], **change})
-    assert main(["--out", str(tmp_path / "out"), "rate-study", "--config", cfg]) == 2
+    """A dict is merged into a valid config, a string is the whole config
+    file, and None leaves the config file missing."""
+    cfg = tmp_path / "cfg.json"
+    if isinstance(change, dict):
+        cfg.write_text(json.dumps({"target": "sinprod", "alpha": 2, "N_list": [2, 4], **change}))
+    elif change is not None:
+        cfg.write_text(change)
+    assert main(["--out", str(tmp_path / "out"), "rate-study", "--config", str(cfg)]) == 2
     assert capsys.readouterr().err.startswith("config error:")
 
 
@@ -218,6 +253,9 @@ def test_rate_study_bad_values_exit_2(tmp_path, capsys, change):
         ({"target": "sinprod", "alpha": 2, "N": "4"}, "N must be an integer"),
         ({"target": "nope", "alpha": 2, "N": 2}, "unknown target"),
         ({"target": "gauss-bump", "alpha": 5, "N": 2}, "not available"),
+        ([{"target": "sinprod", "alpha": 2, "N": 2}], "must be a JSON object"),
+        ({"target": "sinprod", "alpha": 2, "N": 2, "bogus": 1}, "unknown build config keys"),
+        ({"alpha": 2, "N": 2}, "missing required key 'target'"),
     ],
 )
 def test_build_bad_config_exit_2(tmp_path, capsys, doc, message):

@@ -1,5 +1,6 @@
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -174,6 +175,25 @@ def test_compile_equality_random_points(sinprod2, rng):
     gap = np.max(np.abs(ap.eval(X) - ap.model_eval(X)))
     assert gap <= 1e-9
     assert ap.record["compile_gap"] <= 1e-9
+
+
+def test_non_finite_coordinates_evaluate_to_nan(sinprod2, rng):
+    ap = build_euclidean(sinprod2, s=0, p=math.inf, N=4, compile_model=True, check_points=10)
+    X = rng.uniform(0, 1, (6, 2))
+    finite_eval, finite_surrogate = ap.eval(X), ap.surrogate(X)
+    X[1, 0], X[4, 1] = np.nan, np.nan
+    bad = np.array([False, True, False, False, True, False])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = ap.model_eval(X)
+        for evaluate, finite in ((ap.eval, finite_eval), (ap.surrogate, finite_surrogate)):
+            got = evaluate(X)
+            assert np.array_equal(np.isnan(got), bad)
+            assert np.array_equal(np.isnan(model), bad)
+            assert np.array_equal(got[~bad], finite[~bad])  # finite rows keep their bits
+            assert np.isnan(evaluate([[np.nan, 0.5]])[0])
+            assert np.all(np.isnan(evaluate([[np.inf, 0.5], [0.5, -np.inf]])))
+        assert math.isnan(ap([0.3, np.nan]))
 
 
 def test_lipschitz_bound_invariant(sinprod2, rng):
