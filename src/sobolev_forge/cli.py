@@ -2,13 +2,15 @@
 
 Subcommands: build, eval, audit, rate-study, manifold-study, risk-study,
 adv-study, net-io.  Exit codes: 0 success, 1 failed acceptance check,
-2 configuration error.
+2 configuration error (a bad config, model file or point), 3 internal error
+(an unexpected exception; its traceback goes to stderr).
 """
 
 import argparse
 import json
 import math
 import sys
+import traceback
 
 from pathlib import Path
 
@@ -210,6 +212,10 @@ def main(argv=None):
     except serialize.SerializationError as e:
         print(f"network file error: {e}", file=sys.stderr)
         return 2
+    except Exception:
+        # never exit 1 on a crash: 1 means a failed acceptance check
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

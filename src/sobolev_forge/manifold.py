@@ -40,6 +40,7 @@ from .taylor import (
     CompileEqualityError,
     SurrogateCoefficients,
     _monomial_expansion_rows,
+    _on_finite_rows,
     _stacked_fold,
     multi_indices,
 )
@@ -624,7 +625,12 @@ class ManifoldApproximator:
         return _stacked_fold(self.per_chart[i], Z, self.times_eta, tail=tail)
 
     def eval(self, X):
+        """The chart sum at the points X; nan at a point with a non-finite
+        coordinate."""
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+        return _on_finite_rows(self._chart_sum, X)
+
+    def _chart_sum(self, X):
         out = np.zeros(X.shape[0])
         # beyond 1.2 r from a center the chart's indicator is exactly 0
         near = _sqdist(X, self.atlas.centers) <= 1.44 * self.atlas.r**2

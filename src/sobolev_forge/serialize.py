@@ -4,6 +4,12 @@ Round-trips are bit-exact for finite doubles: floats are emitted through
 Python's shortest-roundtrip repr.  Files carry a schema version; loading an
 unknown version, a document with missing keys, inconsistent shapes or a
 non-finite parameter raises SerializationError.
+
+A model with a BlockSupport carries it under the optional key
+``"support": {"N": grid, "nodes": [[node, ...] per block]}``; a file without
+it loads as a model whose forward runs every block.  Loading checks the key
+as strictly as the weights: integer nodes in [0, N]^D, one non-empty list
+per block.
 """
 
 import json
@@ -13,7 +19,7 @@ import tempfile
 import numpy as np
 
 from .algebra import CnnFunction
-from .netcore import ConvResNetModel, FilterTensor, ResidualBlockSpec, ShapeError
+from .netcore import BlockSupport, ConvResNetModel, FilterTensor, ResidualBlockSpec, ShapeError
 
 SCHEMA_VERSION = 1
 
@@ -74,7 +80,7 @@ def _block_to_dict(filters, biases):
 
 
 def model_to_dict(net: ConvResNetModel) -> dict:
-    return {
+    doc = {
         "version": SCHEMA_VERSION,
         "kind": "convresnet",
         "D": net.input_dim,
@@ -83,6 +89,9 @@ def model_to_dict(net: ConvResNetModel) -> dict:
         "fc": {"weight": net.fc_weight.ravel().tolist(), "bias": net.fc_bias},
         "first_row_only": net.first_row_only,
     }
+    if net.support is not None:
+        doc["support"] = {"N": net.support.grid, "nodes": [a.tolist() for a in net.support.nodes]}
+    return doc
 
 
 def model_from_dict(doc: dict) -> ConvResNetModel:
@@ -91,9 +100,16 @@ def model_from_dict(doc: dict) -> ConvResNetModel:
     D, C = int(doc["D"]), int(doc["C"])
     fc, fc_bias = _fc(doc, D)
     stacks = [_block_from_dict(b) for b in doc["blocks"]]
+    support = doc.get("support")
+    if support is not None:
+        _require(support, ("N", "nodes"), "support record")
     try:
         blocks = [ResidualBlockSpec([FilterTensor(f) for f in fs], bs) for fs, bs in stacks]
-        return ConvResNetModel(D, C, blocks, fc, fc_bias, bool(doc.get("first_row_only", False)))
+        if support is not None:
+            support = BlockSupport(support["N"], support["nodes"])
+        return ConvResNetModel(
+            D, C, blocks, fc, fc_bias, bool(doc.get("first_row_only", False)), support
+        )
     except ShapeError as e:
         raise SerializationError(f"inconsistent network shapes: {e}") from e
 

@@ -23,13 +23,19 @@ any batch.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product as iter_product
 
 import numpy as np
 
 from .algebra import assemble_resnet, extend_cnn_depth, mlp_to_cnn, parallel_sum
-from .netcore import ShapeError, audit_class, resnet_forward_batch
+from .netcore import (
+    BlockSupport,
+    ShapeError,
+    audit_class,
+    resnet_forward_batch,
+    resnet_forward_dense,
+)
 from .scalarnets import (
     build_monomial_bump,
     build_product2,
@@ -364,6 +370,17 @@ def _build_term_cnns(coeffs: SurrogateCoefficients, eta, box, K):
     return [extend_cnn_depth(c, depth) for c in cnns]
 
 
+def _block_support(coeffs: SurrogateCoefficients, per_block):
+    """The nodes of each block: the terms come in (m, v) order, and
+    parallel_sum packs per_block consecutive terms into one block."""
+    nodes = np.array(list(iter_product(range(coeffs.N + 1), repeat=coeffs.dim)))
+    term_node = np.repeat(np.arange(len(nodes)), len(coeffs.v_list))
+    return BlockSupport(
+        coeffs.N,
+        [nodes[np.unique(term_node[a : a + per_block])] for a in range(0, len(term_node), per_block)],
+    )
+
+
 def build_euclidean(
     f: TargetFunction,
     s: float,
@@ -380,9 +397,10 @@ def build_euclidean(
     Pass N directly (study mode) to pin the resolution; Mt/Jt then default to
     the term count and the single-term width.  eta = N^-alpha balances the
     surrogate and network error terms.  When ``compile_model`` is set, the
-    compiled network is checked against the functional evaluator at
-    ``check_points`` random points (tolerance 1e-8) and the build aborts on
-    disagreement.
+    compiled network carries each block's grid nodes, and at ``check_points``
+    random points its dense forward is checked against the functional
+    evaluator (tolerance 1e-8) and its support-sparse forward against the
+    dense one (bit for bit); the build aborts on either disagreement.
     """
     D, alpha = f.dim, f.order
     if N is None:
@@ -416,8 +434,9 @@ def build_euclidean(
     K = 2
     cnns = _build_term_cnns(coeffs, eta, box, K)
     J0 = max(c.width for c in cnns)
-    groups = parallel_sum(cnns, Jt if Jt is not None else J0)
-    model = assemble_resnet(groups)
+    width = Jt if Jt is not None else J0
+    groups = parallel_sum(cnns, width)
+    model = replace(assemble_resnet(groups), support=_block_support(coeffs, width // J0))
     approx.model = model
     approx.class_params = audit_class(model)
     record["Mt"] = Mt if Mt is not None else len(groups)
@@ -428,11 +447,17 @@ def build_euclidean(
     X = rng.uniform(0.0, 1.0, size=(check_points, D))
     mag = approx.audit_intermediate_magnitudes(X[: min(check_points, 50)])
     record["intermediate_magnitude"] = mag
-    gap = np.max(np.abs(approx.eval(X) - resnet_forward_batch(model, X)))
+    dense = resnet_forward_dense(model, X)
+    gap = np.max(np.abs(approx.eval(X) - dense))
     record["compile_gap"] = float(gap)
     if gap > 1e-8:
-        i = int(np.argmax(np.abs(approx.eval(X) - resnet_forward_batch(model, X))))
+        i = int(np.argmax(np.abs(approx.eval(X) - dense)))
         raise CompileEqualityError(
             f"compiled model deviates from functional path by {gap:.3e} at {X[i]}"
+        )
+    miss = np.flatnonzero(resnet_forward_batch(model, X) != dense)
+    if miss.size:
+        raise CompileEqualityError(
+            f"support-sparse forward differs from the dense forward at {X[miss[0]]}"
         )
     return approx

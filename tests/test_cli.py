@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from sobolev_forge import serialize
+from sobolev_forge import cli, serialize
 from sobolev_forge.algebra import assemble_resnet, mlp_to_cnn
 from sobolev_forge.cli import main
 from sobolev_forge.netcore import audit_class
@@ -128,6 +128,28 @@ def test_build_eval_audit_netio_flow(tmp_path, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "x0,x1,value"
     assert len(lines) == 3
+
+
+def test_net_io_check_and_copy_keep_the_support(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, {"target": "sinprod", "alpha": 2, "N": 2}, "build.json")
+    assert main(["--out", str(tmp_path / "art"), "build", "--config", cfg]) == 0
+    model_path = tmp_path / "art" / "model.json"
+    support = json.loads(model_path.read_text())["support"]
+    assert support["N"] == 2 and len(support["nodes"]) == 27
+    assert main(["net-io", "check", "--net", str(model_path)]) == 0
+    dest = tmp_path / "copy.json"
+    assert main(["net-io", "copy", "--net", str(model_path), "--dest", str(dest)]) == 0
+    assert json.loads(dest.read_text())["support"] == support
+
+
+def test_unexpected_exception_exits_3_with_a_traceback(monkeypatch, tmp_path, capsys):
+    def crash(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_audit", crash)
+    assert main(["audit", "--net", str(tmp_path / "any.json")]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "RuntimeError: boom" in err
 
 
 def test_audit_json_matches_audit_class(tmp_path):

@@ -488,3 +488,17 @@ def test_manifold_norm_matches_per_point(atlas, sphere_atlas, kit, k, resolution
     assert val > 0.0
     assert (val, skipped) == _per_point_norm(e, at, k, resolution)
     assert skipped == (2 * at.chart_count if kit == "circle" else 0)
+
+
+def test_eval_is_nan_at_a_nonfinite_point_without_warnings(circle, atlas, circle_sin):
+    ap = build_manifold_approx(circle_sin[1], circle, N=4, atlas=atlas)
+    P = circle.sample_points(3)
+    want = ap.eval(P)
+    for bad in (np.nan, np.inf):
+        Q = P.copy()
+        Q[1, 0] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, alone = ap.eval(Q), ap.eval(Q[1:2])
+        assert np.isnan(got[1]) and np.isnan(alone[0])
+        assert np.array_equal(got[[0, 2]], want[[0, 2]])

@@ -19,11 +19,12 @@ from sobolev_forge.netcore import (
     mlp_forward,
     resnet_forward,
     resnet_forward_batch,
+    resnet_forward_dense,
     resnet_forward_reference,
 )
 from sobolev_forge.scalarnets import build_trapezoid, reference_psi_mlp
 from sobolev_forge.targets import get_target
-from sobolev_forge.taylor import build_euclidean
+from sobolev_forge.taylor import CompileEqualityError, build_euclidean
 
 
 def test_conv_hand_example():
@@ -225,6 +226,73 @@ def test_plan_is_lowered_once_and_calls_the_kernel_per_layer_at_most(monkeypatch
     monkeypatch.setattr(kernels, "conv_layer", lambda *a: calls.append(1) or conv(*a))
     resnet_forward(net, np.array([0.3, 0.6]))
     assert 0 < len(calls) <= max(blk.depth for blk in net.blocks)
+
+
+# --- the support-sparse forward vs the dense one ------------------------------
+
+# (D, alpha, N, Jt): every D and alpha with N up to 8 where a build takes a
+# few seconds at most (D = 3 stops at N = 3: at N = 8 and alpha = 3 a model
+# has 7290 blocks), plus Jt-grouped models whose blocks hold several nodes,
+# some with layers 64 channels wide
+_SPARSE_CASES = (
+    [(1, a, N, None) for a in (2, 3) for N in range(2, 9)]
+    + [(2, 2, N, None) for N in range(2, 9)]
+    + [(2, 3, N, None) for N in (2, 3, 5, 8)]
+    + [(3, 2, 2, None), (3, 2, 3, None), (3, 3, 2, None)]
+    + [(2, 2, 3, 28), (2, 2, 4, 64), (2, 3, 3, 64), (1, 2, 4, 40), (1, 3, 3, 64), (3, 2, 2, 32)]
+)
+
+
+def _sparse_points(rng, D, N, n):
+    """Random points in [-0.5, 1.5]^D, breakpoints k/(3N) of the trapezoids
+    with their neighbouring doubles, and rows with a non-finite coordinate."""
+    X = rng.uniform(-0.5, 1.5, (n, D))
+    K = rng.integers(-3 * N // 2, 9 * N // 2 + 1, (n, D)) / (3.0 * N)
+    bad = rng.uniform(0.0, 1.0, (3, D))
+    bad[np.arange(3), rng.integers(0, D, 3)] = [np.nan, np.inf, -np.inf]
+    return np.concatenate([X, K, np.nextafter(K, np.inf), np.nextafter(K, -np.inf), bad])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(_SPARSE_CASES), st.integers(1, 30), st.integers(0, 2**32 - 1))
+def test_sparse_forward_equals_dense(case, n, seed):
+    D, alpha, N, Jt = case
+    net = _built_model(D, alpha, N, Jt)
+    assert net.support is not None and net._plan.cover is not None
+    X = _sparse_points(np.random.default_rng(seed), D, N, n)
+    with np.errstate(invalid="ignore"):  # the non-finite rows make inf - inf
+        sparse, dense = resnet_forward_batch(net, X), resnet_forward_dense(net, X)
+    assert np.array_equal(sparse, dense, equal_nan=True)
+    assert np.isnan(sparse[-3:]).all()
+    for x, y in zip(X[:3], sparse):  # a point alone gets its value inside a batch
+        assert resnet_forward(net, x) == y
+
+
+def test_sparse_forward_chunks_a_batch_larger_than_its_step(rng):
+    net = _built_model(2, 2, 2)
+    X = rng.uniform(-0.2, 1.2, (2 * net._plan.cover.step + 3, 2))
+    assert np.array_equal(resnet_forward_batch(net, X), resnet_forward_dense(net, X))
+
+
+def test_cover_keeps_every_nonzero_block_and_at_most_2_to_the_D_nodes(rng):
+    N = 6
+    net = _built_model(2, 2, N)
+    X = _sparse_points(rng, 2, N, 40)[:-3]
+    points, blocks = net._plan.cover.rows(X, len(net.blocks))
+    live = np.zeros((len(X), len(net.blocks)), dtype=bool)
+    live[points, blocks] = True
+    Z = netcore.pad_input(X, net.padding_channels)
+    for b, blk in enumerate(net.blocks):
+        nonzero = np.any(netcore.block_stack(blk, Z)[:, 0, 1:] != 0.0, axis=1)
+        assert not np.any(nonzero & ~live[:, b])
+    assert live.sum(axis=1).max() <= 2**2 * 3  # 2^D nodes, n_v = 3 blocks each
+
+
+def test_build_fails_when_the_cover_misses_a_block(monkeypatch):
+    monkeypatch.setattr(netcore, "_COVER_REACH", 0.5)  # narrower than a bump's 2/3
+    target = get_target("sinprod", alpha=2, dim=2)
+    with pytest.raises(CompileEqualityError, match="support-sparse"):
+        build_euclidean(target, s=0, p=math.inf, N=3, check_points=20)
 
 
 def _trapezoid_net():

@@ -1,4 +1,6 @@
+import copy
 import json
+import math
 
 import numpy as np
 import pytest
@@ -6,8 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from sobolev_forge import serialize
 from sobolev_forge.algebra import assemble_resnet, mlp_to_cnn
+from sobolev_forge.cli import main
 from sobolev_forge.netcore import resnet_forward_batch
 from sobolev_forge.scalarnets import build_trapezoid
+from sobolev_forge.targets import get_target
+from sobolev_forge.taylor import build_euclidean
 
 
 def _psi_model(m=1, N=2):
@@ -117,3 +122,82 @@ def test_inconsistent_shapes_rejected():
     doc["C"] = 4
     with pytest.raises(serialize.SerializationError, match="shapes"):
         serialize.model_from_dict(doc)
+
+
+# --- the block-support key ---------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def built_doc():
+    """model.json of a sinprod build, alpha=2, D=2, N=2 (27 blocks)."""
+    target = get_target("sinprod", alpha=2, dim=2)
+    model = build_euclidean(target, s=0, p=math.inf, N=2, check_points=4).model
+    return json.loads(json.dumps(serialize.model_to_dict(model)))
+
+
+def _node_outside_grid(s):
+    s["nodes"][3][0] = [0, 3]
+
+
+def _one_block_short(s):
+    s["nodes"].pop()
+
+
+def _non_integer_node(s):
+    s["nodes"][0][0] = [0.5, 0]
+
+
+def _node_of_wrong_dimension(s):
+    s["nodes"][5][0] = [1, 1, 1]
+
+
+def _ragged_nodes(s):
+    s["nodes"][5].append([1])
+
+
+def _empty_block(s):
+    s["nodes"][2] = []
+
+
+def _non_integer_grid(s):
+    s["N"] = 2.0
+
+
+def _missing_grid(s):
+    del s["N"]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_node_outside_grid, "outside"),
+        (_one_block_short, "each of the 27 blocks"),
+        (_non_integer_node, "integer nodes"),
+        (_node_of_wrong_dimension, "2-d nodes"),
+        (_ragged_nodes, "integer nodes"),
+        (_empty_block, "non-empty"),
+        (_non_integer_grid, "grid must be an integer"),
+        (_missing_grid, "missing required keys"),
+    ],
+)
+def test_bad_support_is_rejected_and_eval_exits_2(built_doc, edit, message, tmp_path, capsys):
+    doc = copy.deepcopy(built_doc)
+    edit(doc["support"])
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(serialize.SerializationError, match=message):
+        serialize.load(path)
+    assert main(["eval", "--net", str(path), "--at", "0.3,0.4"]) == 2
+    assert "network file error" in capsys.readouterr().err
+
+
+def test_model_without_support_runs_dense_with_the_same_bits(built_doc):
+    net = serialize.model_from_dict(built_doc)
+    doc = copy.deepcopy(built_doc)
+    del doc["support"]
+    dense = serialize.model_from_dict(doc)
+    assert net._plan.cover is not None and dense.support is None and dense._plan.cover is None
+    axis = np.linspace(-0.5, 1.5, 49)
+    X = np.stack(np.meshgrid(axis, axis), axis=-1).reshape(-1, 2)
+    assert np.array_equal(resnet_forward_batch(dense, X), resnet_forward_batch(net, X))
+    assert "support" not in serialize.model_to_dict(dense)
