@@ -5,7 +5,9 @@ chart-based W^{k,inf} error metric.
 The pipeline mirrors the Euclidean one chart by chart: pull the target back
 through a chart, approximate the pullback on [0,1]^d with bump-times-monomial
 nets, and gate each chart's contribution by a chart-indicator network
-(squared-distance net composed with a clipped ramp).  Coefficients of bumps
+(squared-distance net composed with a clipped ramp).  The gated terms of all
+charts compile through the Euclidean compile step, ``taylor.compile_terms``,
+and pass its build gates.  Coefficients of bumps
 whose support reaches the chart-boundary band are zeroed, which makes every
 per-chart network vanish identically on the indicator's transition band; that
 is the mechanism keeping first-derivative error bounded as the ramp sharpens.
@@ -23,8 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import assemble_resnet, extend_cnn_depth, mlp_to_cnn, parallel_sum
-from .netcore import audit_class, resnet_forward_batch
+from .netcore import _on_finite_rows, resnet_forward_batch
 from .scalarnets import (
     ScalarNet,
     build_product2,
@@ -34,14 +35,15 @@ from .scalarnets import (
     sn_input_affine,
     sn_pad,
     sn_parallel,
-    sn_scale_output,
 )
 from .taylor import (
-    CompileEqualityError,
     SurrogateCoefficients,
+    _bump_terms,
     _monomial_expansion_rows,
-    _on_finite_rows,
     _stacked_fold,
+    compile_terms,
+    grid_nodes,
+    grid_resolution,
     multi_indices,
 )
 
@@ -513,21 +515,19 @@ def chart_boundary_data(atlas: Atlas, i: int, Delta: float, n_dirs=32):
     the indicator transition band {r^2 - Delta <= d^2 <= r^2}.
 
     Boundary points are found by bisection along parameter-space rays from
-    the chart center."""
+    the chart center: 2 rays for d = 1, n_dirs for d = 2; a ChartError for
+    d >= 3, which no kit manifold has."""
     m = atlas.manifold
     chart = atlas.charts[i]
     d = m.intrinsic_dim
-    u0 = m.param_of_point(chart.center)
     if d == 1:
         dirs = np.array([[1.0], [-1.0]])
-    else:
+    elif d == 2:
         angles = np.linspace(0.0, 2.0 * math.pi, n_dirs, endpoint=False)
-        if d == 2:
-            dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-        else:
-            rng = np.random.default_rng(11)
-            dirs = rng.standard_normal((n_dirs, d))
-            dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    else:
+        raise ChartError(f"no boundary rays for intrinsic dimension {d}")
+    u0 = m.param_of_point(chart.center)
 
     # two rays per direction: the outer boundary d = r and the inner edge of
     # the transition band d = sqrt(r^2 - Delta); all bisected together
@@ -571,9 +571,7 @@ def chart_coefficients(
     d = m.intrinsic_dim
     v_list = multi_indices(d, alpha - 1)
     F = pullback_evaluator(f_on_M, atlas, i)
-    from itertools import product as iter_product
-
-    nodes = np.array(list(iter_product(range(N + 1), repeat=d)), dtype=np.float64) / N
+    nodes = grid_nodes(N, d) / N
     derivs = {tuple(a): _fd_deriv(F, nodes, tuple(a), fd_step) for a in v_list}
     table = _monomial_expansion_rows(nodes, derivs, v_list)
     z_bound, band = chart_boundary_data(atlas, i, Delta)
@@ -646,6 +644,22 @@ class ManifoldApproximator:
             raise RuntimeError("approximator was built without compilation")
         return resnet_forward_batch(self.model, np.atleast_2d(X))
 
+    def _terms(self, eta, box):
+        """Chart by chart, each (m, v) term as a net on the ambient space,
+        times_delta(g(phi_i(x)), indicator_i(x)) with g the net of phi_m x^v,
+        together with c_{m,v}."""
+        D = self.atlas.manifold.ambient_dim
+        for chart, coeffs, sqdist in zip(self.atlas.charts, self.per_chart, self.sqdist_nets):
+            A = chart.scale * chart.frame.T
+            cvec = chart.shift - A @ chart.center
+            ind_chain = sn_chain(sqdist, self.indicator_net)
+            for g, c in _bump_terms(coeffs, eta, box):
+                g_x = sn_input_affine(g, A, cvec)
+                depth = max(g_x.depth, ind_chain.depth)
+                cols = list(range(D))
+                pair = sn_parallel([(sn_pad(g_x, depth), cols), (sn_pad(ind_chain, depth), cols)])
+                yield sn_chain(pair, self.times_delta), c
+
 
 def _estimate_c2(atlas: Atlas, i: int, count=200, seed=3):
     """Lower-Lipschitz constant of the chart inverse, sampled pairwise."""
@@ -687,12 +701,7 @@ def build_manifold_approx(
     """
     d, D = mspec.intrinsic_dim, mspec.ambient_dim
     alpha = getattr(f_on_M, "order", 2)
-    if N is None:
-        if Mt is None or Jt is None:
-            raise ValueError("need either N or both Mt and Jt")
-        N = int(math.floor((Mt * Jt) ** (1.0 / d)))
-    if N < 2:
-        raise ValueError(f"resolution N must be >= 2, got {N}")
+    N = grid_resolution(N, Mt, Jt, d, least=2)
     if atlas is None:
         atlas = build_atlas(mspec, r if r is not None else 0.96 * mspec.reach / 4.0)
     r = atlas.r
@@ -756,47 +765,9 @@ def build_manifold_approx(
     if not compile_model:
         return approx
 
-    cnns = []
-    for i, chart in enumerate(atlas.charts):
-        A = chart.scale * chart.frame.T
-        cvec = chart.shift - A @ chart.center
-        ind_chain = sn_chain(sqdist_nets[i], indicator_net)
-        coeffs = per_chart[i]
-        from itertools import product as iter_product
-        from .scalarnets import build_monomial_bump
-
-        for t, mm in enumerate(iter_product(range(N + 1), repeat=d)):
-            for j, v in enumerate(coeffs.v_list):
-                g = build_monomial_bump(mm, v, N, eta, box=box_intr)
-                g_x = sn_input_affine(g, A, cvec)
-                depth = max(g_x.depth, ind_chain.depth)
-                pair = sn_parallel(
-                    [
-                        (sn_pad(g_x, depth), list(range(D))),
-                        (sn_pad(ind_chain, depth), list(range(D))),
-                    ]
-                )
-                term = sn_chain(pair, times_delta)
-                term = sn_scale_output(term, coeffs.table[t, j])
-                cnns.append(mlp_to_cnn(term.as_mlp(), 2))
-    depth = max(c.depth for c in cnns)
-    cnns = [extend_cnn_depth(c, depth) for c in cnns]
-    J0 = max(c.width for c in cnns)
-    groups = parallel_sum(cnns, Jt if Jt is not None else J0)
-    model = assemble_resnet(groups)
-    approx.model = model
-    approx.class_params = audit_class(model)
-    record["terms"] = len(cnns)
-    record["Mt"] = Mt if Mt is not None else len(groups)
-    record["Jt"] = Jt if Jt is not None else J0
-
     pts = mspec.sample_points(997)
     idx = np.random.default_rng(seed).choice(len(pts), min(check_points, len(pts)), replace=False)
-    X = pts[idx]
-    gap = float(np.max(np.abs(approx.eval(X) - resnet_forward_batch(model, X))))
-    record["compile_gap"] = gap
-    if gap > 1e-8:
-        raise CompileEqualityError(f"compiled manifold model deviates by {gap:.3e}")
+    compile_terms(approx, approx._terms(eta, box_intr), pts[idx])
     return approx
 
 

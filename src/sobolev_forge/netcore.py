@@ -18,7 +18,7 @@ Execution plan.  ``resnet_forward_batch`` lowers a model once into a plan,
 cached on the model (the cache is sound only because models are never
 mutated after construction).  The plan applies when the weights show that
 
-* the readout is first-row-only,
+* the readout is first-row-only and gives channel 0 a zero weight,
 * each block's first filter reads only channel 0, and
 * each block's last filter and last bias leave channel 0 at zero.
 
@@ -32,7 +32,9 @@ layer runs over the group's live rows: a shared layer as one product over
 them, a layer with distinct weights as one product per distinct filter
 present.  The block summands of a point are added in block order.  Points
 are taken in chunks so the stacked activations stay under
-``_PLAN_ROW_BUDGET`` rows.
+``_PLAN_ROW_BUDGET`` rows.  A point with a non-finite coordinate gets nan
+without running any block: the readout multiplies x, in channel 0, by a zero
+weight, so its value is nan whatever the blocks give.
 
 Support index.  A Euclidean build attaches a ``BlockSupport``: the grid N
 and each block's nodes m.  Lowering turns it into a node -> blocks index,
@@ -54,9 +56,8 @@ skipped block's summand is 0.0 and skipping it changes no sum.
 Dense rows.  The same code with every (block, point) row live serves a
 model without a support (a file written without one, or a compiled manifold
 model, whose charts are not grid-indexed in x), any point outside the safe
-box or with a non-finite coordinate (so nan stays nan), and
-``resnet_forward_dense``, which the build's equality check runs: only it can
-see a block that fails to annihilate.
+box, and ``resnet_forward_dense``, which the build's equality check runs:
+only it can see a block that fails to annihilate.
 
 Bits.  Each matrix product of a 1-tap layer with D >= 2 runs in tiles of
 ``_TILE_ROWS`` rows, one shape whatever the number of live rows, so a row's
@@ -370,7 +371,18 @@ def _forward(net, X, sparse):
     plan = net._plan
     if plan is None:
         return resnet_forward_reference(net, X)
-    return plan.forward(net, X, sparse)
+    return _on_finite_rows(lambda Y: plan.forward(net, Y, sparse), X)
+
+
+def _on_finite_rows(evaluate, X):
+    """evaluate(X) over the rows of X whose coordinates are all finite; the
+    other rows get nan without a call."""
+    if np.isfinite(X).all():
+        return evaluate(X)
+    finite = np.all(np.isfinite(X), axis=1)
+    out = np.full(X.shape[0], np.nan)
+    out[finite] = evaluate(X[finite])
+    return out
 
 
 def resnet_forward(net: ConvResNetModel, x: np.ndarray) -> float:
@@ -517,7 +529,6 @@ class _Plan:
         acc = np.empty((n, net.padding_channels - 1))
         covered = np.zeros(n, dtype=bool)
         if sparse and self.cover is not None:
-            # comparisons with nan are False, so a nan row runs every block
             covered = np.all((X >= _SAFE_BOX[0]) & (X <= _SAFE_BOX[1]), axis=1)
         for rows, cover in ((np.flatnonzero(~covered), None), (np.flatnonzero(covered), self.cover)):
             step = self.step if cover is None else cover.step
@@ -567,7 +578,7 @@ def _distinct(arrays):
 
 def _lower(net):
     """The execution plan of ``net``, or None when a condition fails."""
-    if not net.blocks or not net.first_row_only:
+    if not net.blocks or not net.first_row_only or net.fc_weight[0, 0] != 0.0:
         return None
     for blk in net.blocks:
         if np.any(blk.filters[0].entries[:, :, 1:] != 0.0):

@@ -181,12 +181,6 @@ def sn_parallel(parts) -> ScalarNet:
     return ScalarNet(layers)
 
 
-def sn_scale_output(f: ScalarNet, a, c=0.0) -> ScalarNet:
-    """Post-compose the final affine with y -> a*y + c (scalar output nets)."""
-    Wf, bf = f.layers[-1]
-    return ScalarNet(f.layers[:-1] + [(a * Wf, a * bf + c)], eta=f.eta, box=f.box, tags=dict(f.tags))
-
-
 def sn_input_affine(f: ScalarNet, A, c) -> ScalarNet:
     """Pre-compose the input with x -> A x + c."""
     A = np.atleast_2d(np.asarray(A, dtype=np.float64))

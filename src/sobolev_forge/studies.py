@@ -184,9 +184,30 @@ def _window(cfg_value, nominal):
     return (nominal - 0.6, nominal + 0.6)
 
 
+def _rate_result(cfg, out: Path, summary, errs, labels, title):
+    """The tail both rate studies share: fit the k = 0 and k = 1 slopes over
+    N_list, check each against its window (default -(alpha - k) +- 0.6) and,
+    for a manifold study, slope_k0 against separation_slope; write
+    summary.json and rates.svg, with the series of k labelled labels[k]."""
+    N_list = list(cfg["N_list"])
+    summary.update(alpha=cfg["alpha"], N_list=N_list, checks={})
+    for k in (0, 1):
+        slope, _ = fit_loglog_slope(N_list, errs[k])
+        w = _window(cfg[f"slope_window_k{k}"], -float(cfg["alpha"] - k))
+        summary[f"slope_k{k}"], summary[f"window_k{k}"] = slope, list(w)
+        summary[f"errors_k{k}"] = errs[k]
+        summary["checks"][f"slope_k{k}_in_window"] = w[0] <= slope <= w[1]
+    if "separation_slope" in cfg:
+        summary["separation_slope"] = cfg["separation_slope"]
+        summary["checks"]["intrinsic_rate_separated"] = summary["slope_k0"] < cfg["separation_slope"]
+    summary["pass"] = all(summary["checks"].values())
+    write_json(out / "summary.json", summary)
+    write_svg_loglog(out / "rates.svg", {labels[k]: (N_list, errs[k]) for k in (0, 1)}, title)
+    return (0 if summary["pass"] else 1), summary
+
+
 def run_euclidean_rate(cfg, out: Path):
-    alpha = cfg["alpha"]
-    target = load_target(cfg["target"], alpha, cfg["dim"])
+    target = load_target(cfg["target"], cfg["alpha"], cfg["dim"])
     p = math.inf if cfg["p"] == "inf" else int(cfg["p"])
     grid = EvalGrid(target.dim, cfg["grid"])
     rows, errs = [], {0: [], 1: []}
@@ -199,38 +220,13 @@ def run_euclidean_rate(cfg, out: Path):
             rows.append(
                 [target.name, N, int(N) ** target.dim, k, cfg["p"], val, cfg["grid"], cfg["seed"]]
             )
-    slope0, _ = fit_loglog_slope(cfg["N_list"], errs[0])
-    slope1, _ = fit_loglog_slope(cfg["N_list"], errs[1])
-    w0 = _window(cfg["slope_window_k0"], -float(alpha))
-    w1 = _window(cfg["slope_window_k1"], -float(alpha - 1))
-    ok0, ok1 = w0[0] <= slope0 <= w0[1], w1[0] <= slope1 <= w1[1]
-    summary = {
-        "kind": "euclidean-rate",
-        "target": target.name,
-        "alpha": alpha,
-        "N_list": list(cfg["N_list"]),
-        "slope_k0": slope0,
-        "slope_k1": slope1,
-        "window_k0": list(w0),
-        "window_k1": list(w1),
-        "errors_k0": errs[0],
-        "errors_k1": errs[1],
-        "pass": bool(ok0 and ok1),
-        "checks": {"slope_k0_in_window": ok0, "slope_k1_in_window": ok1},
-    }
     write_csv(out / "rates.csv", ["target", "N", "MJ", "s_or_k", "p", "value", "grid", "seed"], rows)
-    write_json(out / "summary.json", summary)
-    write_svg_loglog(
-        out / "rates.svg",
-        {"W0": (cfg["N_list"], errs[0]), "W1": (cfg["N_list"], errs[1])},
-        f"{target.name}: error vs N",
-    )
-    return (0 if summary["pass"] else 1), summary
+    summary = {"kind": "euclidean-rate", "target": target.name}
+    return _rate_result(cfg, out, summary, errs, ("W0", "W1"), f"{target.name}: error vs N")
 
 
 def run_manifold_rate(cfg, out: Path):
-    alpha = cfg["alpha"]
-    mspec, target = get_manifold_target(cfg["target"], cfg["ambient_dim"], order=alpha)
+    mspec, target = get_manifold_target(cfg["target"], cfg["ambient_dim"], order=cfg["alpha"])
     r = cfg["r"] if cfg["r"] is not None else 0.8 * mspec.reach / 4.0
     atlas = build_atlas(mspec, r)
     rows, errs = [], {0: [], 1: []}
@@ -241,51 +237,13 @@ def run_manifold_rate(cfg, out: Path):
             val, _ = manifold_norm(diff, atlas, k, resolution=cfg["resolution"])
             errs[k].append(val)
             rows.append(
-                [
-                    mspec.name,
-                    mspec.ambient_dim,
-                    mspec.intrinsic_dim,
-                    N,
-                    k,
-                    val,
-                    atlas.chart_count,
-                ]
+                [mspec.name, mspec.ambient_dim, mspec.intrinsic_dim, N, k, val, atlas.chart_count]
             )
-    slope0, _ = fit_loglog_slope(cfg["N_list"], errs[0])
-    slope1, _ = fit_loglog_slope(cfg["N_list"], errs[1])
-    w0 = _window(cfg["slope_window_k0"], -float(alpha))
-    w1 = _window(cfg["slope_window_k1"], -float(alpha - 1))
-    ok0, ok1 = w0[0] <= slope0 <= w0[1], w1[0] <= slope1 <= w1[1]
-    sep = slope0 < cfg["separation_slope"]
-    summary = {
-        "kind": "manifold-rate",
-        "target": target.name,
-        "manifold": mspec.name,
-        "alpha": alpha,
-        "chart_count": atlas.chart_count,
-        "N_list": list(cfg["N_list"]),
-        "slope_k0": slope0,
-        "slope_k1": slope1,
-        "window_k0": list(w0),
-        "window_k1": list(w1),
-        "errors_k0": errs[0],
-        "errors_k1": errs[1],
-        "separation_slope": cfg["separation_slope"],
-        "pass": bool(ok0 and ok1 and sep),
-        "checks": {
-            "slope_k0_in_window": ok0,
-            "slope_k1_in_window": ok1,
-            "intrinsic_rate_separated": sep,
-        },
-    }
     write_csv(out / "rates.csv", ["manifold", "D", "d", "N", "k", "error", "charts"], rows)
-    write_json(out / "summary.json", summary)
-    write_svg_loglog(
-        out / "rates.svg",
-        {"W0(M)": (cfg["N_list"], errs[0]), "W1(M)": (cfg["N_list"], errs[1])},
-        f"{target.name} on {mspec.name}: error vs N",
-    )
-    return (0 if summary["pass"] else 1), summary
+    summary = {"kind": "manifold-rate", "target": target.name, "manifold": mspec.name,
+               "chart_count": atlas.chart_count}
+    title = f"{target.name} on {mspec.name}: error vs N"
+    return _rate_result(cfg, out, summary, errs, ("W0(M)", "W1(M)"), title)
 
 
 def run_risk(cfg, out: Path):

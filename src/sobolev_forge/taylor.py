@@ -1,5 +1,5 @@
-"""Partition of unity on (0,1)^D, local Taylor surrogates, and the full
-Euclidean compile pipeline.
+"""Partition of unity on (0,1)^D, local Taylor surrogates, and the compile
+step both pipelines share.
 
 The surrogate is f_hat(x) = sum_m sum_{|v| <= alpha-1} c_{m,v} phi_m(x) x^v
 with coefficients from the Taylor polynomial of order alpha at each grid node
@@ -7,6 +7,8 @@ m/N (classical derivatives for analytic targets; a quadrature-averaged
 variant over the ball of radius 1/(3N) is available for targets without nice
 pointwise derivatives).  The compiled object realizes every bump-times-
 monomial term as a CNN and assembles the weighted sum into a ConvResNet.
+``compile_terms`` does this for both pipelines: the Euclidean build passes it
+the terms of the grid nodes, the manifold build the gated terms of each chart.
 
 Evaluation is sparse: at any x only the <= 2^D bumps whose support contains
 x contribute; all other terms are exactly zero by the annihilation property
@@ -29,9 +31,11 @@ from itertools import product as iter_product
 import numpy as np
 
 from .algebra import assemble_resnet, extend_cnn_depth, mlp_to_cnn, parallel_sum
+from .metrics import fd_gradient_batch
 from .netcore import (
     BlockSupport,
     ShapeError,
+    _on_finite_rows,
     audit_class,
     resnet_forward_batch,
     resnet_forward_dense,
@@ -79,18 +83,15 @@ class TargetFunction:
     def fd_consistency(self, rng, n=50, h=1e-5):
         """Max relative gap between analytic first partials and central FD."""
         X = rng.uniform(0.05, 0.95, size=(n, self.dim))
+        fd = fd_gradient_batch(self, X, h)
         worst = 0.0
         for j in range(self.dim):
             a = tuple(1 if k == j else 0 for k in range(self.dim))
             if a not in self.derivs:
                 continue
-            hi, lo = X.copy(), X.copy()
-            hi[:, j] += h
-            lo[:, j] -= h
-            fd = (self(hi) - self(lo)) / (2 * h)
             an = self.deriv(a, X)
             scale = np.maximum(np.abs(an), 1.0)
-            worst = max(worst, float(np.max(np.abs(fd - an) / scale)))
+            worst = max(worst, float(np.max(np.abs(fd[:, j] - an) / scale)))
         return worst
 
 
@@ -99,6 +100,26 @@ def multi_indices(dim, max_total):
     out = [v for v in iter_product(range(max_total + 1), repeat=dim) if sum(v) <= max_total]
     out.sort()
     return out
+
+
+def grid_nodes(N, d):
+    """The grid nodes m in {0..N}^d as rows of an integer array, in the
+    raveled order (last axis fastest) of every table indexed by node."""
+    return np.array(list(iter_product(range(N + 1), repeat=d)))
+
+
+def grid_resolution(N, Mt, Jt, d, least=1):
+    """The grid N of a build: as given, or else floor((Mt * Jt)^(1/d)); a
+    ValueError when it is below ``least``."""
+    if N is None:
+        if Mt is None or Jt is None:
+            raise ValueError("need either N or both Mt and Jt")
+        if Mt * Jt < 2**d:
+            raise ValueError(f"Mt*Jt = {Mt * Jt} < 2^d = {2**d}")
+        N = int(math.floor((Mt * Jt) ** (1.0 / d)))
+    if N < least:
+        raise ValueError(f"resolution N must be >= {least}, got {N}")
+    return N
 
 
 def _factorial_multi(a):
@@ -124,7 +145,7 @@ class SurrogateCoefficients:
 
     def to_json_dict(self):
         keys = {}
-        for i, m in enumerate(iter_product(range(self.N + 1), repeat=self.dim)):
+        for i, m in enumerate(grid_nodes(self.N, self.dim).tolist()):
             for j, v in enumerate(self.v_list):
                 val = self.table[i, j]
                 if val != 0.0:
@@ -166,7 +187,7 @@ def taylor_coeffs(f: TargetFunction, N: int, averaged=False, quad_points=6) -> S
     """
     D, alpha = f.dim, f.order
     v_list = multi_indices(D, alpha - 1)
-    nodes = np.array(list(iter_product(range(N + 1), repeat=D)), dtype=np.float64) / N
+    nodes = grid_nodes(N, D) / N
     if not averaged:
         derivs = {tuple(a): f.deriv(a, nodes) for a in v_list}
         table = _monomial_expansion_rows(nodes, derivs, v_list)
@@ -203,17 +224,6 @@ def _cover(N, X):
         for k in range(X.shape[1]):
             idx = idx * (N + 1) + mc[:, k]
         yield valid, idx, psi_value(3.0 * N * X - 3.0 * mc)
-
-
-def _on_finite_rows(evaluate, X):
-    """evaluate(X) over the rows of X whose coordinates are all finite; the
-    other rows get nan, as they do in the compiled model."""
-    if np.isfinite(X).all():
-        return evaluate(X)
-    finite = np.all(np.isfinite(X), axis=1)
-    out = np.full(X.shape[0], np.nan)
-    out[finite] = evaluate(X[finite])
-    return out
 
 
 def surrogate_eval(coeffs: SurrogateCoefficients, X) -> np.ndarray:
@@ -356,29 +366,67 @@ class ConstructedApproximator:
         return resnet_forward_batch(self.model, np.atleast_2d(X))
 
 
-def _build_term_cnns(coeffs: SurrogateCoefficients, eta, box, K):
-    """One CNN per (m, v) term, fc scaled by c_{m,v}, depths equalized."""
-    D, N = coeffs.dim, coeffs.N
-    cnns = []
-    for i, m in enumerate(iter_product(range(N + 1), repeat=D)):
-        for j, v in enumerate(coeffs.v_list):
-            net = build_monomial_bump(m, v, N, eta, box=box)
-            cnn = mlp_to_cnn(net.as_mlp(), K)
-            cnn.fc_weight = coeffs.table[i, j] * cnn.fc_weight
-            cnns.append(cnn)
-    depth = max(c.depth for c in cnns)
-    return [extend_cnn_depth(c, depth) for c in cnns]
+def _bump_terms(coeffs: SurrogateCoefficients, eta, box):
+    """(net of phi_m x^v, c_{m,v}) for every term of the table, in (m, v)
+    order."""
+    for m, row in zip(grid_nodes(coeffs.N, coeffs.dim).tolist(), coeffs.table):
+        for v, c in zip(coeffs.v_list, row):
+            yield build_monomial_bump(m, v, coeffs.N, eta, box=box), c
 
 
 def _block_support(coeffs: SurrogateCoefficients, per_block):
     """The nodes of each block: the terms come in (m, v) order, and
     parallel_sum packs per_block consecutive terms into one block."""
-    nodes = np.array(list(iter_product(range(coeffs.N + 1), repeat=coeffs.dim)))
+    nodes = grid_nodes(coeffs.N, coeffs.dim)
     term_node = np.repeat(np.arange(len(nodes)), len(coeffs.v_list))
     return BlockSupport(
         coeffs.N,
         [nodes[np.unique(term_node[a : a + per_block])] for a in range(0, len(term_node), per_block)],
     )
+
+
+def compile_terms(approx, terms, X, support=None):
+    """Compile ordered (ScalarNet, c) terms into approx.model: each term a
+    CNN with its readout scaled by c, one depth for all, grouped
+    record["Jt"] channels wide (one term per block when None), assembled,
+    with the BlockSupport support(terms per block) when given.  Fills
+    approx.class_params and the record keys terms, Mt, Jt and compile_gap,
+    then gates the build at the points X: the dense forward within 1e-8 of
+    approx.eval, then the support-sparse forward equal to the dense one bit
+    for bit (CompileEqualityError otherwise)."""
+    cnns = []
+    for net, c in terms:
+        cnn = mlp_to_cnn(net.as_mlp(), 2)
+        cnn.fc_weight = c * cnn.fc_weight
+        cnns.append(cnn)
+    depth = max(cnn.depth for cnn in cnns)
+    cnns = [extend_cnn_depth(cnn, depth) for cnn in cnns]
+    record = approx.record
+    J0 = max(cnn.width for cnn in cnns)
+    width = record["Jt"] if record["Jt"] is not None else J0
+    groups = parallel_sum(cnns, width)
+    model = assemble_resnet(groups)
+    if support is not None:
+        model = replace(model, support=support(width // J0))
+    approx.model = model
+    approx.class_params = audit_class(model)
+    record["terms"] = len(cnns)
+    record["Mt"] = record["Mt"] if record["Mt"] is not None else len(groups)
+    record["Jt"] = width
+
+    dense = resnet_forward_dense(model, X)
+    gaps = np.abs(approx.eval(X) - dense)
+    record["compile_gap"] = float(np.max(gaps))
+    if not record["compile_gap"] <= 1e-8:  # a nan gap fails too
+        raise CompileEqualityError(
+            f"compiled model deviates from functional path by {record['compile_gap']:.3e} "
+            f"at {X[np.argmax(gaps)]}"
+        )
+    miss = np.flatnonzero(resnet_forward_batch(model, X) != dense)
+    if miss.size:
+        raise CompileEqualityError(
+            f"support-sparse forward differs from the dense forward at {X[miss[0]]}"
+        )
 
 
 def build_euclidean(
@@ -397,20 +445,14 @@ def build_euclidean(
     Pass N directly (study mode) to pin the resolution; Mt/Jt then default to
     the term count and the single-term width.  eta = N^-alpha balances the
     surrogate and network error terms.  When ``compile_model`` is set, the
-    compiled network carries each block's grid nodes, and at ``check_points``
-    random points its dense forward is checked against the functional
-    evaluator (tolerance 1e-8) and its support-sparse forward against the
-    dense one (bit for bit); the build aborts on either disagreement.
+    terms go through ``compile_terms``: the compiled network carries each
+    block's grid nodes, and at ``check_points`` random points its dense
+    forward is checked against the functional evaluator (tolerance 1e-8) and
+    its support-sparse forward against the dense one (bit for bit); the build
+    aborts on either disagreement.
     """
     D, alpha = f.dim, f.order
-    if N is None:
-        if Mt is None or Jt is None:
-            raise ValueError("need either N or both Mt and Jt")
-        if Mt * Jt < 2**D:
-            raise ValueError(f"Mt*Jt = {Mt * Jt} < 2^D = {2**D}")
-        N = int(math.floor((Mt * Jt) ** (1.0 / D)))
-    if N < 1:
-        raise ValueError(f"resolution N must be >= 1, got {N}")
+    N = grid_resolution(N, Mt, Jt, D)
     eta = float(N) ** (-float(alpha))
     box = alpha + D + 1.0
     coeffs = taylor_coeffs(f, N)
@@ -431,33 +473,7 @@ def build_euclidean(
     if not compile_model:
         return approx
 
-    K = 2
-    cnns = _build_term_cnns(coeffs, eta, box, K)
-    J0 = max(c.width for c in cnns)
-    width = Jt if Jt is not None else J0
-    groups = parallel_sum(cnns, width)
-    model = replace(assemble_resnet(groups), support=_block_support(coeffs, width // J0))
-    approx.model = model
-    approx.class_params = audit_class(model)
-    record["Mt"] = Mt if Mt is not None else len(groups)
-    record["Jt"] = Jt if Jt is not None else J0
-    record["terms"] = len(cnns)
-
-    rng = np.random.default_rng(seed)
-    X = rng.uniform(0.0, 1.0, size=(check_points, D))
-    mag = approx.audit_intermediate_magnitudes(X[: min(check_points, 50)])
-    record["intermediate_magnitude"] = mag
-    dense = resnet_forward_dense(model, X)
-    gap = np.max(np.abs(approx.eval(X) - dense))
-    record["compile_gap"] = float(gap)
-    if gap > 1e-8:
-        i = int(np.argmax(np.abs(approx.eval(X) - dense)))
-        raise CompileEqualityError(
-            f"compiled model deviates from functional path by {gap:.3e} at {X[i]}"
-        )
-    miss = np.flatnonzero(resnet_forward_batch(model, X) != dense)
-    if miss.size:
-        raise CompileEqualityError(
-            f"support-sparse forward differs from the dense forward at {X[miss[0]]}"
-        )
+    X = np.random.default_rng(seed).uniform(0.0, 1.0, size=(check_points, D))
+    record["intermediate_magnitude"] = approx.audit_intermediate_magnitudes(X[:50])
+    compile_terms(approx, _bump_terms(coeffs, eta, box), X, lambda k: _block_support(coeffs, k))
     return approx

@@ -74,6 +74,15 @@ def test_rate_study_determinism(tmp_path):
     run_study(cfg, tmp_path / "a")
     run_study(cfg, tmp_path / "b")
     assert (tmp_path / "a" / "rates.csv").read_bytes() == (tmp_path / "b" / "rates.csv").read_bytes()
+    # through the CLI, --seed overrides the config's seed; without window
+    # keys the summary records the default windows -(alpha - k) +- 0.6
+    doc = {key: cfg[key] for key in ("target", "alpha", "N_list", "grid")}
+    path = _write_cfg(tmp_path, {**doc, "seed": 7})
+    main(["--seed", "0", "--out", str(tmp_path / "c"), "rate-study", "--config", path])
+    assert (tmp_path / "a" / "rates.csv").read_bytes() == (tmp_path / "c" / "rates.csv").read_bytes()
+    summary = json.loads((tmp_path / "c" / "summary.json").read_text())
+    assert summary["window_k0"] == [-2.0 - 0.6, -2.0 + 0.6]
+    assert summary["window_k1"] == [-1.0 - 0.6, -1.0 + 0.6]
 
 
 @pytest.mark.parametrize(
@@ -121,13 +130,20 @@ def test_build_eval_audit_netio_flow(tmp_path, capsys):
     dest = tmp_path / "copy.json"
     assert main(["net-io", "copy", "--net", str(model_path), "--dest", str(dest)]) == 0
     assert serialize.to_dict(serialize.load(dest)) == serialize.to_dict(net)
-    capsys.readouterr()
+    assert main(["net-io", "copy", "--net", str(model_path)]) == 2
+    assert "needs --dest" in capsys.readouterr().err
 
     code = main(["eval", "--net", str(model_path), "--at", "0.3,0.4", "--at", "0.5,0.5"])
     assert code == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "x0,x1,value"
     assert len(lines) == 3
+
+    # without --at: the 3 x 3 midpoint grid, written to eval.csv under --out
+    assert main(["eval", "--net", str(model_path), "--grid", "3", "--out", str(tmp_path / "ev")]) == 0
+    lines = (tmp_path / "ev" / "eval.csv").read_text().splitlines()
+    assert lines[0] == "x0,x1,value" and len(lines) == 1 + 9
+    assert lines[1].startswith(f"{1 / 6!r},{1 / 6!r},")
 
 
 def test_net_io_check_and_copy_keep_the_support(tmp_path, capsys):

@@ -276,6 +276,12 @@ def test_manifold_build_guards(circle, atlas, circle_sin):
         build_manifold_approx(target, circle, N=4, atlas=atlas, parameters="paper")
 
 
+def test_chart_boundary_data_rejects_intrinsic_dimension_3(atlas):
+    flat3 = dataclasses.replace(atlas, manifold=dataclasses.replace(atlas.manifold, intrinsic_dim=3))
+    with pytest.raises(ChartError, match="intrinsic dimension 3"):
+        manifold.chart_boundary_data(flat3, 0, 0.01)
+
+
 def test_manifold_compile_equality(circle, circle_sin):
     """Small compiled manifold model agrees with the functional path."""
     mspec, target = circle_sin

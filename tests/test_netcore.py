@@ -1,5 +1,6 @@
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -260,12 +261,25 @@ def test_sparse_forward_equals_dense(case, n, seed):
     net = _built_model(D, alpha, N, Jt)
     assert net.support is not None and net._plan.cover is not None
     X = _sparse_points(np.random.default_rng(seed), D, N, n)
-    with np.errstate(invalid="ignore"):  # the non-finite rows make inf - inf
-        sparse, dense = resnet_forward_batch(net, X), resnet_forward_dense(net, X)
+    sparse, dense = resnet_forward_batch(net, X), resnet_forward_dense(net, X)
     assert np.array_equal(sparse, dense, equal_nan=True)
     assert np.isnan(sparse[-3:]).all()
     for x, y in zip(X[:3], sparse):  # a point alone gets its value inside a batch
         assert resnet_forward(net, x) == y
+
+
+def test_nonfinite_rows_give_nan_without_warnings_and_keep_the_finite_bits(rng):
+    net = _built_model(2, 2, 3)
+    X = rng.uniform(0.0, 1.0, (7, 2))
+    bad = X.copy()
+    bad[[1, 3, 4, 6], [0, 1, 0, 1]] = [np.nan, np.inf, -np.inf, np.nan]
+    finite = np.all(np.isfinite(bad), axis=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for forward in (resnet_forward_batch, resnet_forward_dense):
+            got = forward(net, bad)
+            assert np.isnan(got[~finite]).all()
+            assert np.array_equal(got[finite], forward(net, X)[finite])
 
 
 def test_sparse_forward_chunks_a_batch_larger_than_its_step(rng):
@@ -293,6 +307,30 @@ def test_build_fails_when_the_cover_misses_a_block(monkeypatch):
     target = get_target("sinprod", alpha=2, dim=2)
     with pytest.raises(CompileEqualityError, match="support-sparse"):
         build_euclidean(target, s=0, p=math.inf, N=3, check_points=20)
+
+
+def test_plan_matches_reference_on_distinct_two_tap_layers(rng):
+    # D = 3 blocks that share their first layer and differ in a 2-tap middle
+    # layer: the plan's tap-k > 0 step on rows packed by filter
+    D, C, H = 3, 3, 4
+    first = np.zeros((H, 1, C))
+    first[:, 0, 0] = rng.standard_normal(H)
+    b0 = np.tile(rng.standard_normal(H), (D, 1))
+    middles = [rng.standard_normal((H, 2, H)) for _ in range(2)]
+    blocks = []
+    for middle in (middles[0], middles[1], middles[0]):
+        last = np.zeros((C, 1, H))
+        last[1:, 0] = rng.standard_normal((C - 1, H))
+        blocks.append(ResidualBlockSpec(
+            [FilterTensor(first), FilterTensor(middle), FilterTensor(last)],
+            [b0, rng.standard_normal((D, H)), np.zeros((D, C))],
+        ))
+    fc = np.zeros((D, C))
+    fc[0, 1:] = [1.0, -1.0]
+    net = ConvResNetModel(D, C, blocks, fc, 0.25, first_row_only=True)
+    assert net._plan.groups[0].prefix == 1
+    for n in (1, 5, 70):
+        _plan_matches_reference(net, rng.uniform(0.0, 1.0, (n, D)))
 
 
 def _trapezoid_net():
@@ -334,6 +372,10 @@ def _set_nonfinite_bias(f):
     f["blocks"][0].biases[1][0, 0] = np.inf
 
 
+def _set_readout_channel_0(f):
+    f["fc_weight"][0, 0] = 0.5
+
+
 @pytest.mark.parametrize(
     "edit",
     [
@@ -343,6 +385,7 @@ def _set_nonfinite_bias(f):
         _clear_first_row_only,
         _drop_blocks,
         _set_nonfinite_bias,
+        _set_readout_channel_0,
     ],
 )
 def test_models_outside_the_plan_fall_back_to_the_reference(edit):
