@@ -1,0 +1,161 @@
+#!/usr/bin/env python3
+"""Time a compiled build stage by stage.
+
+For sinprod (D=2) at alpha=2, N = 4, 8, 16 and alpha=3, N = 16 this script
+runs ``build_euclidean`` and ``serialize.save`` and splits their wall time
+into stages, by wrapping the functions the compile step calls through the
+``taylor`` module:
+
+* ``term_nets``: the scalar term nets (``monomial_bump_template``, or
+  ``build_monomial_bump`` in a tree that builds every term directly);
+* ``cnn_conversion``: ``mlp_to_cnn``, ``extend_cnn_depth`` and ``restamp``;
+* ``grouping_assembly``: ``parallel_sum`` and ``assemble_resnet``;
+* ``audit``: ``audit_class``;
+* ``equality_check``: the compiled forwards of the build gates
+  (``resnet_forward_dense`` and ``resnet_forward_batch``);
+* ``save``: ``serialize.save`` of the model;
+* ``other``: the rest (Taylor coefficients, the functional evaluator of the
+  gates, the intermediate-magnitude audit).
+
+A wrapped call inside another counts toward its own stage only.  Each build
+runs ``--reps`` times and every figure is the median.  The model's array
+count, its distinct arrays (same shape and bytes) and its file size are
+reported too.  BLAS threads are pinned to 1, as in perfbench.
+
+``--src`` times the package in another source tree (a checkout of an
+earlier commit, say); the wrapping names that tree lacks are skipped.  The
+results are stored under ``--label`` in ``BENCH_template_build.json`` at the
+repository root, next to the labels already there.
+
+Usage: python benchmarks/bench_build.py [--src DIR] [--label NAME] [--reps R]
+"""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse
+import json
+import math
+import platform
+import statistics
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+BUILDS = ((2, 4), (2, 8), (2, 16), (3, 16))
+STAGES = {
+    "term_nets": ("monomial_bump_template", "build_monomial_bump"),
+    "cnn_conversion": ("mlp_to_cnn", "extend_cnn_depth", "restamp"),
+    "grouping_assembly": ("parallel_sum", "assemble_resnet"),
+    "audit": ("audit_class",),
+    "equality_check": ("resnet_forward_dense", "resnet_forward_batch"),
+}
+
+
+class StageClock:
+    """Self time per stage of the wrapped functions."""
+
+    def __init__(self):
+        self.seconds = {}
+        self.stack = []  # [stage, start, time of nested wrapped calls]
+
+    def wrap(self, stage, fn):
+        def timed(*args, **kwargs):
+            self.stack.append([stage, time.perf_counter(), 0.0])
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                _, start, nested = self.stack.pop()
+                spent = time.perf_counter() - start
+                self.seconds[stage] = self.seconds.get(stage, 0.0) + spent - nested
+                if self.stack:
+                    self.stack[-1][2] += spent
+
+        return timed
+
+
+def _machine(np):
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {
+        "platform": platform.platform(),
+        "processor": platform.processor() or platform.machine(),
+        "cpus": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": blas,
+        "blas_threads": 1,
+    }
+
+
+def _one_build(modules, alpha, N, directory):
+    np, serialize, targets, taylor = modules
+    clock = StageClock()
+    originals = {}
+    for stage, names in STAGES.items():
+        for name in names:
+            if hasattr(taylor, name):
+                originals[name] = getattr(taylor, name)
+                setattr(taylor, name, clock.wrap(stage, originals[name]))
+    save = clock.wrap("save", serialize.save)
+    target = targets.get_target("sinprod", alpha=alpha, dim=2)
+    path = Path(directory) / "model.json"
+    try:
+        start = time.perf_counter()
+        approx = taylor.build_euclidean(target, s=0, p=math.inf, N=N)
+        save(path, approx.model)
+        total = time.perf_counter() - start
+    finally:
+        for name, fn in originals.items():
+            setattr(taylor, name, fn)
+    seconds = {stage: clock.seconds.get(stage, 0.0) for stage in [*STAGES, "save"]}
+    seconds["other"] = total - sum(seconds.values())
+    seconds["total"] = total
+    model = approx.model
+    arrays = [a for blk in model.blocks for a in [f.entries for f in blk.filters] + blk.biases]
+    counts = {
+        "blocks": len(model.blocks),
+        "arrays": len(arrays),
+        "distinct_arrays": len({(a.shape, a.tobytes()) for a in arrays}),
+        "model_mb": path.stat().st_size / 1e6,
+    }
+    return seconds, counts
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", default=str(ROOT / "src"), help="package source tree to time")
+    parser.add_argument("--label", default="change", help="key of the results in the JSON file")
+    parser.add_argument("--reps", type=int, default=3, help="builds per configuration")
+    args = parser.parse_args()
+    sys.path.insert(0, args.src)
+    import numpy as np
+    from sobolev_forge import serialize, targets, taylor
+
+    modules = (np, serialize, targets, taylor)
+    rows = []
+    with tempfile.TemporaryDirectory() as directory:
+        for alpha, N in BUILDS:
+            runs = [_one_build(modules, alpha, N, directory) for _ in range(args.reps)]
+            seconds = {k: statistics.median(r[0][k] for r in runs) for k in runs[0][0]}
+            row = {"alpha": alpha, "N": N, "reps": args.reps, "seconds": seconds}
+            rows.append({**row, **runs[0][1]})
+            split = "  ".join(f"{k} {v:.3f}" for k, v in seconds.items())
+            print(f"alpha={alpha} N={N:>2} ({runs[0][1]['blocks']} blocks): {split}", flush=True)
+    path = ROOT / "BENCH_template_build.json"
+    doc = json.loads(path.read_text()) if path.exists() else {}
+    doc["what"] = (
+        "median seconds per stage of build_euclidean + serialize.save; sinprod D=2; "
+        "see benchmarks/bench_build.py"
+    )
+    doc["machine"] = _machine(np)
+    doc.setdefault("results", {})[args.label] = rows
+    path.write_text(json.dumps(doc, indent=2) + "\n")
+    print(f"wrote {path} [{args.label}]")
+
+
+if __name__ == "__main__":
+    main()

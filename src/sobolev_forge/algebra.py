@@ -27,7 +27,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .netcore import FilterTensor, ResidualBlockSpec, ConvResNetModel, MlpModel, ShapeError
+from .netcore import (
+    ConvResNetModel,
+    FilterTensor,
+    MlpModel,
+    ResidualBlockSpec,
+    ShapeError,
+    _max_abs,
+)
 
 
 @dataclass
@@ -62,9 +69,7 @@ class CnnFunction:
 
     @property
     def kappa1(self):
-        return max(
-            max(np.max(np.abs(f.entries)), np.max(np.abs(b))) for f, b in self.conv_stack
-        )
+        return _max_abs(a for f, b in self.conv_stack for a in (f.entries, b))
 
     @property
     def kappa2(self):
@@ -149,6 +154,22 @@ def mlp_to_cnn(mlp: MlpModel, K: int) -> CnnFunction:
     return CnnFunction(D, stack, fc, 0.0, first_row_only=True, input_pair_layer=(D == 1))
 
 
+def restamp(f: CnnFunction, bias, scale) -> CnnFunction:
+    """f, as mlp_to_cnn realized it, with the bias of the MLP's first (not
+    last) layer replaced by ``bias`` (kept when None) and the readout scaled
+    by ``scale``.  Every other layer is f's own."""
+    stack = f.conv_stack
+    if bias is not None:
+        t = max(1, f.input_dim - 1)  # the gather layers come first
+        stack = list(stack)
+        if stack[t][1].shape[1] != len(bias):
+            raise ShapeError(f"bias of length {len(bias)} for {stack[t][1].shape[1]} channels")
+        stack[t] = (stack[t][0], _const_bias(f.input_dim, bias))
+    return CnnFunction(
+        f.input_dim, stack, scale * f.fc_weight, f.fc_bias, f.first_row_only, f.input_pair_layer
+    )
+
+
 def compose_cnn(f1: CnnFunction, f2: CnnFunction) -> CnnFunction:
     """Realize f2 . f1 as one CnnFunction; depth adds exactly.
 
@@ -204,6 +225,29 @@ def _check_shared(cnns):
             raise ShapeError("all nets must be first-row-only")
 
 
+def widest(cnns):
+    """The largest width of the CNNs, reading a layer they share once."""
+    filters = [f for g in cnns for f, _ in g.conv_stack]
+    shapes = {f.entries.shape for f in dict(zip(map(id, filters), filters)).values()}
+    return max(max(cout, cin) for cout, _, cin in shapes)
+
+
+def _group_filter(member_filters, first):
+    """Member filters side by side: disjoint output channels, and disjoint
+    input channels except in the first layer, where all read the input."""
+    K = max(fe.shape[1] for fe in member_filters)
+    cout = sum(fe.shape[0] for fe in member_filters)
+    cin = 1 if first else sum(fe.shape[2] for fe in member_filters)
+    w = np.zeros((cout, K, cin))
+    r0 = c0 = 0
+    for fe in member_filters:
+        co, k, ci = fe.shape
+        w[r0 : r0 + co, :k, c0 : c0 + ci] = fe
+        r0 += co
+        c0 += 0 if first else ci
+    return FilterTensor(w)
+
+
 def parallel_sum(cnns, group_width: int):
     """Group n0 same-architecture CNNs into ceil(n0/c) wider CNNs, c = floor(Jt/J0),
     whose sum equals the sum of the inputs (up to float reassociation).
@@ -213,11 +257,12 @@ def parallel_sum(cnns, group_width: int):
     preserves kappa.
     """
     _check_shared(cnns)
-    J0 = max(g.width for g in cnns)
+    J0 = widest(cnns)
     if group_width < J0:
         raise ValueError(f"group width {group_width} < member width {J0}")
     c = group_width // J0
-    groups = []
+    # groups whose members share their layers share the group layers
+    filters, biases, groups = {}, {}, []
     for i0 in range(0, len(cnns), c):
         members = cnns[i0 : i0 + c]
         if len(members) == 1:
@@ -225,27 +270,14 @@ def parallel_sum(cnns, group_width: int):
             continue
         stack = []
         for ell in range(members[0].depth):
-            K = max(g.conv_stack[ell][0].width for g in members)
-            couts = [g.conv_stack[ell][0].out_channels for g in members]
-            cins = [g.conv_stack[ell][0].in_channels for g in members]
-            rows = members[0].conv_stack[ell][1].shape[0]
-            if ell == 0:
-                w = np.zeros((sum(couts), K, 1))
-                r0 = 0
-                for g, co in zip(members, couts):
-                    fe = g.conv_stack[0][0].entries
-                    w[r0 : r0 + co, : fe.shape[1], :] = fe
-                    r0 += co
-            else:
-                w = np.zeros((sum(couts), K, sum(cins)))
-                r0 = c0 = 0
-                for g, co, ci in zip(members, couts, cins):
-                    fe = g.conv_stack[ell][0].entries
-                    w[r0 : r0 + co, : fe.shape[1], c0 : c0 + ci] = fe
-                    r0 += co
-                    c0 += ci
-            b = np.hstack([g.conv_stack[ell][1] for g in members])
-            stack.append((FilterTensor(w), b))
+            layers = [g.conv_stack[ell] for g in members]
+            key = tuple(id(f) for f, _ in layers)
+            if key not in filters:
+                filters[key] = _group_filter([f.entries for f, _ in layers], ell == 0)
+            key_b = tuple(id(b) for _, b in layers)
+            if key_b not in biases:
+                biases[key_b] = np.hstack([b for _, b in layers])
+            stack.append((filters[key], biases[key_b]))
         D = members[0].input_dim
         fc = np.zeros((D, stack[-1][0].out_channels))
         fc[0, :] = np.concatenate([g.fc_weight[0, :] for g in members])
@@ -265,34 +297,38 @@ def parallel_sum(cnns, group_width: int):
 def assemble_resnet(cnns) -> ConvResNetModel:
     """Realize sum_i f_i as a ConvResNet: one residual block per CNN, with two
     accumulator channels carrying the positive/negative parts of the partial
-    sum through the identity shortcuts."""
+    sum through the identity shortcuts.
+
+    A block holds its member's layers and bias matrices themselves, so
+    members that share a layer give blocks that share it; kappa1 reads each
+    distinct array once."""
     _check_shared(cnns)
     D = cnns[0].input_dim
     C = 3  # channel 0: padded input, channels 1-2: accumulator pair
-    kappa1 = max(g.kappa1 for g in cnns)
+    kappa1 = _max_abs([a for g in cnns for f, b in g.conv_stack for a in (f.entries, b)])
     kappa2 = max(g.kappa2 for g in cnns)
     s = min(1.0, kappa1 / kappa2) if (kappa2 > 0 and kappa1 > 0) else 1.0
-    blocks = []
+    firsts, readout_biases, blocks = {}, {}, []
     for g in cnns:
-        filters = []
-        biases = []
-        f0, b0 = g.conv_stack[0]
-        w = np.zeros((f0.out_channels, f0.width, C))
-        w[:, :, 0] = f0.entries[:, :, 0]
-        filters.append(FilterTensor(w))
-        biases.append(_const_bias(D, b0[0]))
-        for f, b in g.conv_stack[1:]:
-            filters.append(f)
-            biases.append(_const_bias(D, b[0]))
+        f0 = g.conv_stack[0][0]
+        if id(f0) not in firsts:
+            w = np.zeros((f0.out_channels, f0.width, C))
+            w[:, :, 0] = f0.entries[:, :, 0]
+            firsts[id(f0)] = FilterTensor(w)
+        filters = [firsts[id(f0)]] + [f for f, _ in g.conv_stack[1:]]
+        biases = [b for _, b in g.conv_stack]
         last_w = g.conv_stack[-1][0].out_channels
         w = np.zeros((C, 1, last_w))
         w[1, 0, :] = s * g.fc_weight[0, :]
         w[2, 0, :] = -s * g.fc_weight[0, :]
         filters.append(FilterTensor(w))
-        readout_bias = np.zeros((D, C))
-        readout_bias[:, 1] = s * g.fc_bias
-        readout_bias[:, 2] = -s * g.fc_bias
-        biases.append(readout_bias)
+        key = np.float64(g.fc_bias).tobytes()  # +0.0 and -0.0 apart
+        if key not in readout_biases:
+            readout_bias = np.zeros((D, C))
+            readout_bias[:, 1] = s * g.fc_bias
+            readout_bias[:, 2] = -s * g.fc_bias
+            readout_biases[key] = readout_bias
+        biases.append(readout_biases[key])
         blocks.append(ResidualBlockSpec(filters, biases))
     fc = np.zeros((D, C))
     fc[0, 1] = 1.0 / s

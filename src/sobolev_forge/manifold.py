@@ -27,6 +27,7 @@ import numpy as np
 
 from .netcore import _on_finite_rows, resnet_forward_batch
 from .scalarnets import (
+    NodeTemplate,
     ScalarNet,
     build_product2,
     build_square,
@@ -646,19 +647,21 @@ class ManifoldApproximator:
 
     def _terms(self, eta, box):
         """Chart by chart, each (m, v) term as a net on the ambient space,
-        times_delta(g(phi_i(x)), indicator_i(x)) with g the net of phi_m x^v,
-        together with c_{m,v}."""
+        times_delta(g(phi_i(x)), indicator_i(x)) with g the net of phi_m x^v
+        stamped from its template, together with c_{m,v}.  The chart map
+        moves the bias the template stamps, so each term is a template of
+        its own."""
         D = self.atlas.manifold.ambient_dim
         for chart, coeffs, sqdist in zip(self.atlas.charts, self.per_chart, self.sqdist_nets):
             A = chart.scale * chart.frame.T
             cvec = chart.shift - A @ chart.center
             ind_chain = sn_chain(sqdist, self.indicator_net)
-            for g, c in _bump_terms(coeffs, eta, box):
-                g_x = sn_input_affine(g, A, cvec)
+            for g, m, c in _bump_terms(coeffs, eta, box):
+                g_x = sn_input_affine(g.at(m), A, cvec)
                 depth = max(g_x.depth, ind_chain.depth)
                 cols = list(range(D))
                 pair = sn_parallel([(sn_pad(g_x, depth), cols), (sn_pad(ind_chain, depth), cols)])
-                yield sn_chain(pair, self.times_delta), c
+                yield NodeTemplate(sn_chain(pair, self.times_delta)), (), c
 
 
 def _estimate_c2(atlas: Atlas, i: int, count=200, seed=3):

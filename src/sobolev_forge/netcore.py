@@ -415,22 +415,30 @@ def mlp_forward(mlp: MlpModel, x: np.ndarray) -> np.ndarray:
     return mlp_forward_batch(mlp, x[None])[0]
 
 
+def _max_abs(arrays):
+    """The largest |entry| over the arrays (0.0 for none), as one reduction
+    in which an array held several times counts once."""
+    arrays = list(arrays)
+    distinct = dict(zip(map(id, arrays), arrays))
+    if not distinct:
+        return 0.0
+    return float(np.max(np.abs(np.concatenate([np.ravel(a) for a in distinct.values()]))))
+
+
 def audit_class(net: ConvResNetModel) -> NetClassParams:
     """Measure (M, L, J, K, kappa1, kappa2) of a concrete model.
 
     J is the maximum channel count seen anywhere (padding included); kappa2
-    covers both the fc weight and the fc bias.
+    covers both the fc weight and the fc bias.  A layer shared by several
+    blocks is read once.
     """
     M = len(net.blocks)
     L = max((blk.depth for blk in net.blocks), default=0)
-    J = net.padding_channels
-    K = 0
-    kappa1 = 0.0
-    for blk in net.blocks:
-        for f, b in zip(blk.filters, blk.biases):
-            J = max(J, f.in_channels, f.out_channels)
-            K = max(K, f.width)
-            kappa1 = max(kappa1, float(np.max(np.abs(f.entries))), float(np.max(np.abs(b))))
+    entries = [f.entries for blk in net.blocks for f in blk.filters]
+    shapes = {a.shape for a in dict(zip(map(id, entries), entries)).values()}
+    J = max([net.padding_channels] + [max(cout, cin) for cout, _, cin in shapes])
+    K = max((k for _, k, _ in shapes), default=0)
+    kappa1 = _max_abs(entries + [b for blk in net.blocks for b in blk.biases])
     kappa2 = max(float(np.max(np.abs(net.fc_weight))), abs(net.fc_bias))
     fro = bool(np.all(net.fc_weight[1:, :] == 0.0)) if net.input_dim > 1 else True
     return NetClassParams(M=M, L=L, J=J, K=K, kappa1=kappa1, kappa2=kappa2, first_row_only=fro)
@@ -563,16 +571,19 @@ class _Plan:
         return np.cumsum(P, axis=1)[:, -1]
 
 
-def _distinct(arrays):
-    """One copy of each distinct array, and each input's index among them
-    (None when all inputs are equal)."""
-    position, unique, index = {}, [], []
+def _distinct(arrays, view=lambda a: a):
+    """One copy of each distinct view(a) of the arrays, and each input's index
+    among them (None when all are equal).  An array held several times is
+    viewed and compared once."""
+    position, unique, by_id, index = {}, [], {}, []
     for a in arrays:
-        key = a.tobytes()
-        if key not in position:
-            position[key] = len(unique)
-            unique.append(a)
-        index.append(position[key])
+        at = by_id.get(id(a))  # the arrays are alive, so their ids are their own
+        if at is None:
+            v = view(a)
+            at = by_id[id(a)] = position.setdefault(v.tobytes(), len(unique))
+            if at == len(unique):
+                unique.append(v)
+        index.append(at)
     return np.stack(unique), (np.array(index) if len(unique) > 1 else None)
 
 
@@ -627,11 +638,11 @@ def _lower_group(net, index):
         rows[ell] = min(net.input_dim, rows[ell + 1] + blocks[0].filters[ell].width - 1)
     layers = []
     for ell in range(depth):
-        filters = [b.filters[ell].entries for b in blocks]
-        if ell == 0:
-            filters = [w[:, :, :1] for w in filters]
-        biases = [b.biases[ell][: rows[ell]] for b in blocks]
-        layers.append(_PlanLayer(*_distinct(filters), *_distinct(biases), rows[ell], rows[ell + 1]))
+        # the first layer reads channel 0 only; row 0 needs rows[ell] rows
+        first = (lambda w: w[:, :, :1]) if ell == 0 else (lambda w: w)
+        filters = _distinct([b.filters[ell].entries for b in blocks], first)
+        biases = _distinct([b.biases[ell] for b in blocks], lambda b: b[: rows[ell]])
+        layers.append(_PlanLayer(*filters, *biases, rows[ell], rows[ell + 1]))
     prefix = next((ell for ell, layer in enumerate(layers) if not layer.shared), depth)
     return _PlanGroup(np.array(index), layers, prefix)
 

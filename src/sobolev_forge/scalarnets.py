@@ -13,6 +13,10 @@ primitives:
 * ``build_monomial_bump`` -- the bump-times-monomial nets obtained by folding
   the product net over monomial factors first, then the per-axis trapezoids.
 
+For a fixed monomial these nets differ from node to node only in the
+trapezoids' first-layer biases 2 - 3 m_k, so ``monomial_bump_template``
+builds one at node 0 and at each unit node and stamps every other node.
+
 Two float-level guarantees are load-bearing and deliberately engineered:
 
 1. off-support trapezoid values are exactly 0.0 (the hinge cancellation
@@ -27,7 +31,7 @@ class audit of any compiled construction reports kappa_1 <= max(3N, 4).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -441,3 +445,62 @@ def build_monomial_bump(m, v, N: int, eps: float, alpha=None, box=None) -> Scala
     running.box = B
     running.tags = {"m": m, "v": v, "N": N}
     return running
+
+
+@dataclass
+class NodeTemplate:
+    """A net built at grid node 0, and how the bias of its first layer moves
+    with the node: the net of node m is ``at(m)``, equal to ``net`` but for
+    the entries ``cols`` of that bias, which are bias[cols] + m @ steps.
+
+    A template with no columns stands for its net alone (``at(())``).
+    """
+
+    net: ScalarNet
+    cols: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
+    steps: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
+
+    def bias(self, m):
+        """The first layer's bias of the net of node m."""
+        b = self.net.layers[0][1].copy()
+        b[self.cols] += np.asarray(m, dtype=np.float64) @ self.steps
+        return b
+
+    def at(self, m):
+        W0 = self.net.layers[0][0]
+        return replace(
+            self.net,
+            layers=[(W0, self.bias(m))] + self.net.layers[1:],
+            tags=dict(self.net.tags, m=tuple(int(t) for t in m)),
+        )
+
+
+def monomial_bump_template(v, N: int, eps: float, box=None) -> NodeTemplate:
+    """The nets phi_m(x) * x^v of every node m in [0, N]^D as one template.
+
+    Built at node 0 and at each unit node e_k (D + 1 builds); the steps are
+    the differences of the first-layer biases.  Every other weight and bias
+    must agree bit for bit, and the moving entries must be integers, so that
+    bias[cols] + m @ steps is exact and equals the bias of the net built at
+    m (RuntimeError otherwise).
+    """
+    D = len(v)
+    base = build_monomial_bump((0,) * D, v, N, eps, box=box)
+    b0 = base.layers[0][1]
+    steps = []
+    for k in range(D):
+        unit = build_monomial_bump(tuple(int(j == k) for j in range(D)), v, N, eps, box=box)
+        fixed = [(base.layers[0][0], unit.layers[0][0])] + [
+            pair for la, lb in zip(base.layers[1:], unit.layers[1:]) for pair in zip(la, lb)
+        ]
+        if unit.depth != base.depth or any(
+            a.shape != b.shape or a.tobytes() != b.tobytes() for a, b in fixed
+        ):
+            raise RuntimeError(f"net of v={v} moves with the node beyond its first-layer bias")
+        steps.append(unit.layers[0][1] - b0)
+    steps = np.array(steps).reshape(D, len(b0))
+    cols = np.flatnonzero(np.any(steps != 0.0, axis=0))
+    moving = np.concatenate([b0[cols], steps[:, cols].ravel()])
+    if np.any(moving != np.round(moving)):
+        raise RuntimeError(f"first-layer bias of v={v} does not move by integers")
+    return NodeTemplate(base, cols, steps[:, cols])

@@ -5,6 +5,11 @@ Python's shortest-roundtrip repr.  Files carry a schema version; loading an
 unknown version, a document with missing keys, inconsistent shapes or a
 non-finite parameter raises SerializationError.
 
+``save`` writes the text of ``json.dumps(to_dict(obj))``, but encodes each
+distinct array (same shape, same bytes) once and splices its text wherever
+the array occurs: a compiled model holds thousands of arrays and only a few
+hundred distinct ones.
+
 A model with a BlockSupport carries it under the optional key
 ``"support": {"N": grid, "nodes": [[node, ...] per block]}``; a file without
 it loads as a model whose forward runs every block.  Loading checks the key
@@ -72,20 +77,20 @@ def _block_from_dict(block):
     return filters, biases
 
 
-def _block_to_dict(filters, biases):
+def _block_to_dict(filters, biases, arr=_arr):
     return {
-        "filters": [_arr(f.entries) for f in filters],
-        "biases": [_arr(b) for b in biases],
+        "filters": [arr(f.entries) for f in filters],
+        "biases": [arr(b) for b in biases],
     }
 
 
-def model_to_dict(net: ConvResNetModel) -> dict:
+def model_to_dict(net: ConvResNetModel, arr=_arr) -> dict:
     doc = {
         "version": SCHEMA_VERSION,
         "kind": "convresnet",
         "D": net.input_dim,
         "C": net.padding_channels,
-        "blocks": [_block_to_dict(b.filters, b.biases) for b in net.blocks],
+        "blocks": [_block_to_dict(b.filters, b.biases, arr) for b in net.blocks],
         "fc": {"weight": net.fc_weight.ravel().tolist(), "bias": net.fc_bias},
         "first_row_only": net.first_row_only,
     }
@@ -114,13 +119,15 @@ def model_from_dict(doc: dict) -> ConvResNetModel:
         raise SerializationError(f"inconsistent network shapes: {e}") from e
 
 
-def cnn_to_dict(f: CnnFunction) -> dict:
+def cnn_to_dict(f: CnnFunction, arr=_arr) -> dict:
     return {
         "version": SCHEMA_VERSION,
         "kind": "cnn",
         "D": f.input_dim,
         "C": 1,
-        "blocks": [_block_to_dict([w for w, _ in f.conv_stack], [b for _, b in f.conv_stack])],
+        "blocks": [
+            _block_to_dict([w for w, _ in f.conv_stack], [b for _, b in f.conv_stack], arr)
+        ],
         "fc": {"weight": f.fc_weight.ravel().tolist(), "bias": f.fc_bias},
         "first_row_only": f.first_row_only,
         "input_pair_layer": f.input_pair_layer,
@@ -159,11 +166,12 @@ def _check_version(doc, kind):
         raise SerializationError(f"expected kind {kind!r}, got {doc.get('kind')!r}")
 
 
-def to_dict(obj):
+def to_dict(obj, arr=_arr):
+    """The document of a model or CnnFunction; ``arr`` encodes each array."""
     if isinstance(obj, ConvResNetModel):
-        return model_to_dict(obj)
+        return model_to_dict(obj, arr)
     if isinstance(obj, CnnFunction):
-        return cnn_to_dict(obj)
+        return cnn_to_dict(obj, arr)
     raise SerializationError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -191,8 +199,41 @@ def atomic_write_text(path, text):
         raise
 
 
+# an array's place in the skeleton document: a string no document holds
+_SLOT = "\0"
+
+
+def dumps(obj):
+    """json.dumps(to_dict(obj)), encoding each distinct array once.
+
+    The document is dumped with a slot string in place of each array; the
+    slots appear in the text in the order the arrays were met, and each is
+    replaced by its array's text."""
+    texts, by_bytes, by_id, order = [], {}, {}, []
+
+    def arr(a):
+        seen = by_id.get(id(a))
+        if seen is None:  # the entry keeps a alive, so its id stays its own
+            a64 = np.asarray(a, dtype=np.float64)
+            key = (a64.shape, a64.tobytes())  # +0.0 and -0.0 differ in bytes
+            if key not in by_bytes:
+                by_bytes[key] = len(texts)
+                texts.append(json.dumps(_arr(a64)))
+            seen = by_id[id(a)] = (a, by_bytes[key])
+        order.append(seen[1])
+        return _SLOT
+
+    parts = json.dumps(to_dict(obj, arr)).split(json.dumps(_SLOT))
+    if len(parts) != len(order) + 1:
+        raise SerializationError("array slots do not match the arrays of the document")
+    out = [parts[0]]
+    for i, part in zip(order, parts[1:]):
+        out += (texts[i], part)
+    return "".join(out)
+
+
 def save(path, obj):
-    atomic_write_text(path, json.dumps(to_dict(obj)))
+    atomic_write_text(path, dumps(obj))
 
 
 def load(path):

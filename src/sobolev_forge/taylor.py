@@ -9,6 +9,10 @@ pointwise derivatives).  The compiled object realizes every bump-times-
 monomial term as a CNN and assembles the weighted sum into a ConvResNet.
 ``compile_terms`` does this for both pipelines: the Euclidean build passes it
 the terms of the grid nodes, the manifold build the gated terms of each chart.
+Terms arrive as (template, node, coefficient): the Euclidean terms of one
+monomial share a template stamped at every node, so each distinct net is
+built and converted once, and the terms' layers stay shared objects through
+grouping, assembly, the class audit and the file writer.
 
 Evaluation is sparse: at any x only the <= 2^D bumps whose support contains
 x contribute; all other terms are exactly zero by the annihilation property
@@ -30,7 +34,7 @@ from itertools import product as iter_product
 
 import numpy as np
 
-from .algebra import assemble_resnet, extend_cnn_depth, mlp_to_cnn, parallel_sum
+from .algebra import assemble_resnet, extend_cnn_depth, mlp_to_cnn, parallel_sum, restamp, widest
 from .metrics import fd_gradient_batch
 from .netcore import (
     BlockSupport,
@@ -41,12 +45,13 @@ from .netcore import (
     resnet_forward_dense,
 )
 from .scalarnets import (
-    build_monomial_bump,
     build_product2,
+    monomial_bump_template,
     monomial_factors,
     psi_value,
 )
-from .scalarnets import bump_weight  # noqa: F401  (re-exported here: it belongs to this surface)
+# re-exported here: they belong to this surface
+from .scalarnets import build_monomial_bump, bump_weight  # noqa: F401
 
 
 class CompileEqualityError(RuntimeError):
@@ -109,14 +114,18 @@ def grid_nodes(N, d):
 
 
 def grid_resolution(N, Mt, Jt, d, least=1):
-    """The grid N of a build: as given, or else floor((Mt * Jt)^(1/d)); a
-    ValueError when it is below ``least``."""
+    """The grid N of a build: as given, or else the integer d-th root
+    floor((Mt * Jt)^(1/d)), exact for every product; a ValueError when it is
+    below ``least``."""
     if N is None:
         if Mt is None or Jt is None:
             raise ValueError("need either N or both Mt and Jt")
-        if Mt * Jt < 2**d:
-            raise ValueError(f"Mt*Jt = {Mt * Jt} < 2^d = {2**d}")
-        N = int(math.floor((Mt * Jt) ** (1.0 / d)))
+        budget = Mt * Jt
+        if budget < 2**d:
+            raise ValueError(f"Mt*Jt = {budget} < 2^d = {2**d}")
+        N = round(budget ** (1.0 / d))  # the float root, within one of the integer root
+        N -= N**d > budget
+        N += (N + 1) ** d <= budget
     if N < least:
         raise ValueError(f"resolution N must be >= {least}, got {N}")
     return N
@@ -367,11 +376,12 @@ class ConstructedApproximator:
 
 
 def _bump_terms(coeffs: SurrogateCoefficients, eta, box):
-    """(net of phi_m x^v, c_{m,v}) for every term of the table, in (m, v)
-    order."""
+    """(template, m, c_{m,v}) for every term phi_m x^v of the table, in (m, v)
+    order: one NodeTemplate per v, stamped at every node."""
+    templates = [monomial_bump_template(v, coeffs.N, eta, box=box) for v in coeffs.v_list]
     for m, row in zip(grid_nodes(coeffs.N, coeffs.dim).tolist(), coeffs.table):
-        for v, c in zip(coeffs.v_list, row):
-            yield build_monomial_bump(m, v, coeffs.N, eta, box=box), c
+        for template, c in zip(templates, row):
+            yield template, m, c
 
 
 def _block_support(coeffs: SurrogateCoefficients, per_block):
@@ -385,24 +395,39 @@ def _block_support(coeffs: SurrogateCoefficients, per_block):
     )
 
 
-def compile_terms(approx, terms, X, support=None):
-    """Compile ordered (ScalarNet, c) terms into approx.model: each term a
-    CNN with its readout scaled by c, one depth for all, grouped
-    record["Jt"] channels wide (one term per block when None), assembled,
-    with the BlockSupport support(terms per block) when given.  Fills
-    approx.class_params and the record keys terms, Mt, Jt and compile_gap,
-    then gates the build at the points X: the dense forward within 1e-8 of
-    approx.eval, then the support-sparse forward equal to the dense one bit
-    for bit (CompileEqualityError otherwise)."""
+def term_cnns(terms):
+    """The CNNs of ordered (NodeTemplate, m, c) terms, all of one depth.
+
+    Each template is converted and deepened once.  A term's CNN shares every
+    layer with its template's except the one realizing the first layer of
+    the net, whose bias is stamped at node m when it moves, and the readout,
+    scaled by c."""
+    templates, members = {}, []
+    for template, m, c in terms:
+        if id(template) not in templates:  # the dict keeps the template alive
+            templates[id(template)] = (template, mlp_to_cnn(template.net.as_mlp(), 2))
+        members.append((id(template), m, c))
+    depth = max(cnn.depth for _, cnn in templates.values())
+    deep = {k: (t, extend_cnn_depth(cnn, depth)) for k, (t, cnn) in templates.items()}
     cnns = []
-    for net, c in terms:
-        cnn = mlp_to_cnn(net.as_mlp(), 2)
-        cnn.fc_weight = c * cnn.fc_weight
-        cnns.append(cnn)
-    depth = max(cnn.depth for cnn in cnns)
-    cnns = [extend_cnn_depth(cnn, depth) for cnn in cnns]
+    for k, m, c in members:
+        template, cnn = deep[k]
+        cnns.append(restamp(cnn, template.bias(m) if any(m) else None, c))
+    return cnns
+
+
+def compile_terms(approx, terms, X, support=None):
+    """Compile ordered (NodeTemplate, m, c) terms into approx.model: each term
+    a CNN with its readout scaled by c (``term_cnns``), one depth for all,
+    grouped record["Jt"] channels wide (one term per block when None),
+    assembled, with the BlockSupport support(terms per block) when given.
+    Fills approx.class_params and the record keys terms, Mt, Jt and
+    compile_gap, then gates the build at the points X: the dense forward
+    within 1e-8 of approx.eval, then the support-sparse forward equal to the
+    dense one bit for bit (CompileEqualityError otherwise)."""
+    cnns = term_cnns(terms)
     record = approx.record
-    J0 = max(cnn.width for cnn in cnns)
+    J0 = widest(cnns)
     width = record["Jt"] if record["Jt"] is not None else J0
     groups = parallel_sum(cnns, width)
     model = assemble_resnet(groups)

@@ -1,6 +1,9 @@
 import copy
+import functools
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,9 +12,10 @@ from hypothesis import given, settings, strategies as st
 from sobolev_forge import serialize
 from sobolev_forge.algebra import assemble_resnet, mlp_to_cnn
 from sobolev_forge.cli import main
-from sobolev_forge.netcore import resnet_forward_batch
+from sobolev_forge.manifold import build_atlas, build_manifold_approx
+from sobolev_forge.netcore import ConvResNetModel, ResidualBlockSpec, resnet_forward_batch
 from sobolev_forge.scalarnets import build_trapezoid
-from sobolev_forge.targets import get_target
+from sobolev_forge.targets import get_manifold_target, get_target
 from sobolev_forge.taylor import build_euclidean
 
 
@@ -201,3 +205,59 @@ def test_model_without_support_runs_dense_with_the_same_bits(built_doc):
     X = np.stack(np.meshgrid(axis, axis), axis=-1).reshape(-1, 2)
     assert np.array_equal(resnet_forward_batch(dense, X), resnet_forward_batch(net, X))
     assert "support" not in serialize.model_to_dict(dense)
+
+
+# --- the writer: each distinct array encoded once -----------------------------
+
+
+def _signed_zero_model():
+    """Two blocks alike but for one bias matrix, all 0.0 in the first and all
+    -0.0 in the second: same shape, different bytes."""
+    blk = _psi_model().blocks[0]
+    zero = blk.biases[0]
+    assert zero.shape == (1, 2) and not np.any(zero) and not np.any(np.signbit(zero))
+    minus = ResidualBlockSpec(blk.filters, [np.full(zero.shape, -0.0)] + blk.biases[1:])
+    fc = np.array([[0.0, 1.0, -1.0]])
+    return ConvResNetModel(1, 3, [blk, minus], fc, 0.0, first_row_only=True)
+
+
+@functools.lru_cache(maxsize=None)
+def _written(name):
+    """Objects the writer must encode as json.dumps(to_dict(obj)) would.  A
+    cache rather than a fixture: a failing test then shows only the name."""
+    sinprod = get_target("sinprod", alpha=2, dim=2)
+    if name in ("plain", "grouped"):
+        Jt = 40 if name == "grouped" else None
+        return build_euclidean(sinprod, s=0, p=math.inf, N=3, Jt=Jt, check_points=4).model
+    if name == "manifold":
+        mspec, target = get_manifold_target("circle-sin")
+        atlas = build_atlas(mspec, 0.2, sample_count=1024)
+        return build_manifold_approx(
+            target, mspec, N=2, atlas=atlas, compile_model=True, check_points=4
+        ).model
+    if name == "cnn":
+        return mlp_to_cnn(build_trapezoid(1, 3).as_mlp(), 2)
+    if name == "loaded":
+        with tempfile.TemporaryDirectory() as d:
+            serialize.save(Path(d) / "plain.json", _written("plain"))
+            return serialize.load(Path(d) / "plain.json")
+    return _signed_zero_model()
+
+
+@pytest.mark.parametrize("name", ["plain", "grouped", "manifold", "cnn", "loaded", "signed_zero"])
+def test_save_writes_the_text_of_json_dumps(name, tmp_path):
+    obj = _written(name)
+    path = tmp_path / "out.json"
+    serialize.save(path, obj)
+    got, want = path.read_text(), json.dumps(serialize.to_dict(obj))
+    same = got == want  # a bool, so a failure does not diff megabytes of text
+    at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+    assert same, f"texts differ from character {at}: {got[at:at + 60]!r} vs {want[at:at + 60]!r}"
+
+
+def test_signed_zeros_keep_their_sign_through_save(tmp_path):
+    path = tmp_path / "out.json"
+    serialize.save(path, _signed_zero_model())
+    back = serialize.load(path)
+    assert not np.any(np.signbit(back.blocks[0].biases[0]))
+    assert np.all(np.signbit(back.blocks[1].biases[0]))

@@ -4,17 +4,22 @@ import warnings
 
 import numpy as np
 import pytest
+from build_oracle import direct_model, direct_nets, direct_term_cnns
 from fold_oracle import eval_oracle, max_intermediate_oracle
 from hypothesis import given, settings, strategies as st
 
 from sobolev_forge.metrics import EvalGrid, grid_norm, lipschitz_estimate, sample_pairs
+from sobolev_forge.netcore import audit_class
 from sobolev_forge.targets import get_target
 from sobolev_forge.taylor import (
     TargetFunction,
+    _bump_terms,
     build_euclidean,
     bump_weight,
+    grid_resolution,
     surrogate_eval,
     taylor_coeffs,
+    term_cnns,
 )
 
 
@@ -140,6 +145,14 @@ def test_build_requires_resolution():
 def test_build_resolution_from_mt_jt(sinprod2):
     ap = build_euclidean(sinprod2, s=0, p=math.inf, Mt=5, Jt=5, compile_model=False)
     assert ap.N == 5  # floor(sqrt(25))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_grid_resolution_is_the_exact_integer_root(d):
+    for budget in range(2**d, 5000):
+        N = grid_resolution(None, budget, 1, d)
+        assert N**d <= budget < (N + 1) ** d, (budget, N)
+    assert grid_resolution(None, 8, 8, 3) == 4  # the float root of 64 is 3.9999999999999996
 
 
 def test_polynomial_target_pure_network_error(polyxy3, rng):
@@ -296,3 +309,55 @@ def test_audit_max_intermediate_matches_oracle(rng, dim, alpha, N):
     audit = ap.audit_intermediate_magnitudes(X)
     assert audit["max_intermediate"] == max_intermediate_oracle(ap, X)
     assert audit["max_intermediate"] > 1.0
+
+
+# --- template-stamped build vs the per-term oracle ---------------------------
+
+# (D, alpha, N): every D and alpha with N up to 8, D = 3 only up to N = 3
+# (at N = 8 and alpha = 3 a D = 3 build has 7290 terms)
+_TEMPLATE_CASES = [(D, a, N) for D in (1, 2) for a in (2, 3) for N in range(2, 9)] + [
+    (3, a, N) for a in (2, 3) for N in range(2, 4)
+]
+
+
+def _assert_same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape and np.array_equal(a, b)
+    assert a.tobytes() == b.tobytes()  # the sign of every zero too
+
+
+def _assert_same_layers(got, want):
+    assert len(got) == len(want)
+    for (fa, ba), (fb, bb) in zip(got, want):
+        _assert_same_bits(getattr(fa, "entries", fa), getattr(fb, "entries", fb))
+        _assert_same_bits(ba, bb)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from(_TEMPLATE_CASES), st.sampled_from([None, 40, 64]))
+def test_stamped_build_equals_the_per_term_oracle(case, Jt):
+    """Stamped nets, their CNNs and the assembled model equal the direct
+    per-term build bit for bit, with and without Jt grouping."""
+    D, alpha, N = case
+    target = get_target("sinprod", alpha=alpha, dim=D)
+    ap = build_euclidean(target, s=0, p=math.inf, N=N, Jt=Jt, check_points=4)
+    eta, box = ap.eta, ap.record["box"]
+    nets = direct_nets(ap.coeffs, eta, box)
+    terms = list(_bump_terms(ap.coeffs, eta, box))
+    for (template, m, c), (m_direct, _, net, c_direct) in zip(terms, nets, strict=True):
+        assert m == m_direct and c == c_direct
+        _assert_same_layers(template.at(m).layers, net.layers)
+
+    want = direct_term_cnns(nets)
+    for got, cnn in zip(term_cnns(terms), want, strict=True):
+        _assert_same_layers(got.conv_stack, cnn.conv_stack)
+        _assert_same_bits(got.fc_weight, cnn.fc_weight)
+        assert got.fc_bias == cnn.fc_bias
+
+    model = direct_model(want, ap.record["Jt"])
+    assert len(ap.model.blocks) == len(model.blocks)
+    for got, blk in zip(ap.model.blocks, model.blocks):
+        _assert_same_layers(list(zip(got.filters, got.biases)), list(zip(blk.filters, blk.biases)))
+    _assert_same_bits(ap.model.fc_weight, model.fc_weight)
+    assert ap.model.fc_bias == model.fc_bias
+    assert ap.class_params == audit_class(model)
