@@ -20,7 +20,10 @@ into stages, by wrapping the functions the compile step calls through the
 A wrapped call inside another counts toward its own stage only.  Each build
 runs ``--reps`` times and every figure is the median.  The model's array
 count, its distinct arrays (same shape and bytes) and its file size are
-reported too.  BLAS threads are pinned to 1, as in perfbench.
+reported too, and so is the time to read the file back: ``load_s`` for
+``serialize.load`` and ``first_forward_s`` for the first compiled forward
+of the loaded model at one point, which lowers it.  BLAS threads are
+pinned to 1, as in perfbench.
 
 ``--src`` times the package in another source tree (a checkout of an
 earlier commit, say); the wrapping names that tree lacks are skipped.  The
@@ -91,8 +94,17 @@ def _machine(np):
     }
 
 
+def _read_back(modules, path):
+    np, netcore, serialize = modules[:3]
+    start = time.perf_counter()
+    model = serialize.load(path)
+    loaded = time.perf_counter()
+    netcore.resnet_forward(model, np.full(2, 0.5))
+    return {"load_s": loaded - start, "first_forward_s": time.perf_counter() - loaded}
+
+
 def _one_build(modules, alpha, N, directory):
-    np, serialize, targets, taylor = modules
+    np, netcore, serialize, targets, taylor = modules
     clock = StageClock()
     originals = {}
     for stage, names in STAGES.items():
@@ -122,7 +134,7 @@ def _one_build(modules, alpha, N, directory):
         "distinct_arrays": len({(a.shape, a.tobytes()) for a in arrays}),
         "model_mb": path.stat().st_size / 1e6,
     }
-    return seconds, counts
+    return seconds, counts, _read_back(modules, path)
 
 
 def main():
@@ -133,22 +145,25 @@ def main():
     args = parser.parse_args()
     sys.path.insert(0, args.src)
     import numpy as np
-    from sobolev_forge import serialize, targets, taylor
+    from sobolev_forge import netcore, serialize, targets, taylor
 
-    modules = (np, serialize, targets, taylor)
+    modules = (np, netcore, serialize, targets, taylor)
     rows = []
     with tempfile.TemporaryDirectory() as directory:
         for alpha, N in BUILDS:
             runs = [_one_build(modules, alpha, N, directory) for _ in range(args.reps)]
             seconds = {k: statistics.median(r[0][k] for r in runs) for k in runs[0][0]}
+            read = {k: statistics.median(r[2][k] for r in runs) for k in runs[0][2]}
             row = {"alpha": alpha, "N": N, "reps": args.reps, "seconds": seconds}
-            rows.append({**row, **runs[0][1]})
-            split = "  ".join(f"{k} {v:.3f}" for k, v in seconds.items())
-            print(f"alpha={alpha} N={N:>2} ({runs[0][1]['blocks']} blocks): {split}", flush=True)
+            rows.append({**row, **runs[0][1], **read})
+            split = "  ".join(f"{k} {v:.3f}" for k, v in {**seconds, **read}.items())
+            print(f"alpha={alpha} N={N:>2} ({runs[0][1]['blocks']} blocks, "
+                  f"{runs[0][1]['model_mb']:.2f} MB): {split}", flush=True)
     path = ROOT / "BENCH_template_build.json"
     doc = json.loads(path.read_text()) if path.exists() else {}
     doc["what"] = (
-        "median seconds per stage of build_euclidean + serialize.save; sinprod D=2; "
+        "median seconds per stage of build_euclidean + serialize.save, then of "
+        "serialize.load and the first forward of the loaded model; sinprod D=2; "
         "see benchmarks/bench_build.py"
     )
     doc["machine"] = _machine(np)

@@ -31,6 +31,7 @@ from .scalarnets import (
     ScalarNet,
     build_product2,
     build_square,
+    monomial_bump_template,
     sn_affine,
     sn_chain,
     sn_input_affine,
@@ -652,11 +653,13 @@ class ManifoldApproximator:
         moves the bias the template stamps, so each term is a template of
         its own."""
         D = self.atlas.manifold.ambient_dim
+        first = self.per_chart[0]  # every chart has the grid N and the monomials v
+        templates = [monomial_bump_template(v, first.N, eta, box=box) for v in first.v_list]
         for chart, coeffs, sqdist in zip(self.atlas.charts, self.per_chart, self.sqdist_nets):
             A = chart.scale * chart.frame.T
             cvec = chart.shift - A @ chart.center
             ind_chain = sn_chain(sqdist, self.indicator_net)
-            for g, m, c in _bump_terms(coeffs, eta, box):
+            for g, m, c in _bump_terms(coeffs, templates):
                 g_x = sn_input_affine(g.at(m), A, cvec)
                 depth = max(g_x.depth, ind_chain.depth)
                 cols = list(range(D))

@@ -1,14 +1,23 @@
 """JSON serialization of models.
 
 Round-trips are bit-exact for finite doubles: floats are emitted through
-Python's shortest-roundtrip repr.  Files carry a schema version; loading an
-unknown version, a document with missing keys, inconsistent shapes or a
-non-finite parameter raises SerializationError.
+Python's shortest-roundtrip repr.
 
-``save`` writes the text of ``json.dumps(to_dict(obj))``, but encodes each
-distinct array (same shape, same bytes) once and splices its text wherever
-the array occurs: a compiled model holds thousands of arrays and only a few
-hundred distinct ones.
+A document of schema version 2 keeps its arrays in one top-level pool,
+``"arrays": [{"dims": [...], "data": [...]}, ...]``, each distinct array
+(same shape, same bytes, so 0.0 and -0.0 stay apart) once, in the order the
+blocks first meet it.  Every filter and bias of ``"blocks"`` is an integer
+index into that pool: a compiled model holds thousands of arrays and only a
+few hundred distinct ones.  Loading builds each pooled array once and hands
+it, and for a filter one FilterTensor, to every block that names it, so a
+loaded model shares its arrays as a built one does.  Version-1 documents,
+which hold the record inline at every occurrence, still load; each record
+is resolved where it stands.
+
+Loading raises SerializationError for an unknown version, missing keys
+(``"arrays"`` in a version-2 document too), an index that is not an
+integer in range, a malformed array record, inconsistent shapes or a
+non-finite parameter.
 
 A model with a BlockSupport carries it under the optional key
 ``"support": {"N": grid, "nodes": [[node, ...] per block]}``; a file without
@@ -17,6 +26,7 @@ as strictly as the weights: integer nodes in [0, N]^D, one non-empty list
 per block.
 """
 
+import itertools
 import json
 import os
 import tempfile
@@ -26,7 +36,9 @@ import numpy as np
 from .algebra import CnnFunction
 from .netcore import BlockSupport, ConvResNetModel, FilterTensor, ResidualBlockSpec, ShapeError
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
+_READABLE = (1, 2)
+_REFS = ("filters", "biases")
 
 
 class SerializationError(ValueError):
@@ -34,19 +46,21 @@ class SerializationError(ValueError):
 
 
 def _arr(a):
-    a = np.asarray(a, dtype=np.float64)
     return {"dims": list(a.shape), "data": a.ravel().tolist()}
 
 
 def _unarr(d):
     try:
-        return np.array(d["data"], dtype=np.float64).reshape(d["dims"])
+        dims = d["dims"]
+        if not all(type(n) is int and n >= 0 for n in dims):
+            raise ValueError(f"dims {dims!r} are not non-negative integers")
+        return np.array(d["data"], dtype=np.float64).reshape(dims)
     except (KeyError, TypeError, ValueError) as e:
         raise SerializationError(f"malformed array record: {e}") from e
 
 
 def _finite(arrays, what):
-    # one pass per block: a call per array would dominate loading
+    # one pass over all of them: a call per array would dominate loading
     if arrays and not np.isfinite(np.concatenate([np.ravel(a) for a in arrays])).all():
         raise SerializationError(f"non-finite value in {what}")
 
@@ -69,119 +83,120 @@ def _fc(doc, D):
     return weight, bias
 
 
-def _block_from_dict(block):
-    _require(block, ("filters", "biases"), "block record")
-    filters = [_unarr(f) for f in block["filters"]]
-    biases = [_unarr(b) for b in block["biases"]]
-    _finite(filters + biases, "block parameters")
-    return filters, biases
+def to_dict(obj):
+    """The version-2 document of a model or CnnFunction."""
+    arrays, by_bytes, by_id = [], {}, {}
 
+    def index(a):
+        seen = by_id.get(id(a))
+        if seen is None:  # the entry keeps a alive, so its id stays its own
+            a64 = np.asarray(a, dtype=np.float64)
+            key = (a64.shape, a64.tobytes())  # +0.0 and -0.0 differ in bytes
+            seen = by_id[id(a)] = (a, by_bytes.setdefault(key, len(arrays)))
+            if seen[1] == len(arrays):
+                arrays.append(_arr(a64))
+        return seen[1]
 
-def _block_to_dict(filters, biases, arr=_arr):
-    return {
-        "filters": [arr(f.entries) for f in filters],
-        "biases": [arr(b) for b in biases],
-    }
+    def block(filters, biases):
+        return {"filters": [index(f.entries) for f in filters], "biases": list(map(index, biases))}
 
-
-def model_to_dict(net: ConvResNetModel, arr=_arr) -> dict:
+    if isinstance(obj, ConvResNetModel):
+        kind, C = "convresnet", obj.padding_channels
+        blocks = [block(b.filters, b.biases) for b in obj.blocks]
+    elif isinstance(obj, CnnFunction):
+        kind, C, blocks = "cnn", 1, [block(*zip(*obj.conv_stack))]
+    else:
+        raise SerializationError(f"cannot serialize {type(obj).__name__}")
     doc = {
         "version": SCHEMA_VERSION,
-        "kind": "convresnet",
-        "D": net.input_dim,
-        "C": net.padding_channels,
-        "blocks": [_block_to_dict(b.filters, b.biases, arr) for b in net.blocks],
-        "fc": {"weight": net.fc_weight.ravel().tolist(), "bias": net.fc_bias},
-        "first_row_only": net.first_row_only,
+        "kind": kind,
+        "D": obj.input_dim,
+        "C": C,
+        "blocks": blocks,
+        "fc": {"weight": obj.fc_weight.ravel().tolist(), "bias": obj.fc_bias},
+        "first_row_only": obj.first_row_only,
     }
-    if net.support is not None:
-        doc["support"] = {"N": net.support.grid, "nodes": [a.tolist() for a in net.support.nodes]}
+    if isinstance(obj, CnnFunction):
+        doc["input_pair_layer"] = obj.input_pair_layer
+    elif obj.support is not None:
+        doc["support"] = {"N": obj.support.grid, "nodes": [a.tolist() for a in obj.support.nodes]}
+    doc["arrays"] = arrays
     return doc
 
 
-def model_from_dict(doc: dict) -> ConvResNetModel:
-    _check_version(doc, "convresnet")
-    _require(doc, ("D", "C", "blocks"), "network document")
-    D, C = int(doc["D"]), int(doc["C"])
+def _stacks(doc):
+    """Each block's (FilterTensors, bias arrays).  A version-1 document's
+    inline records become a pool of their own, one entry per occurrence."""
+    blocks = doc["blocks"]
+    if not isinstance(blocks, list):
+        raise SerializationError("blocks must be a list of block records")
+    for block in blocks:
+        _require(block, _REFS, "block record")
+        if not all(isinstance(block[k], list) for k in _REFS):
+            raise SerializationError("a block's filters and biases must be lists")
+    if doc["version"] == 1:
+        records = [r for block in blocks for k in _REFS for r in block[k]]
+        at = itertools.count()
+        blocks = [{k: [next(at) for _ in block[k]] for k in _REFS} for block in blocks]
+    else:
+        _require(doc, ("arrays",), "network document")
+        records = doc["arrays"]
+        if not isinstance(records, list):
+            raise SerializationError("arrays must be a list of array records")
+    pool = [_unarr(r) for r in records]
+    _finite(pool, "network parameters")
+    refs = [i for block in blocks for k in _REFS for i in block[k]]
+    bad = [i for i in refs if type(i) is not int or not 0 <= i < len(pool)]
+    if bad:
+        raise SerializationError(
+            f"array reference {bad[0]!r} is not an index into the {len(pool)} arrays"
+        )
+    # one FilterTensor per index, so blocks that name one array share it
+    tensors = dict.fromkeys(i for block in blocks for i in block["filters"])
+    for i in tensors:
+        tensors[i] = FilterTensor(pool[i])
+    return [([tensors[i] for i in b["filters"]], [pool[i] for i in b["biases"]]) for b in blocks]
+
+
+def from_dict(doc):
+    """The model or CnnFunction of a version-1 or version-2 document."""
+    if not isinstance(doc, dict) or "version" not in doc:
+        raise SerializationError("not a network document (missing version)")
+    version, kind = doc["version"], doc.get("kind")
+    if type(version) is not int or version not in _READABLE:
+        raise SerializationError(
+            f"unsupported schema version {version!r}, expected one of {_READABLE}"
+        )
+    if kind not in ("convresnet", "cnn"):
+        raise SerializationError(f"unknown document kind {kind!r}")
+    _require(doc, ("D", "blocks") + (("C",) if kind == "convresnet" else ()), "network document")
+    D, C = doc["D"], doc.get("C", 1)
+    if not all(type(n) is int and n >= 1 for n in (D, C)):
+        raise SerializationError(f"D and C must be integers >= 1, got {D!r} and {C!r}")
     fc, fc_bias = _fc(doc, D)
-    stacks = [_block_from_dict(b) for b in doc["blocks"]]
-    support = doc.get("support")
-    if support is not None:
-        _require(support, ("N", "nodes"), "support record")
     try:
-        blocks = [ResidualBlockSpec([FilterTensor(f) for f in fs], bs) for fs, bs in stacks]
+        stacks = _stacks(doc)
+        if kind == "cnn":
+            if len(stacks) != 1:
+                raise SerializationError("a cnn document holds exactly one block")
+            return CnnFunction(
+                D,
+                list(zip(*stacks[0])),
+                fc,
+                fc_bias,
+                first_row_only=bool(doc.get("first_row_only", True)),
+                input_pair_layer=bool(doc.get("input_pair_layer", False)),
+            )
+        support = doc.get("support")
         if support is not None:
+            _require(support, ("N", "nodes"), "support record")
             support = BlockSupport(support["N"], support["nodes"])
+        blocks = [ResidualBlockSpec(fs, bs) for fs, bs in stacks]
         return ConvResNetModel(
             D, C, blocks, fc, fc_bias, bool(doc.get("first_row_only", False)), support
         )
     except ShapeError as e:
         raise SerializationError(f"inconsistent network shapes: {e}") from e
-
-
-def cnn_to_dict(f: CnnFunction, arr=_arr) -> dict:
-    return {
-        "version": SCHEMA_VERSION,
-        "kind": "cnn",
-        "D": f.input_dim,
-        "C": 1,
-        "blocks": [
-            _block_to_dict([w for w, _ in f.conv_stack], [b for _, b in f.conv_stack], arr)
-        ],
-        "fc": {"weight": f.fc_weight.ravel().tolist(), "bias": f.fc_bias},
-        "first_row_only": f.first_row_only,
-        "input_pair_layer": f.input_pair_layer,
-    }
-
-
-def cnn_from_dict(doc: dict) -> CnnFunction:
-    _check_version(doc, "cnn")
-    _require(doc, ("D", "blocks"), "network document")
-    D = int(doc["D"])
-    fc, fc_bias = _fc(doc, D)
-    if not isinstance(doc["blocks"], list) or len(doc["blocks"]) != 1:
-        raise SerializationError("a cnn document holds exactly one block")
-    filters, biases = _block_from_dict(doc["blocks"][0])
-    try:
-        return CnnFunction(
-            D,
-            list(zip(map(FilterTensor, filters), biases)),
-            fc,
-            fc_bias,
-            first_row_only=bool(doc.get("first_row_only", True)),
-            input_pair_layer=bool(doc.get("input_pair_layer", False)),
-        )
-    except ShapeError as e:
-        raise SerializationError(f"inconsistent network shapes: {e}") from e
-
-
-def _check_version(doc, kind):
-    if not isinstance(doc, dict) or "version" not in doc:
-        raise SerializationError("not a network document (missing version)")
-    if doc["version"] != SCHEMA_VERSION:
-        raise SerializationError(
-            f"unsupported schema version {doc['version']!r}, expected {SCHEMA_VERSION}"
-        )
-    if doc.get("kind", kind) != kind:
-        raise SerializationError(f"expected kind {kind!r}, got {doc.get('kind')!r}")
-
-
-def to_dict(obj, arr=_arr):
-    """The document of a model or CnnFunction; ``arr`` encodes each array."""
-    if isinstance(obj, ConvResNetModel):
-        return model_to_dict(obj, arr)
-    if isinstance(obj, CnnFunction):
-        return cnn_to_dict(obj, arr)
-    raise SerializationError(f"cannot serialize {type(obj).__name__}")
-
-
-def from_dict(doc):
-    kind = doc.get("kind") if isinstance(doc, dict) else None
-    if kind == "convresnet":
-        return model_from_dict(doc)
-    if kind == "cnn":
-        return cnn_from_dict(doc)
-    raise SerializationError(f"unknown document kind {kind!r}")
 
 
 def atomic_write_text(path, text):
@@ -199,41 +214,8 @@ def atomic_write_text(path, text):
         raise
 
 
-# an array's place in the skeleton document: a string no document holds
-_SLOT = "\0"
-
-
-def dumps(obj):
-    """json.dumps(to_dict(obj)), encoding each distinct array once.
-
-    The document is dumped with a slot string in place of each array; the
-    slots appear in the text in the order the arrays were met, and each is
-    replaced by its array's text."""
-    texts, by_bytes, by_id, order = [], {}, {}, []
-
-    def arr(a):
-        seen = by_id.get(id(a))
-        if seen is None:  # the entry keeps a alive, so its id stays its own
-            a64 = np.asarray(a, dtype=np.float64)
-            key = (a64.shape, a64.tobytes())  # +0.0 and -0.0 differ in bytes
-            if key not in by_bytes:
-                by_bytes[key] = len(texts)
-                texts.append(json.dumps(_arr(a64)))
-            seen = by_id[id(a)] = (a, by_bytes[key])
-        order.append(seen[1])
-        return _SLOT
-
-    parts = json.dumps(to_dict(obj, arr)).split(json.dumps(_SLOT))
-    if len(parts) != len(order) + 1:
-        raise SerializationError("array slots do not match the arrays of the document")
-    out = [parts[0]]
-    for i, part in zip(order, parts[1:]):
-        out += (texts[i], part)
-    return "".join(out)
-
-
 def save(path, obj):
-    atomic_write_text(path, dumps(obj))
+    atomic_write_text(path, json.dumps(to_dict(obj)))
 
 
 def load(path):

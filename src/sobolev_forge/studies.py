@@ -16,11 +16,7 @@ from .netcore import audit_class
 from .manifold import build_atlas, build_manifold_approx, manifold_norm
 from .risk import RiskConfig, adversarial_gap_check, empirical_residual_study
 from .targets import EUCLIDEAN_TARGETS, MANIFOLD_TARGETS, get_manifold_target, get_target
-from .taylor import build_euclidean
-
-
-class ConfigError(ValueError):
-    """Raised for malformed study configurations (CLI exit code 2)."""
+from .taylor import ConfigError, build_euclidean
 
 
 STUDY_KINDS = ("euclidean-rate", "manifold-rate", "risk", "adversarial", "audit")

@@ -113,21 +113,26 @@ def grid_nodes(N, d):
     return np.array(list(iter_product(range(N + 1), repeat=d)))
 
 
+class ConfigError(ValueError):
+    """Raised for a build or study configuration that cannot run (CLI exit
+    code 2), before any work is done."""
+
+
 def grid_resolution(N, Mt, Jt, d, least=1):
     """The grid N of a build: as given, or else the integer d-th root
-    floor((Mt * Jt)^(1/d)), exact for every product; a ValueError when it is
-    below ``least``."""
+    floor((Mt * Jt)^(1/d)), exact for every product; a ConfigError when
+    neither is given or N is below ``least``."""
     if N is None:
         if Mt is None or Jt is None:
-            raise ValueError("need either N or both Mt and Jt")
+            raise ConfigError("need either N or both Mt and Jt")
         budget = Mt * Jt
         if budget < 2**d:
-            raise ValueError(f"Mt*Jt = {budget} < 2^d = {2**d}")
+            raise ConfigError(f"Mt*Jt = {budget} < 2^d = {2**d}")
         N = round(budget ** (1.0 / d))  # the float root, within one of the integer root
         N -= N**d > budget
         N += (N + 1) ** d <= budget
     if N < least:
-        raise ValueError(f"resolution N must be >= {least}, got {N}")
+        raise ConfigError(f"resolution N must be >= {least}, got {N}")
     return N
 
 
@@ -375,10 +380,10 @@ class ConstructedApproximator:
         return resnet_forward_batch(self.model, np.atleast_2d(X))
 
 
-def _bump_terms(coeffs: SurrogateCoefficients, eta, box):
+def _bump_terms(coeffs: SurrogateCoefficients, templates):
     """(template, m, c_{m,v}) for every term phi_m x^v of the table, in (m, v)
-    order: one NodeTemplate per v, stamped at every node."""
-    templates = [monomial_bump_template(v, coeffs.N, eta, box=box) for v in coeffs.v_list]
+    order: the NodeTemplate of each v (``templates``, in the order of
+    coeffs.v_list), stamped at every node."""
     for m, row in zip(grid_nodes(coeffs.N, coeffs.dim).tolist(), coeffs.table):
         for template, c in zip(templates, row):
             yield template, m, c
@@ -477,9 +482,16 @@ def build_euclidean(
     aborts on either disagreement.
     """
     D, alpha = f.dim, f.order
-    N = grid_resolution(N, Mt, Jt, D)
+    N = grid_resolution(N, Mt, Jt, D, least=2)  # N = 1 makes eta = 1
     eta = float(N) ** (-float(alpha))
     box = alpha + D + 1.0
+    if compile_model:
+        v_list = multi_indices(D, alpha - 1)
+        templates = [monomial_bump_template(v, N, eta, box=box) for v in v_list]
+        # mlp_to_cnn keeps the net's widths and gathers the input into 2D channels
+        width = max([2 * D] + [t.net.width for t in templates])
+        if Jt is not None and Jt < width:
+            raise ConfigError(f"Jt = {Jt} is below the width {width} of one term's network")
     coeffs = taylor_coeffs(f, N)
     times = build_product2(eta, box)
     record = {
@@ -500,5 +512,5 @@ def build_euclidean(
 
     X = np.random.default_rng(seed).uniform(0.0, 1.0, size=(check_points, D))
     record["intermediate_magnitude"] = approx.audit_intermediate_magnitudes(X[:50])
-    compile_terms(approx, _bump_terms(coeffs, eta, box), X, lambda k: _block_support(coeffs, k))
+    compile_terms(approx, _bump_terms(coeffs, templates), X, lambda k: _block_support(coeffs, k))
     return approx

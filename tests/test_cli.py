@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from sobolev_forge import cli, serialize
+from sobolev_forge import cli, serialize, taylor
 from sobolev_forge.algebra import assemble_resnet, mlp_to_cnn
 from sobolev_forge.cli import main
 from sobolev_forge.netcore import audit_class
@@ -219,7 +219,7 @@ def test_manifold_study_mini(tmp_path):
 
 
 def test_eval_rejects_a_nan_model_with_exit_2(tmp_path, capsys):
-    doc = serialize.model_to_dict(assemble_resnet([mlp_to_cnn(build_trapezoid(0, 1).as_mlp(), 2)]))
+    doc = serialize.to_dict(assemble_resnet([mlp_to_cnn(build_trapezoid(0, 1).as_mlp(), 2)]))
     doc["fc"]["bias"] = float("nan")
     path = tmp_path / "net.json"
     path.write_text(json.dumps(doc))
@@ -307,3 +307,25 @@ def test_build_bad_config_exit_2(tmp_path, capsys, doc, message):
 def test_missing_network_file_exit_2(tmp_path, capsys, command):
     assert main(command + ["--net", str(tmp_path / "absent.json")]) == 2
     assert "cannot read network file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"Mt": 5, "Jt": 5}, "Jt = 5 is below the width 14 of one term's network"),
+        ({"Mt": 1, "Jt": 2}, "Mt*Jt = 2 < 2^d = 4"),
+        ({"Mt": 3}, "need either N or both Mt and Jt"),
+        ({"N": 1}, "resolution N must be >= 2"),
+    ],
+)
+def test_build_rejects_a_config_that_cannot_compile_with_exit_2(
+    tmp_path, capsys, monkeypatch, change, message
+):
+    def no_coefficients(*args, **kwargs):
+        raise AssertionError("coefficients computed for a config that cannot compile")
+
+    monkeypatch.setattr(taylor, "taylor_coeffs", no_coefficients)
+    cfg = _write_cfg(tmp_path, {"target": "sinprod", "alpha": 2, **change})
+    assert main(["build", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err and "Traceback" not in err

@@ -13,7 +13,7 @@ from sobolev_forge import serialize
 from sobolev_forge.algebra import assemble_resnet, mlp_to_cnn
 from sobolev_forge.cli import main
 from sobolev_forge.manifold import build_atlas, build_manifold_approx
-from sobolev_forge.netcore import ConvResNetModel, ResidualBlockSpec, resnet_forward_batch
+from sobolev_forge.netcore import ConvResNetModel, ResidualBlockSpec, audit_class, resnet_forward_batch
 from sobolev_forge.scalarnets import build_trapezoid
 from sobolev_forge.targets import get_manifold_target, get_target
 from sobolev_forge.taylor import build_euclidean
@@ -45,8 +45,8 @@ def test_roundtrip_survives_extreme_finite_doubles(vals):
     net = _psi_model()
     net.blocks[0].filters[0].entries[0, 0, 0] = vals[0]
     net.blocks[0].biases[0][0, 0] = vals[1]
-    doc = json.loads(json.dumps(serialize.model_to_dict(net)))
-    back = serialize.model_from_dict(doc)
+    doc = json.loads(json.dumps(serialize.to_dict(net)))
+    back = serialize.from_dict(doc)
     assert np.array_equal(
         back.blocks[0].filters[0].entries, net.blocks[0].filters[0].entries
     )
@@ -64,7 +64,7 @@ def test_cnn_roundtrip(tmp_path):
 
 def test_version_mismatch(tmp_path):
     net = _psi_model()
-    doc = serialize.model_to_dict(net)
+    doc = serialize.to_dict(net)
     doc["version"] = 99
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
@@ -94,8 +94,18 @@ def test_atomic_write_no_partial(tmp_path):
     assert not leftovers
 
 
+def _v1(doc):
+    """The version-1 document of a version-2 one: the array record inline at
+    every occurrence, as version-1 writers emitted it."""
+    pool = doc["arrays"]
+    v1 = {k: v for k, v in doc.items() if k != "arrays"}
+    v1["version"] = 1
+    v1["blocks"] = [{k: [pool[i] for i in b[k]] for k in ("filters", "biases")} for b in doc["blocks"]]
+    return v1
+
+
 def _psi_doc():
-    return json.loads(json.dumps(serialize.model_to_dict(_psi_model())))
+    return json.loads(json.dumps(serialize.to_dict(_psi_model())))
 
 
 def test_nan_fc_bias_rejected(tmp_path):
@@ -109,23 +119,30 @@ def test_nan_fc_bias_rejected(tmp_path):
 
 def test_inf_filter_entry_rejected():
     doc = _psi_doc()
+    doc["arrays"][doc["blocks"][0]["filters"][1]]["data"][0] = float("inf")
+    with pytest.raises(serialize.SerializationError, match="non-finite"):
+        serialize.from_dict(doc)
+
+
+def test_inf_filter_entry_rejected_in_a_v1_document():
+    doc = _v1(_psi_doc())
     doc["blocks"][0]["filters"][1]["data"][0] = float("inf")
     with pytest.raises(serialize.SerializationError, match="non-finite"):
-        serialize.model_from_dict(doc)
+        serialize.from_dict(doc)
 
 
 def test_missing_fc_rejected():
     doc = _psi_doc()
     del doc["fc"]
     with pytest.raises(serialize.SerializationError, match="fc"):
-        serialize.model_from_dict(doc)
+        serialize.from_dict(doc)
 
 
 def test_inconsistent_shapes_rejected():
     doc = _psi_doc()
     doc["C"] = 4
     with pytest.raises(serialize.SerializationError, match="shapes"):
-        serialize.model_from_dict(doc)
+        serialize.from_dict(doc)
 
 
 # --- the block-support key ---------------------------------------------------
@@ -136,7 +153,7 @@ def built_doc():
     """model.json of a sinprod build, alpha=2, D=2, N=2 (27 blocks)."""
     target = get_target("sinprod", alpha=2, dim=2)
     model = build_euclidean(target, s=0, p=math.inf, N=2, check_points=4).model
-    return json.loads(json.dumps(serialize.model_to_dict(model)))
+    return json.loads(json.dumps(serialize.to_dict(model)))
 
 
 def _node_outside_grid(s):
@@ -196,15 +213,15 @@ def test_bad_support_is_rejected_and_eval_exits_2(built_doc, edit, message, tmp_
 
 
 def test_model_without_support_runs_dense_with_the_same_bits(built_doc):
-    net = serialize.model_from_dict(built_doc)
+    net = serialize.from_dict(built_doc)
     doc = copy.deepcopy(built_doc)
     del doc["support"]
-    dense = serialize.model_from_dict(doc)
+    dense = serialize.from_dict(doc)
     assert net._plan.cover is not None and dense.support is None and dense._plan.cover is None
     axis = np.linspace(-0.5, 1.5, 49)
     X = np.stack(np.meshgrid(axis, axis), axis=-1).reshape(-1, 2)
     assert np.array_equal(resnet_forward_batch(dense, X), resnet_forward_batch(net, X))
-    assert "support" not in serialize.model_to_dict(dense)
+    assert "support" not in serialize.to_dict(dense)
 
 
 # --- the writer: each distinct array encoded once -----------------------------
@@ -261,3 +278,118 @@ def test_signed_zeros_keep_their_sign_through_save(tmp_path):
     back = serialize.load(path)
     assert not np.any(np.signbit(back.blocks[0].biases[0]))
     assert np.all(np.signbit(back.blocks[1].biases[0]))
+
+
+# --- schema 2: each distinct array once, named by index -----------------------
+
+
+def _arrays(model):
+    return [a for blk in model.blocks for a in [f.entries for f in blk.filters] + blk.biases]
+
+
+@functools.lru_cache(maxsize=None)
+def _build(D, alpha, N, Jt):
+    target = get_target("sinprod", alpha=alpha, dim=D)
+    return build_euclidean(target, s=0, p=math.inf, N=N, Jt=Jt, check_points=4)
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    st.sampled_from([1, 2, 3]), st.sampled_from([2, 3]), st.integers(2, 4), st.sampled_from([None, 40])
+)
+def test_v1_and_v2_documents_load_to_the_built_model(D, alpha, N, Jt):
+    ap = _build(D, alpha, N, Jt)
+    built, doc = ap.model, serialize.to_dict(ap.model)
+    X = np.random.default_rng(N).uniform(-0.2, 1.2, (64, D))
+    want = resnet_forward_batch(built, X)
+    # the v1 document goes in as a dict: its text is megabytes, and a JSON
+    # round trip of lists of floats and ints gives the same lists
+    for back in (serialize.from_dict(_v1(doc)), serialize.from_dict(json.loads(json.dumps(doc)))):
+        for a, b in zip(_arrays(built), _arrays(back), strict=True):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert np.array_equal(back.fc_weight, built.fc_weight) and back.fc_bias == built.fc_bias
+        assert back.support.grid == built.support.grid
+        for a, b in zip(back.support.nodes, built.support.nodes, strict=True):
+            assert np.array_equal(a, b)
+        assert np.array_equal(resnet_forward_batch(back, X), want)
+        assert audit_class(back) == ap.class_params
+
+
+@pytest.mark.parametrize("name", ["plain", "grouped", "manifold"])
+def test_a_loaded_model_holds_one_object_per_pooled_array(name):
+    doc = serialize.to_dict(_written(name))
+    back = serialize.from_dict(json.loads(json.dumps(doc)))
+    assert len({id(a) for a in _arrays(back)}) == len(doc["arrays"])
+    filters = [f for blk in back.blocks for f in blk.filters]
+    assert len({id(f) for f in filters}) == len({i for b in doc["blocks"] for i in b["filters"]})
+
+
+def test_eval_of_a_v1_file_prints_what_the_v2_file_prints(built_doc, tmp_path, capsys):
+    out = []
+    for name, doc in (("v1", _v1(built_doc)), ("v2", built_doc)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        assert main(["eval", "--net", str(path), "--grid", "5"]) == 0
+        out.append(capsys.readouterr().out)
+    assert out[0] == out[1] and len(out[0].splitlines()) == 26
+
+
+def _index_out_of_range(doc):
+    doc["blocks"][0]["filters"][0] = len(doc["arrays"])
+
+
+def _negative_index(doc):
+    doc["blocks"][0]["biases"][1] = -1
+
+
+def _float_index(doc):
+    doc["blocks"][1]["filters"][2] = float(doc["blocks"][1]["filters"][2])
+
+
+def _bool_index(doc):
+    doc["blocks"][0]["biases"][0] = True
+
+
+def _nan_pool_entry(doc):
+    doc["arrays"][-1]["data"][0] = float("nan")
+
+
+def _short_pool_record(doc):
+    doc["arrays"][0]["data"].pop()
+
+
+def _no_pool(doc):
+    del doc["arrays"]
+
+
+def _bool_version(doc):
+    doc["version"] = True
+
+
+def _string_dimension(doc):
+    doc["D"] = "2"
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_index_out_of_range, "not an index"),
+        (_negative_index, "not an index"),
+        (_float_index, "not an index"),
+        (_bool_index, "not an index"),
+        (_nan_pool_entry, "non-finite"),
+        (_short_pool_record, "malformed array record"),
+        (_no_pool, r"missing required keys \['arrays'\]"),
+        (_bool_version, "version"),
+        (_string_dimension, "D and C must be integers"),
+    ],
+)
+def test_malformed_document_is_rejected_and_eval_exits_2(built_doc, edit, message, tmp_path, capsys):
+    doc = copy.deepcopy(built_doc)
+    edit(doc)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(serialize.SerializationError, match=message):
+        serialize.load(path)
+    assert main(["eval", "--net", str(path), "--at", "0.3,0.4"]) == 2
+    assert "network file error" in capsys.readouterr().err

@@ -10,8 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 from sobolev_forge.metrics import EvalGrid, grid_norm, lipschitz_estimate, sample_pairs
 from sobolev_forge.netcore import audit_class
+from sobolev_forge.scalarnets import monomial_bump_template
 from sobolev_forge.targets import get_target
 from sobolev_forge.taylor import (
+    ConfigError,
     TargetFunction,
     _bump_terms,
     build_euclidean,
@@ -333,6 +335,17 @@ def _assert_same_layers(got, want):
         _assert_same_bits(ba, bb)
 
 
+@pytest.mark.parametrize("D", [1, 2, 3])
+def test_jt_below_one_terms_width_is_a_config_error(D):
+    """The width check before the build agrees with the width parallel_sum
+    measures: Jt equal to it builds, one less is rejected."""
+    target = get_target("sinprod", alpha=2, dim=D)
+    width = build_euclidean(target, s=0, p=math.inf, N=2, check_points=4).record["Jt"]
+    assert build_euclidean(target, s=0, p=math.inf, N=2, Jt=width, check_points=4).record["Jt"] == width
+    with pytest.raises(ConfigError, match=f"below the width {width} "):
+        build_euclidean(target, s=0, p=math.inf, N=2, Jt=width - 1, check_points=4)
+
+
 @settings(max_examples=10, deadline=None)
 @given(st.sampled_from(_TEMPLATE_CASES), st.sampled_from([None, 40, 64]))
 def test_stamped_build_equals_the_per_term_oracle(case, Jt):
@@ -343,7 +356,8 @@ def test_stamped_build_equals_the_per_term_oracle(case, Jt):
     ap = build_euclidean(target, s=0, p=math.inf, N=N, Jt=Jt, check_points=4)
     eta, box = ap.eta, ap.record["box"]
     nets = direct_nets(ap.coeffs, eta, box)
-    terms = list(_bump_terms(ap.coeffs, eta, box))
+    templates = [monomial_bump_template(v, N, eta, box=box) for v in ap.coeffs.v_list]
+    terms = list(_bump_terms(ap.coeffs, templates))
     for (template, m, c), (m_direct, _, net, c_direct) in zip(terms, nets, strict=True):
         assert m == m_direct and c == c_direct
         _assert_same_layers(template.at(m).layers, net.layers)
