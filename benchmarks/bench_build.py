@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time a compiled build stage by stage.
+"""Time a compiled build stage by stage, and the forwards of the built model.
 
 For sinprod (D=2) at alpha=2, N = 4, 8, 16 and alpha=3, N = 16 this script
 runs ``build_euclidean`` and ``serialize.save`` and splits their wall time
@@ -22,8 +22,21 @@ runs ``--reps`` times and every figure is the median.  The model's array
 count, its distinct arrays (same shape and bytes) and its file size are
 reported too, and so is the time to read the file back: ``load_s`` for
 ``serialize.load`` and ``first_forward_s`` for the first compiled forward
-of the loaded model at one point, which lowers it.  BLAS threads are
-pinned to 1, as in perfbench.
+of the loaded model at one point, which lowers it.
+
+For the alpha=2 builds it then times three forwards at 1, 200 and 2000
+uniform points of the unit square (``forward`` in the results):
+
+* ``dense``: ``resnet_forward_dense``, every block at every point;
+* ``sparse``: ``resnet_forward_batch``, each point through only the blocks
+  whose bump can cover it;
+* ``functional``: ``ConstructedApproximator.eval``.
+
+Each forward timing is the median of at least ``--reps`` calls after a
+warm-up, more while they take under a second.  BLAS threads are pinned to
+1, as in perfbench.  ``BENCH_sparse_forward.json`` holds the forward
+timings of the support-sparse change, as a separate earlier script wrote
+them.
 
 ``--src`` times the package in another source tree (a checkout of an
 earlier commit, say); the wrapping names that tree lacks are skipped.  The
@@ -50,6 +63,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 BUILDS = ((2, 4), (2, 8), (2, 16), (3, 16))
+FORWARD_ALPHA = 2
+POINTS = (1, 200, 2000)
 STAGES = {
     "term_nets": ("monomial_bump_template", "build_monomial_bump"),
     "cnn_conversion": ("mlp_to_cnn", "extend_cnn_depth", "restamp"),
@@ -79,6 +94,35 @@ class StageClock:
                     self.stack[-1][2] += spent
 
         return timed
+
+
+def _median_seconds(fn, reps, min_seconds=1.0, max_reps=51):
+    fn()  # warm-up
+    times = []
+    while len(times) < reps or (sum(times) < min_seconds and len(times) < max_reps):
+        start = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - start)
+    return statistics.median(times)
+
+
+def _forwards(modules, approx, reps):
+    """Median seconds of the dense, sparse and functional forward at each
+    count of POINTS uniform points."""
+    np, netcore = modules[:2]
+    rng = np.random.default_rng(0)
+    rows = []
+    for n in POINTS:
+        X = rng.uniform(0.0, 1.0, (n, 2))
+        row = {"points": n}
+        for name, fn in (
+            ("dense", lambda: netcore.resnet_forward_dense(approx.model, X)),
+            ("sparse", lambda: netcore.resnet_forward_batch(approx.model, X)),
+            ("functional", lambda: approx.eval(X)),
+        ):
+            row[f"{name}_s"] = _median_seconds(fn, reps)
+        rows.append(row)
+    return rows
 
 
 def _machine(np):
@@ -134,7 +178,7 @@ def _one_build(modules, alpha, N, directory):
         "distinct_arrays": len({(a.shape, a.tobytes()) for a in arrays}),
         "model_mb": path.stat().st_size / 1e6,
     }
-    return seconds, counts, _read_back(modules, path)
+    return seconds, counts, _read_back(modules, path), approx
 
 
 def main():
@@ -155,15 +199,22 @@ def main():
             seconds = {k: statistics.median(r[0][k] for r in runs) for k in runs[0][0]}
             read = {k: statistics.median(r[2][k] for r in runs) for k in runs[0][2]}
             row = {"alpha": alpha, "N": N, "reps": args.reps, "seconds": seconds}
-            rows.append({**row, **runs[0][1], **read})
+            row.update(runs[0][1], **read)
             split = "  ".join(f"{k} {v:.3f}" for k, v in {**seconds, **read}.items())
             print(f"alpha={alpha} N={N:>2} ({runs[0][1]['blocks']} blocks, "
                   f"{runs[0][1]['model_mb']:.2f} MB): {split}", flush=True)
+            if alpha == FORWARD_ALPHA:
+                row["forward"] = _forwards(modules, runs[0][3], args.reps)
+                for f in row["forward"]:
+                    ms = "  ".join(f"{k[:-2]} {f[k] * 1e3:.2f} ms" for k in list(f)[1:])
+                    print(f"  forward at {f['points']:>4} points: {ms}", flush=True)
+            rows.append(row)
     path = ROOT / "BENCH_template_build.json"
     doc = json.loads(path.read_text()) if path.exists() else {}
     doc["what"] = (
         "median seconds per stage of build_euclidean + serialize.save, then of "
-        "serialize.load and the first forward of the loaded model; sinprod D=2; "
+        "serialize.load and the first forward of the loaded model, and (alpha=2, "
+        "under forward) of the dense, sparse and functional forward; sinprod D=2; "
         "see benchmarks/bench_build.py"
     )
     doc["machine"] = _machine(np)

@@ -6,13 +6,11 @@ __version__ = "0.1.0"
 from .netcore import (
     ConvResNetModel,
     FilterTensor,
-    MlpModel,
     NetClassParams,
     ResidualBlockSpec,
     audit_class,
     block_forward,
     conv_forward,
-    mlp_forward,
     resnet_forward,
 )
 from .algebra import CnnFunction, assemble_resnet, compose_cnn, mlp_to_cnn, parallel_sum
@@ -36,13 +34,11 @@ from .taylor import (
 __all__ = [
     "ConvResNetModel",
     "FilterTensor",
-    "MlpModel",
     "NetClassParams",
     "ResidualBlockSpec",
     "audit_class",
     "block_forward",
     "conv_forward",
-    "mlp_forward",
     "resnet_forward",
     "CnnFunction",
     "assemble_resnet",

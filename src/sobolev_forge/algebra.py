@@ -1,16 +1,18 @@
-"""Structural transformations: MLP-to-CNN realization, composition of CNN
-functions, channel-parallel grouping of sums, and assembly of a list of CNNs
-into one convolutional residual network.
+"""Structural transformations: realization of a feed-forward ReLU net
+(``scalarnets.ScalarNet``, the package's one such type) as a CNN,
+composition of CNN functions, channel-parallel grouping of sums, and
+assembly of a list of CNNs into one convolutional residual network.
 
 A ``CnnFunction`` is a scalar-valued map R^D -> R given by a padding of x
 into a single input channel, a conv stack (ReLU after every layer), and a
 fully-connected readout whose weight lives in the first row only.  The
-MLP-to-CNN realization works in two phases:
+realization ``mlp_to_cnn`` checks the net's layer shapes once and works in
+two phases, with filters of width at most 2:
 
 * gather: max(1, D-1) shift layers move x_0..x_{D-1} into row 0 as
   positive/negative channel pairs (signed values cannot live in a single
   post-ReLU channel);
-* compute: each MLP layer becomes a 1-tap conv layer acting row-wise, so
+* compute: each layer of the net becomes a 1-tap conv layer acting row-wise, so
   garbage rows never contaminate row 0; the final affine is emitted as a
   +/- pair read by the fc layer with weights +-1.
 
@@ -27,14 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .netcore import (
-    ConvResNetModel,
-    FilterTensor,
-    MlpModel,
-    ResidualBlockSpec,
-    ShapeError,
-    _max_abs,
-)
+from .netcore import ConvResNetModel, FilterTensor, ResidualBlockSpec, ShapeError, _max_abs
+from .scalarnets import ScalarNet
 
 
 @dataclass
@@ -64,10 +60,6 @@ class CnnFunction:
         return max(max(f.out_channels, f.in_channels) for f, _ in self.conv_stack)
 
     @property
-    def filter_size(self):
-        return max(f.width for f, _ in self.conv_stack)
-
-    @property
     def kappa1(self):
         return _max_abs(a for f, b in self.conv_stack for a in (f.entries, b))
 
@@ -85,27 +77,38 @@ class CnnFunction:
             Z = kernels.conv_layer(f.entries, b, Z)
         return np.tensordot(Z, self.fc_weight, axes=([1, 2], [0, 1])) + self.fc_bias
 
-    def __call__(self, x):
-        return float(self.forward(np.atleast_1d(np.asarray(x, dtype=np.float64))[None])[0])
-
 
 def _const_bias(D, per_channel):
     return np.tile(np.asarray(per_channel, dtype=np.float64), (D, 1))
 
 
-def mlp_to_cnn(mlp: MlpModel, K: int) -> CnnFunction:
-    """Realize a scalar-output MLP as a CnnFunction.
+def _check_layers(layers):
+    """ShapeError unless each bias has its weight's row count and the layers
+    compose."""
+    if not layers:
+        raise ShapeError("a net needs at least one layer")
+    for w, b in layers:
+        if w.ndim != 2 or b.shape != (w.shape[0],):
+            raise ShapeError(f"bias shape {b.shape} does not fit weight shape {w.shape}")
+    for (prev, _), (nxt, _) in zip(layers, layers[1:]):
+        if nxt.shape[1] != prev.shape[0]:
+            raise ShapeError(f"layer shapes do not compose: {prev.shape} then {nxt.shape}")
+
+
+def mlp_to_cnn(net: ScalarNet) -> CnnFunction:
+    """Realize a scalar-output ScalarNet as a CnnFunction; its filters have
+    width at most 2.
 
     Depth grows by the gather phase only (max(1, D-1) layers <= D), channels
-    stay within max(2D, MLP widths) <= 4J, and conv weight magnitudes equal
-    the MLP's.  Output agrees with mlp_forward pointwise (exactly, up to
+    stay within max(2D, net widths) <= 4J, and conv weight magnitudes equal
+    the net's.  Output agrees with ``net.forward`` pointwise (exactly, up to
     float reassociation).
     """
-    D = mlp.in_dim
-    if mlp.out_dim != 1:
-        raise ShapeError(f"CNN realization needs scalar output, got {mlp.out_dim}")
-    if K < 2 or K > max(D, 2):
-        raise ValueError(f"filter size K={K} out of range [2, {max(D, 2)}]")
+    layers = net.layers
+    _check_layers(layers)
+    D = net.in_dim
+    if net.out_dim != 1:
+        raise ShapeError(f"CNN realization needs scalar output, got {net.out_dim}")
     stack = []
     if D == 1:
         w = np.zeros((2, 1, 1))
@@ -130,8 +133,8 @@ def mlp_to_cnn(mlp: MlpModel, K: int) -> CnnFunction:
             stack.append((FilterTensor(w), np.zeros((D, 2 * D))))
 
     rows = 1 if D == 1 else D
-    for t, (Wt, bt) in enumerate(zip(mlp.weights, mlp.biases)):
-        last = t == mlp.depth - 1
+    for t, (Wt, bt) in enumerate(layers):
+        last = t == len(layers) - 1
         if t == 0:
             # read the gathered +/- pairs
             src = np.zeros((Wt.shape[0], 2 * D))
@@ -155,7 +158,7 @@ def mlp_to_cnn(mlp: MlpModel, K: int) -> CnnFunction:
 
 
 def restamp(f: CnnFunction, bias, scale) -> CnnFunction:
-    """f, as mlp_to_cnn realized it, with the bias of the MLP's first (not
+    """f, as mlp_to_cnn realized it, with the bias of the net's first (not
     last) layer replaced by ``bias`` (kept when None) and the readout scaled
     by ``scale``.  Every other layer is f's own."""
     stack = f.conv_stack

@@ -410,11 +410,7 @@ def build_sqdist_net(center, theta: float, B: float) -> ScalarNet:
         parts.append((sn_input_affine(sq, ej, np.array([-center[j]])), [j]))
     depth = max(net.depth for net, _ in parts)
     joined = sn_parallel([(sn_pad(net, depth), cols) for net, cols in parts])
-    out = sn_chain(joined, sn_affine(np.ones((1, D)), np.zeros(1)))
-    out.eta = 4.0 * B * B * D * theta
-    out.box = B
-    out.tags = {"theta": theta, "D": D}
-    return out
+    return sn_chain(joined, sn_affine(np.ones((1, D)), np.zeros(1)))
 
 
 @dataclass
@@ -471,7 +467,7 @@ def build_indicator(p: IndicatorParams) -> ScalarNet:
     # out = relu(1 - v/A) with v = 2^w u0, since A - T1 = 2^-w A
     layers.append((np.array([[-1.0 / A]]), np.array([1.0])))
     layers.append((np.array([[1.0]]), np.zeros(1)))
-    return ScalarNet(layers, eta=0.0, box=None, tags={"w": w, "A": A, "T1": T1})
+    return ScalarNet(layers)
 
 
 # ---------------------------------------------------------------------------

@@ -231,46 +231,6 @@ class ConvResNetModel:
 
 
 @dataclass
-class MlpModel:
-    """Plain ReLU MLP: alternating affine/ReLU with a final affine layer."""
-
-    weights: list
-    biases: list
-
-    def __post_init__(self):
-        self.weights = [_as_f64(w) for w in self.weights]
-        self.biases = [_as_f64(b) for b in self.biases]
-        if len(self.weights) != len(self.biases) or not self.weights:
-            raise ShapeError("weights and biases must be equal-length, nonempty lists")
-        for w, b in zip(self.weights, self.biases):
-            if b.shape != (w.shape[0],):
-                raise ShapeError(f"bias shape {b.shape} != ({w.shape[0]},)")
-        for prev, nxt in zip(self.weights, self.weights[1:]):
-            if nxt.shape[1] != prev.shape[0]:
-                raise ShapeError(f"layer shapes do not compose: {prev.shape} then {nxt.shape}")
-
-    @property
-    def depth(self):
-        return len(self.weights)
-
-    @property
-    def in_dim(self):
-        return self.weights[0].shape[1]
-
-    @property
-    def out_dim(self):
-        return self.weights[-1].shape[0]
-
-    @property
-    def width(self):
-        return max(w.shape[0] for w in self.weights)
-
-    @property
-    def kappa(self):
-        return max(max(np.max(np.abs(w)), np.max(np.abs(b))) for w, b in zip(self.weights, self.biases))
-
-
-@dataclass
 class NetClassParams:
     """Measured architecture-class membership of a concrete model."""
 
@@ -391,28 +351,6 @@ def resnet_forward(net: ConvResNetModel, x: np.ndarray) -> float:
     if x.shape != (net.input_dim,):
         raise ShapeError(f"input shape {x.shape} != ({net.input_dim},)")
     return float(resnet_forward_batch(net, x[None])[0])
-
-
-def mlp_forward_batch(mlp: MlpModel, X: np.ndarray) -> np.ndarray:
-    """MLP forward over a batch, shape (n, in) -> (n, out)."""
-    X = _as_f64(X)
-    if X.ndim != 2 or X.shape[1] != mlp.in_dim:
-        raise ShapeError(f"input shape {X.shape} != (n, {mlp.in_dim})")
-    out = X
-    last = mlp.depth - 1
-    for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
-        out = kernels.mlp_layer(w, b, out, relu=(i != last))
-    return out
-
-
-def mlp_forward(mlp: MlpModel, x: np.ndarray) -> np.ndarray:
-    """MLP forward at a single input vector."""
-    x = _as_f64(x)
-    if x.ndim == 0:
-        x = x[None]
-    if x.shape != (mlp.in_dim,):
-        raise ShapeError(f"input shape {x.shape} != ({mlp.in_dim},)")
-    return mlp_forward_batch(mlp, x[None])[0]
 
 
 def _max_abs(arrays):

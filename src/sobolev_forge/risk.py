@@ -16,6 +16,14 @@ import numpy as np
 
 from .metrics import lipschitz_estimate, sample_pairs
 
+# Lipschitz constant of the loss |g(x) - y| in g
+LOSS_LIPSCHITZ = 1.0
+# slack the residual study's Lipschitz line allows above 1 + sqrt(D) eps^((alpha-1)/alpha)
+LIP_SLACK = 0.5
+# the adversarial inner max: random search directions, then coordinate-ascent rounds
+SEARCH_DIRECTIONS = 64
+ASCENT_STEPS = 20
+
 
 @dataclass
 class RiskConfig:
@@ -23,12 +31,8 @@ class RiskConfig:
     sigma: float = 0.2
     eps: float = 0.1
     deltas: tuple = (0.01, 0.02, 0.05)
-    loss_lipschitz: float = 1.0
     reps: int = 200
     seed: int = 0
-    lip_slack: float = 0.5
-    search_directions: int = 64
-    ascent_steps: int = 20
 
 
 def bernstein_floor(n, eps, sigma):
@@ -58,7 +62,7 @@ def empirical_residual_study(cfg: RiskConfig, target, approx) -> dict:
     pairs = sample_pairs(rng, D, 20000)
     probes = rng.uniform(0.02, 0.98, size=(2000, D))
     lip = lipschitz_estimate(approx.eval, pairs=pairs, probes=probes)
-    lip_line = 1.0 + math.sqrt(D) * cfg.eps ** ((alpha - 1.0) / alpha) + cfg.lip_slack
+    lip_line = 1.0 + math.sqrt(D) * cfg.eps ** ((alpha - 1.0) / alpha) + LIP_SLACK
     lip_ok = lip <= lip_line
 
     threshold = 2.0 * cfg.eps**2 + cfg.sigma**2
@@ -96,7 +100,9 @@ def _unit_directions(rng, count, dim):
     return U / np.linalg.norm(U, axis=1, keepdims=True)
 
 
-def adversarial_risk(g, X, y, deltas, seed=0, directions=64, ascent_steps=20):
+def adversarial_risk(
+    g, X, y, deltas, seed=0, directions=SEARCH_DIRECTIONS, ascent_steps=ASCENT_STEPS
+):
     """Mean over samples of an inner-max estimate of loss |g(x') - y| over
     the Euclidean delta-ball; returns {delta: risk} for the sorted deltas.
 
@@ -154,17 +160,9 @@ def adversarial_gap_check(cfg: RiskConfig, target, approx, n_data=200) -> dict:
     rng = np.random.default_rng(cfg.seed)
     X = rng.uniform(0.0, 1.0, size=(n_data, D))
     y = target(X)
-    risks = adversarial_risk(
-        approx.eval,
-        X,
-        y,
-        [0.0] + list(cfg.deltas),
-        seed=cfg.seed,
-        directions=cfg.search_directions,
-        ascent_steps=cfg.ascent_steps,
-    )
+    risks = adversarial_risk(approx.eval, X, y, [0.0] + list(cfg.deltas), seed=cfg.seed)
     base = risks[0.0]
-    line = cfg.loss_lipschitz * (1.0 + math.sqrt(D) * cfg.eps ** ((alpha - 1.0) / alpha))
+    line = LOSS_LIPSCHITZ * (1.0 + math.sqrt(D) * cfg.eps ** ((alpha - 1.0) / alpha))
     table = []
     for d in sorted(cfg.deltas):
         gap = risks[float(d)] - base

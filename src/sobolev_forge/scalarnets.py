@@ -1,7 +1,8 @@
 """Exact piecewise-linear scalar building blocks and their ReLU-net realizations.
 
-Everything here is a plain affine/ReLU stack (``ScalarNet``) built from four
-primitives:
+Everything here is a plain affine/ReLU stack, a ``ScalarNet``: the package's
+one feed-forward ReLU net type, which ``algebra.mlp_to_cnn`` realizes as a
+CNN.  The nets are built from four primitives:
 
 * ``build_trapezoid`` -- the unit trapezoid bump rescaled to grid node m/N,
   realized exactly;
@@ -31,28 +32,25 @@ class audit of any compiled construction reports kappa_1 <= max(3N, 4).
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import kernels
-from .netcore import MlpModel, ShapeError
+from .netcore import ShapeError
 
 
 @dataclass
 class ScalarNet:
-    """Affine/ReLU stack with declared accuracy and box-bound metadata.
+    """Affine/ReLU stack: the package's one feed-forward ReLU net type.
 
     ``layers`` is an ordered list of (weight matrix, bias vector); the forward
-    pass applies ReLU after every layer except the last.  ``eta`` is the
-    declared sup-norm accuracy of whatever the net approximates (0.0 for exact
-    realizations) and ``box`` the input box bound the accuracy refers to.
+    pass applies ReLU after every layer except the last.  Layer shapes are
+    not checked here, since a build makes hundreds of nets;
+    ``algebra.mlp_to_cnn`` checks them once per conversion.
     """
 
     layers: list
-    eta: float = 0.0
-    box: float | None = None
-    tags: dict = field(default_factory=dict)
 
     @property
     def depth(self):
@@ -90,9 +88,6 @@ class ScalarNet:
         x = np.asarray(xs, dtype=np.float64).reshape(1, -1)
         y = self.forward(x)
         return float(y[0])
-
-    def as_mlp(self):
-        return MlpModel([w for w, _ in self.layers], [b for _, b in self.layers])
 
 
 # ---------------------------------------------------------------------------
@@ -190,9 +185,7 @@ def sn_input_affine(f: ScalarNet, A, c) -> ScalarNet:
     A = np.atleast_2d(np.asarray(A, dtype=np.float64))
     c = np.atleast_1d(np.asarray(c, dtype=np.float64))
     W0, b0 = f.layers[0]
-    return ScalarNet(
-        [(W0 @ A, b0 + W0 @ c)] + f.layers[1:], eta=f.eta, box=f.box, tags=dict(f.tags)
-    )
+    return ScalarNet([(W0 @ A, b0 + W0 @ c)] + f.layers[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -223,12 +216,10 @@ def bump_weight(m, N, x):
     return float(out[0]) if single else out
 
 
-def reference_psi_mlp() -> MlpModel:
+def reference_psi_mlp() -> ScalarNet:
     """The classic two-layer realization of the unit trapezoid."""
-    return MlpModel(
-        [np.array([[1.0], [1.0], [1.0], [1.0]]), np.array([[1.0, -1.0, -1.0, 1.0]])],
-        [np.array([2.0, 1.0, -1.0, -2.0]), np.array([0.0])],
-    )
+    l1 = (np.ones((4, 1)), np.array([2.0, 1.0, -1.0, -2.0]))
+    return ScalarNet([l1, (np.array([[1.0, -1.0, -1.0, 1.0]]), np.array([0.0]))])
 
 
 def build_trapezoid(m: int, N: int) -> ScalarNet:
@@ -243,7 +234,7 @@ def build_trapezoid(m: int, N: int) -> ScalarNet:
     l1 = (np.array([[3.0 * N]]), np.array([2.0 - 3.0 * m]))
     l2 = (np.ones((4, 1)), np.array([0.0, -1.0, -3.0, -4.0]))
     l3 = (np.array([[1.0, -1.0, -1.0, 1.0]]), np.array([0.0]))
-    return ScalarNet([l1, l2, l3], eta=0.0, box=None, tags={"m": m, "N": N})
+    return ScalarNet([l1, l2, l3])
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +308,7 @@ def build_square(theta: float, B: float) -> ScalarNet:
     layers.append((np.array([[1.0, 0.0, 0.0, -1.0]]), np.zeros(1)))
     layers += _doubling_layers(1, q)
     layers.append((np.array([[scale / 4.0**q]]), np.zeros(1)))
-    return ScalarNet(layers, eta=theta, box=B, tags={"m": m, "q": q})
+    return ScalarNet(layers)
 
 
 def product_depth(eta, B):
@@ -387,7 +378,7 @@ def build_product2(eta: float, B: float) -> ScalarNet:
     layers += _doubling_layers(2, q)
     c = scale / 4.0**q
     layers.append((np.array([[c, -c]]), np.zeros(1)))
-    return ScalarNet(layers, eta=eta, box=B, tags={"m": m, "q": q})
+    return ScalarNet(layers)
 
 
 # ---------------------------------------------------------------------------
@@ -441,9 +432,6 @@ def build_monomial_bump(m, v, N: int, eps: float, alpha=None, box=None) -> Scala
             [(sn_pad(running, depth), list(range(D))), (sn_pad(factor, depth), cols)]
         )
         running = sn_chain(pair, times)
-    running.eta = eps
-    running.box = B
-    running.tags = {"m": m, "v": v, "N": N}
     return running
 
 
@@ -467,12 +455,7 @@ class NodeTemplate:
         return b
 
     def at(self, m):
-        W0 = self.net.layers[0][0]
-        return replace(
-            self.net,
-            layers=[(W0, self.bias(m))] + self.net.layers[1:],
-            tags=dict(self.net.tags, m=tuple(int(t) for t in m)),
-        )
+        return ScalarNet([(self.net.layers[0][0], self.bias(m))] + self.net.layers[1:])
 
 
 def monomial_bump_template(v, N: int, eps: float, box=None) -> NodeTemplate:

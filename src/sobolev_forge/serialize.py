@@ -1,5 +1,7 @@
 """JSON serialization of models.
 
+A model file holds one ConvResNetModel, of kind ``"convresnet"``; the
+writer accepts nothing else and loading rejects any other kind.
 Round-trips are bit-exact for finite doubles: floats are emitted through
 Python's shortest-roundtrip repr.
 
@@ -33,7 +35,6 @@ import tempfile
 
 import numpy as np
 
-from .algebra import CnnFunction
 from .netcore import BlockSupport, ConvResNetModel, FilterTensor, ResidualBlockSpec, ShapeError
 
 SCHEMA_VERSION = 2
@@ -84,7 +85,7 @@ def _fc(doc, D):
 
 
 def to_dict(obj):
-    """The version-2 document of a model or CnnFunction."""
+    """The version-2 document of a ConvResNetModel."""
     arrays, by_bytes, by_id = [], {}, {}
 
     def index(a):
@@ -100,25 +101,18 @@ def to_dict(obj):
     def block(filters, biases):
         return {"filters": [index(f.entries) for f in filters], "biases": list(map(index, biases))}
 
-    if isinstance(obj, ConvResNetModel):
-        kind, C = "convresnet", obj.padding_channels
-        blocks = [block(b.filters, b.biases) for b in obj.blocks]
-    elif isinstance(obj, CnnFunction):
-        kind, C, blocks = "cnn", 1, [block(*zip(*obj.conv_stack))]
-    else:
+    if not isinstance(obj, ConvResNetModel):
         raise SerializationError(f"cannot serialize {type(obj).__name__}")
     doc = {
         "version": SCHEMA_VERSION,
-        "kind": kind,
+        "kind": "convresnet",
         "D": obj.input_dim,
-        "C": C,
-        "blocks": blocks,
+        "C": obj.padding_channels,
+        "blocks": [block(b.filters, b.biases) for b in obj.blocks],
         "fc": {"weight": obj.fc_weight.ravel().tolist(), "bias": obj.fc_bias},
         "first_row_only": obj.first_row_only,
     }
-    if isinstance(obj, CnnFunction):
-        doc["input_pair_layer"] = obj.input_pair_layer
-    elif obj.support is not None:
+    if obj.support is not None:
         doc["support"] = {"N": obj.support.grid, "nodes": [a.tolist() for a in obj.support.nodes]}
     doc["arrays"] = arrays
     return doc
@@ -159,7 +153,7 @@ def _stacks(doc):
 
 
 def from_dict(doc):
-    """The model or CnnFunction of a version-1 or version-2 document."""
+    """The model of a version-1 or version-2 document."""
     if not isinstance(doc, dict) or "version" not in doc:
         raise SerializationError("not a network document (missing version)")
     version, kind = doc["version"], doc.get("kind")
@@ -167,26 +161,15 @@ def from_dict(doc):
         raise SerializationError(
             f"unsupported schema version {version!r}, expected one of {_READABLE}"
         )
-    if kind not in ("convresnet", "cnn"):
+    if kind != "convresnet":
         raise SerializationError(f"unknown document kind {kind!r}")
-    _require(doc, ("D", "blocks") + (("C",) if kind == "convresnet" else ()), "network document")
-    D, C = doc["D"], doc.get("C", 1)
+    _require(doc, ("D", "C", "blocks"), "network document")
+    D, C = doc["D"], doc["C"]
     if not all(type(n) is int and n >= 1 for n in (D, C)):
         raise SerializationError(f"D and C must be integers >= 1, got {D!r} and {C!r}")
     fc, fc_bias = _fc(doc, D)
     try:
         stacks = _stacks(doc)
-        if kind == "cnn":
-            if len(stacks) != 1:
-                raise SerializationError("a cnn document holds exactly one block")
-            return CnnFunction(
-                D,
-                list(zip(*stacks[0])),
-                fc,
-                fc_bias,
-                first_row_only=bool(doc.get("first_row_only", True)),
-                input_pair_layer=bool(doc.get("input_pair_layer", False)),
-            )
         support = doc.get("support")
         if support is not None:
             _require(support, ("N", "nodes"), "support record")

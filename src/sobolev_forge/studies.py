@@ -73,7 +73,9 @@ def validate_config(doc):
     for key, default in schema["optional"].items():
         out.setdefault(key, default)
     out.setdefault("seed", 0)
-    check_ints(out, ("alpha", "N", "dim"))
+    check_ints(out, ("alpha", "dim"))
+    if "N" in out and not _is_int(out["N"], 2):  # every build needs N >= 2
+        raise ConfigError(f"N must be an integer >= 2, got {out['N']!r}")
     if "target" in out:
         known = MANIFOLD_TARGETS if kind == "manifold-rate" else EUCLIDEAN_TARGETS
         if not isinstance(out["target"], str) or out["target"] not in known:
@@ -81,9 +83,8 @@ def validate_config(doc):
                               f"known: {sorted(known)}")
     if "N_list" in out:
         N_list = out["N_list"]
-        least = 2 if kind == "manifold-rate" else 1  # the manifold builder needs N >= 2
-        if not isinstance(N_list, list) or not all(_is_int(N, least) for N in N_list):
-            raise ConfigError(f"N_list must be a list of integers >= {least}, got {N_list!r}")
+        if not isinstance(N_list, list) or not all(_is_int(N, 2) for N in N_list):
+            raise ConfigError(f"N_list must be a list of integers >= 2, got {N_list!r}")
         if len(set(N_list)) < 2:
             raise ConfigError(f"N_list needs at least 2 distinct values to fit a slope, "
                               f"got {N_list}")

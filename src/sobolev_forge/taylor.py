@@ -410,7 +410,7 @@ def term_cnns(terms):
     templates, members = {}, []
     for template, m, c in terms:
         if id(template) not in templates:  # the dict keeps the template alive
-            templates[id(template)] = (template, mlp_to_cnn(template.net.as_mlp(), 2))
+            templates[id(template)] = (template, mlp_to_cnn(template.net))
         members.append((id(template), m, c))
     depth = max(cnn.depth for _, cnn in templates.values())
     deep = {k: (t, extend_cnn_depth(cnn, depth)) for k, (t, cnn) in templates.items()}

@@ -29,7 +29,7 @@ def direct_term_cnns(nets):
     one depth."""
     cnns = []
     for _, _, net, c in nets:
-        cnn = mlp_to_cnn(net.as_mlp(), 2)
+        cnn = mlp_to_cnn(net)
         cnn.fc_weight = c * cnn.fc_weight
         cnns.append(cnn)
     depth = max(cnn.depth for cnn in cnns)

@@ -27,7 +27,7 @@ from sobolev_forge.metrics import (
     lipschitz_estimate,
     sample_pairs,
 )
-from sobolev_forge.netcore import mlp_forward_batch, resnet_forward_batch
+from sobolev_forge.netcore import resnet_forward_batch
 from sobolev_forge.risk import RiskConfig, adversarial_gap_check, empirical_residual_study
 from sobolev_forge.scalarnets import (
     build_monomial_bump,
@@ -145,31 +145,29 @@ def test_criterion_3_compilation_equivalence(sinprod, rng):
 
     xs1 = rng.uniform(-3.0, 3.0, (1000, 1))
     psi = build_trapezoid(1, 2)
-    gaps["trapezoid"] = np.max(np.abs(mlp_to_cnn(psi.as_mlp(), 2).forward(xs1) - psi.forward(xs1)))
+    gaps["trapezoid"] = np.max(np.abs(mlp_to_cnn(psi).forward(xs1) - psi.forward(xs1)))
 
     sq = build_square(1e-3, 1.0)
-    sq_cnn = mlp_to_cnn(sq.as_mlp(), 2)
+    sq_cnn = mlp_to_cnn(sq)
     gaps["square"] = np.max(np.abs(sq_cnn.forward(xs1 / 3.0) - sq.forward(xs1 / 3.0)))
 
     times = build_product2(1e-3, 1.0)
     xs2 = rng.uniform(-1.0, 1.0, (1000, 2))
-    gaps["product"] = np.max(np.abs(mlp_to_cnn(times.as_mlp(), 2).forward(xs2) - times.forward(xs2)))
+    gaps["product"] = np.max(np.abs(mlp_to_cnn(times).forward(xs2) - times.forward(xs2)))
 
     g = build_monomial_bump((1, 1), (1, 0), 2, 1e-2)
     xg = rng.uniform(0.0, 1.0, (1000, 2))
-    gaps["monomial_bump"] = np.max(np.abs(mlp_to_cnn(g.as_mlp(), 2).forward(xg) - g.forward(xg)))
+    gaps["monomial_bump"] = np.max(np.abs(mlp_to_cnn(g).forward(xg) - g.forward(xg)))
 
     mlp = reference_psi_mlp()
-    psi_cnn = mlp_to_cnn(mlp, 2)
-    gaps["mlp_to_cnn"] = np.max(
-        np.abs(psi_cnn.forward(xs1) - mlp_forward_batch(mlp, xs1)[:, 0])
-    )
+    psi_cnn = mlp_to_cnn(mlp)
+    gaps["mlp_to_cnn"] = np.max(np.abs(psi_cnn.forward(xs1) - mlp.forward(xs1)))
 
     composed = compose_cnn(psi_cnn, sq_cnn)
-    want = sq.forward(mlp_forward_batch(mlp, xs1))
+    want = sq.forward(mlp.forward(xs1)[:, None])
     gaps["compose_cnn"] = np.max(np.abs(composed.forward(xs1) - want))
 
-    members = [mlp_to_cnn(build_trapezoid(m, 4).as_mlp(), 2) for m in range(4)]
+    members = [mlp_to_cnn(build_trapezoid(m, 4)) for m in range(4)]
     want = sum(c.forward(xs1) for c in members)
     groups = parallel_sum(members, 2 * max(c.width for c in members))
     gaps["parallel_sum"] = np.max(np.abs(sum(gr.forward(xs1) for gr in groups) - want))

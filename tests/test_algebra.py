@@ -8,14 +8,9 @@ from sobolev_forge.algebra import (
     mlp_to_cnn,
     parallel_sum,
 )
-from sobolev_forge.netcore import (
-    MlpModel,
-    ShapeError,
-    audit_class,
-    mlp_forward_batch,
-    resnet_forward_batch,
-)
+from sobolev_forge.netcore import ShapeError, audit_class, resnet_forward_batch
 from sobolev_forge.scalarnets import (
+    ScalarNet,
     build_monomial_bump,
     build_square,
     build_trapezoid,
@@ -25,32 +20,35 @@ from sobolev_forge.scalarnets import (
 
 @pytest.fixture(scope="module")
 def psi_cnn():
-    return mlp_to_cnn(reference_psi_mlp(), 2)
+    return mlp_to_cnn(reference_psi_mlp())
 
 
 def test_mlp_to_cnn_psi_grid(psi_cnn):
     mlp = reference_psi_mlp()
     xs = np.linspace(-3, 3, 1001)[:, None]
-    gap = np.abs(psi_cnn.forward(xs) - mlp_forward_batch(mlp, xs)[:, 0])
+    gap = np.abs(psi_cnn.forward(xs) - mlp.forward(xs))
     assert gap.max() <= 1e-9
 
 
 def test_mlp_to_cnn_zero_mlp(rng):
-    zero = MlpModel([np.zeros((3, 2)), np.zeros((1, 3))], [np.zeros(3), np.zeros(1)])
-    cnn = mlp_to_cnn(zero, 2)
+    zero = ScalarNet([(np.zeros((3, 2)), np.zeros(3)), (np.zeros((1, 3)), np.zeros(1))])
+    cnn = mlp_to_cnn(zero)
     X = rng.standard_normal((100, 2))
     assert np.all(cnn.forward(X) == 0.0)
 
 
 def test_mlp_to_cnn_size_bounds(rng):
     for D in (1, 2, 4):
-        mlp = MlpModel(
-            [rng.standard_normal((6, D)), rng.standard_normal((5, 6)), rng.standard_normal((1, 5))],
-            [rng.standard_normal(6), rng.standard_normal(5), rng.standard_normal(1)],
+        mlp = ScalarNet(
+            [
+                (rng.standard_normal((6, D)), rng.standard_normal(6)),
+                (rng.standard_normal((5, 6)), rng.standard_normal(5)),
+                (rng.standard_normal((1, 5)), rng.standard_normal(1)),
+            ]
         )
-        cnn = mlp_to_cnn(mlp, min(2, max(D, 2)))
+        cnn = mlp_to_cnn(mlp)
         X = rng.standard_normal((200, D))
-        assert np.max(np.abs(cnn.forward(X) - mlp_forward_batch(mlp, X)[:, 0])) <= 1e-9
+        assert np.max(np.abs(cnn.forward(X) - mlp.forward(X))) <= 1e-9
         J_mlp = max(D, 6, 5, 1)
         assert cnn.depth <= mlp.depth + D
         assert cnn.width <= 4 * J_mlp
@@ -58,31 +56,38 @@ def test_mlp_to_cnn_size_bounds(rng):
         assert cnn.first_row_only
 
 
-def test_mlp_to_cnn_k_range():
-    mlp = reference_psi_mlp()
-    with pytest.raises(ValueError, match="out of range"):
-        mlp_to_cnn(mlp, 1)
-    with pytest.raises(ValueError, match="out of range"):
-        mlp_to_cnn(mlp, 5)
-
-
 def test_mlp_to_cnn_rejects_vector_output():
     with pytest.raises(ShapeError, match="scalar"):
-        mlp_to_cnn(MlpModel([np.eye(2)], [np.zeros(2)]), 2)
+        mlp_to_cnn(ScalarNet([(np.eye(2), np.zeros(2))]))
+
+
+@pytest.mark.parametrize(
+    "layers, message",
+    [
+        ([], "at least one layer"),
+        ([(np.ones((2, 3)), np.zeros(3))], "bias shape"),
+        ([(np.ones((2, 3)), np.zeros((2, 1)))], "bias shape"),
+        ([(np.ones((2, 3)), np.zeros(2)), (np.ones((1, 4)), np.zeros(1))], "do not compose"),
+    ],
+    ids=["empty", "bias-length", "bias-2d", "layers-do-not-compose"],
+)
+def test_mlp_to_cnn_rejects_layers_that_do_not_fit(layers, message):
+    with pytest.raises(ShapeError, match=message):
+        mlp_to_cnn(ScalarNet(layers))
 
 
 def test_compose_psi_square(psi_cnn):
     sq = build_square(1e-3, 1.0)
-    sq_cnn = mlp_to_cnn(sq.as_mlp(), 2)
+    sq_cnn = mlp_to_cnn(sq)
     composed = compose_cnn(psi_cnn, sq_cnn)
     xs = np.linspace(-3, 3, 301)[:, None]
-    want = sq.forward(mlp_forward_batch(reference_psi_mlp(), xs))
+    want = sq.forward(reference_psi_mlp().forward(xs)[:, None])
     assert np.max(np.abs(composed.forward(xs) - want)) <= 1e-9
     assert composed.depth == psi_cnn.depth + sq_cnn.depth
 
 
 def test_compose_identity_readout(psi_cnn):
-    ident = mlp_to_cnn(MlpModel([np.eye(1)], [np.zeros(1)]), 2)
+    ident = mlp_to_cnn(ScalarNet([(np.eye(1), np.zeros(1))]))
     composed = compose_cnn(psi_cnn, ident)
     xs = np.linspace(-3, 3, 301)[:, None]
     assert np.max(np.abs(composed.forward(xs) - psi_cnn.forward(xs))) <= 1e-12
@@ -121,8 +126,8 @@ def test_parallel_sum_width_guard(psi_cnn):
 
 
 def test_assemble_two_trapezoids():
-    t0 = mlp_to_cnn(build_trapezoid(0, 2).as_mlp(), 2)
-    t1 = mlp_to_cnn(build_trapezoid(1, 2).as_mlp(), 2)
+    t0 = mlp_to_cnn(build_trapezoid(0, 2))
+    t1 = mlp_to_cnn(build_trapezoid(1, 2))
     net = assemble_resnet([t0, t1])
     xs = np.linspace(0, 1, 201)[:, None]
     want = t0.forward(xs) + t1.forward(xs)
@@ -150,7 +155,7 @@ def test_end_to_end_pipeline_equality(rng):
     nets = [build_monomial_bump((m1, m2), (v1, v2), 2, 1e-2)
             for m1, m2 in [(0, 1), (1, 1), (2, 0)]
             for v1, v2 in [(0, 0), (1, 0)]]
-    cnns = [mlp_to_cnn(n.as_mlp(), 2) for n in nets]
+    cnns = [mlp_to_cnn(n) for n in nets]
     depth = max(c.depth for c in cnns)
     cnns = [extend_cnn_depth(c, depth) for c in cnns]
     X = rng.uniform(0, 1, (1000, 2))

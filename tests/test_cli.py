@@ -169,7 +169,7 @@ def test_unexpected_exception_exits_3_with_a_traceback(monkeypatch, tmp_path, ca
 
 
 def test_audit_json_matches_audit_class(tmp_path):
-    net = assemble_resnet([mlp_to_cnn(build_trapezoid(1, 4).as_mlp(), 2)])
+    net = assemble_resnet([mlp_to_cnn(build_trapezoid(1, 4))])
     path = tmp_path / "psi.json"
     serialize.save(path, net)
     code, doc = run_study({"kind": "audit", "net": str(path)}, tmp_path / "out")
@@ -180,7 +180,7 @@ def test_audit_json_matches_audit_class(tmp_path):
 
 
 def test_saved_trapezoid_reload_identical(tmp_path):
-    net = assemble_resnet([mlp_to_cnn(build_trapezoid(0, 1).as_mlp(), 2)])
+    net = assemble_resnet([mlp_to_cnn(build_trapezoid(0, 1))])
     path = tmp_path / "t.json"
     serialize.save(path, net)
     back = serialize.load(path)
@@ -219,7 +219,7 @@ def test_manifold_study_mini(tmp_path):
 
 
 def test_eval_rejects_a_nan_model_with_exit_2(tmp_path, capsys):
-    doc = serialize.to_dict(assemble_resnet([mlp_to_cnn(build_trapezoid(0, 1).as_mlp(), 2)]))
+    doc = serialize.to_dict(assemble_resnet([mlp_to_cnn(build_trapezoid(0, 1))]))
     doc["fc"]["bias"] = float("nan")
     path = tmp_path / "net.json"
     path.write_text(json.dumps(doc))
@@ -247,14 +247,18 @@ def test_eval_rejects_bad_points_with_exit_2(tmp_path, capsys, point, message):
     [
         ("euclidean-rate", {"N_list": [4]}, "2 distinct"),
         ("euclidean-rate", {"N_list": [4, 4]}, "2 distinct"),
-        ("euclidean-rate", {"N_list": [0, 4]}, "integers >= 1"),
-        ("euclidean-rate", {"N_list": [2.5, 4]}, "integers >= 1"),
+        ("euclidean-rate", {"N_list": [0, 4]}, "integers >= 2"),
+        ("euclidean-rate", {"N_list": [2.5, 4]}, "integers >= 2"),
         ("euclidean-rate", {"N_list": "4"}, "list"),
         ("euclidean-rate", {"alpha": 2.5}, "alpha"),
         ("euclidean-rate", {"target": "nope"}, "unknown target"),
         ("manifold-rate", {"N_list": [1, 4]}, "integers >= 2"),
         ("manifold-rate", {"target": "sinprod"}, "unknown target"),
         ("risk", {"N": 0}, "N must be"),
+        ("euclidean-rate", {"N_list": [2, 1]}, "integers >= 2"),
+        ("risk", {"N": 1}, "N must be an integer >= 2"),
+        ("adversarial", {"N": 1}, "N must be an integer >= 2"),
+        ("adversarial", {"N": None}, "N must be an integer >= 2"),
     ],
 )
 def test_validate_rejects_bad_values(kind, change, message):
@@ -262,6 +266,7 @@ def test_validate_rejects_bad_values(kind, change, message):
         "euclidean-rate": {"target": "sinprod", "alpha": 2, "N_list": [2, 4]},
         "manifold-rate": {"target": "circle-sin", "alpha": 2, "N_list": [4, 8]},
         "risk": {"target": "sinprod", "alpha": 2, "N": 4},
+        "adversarial": {"target": "sinprod", "alpha": 2, "N": 4},
     }[kind]
     with pytest.raises(ConfigError, match=message):
         validate_config({"kind": kind, **base, **change})
@@ -329,3 +334,58 @@ def test_build_rejects_a_config_that_cannot_compile_with_exit_2(
     assert main(["build", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, change, message",
+    [
+        ("rate-study", {"N_list": [2, 1]}, "N_list must be a list of integers >= 2"),
+        ("risk-study", {"N": 1}, "N must be an integer >= 2"),
+        ("adv-study", {"N": 1}, "N must be an integer >= 2"),
+    ],
+)
+def test_study_rejects_N_below_2_before_any_build(
+    tmp_path, capsys, monkeypatch, command, change, message
+):
+    """N = 1 is rejected up front; a study that computed coefficients first
+    would reach the patched taylor_coeffs and exit 3."""
+
+    def no_coefficients(*args, **kwargs):
+        raise AssertionError("coefficients computed for a study that cannot build")
+
+    monkeypatch.setattr(taylor, "taylor_coeffs", no_coefficients)
+    cfg = _write_cfg(tmp_path, {"target": "sinprod", "alpha": 2, **change})
+    assert main(["--out", str(tmp_path / "out"), command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err and "Traceback" not in err
+
+
+# A CNN document as the writer once produced for a CnnFunction: one block,
+# C = 1, a pair input layer and a first-row readout.
+_CNN_DOC = {
+    "version": 2,
+    "kind": "cnn",
+    "D": 1,
+    "C": 1,
+    "blocks": [{"filters": [0, 1], "biases": [2, 3]}],
+    "fc": {"weight": [1.0, -1.0], "bias": 0.0},
+    "first_row_only": True,
+    "input_pair_layer": True,
+    "arrays": [
+        {"dims": [2, 1, 1], "data": [1.0, -1.0]},
+        {"dims": [2, 1, 2], "data": [1.0, -1.0, -1.0, 1.0]},
+        {"dims": [1, 2], "data": [0.0, 0.0]},
+        {"dims": [1, 2], "data": [0.5, -0.5]},
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "command", [["eval", "--at", "0.3"], ["audit"], ["net-io", "check"]], ids=["eval", "audit", "net-io"]
+)
+def test_a_cnn_document_is_a_network_file_error(tmp_path, capsys, command):
+    path = tmp_path / "cnn.json"
+    path.write_text(json.dumps(_CNN_DOC))
+    assert main(command[:1] + ["--net", str(path)] + command[1:]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("network file error:") and "'cnn'" in err and "Traceback" not in err

@@ -508,3 +508,48 @@ def test_eval_is_nan_at_a_nonfinite_point_without_warnings(circle, atlas, circle
             got, alone = ap.eval(Q), ap.eval(Q[1:2])
         assert np.isnan(got[1]) and np.isnan(alone[0])
         assert np.array_equal(got[[0, 2]], want[[0, 2]])
+
+
+# --- the torus kit and the sphere-harmonic target ---------------------------
+
+
+def test_torus_parameters_and_tangents_invert_the_embedding():
+    torus = torus_manifold()
+    U = torus.param_samples(400)
+    X = torus.embed(U)
+    h = 1e-6
+    for u, x in zip(U, X):
+        back = torus.param_of_point(x)
+        assert np.max(np.abs(torus.embed(back)[0] - x)) <= 1e-12
+        T = torus.tangent_basis(x)
+        assert T.shape == (4, 2)
+        assert np.max(np.abs(T.T @ T - np.eye(2))) <= 1e-12
+        for e in h * np.eye(2):
+            velocity = (torus.embed(u + e)[0] - torus.embed(u - e)[0]) / (2 * h)
+            assert np.linalg.norm(velocity - T @ (T.T @ velocity)) <= 1e-8
+
+
+def test_torus_atlas_builds_its_charts():
+    torus = torus_manifold()
+    at = build_atlas(torus, 0.16)
+    assert at.chart_count == 2048
+    centers = at.centers
+    # every center lies on the torus and every frame spans its tangent plane
+    assert np.max(np.abs(np.hypot(centers[:, 0], centers[:, 1]) - 1 / math.sqrt(2))) <= 1e-12
+    assert np.max(np.abs(np.hypot(centers[:, 2], centers[:, 3]) - 1 / math.sqrt(2))) <= 1e-12
+    for chart in at.charts[::97]:
+        T = torus.tangent_basis(chart.center)
+        assert np.max(np.abs(chart.frame @ (chart.frame.T @ T) - T)) <= 1e-12
+        # the Newton inversion (the torus has no analytic solver) recovers the center
+        z = chart_project(chart, chart.center)
+        assert np.max(np.abs(chart_invert(chart, torus, z) - chart.center)) <= 1e-12
+
+
+def test_sphere_harmonic_is_bounded_by_one_on_the_sphere():
+    sphere, target = get_manifold_target("sphere-harmonic")
+    assert sphere.name == "sphere"
+    values = target(sphere.sample_points(5000))
+    assert np.all(np.abs(values) <= 1.0)
+    # its maximum 1 is reached at (1, 1, 1) / sqrt(3)
+    assert np.max(np.abs(values)) >= 0.99
+    assert target(np.ones((1, 3)) / math.sqrt(3.0))[0] == pytest.approx(1.0, abs=1e-12)

@@ -11,19 +11,17 @@ from sobolev_forge.algebra import assemble_resnet, mlp_to_cnn
 from sobolev_forge.netcore import (
     ConvResNetModel,
     FilterTensor,
-    MlpModel,
     ResidualBlockSpec,
     ShapeError,
     audit_class,
     block_forward,
     conv_forward,
-    mlp_forward,
     resnet_forward,
     resnet_forward_batch,
     resnet_forward_dense,
     resnet_forward_reference,
 )
-from sobolev_forge.scalarnets import build_trapezoid, reference_psi_mlp
+from sobolev_forge.scalarnets import ScalarNet, build_trapezoid, reference_psi_mlp
 from sobolev_forge.targets import get_target
 from sobolev_forge.taylor import CompileEqualityError, build_euclidean
 
@@ -94,7 +92,7 @@ def test_resnet_zero_blocks_readout():
 
 
 def test_resnet_compiled_trapezoid_at_zero():
-    cnn = mlp_to_cnn(build_trapezoid(0, 1).as_mlp(), 2)
+    cnn = mlp_to_cnn(build_trapezoid(0, 1))
     net = assemble_resnet([cnn])
     assert resnet_forward(net, np.array([0.0])) == pytest.approx(1.0, abs=1e-12)
     # functional cross-check on a grid
@@ -103,7 +101,7 @@ def test_resnet_compiled_trapezoid_at_zero():
 
 
 def test_resnet_piecewise_linear_along_line(rng):
-    cnn = mlp_to_cnn(build_trapezoid(1, 2).as_mlp(), 2)
+    cnn = mlp_to_cnn(build_trapezoid(1, 2))
     net = assemble_resnet([cnn])
     x0, u = rng.uniform(0, 1), rng.uniform(0.5, 1.0)
     ts = np.linspace(-1, 1, 801)
@@ -116,19 +114,11 @@ def test_resnet_piecewise_linear_along_line(rng):
 
 def test_mlp_psi_values():
     psi = reference_psi_mlp()
-    assert mlp_forward(psi, np.array([1.5]))[0] == pytest.approx(0.5)
-    assert mlp_forward(psi, np.array([3.0]))[0] == 0.0
-    ident = MlpModel([np.eye(3)], [np.zeros(3)])
+    assert psi(1.5) == pytest.approx(0.5)
+    assert psi(3.0) == 0.0
+    ident = ScalarNet([(np.eye(3), np.zeros(3))])
     x = np.array([0.2, -0.7, 1.5])
-    assert np.array_equal(mlp_forward(ident, x), x)
-
-
-def test_mlp_shape_errors():
-    with pytest.raises(ShapeError):
-        MlpModel([np.ones((2, 3)), np.ones((2, 4))], [np.zeros(2), np.zeros(2)])
-    mlp = MlpModel([np.ones((2, 3))], [np.zeros(2)])
-    with pytest.raises(ShapeError):
-        mlp_forward(mlp, np.ones(4))
+    assert np.array_equal(ident.forward(x)[0], x)
 
 
 def test_audit_hand_built():
@@ -153,7 +143,7 @@ def test_audit_zero_network():
 
 
 def test_audit_monotone(rng):
-    cnn = mlp_to_cnn(build_trapezoid(0, 2).as_mlp(), 2)
+    cnn = mlp_to_cnn(build_trapezoid(0, 2))
     one = assemble_resnet([cnn])
     two = assemble_resnet([cnn, cnn])
     assert audit_class(two).M > audit_class(one).M
@@ -334,7 +324,7 @@ def test_plan_matches_reference_on_distinct_two_tap_layers(rng):
 
 
 def _trapezoid_net():
-    return assemble_resnet([mlp_to_cnn(build_trapezoid(1, 2).as_mlp(), 2)] * 2)
+    return assemble_resnet([mlp_to_cnn(build_trapezoid(1, 2))] * 2)
 
 
 def _edited(net, edit):

@@ -20,7 +20,7 @@ from sobolev_forge.taylor import build_euclidean
 
 
 def _psi_model(m=1, N=2):
-    return assemble_resnet([mlp_to_cnn(build_trapezoid(m, N).as_mlp(), 2)])
+    return assemble_resnet([mlp_to_cnn(build_trapezoid(m, N))])
 
 
 def test_model_roundtrip_bit_exact(tmp_path):
@@ -52,14 +52,15 @@ def test_roundtrip_survives_extreme_finite_doubles(vals):
     )
 
 
-def test_cnn_roundtrip(tmp_path):
-    cnn = mlp_to_cnn(build_trapezoid(0, 4).as_mlp(), 2)
-    path = tmp_path / "cnn.json"
-    serialize.save(path, cnn)
-    back = serialize.load(path)
-    xs = np.linspace(-1, 2, 500)[:, None]
-    assert np.array_equal(cnn.forward(xs), back.forward(xs))
-    assert back.input_pair_layer == cnn.input_pair_layer
+@pytest.mark.parametrize(
+    "make",
+    [lambda: mlp_to_cnn(build_trapezoid(0, 4)), lambda: build_trapezoid(0, 4)],
+    ids=["CnnFunction", "ScalarNet"],
+)
+def test_only_a_convresnet_model_is_written(make, tmp_path):
+    with pytest.raises(serialize.SerializationError, match="cannot serialize"):
+        serialize.save(tmp_path / "net.json", make())
+    assert not (tmp_path / "net.json").exists()
 
 
 def test_version_mismatch(tmp_path):
@@ -252,8 +253,6 @@ def _written(name):
         return build_manifold_approx(
             target, mspec, N=2, atlas=atlas, compile_model=True, check_points=4
         ).model
-    if name == "cnn":
-        return mlp_to_cnn(build_trapezoid(1, 3).as_mlp(), 2)
     if name == "loaded":
         with tempfile.TemporaryDirectory() as d:
             serialize.save(Path(d) / "plain.json", _written("plain"))
@@ -261,7 +260,7 @@ def _written(name):
     return _signed_zero_model()
 
 
-@pytest.mark.parametrize("name", ["plain", "grouped", "manifold", "cnn", "loaded", "signed_zero"])
+@pytest.mark.parametrize("name", ["plain", "grouped", "manifold", "loaded", "signed_zero"])
 def test_save_writes_the_text_of_json_dumps(name, tmp_path):
     obj = _written(name)
     path = tmp_path / "out.json"
