@@ -38,12 +38,29 @@ warm-up, more while they take under a second.  BLAS threads are pinned to
 timings of the support-sparse change, as a separate earlier script wrote
 them.
 
+Then it times the circle manifold build (circle-sin in R^3, alpha=2,
+r=0.2, 69 charts) at N = 4 and then N = 8 on one atlas, as a manifold rate
+study builds them, and splits each build by wrapping functions of the
+``manifold`` module:
+
+* ``boundary``: ``chart_boundary_data``, the boundary bisection;
+* ``coefficients``: ``chart_coefficients``, the pullback Taylor
+  coefficients and the boundary-band kill;
+* ``sqdist_nets``: ``build_sqdist_nets`` and ``build_sqdist_net``;
+* ``c2``: ``_estimate_c2``, which a tree that caches c2 per atlas runs in
+  the first build on the atlas only;
+* ``other``: the rest (the indicator and product nets, the record).
+
+Each rep builds a fresh atlas, untimed, and every figure is the median.
+
 ``--src`` times the package in another source tree (a checkout of an
 earlier commit, say); the wrapping names that tree lacks are skipped.  The
-results are stored under ``--label`` in ``BENCH_template_build.json`` at the
-repository root, next to the labels already there.
+results are stored under ``--label`` in ``BENCH_template_build.json`` and
+``BENCH_manifold_build.json`` at the repository root, next to the labels
+already there; ``--only`` runs one of the two.
 
 Usage: python benchmarks/bench_build.py [--src DIR] [--label NAME] [--reps R]
+                                        [--only build|manifold]
 """
 
 import os
@@ -59,6 +76,7 @@ import statistics
 import sys
 import tempfile
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -71,6 +89,14 @@ STAGES = {
     "grouping_assembly": ("parallel_sum", "assemble_resnet"),
     "audit": ("audit_class",),
     "equality_check": ("resnet_forward_dense", "resnet_forward_batch"),
+}
+MANIFOLD_R = 0.2
+MANIFOLD_NS = (4, 8)
+MANIFOLD_STAGES = {
+    "boundary": ("chart_boundary_data",),
+    "coefficients": ("chart_coefficients",),
+    "sqdist_nets": ("build_sqdist_nets", "build_sqdist_net"),
+    "c2": ("_estimate_c2",),
 }
 
 
@@ -94,6 +120,28 @@ class StageClock:
                     self.stack[-1][2] += spent
 
         return timed
+
+    @contextmanager
+    def wrapping(self, module, stages):
+        """Wrap the functions of module that stages names, for the block."""
+        originals = {}
+        for stage, names in stages.items():
+            for name in names:
+                if hasattr(module, name):
+                    originals[name] = getattr(module, name)
+                    setattr(module, name, self.wrap(stage, originals[name]))
+        try:
+            yield
+        finally:
+            for name, fn in originals.items():
+                setattr(module, name, fn)
+
+    def split(self, stages, total):
+        """Self seconds per stage, ``other`` for the rest of total."""
+        seconds = {stage: self.seconds.get(stage, 0.0) for stage in stages}
+        seconds["other"] = total - sum(seconds.values())
+        seconds["total"] = total
+        return seconds
 
 
 def _median_seconds(fn, reps, min_seconds=1.0, max_reps=51):
@@ -150,26 +198,15 @@ def _read_back(modules, path):
 def _one_build(modules, alpha, N, directory):
     np, netcore, serialize, targets, taylor = modules
     clock = StageClock()
-    originals = {}
-    for stage, names in STAGES.items():
-        for name in names:
-            if hasattr(taylor, name):
-                originals[name] = getattr(taylor, name)
-                setattr(taylor, name, clock.wrap(stage, originals[name]))
     save = clock.wrap("save", serialize.save)
     target = targets.get_target("sinprod", alpha=alpha, dim=2)
     path = Path(directory) / "model.json"
-    try:
+    with clock.wrapping(taylor, STAGES):
         start = time.perf_counter()
         approx = taylor.build_euclidean(target, s=0, p=math.inf, N=N)
         save(path, approx.model)
         total = time.perf_counter() - start
-    finally:
-        for name, fn in originals.items():
-            setattr(taylor, name, fn)
-    seconds = {stage: clock.seconds.get(stage, 0.0) for stage in [*STAGES, "save"]}
-    seconds["other"] = total - sum(seconds.values())
-    seconds["total"] = total
+    seconds = clock.split([*STAGES, "save"], total)
     model = approx.model
     arrays = [a for blk in model.blocks for a in [f.entries for f in blk.filters] + blk.biases]
     counts = {
@@ -181,46 +218,94 @@ def _one_build(modules, alpha, N, directory):
     return seconds, counts, _read_back(modules, path), approx
 
 
-def main():
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--src", default=str(ROOT / "src"), help="package source tree to time")
-    parser.add_argument("--label", default="change", help="key of the results in the JSON file")
-    parser.add_argument("--reps", type=int, default=3, help="builds per configuration")
-    args = parser.parse_args()
-    sys.path.insert(0, args.src)
-    import numpy as np
-    from sobolev_forge import netcore, serialize, targets, taylor
+def _manifold_builds(manifold, targets):
+    """Stage seconds of one circle build at each N of MANIFOLD_NS, in turn on
+    one fresh atlas, and the atlas's chart count."""
+    mspec, target = targets.get_manifold_target("circle-sin", 3, order=2)
+    atlas = manifold.build_atlas(mspec, MANIFOLD_R)
+    splits = []
+    for N in MANIFOLD_NS:
+        clock = StageClock()
+        with clock.wrapping(manifold, MANIFOLD_STAGES):
+            start = time.perf_counter()
+            manifold.build_manifold_approx(target, mspec, N=N, atlas=atlas)
+            total = time.perf_counter() - start
+        splits.append(clock.split(MANIFOLD_STAGES, total))
+    return splits, atlas.chart_count
 
-    modules = (np, netcore, serialize, targets, taylor)
+
+def _store(name, what, np, label, rows):
+    path = ROOT / name
+    doc = json.loads(path.read_text()) if path.exists() else {}
+    doc["what"] = what
+    doc["machine"] = _machine(np)
+    doc.setdefault("results", {})[label] = rows
+    path.write_text(json.dumps(doc, indent=2) + "\n")
+    print(f"wrote {path} [{label}]")
+
+
+def _bench_builds(modules, reps):
+    np = modules[0]
     rows = []
     with tempfile.TemporaryDirectory() as directory:
         for alpha, N in BUILDS:
-            runs = [_one_build(modules, alpha, N, directory) for _ in range(args.reps)]
+            runs = [_one_build(modules, alpha, N, directory) for _ in range(reps)]
             seconds = {k: statistics.median(r[0][k] for r in runs) for k in runs[0][0]}
             read = {k: statistics.median(r[2][k] for r in runs) for k in runs[0][2]}
-            row = {"alpha": alpha, "N": N, "reps": args.reps, "seconds": seconds}
+            row = {"alpha": alpha, "N": N, "reps": reps, "seconds": seconds}
             row.update(runs[0][1], **read)
             split = "  ".join(f"{k} {v:.3f}" for k, v in {**seconds, **read}.items())
             print(f"alpha={alpha} N={N:>2} ({runs[0][1]['blocks']} blocks, "
                   f"{runs[0][1]['model_mb']:.2f} MB): {split}", flush=True)
             if alpha == FORWARD_ALPHA:
-                row["forward"] = _forwards(modules, runs[0][3], args.reps)
+                row["forward"] = _forwards(modules, runs[0][3], reps)
                 for f in row["forward"]:
                     ms = "  ".join(f"{k[:-2]} {f[k] * 1e3:.2f} ms" for k in list(f)[1:])
                     print(f"  forward at {f['points']:>4} points: {ms}", flush=True)
             rows.append(row)
-    path = ROOT / "BENCH_template_build.json"
-    doc = json.loads(path.read_text()) if path.exists() else {}
-    doc["what"] = (
-        "median seconds per stage of build_euclidean + serialize.save, then of "
-        "serialize.load and the first forward of the loaded model, and (alpha=2, "
-        "under forward) of the dense, sparse and functional forward; sinprod D=2; "
-        "see benchmarks/bench_build.py"
-    )
-    doc["machine"] = _machine(np)
-    doc.setdefault("results", {})[args.label] = rows
-    path.write_text(json.dumps(doc, indent=2) + "\n")
-    print(f"wrote {path} [{args.label}]")
+    return rows
+
+
+def _bench_manifold(manifold, targets, reps):
+    runs = [_manifold_builds(manifold, targets) for _ in range(reps)]
+    rows = []
+    for t, N in enumerate(MANIFOLD_NS):
+        seconds = {k: statistics.median(r[0][t][k] for r in runs) for k in runs[0][0][t]}
+        rows.append({"N": N, "r": MANIFOLD_R, "charts": runs[0][1], "reps": reps,
+                     "seconds": seconds})
+        split = "  ".join(f"{k} {v:.4f}" for k, v in seconds.items())
+        print(f"circle r={MANIFOLD_R} N={N} ({runs[0][1]} charts): {split}", flush=True)
+    return rows
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", default=str(ROOT / "src"), help="package source tree to time")
+    parser.add_argument("--label", default="change", help="key of the results in the JSON files")
+    parser.add_argument("--reps", type=int, default=3, help="builds per configuration")
+    parser.add_argument("--only", choices=("build", "manifold"), help="run one benchmark")
+    args = parser.parse_args()
+    sys.path.insert(0, args.src)
+    import numpy as np
+    from sobolev_forge import manifold, netcore, serialize, targets, taylor
+
+    if args.only != "manifold":
+        rows = _bench_builds((np, netcore, serialize, targets, taylor), args.reps)
+        what = (
+            "median seconds per stage of build_euclidean + serialize.save, then of "
+            "serialize.load and the first forward of the loaded model, and (alpha=2, "
+            "under forward) of the dense, sparse and functional forward; sinprod D=2; "
+            "see benchmarks/bench_build.py"
+        )
+        _store("BENCH_template_build.json", what, np, args.label, rows)
+    if args.only != "build":
+        rows = _bench_manifold(manifold, targets, args.reps)
+        what = (
+            "median seconds per stage of build_manifold_approx on the circle-sin atlas "
+            "(R^3, alpha=2, r=0.2), N=4 then N=8 on one fresh atlas per rep; "
+            "see benchmarks/bench_build.py"
+        )
+        _store("BENCH_manifold_build.json", what, np, args.label, rows)
 
 
 if __name__ == "__main__":

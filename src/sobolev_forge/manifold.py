@@ -229,6 +229,10 @@ class Chart:
 
 @dataclass
 class Atlas:
+    """Charts covering a manifold.  The center stack and the chart-inverse
+    constant c2 depend on the atlas alone, so each is computed once, by its
+    first reader (c2 by the first build on the atlas), and cached."""
+
     manifold: ManifoldSpec
     charts: list
     r: float
@@ -247,6 +251,11 @@ class Atlas:
     def centers(self):
         """(charts, D) stack of the chart centers."""
         return np.array([ch.center for ch in self.charts])
+
+    @cached_property
+    def c2(self):
+        """Lower-Lipschitz constant of the chart inverses (see _estimate_c2)."""
+        return min(_estimate_c2(self, i) for i in range(self.chart_count))
 
 
 def _row_dots(A, B):
@@ -395,7 +404,8 @@ def build_sqdist_net(center, theta: float, B: float) -> ScalarNet:
 
     Per-coordinate interpolation accuracy theta gives total error at most
     4 B^2 D theta on the box ||x||_inf <= B; exact at x = c and even in each
-    coordinate offset.
+    coordinate offset.  A build makes the nets of all chart centers at once
+    with ``build_sqdist_nets``, which stamps them from this net at center 0.
     """
     if not 0.0 < theta < 0.5:
         raise ValueError(f"theta must be in (0, 1/2), got {theta}")
@@ -411,6 +421,19 @@ def build_sqdist_net(center, theta: float, B: float) -> ScalarNet:
     depth = max(net.depth for net, _ in parts)
     joined = sn_parallel([(sn_pad(net, depth), cols) for net, cols in parts])
     return sn_chain(joined, sn_affine(np.ones((1, D)), np.zeros(1)))
+
+
+def build_sqdist_nets(centers, theta: float, B: float) -> list:
+    """``build_sqdist_net`` at each row of centers, stamped from one net.
+
+    A center enters the net only through its first-layer bias, b0 + W0 @ -c;
+    so the net is built once, at center 0, and each center gets its own bias
+    while every weight and every later layer is shared.
+    """
+    centers = np.asarray(centers, dtype=np.float64)
+    template = build_sqdist_net(np.zeros(centers.shape[1]), theta, B)
+    (W0, b0), rest = template.layers[0], template.layers[1:]
+    return [ScalarNet([(W0, b0 + W0 @ -c)] + rest) for c in centers]
 
 
 @dataclass
@@ -508,15 +531,18 @@ def _fd_deriv(F, Z, a, h):
     return (_fd_deriv(F, hi, a_next, h) - _fd_deriv(F, lo, a_next, h)) / (2.0 * h)
 
 
-def chart_boundary_data(atlas: Atlas, i: int, Delta: float, n_dirs=32):
-    """Boundary images phi_i(boundary of U_i) and the chart-coordinate width of
-    the indicator transition band {r^2 - Delta <= d^2 <= r^2}.
+def chart_boundary_data(atlas: Atlas, Delta: float, n_dirs=32):
+    """Boundary images phi_i(boundary of U_i) of every chart, as a (charts,
+    rays, d) array, and each chart's chart-coordinate width of the indicator
+    transition band {r^2 - Delta <= d^2 <= r^2}, as a (charts,) array.
 
     Boundary points are found by bisection along parameter-space rays from
-    the chart center: 2 rays for d = 1, n_dirs for d = 2; a ChartError for
-    d >= 3, which no kit manifold has."""
+    each chart center: 2 rays for d = 1, n_dirs for d = 2; a ChartError for
+    d >= 3, which no kit manifold has.  The rays of all charts are bisected
+    in one pass; a ray's bracket and halvings depend on that ray alone, so
+    each chart's points are those of a bisection of its rays by themselves.
+    """
     m = atlas.manifold
-    chart = atlas.charts[i]
     d = m.intrinsic_dim
     if d == 1:
         dirs = np.array([[1.0], [-1.0]])
@@ -525,16 +551,20 @@ def chart_boundary_data(atlas: Atlas, i: int, Delta: float, n_dirs=32):
         dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
     else:
         raise ChartError(f"no boundary rays for intrinsic dimension {d}")
-    u0 = m.param_of_point(chart.center)
 
-    # two rays per direction: the outer boundary d = r and the inner edge of
-    # the transition band d = sqrt(r^2 - Delta); all bisected together
-    r = chart.radius
-    rays = np.concatenate([dirs, dirs])
-    target = np.repeat([r, math.sqrt(max(r * r - Delta, 0.0))], len(dirs))
+    # per chart two rays per direction: the outer boundary d = r and the inner
+    # edge of the transition band d = sqrt(r^2 - Delta)
+    per_chart = 2 * len(dirs)
+    rays = np.tile(np.concatenate([dirs, dirs]), (atlas.chart_count, 1))
+    u0 = np.repeat([m.param_of_point(ch.center) for ch in atlas.charts], per_chart, axis=0)
+    centers = np.repeat(atlas.centers, per_chart, axis=0)
+    target = np.concatenate([
+        np.repeat([ch.radius, math.sqrt(max(ch.radius * ch.radius - Delta, 0.0))], len(dirs))
+        for ch in atlas.charts
+    ])
 
     def g(T):
-        return _row_norms(m.embed(u0 + T[:, None] * rays) - chart.center) - target
+        return _row_norms(m.embed(u0 + T[:, None] * rays) - centers) - target
 
     t_hi = np.full(len(rays), 1e-3)
     for _ in range(60):
@@ -550,20 +580,25 @@ def chart_boundary_data(atlas: Atlas, i: int, Delta: float, n_dirs=32):
         above = g(mid) > 0
         t_hi = np.where(above, mid, t_hi)
         t_lo = np.where(above, t_lo, mid)
-    Zb = chart_project(chart, m.embed(u0 + (0.5 * (t_lo + t_hi))[:, None] * rays), check=False)
-    z_outer, z_inner = Zb[: len(dirs)], Zb[len(dirs) :]
-    return z_outer, float(np.max(np.abs(z_outer - z_inner)))
+    Xb = m.embed(u0 + (0.5 * (t_lo + t_hi))[:, None] * rays)
+    Xb = Xb.reshape(atlas.chart_count, per_chart, -1)
+    # one projection per chart: a single product over all charts' rows rounds
+    # differently and moves band_width in its last bit
+    Zb = np.array([chart_project(ch, X, check=False) for ch, X in zip(atlas.charts, Xb)])
+    z_outer, z_inner = Zb[:, : len(dirs)], Zb[:, len(dirs) :]
+    return z_outer, np.max(np.abs(z_outer - z_inner), axis=(1, 2))
 
 
 def chart_coefficients(
-    f_on_M, atlas: Atlas, i: int, N: int, alpha: int, fd_step: float, Delta: float
+    f_on_M, atlas: Atlas, i: int, N: int, alpha: int, fd_step: float, z_bound, band: float
 ):
     """Taylor coefficients of the chart pullback, with the boundary-band kill.
 
     Every grid node within band_width + 1/N (sup-norm, chart coordinates) of
     a boundary image is zeroed, so bumps whose support can reach the
     indicator's transition band contribute nothing; the per-chart network
-    then vanishes identically on that band.
+    then vanishes identically on that band.  ``z_bound`` and ``band`` are the
+    chart's boundary images and band width from ``chart_boundary_data``.
     """
     m = atlas.manifold
     d = m.intrinsic_dim
@@ -572,7 +607,6 @@ def chart_coefficients(
     nodes = grid_nodes(N, d) / N
     derivs = {tuple(a): _fd_deriv(F, nodes, tuple(a), fd_step) for a in v_list}
     table = _monomial_expansion_rows(nodes, derivs, v_list)
-    z_bound, band = chart_boundary_data(atlas, i, Delta)
     kill_radius = band + 1.0 / N
     gap = np.min(np.max(np.abs(z_bound[None] - nodes[:, None]), axis=2), axis=1)
     kill = gap <= kill_radius
@@ -664,7 +698,8 @@ class ManifoldApproximator:
 
 
 def _estimate_c2(atlas: Atlas, i: int, count=200, seed=3):
-    """Lower-Lipschitz constant of the chart inverse, sampled pairwise."""
+    """Lower-Lipschitz constant of the inverse of chart i, sampled pairwise;
+    ``Atlas.c2`` takes the least over the charts."""
     m = atlas.manifold
     chart = atlas.charts[i]
     pts = atlas.samples
@@ -699,7 +734,9 @@ def build_manifold_approx(
     Resolution N = floor((Mt*Jt)^(1/d)) unless given directly.  The "desk"
     parameter policy sets Delta = r^2/(4N) (transition band narrower than a
     bump at study resolutions); "paper" uses Delta = 8 c2 r / N with the
-    literal spacing precondition 2/N <= Delta/(4 c2 r).
+    literal spacing precondition 2/N <= Delta/(4 c2 r).  c2 is cached on the
+    atlas, so of the builds on one atlas only the first estimates it; pass
+    the atlas to every N of a study.
     """
     d, D = mspec.intrinsic_dim, mspec.ambient_dim
     alpha = getattr(f_on_M, "order", 2)
@@ -707,7 +744,7 @@ def build_manifold_approx(
     if atlas is None:
         atlas = build_atlas(mspec, r if r is not None else 0.96 * mspec.reach / 4.0)
     r = atlas.r
-    c2 = min(_estimate_c2(atlas, i) for i in range(atlas.chart_count))
+    c2 = atlas.c2
     if parameters == "paper":
         Delta = 8.0 * c2 * r / N
         if 2.0 / N > Delta / (4.0 * c2 * r) + 1e-12:
@@ -728,14 +765,17 @@ def build_manifold_approx(
     box_intr = alpha + d + 1.0
     ind_params = IndicatorParams(r=r, Delta=Delta, theta=theta, B=B, D=D)
     indicator_net = build_indicator(ind_params)
-    sqdist_nets = [build_sqdist_net(ch.center, theta, B) for ch in atlas.charts]
+    sqdist_nets = build_sqdist_nets(atlas.centers, theta, B)
     times_eta = build_product2(eta, box_intr)
     times_delta = build_product2(delta, box_intr)
 
     fd_step = 1e-4 * r
     per_chart, kill_info = [], []
+    z_bound, band = chart_boundary_data(atlas, Delta)
     for i in range(atlas.chart_count):
-        coeffs, info = chart_coefficients(f_on_M, atlas, i, N, alpha, fd_step, Delta)
+        coeffs, info = chart_coefficients(
+            f_on_M, atlas, i, N, alpha, fd_step, z_bound[i], float(band[i])
+        )
         per_chart.append(coeffs)
         kill_info.append(info)
 

@@ -55,7 +55,55 @@ _SCHEMAS = {
 }
 
 
+def _is_int(value, least):
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _int_rule(least):
+    return (lambda v: _is_int(v, least)), f"an integer >= {least}"
+
+
+def _is_window(value):
+    return (isinstance(value, list) and len(value) == 2 and all(map(_is_number, value))
+            and value[0] <= value[1])
+
+
+# Every key of every study kind: (test, what a value must be).  A key whose
+# default is null also takes null.
+_RULES = {
+    "target": (lambda v: isinstance(v, str), "a target name"),
+    "net": (lambda v: isinstance(v, str), "a path"),
+    "alpha": _int_rule(1),
+    "dim": _int_rule(1),
+    "ambient_dim": _int_rule(2),
+    "N": _int_rule(2),  # every build needs N >= 2
+    "N_list": (lambda v: isinstance(v, list) and all(_is_int(N, 2) for N in v),
+               "a list of integers >= 2"),
+    "p": (lambda v: v == "inf" or _is_int(v, 1), '"inf" or an integer >= 1'),
+    "grid": _int_rule(1),
+    "resolution": _int_rule(1),
+    "r": (lambda v: _is_number(v) and v > 0, "a number > 0"),
+    "slope_window_k0": (_is_window, "a list [low, high] of numbers, low <= high"),
+    "slope_window_k1": (_is_window, "a list [low, high] of numbers, low <= high"),
+    "separation_slope": (_is_number, "a number"),
+    "n": _int_rule(1),
+    "sigma": (lambda v: _is_number(v) and v >= 0, "a number >= 0"),
+    "eps": (lambda v: _is_number(v) and v > 0, "a number > 0"),
+    "reps": _int_rule(1),
+    "n_data": _int_rule(1),
+    "deltas": (lambda v: isinstance(v, list) and v and all(_is_number(d) and d >= 0 for d in v),
+               "a non-empty list of numbers >= 0"),
+    "seed": _int_rule(0),
+}
+
+
 def validate_config(doc):
+    """The config with its defaults filled in; a ConfigError names the first
+    unknown, missing or malformed key."""
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
     kind = doc.get("kind")
@@ -69,30 +117,21 @@ def validate_config(doc):
     missing = schema["required"] - set(doc)
     if missing:
         raise ConfigError(f"missing required config keys {sorted(missing)} for kind {kind!r}")
-    out = dict(doc)
-    for key, default in schema["optional"].items():
-        out.setdefault(key, default)
-    out.setdefault("seed", 0)
-    check_ints(out, ("alpha", "dim"))
-    if "N" in out and not _is_int(out["N"], 2):  # every build needs N >= 2
-        raise ConfigError(f"N must be an integer >= 2, got {out['N']!r}")
+    out = {"seed": 0, **schema["optional"], **doc}
+    nullable = {key for key, default in schema["optional"].items() if default is None}
+    for key in sorted(allowed - {"kind"}):
+        test, what = _RULES[key]
+        if not (out[key] is None and key in nullable or test(out[key])):
+            raise ConfigError(f"{key} must be {what}, got {out[key]!r}")
     if "target" in out:
         known = MANIFOLD_TARGETS if kind == "manifold-rate" else EUCLIDEAN_TARGETS
-        if not isinstance(out["target"], str) or out["target"] not in known:
+        if out["target"] not in known:
             raise ConfigError(f"unknown target {out['target']!r} for kind {kind!r}; "
                               f"known: {sorted(known)}")
-    if "N_list" in out:
-        N_list = out["N_list"]
-        if not isinstance(N_list, list) or not all(_is_int(N, 2) for N in N_list):
-            raise ConfigError(f"N_list must be a list of integers >= 2, got {N_list!r}")
-        if len(set(N_list)) < 2:
-            raise ConfigError(f"N_list needs at least 2 distinct values to fit a slope, "
-                              f"got {N_list}")
+    if "N_list" in out and len(set(out["N_list"])) < 2:
+        raise ConfigError(f"N_list needs at least 2 distinct values to fit a slope, "
+                          f"got {out['N_list']}")
     return out
-
-
-def _is_int(value, least):
-    return isinstance(value, int) and not isinstance(value, bool) and value >= least
 
 
 def check_ints(cfg, keys):

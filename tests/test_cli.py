@@ -360,6 +360,24 @@ def test_study_rejects_N_below_2_before_any_build(
     assert err.startswith("config error:") and message in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "command, change, message",
+    [
+        ("risk-study", {"reps": 0}, "reps must be an integer >= 1, got 0"),
+        ("risk-study", {"n": "x"}, "n must be an integer >= 1, got 'x'"),
+        ("risk-study", {"sigma": "a"}, "sigma must be a number >= 0, got 'a'"),
+        ("adv-study", {"deltas": 0.1}, "deltas must be a non-empty list of numbers >= 0"),
+        ("adv-study", {"deltas": ["a"]}, "deltas must be a non-empty list of numbers >= 0"),
+        ("adv-study", {"n_data": 0}, "n_data must be an integer >= 1, got 0"),
+    ],
+)
+def test_study_rejects_a_malformed_value_with_exit_2(tmp_path, capsys, command, change, message):
+    cfg = _write_cfg(tmp_path, {"target": "sinprod", "alpha": 2, "N": 2, **change})
+    assert main(["--out", str(tmp_path / "out"), command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err and "Traceback" not in err
+
+
 # A CNN document as the writer once produced for a CnnFunction: one block,
 # C = 1, a pair input layer and a first-row readout.
 _CNN_DOC = {

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from boundary_oracle import chart_boundary_oracle
 from fold_oracle import per_chart_eval_oracle
 from hypothesis import given, settings, strategies as st
 
@@ -279,7 +280,62 @@ def test_manifold_build_guards(circle, atlas, circle_sin):
 def test_chart_boundary_data_rejects_intrinsic_dimension_3(atlas):
     flat3 = dataclasses.replace(atlas, manifold=dataclasses.replace(atlas.manifold, intrinsic_dim=3))
     with pytest.raises(ChartError, match="intrinsic dimension 3"):
-        manifold.chart_boundary_data(flat3, 0, 0.01)
+        manifold.chart_boundary_data(flat3, 0.01)
+
+
+@pytest.mark.parametrize("kit", ["circle", "torus"])
+def test_chart_boundary_data_matches_per_chart_bisection(atlas, kit):
+    """Every chart's boundary images and band width, bisected with all other
+    charts' rays in one pass, equal those of its rays bisected alone."""
+    at = atlas if kit == "circle" else build_atlas(torus_manifold(), 0.16, sample_count=256)
+    Delta = at.r**2 / 16.0  # the build's Delta at N = 4
+    z_outer, band = manifold.chart_boundary_data(at, Delta)
+    d = at.manifold.intrinsic_dim
+    assert z_outer.shape == (at.chart_count, 2 if d == 1 else 32, d)
+    for i in range(at.chart_count):
+        z_ref, band_ref = chart_boundary_oracle(at, i, Delta)
+        assert np.array_equal(z_outer[i], z_ref)
+        assert band[i] == band_ref
+
+
+def test_sphere_boundary_still_has_no_bracket_near_the_poles():
+    """Parameter rays from a center near a pole never leave the r = 0.2
+    chart ball, so the atlas-wide pass fails as the per-chart one did."""
+    at = build_atlas(sphere_manifold(), 0.2)
+    with pytest.raises(ChartError, match="no boundary bracket along direction"):
+        manifold.chart_boundary_data(at, 0.2**2 / 16.0)
+
+
+@pytest.mark.parametrize("kit", ["circle", "sphere", "torus"])
+def test_stamped_sqdist_nets_equal_per_center_builds(atlas, sphere_atlas, kit):
+    """Each stamped net has the layers of the net built at its center, and
+    all of them share every weight and every layer after the first."""
+    at = {"circle": atlas, "sphere": sphere_atlas,
+          "torus": build_atlas(torus_manifold(), 0.16, sample_count=256)}[kit]
+    theta, B = at.r**2 / (64.0 * at.manifold.ambient_dim), at.manifold.box_bound
+    nets = manifold.build_sqdist_nets(at.centers, theta, B)
+    assert len(nets) == at.chart_count
+    for net, center in zip(nets, at.centers):
+        ref = build_sqdist_net(center, theta, B)
+        assert net.depth == ref.depth
+        for (W, b), (W_ref, b_ref) in zip(net.layers, ref.layers):
+            assert np.array_equal(W, W_ref) and np.array_equal(b, b_ref)
+        assert net.layers[0][0] is nets[0].layers[0][0]
+        assert all(a is b for a, b in zip(net.layers[1:], nets[0].layers[1:]))
+
+
+def test_build_reads_c2_once_per_atlas(circle, circle_sin, monkeypatch):
+    """c2 depends on the atlas alone: the first build on an atlas estimates
+    it, and later builds read the cached value."""
+    at = build_atlas(circle, 0.2, sample_count=1024)
+    calls = []
+    estimate = manifold._estimate_c2
+    monkeypatch.setattr(manifold, "_estimate_c2", lambda a, i: calls.append(i) or estimate(a, i))
+    first = build_manifold_approx(circle_sin[1], circle, N=2, atlas=at)
+    assert len(calls) == at.chart_count
+    second = build_manifold_approx(circle_sin[1], circle, N=3, atlas=at)
+    assert len(calls) == at.chart_count
+    assert first.record["c2"] == second.record["c2"] == min(map(estimate, [at] * len(calls), calls))
 
 
 def test_manifold_compile_equality(circle, circle_sin):
