@@ -47,8 +47,9 @@ study builds them, and splits each build by wrapping functions of the
 * ``coefficients``: ``chart_coefficients``, the pullback Taylor
   coefficients and the boundary-band kill;
 * ``sqdist_nets``: ``build_sqdist_nets`` and ``build_sqdist_net``;
-* ``c2``: ``_estimate_c2``, which a tree that caches c2 per atlas runs in
-  the first build on the atlas only;
+* ``c2``: ``_estimate_c2``, the chart-inverse constant of the paper's
+  Delta policy.  This tree has neither and reads 0 here; the stage stays so
+  that ``--src`` trees that estimate c2 still split it out;
 * ``other``: the rest (the indicator and product nets, the record).
 
 Each rep builds a fresh atlas, untimed, and every figure is the median.

@@ -17,11 +17,11 @@ from pathlib import Path
 import numpy as np
 
 from . import serialize
+from .metrics import EvalGrid
 from .netcore import resnet_forward_batch
 from .studies import (
     ConfigError,
     audit_document,
-    check_ints,
     load_target,
     run_study,
     validate_config,
@@ -40,26 +40,19 @@ def _load_config(path):
 
 def cmd_build(args):
     cfg = _load_config(args.config)
-    if not isinstance(cfg, dict):
-        raise ConfigError("build config must be a JSON object")
-    allowed = {"target", "alpha", "dim", "N", "Mt", "Jt", "compile", "seed"}
-    unknown = set(cfg) - allowed
-    if unknown:
-        raise ConfigError(f"unknown build config keys {sorted(unknown)}")
-    for key in ("target", "alpha"):
-        if key not in cfg:
-            raise ConfigError(f"build config missing required key {key!r}")
-    check_ints(cfg, ("alpha", "dim", "N", "Mt", "Jt"))
-    target = load_target(cfg["target"], cfg["alpha"], cfg.get("dim", 2))
+    if args.seed is not None and isinstance(cfg, dict):
+        cfg["seed"] = args.seed
+    cfg = validate_config(cfg, kind="build")
+    target = load_target(cfg["target"], cfg["alpha"], cfg["dim"])
     approx = build_euclidean(
         target,
         s=0,
         p=math.inf,
-        Mt=cfg.get("Mt"),
-        Jt=cfg.get("Jt"),
-        N=cfg.get("N"),
-        compile_model=cfg.get("compile", True),
-        seed=args.seed if args.seed is not None else cfg.get("seed", 0),
+        Mt=cfg["Mt"],
+        Jt=cfg["Jt"],
+        N=cfg["N"],
+        compile_model=cfg["compile"],
+        seed=cfg["seed"],
     )
     out = Path(args.out or "build-out")
     out.mkdir(parents=True, exist_ok=True)
@@ -92,9 +85,7 @@ def cmd_eval(args):
     if args.at:
         X = np.array([_parse_point(point, net.input_dim) for point in args.at])
     else:
-        axis = (np.arange(args.grid) + 0.5) / args.grid
-        mesh = np.meshgrid(*([axis] * net.input_dim), indexing="ij")
-        X = np.stack([m.ravel() for m in mesh], axis=1)
+        X = EvalGrid(net.input_dim, args.grid, offset=0.0).points
     vals = resnet_forward_batch(net, X)
     lines = [",".join(["x%d" % i for i in range(net.input_dim)] + ["value"])]
     for x, v in zip(X, vals):
@@ -141,7 +132,6 @@ def _study_command(kind):
             raise ConfigError(f"config kind {doc['kind']!r} does not match subcommand {kind!r}")
         if args.seed is not None:
             doc["seed"] = args.seed
-        validate_config(doc)
         code, summary = run_study(doc, args.out or "study-out")
         status = "PASS" if code == 0 else "FAIL"
         print(f"[{status}] {kind} -> {args.out or 'study-out'}")

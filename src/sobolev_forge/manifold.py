@@ -13,10 +13,12 @@ per-chart network vanish identically on the indicator's transition band; that
 is the mechanism keeping first-derivative error bounded as the ramp sharpens.
 
 Parameter policy: eta = N^-alpha and delta = N^-(alpha+d+1) follow the
-asymptotic prescription.  The ramp width Delta uses the desk-scale choice
-r^2/(4N) by default, which keeps the transition band narrower than one bump
-at the resolutions the studies actually run; the asymptotic choice
-Delta = 8 c2 r / N is available as parameters="paper".
+asymptotic prescription.  The ramp width is Delta = r^2/(4N), which keeps the
+transition band narrower than one bump at the resolutions the studies run.
+The paper's asymptotic Delta = 8 c2 r / N, with c2 the lower-Lipschitz
+constant of the chart inverses, meets the indicator's cover bound
+Delta <= 0.75 r^2 only for N >= 32 c2 / (3 r): above N = 21 on the circle
+atlas at r = 0.2 (c2 = 0.4), so not at N = 4, 8 or 16.
 """
 
 import math
@@ -25,6 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .metrics import EvalGrid
 from .netcore import _on_finite_rows, resnet_forward_batch
 from .scalarnets import (
     NodeTemplate,
@@ -199,13 +202,6 @@ def torus_manifold(r1=None, r2=None) -> ManifoldSpec:
     )
 
 
-MANIFOLDS = {
-    "circle": circle_manifold,
-    "sphere": sphere_manifold,
-    "torus": torus_manifold,
-}
-
-
 # ---------------------------------------------------------------------------
 # charts and atlas
 # ---------------------------------------------------------------------------
@@ -229,9 +225,8 @@ class Chart:
 
 @dataclass
 class Atlas:
-    """Charts covering a manifold.  The center stack and the chart-inverse
-    constant c2 depend on the atlas alone, so each is computed once, by its
-    first reader (c2 by the first build on the atlas), and cached."""
+    """Charts covering a manifold.  The center stack depends on the atlas
+    alone, so it is computed once, by its first reader, and cached."""
 
     manifold: ManifoldSpec
     charts: list
@@ -251,11 +246,6 @@ class Atlas:
     def centers(self):
         """(charts, D) stack of the chart centers."""
         return np.array([ch.center for ch in self.charts])
-
-    @cached_property
-    def c2(self):
-        """Lower-Lipschitz constant of the chart inverses (see _estimate_c2)."""
-        return min(_estimate_c2(self, i) for i in range(self.chart_count))
 
 
 def _row_dots(A, B):
@@ -697,25 +687,6 @@ class ManifoldApproximator:
                 yield NodeTemplate(sn_chain(pair, self.times_delta)), (), c
 
 
-def _estimate_c2(atlas: Atlas, i: int, count=200, seed=3):
-    """Lower-Lipschitz constant of the inverse of chart i, sampled pairwise;
-    ``Atlas.c2`` takes the least over the charts."""
-    m = atlas.manifold
-    chart = atlas.charts[i]
-    pts = atlas.samples
-    d2 = np.sum((pts - chart.center) ** 2, axis=1)
-    local = pts[d2 < chart.radius**2]
-    if len(local) > count:
-        idx = np.random.default_rng(seed).choice(len(local), count, replace=False)
-        local = local[idx]
-    Z = chart_project(chart, local, check=False)
-    anchors = np.arange(0, len(local), 7)
-    dx = np.linalg.norm(local[None] - local[anchors, None], axis=2)
-    dz = np.linalg.norm(Z[None] - Z[anchors, None], axis=2)
-    ratio = np.divide(dx, dz, out=np.full(dx.shape, math.inf), where=dz > 1e-12)
-    return float(np.min(ratio, initial=math.inf))
-
-
 def build_manifold_approx(
     f_on_M,
     mspec: ManifoldSpec,
@@ -724,19 +695,15 @@ def build_manifold_approx(
     N: int = None,
     r: float = None,
     atlas: Atlas = None,
-    parameters: str = "desk",
     compile_model: bool = False,
     check_points: int = 30,
     seed: int = 0,
 ) -> ManifoldApproximator:
     """Compile a target on M into the chart-sum approximator.
 
-    Resolution N = floor((Mt*Jt)^(1/d)) unless given directly.  The "desk"
-    parameter policy sets Delta = r^2/(4N) (transition band narrower than a
-    bump at study resolutions); "paper" uses Delta = 8 c2 r / N with the
-    literal spacing precondition 2/N <= Delta/(4 c2 r).  c2 is cached on the
-    atlas, so of the builds on one atlas only the first estimates it; pass
-    the atlas to every N of a study.
+    Resolution N = floor((Mt*Jt)^(1/d)) unless given directly; the ramp
+    width is Delta = r^2/(4N).  The atlas caches its center stack, so pass
+    one atlas to every N of a study.
     """
     d, D = mspec.intrinsic_dim, mspec.ambient_dim
     alpha = getattr(f_on_M, "order", 2)
@@ -744,20 +711,7 @@ def build_manifold_approx(
     if atlas is None:
         atlas = build_atlas(mspec, r if r is not None else 0.96 * mspec.reach / 4.0)
     r = atlas.r
-    c2 = atlas.c2
-    if parameters == "paper":
-        Delta = 8.0 * c2 * r / N
-        if 2.0 / N > Delta / (4.0 * c2 * r) + 1e-12:
-            raise ValueError("spacing condition 2/N <= Delta/(4 c2 r) violated")
-        if Delta > 0.75 * r * r:
-            raise ValueError(
-                f"Delta = {Delta:.4g} exceeds 0.75 r^2: indicator cannot cover the "
-                f"partition supports at N = {N}"
-            )
-    elif parameters == "desk":
-        Delta = r * r / (4.0 * N)
-    else:
-        raise ValueError(f"unknown parameter policy {parameters!r}")
+    Delta = r * r / (4.0 * N)
     B = mspec.box_bound
     theta = Delta / (16.0 * B * B * D)
     eta = float(N) ** (-float(alpha))
@@ -792,10 +746,8 @@ def build_manifold_approx(
         "theta": theta,
         "w": ind_params.w,
         "r": r,
-        "c2": c2,
         "chart_count": atlas.chart_count,
         "T_d": atlas.T_d,
-        "parameters": parameters,
         "Mt": Mt,
         "Jt": Jt,
         "kill_info": kill_info,
@@ -824,8 +776,7 @@ def manifold_norm(e_on_M, atlas: Atlas, k: int, resolution=60, fd_step=1e-5):
         raise ValueError(f"k must be 0 or 1, got {k}")
     d = atlas.manifold.intrinsic_dim
     total, skipped = 0.0, 0
-    axis = (np.arange(resolution) + 0.5) / resolution + math.sqrt(2.0) * 1e-7
-    Zg = np.stack([mm.ravel() for mm in np.meshgrid(*([axis] * d), indexing="ij")], axis=1)
+    Zg = EvalGrid(d, resolution).points
     # k = 1: the +-fd_step stencil of every grid point that has a preimage
     steps = fd_step * np.eye(d)[:, None, :]
     for i in range(atlas.chart_count):
@@ -844,42 +795,3 @@ def manifold_norm(e_on_M, atlas: Atlas, k: int, resolution=60, fd_step=1e-5):
         total += best
     return total, skipped
 
-
-def atlas_to_dict(atlas: Atlas) -> dict:
-    """Chart geometry (centers, frames, scales) as a JSON-ready document."""
-    return {
-        "version": 1,
-        "kind": "atlas",
-        "manifold": atlas.manifold.name,
-        "r": atlas.r,
-        "T_d": atlas.T_d,
-        "charts": [
-            {
-                "center": ch.center.tolist(),
-                "frame": ch.frame.tolist(),
-                "scale": ch.scale,
-                "shift": ch.shift.tolist(),
-                "radius": ch.radius,
-            }
-            for ch in atlas.charts
-        ],
-    }
-
-
-def atlas_from_dict(doc: dict, mspec: ManifoldSpec, sample_count=4096) -> Atlas:
-    """Rebuild an Atlas from its serialized chart geometry."""
-    if doc.get("kind") != "atlas":
-        raise ChartError(f"not an atlas document: kind={doc.get('kind')!r}")
-    if doc.get("manifold") != mspec.name:
-        raise ChartError(f"atlas is for {doc.get('manifold')!r}, not {mspec.name!r}")
-    charts = [
-        Chart(
-            center=np.array(c["center"]),
-            frame=np.array(c["frame"]),
-            scale=float(c["scale"]),
-            shift=np.array(c["shift"]),
-            radius=float(c["radius"]),
-        )
-        for c in doc["charts"]
-    ]
-    return Atlas(mspec, charts, float(doc["r"]), mspec.sample_points(sample_count), doc.get("T_d", 0.0))

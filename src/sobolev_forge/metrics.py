@@ -27,29 +27,12 @@ class EvalGrid:
 
     def __post_init__(self):
         axis = (np.arange(self.resolution) + 0.5) / self.resolution + self.offset
-        if self.dim == 1:
-            pts = axis[:, None]
-        else:
-            mesh = np.meshgrid(*([axis] * self.dim), indexing="ij")
-            pts = np.stack([m.ravel() for m in mesh], axis=1)
-        self.points = pts
+        mesh = np.meshgrid(*([axis] * self.dim), indexing="ij")
+        self.points = np.stack([m.ravel() for m in mesh], axis=1)
 
     @property
     def cell_volume(self):
         return (1.0 / self.resolution) ** self.dim
-
-
-def fd_partial(g, x, j, h):
-    """Central difference (g(x+h e_j) - g(x-h e_j)) / 2h at a single point."""
-    x = np.asarray(x, dtype=np.float64)
-    lo, hi = x.copy(), x.copy()
-    hi[j] += h
-    lo[j] -= h
-    return (_eval1(g, hi) - _eval1(g, lo)) / (2.0 * h)
-
-
-def _eval1(g, x):
-    return float(np.asarray(g(np.asarray(x)[None])).ravel()[0])
 
 
 def _eval_batch(g, X):
@@ -93,22 +76,12 @@ def grid_norm(g, k, p, grid: EvalGrid, fd_step=FD_STEP_NET):
 
 
 def sample_pairs(rng, dim, count, domain=(0.0, 1.0)):
-    """Random point pairs in the domain box for quotient estimators."""
+    """Random point pairs in the domain box for the Lipschitz estimate."""
     lo, hi = domain
     X = rng.uniform(lo, hi, size=(count, dim))
     Y = rng.uniform(lo, hi, size=(count, dim))
     keep = np.linalg.norm(X - Y, axis=1) > 1e-12
     return X[keep], Y[keep]
-
-
-def holder_quotient(g, s, pairs):
-    """Max of |g(x)-g(y)| / ||x-y||_2^s over sampled pairs (lower bound)."""
-    if not 0.0 < s < 1.0:
-        raise ValueError(f"s must be in (0,1), got {s}")
-    X, Y = pairs
-    num = np.abs(_eval_batch(g, X) - _eval_batch(g, Y))
-    den = np.linalg.norm(X - Y, axis=1) ** s
-    return float(np.max(num / den))
 
 
 def lipschitz_estimate(g, pairs=None, probes=None, fd_step=FD_STEP_NET):

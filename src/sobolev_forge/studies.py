@@ -52,6 +52,11 @@ _SCHEMAS = {
         "optional": {"dim": 2, "n_data": 200, "deltas": [0.01, 0.02, 0.05], "eps": None},
     },
     "audit": {"required": {"net"}, "optional": {}},
+    # the config of ``cli build``, which is not a study and names no kind
+    "build": {
+        "required": {"target", "alpha"},
+        "optional": {"dim": 2, "N": None, "Mt": None, "Jt": None, "compile": True},
+    },
 }
 
 
@@ -72,7 +77,7 @@ def _is_window(value):
             and value[0] <= value[1])
 
 
-# Every key of every study kind: (test, what a value must be).  A key whose
+# Every key of every config kind: (test, what a value must be).  A key whose
 # default is null also takes null.
 _RULES = {
     "target": (lambda v: isinstance(v, str), "a target name"),
@@ -81,6 +86,9 @@ _RULES = {
     "dim": _int_rule(1),
     "ambient_dim": _int_rule(2),
     "N": _int_rule(2),  # every build needs N >= 2
+    "Mt": _int_rule(1),
+    "Jt": _int_rule(1),
+    "compile": (lambda v: isinstance(v, bool), "true or false"),
     "N_list": (lambda v: isinstance(v, list) and all(_is_int(N, 2) for N in v),
                "a list of integers >= 2"),
     "p": (lambda v: v == "inf" or _is_int(v, 1), '"inf" or an integer >= 1'),
@@ -101,28 +109,35 @@ _RULES = {
 }
 
 
-def validate_config(doc):
+def validate_config(doc, kind=None):
     """The config with its defaults filled in; a ConfigError names the first
-    unknown, missing or malformed key."""
+    unknown, missing or malformed key.  A study config names its kind; a
+    build config is validated with kind="build" and has no kind key."""
     if not isinstance(doc, dict):
-        raise ConfigError("config must be a JSON object")
-    kind = doc.get("kind")
-    if kind not in STUDY_KINDS:
-        raise ConfigError(f"missing or unknown study kind {kind!r}; known: {STUDY_KINDS}")
+        raise ConfigError(f"{kind or 'study'} config must be a JSON object")
+    keys = set(doc)
+    if kind is None:
+        kind = doc.get("kind")
+        if kind not in STUDY_KINDS:
+            raise ConfigError(f"missing or unknown study kind {kind!r}; known: {STUDY_KINDS}")
+        keys.discard("kind")
     schema = _SCHEMAS[kind]
-    allowed = schema["required"] | set(schema["optional"]) | {"kind", "seed"}
-    unknown = set(doc) - allowed
+    allowed = schema["required"] | set(schema["optional"]) | {"seed"}
+    unknown = keys - allowed
     if unknown:
-        raise ConfigError(f"unknown config keys {sorted(unknown)} for kind {kind!r}")
-    missing = schema["required"] - set(doc)
+        raise ConfigError(f"unknown {kind} config keys {sorted(unknown)}")
+    missing = sorted(schema["required"] - keys)
     if missing:
-        raise ConfigError(f"missing required config keys {sorted(missing)} for kind {kind!r}")
+        raise ConfigError(f"{kind} config is missing required key {', '.join(map(repr, missing))}")
     out = {"seed": 0, **schema["optional"], **doc}
     nullable = {key for key, default in schema["optional"].items() if default is None}
-    for key in sorted(allowed - {"kind"}):
+    for key in sorted(allowed):
         test, what = _RULES[key]
         if not (out[key] is None and key in nullable or test(out[key])):
             raise ConfigError(f"{key} must be {what}, got {out[key]!r}")
+    if kind == "risk" and not (out["sigma"] == 0 or out["eps"] < min(out["sigma"], 1.0)):
+        raise ConfigError(f"eps must be below min(sigma, 1) = {min(out['sigma'], 1.0)!r} "
+                          f"unless sigma is 0, got {out['eps']!r}")
     if "target" in out:
         known = MANIFOLD_TARGETS if kind == "manifold-rate" else EUCLIDEAN_TARGETS
         if out["target"] not in known:
@@ -134,20 +149,9 @@ def validate_config(doc):
     return out
 
 
-def check_ints(cfg, keys):
-    """ConfigError unless every key of cfg that is present and not null holds
-    an integer >= 1."""
-    for key in keys:
-        value = cfg.get(key)
-        if value is not None and not _is_int(value, 1):
-            raise ConfigError(f"{key} must be an integer >= 1, got {value!r}")
-
-
 def load_target(name, alpha, dim):
-    """The registry target; an unknown name, or an order beyond the target's
-    derivative table, is a ConfigError."""
-    if not isinstance(name, str):
-        raise ConfigError(f"target must be a name, got {name!r}")
+    """The registry target of a validated config; an order beyond the
+    target's derivative table is a ConfigError."""
     try:
         return get_target(name, alpha=alpha, dim=dim)
     except KeyError as e:
@@ -264,6 +268,9 @@ def run_euclidean_rate(cfg, out: Path):
 def run_manifold_rate(cfg, out: Path):
     mspec, target = get_manifold_target(cfg["target"], cfg["ambient_dim"], order=cfg["alpha"])
     r = cfg["r"] if cfg["r"] is not None else 0.8 * mspec.reach / 4.0
+    if not r < mspec.reach / 4.0:
+        raise ConfigError(f"r must be below reach/4 = {mspec.reach / 4.0!r} on the "
+                          f"{mspec.name}, got {r!r}")
     atlas = build_atlas(mspec, r)
     rows, errs = [], {0: [], 1: []}
     for N in cfg["N_list"]:

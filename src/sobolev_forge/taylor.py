@@ -3,10 +3,9 @@ step both pipelines share.
 
 The surrogate is f_hat(x) = sum_m sum_{|v| <= alpha-1} c_{m,v} phi_m(x) x^v
 with coefficients from the Taylor polynomial of order alpha at each grid node
-m/N (classical derivatives for analytic targets; a quadrature-averaged
-variant over the ball of radius 1/(3N) is available for targets without nice
-pointwise derivatives).  The compiled object realizes every bump-times-
-monomial term as a CNN and assembles the weighted sum into a ConvResNet.
+m/N, from the target's classical derivatives.  The compiled object
+realizes every bump-times-monomial term as a CNN and assembles the weighted
+sum into a ConvResNet.
 ``compile_terms`` does this for both pipelines: the Euclidean build passes it
 the terms of the grid nodes, the manifold build the gated terms of each chart.
 Terms arrive as (template, node, coefficient): the Euclidean terms of one
@@ -190,35 +189,14 @@ def _monomial_expansion_rows(x0, derivs_at_x0, v_list):
     return out
 
 
-def taylor_coeffs(f: TargetFunction, N: int, averaged=False, quad_points=6) -> SurrogateCoefficients:
+def taylor_coeffs(f: TargetFunction, N: int) -> SurrogateCoefficients:
     """Monomial-basis coefficients of the order-alpha Taylor surrogate at all
-    grid nodes m/N.
-
-    With ``averaged=True`` the pointwise derivatives are replaced by the
-    polynomial-bump-weighted average over the ball of radius 1/(3N) around
-    each node (midpoint quadrature, numerically normalized); for targets with
-    continuous derivatives both variants agree to the same error order.
-    """
+    grid nodes m/N."""
     D, alpha = f.dim, f.order
     v_list = multi_indices(D, alpha - 1)
     nodes = grid_nodes(N, D) / N
-    if not averaged:
-        derivs = {tuple(a): f.deriv(a, nodes) for a in v_list}
-        table = _monomial_expansion_rows(nodes, derivs, v_list)
-        return SurrogateCoefficients(D, N, alpha, v_list, table)
-
-    r = 1.0 / (3.0 * N)
-    axis = (np.arange(quad_points) + 0.5) / quad_points * 2.0 - 1.0  # midpoints of [-1,1]
-    offsets = np.array(list(iter_product(axis, repeat=D))) * r
-    cutoff = np.maximum(0.0, 1.0 - np.sum((offsets / r) ** 2, axis=1)) ** (alpha + 2)
-    weights = cutoff / np.sum(cutoff)
-    table = np.zeros((nodes.shape[0], len(v_list)))
-    for off, wq in zip(offsets, weights):
-        if wq == 0.0:
-            continue
-        z = nodes + off
-        derivs = {tuple(a): f.deriv(a, z) for a in v_list}
-        table += wq * _monomial_expansion_rows(z, derivs, v_list)
+    derivs = {tuple(a): f.deriv(a, nodes) for a in v_list}
+    table = _monomial_expansion_rows(nodes, derivs, v_list)
     return SurrogateCoefficients(D, N, alpha, v_list, table)
 
 

@@ -299,6 +299,9 @@ def test_rate_study_bad_values_exit_2(tmp_path, capsys, change):
         ([{"target": "sinprod", "alpha": 2, "N": 2}], "must be a JSON object"),
         ({"target": "sinprod", "alpha": 2, "N": 2, "bogus": 1}, "unknown build config keys"),
         ({"alpha": 2, "N": 2}, "missing required key 'target'"),
+        ({"target": "sinprod", "alpha": 2, "N": 2, "seed": "x"}, "seed must be an integer >= 0"),
+        ({"target": "sinprod", "alpha": 2, "N": 2, "seed": -1}, "seed must be an integer >= 0"),
+        ({"target": "sinprod", "alpha": 2, "N": 2, "compile": "no"}, "compile must be true or false"),
     ],
 )
 def test_build_bad_config_exit_2(tmp_path, capsys, doc, message):
@@ -320,7 +323,7 @@ def test_missing_network_file_exit_2(tmp_path, capsys, command):
         ({"Mt": 5, "Jt": 5}, "Jt = 5 is below the width 14 of one term's network"),
         ({"Mt": 1, "Jt": 2}, "Mt*Jt = 2 < 2^d = 4"),
         ({"Mt": 3}, "need either N or both Mt and Jt"),
-        ({"N": 1}, "resolution N must be >= 2"),
+        ({"N": 1}, "N must be an integer >= 2, got 1"),
     ],
 )
 def test_build_rejects_a_config_that_cannot_compile_with_exit_2(
@@ -369,10 +372,16 @@ def test_study_rejects_N_below_2_before_any_build(
         ("adv-study", {"deltas": 0.1}, "deltas must be a non-empty list of numbers >= 0"),
         ("adv-study", {"deltas": ["a"]}, "deltas must be a non-empty list of numbers >= 0"),
         ("adv-study", {"n_data": 0}, "n_data must be an integer >= 1, got 0"),
+        ("risk-study", {"eps": 0.5}, "eps must be below min(sigma, 1) = 0.2"),
+        ("manifold-study", {"r": 0.5}, "r must be below reach/4 = 0.25"),
     ],
 )
 def test_study_rejects_a_malformed_value_with_exit_2(tmp_path, capsys, command, change, message):
-    cfg = _write_cfg(tmp_path, {"target": "sinprod", "alpha": 2, "N": 2, **change})
+    if command == "manifold-study":
+        base = {"target": "circle-sin", "alpha": 2, "N_list": [2, 4]}
+    else:
+        base = {"target": "sinprod", "alpha": 2, "N": 2}
+    cfg = _write_cfg(tmp_path, {**base, **change})
     assert main(["--out", str(tmp_path / "out"), command, "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and message in err and "Traceback" not in err

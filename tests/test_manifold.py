@@ -273,8 +273,6 @@ def test_manifold_build_guards(circle, atlas, circle_sin):
     _, target = circle_sin
     with pytest.raises(ValueError, match="N"):
         build_manifold_approx(target, circle, N=1, atlas=atlas)
-    with pytest.raises(ValueError, match="spacing|Delta"):
-        build_manifold_approx(target, circle, N=4, atlas=atlas, parameters="paper")
 
 
 def test_chart_boundary_data_rejects_intrinsic_dimension_3(atlas):
@@ -324,20 +322,6 @@ def test_stamped_sqdist_nets_equal_per_center_builds(atlas, sphere_atlas, kit):
         assert all(a is b for a, b in zip(net.layers[1:], nets[0].layers[1:]))
 
 
-def test_build_reads_c2_once_per_atlas(circle, circle_sin, monkeypatch):
-    """c2 depends on the atlas alone: the first build on an atlas estimates
-    it, and later builds read the cached value."""
-    at = build_atlas(circle, 0.2, sample_count=1024)
-    calls = []
-    estimate = manifold._estimate_c2
-    monkeypatch.setattr(manifold, "_estimate_c2", lambda a, i: calls.append(i) or estimate(a, i))
-    first = build_manifold_approx(circle_sin[1], circle, N=2, atlas=at)
-    assert len(calls) == at.chart_count
-    second = build_manifold_approx(circle_sin[1], circle, N=3, atlas=at)
-    assert len(calls) == at.chart_count
-    assert first.record["c2"] == second.record["c2"] == min(map(estimate, [at] * len(calls), calls))
-
-
 def test_manifold_compile_equality(circle, circle_sin):
     """Small compiled manifold model agrees with the functional path."""
     mspec, target = circle_sin
@@ -348,32 +332,6 @@ def test_manifold_compile_equality(circle, circle_sin):
     assert ap.record["compile_gap"] <= 1e-8
     assert ap.class_params.first_row_only
     assert ap.class_params.K <= mspec.ambient_dim
-
-
-def test_atlas_serialization_roundtrip(circle, atlas):
-    import json
-
-    from sobolev_forge.manifold import atlas_from_dict, atlas_to_dict
-
-    doc = json.loads(json.dumps(atlas_to_dict(atlas)))
-    back = atlas_from_dict(doc, circle)
-    assert back.chart_count == atlas.chart_count
-    assert back.r == atlas.r
-    for a, b in zip(atlas.charts, back.charts):
-        assert np.array_equal(a.center, b.center)
-        assert np.array_equal(a.frame, b.frame)
-        assert a.scale == b.scale
-    pts = circle.sample_points(200)
-    assert np.array_equal(rho_weights(atlas, pts), rho_weights(back, pts))
-
-
-def test_atlas_from_dict_guards(circle, atlas):
-    from sobolev_forge.manifold import atlas_from_dict, atlas_to_dict
-
-    doc = atlas_to_dict(atlas)
-    doc["manifold"] = "sphere"
-    with pytest.raises(ChartError, match="sphere"):
-        atlas_from_dict(doc, circle)
 
 
 @pytest.fixture(scope="module")

@@ -5,10 +5,9 @@ import pytest
 
 from sobolev_forge.metrics import (
     EvalGrid,
-    fd_partial,
+    fd_gradient_batch,
     fit_loglog_slope,
     grid_norm,
-    holder_quotient,
     lipschitz_estimate,
     sample_pairs,
 )
@@ -58,23 +57,6 @@ def test_grid_refinement_consistency():
     assert fine >= coarse - 1e-9
 
 
-def test_holder_quotient(rng):
-    pairs = sample_pairs(rng, 1, 20000)
-    const = lambda X: np.zeros(len(X))
-    assert holder_quotient(const, 0.5, pairs) == 0.0
-    lin = lambda X: X[:, 0]
-    q = holder_quotient(lin, 0.5, pairs)
-    assert 0.8 <= q <= 1.0  # sup over the open interval approaches 1
-
-
-def test_holder_limit_matches_lipschitz(rng):
-    pairs = sample_pairs(rng, 2, 20000)
-    g = lambda X: 0.3 * X[:, 0] - 0.9 * X[:, 1]
-    near_one = holder_quotient(g, 0.999, pairs)
-    lip = lipschitz_estimate(g, pairs=pairs)
-    assert abs(near_one - lip) <= 0.05 * lip
-
-
 def test_lipschitz_linear(rng):
     a = np.array([0.6, -0.8, 0.1])
     g = lambda X: X @ a
@@ -90,23 +72,25 @@ def test_lipschitz_constant_zero(rng):
     assert lipschitz_estimate(g, pairs=pairs) == 0.0
 
 
-def test_fd_partial_quadratic_exact():
+def test_fd_gradient_quadratic_exact():
     g = lambda X: X[:, 0] ** 2
     for h in (1e-2, 1e-4):
-        assert fd_partial(g, np.array([0.3, 0.5]), 0, h) == pytest.approx(0.6, abs=1e-9)
+        slope = fd_gradient_batch(g, np.array([[0.3, 0.5]]), h)[0, 0]
+        assert slope == pytest.approx(0.6, abs=1e-9)
 
 
-def test_fd_partial_linear_exact():
+def test_fd_gradient_linear_exact():
     g = lambda X: 2.5 * X[:, 1]
-    assert fd_partial(g, np.array([0.3, 0.5]), 1, 1e-5) == pytest.approx(2.5, abs=1e-9)
+    assert fd_gradient_batch(g, np.array([[0.3, 0.5]]), 1e-5)[0, 1] == pytest.approx(2.5, abs=1e-9)
 
 
-def test_fd_partial_trapezoid_slopes():
+def test_fd_gradient_trapezoid_slopes():
     N = 2
     net = build_trapezoid(1, N)
     g = lambda X: net.forward(X)
     offs = math.sqrt(2) * 1e-7
-    slopes = [fd_partial(g, np.array([x + offs]), 0, 1e-8) for x in np.linspace(0, 1, 37)]
+    X = np.linspace(0, 1, 37)[:, None] + offs
+    slopes = [fd_gradient_batch(g, x[None], 1e-8)[0, 0] for x in X]
     for s in slopes:
         assert min(abs(s), abs(s - 3 * N), abs(s + 3 * N)) <= 1e-4
 

@@ -81,26 +81,6 @@ def test_taylor_constant_coefficients():
     assert np.all(co.table[:, others] == 0.0)
 
 
-def test_averaged_variant_matches_on_smooth_target(rng):
-    t = get_target("sinprod", alpha=2, dim=2)
-    classical = taylor_coeffs(t, 4)
-    averaged = taylor_coeffs(t, 4, averaged=True)
-    X = rng.uniform(0.1, 0.9, (400, 2))
-    a = surrogate_eval(classical, X)
-    b = surrogate_eval(averaged, X)
-    # both reproduce the target to the same error order
-    err_a = np.max(np.abs(a - t(X)))
-    err_b = np.max(np.abs(b - t(X)))
-    assert err_b <= 3 * err_a + 1e-3
-
-
-def test_averaged_variant_bramble_hilbert(rng):
-    f = _const_target(0.7)
-    co = taylor_coeffs(f, 2, averaged=True)
-    X = rng.uniform(0, 1, (500, 2))
-    assert np.max(np.abs(surrogate_eval(co, X) - 0.7)) <= 1e-10
-
-
 def test_sin_taylor_error_constant_stable():
     t = get_target("sin2", alpha=2, dim=2)
     grid = EvalGrid(2, 41)
