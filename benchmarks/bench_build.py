@@ -53,6 +53,16 @@ study builds them, and splits each build by wrapping functions of the
 * ``other``: the rest (the indicator and product nets, the record).
 
 Each rep builds a fresh atlas, untimed, and every figure is the median.
+On one more atlas it then times, at each N, what a manifold rate study
+does with the built approximator (``evaluation`` in the results):
+
+* ``norm_k0_s``, ``norm_k1_s``: ``manifold_norm`` of the error
+  approximator minus target at k = 0 and k = 1, resolution 40;
+* ``evals_s``: ``ManifoldApproximator.eval`` at 10 points of the circle,
+  one point per call, as a served request makes them.
+
+Each of these is the median of at least ``--reps`` calls after a warm-up,
+more while they take under a second.
 
 ``--src`` times the package in another source tree (a checkout of an
 earlier commit, say); the wrapping names that tree lacks are skipped.  The
@@ -93,6 +103,8 @@ STAGES = {
 }
 MANIFOLD_R = 0.2
 MANIFOLD_NS = (4, 8)
+MANIFOLD_RESOLUTION = 40
+MANIFOLD_POINTS = 10
 MANIFOLD_STAGES = {
     "boundary": ("chart_boundary_data",),
     "coefficients": ("chart_coefficients",),
@@ -235,6 +247,28 @@ def _manifold_builds(manifold, targets):
     return splits, atlas.chart_count
 
 
+def _manifold_evaluation(manifold, targets, reps):
+    """Median seconds of the norms and the one-point evals of the circle
+    approximator at each N of MANIFOLD_NS, on one atlas."""
+    mspec, target = targets.get_manifold_target("circle-sin", 3, order=2)
+    atlas = manifold.build_atlas(mspec, MANIFOLD_R)
+    points = mspec.sample_points(MANIFOLD_POINTS)
+    rows = []
+    for N in MANIFOLD_NS:
+        approx = manifold.build_manifold_approx(target, mspec, N=N, atlas=atlas)
+        error = lambda X: approx.eval(X) - target(X)
+        row = {
+            f"norm_k{k}_s": _median_seconds(
+                lambda: manifold.manifold_norm(error, atlas, k, resolution=MANIFOLD_RESOLUTION),
+                reps,
+            )
+            for k in (0, 1)
+        }
+        row["evals_s"] = _median_seconds(lambda: [approx.eval(x[None]) for x in points], reps)
+        rows.append(row)
+    return rows
+
+
 def _store(name, what, np, label, rows):
     path = ROOT / name
     doc = json.loads(path.read_text()) if path.exists() else {}
@@ -269,12 +303,13 @@ def _bench_builds(modules, reps):
 
 def _bench_manifold(manifold, targets, reps):
     runs = [_manifold_builds(manifold, targets) for _ in range(reps)]
+    evaluation = _manifold_evaluation(manifold, targets, reps)
     rows = []
     for t, N in enumerate(MANIFOLD_NS):
         seconds = {k: statistics.median(r[0][t][k] for r in runs) for k in runs[0][0][t]}
         rows.append({"N": N, "r": MANIFOLD_R, "charts": runs[0][1], "reps": reps,
-                     "seconds": seconds})
-        split = "  ".join(f"{k} {v:.4f}" for k, v in seconds.items())
+                     "seconds": seconds, "evaluation": evaluation[t]})
+        split = "  ".join(f"{k} {v:.4f}" for k, v in {**seconds, **evaluation[t]}.items())
         print(f"circle r={MANIFOLD_R} N={N} ({runs[0][1]} charts): {split}", flush=True)
     return rows
 
@@ -303,8 +338,9 @@ def main():
         rows = _bench_manifold(manifold, targets, args.reps)
         what = (
             "median seconds per stage of build_manifold_approx on the circle-sin atlas "
-            "(R^3, alpha=2, r=0.2), N=4 then N=8 on one fresh atlas per rep; "
-            "see benchmarks/bench_build.py"
+            "(R^3, alpha=2, r=0.2), N=4 then N=8 on one fresh atlas per rep, and (under "
+            "evaluation) of manifold_norm of the error at k=0 and k=1, resolution 40, and "
+            "of 10 one-point evals; see benchmarks/bench_build.py"
         )
         _store("BENCH_manifold_build.json", what, np, args.label, rows)
 

@@ -12,6 +12,17 @@ whose support reaches the chart-boundary band are zeroed, which makes every
 per-chart network vanish identically on the indicator's transition band; that
 is the mechanism keeping first-derivative error bounded as the ramp sharpens.
 
+Evaluation stacks the charts.  The chart sum at a batch of points takes
+every (chart, point) pair within 1.2 r of the chart's center (beyond it the
+indicator is exactly 0), projects each chart's pairs into its coordinates,
+runs the stamped squared-distance nets and the indicator over all pairs at
+once, and folds all pairs in one ``taylor._stacked_fold`` pass, each pair
+reading the coefficient table of its chart.  A point's pair values are then
+added in ascending chart order, as a chart-by-chart loop adds them, so the
+sum has the bits of that loop.  ``manifold_norm`` inverts and weighs each
+chart's grid (and stencil) points, then calls the error on the preimages
+of many charts at once, and reduces chart by chart in chart order.
+
 Parameter policy: eta = N^-alpha and delta = N^-(alpha+d+1) follow the
 asymptotic prescription.  The ramp width is Delta = r^2/(4N), which keeps the
 transition band narrower than one bump at the resolutions the studies run.
@@ -22,11 +33,12 @@ atlas at r = 0.2 (c2 = 0.4), so not at N = 4, 8 or 16.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
+from . import kernels
 from .metrics import EvalGrid
 from .netcore import _on_finite_rows, resnet_forward_batch
 from .scalarnets import (
@@ -231,7 +243,6 @@ class Atlas:
     manifold: ManifoldSpec
     charts: list
     r: float
-    samples: np.ndarray = field(repr=False)
     T_d: float = 0.0
 
     @property
@@ -300,7 +311,7 @@ def build_atlas(m: ManifoldSpec, r: float, sample_count=4096, spacing_factor=0.4
             )
         )
     T_d = float(np.mean(np.sum(d2 < r * r, axis=1)))
-    return Atlas(m, charts, r, pts, T_d)
+    return Atlas(m, charts, r, T_d)
 
 
 def chart_project(chart: Chart, x, check=True):
@@ -494,19 +505,59 @@ def pullback_evaluator(f_on_M, atlas: Atlas, i: int):
     return lambda Z: _weighted_pullback(f_on_M, atlas, i, Z)[0]
 
 
+def _pullback_points(atlas, i, Z):
+    """Chart i's inverse at the rows z of Z: the mask ok of rows that have a
+    preimage, the rows where rho_i does not vanish there, those preimages
+    and their weights rho_i."""
+    Z = np.atleast_2d(np.asarray(Z, dtype=np.float64))
+    X, ok = chart_invert_batch(atlas.charts[i], atlas.manifold, Z)
+    rows = np.flatnonzero(ok)
+    w = rho_weights(atlas, X[rows])[:, i]
+    rows, w = rows[w != 0.0], w[w != 0.0]
+    return ok, rows, X[rows], w
+
+
 def _weighted_pullback(fun, atlas, i, Z):
     """(fun * rho_i)(phi_i^{-1}(z)) for the rows z of Z, zero where rho_i
     vanishes (fun is not called there) or z has no preimage, together with
     the mask of rows that have one."""
-    Z = np.atleast_2d(np.asarray(Z, dtype=np.float64))
-    X, ok = chart_invert_batch(atlas.charts[i], atlas.manifold, Z)
-    out = np.zeros(Z.shape[0])
-    rows = np.flatnonzero(ok)
-    w = rho_weights(atlas, X[rows])[:, i]
-    rows, w = rows[w != 0.0], w[w != 0.0]
-    if rows.size:
-        out[rows] = np.asarray(fun(X[rows]), dtype=np.float64).ravel() * w
-    return out, ok
+    return next(_weigh(fun, [[_pullback_points(atlas, i, Z)]]))[0]
+
+
+# rows per call of fun in _weighted_pullbacks: whole charts are taken until
+# the next would pass this count (a larger chart goes alone)
+_PULLBACK_ROWS = 4096
+
+
+def _weighted_pullbacks(fun, charts):
+    """For each chart's list of ``_pullback_points``, in turn, the list of
+    its (fun * rho_i values, mask) pairs, as ``_weighted_pullback`` gives
+    them; fun is called once per batch of whole charts."""
+    batch, size = [], 0
+    for pulls in charts:
+        rows = sum(p[1].size for p in pulls)
+        if batch and size + rows > _PULLBACK_ROWS:
+            yield from _weigh(fun, batch)
+            batch, size = [], 0
+        batch.append(pulls)
+        size += rows
+    yield from _weigh(fun, batch)
+
+
+def _weigh(fun, batch):
+    """One call of fun on the preimages of every pull in the batch, split
+    back into one list of (values, mask) per chart."""
+    X = np.concatenate([X for pulls in batch for _, _, X, _ in pulls])
+    vals = np.asarray(fun(X), dtype=np.float64).ravel() if len(X) else np.zeros(0)
+    at = 0
+    for pulls in batch:
+        weighted = []
+        for ok, rows, _, w in pulls:
+            out = np.zeros(len(ok))
+            out[rows] = vals[at : at + rows.size] * w
+            at += rows.size
+            weighted.append((out, ok))
+        yield weighted
 
 
 def _fd_deriv(F, Z, a, h):
@@ -631,18 +682,26 @@ class ManifoldApproximator:
     def N(self):
         return self.record["N"]
 
+    @cached_property
+    def _sqdist_stack(self):
+        """The stamped sqdist nets (``build_sqdist_nets``) as one net: the
+        shared first-layer weight, the (charts, width) stack of the chart
+        biases, and the shared later layers."""
+        (W0, _), rest = self.sqdist_nets[0].layers[0], self.sqdist_nets[0].layers[1:]
+        return W0, np.array([net.layers[0][1] for net in self.sqdist_nets]), ScalarNet(rest)
+
     def indicator_values(self, i, X):
-        d2 = self.sqdist_nets[i].forward(np.atleast_2d(X))
+        """Indicator of chart i at the rows of X; i is a chart, or an array
+        holding the chart of each row."""
+        W0, b0, rest = self._sqdist_stack
+        d2 = rest.forward(kernels.mlp_layer(W0, b0[i], np.atleast_2d(X)))
         return self.indicator_net.forward(d2[:, None])
 
     def per_chart_eval(self, i, X):
-        """Contribution of chart i (exactly zero off its indicator support):
-        the stacked fold of times_eta over chart coordinates, multiplied by
-        the indicator through times_delta as its last step."""
+        """Contribution of chart i (exactly zero off its indicator support)
+        at the points X: the chart sum's pass over the pairs (i, x)."""
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        Z = chart_project(self.atlas.charts[i], X, check=False)
-        tail = (self.times_delta, self.indicator_values(i, X))
-        return _stacked_fold(self.per_chart[i], Z, self.times_eta, tail=tail)
+        return self._pair_values(X, np.full(len(X), i), np.arange(len(X)))
 
     def eval(self, X):
         """The chart sum at the points X; nan at a point with a non-finite
@@ -654,9 +713,34 @@ class ManifoldApproximator:
         out = np.zeros(X.shape[0])
         # beyond 1.2 r from a center the chart's indicator is exactly 0
         near = _sqdist(X, self.atlas.centers) <= 1.44 * self.atlas.r**2
-        for i in np.flatnonzero(near.any(axis=0)):
-            out[near[:, i]] += self.per_chart_eval(i, X[near[:, i]])
+        charts, points = np.nonzero(near.T)
+        values = self._pair_values(X, charts, points)
+        # a point's values are added in ascending chart order: rank r is the
+        # point's r-th chart, and no point appears twice within one rank
+        rank = (np.cumsum(near, axis=1) - 1)[points, charts]
+        for r in range(rank.max(initial=-1) + 1):
+            at = rank == r
+            out[points[at]] += values[at]
         return out
+
+    def _pair_values(self, X, charts, points):
+        """Contribution of chart charts[t] at the point X[points[t]], for
+        (chart, point) pairs ordered by chart: one projection per chart,
+        then one indicator pass and one stacked fold over all pairs, each
+        pair reading the coefficient table of its chart."""
+        if not charts.size:
+            return np.zeros(0)
+        used, start, count = np.unique(charts, return_index=True, return_counts=True)
+        P = X[points]
+        Z = np.concatenate([
+            chart_project(self.atlas.charts[i], P[a : a + n], check=False)
+            for i, a, n in zip(used, start, count)
+        ])
+        tables = [self.per_chart[i].table for i in used]
+        coeffs = replace(self.per_chart[0], table=np.concatenate(tables))
+        offset = np.repeat(np.arange(len(used)) * len(tables[0]), count)
+        tail = (self.times_delta, self.indicator_values(charts, P))
+        return _stacked_fold(coeffs, Z, self.times_eta, tail=tail, offset=offset)
 
     def __call__(self, x):
         return float(self.eval(np.atleast_1d(x)[None])[0])
@@ -770,23 +854,32 @@ def manifold_norm(e_on_M, atlas: Atlas, k: int, resolution=60, fd_step=1e-5):
     the chart images (k = 1 adds chart-coordinate central differences).
 
     Grid points with no chart preimage are skipped; the skip count is
-    returned alongside the value.
+    returned alongside the value.  The grid points of every chart, and at
+    k = 1 their stencils, are inverted and weighed chart by chart; e is then
+    called on the preimages of many charts at once (``_PULLBACK_ROWS``), and
+    the charts' sups are summed in chart order.
     """
     if k not in (0, 1):
         raise ValueError(f"k must be 0 or 1, got {k}")
     d = atlas.manifold.intrinsic_dim
-    total, skipped = 0.0, 0
     Zg = EvalGrid(d, resolution).points
     # k = 1: the +-fd_step stencil of every grid point that has a preimage
     steps = fd_step * np.eye(d)[:, None, :]
-    for i in range(atlas.chart_count):
-        vals, ok = _weighted_pullback(e_on_M, atlas, i, Zg)
+
+    def pulls(i):
+        grid = _pullback_points(atlas, i, Zg)
+        if k == 0:
+            return [grid]
+        base = Zg[grid[0]]
+        stencil = np.concatenate([base + steps, base - steps]).reshape(-1, d)
+        return [grid, _pullback_points(atlas, i, stencil)]
+
+    total, skipped = 0.0, 0
+    for (vals, ok), *stencil in _weighted_pullbacks(e_on_M, map(pulls, range(atlas.chart_count))):
         skipped += int(np.count_nonzero(~ok))
         best = float(np.max(np.abs(vals[ok]), initial=0.0))
-        if k == 1:
-            base = Zg[ok]
-            stencil = np.concatenate([base + steps, base - steps]).reshape(-1, d)
-            sv, sok = _weighted_pullback(e_on_M, atlas, i, stencil)
+        if stencil:
+            sv, sok = stencil[0]
             sv, sok = sv.reshape(2, d, -1), sok.reshape(2, d, -1)
             both = sok[0] & sok[1]
             skipped += int(np.count_nonzero(~both))
@@ -794,4 +887,3 @@ def manifold_norm(e_on_M, atlas: Atlas, k: int, resolution=60, fd_step=1e-5):
             best = max(best, float(np.max(slope[both], initial=0.0)))
         total += best
     return total, skipped
-

@@ -265,24 +265,28 @@ def _fold_rows(A, nets, tracker):
     return out
 
 
-def _stacked_fold(coeffs, X, times, tail=None, tracker=None):
+def _stacked_fold(coeffs, X, times, tail=None, tracker=None, offset=None):
     """sum_{m, v} c_{m,v} fold_v(x) over the bumps covering the points X.
 
     fold_v folds ``times`` over the monomial factors of x^v and then the D
     trapezoid factors of node m; with ``tail = (net, col)`` it takes one more
-    step, net(fold, col).  Only rows with an in-grid node, a nonzero
-    coefficient and nonzero fold factors are folded, since any other row
-    contributes c * 0 = +-0 exactly; terms of one fold length are stacked
-    into one pass per fold step, and the contributions are added in the
-    per-term order (candidate offset, then v).  With a ``tracker`` every row
-    is folded, and tracker[0] records the largest |running product| entering
-    a step.
+    step, net(fold, col).  With an ``offset`` per row, row x reads its
+    coefficients at table row offset[x] + (raveled node), so one pass folds
+    rows of several tables stacked into coeffs.table.  Only rows with an
+    in-grid node, a nonzero coefficient and nonzero fold factors are folded,
+    since any other row contributes c * 0 = +-0 exactly; terms of one fold
+    length are stacked into one pass per fold step, and the contributions
+    are added in the per-term order (candidate offset, then v).  With a
+    ``tracker`` every row is folded, and tracker[0] records the largest
+    |running product| entering a step.
     """
     n = X.shape[0]
     tail_nets, tail_cols = ([tail[0]], [tail[1]]) if tail is not None else ([], [])
     every = tracker is not None
     terms, groups, sizes = [], {}, {}
     for valid, idx, psi in _cover(coeffs.N, X):
+        if offset is not None:
+            idx = idx + offset
         F = np.column_stack([psi] + tail_cols)
         rows = np.arange(n) if every else np.flatnonzero(valid & np.all(F != 0.0, axis=1))
         if not rows.size:

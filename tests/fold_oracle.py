@@ -1,8 +1,9 @@
 """Per-term reference for the stacked functional fold.
 
 The evaluator once ran the shared product net over every point for each
-(candidate offset, v) term in turn; these functions keep that loop as the
-oracle the stacked, compacted fold is compared against.
+(candidate offset, v) term in turn, and the manifold evaluator visited the
+charts one by one; these functions keep those loops as the oracles the
+stacked, compacted fold and the stacked chart sum are compared against.
 """
 
 from itertools import product as iter_product
@@ -39,8 +40,15 @@ def fold_term(times, X, psis, v, tracker=None):
     for fac in factors:
         if tracker is not None:
             tracker[0] = max(tracker[0], float(np.max(np.abs(running))))
-        running = times.forward(np.stack([running, fac], axis=1))
+        running = _forward2(times, running, fac)
     return running
+
+
+def _forward2(net, a, b):
+    """net over the rows (a, b); a lone row is padded to two, as the
+    evaluator pads it, since a one-row product takes another BLAS path."""
+    rows = np.stack([a, b], axis=1)
+    return net.forward(np.repeat(rows, 2, axis=0) if len(rows) == 1 else rows)[: len(rows)]
 
 
 def _sum_terms(coeffs, X, times, term_value):
@@ -73,11 +81,29 @@ def max_intermediate_oracle(ap, X):
 
 
 def per_chart_eval_oracle(ap, i, X):
-    """ManifoldApproximator.per_chart_eval, one pass per term and step."""
+    """ManifoldApproximator.per_chart_eval, one pass per term and step, with
+    the indicator through chart i's own squared-distance net."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     Z = chart_project(ap.atlas.charts[i], X, check=False)
-    ind = ap.indicator_values(i, X)
+    ind = ap.indicator_net.forward(ap.sqdist_nets[i].forward(X)[:, None])
     return _sum_terms(
         ap.per_chart[i], Z, ap.times_eta,
-        lambda g: ap.times_delta.forward(np.stack([g, ind], axis=1)),
+        lambda g: _forward2(ap.times_delta, g, ind),
     )
+
+
+def chart_sum_oracle(ap, X):
+    """ManifoldApproximator.eval as the loop over charts it once ran: each
+    chart within 1.2 r of some point adds its contribution at those points,
+    chart after chart in ascending order; nan at a point with a non-finite
+    coordinate."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    finite = np.all(np.isfinite(X), axis=1)
+    Y = X[finite]
+    total = np.zeros(len(Y))
+    near = np.sum((Y[:, None, :] - ap.atlas.centers[None]) ** 2, axis=2) <= 1.44 * ap.atlas.r**2
+    for i in np.flatnonzero(near.any(axis=0)):
+        total[near[:, i]] += per_chart_eval_oracle(ap, i, Y[near[:, i]])
+    out = np.full(len(X), np.nan)
+    out[finite] = total
+    return out

@@ -5,8 +5,8 @@ import warnings
 import numpy as np
 import pytest
 from boundary_oracle import chart_boundary_oracle
-from fold_oracle import per_chart_eval_oracle
-from hypothesis import given, settings, strategies as st
+from fold_oracle import chart_sum_oracle, per_chart_eval_oracle
+from hypothesis import example, given, settings, strategies as st
 
 from sobolev_forge import manifold
 from sobolev_forge.manifold import (
@@ -26,6 +26,7 @@ from sobolev_forge.manifold import (
     sphere_manifold,
     torus_manifold,
 )
+from sobolev_forge.metrics import EvalGrid
 from sobolev_forge.targets import get_manifold_target
 
 
@@ -72,10 +73,11 @@ def test_chart_images_inside_unit_box(circle, atlas):
         assert Z.min() >= 0.0 and Z.max() <= 1.0
 
 
-def test_chart_project_center_and_contraction(atlas, rng):
+def test_chart_project_center_and_contraction(circle, atlas, rng):
     ch = atlas.charts[0]
     assert np.allclose(chart_project(ch, ch.center), 0.5)
-    pts = atlas.samples[np.linalg.norm(atlas.samples - ch.center, axis=1) < ch.radius]
+    samples = circle.sample_points(4096)
+    pts = samples[np.linalg.norm(samples - ch.center, axis=1) < ch.radius]
     Z = chart_project(ch, pts)
     i, j = 3, 11
     dz = np.linalg.norm(Z[i] - Z[j])
@@ -412,6 +414,50 @@ def test_per_chart_eval_matches_per_term_oracle(circle, atlas, circle_sin):
         assert all(ap.per_chart_eval(i, pts[j : j + 1])[0] == vals[j] for j in range(0, 600, 50))
 
 
+@pytest.fixture(scope="module")
+def circle_sin_approx(circle, atlas, circle_sin):
+    return {N: build_manifold_approx(circle_sin[1], circle, N=N, atlas=atlas) for N in (4, 8, 16)}
+
+
+_ON_OR_NEAR_CIRCLE = st.tuples(st.floats(0.0, 2 * math.pi), st.floats(0.85, 1.15))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from([4, 8, 16]),
+    st.lists(_ON_OR_NEAR_CIRCLE, min_size=1, max_size=40),
+    st.booleans(),
+    st.booleans(),
+)
+@example(4, [(0.3, 1.0)], False, False)  # a lone point
+@example(8, [(1.0, 1.0), (4.0, 1.1)], True, True)
+def test_chart_sum_matches_per_chart_loop(circle, circle_sin_approx, N, params, far, nan_row):
+    """The stacked chart sum equals the chart-by-chart loop bit for bit, on
+    the batch and on its first point alone; the origin is near no chart, and
+    a nan row is nan without moving the others."""
+    ap = circle_sin_approx[N]
+    t, s = np.array(params).T
+    X = s[:, None] * circle.embed(t[:, None])
+    if far:
+        X = np.vstack([X, np.zeros(3)])
+    if nan_row:
+        X = np.vstack([X, [0.5, np.nan, 0.5]])
+    got = ap.eval(X)
+    assert np.array_equal(got, chart_sum_oracle(ap, X), equal_nan=True)
+    assert np.array_equal(ap.eval(X[:1]), chart_sum_oracle(ap, X[:1]))
+    if far:
+        assert got[len(params)] == 0.0
+
+
+def test_chart_sum_matches_per_chart_loop_on_a_dense_sample(circle, circle_sin_approx):
+    """At N = 16 up to three charts add nonzero values at a point, so the
+    order of the additions shows in the bits: adding them in descending
+    chart order moves 3 of these 997 values."""
+    ap = circle_sin_approx[16]
+    X = circle.sample_points(997)
+    assert np.array_equal(ap.eval(X), chart_sum_oracle(ap, X))
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.lists(st.floats(0.0, 2 * math.pi), min_size=1, max_size=30))
 def test_rho_weights_rows_match_one_point(circle, atlas, params):
@@ -508,6 +554,47 @@ def test_manifold_norm_matches_per_point(atlas, sphere_atlas, kit, k, resolution
     assert val > 0.0
     assert (val, skipped) == _per_point_norm(e, at, k, resolution)
     assert skipped == (2 * at.chart_count if kit == "circle" else 0)
+
+
+def _per_chart_norm(e_on_M, atlas, k, resolution, fd_step=1e-5):
+    """Reference manifold_norm with one error call per chart and stencil, on
+    that chart's weighted preimages alone."""
+    d = atlas.manifold.intrinsic_dim
+    Zg = EvalGrid(d, resolution).points
+    steps = fd_step * np.eye(d)[:, None, :]
+    total, skipped = 0.0, 0
+    for i in range(atlas.chart_count):
+        vals, ok = manifold._weighted_pullback(e_on_M, atlas, i, Zg)
+        skipped += int(np.count_nonzero(~ok))
+        best = float(np.max(np.abs(vals[ok]), initial=0.0))
+        if k == 1:
+            base = Zg[ok]
+            stencil = np.concatenate([base + steps, base - steps]).reshape(-1, d)
+            sv, sok = manifold._weighted_pullback(e_on_M, atlas, i, stencil)
+            sv, sok = sv.reshape(2, d, -1), sok.reshape(2, d, -1)
+            both = sok[0] & sok[1]
+            skipped += int(np.count_nonzero(~both))
+            slope = np.abs(sv[0] - sv[1]) / (2.0 * fd_step)
+            best = max(best, float(np.max(slope[both], initial=0.0)))
+        total += best
+    return total, skipped
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_manifold_norm_of_an_approximation_error_matches_per_chart(
+    atlas, circle_sin, circle_sin_approx, k
+):
+    """The error of a circle-sin approximation, called once on the preimages
+    of all charts, gives bit for bit the norm of one call per chart.  The
+    one-point reference agrees to rounding only: a point's chart projection
+    rounds differently alone than inside a batch."""
+    ap, target = circle_sin_approx[4], circle_sin[1]
+    e = lambda X: ap.eval(X) - target(X)
+    val, skipped = manifold_norm(e, atlas, k, resolution=10)
+    assert val > 0.0
+    assert (val, skipped) == _per_chart_norm(e, atlas, k, 10)
+    one, one_skipped = _per_point_norm(e, atlas, k, 10)
+    assert one_skipped == skipped and abs(val - one) <= 1e-12 * one
 
 
 def test_eval_is_nan_at_a_nonfinite_point_without_warnings(circle, atlas, circle_sin):
