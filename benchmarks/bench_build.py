@@ -45,11 +45,9 @@ study builds them, and splits each build by wrapping functions of the
 
 * ``boundary``: ``chart_boundary_data``, the boundary bisection;
 * ``coefficients``: ``chart_coefficients``, the pullback Taylor
-  coefficients and the boundary-band kill;
+  coefficients of all charts and the boundary-band kill, one call per
+  build (a chart at a time in trees before it);
 * ``sqdist_nets``: ``build_sqdist_nets`` and ``build_sqdist_net``;
-* ``c2``: ``_estimate_c2``, the chart-inverse constant of the paper's
-  Delta policy.  This tree has neither and reads 0 here; the stage stays so
-  that ``--src`` trees that estimate c2 still split it out;
 * ``other``: the rest (the indicator and product nets, the record).
 
 Each rep builds a fresh atlas, untimed, and every figure is the median.
@@ -109,7 +107,6 @@ MANIFOLD_STAGES = {
     "boundary": ("chart_boundary_data",),
     "coefficients": ("chart_coefficients",),
     "sqdist_nets": ("build_sqdist_nets", "build_sqdist_net"),
-    "c2": ("_estimate_c2",),
 }
 
 

@@ -2,12 +2,16 @@
 distance and chart-indicator networks, the manifold compile pipeline, and the
 chart-based W^{k,inf} error metric.
 
-The pipeline mirrors the Euclidean one chart by chart: pull the target back
-through a chart, approximate the pullback on [0,1]^d with bump-times-monomial
-nets, and gate each chart's contribution by a chart-indicator network
-(squared-distance net composed with a clipped ramp).  The gated terms of all
-charts compile through the Euclidean compile step, ``taylor.compile_terms``,
-and pass its build gates.  Coefficients of bumps
+The pipeline mirrors the Euclidean one on every chart: pull the target back
+through each chart, approximate each pullback on [0,1]^d with
+bump-times-monomial nets, and gate each chart's contribution by a
+chart-indicator network (squared-distance net composed with a clipped ramp).
+One ``chart_coefficients`` call computes the Taylor tables of all charts,
+stacked in chart order; its finite differences and ``manifold_norm`` share
+one pullback pass, ``_weighted_pullbacks``, which inverts and weighs each
+chart's rows by themselves and calls the function once per batch of charts.
+The gated terms of all charts compile through the Euclidean compile step,
+``taylor.compile_terms``, and pass its build gates.  Coefficients of bumps
 whose support reaches the chart-boundary band are zeroed, which makes every
 per-chart network vanish identically on the indicator's transition band; that
 is the mechanism keeping first-derivative error bounded as the ramp sharpens.
@@ -15,13 +19,12 @@ is the mechanism keeping first-derivative error bounded as the ramp sharpens.
 Evaluation stacks the charts.  The chart sum at a batch of points takes
 every (chart, point) pair within 1.2 r of the chart's center (beyond it the
 indicator is exactly 0), projects each chart's pairs into its coordinates,
-runs the stamped squared-distance nets and the indicator over all pairs at
-once, and folds all pairs in one ``taylor._stacked_fold`` pass, each pair
-reading the coefficient table of its chart.  A point's pair values are then
-added in ascending chart order, as a chart-by-chart loop adds them, so the
-sum has the bits of that loop.  ``manifold_norm`` inverts and weighs each
-chart's grid (and stencil) points, then calls the error on the preimages
-of many charts at once, and reduces chart by chart in chart order.
+runs the squared-distance net, each pair with its chart's first-layer bias,
+and the indicator over all pairs at once, and folds all pairs in one
+``taylor._stacked_fold`` pass, each pair reading its chart's rows of the
+stacked table.  A point's pair values are then added in ascending chart
+order, as a chart-by-chart loop adds them, so the sum has the bits of that
+loop.
 
 Parameter policy: eta = N^-alpha and delta = N^-(alpha+d+1) follow the
 asymptotic prescription.  The ramp width is Delta = r^2/(4N), which keeps the
@@ -38,7 +41,6 @@ from functools import cached_property
 
 import numpy as np
 
-from . import kernels
 from .metrics import EvalGrid
 from .netcore import _on_finite_rows, resnet_forward_batch
 from .scalarnets import (
@@ -424,17 +426,24 @@ def build_sqdist_net(center, theta: float, B: float) -> ScalarNet:
     return sn_chain(joined, sn_affine(np.ones((1, D)), np.zeros(1)))
 
 
-def build_sqdist_nets(centers, theta: float, B: float) -> list:
-    """``build_sqdist_net`` at each row of centers, stamped from one net.
+def build_sqdist_nets(centers, theta: float, B: float):
+    """``build_sqdist_net`` at every row of centers, as one shared net and a
+    (centers, width) stack of first-layer biases.
 
     A center enters the net only through its first-layer bias, b0 + W0 @ -c;
-    so the net is built once, at center 0, and each center gets its own bias
-    while every weight and every later layer is shared.
+    so the net is built once, at center 0, and the net of center i is that
+    net with its first bias replaced by row i of the stack (``_stamp``).
     """
     centers = np.asarray(centers, dtype=np.float64)
-    template = build_sqdist_net(np.zeros(centers.shape[1]), theta, B)
-    (W0, b0), rest = template.layers[0], template.layers[1:]
-    return [ScalarNet([(W0, b0 + W0 @ -c)] + rest) for c in centers]
+    net = build_sqdist_net(np.zeros(centers.shape[1]), theta, B)
+    W0, b0 = net.layers[0]
+    return net, np.array([b0 + W0 @ -c for c in centers])
+
+
+def _stamp(net, bias):
+    """net with its first-layer bias replaced, every array else shared; a
+    (rows, width) bias gives each input row its own."""
+    return ScalarNet([(net.layers[0][0], bias)] + net.layers[1:])
 
 
 @dataclass
@@ -495,14 +504,8 @@ def build_indicator(p: IndicatorParams) -> ScalarNet:
 
 
 # ---------------------------------------------------------------------------
-# chart pullbacks and per-chart coefficients
+# chart pullbacks and chart coefficients
 # ---------------------------------------------------------------------------
-
-
-def pullback_evaluator(f_on_M, atlas: Atlas, i: int):
-    """(f * rho_i) composed with the chart inverse, extended by zero off the
-    chart image.  Returns a batch evaluator on chart coordinates."""
-    return lambda Z: _weighted_pullback(f_on_M, atlas, i, Z)[0]
 
 
 def _pullback_points(atlas, i, Z):
@@ -517,13 +520,6 @@ def _pullback_points(atlas, i, Z):
     return ok, rows, X[rows], w
 
 
-def _weighted_pullback(fun, atlas, i, Z):
-    """(fun * rho_i)(phi_i^{-1}(z)) for the rows z of Z, zero where rho_i
-    vanishes (fun is not called there) or z has no preimage, together with
-    the mask of rows that have one."""
-    return next(_weigh(fun, [[_pullback_points(atlas, i, Z)]]))[0]
-
-
 # rows per call of fun in _weighted_pullbacks: whole charts are taken until
 # the next would pass this count (a larger chart goes alone)
 _PULLBACK_ROWS = 4096
@@ -531,8 +527,10 @@ _PULLBACK_ROWS = 4096
 
 def _weighted_pullbacks(fun, charts):
     """For each chart's list of ``_pullback_points``, in turn, the list of
-    its (fun * rho_i values, mask) pairs, as ``_weighted_pullback`` gives
-    them; fun is called once per batch of whole charts."""
+    their (values, mask) pairs.  On chart i the values are
+    (fun * rho_i)(phi_i^{-1}(z)) at the rows z, zero where rho_i vanishes
+    (fun is not called there) or z has no preimage, and the mask marks the
+    rows that have one.  fun is called once per batch of whole charts."""
     batch, size = [], 0
     for pulls in charts:
         rows = sum(p[1].size for p in pulls)
@@ -630,31 +628,41 @@ def chart_boundary_data(atlas: Atlas, Delta: float, n_dirs=32):
     return z_outer, np.max(np.abs(z_outer - z_inner), axis=(1, 2))
 
 
-def chart_coefficients(
-    f_on_M, atlas: Atlas, i: int, N: int, alpha: int, fd_step: float, z_bound, band: float
-):
-    """Taylor coefficients of the chart pullback, with the boundary-band kill.
+def chart_coefficients(f_on_M, atlas: Atlas, N: int, alpha: int, fd_step: float, z_bound, band):
+    """Taylor coefficients of every chart pullback, with the boundary-band
+    kill: the charts' tables stacked in chart order, (N+1)^d rows each, and
+    each chart's kill record.  The finite differences run on the grid nodes
+    tiled once per chart; each chart's rows are inverted and weighed by
+    themselves, and the target, the differences and the expansion act row
+    by row, so a chart's rows have the bits of a build of that chart alone.
 
     Every grid node within band_width + 1/N (sup-norm, chart coordinates) of
-    a boundary image is zeroed, so bumps whose support can reach the
-    indicator's transition band contribute nothing; the per-chart network
-    then vanishes identically on that band.  ``z_bound`` and ``band`` are the
-    chart's boundary images and band width from ``chart_boundary_data``.
+    a boundary image of its chart is zeroed, so bumps whose support can reach
+    the indicator's transition band contribute nothing; each chart's network
+    then vanishes identically on that band.  ``z_bound`` and ``band`` come
+    from ``chart_boundary_data``.
     """
-    m = atlas.manifold
-    d = m.intrinsic_dim
+    d, charts = atlas.manifold.intrinsic_dim, atlas.chart_count
     v_list = multi_indices(d, alpha - 1)
-    F = pullback_evaluator(f_on_M, atlas, i)
     nodes = grid_nodes(N, d) / N
-    derivs = {tuple(a): _fd_deriv(F, nodes, tuple(a), fd_step) for a in v_list}
-    table = _monomial_expansion_rows(nodes, derivs, v_list)
+    Z = np.tile(nodes, (charts, 1))
+
+    def F(Z):
+        pulls = ([_pullback_points(atlas, i, Zi)] for i, Zi in enumerate(np.split(Z, charts)))
+        return np.concatenate([vals for [(vals, _)] in _weighted_pullbacks(f_on_M, pulls)])
+
+    derivs = {tuple(a): _fd_deriv(F, Z, tuple(a), fd_step) for a in v_list}
+    table = _monomial_expansion_rows(Z, derivs, v_list)
     kill_radius = band + 1.0 / N
-    gap = np.min(np.max(np.abs(z_bound[None] - nodes[:, None]), axis=2), axis=1)
-    kill = gap <= kill_radius
-    killed = int(np.count_nonzero(np.any(table[kill] != 0.0, axis=1)))
-    table[kill] = 0.0
-    coeffs = SurrogateCoefficients(d, N, alpha, v_list, table)
-    return coeffs, {"band_width": band, "kill_radius": kill_radius, "killed_nodes": killed}
+    gap = np.min(np.max(np.abs(z_bound[:, None] - nodes[:, None]), axis=3), axis=2)
+    kill = gap <= kill_radius[:, None]
+    killed = np.count_nonzero(kill & np.any(table != 0.0, axis=1).reshape(kill.shape), axis=1)
+    table[kill.ravel()] = 0.0
+    kill_info = [
+        {"band_width": float(b), "kill_radius": float(k), "killed_nodes": int(n)}
+        for b, k, n in zip(band, kill_radius, killed)
+    ]
+    return SurrogateCoefficients(d, N, alpha, v_list, table), kill_info
 
 
 # ---------------------------------------------------------------------------
@@ -665,12 +673,12 @@ def chart_coefficients(
 class ManifoldApproximator:
     """Functional evaluator + optional compiled model of the chart-sum net."""
 
-    def __init__(self, f_on_M, atlas, per_chart, sqdist_nets, indicator_net,
+    def __init__(self, f_on_M, atlas, coeffs, sqdist, indicator_net,
                  times_eta, times_delta, record):
         self.f_on_M = f_on_M
         self.atlas = atlas
-        self.per_chart = per_chart  # list of SurrogateCoefficients
-        self.sqdist_nets = sqdist_nets
+        self.coeffs = coeffs  # SurrogateCoefficients, the charts' tables stacked
+        self.sqdist_net, self.sqdist_biases = sqdist  # as build_sqdist_nets gives them
         self.indicator_net = indicator_net
         self.times_eta = times_eta
         self.times_delta = times_delta
@@ -682,19 +690,10 @@ class ManifoldApproximator:
     def N(self):
         return self.record["N"]
 
-    @cached_property
-    def _sqdist_stack(self):
-        """The stamped sqdist nets (``build_sqdist_nets``) as one net: the
-        shared first-layer weight, the (charts, width) stack of the chart
-        biases, and the shared later layers."""
-        (W0, _), rest = self.sqdist_nets[0].layers[0], self.sqdist_nets[0].layers[1:]
-        return W0, np.array([net.layers[0][1] for net in self.sqdist_nets]), ScalarNet(rest)
-
     def indicator_values(self, i, X):
         """Indicator of chart i at the rows of X; i is a chart, or an array
         holding the chart of each row."""
-        W0, b0, rest = self._sqdist_stack
-        d2 = rest.forward(kernels.mlp_layer(W0, b0[i], np.atleast_2d(X)))
+        d2 = _stamp(self.sqdist_net, self.sqdist_biases[i]).forward(X)
         return self.indicator_net.forward(d2[:, None])
 
     def per_chart_eval(self, i, X):
@@ -727,7 +726,7 @@ class ManifoldApproximator:
         """Contribution of chart charts[t] at the point X[points[t]], for
         (chart, point) pairs ordered by chart: one projection per chart,
         then one indicator pass and one stacked fold over all pairs, each
-        pair reading the coefficient table of its chart."""
+        pair reading the rows of its chart in the stacked table."""
         if not charts.size:
             return np.zeros(0)
         used, start, count = np.unique(charts, return_index=True, return_counts=True)
@@ -736,11 +735,9 @@ class ManifoldApproximator:
             chart_project(self.atlas.charts[i], P[a : a + n], check=False)
             for i, a, n in zip(used, start, count)
         ])
-        tables = [self.per_chart[i].table for i in used]
-        coeffs = replace(self.per_chart[0], table=np.concatenate(tables))
-        offset = np.repeat(np.arange(len(used)) * len(tables[0]), count)
+        offset = charts * (self.coeffs.N + 1) ** self.coeffs.dim
         tail = (self.times_delta, self.indicator_values(charts, P))
-        return _stacked_fold(coeffs, Z, self.times_eta, tail=tail, offset=offset)
+        return _stacked_fold(self.coeffs, Z, self.times_eta, tail=tail, offset=offset)
 
     def __call__(self, x):
         return float(self.eval(np.atleast_1d(x)[None])[0])
@@ -757,13 +754,14 @@ class ManifoldApproximator:
         moves the bias the template stamps, so each term is a template of
         its own."""
         D = self.atlas.manifold.ambient_dim
-        first = self.per_chart[0]  # every chart has the grid N and the monomials v
-        templates = [monomial_bump_template(v, first.N, eta, box=box) for v in first.v_list]
-        for chart, coeffs, sqdist in zip(self.atlas.charts, self.per_chart, self.sqdist_nets):
+        coeffs = self.coeffs
+        templates = [monomial_bump_template(v, coeffs.N, eta, box=box) for v in coeffs.v_list]
+        tables = coeffs.table.reshape(self.atlas.chart_count, -1, len(coeffs.v_list))
+        for chart, table, bias in zip(self.atlas.charts, tables, self.sqdist_biases):
             A = chart.scale * chart.frame.T
             cvec = chart.shift - A @ chart.center
-            ind_chain = sn_chain(sqdist, self.indicator_net)
-            for g, m, c in _bump_terms(coeffs, templates):
+            ind_chain = sn_chain(_stamp(self.sqdist_net, bias), self.indicator_net)
+            for g, m, c in _bump_terms(replace(coeffs, table=table), templates):
                 g_x = sn_input_affine(g.at(m), A, cvec)
                 depth = max(g_x.depth, ind_chain.depth)
                 cols = list(range(D))
@@ -803,19 +801,11 @@ def build_manifold_approx(
     box_intr = alpha + d + 1.0
     ind_params = IndicatorParams(r=r, Delta=Delta, theta=theta, B=B, D=D)
     indicator_net = build_indicator(ind_params)
-    sqdist_nets = build_sqdist_nets(atlas.centers, theta, B)
+    sqdist = build_sqdist_nets(atlas.centers, theta, B)
     times_eta = build_product2(eta, box_intr)
     times_delta = build_product2(delta, box_intr)
-
-    fd_step = 1e-4 * r
-    per_chart, kill_info = [], []
     z_bound, band = chart_boundary_data(atlas, Delta)
-    for i in range(atlas.chart_count):
-        coeffs, info = chart_coefficients(
-            f_on_M, atlas, i, N, alpha, fd_step, z_bound[i], float(band[i])
-        )
-        per_chart.append(coeffs)
-        kill_info.append(info)
+    coeffs, kill_info = chart_coefficients(f_on_M, atlas, N, alpha, 1e-4 * r, z_bound, band)
 
     record = {
         "manifold": mspec.name,
@@ -835,10 +825,10 @@ def build_manifold_approx(
         "Mt": Mt,
         "Jt": Jt,
         "kill_info": kill_info,
-        "coeff_bound": max(c.max_abs for c in per_chart),
+        "coeff_bound": coeffs.max_abs,
     }
     approx = ManifoldApproximator(
-        f_on_M, atlas, per_chart, sqdist_nets, indicator_net, times_eta, times_delta, record
+        f_on_M, atlas, coeffs, sqdist, indicator_net, times_eta, times_delta, record
     )
     if not compile_model:
         return approx

@@ -1,0 +1,57 @@
+"""Per-chart, per-point reference for the manifold build's coefficients.
+
+The build once computed the Taylor table of each chart by itself, one chart
+after another, through a pullback that each chart's finite differences
+called on that chart's nodes; this module keeps that loop, with a pullback
+that inverts, weighs and evaluates one point at a time, as the oracle the
+one-call ``manifold.chart_coefficients`` is compared against.
+"""
+
+import numpy as np
+
+from sobolev_forge.manifold import ChartError, _fd_deriv, chart_invert, rho_weights
+from sobolev_forge.taylor import _monomial_expansion_rows, grid_nodes, multi_indices
+
+
+def per_point_pullback(f_on_M, atlas, i):
+    """(f * rho_i) o phi_i^{-1} as a batch evaluator on chart coordinates:
+    one inversion, one weight row and one target call per point, zero off
+    the chart image and where rho_i vanishes."""
+    chart = atlas.charts[i]
+
+    def F(Z):
+        out = np.zeros(len(Z))
+        for t, z in enumerate(Z):
+            try:
+                x = chart_invert(chart, atlas.manifold, z)
+            except ChartError:
+                continue
+            w = rho_weights(atlas, x)[i]
+            if w != 0.0:
+                out[t] = float(f_on_M(x[None])[0]) * w
+        return out
+
+    return F
+
+
+def chart_coefficients_oracle(f_on_M, atlas, N, alpha, fd_step, z_bound, band):
+    """(tables, kill_info): each chart's coefficient table, boundary band
+    killed, and kill record, chart by chart."""
+    d = atlas.manifold.intrinsic_dim
+    v_list = multi_indices(d, alpha - 1)
+    nodes = grid_nodes(N, d) / N
+    tables, kill_info = [], []
+    for i in range(atlas.chart_count):
+        F = per_point_pullback(f_on_M, atlas, i)
+        derivs = {tuple(a): _fd_deriv(F, nodes, tuple(a), fd_step) for a in v_list}
+        table = _monomial_expansion_rows(nodes, derivs, v_list)
+        kill_radius = float(band[i]) + 1.0 / N
+        gap = np.min(np.max(np.abs(z_bound[i][None] - nodes[:, None]), axis=2), axis=1)
+        kill = gap <= kill_radius
+        killed = int(np.count_nonzero(np.any(table[kill] != 0.0, axis=1)))
+        table[kill] = 0.0
+        tables.append(table)
+        kill_info.append(
+            {"band_width": float(band[i]), "kill_radius": kill_radius, "killed_nodes": killed}
+        )
+    return tables, kill_info

@@ -6,12 +6,13 @@ charts one by one; these functions keep those loops as the oracles the
 stacked, compacted fold and the stacked chart sum are compared against.
 """
 
+from dataclasses import replace
 from itertools import product as iter_product
 
 import numpy as np
 
 from sobolev_forge.manifold import chart_project
-from sobolev_forge.scalarnets import monomial_factors, psi_value
+from sobolev_forge.scalarnets import ScalarNet, monomial_factors, psi_value
 
 
 def _covering_terms(coeffs, X):
@@ -85,9 +86,12 @@ def per_chart_eval_oracle(ap, i, X):
     the indicator through chart i's own squared-distance net."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     Z = chart_project(ap.atlas.charts[i], X, check=False)
-    ind = ap.indicator_net.forward(ap.sqdist_nets[i].forward(X)[:, None])
+    (W0, _), *rest = ap.sqdist_net.layers
+    sqdist = ScalarNet([(W0, ap.sqdist_biases[i])] + rest)
+    ind = ap.indicator_net.forward(sqdist.forward(X)[:, None])
+    rows = (ap.coeffs.N + 1) ** ap.coeffs.dim
     return _sum_terms(
-        ap.per_chart[i], Z, ap.times_eta,
+        replace(ap.coeffs, table=ap.coeffs.table[i * rows : (i + 1) * rows]), Z, ap.times_eta,
         lambda g: _forward2(ap.times_delta, g, ind),
     )
 

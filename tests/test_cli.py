@@ -218,6 +218,24 @@ def test_manifold_study_mini(tmp_path):
     assert summary["slope_k0"] < -1.0
 
 
+def test_manifold_rate_study_determinism(tmp_path):
+    """The CI package job's circle study, run twice, writes the same bytes."""
+    cfg = {
+        "kind": "manifold-rate",
+        "target": "circle-sin",
+        "alpha": 2,
+        "N_list": [2, 4],
+        "resolution": 8,
+        "slope_window_k0": [-6.0, 0.0],
+        "slope_window_k1": [-6.0, 1.0],
+        "separation_slope": -0.5,
+    }
+    assert run_study(cfg, tmp_path / "a")[0] == 0
+    assert run_study(cfg, tmp_path / "b")[0] == 0
+    for name in ("rates.csv", "summary.json", "rates.svg"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
 def test_eval_rejects_a_nan_model_with_exit_2(tmp_path, capsys):
     doc = serialize.to_dict(assemble_resnet([mlp_to_cnn(build_trapezoid(0, 1))]))
     doc["fc"]["bias"] = float("nan")

@@ -1,10 +1,12 @@
 import dataclasses
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from boundary_oracle import chart_boundary_oracle
+from coeff_oracle import chart_coefficients_oracle, per_point_pullback
 from fold_oracle import chart_sum_oracle, per_chart_eval_oracle
 from hypothesis import example, given, settings, strategies as st
 
@@ -21,7 +23,6 @@ from sobolev_forge.manifold import (
     chart_project,
     circle_manifold,
     manifold_norm,
-    pullback_evaluator,
     rho_weights,
     sphere_manifold,
     torus_manifold,
@@ -313,15 +314,15 @@ def test_stamped_sqdist_nets_equal_per_center_builds(atlas, sphere_atlas, kit):
     at = {"circle": atlas, "sphere": sphere_atlas,
           "torus": build_atlas(torus_manifold(), 0.16, sample_count=256)}[kit]
     theta, B = at.r**2 / (64.0 * at.manifold.ambient_dim), at.manifold.box_bound
-    nets = manifold.build_sqdist_nets(at.centers, theta, B)
-    assert len(nets) == at.chart_count
-    for net, center in zip(nets, at.centers):
-        ref = build_sqdist_net(center, theta, B)
+    shared, biases = manifold.build_sqdist_nets(at.centers, theta, B)
+    assert biases.shape == (at.chart_count, shared.layers[0][1].size)
+    for bias, center in zip(biases, at.centers):
+        net, ref = manifold._stamp(shared, bias), build_sqdist_net(center, theta, B)
         assert net.depth == ref.depth
         for (W, b), (W_ref, b_ref) in zip(net.layers, ref.layers):
             assert np.array_equal(W, W_ref) and np.array_equal(b, b_ref)
-        assert net.layers[0][0] is nets[0].layers[0][0]
-        assert all(a is b for a, b in zip(net.layers[1:], nets[0].layers[1:]))
+        assert net.layers[0][0] is shared.layers[0][0]
+        assert all(a is b for a, b in zip(net.layers[1:], shared.layers[1:]))
 
 
 def test_manifold_compile_equality(circle, circle_sin):
@@ -405,8 +406,8 @@ def test_per_chart_eval_matches_per_term_oracle(circle, atlas, circle_sin):
     m, target = circle_sin
     ap = build_manifold_approx(target, m, N=8, atlas=atlas)
     rng = np.random.default_rng(4)
-    for c in ap.per_chart[::2]:
-        c.table = np.where(rng.random((len(c.table), 1)) < 0.3, 0.0, c.table)
+    for table in ap.coeffs.table.reshape(atlas.chart_count, -1, len(ap.coeffs.v_list))[::2]:
+        table[:] = np.where(rng.random((len(table), 1)) < 0.3, 0.0, table)
     pts = circle.sample_points(600)
     for i in range(atlas.chart_count):
         vals = ap.per_chart_eval(i, pts)
@@ -467,43 +468,56 @@ def test_rho_weights_rows_match_one_point(circle, atlas, params):
         assert np.array_equal(rho_weights(atlas, x), row)
 
 
+def _one_chart(fun, atlas, i, Z):
+    """(values, mask) of the weighted pullback of chart i at the rows of Z,
+    fun called on that chart's preimages alone."""
+    return next(manifold._weighted_pullbacks(fun, [[manifold._pullback_points(atlas, i, Z)]]))[0]
+
+
 @settings(max_examples=20, deadline=None)
-@given(st.integers(0, 68), st.lists(st.floats(-0.2, 1.2), min_size=1, max_size=20))
-def test_pullback_evaluator_batch_matches_one_point(atlas, circle_sin, i, zs):
-    F = pullback_evaluator(circle_sin[1], atlas, i % atlas.chart_count)
+@given(
+    st.lists(st.integers(0, 68), min_size=1, max_size=6),
+    st.lists(st.floats(-0.2, 1.2), min_size=1, max_size=20),
+    st.integers(1, 60),
+)
+def test_weighted_pullbacks_of_a_chart_batch_match_each_chart_and_point(
+    atlas, circle_sin, charts, zs, batch_rows
+):
+    """Each chart's values and mask are those of the chart alone and of each
+    point alone, however many charts share a call of the target (a row
+    bound of 1 gives every chart its own call)."""
+    f = circle_sin[1]
     Z = np.array(zs)[:, None]
-    assert np.array_equal(F(Z), [F(z[None])[0] for z in Z])
+    with mock.patch.object(manifold, "_PULLBACK_ROWS", batch_rows):
+        got = list(manifold._weighted_pullbacks(
+            f, ([manifold._pullback_points(atlas, i, Z)] for i in charts)
+        ))
+    assert len(got) == len(charts)
+    for i, [(vals, ok)] in zip(charts, got):
+        alone, alone_ok = _one_chart(f, atlas, i, Z)
+        assert np.array_equal(vals, alone) and np.array_equal(ok, alone_ok)
+        for z, v, o in zip(Z, vals, ok):
+            one, one_ok = _one_chart(f, atlas, i, z[None])
+            assert one[0] == v and one_ok[0] == o
+        assert np.array_equal(vals, per_point_pullback(f, atlas, i)(Z))
 
 
-def _per_point_pullback(f_on_M, atlas, i):
-    """Reference pullback: one inversion, one weight row and one target call
-    per point."""
-    chart = atlas.charts[i]
-
-    def F(Z):
-        out = np.zeros(len(Z))
-        for t, z in enumerate(Z):
-            try:
-                x = chart_invert(chart, atlas.manifold, z)
-            except ChartError:
-                continue
-            w = rho_weights(atlas, x)[i]
-            if w != 0.0:
-                out[t] = float(f_on_M(x[None])[0]) * w
-        return out
-
-    return F
-
-
-def test_circle_build_matches_per_point_pullback(circle, atlas, circle_sin, monkeypatch):
-    target = circle_sin[1]
-    ap = build_manifold_approx(target, circle, N=8, atlas=atlas)
-    monkeypatch.setattr(manifold, "pullback_evaluator", _per_point_pullback)
-    ref = build_manifold_approx(target, circle, N=8, atlas=atlas)
-    for a, b in zip(ap.per_chart, ref.per_chart):
-        assert np.array_equal(a.table, b.table)
-    assert ap.record["kill_info"] == ref.record["kill_info"]
-    assert any(np.any(c.table != 0.0) for c in ap.per_chart)
+@pytest.mark.parametrize("alpha, N", [(2, 3), (2, 8), (3, 8)])
+def test_circle_build_matches_per_chart_per_point_coefficients(atlas, alpha, N):
+    """The one-call coefficients of all charts have the bits of the loop that
+    pulled the target back chart by chart and point by point; at alpha = 3
+    the second differences run on the stacked rows too, and at N = 3 the
+    boundary-band kill zeroes nodes of every chart."""
+    m, target = get_manifold_target("circle-sin", order=alpha)
+    ap = build_manifold_approx(target, m, N=N, atlas=atlas)
+    rec = ap.record
+    z_bound, band = manifold.chart_boundary_data(atlas, rec["Delta"])
+    tables, kill_info = chart_coefficients_oracle(
+        target, atlas, N, alpha, 1e-4 * atlas.r, z_bound, band
+    )
+    assert np.array_equal(ap.coeffs.table, np.concatenate(tables))
+    assert rec["kill_info"] == kill_info
+    assert any(np.any(t != 0.0) for t in tables) or any(i["killed_nodes"] for i in kill_info)
 
 
 def _per_point_norm(e_on_M, atlas, k, resolution, fd_step=1e-5):
@@ -564,13 +578,13 @@ def _per_chart_norm(e_on_M, atlas, k, resolution, fd_step=1e-5):
     steps = fd_step * np.eye(d)[:, None, :]
     total, skipped = 0.0, 0
     for i in range(atlas.chart_count):
-        vals, ok = manifold._weighted_pullback(e_on_M, atlas, i, Zg)
+        vals, ok = _one_chart(e_on_M, atlas, i, Zg)
         skipped += int(np.count_nonzero(~ok))
         best = float(np.max(np.abs(vals[ok]), initial=0.0))
         if k == 1:
             base = Zg[ok]
             stencil = np.concatenate([base + steps, base - steps]).reshape(-1, d)
-            sv, sok = manifold._weighted_pullback(e_on_M, atlas, i, stencil)
+            sv, sok = _one_chart(e_on_M, atlas, i, stencil)
             sv, sok = sv.reshape(2, d, -1), sok.reshape(2, d, -1)
             both = sok[0] & sok[1]
             skipped += int(np.count_nonzero(~both))
