@@ -8,8 +8,7 @@ bump-times-monomial nets, and gate each chart's contribution by a
 chart-indicator network (squared-distance net composed with a clipped ramp).
 One ``chart_coefficients`` call computes the Taylor tables of all charts,
 stacked in chart order; its finite differences and ``manifold_norm`` share
-one pullback pass, ``_weighted_pullbacks``, which inverts and weighs each
-chart's rows by themselves and calls the function once per batch of charts.
+one pullback pass over (chart, point) rows, ``_pullback``.
 The gated terms of all charts compile through the Euclidean compile step,
 ``taylor.compile_terms``, and pass its build gates.  Coefficients of bumps
 whose support reaches the chart-boundary band are zeroed, which makes every
@@ -18,13 +17,14 @@ is the mechanism keeping first-derivative error bounded as the ramp sharpens.
 
 Evaluation stacks the charts.  The chart sum at a batch of points takes
 every (chart, point) pair within 1.2 r of the chart's center (beyond it the
-indicator is exactly 0), projects each chart's pairs into its coordinates,
-runs the squared-distance net, each pair with its chart's first-layer bias,
-and the indicator over all pairs at once, and folds all pairs in one
-``taylor._stacked_fold`` pass, each pair reading its chart's rows of the
+indicator is exactly 0), projects all pairs into their charts' coordinates
+in one call, runs the squared-distance net (each pair with its chart's
+first-layer bias) and the indicator over all pairs, and folds all pairs in
+one ``taylor._stacked_fold`` pass, each pair reading its chart's rows of the
 stacked table.  A point's pair values are then added in ascending chart
-order, as a chart-by-chart loop adds them, so the sum has the bits of that
-loop.
+order, as a chart-by-chart loop adds them.  Every step acts row by row (the
+chart projection is a one-row product per row), so a point gets the same
+value alone as inside any batch, as on the Euclidean path.
 
 Parameter policy: eta = N^-alpha and delta = N^-(alpha+d+1) follow the
 asymptotic prescription.  The ramp width is Delta = r^2/(4N), which keeps the
@@ -239,8 +239,10 @@ class Chart:
 
 @dataclass
 class Atlas:
-    """Charts covering a manifold.  The center stack depends on the atlas
-    alone, so it is computed once, by its first reader, and cached."""
+    """Charts covering a manifold; ``build_atlas`` gives every chart the
+    scale 1/(2r) and the shift 1/2.  The center and frame stacks depend on
+    the atlas alone, so each is computed once, by its first reader, and
+    cached."""
 
     manifold: ManifoldSpec
     charts: list
@@ -260,11 +262,28 @@ class Atlas:
         """(charts, D) stack of the chart centers."""
         return np.array([ch.center for ch in self.charts])
 
+    @cached_property
+    def frames(self):
+        """(charts, D, d) stack of the chart frames."""
+        return np.array([ch.frame for ch in self.charts])
+
+    def project(self, charts, X):
+        """Row t of X in the coordinates of chart charts[t]."""
+        ch = self.charts[0]
+        return _project(X, self.centers[charts], self.frames[charts], ch.scale, ch.shift)
+
 
 def _row_dots(A, B):
     """Row-wise dot products, one product per row: each row rounds exactly as
     a one-point ``a @ b`` does, whatever the number of rows."""
     return np.matmul(A[:, None, :], B[:, :, None])[:, 0, 0]
+
+
+def _project(X, center, frame, scale, shift):
+    """scale * V^T (x - c) + shift at each row x of X as a one-row product,
+    so a row rounds as it does alone; center and frame are one chart's, or
+    stacks holding each row's chart."""
+    return np.matmul((scale * (X - center))[:, None, :], frame)[:, 0] + shift
 
 
 def _row_norms(V):
@@ -327,7 +346,7 @@ def chart_project(chart: Chart, x, check=True):
             raise ChartError(
                 f"point at distance {float(np.max(dist)):.4g} outside chart ball r={chart.radius}"
             )
-    Z = chart.scale * (X - chart.center) @ chart.frame + chart.shift
+    Z = _project(X, chart.center, chart.frame, chart.scale, chart.shift)
     return Z[0] if single else Z
 
 
@@ -508,54 +527,34 @@ def build_indicator(p: IndicatorParams) -> ScalarNet:
 # ---------------------------------------------------------------------------
 
 
-def _pullback_points(atlas, i, Z):
-    """Chart i's inverse at the rows z of Z: the mask ok of rows that have a
-    preimage, the rows where rho_i does not vanish there, those preimages
-    and their weights rho_i."""
-    Z = np.atleast_2d(np.asarray(Z, dtype=np.float64))
-    X, ok = chart_invert_batch(atlas.charts[i], atlas.manifold, Z)
-    rows = np.flatnonzero(ok)
-    w = rho_weights(atlas, X[rows])[:, i]
-    rows, w = rows[w != 0.0], w[w != 0.0]
-    return ok, rows, X[rows], w
+# rows x charts of one rho_weights call in _pullback: about 3,800 rows on the
+# 69-chart circle atlas, and a bounded distance matrix on larger atlases
+_PULLBACK_CELLS = 2**18
 
 
-# rows per call of fun in _weighted_pullbacks: whole charts are taken until
-# the next would pass this count (a larger chart goes alone)
-_PULLBACK_ROWS = 4096
+def _pullback(fun, atlas, charts, Z):
+    """(fun * rho_i)(phi_i^{-1}(z)) at each row z of Z, with i the row's
+    entry of charts, and the mask of rows that have a preimage; a row is 0
+    where it has none or rho_i vanishes, and fun is not called there.
 
-
-def _weighted_pullbacks(fun, charts):
-    """For each chart's list of ``_pullback_points``, in turn, the list of
-    their (values, mask) pairs.  On chart i the values are
-    (fun * rho_i)(phi_i^{-1}(z)) at the rows z, zero where rho_i vanishes
-    (fun is not called there) or z has no preimage, and the mask marks the
-    rows that have one.  fun is called once per batch of whole charts."""
-    batch, size = [], 0
-    for pulls in charts:
-        rows = sum(p[1].size for p in pulls)
-        if batch and size + rows > _PULLBACK_ROWS:
-            yield from _weigh(fun, batch)
-            batch, size = [], 0
-        batch.append(pulls)
-        size += rows
-    yield from _weigh(fun, batch)
-
-
-def _weigh(fun, batch):
-    """One call of fun on the preimages of every pull in the batch, split
-    back into one list of (values, mask) per chart."""
-    X = np.concatenate([X for pulls in batch for _, _, X, _ in pulls])
-    vals = np.asarray(fun(X), dtype=np.float64).ravel() if len(X) else np.zeros(0)
-    at = 0
-    for pulls in batch:
-        weighted = []
-        for ok, rows, _, w in pulls:
-            out = np.zeros(len(ok))
-            out[rows] = vals[at : at + rows.size] * w
-            at += rows.size
-            weighted.append((out, ok))
-        yield weighted
+    Each chart inverts its rows in one call; rho_weights and fun then run
+    over all rows in chunks of _PULLBACK_CELLS // charts rows.  Every step
+    acts row by row, so a row has the bits of that row alone."""
+    X = np.empty((len(Z), atlas.manifold.ambient_dim))
+    ok = np.empty(len(Z), dtype=bool)
+    order = np.argsort(charts, kind="stable")
+    used, start = np.unique(charts[order], return_index=True)
+    for i, at in zip(used, np.split(order, start[1:])):
+        X[at], ok[at] = chart_invert_batch(atlas.charts[i], atlas.manifold, Z[at])
+    vals = np.zeros(len(Z))
+    step = max(1, _PULLBACK_CELLS // atlas.chart_count)
+    for a in range(0, len(Z), step):
+        rows = a + np.flatnonzero(ok[a : a + step])
+        w = rho_weights(atlas, X[rows])[np.arange(rows.size), charts[rows]]
+        rows, w = rows[w != 0.0], w[w != 0.0]
+        if rows.size:
+            vals[rows] = np.asarray(fun(X[rows]), dtype=np.float64).ravel() * w
+    return vals, ok
 
 
 def _fd_deriv(F, Z, a, h):
@@ -595,8 +594,9 @@ def chart_boundary_data(atlas: Atlas, Delta: float, n_dirs=32):
     # edge of the transition band d = sqrt(r^2 - Delta)
     per_chart = 2 * len(dirs)
     rays = np.tile(np.concatenate([dirs, dirs]), (atlas.chart_count, 1))
-    u0 = np.repeat([m.param_of_point(ch.center) for ch in atlas.charts], per_chart, axis=0)
-    centers = np.repeat(atlas.centers, per_chart, axis=0)
+    owner = np.repeat(np.arange(atlas.chart_count), per_chart)
+    u0 = np.array([m.param_of_point(ch.center) for ch in atlas.charts])[owner]
+    centers = atlas.centers[owner]
     target = np.concatenate([
         np.repeat([ch.radius, math.sqrt(max(ch.radius * ch.radius - Delta, 0.0))], len(dirs))
         for ch in atlas.charts
@@ -620,10 +620,7 @@ def chart_boundary_data(atlas: Atlas, Delta: float, n_dirs=32):
         t_hi = np.where(above, mid, t_hi)
         t_lo = np.where(above, t_lo, mid)
     Xb = m.embed(u0 + (0.5 * (t_lo + t_hi))[:, None] * rays)
-    Xb = Xb.reshape(atlas.chart_count, per_chart, -1)
-    # one projection per chart: a single product over all charts' rows rounds
-    # differently and moves band_width in its last bit
-    Zb = np.array([chart_project(ch, X, check=False) for ch, X in zip(atlas.charts, Xb)])
+    Zb = atlas.project(owner, Xb).reshape(atlas.chart_count, per_chart, -1)
     z_outer, z_inner = Zb[:, : len(dirs)], Zb[:, len(dirs) :]
     return z_outer, np.max(np.abs(z_outer - z_inner), axis=(1, 2))
 
@@ -632,9 +629,9 @@ def chart_coefficients(f_on_M, atlas: Atlas, N: int, alpha: int, fd_step: float,
     """Taylor coefficients of every chart pullback, with the boundary-band
     kill: the charts' tables stacked in chart order, (N+1)^d rows each, and
     each chart's kill record.  The finite differences run on the grid nodes
-    tiled once per chart; each chart's rows are inverted and weighed by
-    themselves, and the target, the differences and the expansion act row
-    by row, so a chart's rows have the bits of a build of that chart alone.
+    tiled once per chart, through one ``_pullback`` per evaluation; it, the
+    differences and the expansion act row by row, so a chart's rows have
+    the bits of a build of that chart alone.
 
     Every grid node within band_width + 1/N (sup-norm, chart coordinates) of
     a boundary image of its chart is zeroed, so bumps whose support can reach
@@ -646,11 +643,8 @@ def chart_coefficients(f_on_M, atlas: Atlas, N: int, alpha: int, fd_step: float,
     v_list = multi_indices(d, alpha - 1)
     nodes = grid_nodes(N, d) / N
     Z = np.tile(nodes, (charts, 1))
-
-    def F(Z):
-        pulls = ([_pullback_points(atlas, i, Zi)] for i, Zi in enumerate(np.split(Z, charts)))
-        return np.concatenate([vals for [(vals, _)] in _weighted_pullbacks(f_on_M, pulls)])
-
+    owner = np.repeat(np.arange(charts), len(nodes))
+    F = lambda Z: _pullback(f_on_M, atlas, owner, Z)[0]
     derivs = {tuple(a): _fd_deriv(F, Z, tuple(a), fd_step) for a in v_list}
     table = _monomial_expansion_rows(Z, derivs, v_list)
     kill_radius = band + 1.0 / N
@@ -723,24 +717,14 @@ class ManifoldApproximator:
         return out
 
     def _pair_values(self, X, charts, points):
-        """Contribution of chart charts[t] at the point X[points[t]], for
-        (chart, point) pairs ordered by chart: one projection per chart,
-        then one indicator pass and one stacked fold over all pairs, each
-        pair reading the rows of its chart in the stacked table."""
-        if not charts.size:
-            return np.zeros(0)
-        used, start, count = np.unique(charts, return_index=True, return_counts=True)
+        """Contribution of chart charts[t] at the point X[points[t]]: one
+        projection, one indicator pass and one stacked fold over all pairs,
+        each pair reading the rows of its chart in the stacked table."""
         P = X[points]
-        Z = np.concatenate([
-            chart_project(self.atlas.charts[i], P[a : a + n], check=False)
-            for i, a, n in zip(used, start, count)
-        ])
+        Z = self.atlas.project(charts, P)
         offset = charts * (self.coeffs.N + 1) ** self.coeffs.dim
         tail = (self.times_delta, self.indicator_values(charts, P))
         return _stacked_fold(self.coeffs, Z, self.times_eta, tail=tail, offset=offset)
-
-    def __call__(self, x):
-        return float(self.eval(np.atleast_1d(x)[None])[0])
 
     def model_eval(self, X):
         if self.model is None:
@@ -844,36 +828,26 @@ def manifold_norm(e_on_M, atlas: Atlas, k: int, resolution=60, fd_step=1e-5):
     the chart images (k = 1 adds chart-coordinate central differences).
 
     Grid points with no chart preimage are skipped; the skip count is
-    returned alongside the value.  The grid points of every chart, and at
-    k = 1 their stencils, are inverted and weighed chart by chart; e is then
-    called on the preimages of many charts at once (``_PULLBACK_ROWS``), and
-    the charts' sups are summed in chart order.
+    returned alongside the value.  One ``_pullback`` covers the grid of
+    every chart, and at k = 1 every grid point's stencil; the charts' sups
+    are then summed in chart order.
     """
     if k not in (0, 1):
         raise ValueError(f"k must be 0 or 1, got {k}")
-    d = atlas.manifold.intrinsic_dim
+    d, charts = atlas.manifold.intrinsic_dim, atlas.chart_count
     Zg = EvalGrid(d, resolution).points
-    # k = 1: the +-fd_step stencil of every grid point that has a preimage
+    # k = 1: the grid, then its +fd_step e_j points, then its -fd_step e_j points
     steps = fd_step * np.eye(d)[:, None, :]
-
-    def pulls(i):
-        grid = _pullback_points(atlas, i, Zg)
-        if k == 0:
-            return [grid]
-        base = Zg[grid[0]]
-        stencil = np.concatenate([base + steps, base - steps]).reshape(-1, d)
-        return [grid, _pullback_points(atlas, i, stencil)]
-
-    total, skipped = 0.0, 0
-    for (vals, ok), *stencil in _weighted_pullbacks(e_on_M, map(pulls, range(atlas.chart_count))):
-        skipped += int(np.count_nonzero(~ok))
-        best = float(np.max(np.abs(vals[ok]), initial=0.0))
-        if stencil:
-            sv, sok = stencil[0]
-            sv, sok = sv.reshape(2, d, -1), sok.reshape(2, d, -1)
-            both = sok[0] & sok[1]
-            skipped += int(np.count_nonzero(~both))
-            slope = np.abs(sv[0] - sv[1]) / (2.0 * fd_step)
-            best = max(best, float(np.max(slope[both], initial=0.0)))
-        total += best
-    return total, skipped
+    Z = (Zg[None] if k == 0 else np.concatenate([Zg[None], Zg + steps, Zg - steps])).reshape(-1, d)
+    owner = np.repeat(np.arange(charts), len(Z))
+    vals, ok = _pullback(e_on_M, atlas, owner, np.tile(Z, (charts, 1)))
+    vals, ok = vals.reshape(charts, -1, len(Zg)), ok.reshape(charts, -1, len(Zg))
+    skipped = int(np.count_nonzero(~ok[:, 0]))
+    best = np.max(np.abs(vals[:, 0]), axis=1)  # rows without a preimage are 0
+    if k == 1:
+        both = ok[:, :1] & ok[:, 1 : d + 1] & ok[:, d + 1 :]
+        skipped += int(np.count_nonzero(ok[:, :1] & ~both))
+        slope = np.abs(vals[:, 1 : d + 1] - vals[:, d + 1 :]) / (2.0 * fd_step)
+        best = np.maximum(best, np.max(np.where(both, slope, 0.0), axis=(1, 2)))
+    # the charts' sups added one after another, in chart order
+    return float(np.cumsum(best)[-1]), skipped

@@ -27,7 +27,6 @@ from sobolev_forge.manifold import (
     sphere_manifold,
     torus_manifold,
 )
-from sobolev_forge.metrics import EvalGrid
 from sobolev_forge.targets import get_manifold_target
 
 
@@ -459,6 +458,44 @@ def test_chart_sum_matches_per_chart_loop_on_a_dense_sample(circle, circle_sin_a
     assert np.array_equal(ap.eval(X), chart_sum_oracle(ap, X))
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from([4, 8, 16]),
+    st.lists(_ON_OR_NEAR_CIRCLE, min_size=1, max_size=40),
+    st.lists(st.integers(0, 68), max_size=3),
+    st.booleans(),
+    st.booleans(),
+)
+@example(4, [(1.3, 1.0), (1.32, 1.0)], [], False, False)
+def test_eval_of_each_point_alone_equals_its_value_in_the_batch(
+    circle, atlas, circle_sin_approx, N, params, lone, origin, nan_row
+):
+    """Every point's chart sum is the same alone as inside the batch.  A
+    point at 1.22 times a chart center is within 1.2 r of that chart only,
+    the origin of none, and a nan row is nan."""
+    ap = circle_sin_approx[N]
+    t, s = np.array(params).T
+    X = np.vstack([s[:, None] * circle.embed(t[:, None]), 1.22 * atlas.centers[lone]])
+    if origin:
+        X = np.vstack([X, np.zeros(3)])
+    if nan_row:
+        X = np.vstack([X, [0.5, np.nan, 0.5]])
+    alone = [ap.eval(x[None])[0] for x in X]
+    assert np.array_equal(ap.eval(X), alone, equal_nan=True)
+
+
+@pytest.mark.parametrize("r", [0.2, None])
+def test_band_kill_zeroes_every_table_below_N_4(circle_sin, r):
+    """On the circle atlas, at r = 0.2 and at the default r, the kill radius
+    band_width + 1/N reaches each chart's center node at N = 2 and 3, the
+    only node where rho_i does not vanish, so every table row is 0 and the
+    approximant is identically 0; N = 4 leaves nonzero rows."""
+    m, target = circle_sin
+    for N in (2, 3, 4):
+        table = build_manifold_approx(target, m, N=N, r=r).coeffs.table
+        assert np.any(table != 0.0) == (N == 4)
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.lists(st.floats(0.0, 2 * math.pi), min_size=1, max_size=30))
 def test_rho_weights_rows_match_one_point(circle, atlas, params):
@@ -468,38 +505,28 @@ def test_rho_weights_rows_match_one_point(circle, atlas, params):
         assert np.array_equal(rho_weights(atlas, x), row)
 
 
-def _one_chart(fun, atlas, i, Z):
-    """(values, mask) of the weighted pullback of chart i at the rows of Z,
-    fun called on that chart's preimages alone."""
-    return next(manifold._weighted_pullbacks(fun, [[manifold._pullback_points(atlas, i, Z)]]))[0]
-
-
 @settings(max_examples=20, deadline=None)
 @given(
     st.lists(st.integers(0, 68), min_size=1, max_size=6),
     st.lists(st.floats(-0.2, 1.2), min_size=1, max_size=20),
     st.integers(1, 60),
 )
-def test_weighted_pullbacks_of_a_chart_batch_match_each_chart_and_point(
-    atlas, circle_sin, charts, zs, batch_rows
+def test_pullback_rows_match_each_row_alone_and_per_point(
+    atlas, circle_sin, charts, zs, chunk_rows
 ):
-    """Each chart's values and mask are those of the chart alone and of each
-    point alone, however many charts share a call of the target (a row
-    bound of 1 gives every chart its own call)."""
+    """Each (chart, z) row of one pullback over interleaved charts has the
+    value and mask of that row alone and the oracle's value, however many
+    rows share a call of the target."""
     f = circle_sin[1]
-    Z = np.array(zs)[:, None]
-    with mock.patch.object(manifold, "_PULLBACK_ROWS", batch_rows):
-        got = list(manifold._weighted_pullbacks(
-            f, ([manifold._pullback_points(atlas, i, Z)] for i in charts)
-        ))
-    assert len(got) == len(charts)
-    for i, [(vals, ok)] in zip(charts, got):
-        alone, alone_ok = _one_chart(f, atlas, i, Z)
-        assert np.array_equal(vals, alone) and np.array_equal(ok, alone_ok)
-        for z, v, o in zip(Z, vals, ok):
-            one, one_ok = _one_chart(f, atlas, i, z[None])
-            assert one[0] == v and one_ok[0] == o
-        assert np.array_equal(vals, per_point_pullback(f, atlas, i)(Z))
+    owner = np.tile(charts, len(zs))
+    Z = np.repeat(np.array(zs)[:, None], len(charts), axis=0)
+    with mock.patch.object(manifold, "_PULLBACK_CELLS", chunk_rows * atlas.chart_count):
+        vals, ok = manifold._pullback(f, atlas, owner, Z)
+    for t in range(len(Z)):
+        one, one_ok = manifold._pullback(f, atlas, owner[t : t + 1], Z[t : t + 1])
+        assert one[0] == vals[t] and one_ok[0] == ok[t]
+    for i, col in zip(charts, vals.reshape(len(zs), len(charts)).T):
+        assert np.array_equal(col, per_point_pullback(f, atlas, i)(np.array(zs)[:, None]))
 
 
 @pytest.mark.parametrize("alpha, N", [(2, 3), (2, 8), (3, 8)])
@@ -556,12 +583,15 @@ def _per_point_norm(e_on_M, atlas, k, resolution, fd_step=1e-5):
     return total, skipped
 
 
-@pytest.mark.parametrize("kit, k, resolution", [("circle", 0, 210), ("sphere", 1, 3)])
+@pytest.mark.parametrize(
+    "kit, k, resolution", [("circle", 0, 210), ("circle", 1, 210), ("sphere", 1, 3)]
+)
 def test_manifold_norm_matches_per_point(atlas, sphere_atlas, kit, k, resolution):
     """At resolution 210 the first and last grid points of every circle chart
-    lie outside the chart ball, so the norm skips them; the sphere case
-    covers the two-direction stencils (at resolution 3 only the middle grid
-    point lies where rho_i > 0)."""
+    lie outside the chart ball, so the norm skips them, and at k = 1 their
+    stencils are neither skipped nor read; the sphere case covers the
+    two-direction stencils (at resolution 3 only the middle grid point lies
+    where rho_i > 0)."""
     at = atlas if kit == "circle" else sphere_atlas
     e = lambda X: X[:, 0] * X[:, 1] + X[:, 2]
     val, skipped = manifold_norm(e, at, k, resolution=resolution)
@@ -570,45 +600,18 @@ def test_manifold_norm_matches_per_point(atlas, sphere_atlas, kit, k, resolution
     assert skipped == (2 * at.chart_count if kit == "circle" else 0)
 
 
-def _per_chart_norm(e_on_M, atlas, k, resolution, fd_step=1e-5):
-    """Reference manifold_norm with one error call per chart and stencil, on
-    that chart's weighted preimages alone."""
-    d = atlas.manifold.intrinsic_dim
-    Zg = EvalGrid(d, resolution).points
-    steps = fd_step * np.eye(d)[:, None, :]
-    total, skipped = 0.0, 0
-    for i in range(atlas.chart_count):
-        vals, ok = _one_chart(e_on_M, atlas, i, Zg)
-        skipped += int(np.count_nonzero(~ok))
-        best = float(np.max(np.abs(vals[ok]), initial=0.0))
-        if k == 1:
-            base = Zg[ok]
-            stencil = np.concatenate([base + steps, base - steps]).reshape(-1, d)
-            sv, sok = _one_chart(e_on_M, atlas, i, stencil)
-            sv, sok = sv.reshape(2, d, -1), sok.reshape(2, d, -1)
-            both = sok[0] & sok[1]
-            skipped += int(np.count_nonzero(~both))
-            slope = np.abs(sv[0] - sv[1]) / (2.0 * fd_step)
-            best = max(best, float(np.max(slope[both], initial=0.0)))
-        total += best
-    return total, skipped
-
-
 @pytest.mark.parametrize("k", [0, 1])
-def test_manifold_norm_of_an_approximation_error_matches_per_chart(
+def test_manifold_norm_of_an_approximation_error_matches_per_point(
     atlas, circle_sin, circle_sin_approx, k
 ):
-    """The error of a circle-sin approximation, called once on the preimages
-    of all charts, gives bit for bit the norm of one call per chart.  The
-    one-point reference agrees to rounding only: a point's chart projection
-    rounds differently alone than inside a batch."""
+    """The norm of a circle-sin approximation's error, whose pullback rows
+    are chunked across charts, equals the one-point reference bit for bit,
+    since every point evaluates as it does alone."""
     ap, target = circle_sin_approx[4], circle_sin[1]
     e = lambda X: ap.eval(X) - target(X)
     val, skipped = manifold_norm(e, atlas, k, resolution=10)
     assert val > 0.0
-    assert (val, skipped) == _per_chart_norm(e, atlas, k, 10)
-    one, one_skipped = _per_point_norm(e, atlas, k, 10)
-    assert one_skipped == skipped and abs(val - one) <= 1e-12 * one
+    assert (val, skipped) == _per_point_norm(e, atlas, k, 10)
 
 
 def test_eval_is_nan_at_a_nonfinite_point_without_warnings(circle, atlas, circle_sin):
