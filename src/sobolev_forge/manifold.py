@@ -2,13 +2,21 @@
 distance and chart-indicator networks, the manifold compile pipeline, and the
 chart-based W^{k,inf} error metric.
 
+The atlas is arrays.  Chart i is phi_i(x) = a V_i^T (x - c_i) + b, and every
+chart shares a = 1/(2r) and b = 1/2; so an ``Atlas`` holds the (charts, D)
+stack of centers c_i, the (charts, D, d) stack of orthonormal frames V_i and
+r.  Every atlas step takes one chart per row: ``Atlas.project`` puts row t
+into chart charts[t], and ``chart_invert(atlas, charts, Z)`` inverts all
+rows, whatever their charts, in one call.
+
 The pipeline mirrors the Euclidean one on every chart: pull the target back
 through each chart, approximate each pullback on [0,1]^d with
 bump-times-monomial nets, and gate each chart's contribution by a
 chart-indicator network (squared-distance net composed with a clipped ramp).
 One ``chart_coefficients`` call computes the Taylor tables of all charts,
 stacked in chart order; its finite differences and ``manifold_norm`` share
-one pullback pass over (chart, point) rows, ``_pullback``.
+one pullback pass over (chart, point) rows, ``_pullback``, which makes one
+``chart_invert`` call.
 The gated terms of all charts compile through the Euclidean compile step,
 ``taylor.compile_terms``, and pass its build gates.  Coefficients of bumps
 whose support reaches the chart-boundary band are zeroed, which makes every
@@ -68,7 +76,8 @@ from .taylor import (
 
 
 class ChartError(RuntimeError):
-    """Chart projection/inversion outside its domain, or covering failure."""
+    """A chart radius out of range, a covering failure, or a boundary ray
+    without a bracket."""
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +99,9 @@ class ManifoldSpec:
     tangent_basis: callable  # (D,) point on M -> (D, d) orthonormal columns
     param_of_point: callable  # (D,) -> (d,) parameter
     param_samples: callable  # count -> (n, d) dense deterministic parameters
-    chart_solver: callable = None  # optional analytic (chart, (n, d) Z) -> ((n, D) X, ok)
+    # optional analytic inversion (Z, centers, frames, scale, shift) -> (X, ok):
+    # row t of the (n, d) Z in the chart of centers[t] and frames[t]
+    chart_solver: callable = None
 
     def sample_points(self, count):
         return self.embed(self.param_samples(count))
@@ -122,11 +133,11 @@ def circle_manifold(ambient_dim=3, radius=1.0) -> ManifoldSpec:
     def samples(count):
         return np.linspace(0.0, 2 * math.pi, count, endpoint=False)[:, None]
 
-    def solver(chart, Z):
+    def solver(Z, C, V, scale, shift):
         # in-plane: x = V p + (c/R) sqrt(R^2 - p^2), p the tangent coordinate
-        P = (Z[:, 0] - chart.shift[0]) / chart.scale
+        P = (Z[:, 0] - shift) / scale
         height = np.sqrt(np.maximum(R * R - P * P, 0.0))
-        X = chart.frame[:, 0] * P[:, None] + chart.center * height[:, None] / R
+        X = V[:, :, 0] * P[:, None] + C * height[:, None] / R
         return X, np.abs(P) <= R
 
     return ManifoldSpec(
@@ -164,12 +175,12 @@ def sphere_manifold(radius=1.0) -> ManifoldSpec:
         ph = math.pi * (1 + math.sqrt(5.0)) * i
         return np.stack([th, ph % (2 * math.pi)], axis=1)
 
-    def solver(chart, Z):
-        P = (Z - chart.shift) / chart.scale
+    def solver(Z, C, V, scale, shift):
+        P = (Z - shift) / scale
         q2 = R * R - _row_dots(P, P)
         # stacked per-row products: each row rounds as a one-point solve does
-        X = np.matmul(chart.frame, P[:, :, None])[:, :, 0]
-        X = X + chart.center * np.sqrt(np.maximum(q2, 0.0))[:, None] / R
+        X = np.matmul(V, P[:, :, None])[:, :, 0]
+        X = X + C * np.sqrt(np.maximum(q2, 0.0))[:, None] / R
         return X, q2 >= 0
 
     return ManifoldSpec(
@@ -222,32 +233,21 @@ def torus_manifold(r1=None, r2=None) -> ManifoldSpec:
 
 
 @dataclass
-class Chart:
-    """Scaled tangent-space projection phi(x) = a V^T (x - c) + b."""
-
-    center: np.ndarray
-    frame: np.ndarray  # (D, d), orthonormal columns
-    scale: float
-    shift: np.ndarray  # (d,)
-    radius: float
-
-    def __post_init__(self):
-        gram = self.frame.T @ self.frame
-        if np.max(np.abs(gram - np.eye(self.frame.shape[1]))) > 1e-10:
-            raise ChartError("tangent frame is not orthonormal")
-
-
-@dataclass
 class Atlas:
-    """Charts covering a manifold; ``build_atlas`` gives every chart the
-    scale 1/(2r) and the shift 1/2.  The center and frame stacks depend on
-    the atlas alone, so each is computed once, by its first reader, and
-    cached."""
+    """Charts phi_i(x) = scale * V_i^T (x - c_i) + shift covering a manifold:
+    the stacks of centers c_i and orthonormal frames V_i, and the radius r
+    that fixes the scale 1/(2r) and the shift 1/2 every chart shares."""
 
     manifold: ManifoldSpec
-    charts: list
+    centers: np.ndarray  # (charts, D)
+    frames: np.ndarray  # (charts, D, d)
     r: float
     T_d: float = 0.0
+    shift = 0.5
+
+    @property
+    def scale(self):
+        return 1.0 / (2.0 * self.r)
 
     @property
     def r_tilde(self):
@@ -255,35 +255,24 @@ class Atlas:
 
     @property
     def chart_count(self):
-        return len(self.charts)
+        return len(self.centers)
 
     @cached_property
-    def centers(self):
-        """(charts, D) stack of the chart centers."""
-        return np.array([ch.center for ch in self.charts])
-
-    @cached_property
-    def frames(self):
-        """(charts, D, d) stack of the chart frames."""
-        return np.array([ch.frame for ch in self.charts])
+    def params(self):
+        """(charts, d) stack of the parameters of the chart centers."""
+        return np.array([self.manifold.param_of_point(c) for c in self.centers])
 
     def project(self, charts, X):
-        """Row t of X in the coordinates of chart charts[t]."""
-        ch = self.charts[0]
-        return _project(X, self.centers[charts], self.frames[charts], ch.scale, ch.shift)
+        """Row t of X in the coordinates of chart charts[t], as a one-row
+        product per row, so a row rounds as it does alone."""
+        C, V = self.centers[charts], self.frames[charts]
+        return np.matmul((self.scale * (X - C))[:, None, :], V)[:, 0] + self.shift
 
 
 def _row_dots(A, B):
     """Row-wise dot products, one product per row: each row rounds exactly as
     a one-point ``a @ b`` does, whatever the number of rows."""
     return np.matmul(A[:, None, :], B[:, :, None])[:, 0, 0]
-
-
-def _project(X, center, frame, scale, shift):
-    """scale * V^T (x - c) + shift at each row x of X as a one-row product,
-    so a row rounds as it does alone; center and frame are one chart's, or
-    stacks holding each row's chart."""
-    return np.matmul((scale * (X - center))[:, None, :], frame)[:, 0] + shift
 
 
 def _row_norms(V):
@@ -314,67 +303,48 @@ def build_atlas(m: ManifoldSpec, r: float, sample_count=4096, spacing_factor=0.4
         if k == 0 or np.min(_row_norms(x - chosen[:k])) > spacing:
             chosen[k] = x
             k += 1
-    centers = chosen[:k]
+    centers = chosen[:k].copy()
     d2 = _sqdist(pts, centers)
     nearest = np.sqrt(d2.min(axis=1))
     if np.max(nearest) >= r / 2.0:
         raise ChartError(f"covering failure: sample at distance {np.max(nearest)} >= r/2")
-    charts = []
-    for c in centers:
-        V = np.linalg.qr(m.tangent_basis(c))[0][:, : m.intrinsic_dim]
-        charts.append(
-            Chart(
-                center=c,
-                frame=V,
-                scale=1.0 / (2.0 * r),
-                shift=0.5 * np.ones(m.intrinsic_dim),
-                radius=r,
-            )
-        )
+    d = m.intrinsic_dim
+    frames = np.array([np.linalg.qr(m.tangent_basis(c))[0][:, :d] for c in centers])
+    gram = np.matmul(frames.transpose(0, 2, 1), frames)
+    if np.max(np.abs(gram - np.eye(d))) > 1e-10:
+        raise ChartError("tangent frame is not orthonormal")
     T_d = float(np.mean(np.sum(d2 < r * r, axis=1)))
-    return Atlas(m, charts, r, T_d)
+    return Atlas(m, centers, frames, r, T_d)
 
 
-def chart_project(chart: Chart, x, check=True):
-    """phi(x) = a V^T (x - c) + b, defined on the chart ball."""
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    X = np.atleast_2d(x)
-    if check:
-        dist = np.linalg.norm(X - chart.center, axis=1)
-        if np.any(dist > chart.radius * (1 + 1e-9)):
-            raise ChartError(
-                f"point at distance {float(np.max(dist)):.4g} outside chart ball r={chart.radius}"
-            )
-    Z = _project(X, chart.center, chart.frame, chart.scale, chart.shift)
-    return Z[0] if single else Z
-
-
-def chart_invert_batch(chart: Chart, m: ManifoldSpec, Z):
-    """Manifold points X with phi(X) = Z row by row, and the mask of rows that
-    have one: residual <= 1e-8 and the point in the chart ball (other rows of
-    X are nan).  Analytic when the kit provides a solver, Newton otherwise."""
-    Z = np.atleast_2d(np.asarray(Z, dtype=np.float64))
+def chart_invert(atlas: Atlas, charts, Z):
+    """Manifold points X with phi_i(X[t]) = Z[t], i = charts[t], row by row,
+    and the mask of rows that have one: residual <= 1e-8 and the point in
+    the chart ball (other rows of X are nan).  Analytic when the kit
+    provides a solver, Newton otherwise."""
+    Z, charts = np.atleast_2d(np.asarray(Z, dtype=np.float64)), np.asarray(charts)
+    m, C = atlas.manifold, atlas.centers[charts]
     if m.chart_solver is not None:
-        X, ok = m.chart_solver(chart, Z)
+        X, ok = m.chart_solver(Z, C, atlas.frames[charts], atlas.scale, atlas.shift)
     else:
-        X, ok = _newton_invert(chart, m, Z)
-    gap = np.max(np.abs(chart_project(chart, X, check=False) - Z), axis=1)
-    ok &= (gap <= 1e-8) & (_row_norms(X - chart.center) <= chart.radius * (1 + 1e-6))
+        X, ok = _newton_invert(atlas, charts, Z)
+    gap = np.max(np.abs(atlas.project(charts, X) - Z), axis=1)
+    ok &= (gap <= 1e-8) & (_row_norms(X - C) <= atlas.r * (1 + 1e-6))
     X[~ok] = np.nan
     return X, ok
 
 
-def _newton_invert(chart, m, Z):
-    """Newton on the parametrization for all rows together; a row stops once
-    its residual is below 1e-13, and a non-finite residual or a singular
-    Jacobian fails only its row."""
-    d = Z.shape[1]
-    U = np.tile(m.param_of_point(chart.center), (len(Z), 1))
+def _newton_invert(atlas, charts, Z):
+    """Newton on the parametrization for all rows together, each row started
+    at its chart center's parameter; a row stops once its residual is below
+    1e-13, and a non-finite residual or a singular Jacobian fails only its
+    row."""
+    m, d = atlas.manifold, Z.shape[1]
+    U = atlas.params[charts]
     ok, live, h = np.ones(len(Z), dtype=bool), np.arange(len(Z)), 1e-6
 
     def phi(V):
-        return chart_project(chart, m.embed(V), check=False)
+        return atlas.project(charts[live], m.embed(V))
 
     for _ in range(60):
         res = phi(U[live]) - Z[live]
@@ -390,16 +360,6 @@ def _newton_invert(chart, m, Z):
         live, J, res = live[solved], J[solved], res[solved]
         U[live] -= np.linalg.solve(J, res[:, :, None])[:, :, 0]
     return m.embed(U), ok
-
-
-def chart_invert(chart: Chart, m: ManifoldSpec, z):
-    """One-point chart_invert_batch; raises ChartError when z has no
-    preimage in the chart ball."""
-    z = np.asarray(z, dtype=np.float64).ravel()
-    X, ok = chart_invert_batch(chart, m, z[None])
-    if not ok[0]:
-        raise ChartError(f"chart coordinate {z} has no preimage in the chart ball")
-    return X[0]
 
 
 def rho_weights(atlas: Atlas, x) -> np.ndarray:
@@ -537,15 +497,10 @@ def _pullback(fun, atlas, charts, Z):
     entry of charts, and the mask of rows that have a preimage; a row is 0
     where it has none or rho_i vanishes, and fun is not called there.
 
-    Each chart inverts its rows in one call; rho_weights and fun then run
-    over all rows in chunks of _PULLBACK_CELLS // charts rows.  Every step
-    acts row by row, so a row has the bits of that row alone."""
-    X = np.empty((len(Z), atlas.manifold.ambient_dim))
-    ok = np.empty(len(Z), dtype=bool)
-    order = np.argsort(charts, kind="stable")
-    used, start = np.unique(charts[order], return_index=True)
-    for i, at in zip(used, np.split(order, start[1:])):
-        X[at], ok[at] = chart_invert_batch(atlas.charts[i], atlas.manifold, Z[at])
+    One chart_invert call inverts all rows; rho_weights and fun then run
+    over them in chunks of _PULLBACK_CELLS // charts rows.  Every step acts
+    row by row, so a row has the bits of that row alone."""
+    X, ok = chart_invert(atlas, charts, Z)
     vals = np.zeros(len(Z))
     step = max(1, _PULLBACK_CELLS // atlas.chart_count)
     for a in range(0, len(Z), step):
@@ -592,15 +547,11 @@ def chart_boundary_data(atlas: Atlas, Delta: float, n_dirs=32):
 
     # per chart two rays per direction: the outer boundary d = r and the inner
     # edge of the transition band d = sqrt(r^2 - Delta)
-    per_chart = 2 * len(dirs)
-    rays = np.tile(np.concatenate([dirs, dirs]), (atlas.chart_count, 1))
-    owner = np.repeat(np.arange(atlas.chart_count), per_chart)
-    u0 = np.array([m.param_of_point(ch.center) for ch in atlas.charts])[owner]
-    centers = atlas.centers[owner]
-    target = np.concatenate([
-        np.repeat([ch.radius, math.sqrt(max(ch.radius * ch.radius - Delta, 0.0))], len(dirs))
-        for ch in atlas.charts
-    ])
+    per_chart, charts, r = 2 * len(dirs), atlas.chart_count, atlas.r
+    rays = np.tile(np.concatenate([dirs, dirs]), (charts, 1))
+    owner = np.repeat(np.arange(charts), per_chart)
+    u0, centers = atlas.params[owner], atlas.centers[owner]
+    target = np.tile(np.repeat([r, math.sqrt(max(r * r - Delta, 0.0))], len(dirs)), charts)
 
     def g(T):
         return _row_norms(m.embed(u0 + T[:, None] * rays) - centers) - target
@@ -620,7 +571,7 @@ def chart_boundary_data(atlas: Atlas, Delta: float, n_dirs=32):
         t_hi = np.where(above, mid, t_hi)
         t_lo = np.where(above, t_lo, mid)
     Xb = m.embed(u0 + (0.5 * (t_lo + t_hi))[:, None] * rays)
-    Zb = atlas.project(owner, Xb).reshape(atlas.chart_count, per_chart, -1)
+    Zb = atlas.project(owner, Xb).reshape(charts, per_chart, -1)
     z_outer, z_inner = Zb[:, : len(dirs)], Zb[:, len(dirs) :]
     return z_outer, np.max(np.abs(z_outer - z_inner), axis=(1, 2))
 
@@ -737,13 +688,14 @@ class ManifoldApproximator:
         stamped from its template, together with c_{m,v}.  The chart map
         moves the bias the template stamps, so each term is a template of
         its own."""
-        D = self.atlas.manifold.ambient_dim
-        coeffs = self.coeffs
+        atlas, coeffs = self.atlas, self.coeffs
+        D = atlas.manifold.ambient_dim
         templates = [monomial_bump_template(v, coeffs.N, eta, box=box) for v in coeffs.v_list]
-        tables = coeffs.table.reshape(self.atlas.chart_count, -1, len(coeffs.v_list))
-        for chart, table, bias in zip(self.atlas.charts, tables, self.sqdist_biases):
-            A = chart.scale * chart.frame.T
-            cvec = chart.shift - A @ chart.center
+        tables = coeffs.table.reshape(atlas.chart_count, -1, len(coeffs.v_list))
+        stacks = zip(atlas.centers, atlas.frames, tables, self.sqdist_biases)
+        for center, frame, table, bias in stacks:
+            A = atlas.scale * frame.T
+            cvec = atlas.shift - A @ center
             ind_chain = sn_chain(_stamp(self.sqdist_net, bias), self.indicator_net)
             for g, m, c in _bump_terms(replace(coeffs, table=table), templates):
                 g_x = sn_input_affine(g.at(m), A, cvec)
@@ -768,8 +720,8 @@ def build_manifold_approx(
     """Compile a target on M into the chart-sum approximator.
 
     Resolution N = floor((Mt*Jt)^(1/d)) unless given directly; the ramp
-    width is Delta = r^2/(4N).  The atlas caches its center stack, so pass
-    one atlas to every N of a study.
+    width is Delta = r^2/(4N).  The atlas caches its centers' parameters,
+    so pass one atlas to every N of a study.
     """
     d, D = mspec.intrinsic_dim, mspec.ambient_dim
     alpha = getattr(f_on_M, "order", 2)

@@ -9,13 +9,13 @@ import math
 
 import numpy as np
 
-from sobolev_forge.manifold import ChartError, _row_norms, chart_project
+from sobolev_forge.manifold import ChartError, _row_norms
 
 
 def chart_boundary_oracle(atlas, i, Delta, n_dirs=32):
     """(z_outer, band_width) of chart i, its rays bisected by themselves."""
     m = atlas.manifold
-    chart = atlas.charts[i]
+    center, r = atlas.centers[i], atlas.r
     d = m.intrinsic_dim
     if d == 1:
         dirs = np.array([[1.0], [-1.0]])
@@ -24,13 +24,12 @@ def chart_boundary_oracle(atlas, i, Delta, n_dirs=32):
         dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
     else:
         raise ChartError(f"no boundary rays for intrinsic dimension {d}")
-    u0 = m.param_of_point(chart.center)
-    r = chart.radius
+    u0 = m.param_of_point(center)
     rays = np.concatenate([dirs, dirs])
     target = np.repeat([r, math.sqrt(max(r * r - Delta, 0.0))], len(dirs))
 
     def g(T):
-        return _row_norms(m.embed(u0 + T[:, None] * rays) - chart.center) - target
+        return _row_norms(m.embed(u0 + T[:, None] * rays) - center) - target
 
     t_hi = np.full(len(rays), 1e-3)
     for _ in range(60):
@@ -46,6 +45,6 @@ def chart_boundary_oracle(atlas, i, Delta, n_dirs=32):
         above = g(mid) > 0
         t_hi = np.where(above, mid, t_hi)
         t_lo = np.where(above, t_lo, mid)
-    Zb = chart_project(chart, m.embed(u0 + (0.5 * (t_lo + t_hi))[:, None] * rays), check=False)
+    Zb = atlas.project(np.full(len(rays), i), m.embed(u0 + (0.5 * (t_lo + t_hi))[:, None] * rays))
     z_outer, z_inner = Zb[: len(dirs)], Zb[len(dirs) :]
     return z_outer, float(np.max(np.abs(z_outer - z_inner)))

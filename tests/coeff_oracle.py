@@ -9,7 +9,7 @@ one-call ``manifold.chart_coefficients`` is compared against.
 
 import numpy as np
 
-from sobolev_forge.manifold import ChartError, _fd_deriv, chart_invert, rho_weights
+from sobolev_forge.manifold import _fd_deriv, chart_invert, rho_weights
 from sobolev_forge.taylor import _monomial_expansion_rows, grid_nodes, multi_indices
 
 
@@ -17,18 +17,16 @@ def per_point_pullback(f_on_M, atlas, i):
     """(f * rho_i) o phi_i^{-1} as a batch evaluator on chart coordinates:
     one inversion, one weight row and one target call per point, zero off
     the chart image and where rho_i vanishes."""
-    chart = atlas.charts[i]
 
     def F(Z):
         out = np.zeros(len(Z))
         for t, z in enumerate(Z):
-            try:
-                x = chart_invert(chart, atlas.manifold, z)
-            except ChartError:
+            x, ok = chart_invert(atlas, [i], z[None])
+            if not ok[0]:
                 continue
-            w = rho_weights(atlas, x)[i]
+            w = rho_weights(atlas, x)[0, i]
             if w != 0.0:
-                out[t] = float(f_on_M(x[None])[0]) * w
+                out[t] = float(f_on_M(x)[0]) * w
         return out
 
     return F

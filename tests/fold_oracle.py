@@ -11,7 +11,6 @@ from itertools import product as iter_product
 
 import numpy as np
 
-from sobolev_forge.manifold import chart_project
 from sobolev_forge.scalarnets import ScalarNet, monomial_factors, psi_value
 
 
@@ -85,7 +84,7 @@ def per_chart_eval_oracle(ap, i, X):
     """ManifoldApproximator.per_chart_eval, one pass per term and step, with
     the indicator through chart i's own squared-distance net."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    Z = chart_project(ap.atlas.charts[i], X, check=False)
+    Z = ap.atlas.project(np.full(len(X), i), X)
     (W0, _), *rest = ap.sqdist_net.layers
     sqdist = ScalarNet([(W0, ap.sqdist_biases[i])] + rest)
     ind = ap.indicator_net.forward(sqdist.forward(X)[:, None])

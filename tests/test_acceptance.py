@@ -288,7 +288,7 @@ def test_criterion_9_chart_machinery(circle_study, rng):
     # squared-distance error bound on 1e4 samples
     B, D = 1.0, 3
     theta = rec["theta"]
-    c0 = atlas.charts[0].center
+    c0 = atlas.centers[0]
     sq = build_sqdist_net(c0, theta, B)
     pts = rng.uniform(-B, B, (10000, 3))
     derr = float(np.max(np.abs(sq.forward(pts) - np.sum((pts - c0) ** 2, axis=1))))
@@ -298,9 +298,9 @@ def test_criterion_9_chart_machinery(circle_study, rng):
     tt = np.linspace(0.0, 2.0 * math.pi, 400000)
     ring = mspec.embed(tt[:, None])
     band_hits, band_ok = 0, True
-    for i, ch in enumerate(atlas.charts):
-        d2 = np.sum((ring - ch.center) ** 2, axis=1)
-        sel = (d2 >= ch.radius**2 - rec["Delta"]) & (d2 <= ch.radius**2)
+    for i, c in enumerate(atlas.centers):
+        d2 = np.sum((ring - c) ** 2, axis=1)
+        sel = (d2 >= atlas.r**2 - rec["Delta"]) & (d2 <= atlas.r**2)
         if not np.any(sel):
             continue
         take = ring[sel][:50]

@@ -19,8 +19,6 @@ from sobolev_forge.manifold import (
     build_manifold_approx,
     build_sqdist_net,
     chart_invert,
-    chart_invert_batch,
-    chart_project,
     circle_manifold,
     manifold_norm,
     rho_weights,
@@ -49,8 +47,7 @@ def circle_sin():
 def test_atlas_chart_count_and_coverage(circle, atlas):
     assert 32 <= atlas.chart_count <= 80
     pts = circle.sample_points(10000)
-    centers = np.array([c.center for c in atlas.charts])
-    d = np.linalg.norm(pts[:, None, :] - centers[None], axis=2).min(axis=1)
+    d = np.linalg.norm(pts[:, None, :] - atlas.centers[None], axis=2).min(axis=1)
     assert np.max(d) < atlas.r_tilde
 
 
@@ -67,66 +64,55 @@ def test_atlas_chart_count_bound(circle, atlas):
 
 def test_chart_images_inside_unit_box(circle, atlas):
     pts = circle.sample_points(4000)
-    for ch in atlas.charts[::7]:
-        near = pts[np.linalg.norm(pts - ch.center, axis=1) < ch.radius]
-        Z = chart_project(ch, near)
+    for i in range(0, atlas.chart_count, 7):
+        near = pts[np.linalg.norm(pts - atlas.centers[i], axis=1) < atlas.r]
+        Z = atlas.project(np.full(len(near), i), near)
         assert Z.min() >= 0.0 and Z.max() <= 1.0
 
 
 def test_chart_project_center_and_contraction(circle, atlas, rng):
-    ch = atlas.charts[0]
-    assert np.allclose(chart_project(ch, ch.center), 0.5)
+    c = atlas.centers[0]
+    assert np.allclose(atlas.project([0], c[None]), 0.5)
     samples = circle.sample_points(4096)
-    pts = samples[np.linalg.norm(samples - ch.center, axis=1) < ch.radius]
-    Z = chart_project(ch, pts)
+    pts = samples[np.linalg.norm(samples - c, axis=1) < atlas.r]
+    Z = atlas.project(np.zeros(len(pts), dtype=int), pts)
     i, j = 3, 11
     dz = np.linalg.norm(Z[i] - Z[j])
     dx = np.linalg.norm(pts[i] - pts[j])
-    assert dz <= ch.scale * dx + 1e-12
-
-
-def test_chart_project_outside_error(atlas):
-    ch = atlas.charts[0]
-    far = ch.center + 3 * ch.radius * np.array([0.0, 0.0, 1.0])
-    with pytest.raises(ChartError, match="outside"):
-        chart_project(ch, far)
+    assert dz <= atlas.scale * dx + 1e-12
 
 
 def test_chart_project_circle_formula(circle, atlas):
     """Near the center the tangent coordinate is sin(dt)/(2r) + 1/2."""
-    ch = atlas.charts[0]
-    t0 = circle.param_of_point(ch.center)[0]
+    t0 = circle.param_of_point(atlas.centers[0])[0]
     for dt in (0.01, -0.02, 0.05):
-        x = circle.embed(np.array([[t0 + dt]]))[0]
-        z = chart_project(ch, x)[0]
+        x = circle.embed(np.array([[t0 + dt]]))
+        z = atlas.project([0], x)[0, 0]
         assert z == pytest.approx(0.5 + math.sin(dt) / (2 * atlas.r), abs=1e-12)
 
 
 def test_chart_invert_roundtrip(circle, atlas):
-    ch = atlas.charts[2]
     pts = circle.sample_points(4000)
-    near = pts[np.linalg.norm(pts - ch.center, axis=1) < 0.95 * ch.radius][:500]
-    for x in near:
-        z = chart_project(ch, x)
-        x2 = chart_invert(ch, circle, z)
-        assert np.max(np.abs(chart_project(ch, x2) - z)) <= 1e-8
+    near = pts[np.linalg.norm(pts - atlas.centers[2], axis=1) < 0.95 * atlas.r][:500]
+    charts = np.full(len(near), 2)
+    Z = atlas.project(charts, near)
+    X, ok = chart_invert(atlas, charts, Z)
+    assert ok.all()
+    assert np.max(np.abs(atlas.project(charts, X) - Z)) <= 1e-8
 
 
 def test_chart_invert_center(circle, atlas):
-    ch = atlas.charts[1]
-    x = chart_invert(ch, circle, ch.shift)
-    assert np.max(np.abs(x - ch.center)) <= 1e-10
+    X, ok = chart_invert(atlas, [1], [[atlas.shift]])
+    assert ok[0] and np.max(np.abs(X[0] - atlas.centers[1])) <= 1e-10
 
 
 def test_chart_invert_analytic_vs_newton(circle, atlas):
-    import dataclasses
-
-    generic = dataclasses.replace(circle, chart_solver=None)
-    ch = atlas.charts[5]
-    for z in (0.31, 0.5, 0.77):
-        xa = chart_invert(ch, circle, np.array([z]))
-        xn = chart_invert(ch, generic, np.array([z]))
-        assert np.max(np.abs(xa - xn)) <= 1e-10
+    generic = dataclasses.replace(atlas, manifold=dataclasses.replace(circle, chart_solver=None))
+    Z = np.array([[0.31], [0.5], [0.77]])
+    Xa, ok_a = chart_invert(atlas, [5, 5, 5], Z)
+    Xn, ok_n = chart_invert(generic, [5, 5, 5], Z)
+    assert ok_a.all() and ok_n.all()
+    assert np.max(np.abs(Xa - Xn)) <= 1e-10
 
 
 def test_rho_weights_sum_and_support(circle, atlas, rng):
@@ -134,13 +120,12 @@ def test_rho_weights_sum_and_support(circle, atlas, rng):
     W = rho_weights(atlas, pts)
     assert np.max(np.abs(W.sum(axis=1) - 1.0)) <= 1e-12
     assert np.all(W >= 0.0)
-    d = np.linalg.norm(pts[:, None, :] - np.array([c.center for c in atlas.charts])[None], axis=2)
+    d = np.linalg.norm(pts[:, None, :] - atlas.centers[None], axis=2)
     assert np.all(W[d >= atlas.r_tilde] == 0.0)
 
 
 def test_rho_weights_center_dominance(atlas):
-    ch = atlas.charts[0]
-    w = rho_weights(atlas, ch.center[None])[0]
+    w = rho_weights(atlas, atlas.centers[:1])[0]
     assert w[0] == np.max(w) and w[0] > 0.9
 
 
@@ -227,12 +212,11 @@ def test_indicator_composition_regions(circle, atlas, const_one_approx):
     ap, _ = const_one_approx
     pts = circle.sample_points(10000)
     Delta = ap.record["Delta"]
-    for i in (0, len(atlas.charts) // 2):
-        ch = atlas.charts[i]
-        d2 = np.sum((pts - ch.center) ** 2, axis=1)
+    for i in (0, atlas.chart_count // 2):
+        d2 = np.sum((pts - atlas.centers[i]) ** 2, axis=1)
         ind = ap.indicator_values(i, pts)
-        assert np.all(ind[d2 <= ch.radius**2 - Delta] == 1.0)
-        assert np.all(ind[d2 >= ch.radius**2] == 0.0)
+        assert np.all(ind[d2 <= atlas.r**2 - Delta] == 1.0)
+        assert np.all(ind[d2 >= atlas.r**2] == 0.0)
 
 
 def test_per_chart_vanishes_on_boundary_band(circle, atlas, const_one_approx):
@@ -243,10 +227,9 @@ def test_per_chart_vanishes_on_boundary_band(circle, atlas, const_one_approx):
     t_all = np.linspace(0, 2 * math.pi, 200000)
     pts = circle.embed(t_all[:, None])
     hits = 0
-    for i in (0, 3, len(atlas.charts) // 2):
-        ch = atlas.charts[i]
-        d2 = np.sum((pts - ch.center) ** 2, axis=1)
-        band = (d2 >= ch.radius**2 - Delta) & (d2 <= ch.radius**2)
+    for i in (0, 3, atlas.chart_count // 2):
+        d2 = np.sum((pts - atlas.centers[i]) ** 2, axis=1)
+        band = (d2 >= atlas.r**2 - Delta) & (d2 <= atlas.r**2)
         band_pts = pts[band][:1000]
         if len(band_pts) == 0:
             continue
@@ -356,26 +339,23 @@ def test_atlas_centers_match_per_center_first_fit(make, r, count):
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_chart_invert_batch_matches_one_point(kit, newton, atlas, sphere_atlas, data):
-    """Row t of the batch is the one-point inversion of z_t, including the
-    points with no preimage in the chart ball (z beyond [0, 1] mostly)."""
+    """Row t of one inversion over rows of interleaved charts is row t
+    inverted alone, bit for bit, including the rows with no preimage in
+    their chart ball (z beyond [0, 1] mostly), which are nan."""
     at = atlas if kit == "circle" else sphere_atlas
-    m = dataclasses.replace(at.manifold, chart_solver=None) if newton else at.manifold
-    d = m.intrinsic_dim
-    ch = at.charts[data.draw(st.integers(0, at.chart_count - 1))]
+    if newton:
+        at = dataclasses.replace(at, manifold=dataclasses.replace(at.manifold, chart_solver=None))
+    d = at.manifold.intrinsic_dim
     coord = st.floats(-3.0, 4.0) | st.floats(0.0, 1.0)
-    Z = np.array(data.draw(st.lists(st.lists(coord, min_size=d, max_size=d), min_size=1, max_size=12)))
-    X, ok = chart_invert_batch(ch, m, Z)
-    for t, z in enumerate(Z):
-        try:
-            x = chart_invert(ch, m, z)
-        except ChartError:
-            assert not ok[t] and np.all(np.isnan(X[t]))
-            continue
-        assert ok[t]
-        if newton:  # the batch projects in one multi-row product, which rounds by row count
-            assert np.max(np.abs(X[t] - x)) <= 1e-12
-        else:
-            assert np.array_equal(X[t], x)
+    row = st.tuples(st.integers(0, at.chart_count - 1), st.lists(coord, min_size=d, max_size=d))
+    rows = data.draw(st.lists(row, min_size=1, max_size=12))
+    charts, Z = np.array([i for i, _ in rows]), np.array([z for _, z in rows])
+    X, ok = chart_invert(at, charts, Z)
+    assert np.all(np.isnan(X[~ok]))
+    for t in range(len(Z)):
+        x, one_ok = chart_invert(at, charts[t : t + 1], Z[t : t + 1])
+        assert one_ok[0] == ok[t]
+        assert np.array_equal(X[t], x[0], equal_nan=True)
 
 
 def test_newton_singular_jacobian_fails_only_its_row(circle, atlas):
@@ -383,18 +363,16 @@ def test_newton_singular_jacobian_fails_only_its_row(circle, atlas):
     Newton Jacobian there is exactly 0; the center itself still inverts."""
     m = dataclasses.replace(circle, chart_solver=None, param_of_point=lambda x: np.zeros(1),
                             embed=lambda U: circle.embed(np.atleast_2d(U) ** 2))
-    ch = atlas.charts[0]
-    X, ok = chart_invert_batch(ch, m, np.array([ch.shift, [0.6]]))
+    X, ok = chart_invert(dataclasses.replace(atlas, manifold=m), [0, 0], [[0.5], [0.6]])
     assert ok.tolist() == [True, False]
-    assert np.array_equal(X[0], ch.center)
+    assert np.array_equal(X[0], atlas.centers[0])
 
 
 def test_newton_rejects_a_nan_coordinate_without_warnings(circle, atlas):
-    m = dataclasses.replace(circle, chart_solver=None)
-    ch = atlas.charts[0]
+    generic = dataclasses.replace(atlas, manifold=dataclasses.replace(circle, chart_solver=None))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        X, ok = chart_invert_batch(ch, m, np.array([ch.shift, [np.nan]]))
+        X, ok = chart_invert(generic, [0, 0], [[0.5], [np.nan]])
     assert ok.tolist() == [True, False]
     assert np.isnan(X[1]).all()
 
@@ -529,6 +507,21 @@ def test_pullback_rows_match_each_row_alone_and_per_point(
         assert np.array_equal(col, per_point_pullback(f, atlas, i)(np.array(zs)[:, None]))
 
 
+def test_each_pullback_makes_one_inversion_call(circle, atlas, circle_sin):
+    """A pullback inverts all its (chart, point) rows in one chart_invert
+    call: one per pullback, so 3 in a circle alpha = 2 build (one per
+    finite-difference evaluation) and 1 in a norm."""
+    f = circle_sin[1]
+    every = np.arange(atlas.chart_count)
+    with mock.patch.object(manifold, "chart_invert", wraps=manifold.chart_invert) as spy:
+        manifold._pullback(f, atlas, every, np.full((atlas.chart_count, 1), 0.5))
+        assert spy.call_count == 1
+        ap = build_manifold_approx(f, circle, N=4, atlas=atlas)
+        assert spy.call_count == 1 + 3
+        manifold_norm(lambda X: ap.eval(X) - f(X), atlas, 0, resolution=5)
+        assert spy.call_count == 1 + 3 + 1
+
+
 @pytest.mark.parametrize("alpha, N", [(2, 3), (2, 8), (3, 8)])
 def test_circle_build_matches_per_chart_per_point_coefficients(atlas, alpha, N):
     """The one-call coefficients of all charts have the bits of the loop that
@@ -553,15 +546,14 @@ def _per_point_norm(e_on_M, atlas, k, resolution, fd_step=1e-5):
     axis = (np.arange(resolution) + 0.5) / resolution + math.sqrt(2.0) * 1e-7
     Zg = np.stack([g.ravel() for g in np.meshgrid(*([axis] * d), indexing="ij")], axis=1)
     total, skipped = 0.0, 0
-    for i, chart in enumerate(atlas.charts):
+    for i in range(atlas.chart_count):
 
         def F(z):
-            try:
-                x = chart_invert(chart, atlas.manifold, z)
-            except ChartError:
+            x, ok = chart_invert(atlas, [i], z[None])
+            if not ok[0]:
                 return None
-            w = rho_weights(atlas, x)[i]
-            return 0.0 if w == 0.0 else float(e_on_M(x[None])[0]) * w
+            w = rho_weights(atlas, x)[0, i]
+            return 0.0 if w == 0.0 else float(e_on_M(x)[0]) * w
 
         best = 0.0
         for z in Zg:
@@ -651,16 +643,16 @@ def test_torus_atlas_builds_its_charts():
     torus = torus_manifold()
     at = build_atlas(torus, 0.16)
     assert at.chart_count == 2048
-    centers = at.centers
+    centers, frames = at.centers, at.frames
     # every center lies on the torus and every frame spans its tangent plane
     assert np.max(np.abs(np.hypot(centers[:, 0], centers[:, 1]) - 1 / math.sqrt(2))) <= 1e-12
     assert np.max(np.abs(np.hypot(centers[:, 2], centers[:, 3]) - 1 / math.sqrt(2))) <= 1e-12
-    for chart in at.charts[::97]:
-        T = torus.tangent_basis(chart.center)
-        assert np.max(np.abs(chart.frame @ (chart.frame.T @ T) - T)) <= 1e-12
-        # the Newton inversion (the torus has no analytic solver) recovers the center
-        z = chart_project(chart, chart.center)
-        assert np.max(np.abs(chart_invert(chart, torus, z) - chart.center)) <= 1e-12
+    T = np.array([torus.tangent_basis(c) for c in centers])
+    assert np.max(np.abs(frames @ (frames.transpose(0, 2, 1) @ T) - T)) <= 1e-12
+    # one Newton inversion (the torus has no analytic solver) recovers every center
+    every = np.arange(at.chart_count)
+    X, ok = chart_invert(at, every, at.project(every, centers))
+    assert ok.all() and np.max(np.abs(X - centers)) <= 1e-12
 
 
 def test_sphere_harmonic_is_bounded_by_one_on_the_sphere():
