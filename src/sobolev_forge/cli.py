@@ -2,8 +2,8 @@
 
 Subcommands: build, eval, audit, rate-study, manifold-study, risk-study,
 adv-study, net-io.  Exit codes: 0 success, 1 failed acceptance check,
-2 configuration error (a bad config, model file or point), 3 internal error
-(an unexpected exception; its traceback goes to stderr).
+2 configuration error (a bad config, model file, point or grid, or an output
+path that cannot be written), 3 internal error (traceback on stderr).
 """
 
 import argparse
@@ -81,6 +81,8 @@ def _parse_point(text, dim):
 
 
 def cmd_eval(args):
+    if args.grid < 1:
+        raise ConfigError(f"--grid must be an integer >= 1, got {args.grid}")
     net = serialize.load(args.net)
     if args.at:
         X = np.array([_parse_point(point, net.input_dim) for point in args.at])
@@ -201,6 +203,9 @@ def main(argv=None):
         return 2
     except serialize.SerializationError as e:
         print(f"network file error: {e}", file=sys.stderr)
+        return 2
+    except OSError as e:  # reading inputs raises the two above: this is an output
+        print(f"config error: cannot write output: {e}", file=sys.stderr)
         return 2
     except Exception:
         # never exit 1 on a crash: 1 means a failed acceptance check

@@ -14,9 +14,17 @@ Conventions fixed here and relied on by every other module:
 All arithmetic is float64.  Models are immutable after construction; forward
 evaluation is pure.
 
+Pool.  The blocks of one monomial share all layers but the stamped first
+bias and the readout: an alpha=2, N=16 model names 81,498 arrays, 909 of them
+distinct.  Constructing a model makes one pass over its blocks that lists
+each distinct array once, with each block's indices into that list
+(``_pool``), and checks each distinct array and block layout (filter and bias
+shapes) once.  The plan, ``audit_class`` and the file writer read this pool.
+
 Execution plan.  ``resnet_forward_batch`` lowers a model once into a plan,
-cached on the model (the cache is sound only because models are never
-mutated after construction).  The plan applies when the weights show that
+cached on the model (the cache, like the pool, is sound only because models
+are never mutated after construction).  The plan applies when the weights
+are finite and show that
 
 * the readout is first-row-only and gives channel 0 a zero weight,
 * each block's first filter reads only channel 0, and
@@ -26,7 +34,7 @@ Then every block reads only the padded input and writes only channels
 1..C-1, and only row 0 reaches the readout, so the blocks are independent
 and each layer needs only the rows that feed row 0 through the filter widths
 behind it.  The plan works on (block, point) rows.  Blocks are grouped by
-their layer shapes; a group's leading layers whose filter and bias are the
+their layout; a group's leading layers whose filter and bias are the
 same in every block (the gather prefix) run once per point, and every later
 layer runs over the group's live rows: a shared layer as one product over
 them, a layer with distinct weights as one product per distinct filter
@@ -72,6 +80,7 @@ two agree to rounding.  Models that fail a condition, including models
 without blocks, run the sequential loop.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product as iter_product
@@ -119,38 +128,15 @@ class FilterTensor:
 class ResidualBlockSpec:
     """One residual block: an ordered conv stack plus the implicit shortcut.
 
-    ``biases[l]`` is a full D x Cout matrix (builders emit channel-constant
-    biases, but the representation does not require it).  The first layer's
-    input channel count must equal the last layer's output channel count so
-    the identity shortcut is well-typed.
+    ``biases[l]`` is a full D x Cout float64 matrix (builders emit
+    channel-constant biases, but the representation does not require it).
+    The first layer's input channel count must equal the last layer's output
+    channel count so the identity shortcut is well-typed.  A block is a
+    plain holder: the model that holds it checks these shapes.
     """
 
     filters: list
     biases: list
-
-    def __post_init__(self):
-        self.biases = [_as_f64(b) for b in self.biases]
-        if len(self.filters) != len(self.biases) or len(self.filters) < 1:
-            raise ShapeError(
-                f"block needs matching filter/bias lists, got {len(self.filters)} filters "
-                f"and {len(self.biases)} biases"
-            )
-        for f, b in zip(self.filters, self.biases):
-            if b.ndim != 2 or b.shape[1] != f.out_channels:
-                raise ShapeError(
-                    f"bias shape {b.shape} does not match filter out-channels {f.out_channels}"
-                )
-        for prev, nxt in zip(self.filters, self.filters[1:]):
-            if nxt.in_channels != prev.out_channels:
-                raise ShapeError(
-                    f"layer shapes do not compose: {prev.entries.shape} then {nxt.entries.shape}"
-                )
-        if self.filters[0].in_channels != self.filters[-1].out_channels:
-            raise ShapeError(
-                "block must map D x C to D x C: first input channels "
-                f"{self.filters[0].in_channels} != last output channels "
-                f"{self.filters[-1].out_channels}"
-            )
 
     @property
     def depth(self):
@@ -190,6 +176,68 @@ class BlockSupport:
         self.nodes = nodes
 
 
+_Pool = namedtuple("_Pool", "arrays index starts depths layouts")  # see _pool
+
+
+def _pool(net):
+    """The pool of ``net``.  ``arrays`` holds each distinct filter entry array
+    and bias once (by object, then by shape and bytes, so 0.0 and -0.0 stay
+    apart), in the order the blocks first name them, a block's filters before
+    its biases.  Block b's names are ``index[starts[b]:]``: its ``depths[b]``
+    filters, then as many biases.  ``layouts[b]`` numbers its filter and bias
+    shapes, in the order the blocks first show them."""
+    refs = [a for blk in net.blocks for a in [t.entries for t in blk.filters] + blk.biases]
+    ids = np.fromiter(map(id, refs), np.uintp, len(refs))  # the blocks keep each id's array alive
+    _, first, name = np.unique(ids, return_index=True, return_inverse=True)
+    pooled, by_bytes, by_shape = np.empty(len(first), dtype=np.int64), {}, {}
+    for k in np.argsort(first).tolist():  # each object once, first met first
+        a = refs[first[k]]
+        if not isinstance(a, np.ndarray) or a.dtype != np.float64:
+            got = a.dtype if isinstance(a, np.ndarray) else type(a).__name__
+            raise ShapeError(f"filters and biases must be float64 ndarrays, got {got}")
+        pooled[k] = by_bytes.setdefault((a.shape, a.tobytes()), (len(by_bytes), a))[0]
+    arrays = [a for _, a in by_bytes.values()]
+    index = pooled[name]
+    kind = np.array([by_shape.setdefault(a.shape, len(by_shape)) for a in arrays], dtype=np.int64)[index]
+    shapes = list(by_shape)  # kind[j] numbers the shape of name j
+    counts = [(len(blk.filters), len(blk.biases)) for blk in net.blocks]
+    starts = np.cumsum([0] + [nf + nb for nf, nb in counts], dtype=np.int64)[:-1]
+    layouts, layout_of = {}, []
+    for s, (nf, nb) in zip(starts.tolist(), counts):
+        key = (nf, kind[s : s + nf + nb].tobytes())
+        if key not in layouts:
+            layout = [shapes[k] for k in kind[s : s + nf + nb]]
+            _check_layout(layout[:nf], layout[nf:], net.input_dim, net.padding_channels)
+            layouts[key] = len(layouts)
+        layout_of.append(layouts[key])
+    depths = np.array([nf for nf, _ in counts], dtype=np.int64)
+    return _Pool(arrays, index, starts, depths, np.array(layout_of, dtype=np.int64))
+
+
+def _check_layout(filters, biases, D, C):
+    """ShapeError unless blocks of these filter and bias shapes map D x C to D x C."""
+    if len(filters) != len(biases) or not filters:
+        raise ShapeError(
+            f"block needs matching filter/bias lists, got {len(filters)} filters "
+            f"and {len(biases)} biases"
+        )
+    for f, b in zip(filters, biases):
+        if len(b) != 2 or b[1] != f[0]:
+            raise ShapeError(f"bias shape {b} does not match filter out-channels {f[0]}")
+        if b[0] != D:
+            raise ShapeError(f"bias rows {b[0]} != input dim {D}")
+    for prev, nxt in zip(filters, filters[1:]):
+        if nxt[2] != prev[0]:
+            raise ShapeError(f"layer shapes do not compose: {prev} then {nxt}")
+    if filters[0][2] != filters[-1][0]:
+        raise ShapeError(
+            f"block must map D x C to D x C: first input channels {filters[0][2]} "
+            f"!= last output channels {filters[-1][0]}"
+        )
+    if filters[0][2] != C:
+        raise ShapeError(f"block input channels {filters[0][2]} != padding channels {C}")
+
+
 @dataclass
 class ConvResNetModel:
     """Padding layer + residual blocks + fully-connected readout, with an
@@ -209,14 +257,7 @@ class ConvResNetModel:
         D, C = self.input_dim, self.padding_channels
         if self.fc_weight.shape != (D, C):
             raise ShapeError(f"fc weight shape {self.fc_weight.shape} != ({D}, {C})")
-        for blk in self.blocks:
-            if blk.filters[0].in_channels != C:
-                raise ShapeError(
-                    f"block input channels {blk.filters[0].in_channels} != padding channels {C}"
-                )
-            for b in blk.biases:
-                if b.shape[0] != D:
-                    raise ShapeError(f"bias rows {b.shape[0]} != input dim {D}")
+        self._pool = _pool(self)
         if self.first_row_only and np.any(self.fc_weight[1:, :] != 0.0):
             raise ShapeError("first_row_only model has nonzero fc entries below row 1")
         if self.support is not None and (
@@ -364,19 +405,18 @@ def _max_abs(arrays):
 
 
 def audit_class(net: ConvResNetModel) -> NetClassParams:
-    """Measure (M, L, J, K, kappa1, kappa2) of a concrete model.
+    """Measure (M, L, J, K, kappa1, kappa2) of a concrete model from its pool.
 
     J is the maximum channel count seen anywhere (padding included); kappa2
-    covers both the fc weight and the fc bias.  A layer shared by several
-    blocks is read once.
+    covers both the fc weight and the fc bias.
     """
+    pool = net._pool
     M = len(net.blocks)
-    L = max((blk.depth for blk in net.blocks), default=0)
-    entries = [f.entries for blk in net.blocks for f in blk.filters]
-    shapes = {a.shape for a in dict(zip(map(id, entries), entries)).values()}
+    L = int(pool.depths.max(initial=0))
+    shapes = {a.shape for a in pool.arrays if a.ndim == 3}
     J = max([net.padding_channels] + [max(cout, cin) for cout, _, cin in shapes])
     K = max((k for _, k, _ in shapes), default=0)
-    kappa1 = _max_abs(entries + [b for blk in net.blocks for b in blk.biases])
+    kappa1 = _max_abs(pool.arrays)
     kappa2 = max(float(np.max(np.abs(net.fc_weight))), abs(net.fc_bias))
     fro = bool(np.all(net.fc_weight[1:, :] == 0.0)) if net.input_dim > 1 else True
     return NetClassParams(M=M, L=L, J=J, K=K, kappa1=kappa1, kappa2=kappa2, first_row_only=fro)
@@ -509,50 +549,30 @@ class _Plan:
         return np.cumsum(P, axis=1)[:, -1]
 
 
-def _distinct(arrays, view=lambda a: a):
-    """One copy of each distinct view(a) of the arrays, and each input's index
-    among them (None when all are equal).  An array held several times is
-    viewed and compared once."""
-    position, unique, by_id, index = {}, [], {}, []
-    for a in arrays:
-        at = by_id.get(id(a))  # the arrays are alive, so their ids are their own
-        if at is None:
-            v = view(a)
-            at = by_id[id(a)] = position.setdefault(v.tobytes(), len(unique))
-            if at == len(unique):
-                unique.append(v)
-        index.append(at)
-    return np.stack(unique), (np.array(index) if len(unique) > 1 else None)
-
-
 def _lower(net):
     """The execution plan of ``net``, or None when a condition fails."""
     if not net.blocks or not net.first_row_only or net.fc_weight[0, 0] != 0.0:
         return None
-    for blk in net.blocks:
-        if np.any(blk.filters[0].entries[:, :, 1:] != 0.0):
-            return None
-        if np.any(blk.filters[-1].entries[0] != 0.0) or np.any(blk.biases[-1][:, 0] != 0.0):
-            return None
-    groups = {}
-    for i, blk in enumerate(net.blocks):
-        groups.setdefault(tuple(f.entries.shape for f in blk.filters), []).append(i)
-    plan = [_lower_group(net, idx) for idx in groups.values()]
-    for g in plan:
-        for layer in g.layers:
-            if not (np.all(np.isfinite(layer.filters)) and np.all(np.isfinite(layer.biases))):
-                return None
+    pool = net._pool
+    arrays, last = pool.arrays, pool.starts + pool.depths - 1  # each block's last filter
+    if (
+        not np.isfinite(np.concatenate([a.ravel() for a in arrays])).all()
+        or any(np.any(arrays[i][:, :, 1:] != 0.0) for i in np.unique(pool.index[pool.starts]))
+        or any(np.any(arrays[i][0] != 0.0) for i in np.unique(pool.index[last]))
+        or any(np.any(arrays[i][:, 0] != 0.0) for i in np.unique(pool.index[last + pool.depths]))
+    ):
+        return None
+    # a group per block layout, in the order the blocks first show them
+    plan = [_lower_group(net, np.flatnonzero(pool.layouts == g)) for g in range(pool.layouts.max() + 1)]
     n_blocks = len(net.blocks)
-    block_group = np.empty(n_blocks, dtype=np.int64)
     block_pos = np.empty(n_blocks, dtype=np.int64)
-    for i, g in enumerate(plan):
-        block_group[g.blocks] = i
+    for g in plan:
         block_pos[g.blocks] = np.arange(len(g.blocks))
     rows = max(layer.rows_in for g in plan for layer in g.layers)
     per_point = max(len(g.blocks) * max(layer.rows_in for layer in g.layers) for g in plan)
     step = max(1, _PLAN_ROW_BUDGET // max(n_blocks, per_point))
     cover = _lower_cover(net.support, rows) if net.support is not None else None
-    return _Plan(plan, n_blocks, block_group, block_pos, step, cover)
+    return _Plan(plan, n_blocks, pool.layouts, block_pos, step, cover)
 
 
 def _lower_cover(support, rows):
@@ -568,21 +588,30 @@ def _lower_cover(support, rows):
 
 
 def _lower_group(net, index):
-    blocks = [net.blocks[i] for i in index]
-    depth = blocks[0].depth
+    pool = net._pool
+    depth = int(pool.depths[index[0]])
+    F = pool.index[pool.starts[index, None] + np.arange(depth)]  # (blocks, depth) names
+    B = pool.index[pool.starts[index, None] + np.arange(depth, 2 * depth)]
     # rows[l]: rows of layer l's input that row 0 of the block output needs
     rows = [1] * (depth + 1)
     for ell in reversed(range(depth)):
-        rows[ell] = min(net.input_dim, rows[ell + 1] + blocks[0].filters[ell].width - 1)
+        rows[ell] = min(net.input_dim, rows[ell + 1] + pool.arrays[F[0, ell]].shape[1] - 1)
     layers = []
     for ell in range(depth):
         # the first layer reads channel 0 only; row 0 needs rows[ell] rows
         first = (lambda w: w[:, :, :1]) if ell == 0 else (lambda w: w)
-        filters = _distinct([b.filters[ell].entries for b in blocks], first)
-        biases = _distinct([b.biases[ell] for b in blocks], lambda b: b[: rows[ell]])
+        filters = _stacked(pool.arrays, F[:, ell], first)
+        biases = _stacked(pool.arrays, B[:, ell], lambda b: b[: rows[ell]])
         layers.append(_PlanLayer(*filters, *biases, rows[ell], rows[ell + 1]))
     prefix = next((ell for ell, layer in enumerate(layers) if not layer.shared), depth)
-    return _PlanGroup(np.array(index), layers, prefix)
+    return _PlanGroup(index, layers, prefix)
+
+
+def _stacked(arrays, index, view):
+    """The stack of view(a) over the pooled arrays a that ``index`` names, one
+    name per block, and each block's place in it (None when all name one)."""
+    named, position = np.unique(index, return_inverse=True)
+    return np.stack([view(arrays[i]) for i in named]), (position if len(named) > 1 else None)
 
 
 def _group_summands(g, X, points, pos, D):

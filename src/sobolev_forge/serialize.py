@@ -5,16 +5,15 @@ writer accepts nothing else and loading rejects any other kind.
 Round-trips are bit-exact for finite doubles: floats are emitted through
 Python's shortest-roundtrip repr.
 
-A document of schema version 2 keeps its arrays in one top-level pool,
-``"arrays": [{"dims": [...], "data": [...]}, ...]``, each distinct array
-(same shape, same bytes, so 0.0 and -0.0 stay apart) once, in the order the
-blocks first meet it.  Every filter and bias of ``"blocks"`` is an integer
-index into that pool: a compiled model holds thousands of arrays and only a
-few hundred distinct ones.  Loading builds each pooled array once and hands
-it, and for a filter one FilterTensor, to every block that names it, so a
-loaded model shares its arrays as a built one does.  Version-1 documents,
-which hold the record inline at every occurrence, still load; each record
-is resolved where it stands.
+A document of schema version 2 holds the model's pool (see ``netcore``):
+``"arrays": [{"dims": [...], "data": [...]}, ...]`` lists each distinct
+array once, and every filter and bias of ``"blocks"`` is an integer index
+into it.  The writer emits the pool the model computed when it was built.
+Loading builds each pooled array once and hands it, and for a filter one
+FilterTensor, to every block that names it, so a loaded model shares its
+arrays as a built one does.  Version-1 documents, which hold the record
+inline at every occurrence, still load; each record is resolved where it
+stands.
 
 Loading raises SerializationError for an unknown version, missing keys
 (``"arrays"`` in a version-2 document too), an index that is not an
@@ -86,35 +85,25 @@ def _fc(doc, D):
 
 def to_dict(obj):
     """The version-2 document of a ConvResNetModel."""
-    arrays, by_bytes, by_id = [], {}, {}
-
-    def index(a):
-        seen = by_id.get(id(a))
-        if seen is None:  # the entry keeps a alive, so its id stays its own
-            a64 = np.asarray(a, dtype=np.float64)
-            key = (a64.shape, a64.tobytes())  # +0.0 and -0.0 differ in bytes
-            seen = by_id[id(a)] = (a, by_bytes.setdefault(key, len(arrays)))
-            if seen[1] == len(arrays):
-                arrays.append(_arr(a64))
-        return seen[1]
-
-    def block(filters, biases):
-        return {"filters": [index(f.entries) for f in filters], "biases": list(map(index, biases))}
-
     if not isinstance(obj, ConvResNetModel):
         raise SerializationError(f"cannot serialize {type(obj).__name__}")
+    pool = obj._pool
+    index = pool.index.tolist()
     doc = {
         "version": SCHEMA_VERSION,
         "kind": "convresnet",
         "D": obj.input_dim,
         "C": obj.padding_channels,
-        "blocks": [block(b.filters, b.biases) for b in obj.blocks],
+        "blocks": [
+            {"filters": index[s : s + L], "biases": index[s + L : s + 2 * L]}
+            for s, L in zip(pool.starts.tolist(), pool.depths.tolist())
+        ],
         "fc": {"weight": obj.fc_weight.ravel().tolist(), "bias": obj.fc_bias},
         "first_row_only": obj.first_row_only,
     }
     if obj.support is not None:
         doc["support"] = {"N": obj.support.grid, "nodes": [a.tolist() for a in obj.support.nodes]}
-    doc["arrays"] = arrays
+    doc["arrays"] = [_arr(a) for a in pool.arrays]
     return doc
 
 

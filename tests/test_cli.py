@@ -434,3 +434,42 @@ def test_a_cnn_document_is_a_network_file_error(tmp_path, capsys, command):
     assert main(command[:1] + ["--net", str(path)] + command[1:]) == 2
     err = capsys.readouterr().err
     assert err.startswith("network file error:") and "'cnn'" in err and "Traceback" not in err
+
+
+def _psi_file(tmp_path):
+    path = tmp_path / "net.json"
+    serialize.save(path, assemble_resnet([mlp_to_cnn(build_trapezoid(1, 4))]))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build", "--config", "{build}", "--out", "{file}"],
+        ["eval", "--net", "{net}", "--at", "0.5", "--out", "{file}"],
+        ["audit", "--net", "{net}", "--out", "{file}"],
+        ["rate-study", "--config", "{study}", "--out", "{file}"],
+        ["net-io", "copy", "--net", "{net}", "--dest", "{dir}"],
+    ],
+    ids=["build", "eval", "audit", "rate-study", "net-io-copy"],
+)
+def test_an_output_path_that_cannot_be_written_exits_2(tmp_path, capsys, argv):
+    (tmp_path / "dir").mkdir()
+    paths = {
+        "build": _write_cfg(tmp_path, {"target": "sinprod", "alpha": 2, "N": 2}, "build.json"),
+        "study": _write_cfg(tmp_path, {"target": "sinprod", "alpha": 2, "N_list": [2, 4]}, "study.json"),
+        "net": _psi_file(tmp_path),
+        "file": str(tmp_path / "build.json"),  # a file where the output directory must go
+        "dir": str(tmp_path / "dir"),  # a directory where the output file must go
+    }
+    assert main([a.format(**paths) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot write") and "Traceback" not in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("grid", ["0", "-2"])
+def test_eval_rejects_a_grid_below_1_with_exit_2(tmp_path, capsys, grid):
+    assert main(["eval", "--net", _psi_file(tmp_path), "--grid", grid]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: --grid must be an integer >= 1") and not captured.out

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sobolev_forge import serialize
+from sobolev_forge import netcore, serialize
 from sobolev_forge.algebra import assemble_resnet, mlp_to_cnn
 from sobolev_forge.cli import main
 from sobolev_forge.manifold import build_atlas, build_manifold_approx
@@ -271,6 +271,24 @@ def test_save_writes_the_text_of_json_dumps(name, tmp_path):
     assert same, f"texts differ from character {at}: {got[at:at + 60]!r} vs {want[at:at + 60]!r}"
 
 
+def test_each_model_computes_its_pool_once(monkeypatch):
+    """The checks, the plan, the audit and the writer of a model all read the
+    pool that its construction computed."""
+    made = []  # the models themselves, so no id is reused
+    pool = netcore._pool
+    monkeypatch.setattr(netcore, "_pool", lambda net: made.append(net) or pool(net))
+    sinprod = get_target("sinprod", alpha=2, dim=2)
+    built = build_euclidean(sinprod, s=0, p=math.inf, N=3, check_points=4).model  # forwards in its gates
+    doc = serialize.to_dict(built)
+    audit_class(built)
+    loaded = serialize.from_dict(json.loads(json.dumps(doc)))
+    resnet_forward_batch(loaded, np.full((3, 2), 0.5))  # the first forward lowers the model
+    audit_class(loaded)
+    assert serialize.to_dict(loaded) == doc
+    assert len({id(net) for net in made}) == len(made)
+    assert sum(net is built for net in made) == 1 and sum(net is loaded for net in made) == 1
+
+
 def test_signed_zeros_keep_their_sign_through_save(tmp_path):
     path = tmp_path / "out.json"
     serialize.save(path, _signed_zero_model())
@@ -369,6 +387,35 @@ def _string_dimension(doc):
     doc["D"] = "2"
 
 
+# Block 0 of built_doc has 35 layers; its filters are (4, 2, 3), (10, 1, 4),
+# (4, 1, 4), ... and the last two (2, 1, 2), (3, 1, 2), each with a (2, Cout) bias.
+
+
+def _bias_of_another_width(doc):
+    block = doc["blocks"][0]
+    block["biases"][2] = block["biases"][1]
+
+
+def _layers_swapped(doc):
+    block = doc["blocks"][0]
+    for k in ("filters", "biases"):
+        block[k][1], block[k][2] = block[k][2], block[k][1]
+
+
+def _readout_layer_dropped(doc):
+    block = doc["blocks"][0]
+    del block["filters"][-1], block["biases"][-1]
+
+
+def _bias_of_one_row(doc):
+    doc["arrays"].append({"dims": [1, 3], "data": [0.0, 0.0, 0.0]})
+    doc["blocks"][0]["biases"][-1] = len(doc["arrays"]) - 1
+
+
+def _bias_dropped(doc):
+    doc["blocks"][0]["biases"].pop()
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -381,6 +428,11 @@ def _string_dimension(doc):
         (_no_pool, r"missing required keys \['arrays'\]"),
         (_bool_version, "version"),
         (_string_dimension, "D and C must be integers"),
+        (_bias_of_another_width, r"shapes: bias shape \(2, 4\) does not match filter out-channels 10"),
+        (_layers_swapped, r"shapes: layer shapes do not compose: \(10, 1, 4\) then \(4, 1, 4\)"),
+        (_readout_layer_dropped, "shapes: block must map D x C to D x C: .* 3 != last output channels 2"),
+        (_bias_of_one_row, "shapes: bias rows 1 != input dim 2"),
+        (_bias_dropped, "shapes: block needs matching filter/bias lists, got 35 filters and 34 biases"),
     ],
 )
 def test_malformed_document_is_rejected_and_eval_exits_2(built_doc, edit, message, tmp_path, capsys):
