@@ -62,14 +62,34 @@ does with the built approximator (``evaluation`` in the results):
 Each of these is the median of at least ``--reps`` calls after a warm-up,
 more while they take under a second.
 
+``--only functional`` times the functional path of the studies,
+``ConstructedApproximator.eval`` of sinprod (D=2, alpha=2), without
+compiling:
+
+* ``rate_grid_s`` at N = 4, 8 and 16: the evals of a k = 1 grid norm of a
+  rate study at grid 21, each call on one of the five point sets of its
+  central-difference stencil (the grid, then the grid -+ h e_j), 441
+  points each;
+* ``lipschitz_s``: ``metrics.lipschitz_estimate`` at N = 8 over 5000
+  pairs and 500 probes;
+* ``adversarial_s``: ``risk.adversarial_risk`` at N = 8 at 200 points,
+  deltas 0 and 0.02, 8 directions and 4 ascent steps.
+
+The sizes and the seed of the inputs are those of perfbench's ``studies``
+workload.  Each figure is the median of at least ``--reps`` calls after a
+warm-up, more while they take under a second, and ``sha256`` digests the
+bytes of every value computed, so runs of two trees show whether their
+outputs are identical.
+
 ``--src`` times the package in another source tree (a checkout of an
 earlier commit, say); the wrapping names that tree lacks are skipped.  The
-results are stored under ``--label`` in ``BENCH_template_build.json`` and
-``BENCH_manifold_build.json`` at the repository root, next to the labels
-already there; ``--only`` runs one of the two.
+results are stored under ``--label`` in ``BENCH_template_build.json``,
+``BENCH_manifold_build.json`` and ``BENCH_functional_fold.json`` at the
+repository root, next to the labels already there; ``--only`` runs one of
+the three.
 
 Usage: python benchmarks/bench_build.py [--src DIR] [--label NAME] [--reps R]
-                                        [--only build|manifold]
+                                        [--only build|manifold|functional]
 """
 
 import os
@@ -78,6 +98,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse
+import hashlib
 import json
 import math
 import platform
@@ -103,6 +124,11 @@ MANIFOLD_R = 0.2
 MANIFOLD_NS = (4, 8)
 MANIFOLD_RESOLUTION = 40
 MANIFOLD_POINTS = 10
+FUNCTIONAL_NS = (4, 8, 16)
+FUNCTIONAL_GRID = 21
+FUNCTIONAL_N = 8
+FUNCTIONAL_SIZES = {"pairs": 5000, "probes": 500, "points": 200, "directions": 8, "steps": 4}
+FUNCTIONAL_DELTAS = (0.0, 0.02)
 MANIFOLD_STAGES = {
     "boundary": ("chart_boundary_data",),
     "coefficients": ("chart_coefficients",),
@@ -266,6 +292,47 @@ def _manifold_evaluation(manifold, targets, reps):
     return rows
 
 
+def _bench_functional(modules, reps):
+    """Median seconds of the functional evaluator on the rate study's stencil
+    at each N of FUNCTIONAL_NS, then of the Lipschitz estimate and the
+    adversarial risk at N = FUNCTIONAL_N, with a digest of the values."""
+    np, metrics, risk, targets, taylor = modules
+    target = targets.get_target("sinprod", alpha=2, dim=2)
+    build = lambda N: taylor.build_euclidean(target, s=0, p=math.inf, N=N, compile_model=False)
+    grid = metrics.EvalGrid(2, FUNCTIONAL_GRID).points
+    stencil = [grid]
+    for j in range(2):
+        step = np.zeros(2)
+        step[j] = metrics.FD_STEP_NET
+        stencil += [grid + step, grid - step]
+    rows = []
+    for N in FUNCTIONAL_NS:
+        approx = build(N)
+        values = np.concatenate([approx.eval(P) for P in stencil])
+        rows.append({"N": N, "points": [len(P) for P in stencil],
+                     "rate_grid_s": _median_seconds(lambda: [approx.eval(P) for P in stencil], reps),
+                     "sha256": hashlib.sha256(values.tobytes()).hexdigest()})
+    sizes = FUNCTIONAL_SIZES
+    rng = np.random.default_rng([0, 1])
+    pairs = metrics.sample_pairs(rng, 2, sizes["pairs"])
+    probes = rng.uniform(0.02, 0.98, (sizes["probes"], 2))
+    X = rng.uniform(0.0, 1.0, (sizes["points"], 2))
+    approx = build(FUNCTIONAL_N)
+    lipschitz = lambda: metrics.lipschitz_estimate(approx.eval, pairs=pairs, probes=probes)
+    adversarial = lambda: risk.adversarial_risk(
+        approx.eval, X, target(X), FUNCTIONAL_DELTAS, seed=0,
+        directions=sizes["directions"], ascent_steps=sizes["steps"])
+    values = np.array([lipschitz(), *adversarial().values()])
+    rows.append({"N": FUNCTIONAL_N, **sizes, "deltas": list(FUNCTIONAL_DELTAS),
+                 "lipschitz_s": _median_seconds(lipschitz, reps),
+                 "adversarial_s": _median_seconds(adversarial, reps),
+                 "sha256": hashlib.sha256(values.tobytes()).hexdigest()})
+    for row in rows:
+        times = "  ".join(f"{k} {v * 1e3:.2f} ms" for k, v in row.items() if k.endswith("_s"))
+        print(f"functional N={row['N']:>2}: {times}  sha256 {row['sha256'][:12]}", flush=True)
+    return rows
+
+
 def _store(name, what, np, label, rows):
     path = ROOT / name
     doc = json.loads(path.read_text()) if path.exists() else {}
@@ -316,13 +383,14 @@ def main():
     parser.add_argument("--src", default=str(ROOT / "src"), help="package source tree to time")
     parser.add_argument("--label", default="change", help="key of the results in the JSON files")
     parser.add_argument("--reps", type=int, default=3, help="builds per configuration")
-    parser.add_argument("--only", choices=("build", "manifold"), help="run one benchmark")
+    parser.add_argument("--only", choices=("build", "manifold", "functional"),
+                        help="run one benchmark")
     args = parser.parse_args()
     sys.path.insert(0, args.src)
     import numpy as np
-    from sobolev_forge import manifold, netcore, serialize, targets, taylor
+    from sobolev_forge import manifold, metrics, netcore, risk, serialize, targets, taylor
 
-    if args.only != "manifold":
+    if args.only in (None, "build"):
         rows = _bench_builds((np, netcore, serialize, targets, taylor), args.reps)
         what = (
             "median seconds per stage of build_euclidean + serialize.save, then of "
@@ -331,7 +399,7 @@ def main():
             "see benchmarks/bench_build.py"
         )
         _store("BENCH_template_build.json", what, np, args.label, rows)
-    if args.only != "build":
+    if args.only in (None, "manifold"):
         rows = _bench_manifold(manifold, targets, args.reps)
         what = (
             "median seconds per stage of build_manifold_approx on the circle-sin atlas "
@@ -340,6 +408,16 @@ def main():
             "of 10 one-point evals; see benchmarks/bench_build.py"
         )
         _store("BENCH_manifold_build.json", what, np, args.label, rows)
+    if args.only in (None, "functional"):
+        rows = _bench_functional((np, metrics, risk, targets, taylor), args.reps)
+        what = (
+            "median seconds of ConstructedApproximator.eval of sinprod (D=2, alpha=2) on "
+            "the five 441-point sets of a k=1 grid norm at grid 21 (N=4, 8, 16), and at "
+            "N=8 of lipschitz_estimate (5000 pairs, 500 probes) and adversarial_risk "
+            "(200 points, deltas 0 and 0.02, 8 directions, 4 steps); sha256 of the "
+            "values; see benchmarks/bench_build.py"
+        )
+        _store("BENCH_functional_fold.json", what, np, args.label, rows)
 
 
 if __name__ == "__main__":

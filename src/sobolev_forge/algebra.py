@@ -297,10 +297,10 @@ def parallel_sum(cnns, group_width: int):
     return groups
 
 
-def assemble_resnet(cnns) -> ConvResNetModel:
+def assemble_resnet(cnns, support=None) -> ConvResNetModel:
     """Realize sum_i f_i as a ConvResNet: one residual block per CNN, with two
     accumulator channels carrying the positive/negative parts of the partial
-    sum through the identity shortcuts.
+    sum through the identity shortcuts, and the BlockSupport ``support``.
 
     A block holds its member's layers and bias matrices themselves, so
     members that share a layer give blocks that share it; kappa1 reads each
@@ -336,4 +336,4 @@ def assemble_resnet(cnns) -> ConvResNetModel:
     fc = np.zeros((D, C))
     fc[0, 1] = 1.0 / s
     fc[0, 2] = -1.0 / s
-    return ConvResNetModel(D, C, blocks, fc, 0.0, first_row_only=True)
+    return ConvResNetModel(D, C, blocks, fc, 0.0, first_row_only=True, support=support)

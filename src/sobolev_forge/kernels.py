@@ -27,8 +27,12 @@ def conv_layer(w, b, z):
 
 
 def mlp_layer(w, b, x, relu=True):
-    """Affine layer over a batch: x (n, Cin) -> (n, Cout), optional ReLU."""
-    y = x @ w.T + b
+    """Affine layer over a batch: x (n, Cin) -> (n, Cout), optional ReLU.
+
+    The bias is added in place into the product, which rounds as x @ w.T + b
+    does without allocating a second (n, Cout) array."""
+    y = x @ w.T
+    y += b
     if relu:
         np.maximum(y, 0.0, out=y)
     return y

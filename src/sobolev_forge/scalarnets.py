@@ -33,6 +33,7 @@ class audit of any compiled construction reports kappa_1 <= max(3N, 4).
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -48,6 +49,12 @@ class ScalarNet:
     pass applies ReLU after every layer except the last.  Layer shapes are
     not checked here, since a build makes hundreds of nets;
     ``algebra.mlp_to_cnn`` checks them once per conversion.
+
+    A batch forward reads a column-major copy of each weight, made once per
+    net object at its first such forward, so that x @ w.T hands BLAS a
+    row-major (Cin, Cout) operand; the product rounds as with the weight
+    itself.  A net's arrays must therefore not be edited after its first
+    forward (nothing in the package edits them).
     """
 
     layers: list
@@ -75,12 +82,19 @@ class ScalarNet:
             for w, b in self.layers
         )
 
+    @cached_property
+    def _batch_layers(self):
+        return [(np.asfortranarray(w), b) for w, b in self.layers]
+
     def forward(self, X):
-        """Batch forward: (n, in_dim) -> (n,) for scalar nets, else (n, out)."""
+        """Batch forward: (n, in_dim) -> (n,) for scalar nets, else (n, out).
+
+        A single row reads the layers as given: numpy multiplies it by a
+        matrix-vector product, whose bits depend on the weight's layout."""
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         out = X
         last = self.depth - 1
-        for i, (w, b) in enumerate(self.layers):
+        for i, (w, b) in enumerate(self._batch_layers if len(X) > 1 else self.layers):
             out = kernels.mlp_layer(w, b, out, relu=(i != last))
         return out[:, 0] if self.out_dim == 1 else out
 

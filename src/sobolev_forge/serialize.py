@@ -172,18 +172,22 @@ def from_dict(doc):
 
 
 def atomic_write_text(path, text):
-    """Write via temp file + rename so partial files never appear."""
-    d = os.path.dirname(os.path.abspath(path))
-    os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
+    """Write via temp file + rename so partial files never appear.  An
+    OSError names path, not the temporary file."""
+    tmp = None
     try:
+        d = os.path.dirname(os.path.abspath(path))
+        os.makedirs(d, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+        tmp = None
+    except OSError as e:
+        raise OSError(e.errno, e.strerror, os.fspath(path)) from e
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def save(path, obj):

@@ -16,19 +16,22 @@ grouping, assembly, the class audit and the file writer.
 Evaluation is sparse: at any x only the <= 2^D bumps whose support contains
 x contribute; all other terms are exactly zero by the annihilation property
 of the product nets, so the sparse functional path equals the full compiled
-sum up to float reassociation.  ``_cover`` finds the covering bumps, and the
+sum up to float reassociation.  ``_cover`` finds the covering bumps of all
+2^D candidate offsets at once, as arrays stacked offset-major, and the
 functional evaluator folds the shared product net over all of them as one
-stack: it keeps only the (point, term) rows whose node lies in the grid,
-whose coefficient is nonzero and whose fold factors are all nonzero (any
-other row contributes c * 0 = +-0 exactly), groups the terms by fold
-length and runs one product-net pass per fold step over the rows of a
-group, in chunks of ``_FOLD_ROWS``.  A lone row is padded to two, so every
-product is matrix-matrix and a point gets the same value alone as inside
-any batch.
+stack: each v builds its fold operand once over every (offset, point) row,
+it keeps only the rows whose node lies in the grid, whose coefficient is
+nonzero and whose fold factors are all nonzero (any other row contributes
+c * 0 = +-0 exactly), groups the terms by fold length and runs one
+product-net pass per fold step over the rows of a group, in chunks of
+``_FOLD_ROWS``.  A lone row is padded to two, so every product is
+matrix-matrix and a point gets the same value alone as inside any batch.
+Each point's terms are added in the per-term order, candidate offset and
+then v, so the stacking changes no bit of the sum.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import product as iter_product
 
 import numpy as np
@@ -203,19 +206,20 @@ def taylor_coeffs(f: TargetFunction, N: int) -> SurrogateCoefficients:
 def _cover(N, X):
     """The bumps that can cover the points X (n, D): per axis, the integers m
     with |x - m/N| < 2/(3N) are m_lo + {0, 1} intersected with [0, N].  For
-    each of the 2^D candidate offsets yield (valid, idx, psi): the rows whose
-    node lies in [0, N]^D, the raveled index of the node clipped into the
-    grid, and the D trapezoid factors psi(3N x_k - 3 m_k) of that clipped node
-    as an (n, D) array."""
+    the 2^D candidate offsets at once, stacked offset-major (offsets in
+    iter_product((0, 1), repeat=D) order), return (valid, idx, psi): valid
+    (2^D, n) marks the rows whose node lies in [0, N]^D, idx (2^D, n) holds
+    the raveled index of the node clipped into the grid, and psi (2^D, n, D)
+    the D trapezoid factors psi(3N x_k - 3 m_k) of that clipped node."""
+    D = X.shape[1]
     m_lo = np.floor(N * X - 2.0 / 3.0).astype(np.int64) + 1
-    for off in iter_product((0, 1), repeat=X.shape[1]):
-        m = m_lo + np.array(off, dtype=np.int64)
-        valid = np.all((m >= 0) & (m <= N), axis=1)
-        mc = np.clip(m, 0, N)
-        idx = np.zeros(X.shape[0], dtype=np.int64)
-        for k in range(X.shape[1]):
-            idx = idx * (N + 1) + mc[:, k]
-        yield valid, idx, psi_value(3.0 * N * X - 3.0 * mc)
+    m = m_lo + np.array(list(iter_product((0, 1), repeat=D)), dtype=np.int64)[:, None, :]
+    valid = np.all((m >= 0) & (m <= N), axis=2)
+    mc = np.clip(m, 0, N)
+    idx = np.zeros(valid.shape, dtype=np.int64)
+    for k in range(D):
+        idx = idx * (N + 1) + mc[..., k]
+    return valid, idx, psi_value(3.0 * N * X - 3.0 * mc)
 
 
 def surrogate_eval(coeffs: SurrogateCoefficients, X) -> np.ndarray:
@@ -234,7 +238,7 @@ def _surrogate_sum(coeffs, X):
         [np.prod(X ** np.array(v, dtype=np.float64), axis=1) for v in coeffs.v_list],
         axis=1,
     )
-    for valid, idx, psi in _cover(coeffs.N, X):
+    for valid, idx, psi in zip(*_cover(coeffs.N, X)):
         phi = np.ones(n)
         for k in range(D):
             phi = phi * psi[:, k]
@@ -272,46 +276,55 @@ def _stacked_fold(coeffs, X, times, tail=None, tracker=None, offset=None):
     trapezoid factors of node m; with ``tail = (net, col)`` it takes one more
     step, net(fold, col).  With an ``offset`` per row, row x reads its
     coefficients at table row offset[x] + (raveled node), so one pass folds
-    rows of several tables stacked into coeffs.table.  Only rows with an
-    in-grid node, a nonzero coefficient and nonzero fold factors are folded,
-    since any other row contributes c * 0 = +-0 exactly; terms of one fold
-    length are stacked into one pass per fold step, and the contributions
-    are added in the per-term order (candidate offset, then v).  With a
-    ``tracker`` every row is folded, and tracker[0] records the largest
-    |running product| entering a step.
+    rows of several tables stacked into coeffs.table.  The rows are the
+    (candidate offset, point) pairs of ``_cover``, stacked offset-major, and
+    each v builds its fold operand over all of them at once.  Only rows with
+    an in-grid node, a nonzero coefficient and nonzero fold factors are
+    folded, since any other row contributes c * 0 = +-0 exactly; the v of one
+    fold length are stacked into one pass per fold step, and the
+    contributions are added in the per-term order (candidate offset, then
+    v).  With a ``tracker`` every row is folded, and tracker[0] records the
+    largest |running product| entering a step.
     """
-    n = X.shape[0]
-    tail_nets, tail_cols = ([tail[0]], [tail[1]]) if tail is not None else ([], [])
+    n, D = X.shape
     every = tracker is not None
+    valid, idx, psi = _cover(coeffs.N, X)
+    K, n_v = len(valid), len(coeffs.v_list)
+    if offset is not None:
+        idx = idx + offset
+    F = psi.reshape(K * n, D)  # the factors folded after the monomial's
+    if tail is not None:
+        F = np.column_stack([F, np.tile(tail[1], K)])
+    valid = valid.ravel()
+    rows = np.arange(K * n) if every else np.flatnonzero(valid & np.all(F != 0.0, axis=1))
+    c = np.where(valid[rows, None], coeffs.table[idx.ravel()[rows]], 0.0)
+    Xr, Fr = X[rows % n], F[rows]
     terms, groups, sizes = [], {}, {}
-    for valid, idx, psi in _cover(coeffs.N, X):
-        if offset is not None:
-            idx = idx + offset
-        F = np.column_stack([psi] + tail_cols)
-        rows = np.arange(n) if every else np.flatnonzero(valid & np.all(F != 0.0, axis=1))
-        if not rows.size:
+    for j, v in enumerate(coeffs.v_list):
+        coords = monomial_factors(v)
+        start = Xr[:, coords[:1]] if coords else np.ones((rows.size, 1))
+        A = np.hstack([start, Xr[:, coords[1:]], Fr])
+        keep = slice(None) if every else (c[:, j] != 0.0) & np.all(A != 0.0, axis=1)
+        A = A[keep]
+        if not len(A):
             continue
-        c = np.where(valid[rows, None], coeffs.table[idx[rows]], 0.0)
-        Xr, Fr = X[rows], F[rows]
-        for j, v in enumerate(coeffs.v_list):
-            coords = monomial_factors(v)
-            start = Xr[:, coords[:1]] if coords else np.ones((rows.size, 1))
-            A = np.hstack([start, Xr[:, coords[1:]], Fr])
-            keep = slice(None) if every else (c[:, j] != 0.0) & np.all(A != 0.0, axis=1)
-            A = A[keep]
-            if not len(A):
-                continue
-            width = A.shape[1]
-            groups.setdefault(width, []).append(A)
-            terms.append((rows[keep], c[keep, j], width, sizes.get(width, 0)))
-            sizes[width] = sizes.get(width, 0) + len(A)
+        width = A.shape[1]
+        groups.setdefault(width, []).append(A)
+        terms.append((rows[keep], j, c[keep, j], width, sizes.get(width, 0)))
+        sizes[width] = sizes.get(width, 0) + len(A)
+    tail_nets = [tail[0]] if tail is not None else []
     values = {}
     for width, parts in groups.items():
         nets = [times] * (width - 1 - len(tail_nets)) + tail_nets
         values[width] = _fold_rows(np.concatenate(parts), nets, tracker)
+    # the term (offset o, v_j) of point x at [o * n_v + j, x], +0.0 where no
+    # row was folded: adding +0.0 leaves a sum that starts at +0.0 as it is
+    contrib = np.zeros((K * n_v, n))
+    for r, j, cj, width, at in terms:
+        contrib[r // n * n_v + j, r % n] = cj * values[width][at : at + len(r)]
     out = np.zeros(n)
-    for rows, c, width, at in terms:
-        out[rows] += c * values[width][at : at + len(rows)]
+    for term in contrib:
+        out += term
     return out
 
 
@@ -417,9 +430,7 @@ def compile_terms(approx, terms, X, support=None):
     J0 = widest(cnns)
     width = record["Jt"] if record["Jt"] is not None else J0
     groups = parallel_sum(cnns, width)
-    model = assemble_resnet(groups)
-    if support is not None:
-        model = replace(model, support=support(width // J0))
+    model = assemble_resnet(groups, support(width // J0) if support is not None else None)
     approx.model = model
     approx.class_params = audit_class(model)
     record["terms"] = len(cnns)

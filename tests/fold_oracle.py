@@ -4,6 +4,9 @@ The evaluator once ran the shared product net over every point for each
 (candidate offset, v) term in turn, and the manifold evaluator visited the
 charts one by one; these functions keep those loops as the oracles the
 stacked, compacted fold and the stacked chart sum are compared against.
+They run every net through ``plain_forward``, a loop of their own over the
+net's layers, so a fault of ``ScalarNet.forward`` or ``kernels.mlp_layer``
+does not reach the oracles.
 """
 
 from dataclasses import replace
@@ -44,11 +47,22 @@ def fold_term(times, X, psis, v, tracker=None):
     return running
 
 
+def plain_forward(net, X):
+    """The net's output at the rows of X: relu(x @ w.T + b) per layer and no
+    ReLU after the last, read from net.layers as they are."""
+    x = np.asarray(X, dtype=np.float64)
+    for w, b in net.layers[:-1]:
+        x = np.maximum(x @ w.T + b, 0.0)
+    w, b = net.layers[-1]
+    x = x @ w.T + b
+    return x[:, 0] if x.shape[1] == 1 else x
+
+
 def _forward2(net, a, b):
     """net over the rows (a, b); a lone row is padded to two, as the
     evaluator pads it, since a one-row product takes another BLAS path."""
     rows = np.stack([a, b], axis=1)
-    return net.forward(np.repeat(rows, 2, axis=0) if len(rows) == 1 else rows)[: len(rows)]
+    return plain_forward(net, np.repeat(rows, 2, axis=0) if len(rows) == 1 else rows)[: len(rows)]
 
 
 def _sum_terms(coeffs, X, times, term_value):
@@ -87,7 +101,7 @@ def per_chart_eval_oracle(ap, i, X):
     Z = ap.atlas.project(np.full(len(X), i), X)
     (W0, _), *rest = ap.sqdist_net.layers
     sqdist = ScalarNet([(W0, ap.sqdist_biases[i])] + rest)
-    ind = ap.indicator_net.forward(sqdist.forward(X)[:, None])
+    ind = plain_forward(ap.indicator_net, plain_forward(sqdist, X)[:, None])
     rows = (ap.coeffs.N + 1) ** ap.coeffs.dim
     return _sum_terms(
         replace(ap.coeffs, table=ap.coeffs.table[i * rows : (i + 1) * rows]), Z, ap.times_eta,

@@ -468,6 +468,16 @@ def test_an_output_path_that_cannot_be_written_exits_2(tmp_path, capsys, argv):
     assert len(err.splitlines()) == 1
 
 
+def test_a_write_error_names_the_destination_not_the_temporary_file(tmp_path, capsys):
+    dest = tmp_path / "smoke"
+    dest.mkdir()
+    assert main(["net-io", "copy", "--net", _psi_file(tmp_path), "--dest", str(dest)]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("config error: cannot write output:") and ".tmp" not in err
+    assert err.endswith(f"Is a directory: {str(dest)!r}")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["net.json", "smoke"]  # no temporary left
+
+
 @pytest.mark.parametrize("grid", ["0", "-2"])
 def test_eval_rejects_a_grid_below_1_with_exit_2(tmp_path, capsys, grid):
     assert main(["eval", "--net", _psi_file(tmp_path), "--grid", grid]) == 2

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from fold_oracle import plain_forward
 from sobolev_forge.scalarnets import (
     build_monomial_bump,
     build_product2,
@@ -11,6 +14,7 @@ from sobolev_forge.scalarnets import (
     bump_weight,
     trapezoid_value,
 )
+from sobolev_forge.taylor import _FOLD_ROWS
 
 KINK_OFF = math.sqrt(2.0) * 1e-7
 
@@ -189,3 +193,38 @@ def test_partial_product_error_grows_linearly():
         exact = exact * factors[:, n]
         err = float(np.max(np.abs(running - exact)))
         assert err <= 3.0 * (n + 1) * eps
+
+
+def _net_and_inputs(kind, eta, B, n, rng):
+    """A product, trapezoid or monomial-bump net and n inputs in its box,
+    some of them exact zeros or grid nodes."""
+    if kind == "product":
+        X = rng.uniform(-B, B, (n, 2))
+        X[rng.random((n, 2)) < 0.1] = 0.0
+        return build_product2(eta, B), X
+    N = int(rng.integers(1, 9))
+    if kind == "trapezoid":
+        X = rng.uniform(-0.2, 1.2, (n, 1))
+        X[rng.random(n) < 0.2] = rng.integers(0, N + 1) / N
+        return build_trapezoid(int(rng.integers(0, N + 1)), N), X
+    m, v = rng.integers(0, N + 1, 2), rng.integers(0, 2, 2)
+    X = rng.uniform(0.0, 1.0, (n, 2))
+    return build_monomial_bump(m, v, N, eta, alpha=3, box=B), X
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(["product", "trapezoid", "monomial-bump"]),
+    st.sampled_from([0.25, 1.0 / 16, 1.0 / 256, 1e-5]),
+    st.sampled_from([1.0, 3.0, 6.0]),
+    st.one_of(st.integers(1, 40), st.sampled_from([_FOLD_ROWS, _FOLD_ROWS + 1, 5000])),
+    st.integers(0, 2**32 - 1),
+)
+@example("product", 1.0 / 256, 6.0, 1, 0)  # a lone row takes the matrix-vector product
+@example("monomial-bump", 1.0 / 16, 3.0, 2, 0)
+def test_forward_equals_the_plain_layer_loop(kind, eta, B, n, seed):
+    """ScalarNet.forward, with its weight copies and in-place biases, gives
+    the bits of relu(x @ w.T + b) per layer on the layers as built, from
+    one row to more than a fold chunk."""
+    net, X = _net_and_inputs(kind, eta, B, n, np.random.default_rng(seed))
+    assert np.array_equal(net.forward(X), plain_forward(net, X))

@@ -8,6 +8,7 @@ from build_oracle import direct_model, direct_nets, direct_term_cnns
 from fold_oracle import eval_oracle, max_intermediate_oracle
 from hypothesis import given, settings, strategies as st
 
+from sobolev_forge import netcore
 from sobolev_forge.metrics import EvalGrid, grid_norm, lipschitz_estimate, sample_pairs
 from sobolev_forge.netcore import audit_class
 from sobolev_forge.scalarnets import monomial_bump_template
@@ -170,6 +171,16 @@ def test_compile_equality_random_points(sinprod2, rng):
     gap = np.max(np.abs(ap.eval(X) - ap.model_eval(X)))
     assert gap <= 1e-9
     assert ap.record["compile_gap"] <= 1e-9
+
+
+def test_a_compiled_build_constructs_its_model_once(sinprod2, monkeypatch):
+    """compile_terms assembles the model with its support, so the model's
+    pool is computed once per build."""
+    made = []
+    pool = netcore._pool
+    monkeypatch.setattr(netcore, "_pool", lambda net: made.append(net) or pool(net))
+    ap = build_euclidean(sinprod2, s=0, p=math.inf, N=4, check_points=4)
+    assert len(made) == 1 and made[0] is ap.model and ap.model.support is not None
 
 
 def test_non_finite_coordinates_evaluate_to_nan(sinprod2, rng):
