@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Time a compiled build stage by stage, and the forwards of the built model.
 
-For sinprod (D=2) at alpha=2, N = 4, 8, 16 and alpha=3, N = 16 this script
-runs ``build_euclidean`` and ``serialize.save`` and splits their wall time
-into stages, by wrapping the functions the compile step calls through the
-``taylor`` module:
+For sinprod (D=2) at alpha=2, N = 2, 4, 8, 16 and alpha=3, N = 2, 16 this
+script runs ``build_euclidean`` and ``serialize.save`` and splits their wall
+time into stages, by wrapping the functions the compile step calls through
+the ``taylor`` module, and ``netcore._lower``.  The N = 2 sizes and alpha=2
+N=4 are the builds of perfbench's ``build`` workload.
 
 * ``term_nets``: the scalar term nets (``monomial_bump_template``, or
   ``build_monomial_bump`` in a tree that builds every term directly);
@@ -12,7 +13,10 @@ into stages, by wrapping the functions the compile step calls through the
 * ``grouping_assembly``: ``parallel_sum`` and ``assemble_resnet``;
 * ``audit``: ``audit_class``;
 * ``equality_check``: the compiled forwards of the build gates
-  (``resnet_forward_dense`` and ``resnet_forward_batch``);
+  (``resnet_forward_dense`` and ``resnet_forward_batch``), less their
+  lowering;
+* ``lowering``: ``netcore._lower``, which makes the execution plan of the
+  model at its first compiled forward;
 * ``save``: ``serialize.save`` of the model;
 * ``other``: the rest (Taylor coefficients, the functional evaluator of the
   gates, the intermediate-magnitude audit).
@@ -110,7 +114,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-BUILDS = ((2, 4), (2, 8), (2, 16), (3, 16))
+BUILDS = ((2, 2), (2, 4), (3, 2), (2, 8), (2, 16), (3, 16))
 FORWARD_ALPHA = 2
 POINTS = (1, 200, 2000)
 STAGES = {
@@ -120,6 +124,7 @@ STAGES = {
     "audit": ("audit_class",),
     "equality_check": ("resnet_forward_dense", "resnet_forward_batch"),
 }
+LOWERING = {"lowering": ("_lower",)}  # wrapped in netcore
 MANIFOLD_R = 0.2
 MANIFOLD_NS = (4, 8)
 MANIFOLD_RESOLUTION = 40
@@ -237,12 +242,12 @@ def _one_build(modules, alpha, N, directory):
     save = clock.wrap("save", serialize.save)
     target = targets.get_target("sinprod", alpha=alpha, dim=2)
     path = Path(directory) / "model.json"
-    with clock.wrapping(taylor, STAGES):
+    with clock.wrapping(taylor, STAGES), clock.wrapping(netcore, LOWERING):
         start = time.perf_counter()
         approx = taylor.build_euclidean(target, s=0, p=math.inf, N=N)
         save(path, approx.model)
         total = time.perf_counter() - start
-    seconds = clock.split([*STAGES, "save"], total)
+    seconds = clock.split([*STAGES, *LOWERING, "save"], total)
     model = approx.model
     arrays = [a for blk in model.blocks for a in [f.entries for f in blk.filters] + blk.biases]
     counts = {

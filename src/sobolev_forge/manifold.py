@@ -397,9 +397,7 @@ def build_sqdist_net(center, theta: float, B: float) -> ScalarNet:
     parts = []
     for j in range(D):
         sq = build_square(per_coord, 2.0 * B)
-        ej = np.zeros((1, 1))
-        ej[0, 0] = 1.0
-        parts.append((sn_input_affine(sq, ej, np.array([-center[j]])), [j]))
+        parts.append((sn_input_affine(sq, np.ones((1, 1)), np.array([-center[j]])), [j]))
     depth = max(net.depth for net, _ in parts)
     joined = sn_parallel([(sn_pad(net, depth), cols) for net, cols in parts])
     return sn_chain(joined, sn_affine(np.ones((1, D)), np.zeros(1)))
@@ -637,9 +635,11 @@ class ManifoldApproximator:
 
     def indicator_values(self, i, X):
         """Indicator of chart i at the rows of X; i is a chart, or an array
-        holding the chart of each row."""
-        d2 = _stamp(self.sqdist_net, self.sqdist_biases[i]).forward(X)
-        return self.indicator_net.forward(d2[:, None])
+        holding the chart of each row.  A lone row is padded to two, so a
+        row's bits do not depend on the rows beside it."""
+        rows = np.repeat(X, 2, axis=0) if len(X) == 1 else X
+        d2 = _stamp(self.sqdist_net, self.sqdist_biases[i]).forward(rows)
+        return self.indicator_net.forward(d2[:, None])[: len(X)]
 
     def per_chart_eval(self, i, X):
         """Contribution of chart i (exactly zero off its indicator support)
@@ -682,7 +682,7 @@ class ManifoldApproximator:
             raise RuntimeError("approximator was built without compilation")
         return resnet_forward_batch(self.model, np.atleast_2d(X))
 
-    def _terms(self, eta, box):
+    def _terms(self):
         """Chart by chart, each (m, v) term as a net on the ambient space,
         times_delta(g(phi_i(x)), indicator_i(x)) with g the net of phi_m x^v
         stamped from its template, together with c_{m,v}.  The chart map
@@ -690,7 +690,7 @@ class ManifoldApproximator:
         its own."""
         atlas, coeffs = self.atlas, self.coeffs
         D = atlas.manifold.ambient_dim
-        templates = [monomial_bump_template(v, coeffs.N, eta, box=box) for v in coeffs.v_list]
+        templates = [monomial_bump_template(v, coeffs.N, self.times_eta) for v in coeffs.v_list]
         tables = coeffs.table.reshape(atlas.chart_count, -1, len(coeffs.v_list))
         stacks = zip(atlas.centers, atlas.frames, tables, self.sqdist_biases)
         for center, frame, table, bias in stacks:
@@ -771,7 +771,7 @@ def build_manifold_approx(
 
     pts = mspec.sample_points(997)
     idx = np.random.default_rng(seed).choice(len(pts), min(check_points, len(pts)), replace=False)
-    compile_terms(approx, approx._terms(eta, box_intr), pts[idx])
+    compile_terms(approx, approx._terms(), pts[idx])
     return approx
 
 

@@ -610,8 +610,10 @@ def _lower_group(net, index):
 def _stacked(arrays, index, view):
     """The stack of view(a) over the pooled arrays a that ``index`` names, one
     name per block, and each block's place in it (None when all name one)."""
+    if (index == index[0]).all():
+        return view(arrays[index[0]])[None], None
     named, position = np.unique(index, return_inverse=True)
-    return np.stack([view(arrays[i]) for i in named]), (position if len(named) > 1 else None)
+    return np.stack([view(arrays[i]) for i in named]), position
 
 
 def _group_summands(g, X, points, pos, D):

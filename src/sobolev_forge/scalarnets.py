@@ -17,6 +17,9 @@ CNN.  The nets are built from four primitives:
 For a fixed monomial these nets differ from node to node only in the
 trapezoids' first-layer biases 2 - 3 m_k, so ``monomial_bump_template``
 builds one at node 0 and at each unit node and stamps every other node.
+Every term of a build folds the build's one product net.  Arrays are shared
+between layers and between nets (the combinators reuse the layers they are
+given), so no array is edited once it is in a net.
 
 Two float-level guarantees are load-bearing and deliberately engineered:
 
@@ -53,8 +56,8 @@ class ScalarNet:
     A batch forward reads a column-major copy of each weight, made once per
     net object at its first such forward, so that x @ w.T hands BLAS a
     row-major (Cin, Cout) operand; the product rounds as with the weight
-    itself.  A net's arrays must therefore not be edited after its first
-    forward (nothing in the package edits them).
+    itself.  A net's arrays are shared between its layers and with other
+    nets, and are never edited: an edit would reach every net holding them.
     """
 
     layers: list
@@ -120,10 +123,7 @@ def sn_affine(W, b):
 def sn_select(d_in, cols):
     """Depth-1 net extracting input coordinates ``cols`` from R^d_in."""
     cols = list(cols)
-    W = np.zeros((len(cols), d_in))
-    for r, c in enumerate(cols):
-        W[r, c] = 1.0
-    return ScalarNet([(W, np.zeros(len(cols)))])
+    return ScalarNet([(np.eye(d_in)[cols], np.zeros(len(cols)))])
 
 
 def sn_const(d_in, value):
@@ -136,21 +136,31 @@ def sn_chain(f: ScalarNet, g: ScalarNet) -> ScalarNet:
     layer and g's first layer reads the pairs, so no weight products appear."""
     if g.in_dim != f.out_dim:
         raise ShapeError(f"cannot chain: f out_dim {f.out_dim} != g in_dim {g.in_dim}")
-    Wf, bf = f.layers[-1]
-    pair = (np.vstack([Wf, -Wf]), np.concatenate([bf, -bf]))
     Wg, bg = g.layers[0]
     g0 = (np.hstack([Wg, -Wg]), bg)
-    return ScalarNet(f.layers[:-1] + [pair, g0] + g.layers[1:])
+    return ScalarNet(f.layers[:-1] + [_pm(*f.layers[-1]), g0] + g.layers[1:])
+
+
+def _pm(W, b):
+    """The layer (W, b) as a +/- pair: rows W then -W, bias b then -b."""
+    return np.vstack([W, -W]), np.concatenate([b, -b])
 
 
 def sn_pad(f: ScalarNet, depth: int) -> ScalarNet:
-    """Append identity pair layers until the net has the requested depth."""
-    eye = sn_affine(np.eye(f.out_dim), np.zeros(f.out_dim))
-    while f.depth < depth:
-        f = sn_chain(f, eye)
-    if f.depth != depth:
+    """Append identity pair layers until the net has the requested depth:
+    f's last layer as a +/- pair, one layer [[I, -I], [-I, I]] with bias
+    [0, -0] for every middle layer, then [I, -I].  These are the layers of
+    chaining the identity net on once per missing layer, zero signs too."""
+    gap = depth - f.depth
+    if gap < 0:
         raise ShapeError(f"cannot pad down: depth {f.depth} > requested {depth}")
-    return f
+    if gap == 0:
+        return f
+    eye = np.eye(f.out_dim)
+    read = np.hstack([eye, -eye])
+    zero = np.zeros(f.out_dim)
+    middle = _pm(read, zero)
+    return ScalarNet(f.layers[:-1] + [_pm(*f.layers[-1])] + [middle] * (gap - 1) + [(read, zero)])
 
 
 def sn_parallel(parts) -> ScalarNet:
@@ -158,39 +168,28 @@ def sn_parallel(parts) -> ScalarNet:
 
     ``parts`` is a list of (net, cols) where ``cols`` maps the net's input
     coordinates into the shared input space.  All nets must have equal depth
-    (pad first); the shared input dimension is inferred as max(cols)+1 unless
-    all parts agree already.
+    (pad first); the shared input dimension is max(cols)+1.
     """
-    depth = parts[0][0].depth
-    if any(net.depth != depth for net, _ in parts):
+    nets = [net for net, _ in parts]
+    depth = nets[0].depth
+    if any(net.depth != depth for net in nets):
         raise ShapeError("parallel parts must share depth; pad first")
     d_in = max(max(cols) for _, cols in parts) + 1
+    # part i's rows of layer ell are starts[ell][i]:ends[ell][i] of the
+    # joined layer, and so are its columns of layer ell + 1
+    rows = np.array([[w.shape[0] for w, _ in net.layers] for net in nets])
+    ends = np.cumsum(rows, axis=0)
+    starts, ends = (ends - rows).T.tolist(), ends.T.tolist()
     layers = []
-    for ell in range(depth):
-        if ell == 0:
-            rows = sum(net.layers[0][0].shape[0] for net, _ in parts)
-            W = np.zeros((rows, d_in))
-            bs = []
-            r0 = 0
-            for net, cols in parts:
-                W0, b0 = net.layers[0]
-                for j, c in enumerate(cols):
-                    W[r0 : r0 + W0.shape[0], c] += W0[:, j]
-                bs.append(b0)
-                r0 += W0.shape[0]
-            layers.append((W, np.concatenate(bs)))
-        else:
-            Ws = [net.layers[ell][0] for net, _ in parts]
-            bs = [net.layers[ell][1] for net, _ in parts]
-            rows = sum(w.shape[0] for w in Ws)
-            cols_n = sum(w.shape[1] for w in Ws)
-            W = np.zeros((rows, cols_n))
-            r0 = c0 = 0
-            for w in Ws:
-                W[r0 : r0 + w.shape[0], c0 : c0 + w.shape[1]] = w
-                r0 += w.shape[0]
-                c0 += w.shape[1]
-            layers.append((W, np.concatenate(bs)))
+    for ell, at in enumerate(zip(*(net.layers for net in nets))):
+        W = np.zeros((ends[ell][-1], d_in if ell == 0 else ends[ell - 1][-1]))
+        for i, (w, _) in enumerate(at):
+            if ell == 0:
+                for j, c in enumerate(parts[i][1]):
+                    W[starts[0][i] : ends[0][i], c] += w[:, j]
+            else:
+                W[starts[ell][i] : ends[ell][i], starts[ell - 1][i] : ends[ell - 1][i]] = w
+        layers.append((W, np.concatenate([b for _, b in at])))
     return ScalarNet(layers)
 
 
@@ -408,36 +407,33 @@ def monomial_factors(v):
     return out
 
 
-def build_monomial_bump(m, v, N: int, eps: float, alpha=None, box=None) -> ScalarNet:
+def build_monomial_bump(m, v, N: int, eps: float = None, alpha=None, box=None,
+                        times: ScalarNet = None) -> ScalarNet:
     """Net approximating phi_m(x) * x^v on (0,1)^D within O(eps).
 
-    Folds the shared product net over the monomial coordinate factors first,
-    then over the D per-axis trapezoids, matching the nesting
+    Folds the product net ``times`` over the monomial coordinate factors
+    first, then over the D per-axis trapezoids, matching the nesting
     x(...x(p_v, psi_1)..., psi_D).  Whenever some trapezoid factor vanishes at
     x the whole net output is exactly 0 (annihilation cascades through every
-    later product stage).
+    later product stage).  Without ``times`` the product net is built here,
+    within eps on the box [-box, box]^2 (box defaults to alpha + D + 1).
     """
     m = tuple(int(t) for t in m)
     v = tuple(int(t) for t in v)
     D = len(m)
     if len(v) != D:
         raise ShapeError(f"multi-index lengths differ: m has {D}, v has {len(v)}")
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must be in (0, 1), got {eps}")
     if alpha is not None and sum(v) >= alpha:
         raise ValueError(f"|v| = {sum(v)} must be < alpha = {alpha}")
-    a_eff = alpha if alpha is not None else max(sum(v) + 1, 2)
-    B = box if box is not None else a_eff + D + 1.0
-    times = build_product2(eps, B)
+    if times is None:
+        if eps is None or not 0.0 < eps < 1.0:
+            raise ValueError(f"eps must be in (0, 1), got {eps}")
+        a_eff = alpha if alpha is not None else max(sum(v) + 1, 2)
+        times = build_product2(eps, box if box is not None else a_eff + D + 1.0)
 
     coords = monomial_factors(v)
-    if coords:
-        running = sn_select(D, [coords[0]])
-        rest = coords[1:]
-    else:
-        running = sn_const(D, 1.0)
-        rest = []
-    stages = [(sn_select(1, [0]), [j]) for j in rest]
+    running = sn_select(D, coords[:1]) if coords else sn_const(D, 1.0)
+    stages = [(sn_select(1, [0]), [j]) for j in coords[1:]]
     stages += [(build_trapezoid(m[k], N), [k]) for k in range(D)]
 
     for factor, cols in stages:
@@ -472,21 +468,22 @@ class NodeTemplate:
         return ScalarNet([(self.net.layers[0][0], self.bias(m))] + self.net.layers[1:])
 
 
-def monomial_bump_template(v, N: int, eps: float, box=None) -> NodeTemplate:
+def monomial_bump_template(v, N: int, times: ScalarNet) -> NodeTemplate:
     """The nets phi_m(x) * x^v of every node m in [0, N]^D as one template.
 
-    Built at node 0 and at each unit node e_k (D + 1 builds); the steps are
-    the differences of the first-layer biases.  Every other weight and bias
-    must agree bit for bit, and the moving entries must be integers, so that
+    ``times`` is the build's product net, which every term folds.  Built at
+    node 0 and at each unit node e_k (D + 1 builds); the steps are the
+    differences of the first-layer biases.  Every other weight and bias must
+    agree bit for bit, and the moving entries must be integers, so that
     bias[cols] + m @ steps is exact and equals the bias of the net built at
     m (RuntimeError otherwise).
     """
     D = len(v)
-    base = build_monomial_bump((0,) * D, v, N, eps, box=box)
+    base = build_monomial_bump((0,) * D, v, N, times=times)
     b0 = base.layers[0][1]
     steps = []
     for k in range(D):
-        unit = build_monomial_bump(tuple(int(j == k) for j in range(D)), v, N, eps, box=box)
+        unit = build_monomial_bump(tuple(int(j == k) for j in range(D)), v, N, times=times)
         fixed = [(base.layers[0][0], unit.layers[0][0])] + [
             pair for la, lb in zip(base.layers[1:], unit.layers[1:]) for pair in zip(la, lb)
         ]

@@ -478,15 +478,15 @@ def build_euclidean(
     N = grid_resolution(N, Mt, Jt, D, least=2)  # N = 1 makes eta = 1
     eta = float(N) ** (-float(alpha))
     box = alpha + D + 1.0
+    times = build_product2(eta, box)
     if compile_model:
         v_list = multi_indices(D, alpha - 1)
-        templates = [monomial_bump_template(v, N, eta, box=box) for v in v_list]
+        templates = [monomial_bump_template(v, N, times) for v in v_list]
         # mlp_to_cnn keeps the net's widths and gathers the input into 2D channels
         width = max([2 * D] + [t.net.width for t in templates])
         if Jt is not None and Jt < width:
             raise ConfigError(f"Jt = {Jt} is below the width {width} of one term's network")
     coeffs = taylor_coeffs(f, N)
-    times = build_product2(eta, box)
     record = {
         "N": N,
         "eta": eta,

@@ -4,15 +4,25 @@ The build once made every term directly: ``build_monomial_bump`` at each
 node, ``mlp_to_cnn`` and ``extend_cnn_depth`` per term, grouping that built
 every group's layers anew and an assembly that re-tiled every bias into a
 fresh matrix.  These functions keep that path as the oracle the stamped
-templates and the shared-layer model are compared against.
+templates and the shared-layer model are compared against, and
+``chained_pad`` keeps the padding of that build.
 """
 
 import numpy as np
 
 from sobolev_forge.algebra import CnnFunction, extend_cnn_depth, mlp_to_cnn
 from sobolev_forge.netcore import ConvResNetModel, FilterTensor, ResidualBlockSpec
-from sobolev_forge.scalarnets import build_monomial_bump
+from sobolev_forge.scalarnets import build_monomial_bump, sn_affine, sn_chain
 from sobolev_forge.taylor import grid_nodes
+
+
+def chained_pad(f, depth):
+    """``sn_pad`` as it once was: the identity net chained on once per
+    missing layer."""
+    eye = sn_affine(np.eye(f.out_dim), np.zeros(f.out_dim))
+    while f.depth < depth:
+        f = sn_chain(f, eye)
+    return f
 
 
 def direct_nets(coeffs, eta, box):

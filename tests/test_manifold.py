@@ -462,6 +462,24 @@ def test_eval_of_each_point_alone_equals_its_value_in_the_batch(
     assert np.array_equal(ap.eval(X), alone, equal_nan=True)
 
 
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([4, 8, 16]), st.lists(_ON_OR_NEAR_CIRCLE, min_size=1, max_size=20))
+@example(4, [(1.1037, 0.9685)])  # a one-row matrix-vector product moved this pair's bits
+@example(8, [(6.2657, 0.999), (0.914, 1.0438)])
+def test_indicator_of_each_near_pair_alone_equals_its_batch_value(
+    circle, atlas, circle_sin_approx, N, params
+):
+    """The indicator of every (chart, point) pair within 1.2 r of the chart's
+    center is the same alone as inside the batch of all such pairs."""
+    ap = circle_sin_approx[N]
+    t, s = np.array(params).T
+    X = s[:, None] * circle.embed(t[:, None])
+    near = np.sum((X[:, None] - atlas.centers[None]) ** 2, axis=2) <= 1.44 * atlas.r**2
+    charts, points = np.nonzero(near.T)
+    alone = [ap.indicator_values(c, X[p][None])[0] for c, p in zip(charts, points)]
+    assert np.array_equal(ap.indicator_values(charts, X[points]), alone)
+
+
 @pytest.mark.parametrize("r", [0.2, None])
 def test_band_kill_zeroes_every_table_below_N_4(circle_sin, r):
     """On the circle atlas, at r = 0.2 and at the default r, the kill radius

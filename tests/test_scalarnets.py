@@ -5,13 +5,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from build_oracle import chained_pad
 from fold_oracle import plain_forward
+from sobolev_forge.netcore import ShapeError
 from sobolev_forge.scalarnets import (
+    ScalarNet,
     build_monomial_bump,
     build_product2,
     build_square,
     build_trapezoid,
     bump_weight,
+    sn_pad,
     trapezoid_value,
 )
 from sobolev_forge.taylor import _FOLD_ROWS
@@ -228,3 +232,33 @@ def test_forward_equals_the_plain_layer_loop(kind, eta, B, n, seed):
     one row to more than a fold chunk."""
     net, X = _net_and_inputs(kind, eta, B, n, np.random.default_rng(seed))
     assert np.array_equal(net.forward(X), plain_forward(net, X))
+
+
+def _signed_layer(rng, rows, cols):
+    """A random layer whose weights and bias hold +0.0 and -0.0 too."""
+    W, b = rng.uniform(-2.0, 2.0, (rows, cols)), rng.uniform(-2.0, 2.0, rows)
+    for a in (W, b):
+        a[rng.random(a.shape) < 0.3] = 0.0
+        a[rng.random(a.shape) < 0.3] = -0.0
+    return W, b
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 4), st.integers(1, 4), st.integers(1, 3), st.integers(0, 6),
+    st.integers(0, 2**32 - 1),
+)
+@example(1, 1, 1, 0, 0)
+def test_pad_equals_the_chained_identity_loop(in_dim, out_dim, depth, gap, seed):
+    """sn_pad writes the layers of the chained identity loop bit for bit,
+    signed zeros included, and refuses to pad down."""
+    rng = np.random.default_rng(seed)
+    widths = [in_dim] + rng.integers(1, 5, depth - 1).tolist() + [out_dim]
+    f = ScalarNet([_signed_layer(rng, r, c) for c, r in zip(widths, widths[1:])])
+    got, want = sn_pad(f, depth + gap), chained_pad(f, depth + gap)
+    assert got.depth == want.depth == depth + gap
+    for (gw, gb), (ww, wb) in zip(got.layers, want.layers):
+        assert gw.shape == ww.shape and gw.tobytes() == ww.tobytes()
+        assert gb.shape == wb.shape and gb.tobytes() == wb.tobytes()
+    with pytest.raises(ShapeError, match="cannot pad down"):
+        sn_pad(f, depth - 1)

@@ -1,6 +1,7 @@
 import functools
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from build_oracle import direct_model, direct_nets, direct_term_cnns
 from fold_oracle import eval_oracle, max_intermediate_oracle
 from hypothesis import given, settings, strategies as st
 
-from sobolev_forge import netcore
+from sobolev_forge import netcore, scalarnets, taylor
 from sobolev_forge.metrics import EvalGrid, grid_norm, lipschitz_estimate, sample_pairs
 from sobolev_forge.netcore import audit_class
 from sobolev_forge.scalarnets import monomial_bump_template
@@ -345,9 +346,8 @@ def test_stamped_build_equals_the_per_term_oracle(case, Jt):
     D, alpha, N = case
     target = get_target("sinprod", alpha=alpha, dim=D)
     ap = build_euclidean(target, s=0, p=math.inf, N=N, Jt=Jt, check_points=4)
-    eta, box = ap.eta, ap.record["box"]
-    nets = direct_nets(ap.coeffs, eta, box)
-    templates = [monomial_bump_template(v, N, eta, box=box) for v in ap.coeffs.v_list]
+    nets = direct_nets(ap.coeffs, ap.eta, ap.record["box"])
+    templates = [monomial_bump_template(v, N, ap.times_net) for v in ap.coeffs.v_list]
     terms = list(_bump_terms(ap.coeffs, templates))
     for (template, m, c), (m_direct, _, net, c_direct) in zip(terms, nets, strict=True):
         assert m == m_direct and c == c_direct
@@ -366,3 +366,23 @@ def test_stamped_build_equals_the_per_term_oracle(case, Jt):
     _assert_same_bits(ap.model.fc_weight, model.fc_weight)
     assert ap.model.fc_bias == model.fc_bias
     assert ap.class_params == audit_class(model)
+
+
+@pytest.mark.parametrize("D, alpha", [(1, 2), (2, 3)])
+def test_a_compiled_build_makes_one_product_net(D, alpha):
+    """build_euclidean makes its product net once and hands it to every
+    template; no template or term net builds one of its own."""
+    target = get_target("sinprod", alpha=alpha, dim=D)
+    spies = [
+        mock.patch.object(module, name, wraps=getattr(module, name))
+        for module, name in [
+            (taylor, "build_product2"),
+            (scalarnets, "build_product2"),
+            (taylor, "monomial_bump_template"),
+        ]
+    ]
+    with spies[0] as build, spies[1] as own, spies[2] as template:
+        ap = build_euclidean(target, s=0, p=math.inf, N=2, check_points=4)
+    assert build.call_count == 1 and own.call_count == 0
+    assert template.call_count == len(ap.coeffs.v_list)
+    assert all(call.args[2] is ap.times_net for call in template.call_args_list)
