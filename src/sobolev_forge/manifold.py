@@ -60,7 +60,6 @@ from .scalarnets import (
     sn_affine,
     sn_chain,
     sn_input_affine,
-    sn_pad,
     sn_parallel,
 )
 from .taylor import (
@@ -382,7 +381,8 @@ def rho_weights(atlas: Atlas, x) -> np.ndarray:
 
 
 def build_sqdist_net(center, theta: float, B: float) -> ScalarNet:
-    """Net approximating ||x - c||^2 as a sum of D per-coordinate square nets.
+    """Net approximating ||x - c||^2 as a sum over the D coordinates of one
+    square net, run on each coordinate offset side by side.
 
     Per-coordinate interpolation accuracy theta gives total error at most
     4 B^2 D theta on the box ||x||_inf <= B; exact at x = c and even in each
@@ -393,14 +393,9 @@ def build_sqdist_net(center, theta: float, B: float) -> ScalarNet:
         raise ValueError(f"theta must be in (0, 1/2), got {theta}")
     center = np.asarray(center, dtype=np.float64)
     D = center.shape[0]
-    per_coord = min(4.0 * B * B * theta, 0.49)
-    parts = []
-    for j in range(D):
-        sq = build_square(per_coord, 2.0 * B)
-        parts.append((sn_input_affine(sq, np.ones((1, 1)), np.array([-center[j]])), [j]))
-    depth = max(net.depth for net, _ in parts)
-    joined = sn_parallel([(sn_pad(net, depth), cols) for net, cols in parts])
-    return sn_chain(joined, sn_affine(np.ones((1, D)), np.zeros(1)))
+    sq = build_square(min(4.0 * B * B * theta, 0.49), 2.0 * B)
+    parts = [(sn_input_affine(sq, np.ones((1, 1)), np.array([-center[j]])), [j]) for j in range(D)]
+    return sn_chain(sn_parallel(parts), sn_affine(np.ones((1, D)), np.zeros(1)))
 
 
 def build_sqdist_nets(centers, theta: float, B: float):
@@ -699,9 +694,7 @@ class ManifoldApproximator:
             ind_chain = sn_chain(_stamp(self.sqdist_net, bias), self.indicator_net)
             for g, m, c in _bump_terms(replace(coeffs, table=table), templates):
                 g_x = sn_input_affine(g.at(m), A, cvec)
-                depth = max(g_x.depth, ind_chain.depth)
-                cols = list(range(D))
-                pair = sn_parallel([(sn_pad(g_x, depth), cols), (sn_pad(ind_chain, depth), cols)])
+                pair = sn_parallel([(g_x, list(range(D))), (ind_chain, list(range(D)))])
                 yield NodeTemplate(sn_chain(pair, self.times_delta)), (), c
 
 

@@ -2,15 +2,17 @@
 
 Everything here is a plain affine/ReLU stack, a ``ScalarNet``: the package's
 one feed-forward ReLU net type, which ``algebra.mlp_to_cnn`` realizes as a
-CNN.  The nets are built from four primitives:
+CNN.  The nets are put together with the combinators (``sn_chain``,
+``sn_parallel``, ``sn_pad``, ...) from four primitives:
 
 * ``build_trapezoid`` -- the unit trapezoid bump rescaled to grid node m/N,
   realized exactly;
 * ``build_square`` -- dyadic sawtooth interpolation of x^2 on [-B, B], exact
   at 0 and at dyadic breakpoints;
 * ``build_product2`` -- approximate multiplication via the polarization
-  identity 2B^2*(sq((x+y)/2B) - sq(x/2B) - sq(y/2B)), with the exact
-  annihilation property net(x, 0) = net(0, y) = 0;
+  identity 2B^2*(sq((x+y)/2B) - sq(x/2B) - sq(y/2B)): three square branches
+  of one sawtooth net side by side, with the exact annihilation property
+  net(x, 0) = net(0, y) = 0;
 * ``build_monomial_bump`` -- the bump-times-monomial nets obtained by folding
   the product net over monomial factors first, then the per-axis trapezoids.
 
@@ -167,13 +169,12 @@ def sn_parallel(parts) -> ScalarNet:
     """Run nets side by side on a shared input; outputs concatenate.
 
     ``parts`` is a list of (net, cols) where ``cols`` maps the net's input
-    coordinates into the shared input space.  All nets must have equal depth
-    (pad first); the shared input dimension is max(cols)+1.
+    coordinates into the shared input space.  Each net is padded to the
+    depth of the deepest (``sn_pad``); the shared input dimension is
+    max(cols)+1.
     """
-    nets = [net for net, _ in parts]
-    depth = nets[0].depth
-    if any(net.depth != depth for net in nets):
-        raise ShapeError("parallel parts must share depth; pad first")
+    depth = max(net.depth for net, _ in parts)
+    nets = [sn_pad(net, depth) for net, _ in parts]
     d_in = max(max(cols) for _, cols in parts) + 1
     # part i's rows of layer ell are starts[ell][i]:ends[ell][i] of the
     # joined layer, and so are its columns of layer ell + 1
@@ -255,16 +256,15 @@ def build_trapezoid(m: int, N: int) -> ScalarNet:
 # ---------------------------------------------------------------------------
 
 
-def _square_layers(m_depth):
-    """Sawtooth layers computing s_m(u) from pair wires (u+, u-) of u=|x|.
+def _sawtooth(m_depth):
+    """Net computing s_m(u) >= 0 from the pair wires (u+, u-) of u = |x|.
 
-    Returns (layers, out_row) where the final hidden layer exposes wires
-    (u, g_m, a_m, S_m) and s_m(u) = u - S_m with |s_m(u) - u^2| <= 4^-(m+1)
-    and |s_m'(u) - 2u| <= 2^-m on [0, 1].
+    Its hidden layers are (u, a0), then the sawtooth steps on wires
+    (u, g_t, a_t, S_t); the value layer is relu(u - S_m) = s_m(u), with
+    |s_m(u) - u^2| <= 4^-(m+1) and |s_m'(u) - 2u| <= 2^-m on [0, 1].
     """
-    layers = []
     # (u, a0) from (x+, x-)
-    layers.append((np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([0.0, -0.5])))
+    layers = [(np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([0.0, -0.5]))]
     # first sawtooth step: wires (u, g1, a1, S1)
     W = np.array(
         [
@@ -286,12 +286,16 @@ def _square_layers(m_depth):
             ]
         )
         layers.append((W, np.array([0.0, 0.0, -0.5, 0.0])))
-    return layers
+    return ScalarNet(layers + [(np.array([[1.0, 0.0, 0.0, -1.0]]), np.zeros(1))])
 
 
-def _doubling_layers(pair_width, q):
-    """q layers multiplying nonnegative wires by 4 each (weights stay <= 4)."""
-    return [(4.0 * np.eye(pair_width), np.zeros(pair_width)) for _ in range(q)]
+def _rescale(scale, signs):
+    """Readout of nonnegative wires times ``scale``: doubling layers by 4
+    (weights stay <= 4), then scale / 4^q times ``signs``."""
+    width = len(signs)
+    q = max(0, math.ceil(math.log(scale, 4.0))) if scale > 1.0 else 0
+    doubling = [(4.0 * np.eye(width), np.zeros(width)) for _ in range(q)]
+    return doubling + [(scale / 4.0**q * np.array([signs]), np.zeros(1))]
 
 
 def square_depth(theta, B):
@@ -302,26 +306,18 @@ def square_depth(theta, B):
 def build_square(theta: float, B: float) -> ScalarNet:
     """Net approximating x^2 on [-B, B] within theta in W^{1,inf}; net(0) = 0.
 
-    Dyadic sawtooth interpolation: s_m is the piecewise-linear interpolant of
-    u^2 on the 2^-m grid, realized as u - sum_j g_j(u)/4^j with composed tent
-    maps g_j, then rescaled by B^2 through doubling layers so that no single
-    weight exceeds 4.
+    Dyadic sawtooth interpolation: the input layer gives the pair wires of
+    x/B, the sawtooth net s_m interpolates u^2 on the 2^-m grid as
+    u - sum_j g_j(u)/4^j with composed tent maps g_j, and the readout
+    rescales by B^2 through doubling layers so that no weight exceeds 4.
     """
     if not 0.0 < theta < 0.5:
         raise ValueError(f"theta must be in (0, 1/2), got {theta}")
     if B <= 0:
         raise ValueError(f"box bound must be positive, got {B}")
-    m = square_depth(theta, B)
     invB = 1.0 / B
-    layers = [(np.array([[invB], [-invB]]), np.zeros(2))]
-    layers += _square_layers(m)
-    scale = B * B
-    q = max(0, math.ceil(math.log(scale, 4.0))) if scale > 1.0 else 0
-    # v0 = relu(u - S_m) = s_m(u) >= 0
-    layers.append((np.array([[1.0, 0.0, 0.0, -1.0]]), np.zeros(1)))
-    layers += _doubling_layers(1, q)
-    layers.append((np.array([[scale / 4.0**q]]), np.zeros(1)))
-    return ScalarNet(layers)
+    pair = (np.array([[invB], [-invB]]), np.zeros(2))
+    return ScalarNet([pair] + _sawtooth(square_depth(theta, B)).layers + _rescale(B * B, [1.0]))
 
 
 def product_depth(eta, B):
@@ -331,9 +327,12 @@ def product_depth(eta, B):
 def build_product2(eta: float, B: float) -> ScalarNet:
     """Net approximating x*y on [-B, B]^2 within eta in W^{1,inf}.
 
-    Polarization: 2B^2 (s(|x+y|/2B) - s(|x|/2B) - s(|y|/2B)) with a shared
-    sawtooth depth.  net(x, 0) = net(0, y) = 0 holds bit-exactly: the two
-    branches that must cancel see bitwise-identical inputs, and the zero
+    Polarization: 2B^2 (s(|x+y|/2B) - s(|x|/2B) - s(|y|/2B)).  The input
+    layer gives the pair wires of (x+y)/2B, x/2B and y/2B; one sawtooth net
+    runs on each pair side by side (``sn_parallel``); the signed combination
+    s_c - s_a - s_b is a +/- pair, rescaled by 2B^2.  net(x, 0) = net(0, y)
+    = 0 holds bit-exactly: the two branches that must cancel see
+    bitwise-identical inputs through identical wire blocks, and the zero
     branch is exactly zero, so the three-term combination is exact under any
     summation order.
     """
@@ -341,57 +340,13 @@ def build_product2(eta: float, B: float) -> ScalarNet:
         raise ValueError(f"eta must be in (0, 1/2), got {eta}")
     if B <= 0:
         raise ValueError(f"box bound must be positive, got {B}")
-    m = product_depth(eta, B)
+    saw = _sawtooth(product_depth(eta, B))
+    branches = sn_parallel([(saw, [0, 1]), (saw, [2, 3]), (saw, [4, 5])])
     h = 0.5 / B
-    # L1: pair wires for (x+y), x, y, each scaled by 1/(2B): blocks of 2
-    W1 = np.array(
-        [
-            [h, h],
-            [-h, -h],
-            [h, 0.0],
-            [-h, 0.0],
-            [0.0, h],
-            [0.0, -h],
-        ]
-    )
-    layers = [(W1, np.zeros(6))]
-    # L2: per-branch (u, a0), 2-wire blocks
-    u_a0 = np.array([[1.0, 1.0], [1.0, 1.0]])
-    W2 = np.zeros((6, 6))
-    for br in range(3):
-        W2[2 * br : 2 * br + 2, 2 * br : 2 * br + 2] = u_a0
-    layers.append((W2, np.tile([0.0, -0.5], 3)))
-    # sawtooth chains, 4-wire blocks per branch
-    saw = _square_layers(m)[1:]  # skip the (u, a0) layer already emitted
-    first = saw[0]
-    W = np.zeros((12, 6))
-    b = np.zeros(12)
-    for br in range(3):
-        W[4 * br : 4 * br + 4, 2 * br : 2 * br + 2] = first[0]
-        b[4 * br : 4 * br + 4] = first[1]
-    layers.append((W, b))
-    for Wt, bt in saw[1:]:
-        W = np.zeros((12, 12))
-        b = np.zeros(12)
-        for br in range(3):
-            W[4 * br : 4 * br + 4, 4 * br : 4 * br + 4] = Wt
-            b[4 * br : 4 * br + 4] = bt
-        layers.append((W, b))
-    # per-branch values v_br = relu(u - S) = s(u_br) >= 0
-    Wv = np.zeros((3, 12))
-    for br in range(3):
-        Wv[br, 4 * br] = 1.0
-        Wv[br, 4 * br + 3] = -1.0
-    layers.append((Wv, np.zeros(3)))
-    # signed combination s_c - s_a - s_b as a +/- pair, then doubling
-    Wpn = np.array([[1.0, -1.0, -1.0], [-1.0, 1.0, 1.0]])
-    layers.append((Wpn, np.zeros(2)))
-    scale = 2.0 * B * B
-    q = max(0, math.ceil(math.log(scale, 4.0))) if scale > 1.0 else 0
-    layers += _doubling_layers(2, q)
-    c = scale / 4.0**q
-    layers.append((np.array([[c, -c]]), np.zeros(1)))
-    return ScalarNet(layers)
+    W1 = np.array([[h, h], [-h, -h], [h, 0.0], [-h, 0.0], [0.0, h], [0.0, -h]])
+    signed = (np.array([[1.0, -1.0, -1.0], [-1.0, 1.0, 1.0]]), np.zeros(2))
+    layers = [(W1, np.zeros(6))] + branches.layers + [signed]
+    return ScalarNet(layers + _rescale(2.0 * B * B, [1.0, -1.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -407,29 +362,20 @@ def monomial_factors(v):
     return out
 
 
-def build_monomial_bump(m, v, N: int, eps: float = None, alpha=None, box=None,
-                        times: ScalarNet = None) -> ScalarNet:
-    """Net approximating phi_m(x) * x^v on (0,1)^D within O(eps).
+def build_monomial_bump(m, v, N: int, times: ScalarNet) -> ScalarNet:
+    """Net approximating phi_m(x) * x^v on (0,1)^D, each product by ``times``.
 
     Folds the product net ``times`` over the monomial coordinate factors
     first, then over the D per-axis trapezoids, matching the nesting
     x(...x(p_v, psi_1)..., psi_D).  Whenever some trapezoid factor vanishes at
     x the whole net output is exactly 0 (annihilation cascades through every
-    later product stage).  Without ``times`` the product net is built here,
-    within eps on the box [-box, box]^2 (box defaults to alpha + D + 1).
+    later product stage).
     """
     m = tuple(int(t) for t in m)
     v = tuple(int(t) for t in v)
     D = len(m)
     if len(v) != D:
         raise ShapeError(f"multi-index lengths differ: m has {D}, v has {len(v)}")
-    if alpha is not None and sum(v) >= alpha:
-        raise ValueError(f"|v| = {sum(v)} must be < alpha = {alpha}")
-    if times is None:
-        if eps is None or not 0.0 < eps < 1.0:
-            raise ValueError(f"eps must be in (0, 1), got {eps}")
-        a_eff = alpha if alpha is not None else max(sum(v) + 1, 2)
-        times = build_product2(eps, box if box is not None else a_eff + D + 1.0)
 
     coords = monomial_factors(v)
     running = sn_select(D, coords[:1]) if coords else sn_const(D, 1.0)
@@ -437,11 +383,7 @@ def build_monomial_bump(m, v, N: int, eps: float = None, alpha=None, box=None,
     stages += [(build_trapezoid(m[k], N), [k]) for k in range(D)]
 
     for factor, cols in stages:
-        depth = max(running.depth, factor.depth)
-        pair = sn_parallel(
-            [(sn_pad(running, depth), list(range(D))), (sn_pad(factor, depth), cols)]
-        )
-        running = sn_chain(pair, times)
+        running = sn_chain(sn_parallel([(running, list(range(D))), (factor, cols)]), times)
     return running
 
 

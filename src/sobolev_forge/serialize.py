@@ -157,6 +157,9 @@ def from_dict(doc):
     if not all(type(n) is int and n >= 1 for n in (D, C)):
         raise SerializationError(f"D and C must be integers >= 1, got {D!r} and {C!r}")
     fc, fc_bias = _fc(doc, D)
+    first_row_only = doc.get("first_row_only", False)
+    if type(first_row_only) is not bool:
+        raise SerializationError(f"first_row_only must be true or false, got {first_row_only!r}")
     try:
         stacks = _stacks(doc)
         support = doc.get("support")
@@ -164,9 +167,7 @@ def from_dict(doc):
             _require(support, ("N", "nodes"), "support record")
             support = BlockSupport(support["N"], support["nodes"])
         blocks = [ResidualBlockSpec(fs, bs) for fs, bs in stacks]
-        return ConvResNetModel(
-            D, C, blocks, fc, fc_bias, bool(doc.get("first_row_only", False)), support
-        )
+        return ConvResNetModel(D, C, blocks, fc, fc_bias, first_row_only, support)
     except ShapeError as e:
         raise SerializationError(f"inconsistent network shapes: {e}") from e
 

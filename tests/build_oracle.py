@@ -5,14 +5,27 @@ node, ``mlp_to_cnn`` and ``extend_cnn_depth`` per term, grouping that built
 every group's layers anew and an assembly that re-tiled every bias into a
 fresh matrix.  These functions keep that path as the oracle the stamped
 templates and the shared-layer model are compared against, and
-``chained_pad`` keeps the padding of that build.
+``chained_pad`` keeps the padding of that build.  ``laid_square`` and
+``laid_product2`` keep the square and product nets as they were once laid
+out by hand, block by block, before they were put together from the
+``scalarnets`` combinators.
 """
+
+import math
 
 import numpy as np
 
 from sobolev_forge.algebra import CnnFunction, extend_cnn_depth, mlp_to_cnn
 from sobolev_forge.netcore import ConvResNetModel, FilterTensor, ResidualBlockSpec
-from sobolev_forge.scalarnets import build_monomial_bump, sn_affine, sn_chain
+from sobolev_forge.scalarnets import (
+    ScalarNet,
+    build_monomial_bump,
+    build_product2,
+    product_depth,
+    sn_affine,
+    sn_chain,
+    square_depth,
+)
 from sobolev_forge.taylor import grid_nodes
 
 
@@ -25,10 +38,84 @@ def chained_pad(f, depth):
     return f
 
 
+def _square_layers(m_depth):
+    layers = [(np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([0.0, -0.5]))]
+    W = np.array([[1.0, 0.0], [2.0, -4.0], [2.0, -4.0], [0.5, -1.0]])
+    layers.append((W, np.array([0.0, 0.0, -0.5, 0.0])))
+    for t in range(2, m_depth + 1):
+        c = 4.0 ** (-t)
+        W = np.array(
+            [
+                [1.0, 0.0, 0.0, 0.0],
+                [0.0, 2.0, -4.0, 0.0],
+                [0.0, 2.0, -4.0, 0.0],
+                [0.0, 2.0 * c, -4.0 * c, 1.0],
+            ]
+        )
+        layers.append((W, np.array([0.0, 0.0, -0.5, 0.0])))
+    return layers
+
+
+def _doubling_layers(pair_width, q):
+    return [(4.0 * np.eye(pair_width), np.zeros(pair_width)) for _ in range(q)]
+
+
+def laid_square(theta, B):
+    """``build_square`` as it was once laid out by hand."""
+    m = square_depth(theta, B)
+    invB = 1.0 / B
+    layers = [(np.array([[invB], [-invB]]), np.zeros(2))]
+    layers += _square_layers(m)
+    scale = B * B
+    q = max(0, math.ceil(math.log(scale, 4.0))) if scale > 1.0 else 0
+    layers.append((np.array([[1.0, 0.0, 0.0, -1.0]]), np.zeros(1)))
+    layers += _doubling_layers(1, q)
+    layers.append((np.array([[scale / 4.0**q]]), np.zeros(1)))
+    return ScalarNet(layers)
+
+
+def laid_product2(eta, B):
+    """``build_product2`` as it was once laid out by hand: the three sawtooth
+    branches written block by block into 6- and 12-wire layers."""
+    m = product_depth(eta, B)
+    h = 0.5 / B
+    W1 = np.array([[h, h], [-h, -h], [h, 0.0], [-h, 0.0], [0.0, h], [0.0, -h]])
+    layers = [(W1, np.zeros(6))]
+    W2 = np.zeros((6, 6))
+    for br in range(3):
+        W2[2 * br : 2 * br + 2, 2 * br : 2 * br + 2] = np.array([[1.0, 1.0], [1.0, 1.0]])
+    layers.append((W2, np.tile([0.0, -0.5], 3)))
+    saw = _square_layers(m)[1:]
+    W, b = np.zeros((12, 6)), np.zeros(12)
+    for br in range(3):
+        W[4 * br : 4 * br + 4, 2 * br : 2 * br + 2] = saw[0][0]
+        b[4 * br : 4 * br + 4] = saw[0][1]
+    layers.append((W, b))
+    for Wt, bt in saw[1:]:
+        W, b = np.zeros((12, 12)), np.zeros(12)
+        for br in range(3):
+            W[4 * br : 4 * br + 4, 4 * br : 4 * br + 4] = Wt
+            b[4 * br : 4 * br + 4] = bt
+        layers.append((W, b))
+    Wv = np.zeros((3, 12))
+    for br in range(3):
+        Wv[br, 4 * br] = 1.0
+        Wv[br, 4 * br + 3] = -1.0
+    layers.append((Wv, np.zeros(3)))
+    layers.append((np.array([[1.0, -1.0, -1.0], [-1.0, 1.0, 1.0]]), np.zeros(2)))
+    scale = 2.0 * B * B
+    q = max(0, math.ceil(math.log(scale, 4.0))) if scale > 1.0 else 0
+    layers += _doubling_layers(2, q)
+    c = scale / 4.0**q
+    layers.append((np.array([[c, -c]]), np.zeros(1)))
+    return ScalarNet(layers)
+
+
 def direct_nets(coeffs, eta, box):
     """(m, v, net of phi_m x^v built at m, c_{m,v}) for every term, (m, v) order."""
+    times = build_product2(eta, box)
     return [
-        (m, v, build_monomial_bump(m, v, coeffs.N, eta, box=box), c)
+        (m, v, build_monomial_bump(m, v, coeffs.N, times), c)
         for m, row in zip(grid_nodes(coeffs.N, coeffs.dim).tolist(), coeffs.table)
         for v, c in zip(coeffs.v_list, row)
     ]

@@ -155,7 +155,7 @@ def test_criterion_3_compilation_equivalence(sinprod, rng):
     xs2 = rng.uniform(-1.0, 1.0, (1000, 2))
     gaps["product"] = np.max(np.abs(mlp_to_cnn(times).forward(xs2) - times.forward(xs2)))
 
-    g = build_monomial_bump((1, 1), (1, 0), 2, 1e-2)
+    g = build_monomial_bump((1, 1), (1, 0), 2, build_product2(1e-2, 5.0))
     xg = rng.uniform(0.0, 1.0, (1000, 2))
     gaps["monomial_bump"] = np.max(np.abs(mlp_to_cnn(g).forward(xg) - g.forward(xg)))
 

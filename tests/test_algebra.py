@@ -12,6 +12,7 @@ from sobolev_forge.netcore import ShapeError, audit_class, resnet_forward_batch
 from sobolev_forge.scalarnets import (
     ScalarNet,
     build_monomial_bump,
+    build_product2,
     build_square,
     build_trapezoid,
     reference_psi_mlp,
@@ -152,7 +153,8 @@ def test_assemble_rejects_heterogeneous(psi_cnn):
 def test_end_to_end_pipeline_equality(rng):
     """parallel_sum then assemble_resnet agrees with the plain sum of the
     functional forwards at 1000 random inputs."""
-    nets = [build_monomial_bump((m1, m2), (v1, v2), 2, 1e-2)
+    times = build_product2(1e-2, 5.0)
+    nets = [build_monomial_bump((m1, m2), (v1, v2), 2, times)
             for m1, m2 in [(0, 1), (1, 1), (2, 0)]
             for v1, v2 in [(0, 0), (1, 0)]]
     cnns = [mlp_to_cnn(n) for n in nets]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from build_oracle import chained_pad
+from build_oracle import chained_pad, laid_product2, laid_square
 from fold_oracle import plain_forward
 from sobolev_forge.netcore import ShapeError
 from sobolev_forge.scalarnets import (
@@ -16,6 +16,7 @@ from sobolev_forge.scalarnets import (
     build_trapezoid,
     bump_weight,
     sn_pad,
+    sn_parallel,
     trapezoid_value,
 )
 from sobolev_forge.taylor import _FOLD_ROWS
@@ -144,7 +145,7 @@ def test_product_guards():
 
 def test_bump_outside_support_exact_zero(rng):
     N = 2
-    g = build_monomial_bump((1, 0), (1, 0), N, 1e-2)
+    g = build_monomial_bump((1, 0), (1, 0), N, build_product2(1e-2, 5.0))
     X = rng.uniform(0, 1, (2000, 2))
     outside = bump_weight((1, 0), N, X) == 0.0
     vals = g.forward(X)
@@ -154,21 +155,16 @@ def test_bump_outside_support_exact_zero(rng):
 
 def test_bump_center_value():
     eps = 1e-3
-    g = build_monomial_bump((1, 2), (0, 0), 2, eps)
+    g = build_monomial_bump((1, 2), (0, 0), 2, build_product2(eps, 5.0))
     val = g(0.5, 1.0)
     assert abs(val - 1.0) <= 10 * eps
 
 
 def test_bump_one_dim_example():
     eps = 1e-3
-    g = build_monomial_bump((0,), (1,), 1, eps)
+    g = build_monomial_bump((0,), (1,), 1, build_product2(eps, 4.0))
     # psi(3 * 0.2) = psi(0.6) = 1, so the target value is 0.2
     assert abs(g(0.2) - 0.2) <= 10 * eps
-
-
-def test_bump_rejects_large_v():
-    with pytest.raises(ValueError, match="alpha"):
-        build_monomial_bump((0, 0), (2, 1), 2, 1e-2, alpha=3)
 
 
 def test_zero_annihilation_cascade_random(rng):
@@ -176,7 +172,7 @@ def test_zero_annihilation_cascade_random(rng):
     for _ in range(5):
         m = tuple(rng.integers(0, N + 1, 2))
         v = tuple(rng.integers(0, 2, 2))
-        g = build_monomial_bump(m, v, N, 1e-2)
+        g = build_monomial_bump(m, v, N, build_product2(1e-2, max(sum(v) + 1, 2) + 3.0))
         X = rng.uniform(0, 1, (500, 2))
         dead = bump_weight(m, N, X) == 0.0
         if dead.any():
@@ -213,7 +209,7 @@ def _net_and_inputs(kind, eta, B, n, rng):
         return build_trapezoid(int(rng.integers(0, N + 1)), N), X
     m, v = rng.integers(0, N + 1, 2), rng.integers(0, 2, 2)
     X = rng.uniform(0.0, 1.0, (n, 2))
-    return build_monomial_bump(m, v, N, eta, alpha=3, box=B), X
+    return build_monomial_bump(m, v, N, build_product2(eta, B)), X
 
 
 @settings(max_examples=40, deadline=None)
@@ -232,6 +228,13 @@ def test_forward_equals_the_plain_layer_loop(kind, eta, B, n, seed):
     one row to more than a fold chunk."""
     net, X = _net_and_inputs(kind, eta, B, n, np.random.default_rng(seed))
     assert np.array_equal(net.forward(X), plain_forward(net, X))
+
+
+def _same_layers(got, want):
+    assert got.depth == want.depth
+    for (gw, gb), (ww, wb) in zip(got.layers, want.layers):
+        assert gw.shape == ww.shape and gw.tobytes() == ww.tobytes()
+        assert gb.shape == wb.shape and gb.tobytes() == wb.tobytes()
 
 
 def _signed_layer(rng, rows, cols):
@@ -255,10 +258,38 @@ def test_pad_equals_the_chained_identity_loop(in_dim, out_dim, depth, gap, seed)
     rng = np.random.default_rng(seed)
     widths = [in_dim] + rng.integers(1, 5, depth - 1).tolist() + [out_dim]
     f = ScalarNet([_signed_layer(rng, r, c) for c, r in zip(widths, widths[1:])])
-    got, want = sn_pad(f, depth + gap), chained_pad(f, depth + gap)
-    assert got.depth == want.depth == depth + gap
-    for (gw, gb), (ww, wb) in zip(got.layers, want.layers):
-        assert gw.shape == ww.shape and gw.tobytes() == ww.tobytes()
-        assert gb.shape == wb.shape and gb.tobytes() == wb.tobytes()
+    got = sn_pad(f, depth + gap)
+    assert got.depth == depth + gap
+    _same_layers(got, chained_pad(f, depth + gap))
     with pytest.raises(ShapeError, match="cannot pad down"):
         sn_pad(f, depth - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(1e-6, 0.49), st.floats(0.05, 12.0))
+@example(0.25, 0.5)  # q = 0 for both nets: B^2 and 2B^2 are at most 1
+@example(1e-3, math.sqrt(0.5))  # 2B^2 rounds to just above 1
+@example(1.0 / 256, 3.0)  # q > 0 for both nets
+def test_square_and_product_equal_the_hand_laid_layers(eta, B):
+    """The square and product nets put together from the sawtooth net,
+    ``sn_parallel`` and the shared readout have the layers once laid out by
+    hand, bit for bit, signed zeros included, with and without doubling
+    layers."""
+    _same_layers(build_square(eta, B), laid_square(eta, B))
+    _same_layers(build_product2(eta, B), laid_product2(eta, B))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(1, 5), min_size=1, max_size=4), st.integers(0, 2**32 - 1))
+@example([1, 3], 0)
+def test_parallel_pads_its_parts_to_the_deepest(depths, seed):
+    """sn_parallel of parts of unequal depths equals sn_parallel of the parts
+    padded first by the chained identity loop, bit for bit."""
+    rng = np.random.default_rng(seed)
+    parts = []
+    for depth in depths:
+        widths = rng.integers(1, 4, depth + 1).tolist()
+        net = ScalarNet([_signed_layer(rng, r, c) for c, r in zip(widths, widths[1:])])
+        parts.append((net, rng.choice(5, widths[0], replace=False).tolist()))
+    padded = [(chained_pad(net, max(depths)), cols) for net, cols in parts]
+    _same_layers(sn_parallel(parts), sn_parallel(padded))

@@ -387,6 +387,10 @@ def _string_dimension(doc):
     doc["D"] = "2"
 
 
+def _string_first_row_only(doc):
+    doc["first_row_only"] = "false"
+
+
 # Block 0 of built_doc has 35 layers; its filters are (4, 2, 3), (10, 1, 4),
 # (4, 1, 4), ... and the last two (2, 1, 2), (3, 1, 2), each with a (2, Cout) bias.
 
@@ -428,6 +432,7 @@ def _bias_dropped(doc):
         (_no_pool, r"missing required keys \['arrays'\]"),
         (_bool_version, "version"),
         (_string_dimension, "D and C must be integers"),
+        (_string_first_row_only, "first_row_only must be true or false"),
         (_bias_of_another_width, r"shapes: bias shape \(2, 4\) does not match filter out-channels 10"),
         (_layers_swapped, r"shapes: layer shapes do not compose: \(10, 1, 4\) then \(4, 1, 4\)"),
         (_readout_layer_dropped, "shapes: block must map D x C to D x C: .* 3 != last output channels 2"),
