@@ -9,11 +9,9 @@ from .netcore import (
     NetClassParams,
     ResidualBlockSpec,
     audit_class,
-    block_forward,
-    conv_forward,
     resnet_forward,
 )
-from .algebra import CnnFunction, assemble_resnet, compose_cnn, mlp_to_cnn, parallel_sum
+from .algebra import CnnFunction, assemble_resnet, mlp_to_cnn, parallel_sum
 from .scalarnets import (
     ScalarNet,
     build_monomial_bump,
@@ -37,12 +35,9 @@ __all__ = [
     "NetClassParams",
     "ResidualBlockSpec",
     "audit_class",
-    "block_forward",
-    "conv_forward",
     "resnet_forward",
     "CnnFunction",
     "assemble_resnet",
-    "compose_cnn",
     "mlp_to_cnn",
     "parallel_sum",
     "ScalarNet",

@@ -1,7 +1,7 @@
 """Structural transformations: realization of a feed-forward ReLU net
 (``scalarnets.ScalarNet``, the package's one such type) as a CNN,
-composition of CNN functions, channel-parallel grouping of sums, and
-assembly of a list of CNNs into one convolutional residual network.
+channel-parallel grouping of sums, and assembly of a list of CNNs into one
+convolutional residual network.
 
 A ``CnnFunction`` is a scalar-valued map R^D -> R given by a padding of x
 into a single input channel, a conv stack (ReLU after every layer), and a
@@ -28,28 +28,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .netcore import ConvResNetModel, FilterTensor, ResidualBlockSpec, ShapeError, _max_abs
 from .scalarnets import ScalarNet
 
 
 @dataclass
 class CnnFunction:
-    """Scalar CNN f(x) = fc . ConvStack(P(x)) with a first-row-only readout."""
+    """Scalar CNN f(x) = fc . ConvStack(P(x)) with a readout of row 0 only."""
 
     input_dim: int
     conv_stack: list  # ordered (FilterTensor, bias matrix (rows, Cout))
     fc_weight: np.ndarray
     fc_bias: float
-    first_row_only: bool = True
-    input_pair_layer: bool = False  # layer 0 encodes the raw input as +/- pairs
 
     def __post_init__(self):
         self.fc_weight = np.asarray(self.fc_weight, dtype=np.float64)
         self.fc_bias = float(self.fc_bias)
-        if self.first_row_only and self.fc_weight.shape[0] > 1:
-            if np.any(self.fc_weight[1:, :] != 0.0):
-                raise ShapeError("first_row_only CnnFunction has nonzero fc rows below row 1")
+        if np.any(self.fc_weight[1:, :] != 0.0):
+            raise ShapeError("CnnFunction readout has nonzero fc rows below row 0")
 
     @property
     def depth(self):
@@ -66,16 +62,6 @@ class CnnFunction:
     @property
     def kappa2(self):
         return max(float(np.max(np.abs(self.fc_weight))), abs(self.fc_bias))
-
-    def forward(self, X):
-        """Batch forward: (n, D) -> (n,)."""
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        if X.shape[1] != self.input_dim:
-            raise ShapeError(f"input shape {X.shape} != (n, {self.input_dim})")
-        Z = X[:, :, None]
-        for f, b in self.conv_stack:
-            Z = kernels.conv_layer(f.entries, b, Z)
-        return np.tensordot(Z, self.fc_weight, axes=([1, 2], [0, 1])) + self.fc_bias
 
 
 def _const_bias(D, per_channel):
@@ -154,7 +140,7 @@ def mlp_to_cnn(net: ScalarNet) -> CnnFunction:
     fc = np.zeros((D, 2))
     fc[0, 0] = 1.0
     fc[0, 1] = -1.0
-    return CnnFunction(D, stack, fc, 0.0, first_row_only=True, input_pair_layer=(D == 1))
+    return CnnFunction(D, stack, fc, 0.0)
 
 
 def restamp(f: CnnFunction, bias, scale) -> CnnFunction:
@@ -168,36 +154,7 @@ def restamp(f: CnnFunction, bias, scale) -> CnnFunction:
         if stack[t][1].shape[1] != len(bias):
             raise ShapeError(f"bias of length {len(bias)} for {stack[t][1].shape[1]} channels")
         stack[t] = (stack[t][0], _const_bias(f.input_dim, bias))
-    return CnnFunction(
-        f.input_dim, stack, scale * f.fc_weight, f.fc_bias, f.first_row_only, f.input_pair_layer
-    )
-
-
-def compose_cnn(f1: CnnFunction, f2: CnnFunction) -> CnnFunction:
-    """Realize f2 . f1 as one CnnFunction; depth adds exactly.
-
-    f1 maps R^D -> R and f2 maps R -> R. A bridge layer evaluates f1's
-    readout into the +/- pair representation that f2's first layer expects,
-    replacing f2's own input-pair layer.
-    """
-    if not (f1.first_row_only and f2.first_row_only):
-        raise ShapeError("composition requires first-row-only readouts")
-    if f2.input_dim != 1 or not f2.input_pair_layer:
-        raise ShapeError("f2 must be a scalar-input CNN with an input pair layer")
-    D = f1.input_dim
-    last_w = f1.conv_stack[-1][0].out_channels
-    w = np.zeros((2, 1, last_w))
-    w[0, 0, :] = f1.fc_weight[0, :]
-    w[1, 0, :] = -f1.fc_weight[0, :]
-    bridge = (FilterTensor(w), _const_bias(D, [f1.fc_bias, -f1.fc_bias]))
-    stack = list(f1.conv_stack) + [bridge]
-    for f, b in f2.conv_stack[1:]:
-        stack.append((f, _const_bias(D, b[0])))
-    fc = np.zeros((D, f2.fc_weight.shape[1]))
-    fc[0, :] = f2.fc_weight[0, :]
-    return CnnFunction(
-        D, stack, fc, f2.fc_bias, first_row_only=True, input_pair_layer=f1.input_pair_layer
-    )
+    return CnnFunction(f.input_dim, stack, scale * f.fc_weight, f.fc_bias)
 
 
 def extend_cnn_depth(f: CnnFunction, depth: int) -> CnnFunction:
@@ -210,9 +167,7 @@ def extend_cnn_depth(f: CnnFunction, depth: int) -> CnnFunction:
     while len(stack) < depth:
         C = stack[-1][0].out_channels
         stack.append((FilterTensor(np.eye(C)[:, None, :]), np.zeros((rows, C))))
-    return CnnFunction(
-        f.input_dim, stack, f.fc_weight, f.fc_bias, f.first_row_only, f.input_pair_layer
-    )
+    return CnnFunction(f.input_dim, stack, f.fc_weight, f.fc_bias)
 
 
 def _check_shared(cnns):
@@ -224,8 +179,6 @@ def _check_shared(cnns):
                 f"heterogeneous architectures: depth/dim ({g.depth}, {g.input_dim}) "
                 f"vs ({depth}, {D})"
             )
-        if not g.first_row_only:
-            raise ShapeError("all nets must be first-row-only")
 
 
 def widest(cnns):
@@ -284,16 +237,7 @@ def parallel_sum(cnns, group_width: int):
         D = members[0].input_dim
         fc = np.zeros((D, stack[-1][0].out_channels))
         fc[0, :] = np.concatenate([g.fc_weight[0, :] for g in members])
-        groups.append(
-            CnnFunction(
-                D,
-                stack,
-                fc,
-                sum(g.fc_bias for g in members),
-                first_row_only=True,
-                input_pair_layer=False,
-            )
-        )
+        groups.append(CnnFunction(D, stack, fc, sum(g.fc_bias for g in members)))
     return groups
 
 
@@ -336,4 +280,4 @@ def assemble_resnet(cnns, support=None) -> ConvResNetModel:
     fc = np.zeros((D, C))
     fc[0, 1] = 1.0 / s
     fc[0, 2] = -1.0 / s
-    return ConvResNetModel(D, C, blocks, fc, 0.0, first_row_only=True, support=support)
+    return ConvResNetModel(D, C, blocks, fc, 0.0, support=support)

@@ -19,30 +19,34 @@ bias and the readout: an alpha=2, N=16 model names 81,498 arrays, 909 of them
 distinct.  Constructing a model makes one pass over its blocks that lists
 each distinct array once, with each block's indices into that list
 (``_pool``), and checks each distinct array and block layout (filter and bias
-shapes) once.  The plan, ``audit_class`` and the file writer read this pool.
+shapes) once.  The check of the plan's conditions, the plan, ``audit_class``
+and the file writer read this pool.
 
-Execution plan.  ``resnet_forward_batch`` lowers a model once into a plan,
-cached on the model (the cache, like the pool, is sound only because models
-are never mutated after construction).  The plan applies when the weights
-are finite and show that
+Execution plan.  Every model meets the plan's conditions; the constructor
+checks them once (``_check_plan``) and raises a ShapeError that names the
+one that fails:
 
-* the readout is first-row-only and gives channel 0 a zero weight,
+* every filter and bias is finite,
+* the readout reads only row 0 and gives channel 0 a zero weight,
 * each block's first filter reads only channel 0, and
 * each block's last filter and last bias leave channel 0 at zero.
 
 Then every block reads only the padded input and writes only channels
 1..C-1, and only row 0 reaches the readout, so the blocks are independent
 and each layer needs only the rows that feed row 0 through the filter widths
-behind it.  The plan works on (block, point) rows.  Blocks are grouped by
-their layout; a group's leading layers whose filter and bias are the
-same in every block (the gather prefix) run once per point, and every later
-layer runs over the group's live rows: a shared layer as one product over
-them, a layer with distinct weights as one product per distinct filter
-present.  The block summands of a point are added in block order.  Points
-are taken in chunks so the stacked activations stay under
+behind it.  ``resnet_forward_batch`` lowers a model once into its plan,
+cached on the model (the cache, like the pool, is sound only because models
+are never mutated after construction).  The plan works on (block, point)
+rows.  Blocks are grouped by their layout; a group's leading layers whose
+filter and bias are the same in every block (the gather prefix) run once per
+point, and every later layer runs over the group's live rows: a shared layer
+as one product over them, a layer with distinct weights as one product per
+distinct filter present.  The block summands of a point are added in block
+order.  Points are taken in chunks so the stacked activations stay under
 ``_PLAN_ROW_BUDGET`` rows.  A point with a non-finite coordinate gets nan
 without running any block: the readout multiplies x, in channel 0, by a zero
-weight, so its value is nan whatever the blocks give.
+weight, so its value is nan whatever the blocks give.  A model without
+blocks is the constant ``fc_bias``.
 
 Support index.  A Euclidean build attaches a ``BlockSupport``: the grid N
 and each block's nodes m.  Lowering turns it into a node -> blocks index,
@@ -70,14 +74,17 @@ only it can see a block that fails to annihilate.
 Bits.  Each matrix product of a 1-tap layer with D >= 2 runs in tiles of
 ``_TILE_ROWS`` rows, one shape whatever the number of live rows, so a row's
 value does not depend on which other rows are live, and the support-sparse
-forward reproduces the dense one bit for bit.  The plan makes the kind of
-product the reference makes: matrix-matrix for D >= 2 and one row at a time
-for D = 1.  With finite parameters it therefore reproduces the sequential
-loop ``resnet_forward_reference`` bit for bit, provided BLAS rounds a row of
-a matrix product the same whatever the row count.  Some BLAS builds do not
-for inner dimensions of 16 and more (wide ``Jt``-grouped models); there the
-two agree to rounding.  Models that fail a condition, including models
-without blocks, run the sequential loop.
+forward reproduces the dense one bit for bit.  A sequential loop over full
+D x C activations (``block_stack`` block by block) multiplies D - k rows at
+tap k.  The plan makes a one-row product exactly where that loop does, at
+tap D - 1, and a layer wider than one tap reads all D rows; every other
+product of either has two rows or more.  (OpenBLAS 0.3, for one, rounds a
+one-row product with an inner dimension of 4 or more unlike a row of a
+taller one.)  The plan therefore reproduces the loop bit for bit, provided
+BLAS rounds a row of a product of two or more rows the same whatever the
+row count.  Some BLAS builds do not for inner dimensions of 16 and more
+(wide ``Jt``-grouped models); there the two agree to rounding.  The loop
+itself is a test oracle, in ``tests/forward_oracle.py``.
 """
 
 from collections import namedtuple
@@ -248,7 +255,6 @@ class ConvResNetModel:
     blocks: list
     fc_weight: np.ndarray
     fc_bias: float
-    first_row_only: bool = False
     support: BlockSupport = None
 
     def __post_init__(self):
@@ -258,8 +264,7 @@ class ConvResNetModel:
         if self.fc_weight.shape != (D, C):
             raise ShapeError(f"fc weight shape {self.fc_weight.shape} != ({D}, {C})")
         self._pool = _pool(self)
-        if self.first_row_only and np.any(self.fc_weight[1:, :] != 0.0):
-            raise ShapeError("first_row_only model has nonzero fc entries below row 1")
+        _check_plan(self)
         if self.support is not None and (
             len(self.support.nodes) != len(self.blocks)
             or any(a.shape[1] != D for a in self.support.nodes)
@@ -284,42 +289,12 @@ class NetClassParams:
     first_row_only: bool = field(default=False)
 
 
-def conv_forward(filt: FilterTensor, Z: np.ndarray) -> np.ndarray:
-    """Bare one-sided stride-one convolution (no bias, no ReLU)."""
-    Z = _as_f64(Z)
-    if Z.ndim != 2 or Z.shape[1] != filt.in_channels:
-        raise ShapeError(
-            f"input shape {Z.shape} does not match filter in-channels "
-            f"{filt.entries.shape} (expected D x {filt.in_channels})"
-        )
-    D = Z.shape[0]
-    w = filt.entries
-    Y = np.zeros((D, filt.out_channels))
-    for k in range(min(filt.width, D)):
-        if k == 0:
-            Y += Z @ w[:, 0, :].T
-        else:
-            Y[: D - k, :] += Z[k:, :] @ w[:, k, :].T
-    return Y
-
-
 def block_stack(block: ResidualBlockSpec, Z_batch: np.ndarray) -> np.ndarray:
     """Conv stack of a block over a batch (n, D, C): ReLU after every layer."""
     out = Z_batch
     for f, b in zip(block.filters, block.biases):
         out = kernels.conv_layer(f.entries, b, out)
     return out
-
-
-def block_forward(block: ResidualBlockSpec, Z: np.ndarray) -> np.ndarray:
-    """Residual block: conv stack plus identity shortcut."""
-    Z = _as_f64(Z)
-    if Z.ndim != 2 or Z.shape[1] != block.filters[0].in_channels:
-        raise ShapeError(
-            f"input shape {Z.shape} does not match block input channels "
-            f"{block.filters[0].in_channels}"
-        )
-    return block_stack(block, Z[None])[0] + Z
 
 
 def pad_input(x_batch: np.ndarray, channels: int) -> np.ndarray:
@@ -337,26 +312,14 @@ def _check_batch(net, X):
     return X
 
 
-def resnet_forward_reference(net: ConvResNetModel, X: np.ndarray) -> np.ndarray:
-    """Sequential forward pass, block by block over full D x C activations.
-
-    The reference semantics, and the path of models the plan does not cover.
-    """
-    X = _check_batch(net, X)
-    Z = pad_input(X, net.padding_channels)
-    for blk in net.blocks:
-        Z = Z + block_stack(blk, Z)
-    return _readout(net, Z)
-
-
 def _readout(net, Z):
     return np.tensordot(Z, net.fc_weight, axes=([1, 2], [0, 1])) + net.fc_bias
 
 
 def resnet_forward_batch(net: ConvResNetModel, X: np.ndarray) -> np.ndarray:
     """Forward pass over a batch of inputs, shape (n, D) -> (n,), through the
-    model's execution plan when it has one: with a support, each point in
-    the safe box runs only the blocks that can cover it."""
+    model's execution plan: with a support, each point in the safe box runs
+    only the blocks that can cover it."""
     return _forward(net, X, sparse=True)
 
 
@@ -369,10 +332,7 @@ def resnet_forward_dense(net: ConvResNetModel, X: np.ndarray) -> np.ndarray:
 
 def _forward(net, X, sparse):
     X = _check_batch(net, X)
-    plan = net._plan
-    if plan is None:
-        return resnet_forward_reference(net, X)
-    return _on_finite_rows(lambda Y: plan.forward(net, Y, sparse), X)
+    return _on_finite_rows(lambda Y: net._plan.forward(net, Y, sparse), X)
 
 
 def _on_finite_rows(evaluate, X):
@@ -540,7 +500,7 @@ class _Plan:
             sel = np.flatnonzero(group == i)
             if sel.size:
                 S[sel] = _group_summands(g, X, points[sel], self.block_pos[blocks[sel]], D)
-        # the reference adds the summands one block after another; a skipped
+        # the sequential loop adds the summands one block after another; a skipped
         # block's summand is an exact 0.0, which changes no sum
         count = np.bincount(points, minlength=len(X))
         rank = np.arange(len(points)) - (np.cumsum(count) - count)[points]
@@ -549,29 +509,37 @@ class _Plan:
         return np.cumsum(P, axis=1)[:, -1]
 
 
-def _lower(net):
-    """The execution plan of ``net``, or None when a condition fails."""
-    if not net.blocks or not net.first_row_only or net.fc_weight[0, 0] != 0.0:
-        return None
+def _check_plan(net):
+    """ShapeError, naming the condition, unless ``net`` meets the plan's
+    conditions (see the module docstring).  Reads each distinct array once."""
     pool = net._pool
     arrays, last = pool.arrays, pool.starts + pool.depths - 1  # each block's last filter
-    if (
-        not np.isfinite(np.concatenate([a.ravel() for a in arrays])).all()
-        or any(np.any(arrays[i][:, :, 1:] != 0.0) for i in np.unique(pool.index[pool.starts]))
-        or any(np.any(arrays[i][0] != 0.0) for i in np.unique(pool.index[last]))
-        or any(np.any(arrays[i][:, 0] != 0.0) for i in np.unique(pool.index[last + pool.depths]))
+    if arrays and not np.isfinite(np.concatenate([a.ravel() for a in arrays])).all():
+        raise ShapeError("filters and biases must be finite")
+    if net.fc_weight[0, 0] != 0.0 or np.any(net.fc_weight[1:] != 0.0):
+        raise ShapeError("the readout must read only row 0 and give channel 0 a zero weight")
+    if any(np.any(arrays[i][:, :, 1:] != 0.0) for i in np.unique(pool.index[pool.starts])):
+        raise ShapeError("a block's first filter must read only channel 0")
+    if any(np.any(arrays[i][0] != 0.0) for i in np.unique(pool.index[last])) or any(
+        np.any(arrays[i][:, 0] != 0.0) for i in np.unique(pool.index[last + pool.depths])
     ):
-        return None
+        raise ShapeError("a block's last filter and last bias must leave channel 0 at zero")
+
+
+def _lower(net):
+    """The execution plan of ``net``."""
+    pool = net._pool
     # a group per block layout, in the order the blocks first show them
-    plan = [_lower_group(net, np.flatnonzero(pool.layouts == g)) for g in range(pool.layouts.max() + 1)]
+    layouts = range(pool.layouts.max(initial=-1) + 1)
+    plan = [_lower_group(net, np.flatnonzero(pool.layouts == g)) for g in layouts]
     n_blocks = len(net.blocks)
     block_pos = np.empty(n_blocks, dtype=np.int64)
     for g in plan:
         block_pos[g.blocks] = np.arange(len(g.blocks))
-    rows = max(layer.rows_in for g in plan for layer in g.layers)
-    per_point = max(len(g.blocks) * max(layer.rows_in for layer in g.layers) for g in plan)
+    rows = max((layer.rows_in for g in plan for layer in g.layers), default=1)
+    per_point = max((len(g.blocks) * max(layer.rows_in for layer in g.layers) for g in plan), default=1)
     step = max(1, _PLAN_ROW_BUDGET // max(n_blocks, per_point))
-    cover = _lower_cover(net.support, rows) if net.support is not None else None
+    cover = _lower_cover(net.support, rows) if net.support is not None and n_blocks else None
     return _Plan(plan, n_blocks, pool.layouts, block_pos, step, cover)
 
 
@@ -592,10 +560,12 @@ def _lower_group(net, index):
     depth = int(pool.depths[index[0]])
     F = pool.index[pool.starts[index, None] + np.arange(depth)]  # (blocks, depth) names
     B = pool.index[pool.starts[index, None] + np.arange(depth, 2 * depth)]
-    # rows[l]: rows of layer l's input that row 0 of the block output needs
+    # rows[l]: rows of layer l's input that row 0 of the block output needs;
+    # a layer wider than one tap reads all D, so each tap multiplies as many
+    # rows as the sequential loop's does (see "Bits" in the module docstring)
     rows = [1] * (depth + 1)
     for ell in reversed(range(depth)):
-        rows[ell] = min(net.input_dim, rows[ell + 1] + pool.arrays[F[0, ell]].shape[1] - 1)
+        rows[ell] = rows[ell + 1] if pool.arrays[F[0, ell]].shape[1] == 1 else net.input_dim
     layers = []
     for ell in range(depth):
         # the first layer reads channel 0 only; row 0 needs rows[ell] rows
@@ -639,7 +609,7 @@ def _plan_layer(layer, H, D, pos):
     W, r, T = layer.filters, layer.rows_out, _TILE_ROWS
     cout, K = W.shape[1], W.shape[2]
     if layer.shared and (D == 1 or K > 1):
-        # each row's own rows_in x Cin products, as in the reference
+        # each row's own rows_in x Cin products, as in the sequential loop
         return kernels.conv_layer(W[0], layer.biases[0], H)[:, :r]
     if layer.shared:
         # one product per tile of rows
@@ -658,8 +628,8 @@ def _plan_layer(layer, H, D, pos):
         rk = min(r, D - k)
         Z = Ht[:, k : k + rk]
         Wk = Wt[:, :, k, :].swapaxes(1, 2)
-        if D == 1:
-            P = Z.reshape(-1, T, rk, cin) @ Wk[:, None]  # single-row products, as in the reference
+        if D - k == 1:
+            P = Z.reshape(-1, T, rk, cin) @ Wk[:, None]  # single-row products, as in the loop
         else:
             P = Z.reshape(-1, T * rk, cin) @ Wk  # one product per tile
         P = P.reshape(-1, rk, cout)[slot]

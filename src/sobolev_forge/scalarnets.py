@@ -230,12 +230,6 @@ def bump_weight(m, N, x):
     return float(out[0]) if single else out
 
 
-def reference_psi_mlp() -> ScalarNet:
-    """The classic two-layer realization of the unit trapezoid."""
-    l1 = (np.ones((4, 1)), np.array([2.0, 1.0, -1.0, -2.0]))
-    return ScalarNet([l1, (np.array([[1.0, -1.0, -1.0, 1.0]]), np.array([0.0]))])
-
-
 def build_trapezoid(m: int, N: int) -> ScalarNet:
     """Net computing psi(3N(x - m/N)) exactly.
 

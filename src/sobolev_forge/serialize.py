@@ -17,8 +17,10 @@ stands.
 
 Loading raises SerializationError for an unknown version, missing keys
 (``"arrays"`` in a version-2 document too), an index that is not an
-integer in range, a malformed array record, inconsistent shapes or a
-non-finite parameter.
+integer in range, a malformed array record, inconsistent shapes, a
+non-finite parameter, or a model outside the plan's conditions (see
+``netcore``).  ``"first_row_only"`` is written ``true`` and read only for
+its type: every model reads out row 0 alone.
 
 A model with a BlockSupport carries it under the optional key
 ``"support": {"N": grid, "nodes": [[node, ...] per block]}``; a file without
@@ -99,7 +101,7 @@ def to_dict(obj):
             for s, L in zip(pool.starts.tolist(), pool.depths.tolist())
         ],
         "fc": {"weight": obj.fc_weight.ravel().tolist(), "bias": obj.fc_bias},
-        "first_row_only": obj.first_row_only,
+        "first_row_only": True,
     }
     if obj.support is not None:
         doc["support"] = {"N": obj.support.grid, "nodes": [a.tolist() for a in obj.support.nodes]}
@@ -167,7 +169,7 @@ def from_dict(doc):
             _require(support, ("N", "nodes"), "support record")
             support = BlockSupport(support["N"], support["nodes"])
         blocks = [ResidualBlockSpec(fs, bs) for fs, bs in stacks]
-        return ConvResNetModel(D, C, blocks, fc, fc_bias, first_row_only, support)
+        return ConvResNetModel(D, C, blocks, fc, fc_bias, support)
     except ShapeError as e:
         raise SerializationError(f"inconsistent network shapes: {e}") from e
 

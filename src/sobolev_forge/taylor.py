@@ -37,7 +37,6 @@ from itertools import product as iter_product
 import numpy as np
 
 from .algebra import assemble_resnet, extend_cnn_depth, mlp_to_cnn, parallel_sum, restamp, widest
-from .metrics import fd_gradient_batch
 from .netcore import (
     BlockSupport,
     ShapeError,
@@ -86,20 +85,6 @@ class TargetFunction:
         if a not in self.derivs:
             raise KeyError(f"derivative {a} not available for target {self.name!r}")
         return np.asarray(self.derivs[a](np.atleast_2d(X)), dtype=np.float64).ravel()
-
-    def fd_consistency(self, rng, n=50, h=1e-5):
-        """Max relative gap between analytic first partials and central FD."""
-        X = rng.uniform(0.05, 0.95, size=(n, self.dim))
-        fd = fd_gradient_batch(self, X, h)
-        worst = 0.0
-        for j in range(self.dim):
-            a = tuple(1 if k == j else 0 for k in range(self.dim))
-            if a not in self.derivs:
-                continue
-            an = self.deriv(a, X)
-            scale = np.maximum(np.abs(an), 1.0)
-            worst = max(worst, float(np.max(np.abs(fd[:, j] - an) / scale)))
-        return worst
 
 
 def multi_indices(dim, max_total):

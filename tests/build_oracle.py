@@ -185,4 +185,4 @@ def direct_model(cnns, width):
     fc = np.zeros((D, C))
     fc[0, 1] = 1.0 / s
     fc[0, 2] = -1.0 / s
-    return ConvResNetModel(D, C, blocks, fc, 0.0, first_row_only=True)
+    return ConvResNetModel(D, C, blocks, fc, 0.0)

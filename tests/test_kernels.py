@@ -1,7 +1,8 @@
 import numpy as np
+from forward_oracle import conv_forward
 
 from sobolev_forge import kernels
-from sobolev_forge.netcore import FilterTensor, conv_forward
+from sobolev_forge.netcore import FilterTensor
 
 
 def test_backends_agree_conv(rng):

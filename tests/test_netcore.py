@@ -1,27 +1,28 @@
+import copy
 import functools
 import math
 import warnings
 
 import numpy as np
 import pytest
+from forward_oracle import block_forward, conv_forward, reference_psi_mlp, resnet_forward_reference
 from hypothesis import given, settings, strategies as st
 
 from sobolev_forge import kernels, netcore
 from sobolev_forge.algebra import assemble_resnet, mlp_to_cnn
 from sobolev_forge.netcore import (
+    BlockSupport,
     ConvResNetModel,
     FilterTensor,
     ResidualBlockSpec,
     ShapeError,
+    BlockSupport,
     audit_class,
-    block_forward,
-    conv_forward,
     resnet_forward,
     resnet_forward_batch,
     resnet_forward_dense,
-    resnet_forward_reference,
 )
-from sobolev_forge.scalarnets import ScalarNet, build_trapezoid, reference_psi_mlp
+from sobolev_forge.scalarnets import ScalarNet, build_trapezoid
 from sobolev_forge.targets import get_target
 from sobolev_forge.taylor import CompileEqualityError, build_euclidean
 
@@ -86,9 +87,9 @@ def test_block_large_negative_bias_passes_input(rng):
 
 def test_resnet_zero_blocks_readout():
     fc = np.zeros((3, 2))
-    fc[0, 0] = 1.0
+    fc[0, 1] = 1.0
     net = ConvResNetModel(3, 2, [], fc, 0.5)
-    assert resnet_forward(net, np.array([0.3, -1.0, 2.0])) == pytest.approx(0.8)
+    assert resnet_forward(net, np.array([0.3, -1.0, 2.0])) == 0.5
 
 
 def test_resnet_compiled_trapezoid_at_zero():
@@ -122,14 +123,18 @@ def test_mlp_psi_values():
 
 
 def test_audit_hand_built():
-    w = np.array([[[1.0], [-1.0]], [[-1.0], [1.0]], [[1.0], [1.0]]])  # (3,2,1) all +-1
+    # C = 2: the first filter reads channel 0, the last writes channel 1
+    first = np.zeros((3, 2, 2))
+    first[:, :, 0] = [[1.0, -1.0], [-1.0, 1.0], [1.0, 1.0]]  # all +-1
+    last = np.zeros((2, 2, 3))
+    last[1] = 1.0
     blk = ResidualBlockSpec(
-        [FilterTensor(w), FilterTensor(np.ones((1, 2, 3)))],
-        [np.zeros((4, 3)), np.zeros((4, 1))],
+        [FilterTensor(first), FilterTensor(last)],
+        [np.zeros((4, 3)), np.zeros((4, 2))],
     )
-    fc = np.zeros((4, 1))
-    fc[0, 0] = 0.5
-    net = ConvResNetModel(4, 1, [blk], fc, 0.0, first_row_only=True)
+    fc = np.zeros((4, 2))
+    fc[0, 1] = 0.5
+    net = ConvResNetModel(4, 2, [blk], fc, 0.0)
     params = audit_class(net)
     assert (params.M, params.K, params.kappa1) == (1, 2, 1.0)
     assert params.L == 2 and params.J == 3
@@ -165,7 +170,6 @@ def _built_model(D, alpha, N, Jt=None):
 
 
 def _plan_matches_reference(net, X):
-    assert net._plan is not None
     assert np.array_equal(resnet_forward_batch(net, X), resnet_forward_reference(net, X))
 
 
@@ -317,10 +321,44 @@ def test_plan_matches_reference_on_distinct_two_tap_layers(rng):
         ))
     fc = np.zeros((D, C))
     fc[0, 1:] = [1.0, -1.0]
-    net = ConvResNetModel(D, C, blocks, fc, 0.25, first_row_only=True)
+    net = ConvResNetModel(D, C, blocks, fc, 0.25)
     assert net._plan.groups[0].prefix == 1
     for n in (1, 5, 70):
         _plan_matches_reference(net, rng.uniform(0.0, 1.0, (n, D)))
+
+
+def _random_model(rng):
+    """A random model that meets the plan's conditions: D in 1..3, C in 2..3;
+    0-5 blocks of two kinds (depths 1-4, hidden widths 1-6) whose layers are
+    each drawn from two candidate filters (widths 1-3) and biases, so blocks
+    share some layers and not others; and a random row-0 readout with a zero
+    channel-0 weight."""
+    D, C, n_blocks = int(rng.integers(1, 4)), int(rng.integers(2, 4)), int(rng.integers(0, 6))
+    kinds = []
+    for _ in range(2):
+        depth = int(rng.integers(1, 5))
+        widths = [C] + [int(w) for w in rng.integers(1, 7, depth - 1)] + [C]
+        candidates = []
+        for ell in range(depth):
+            filters, biases = [], []
+            for _ in range(2):
+                w = rng.standard_normal((widths[ell + 1], int(rng.integers(1, 4)), widths[ell]))
+                b = rng.standard_normal((D, widths[ell + 1]))
+                if ell == 0:
+                    w[:, :, 1:] = 0.0
+                if ell == depth - 1:
+                    w[0], b[:, 0] = 0.0, 0.0
+                filters.append(FilterTensor(w))
+                biases.append(b)
+            candidates.append((filters, biases))
+        kinds.append(candidates)
+    blocks = []
+    for _ in range(n_blocks):
+        picks = [(fs[rng.integers(2)], bs[rng.integers(2)]) for fs, bs in kinds[rng.integers(2)]]
+        blocks.append(ResidualBlockSpec([f for f, _ in picks], [b for _, b in picks]))
+    fc = np.zeros((D, C))
+    fc[0, 1:] = rng.standard_normal(C - 1)
+    return ConvResNetModel(D, C, blocks, fc, float(rng.standard_normal()))
 
 
 def _trapezoid_net():
@@ -333,7 +371,7 @@ def _edited(net, edit):
         ResidualBlockSpec([FilterTensor(f.entries.copy()) for f in b.filters], [x.copy() for x in b.biases])
         for b in net.blocks
     ]
-    fields = dict(blocks=blocks, fc_weight=net.fc_weight.copy(), first_row_only=net.first_row_only)
+    fields = dict(blocks=blocks, fc_weight=net.fc_weight.copy())
     edit(fields)
     return ConvResNetModel(net.input_dim, net.padding_channels, fc_bias=net.fc_bias, **fields)
 
@@ -350,14 +388,6 @@ def _set_last_bias_channel_0(f):
     f["blocks"][1].biases[-1][0, 0] = 0.25
 
 
-def _clear_first_row_only(f):
-    f["first_row_only"] = False
-
-
-def _drop_blocks(f):
-    f["blocks"] = []
-
-
 def _set_nonfinite_bias(f):
     f["blocks"][0].biases[1][0, 0] = np.inf
 
@@ -366,23 +396,75 @@ def _set_readout_channel_0(f):
     f["fc_weight"][0, 0] = 0.5
 
 
-@pytest.mark.parametrize(
-    "edit",
-    [
-        _set_first_filter_channel_1,
-        _set_last_filter_channel_0,
-        _set_last_bias_channel_0,
-        _clear_first_row_only,
-        _drop_blocks,
-        _set_nonfinite_bias,
-        _set_readout_channel_0,
-    ],
-)
+# the plan's conditions and the messages that name them
+_MESSAGES = {
+    "finite": "filters and biases must be finite",
+    "readout": "the readout must read only row 0 and give channel 0 a zero weight",
+    "first": "a block's first filter must read only channel 0",
+    "last": "a block's last filter and last bias must leave channel 0 at zero",
+}
+# the condition each edit breaks
+_CONDITIONS = {
+    _set_first_filter_channel_1: "first",
+    _set_last_filter_channel_0: "last",
+    _set_last_bias_channel_0: "last",
+    _set_nonfinite_bias: "finite",
+    _set_readout_channel_0: "readout",
+}
+
+
+@pytest.mark.parametrize("edit", list(_CONDITIONS))
 def test_models_outside_the_plan_fall_back_to_the_reference(edit):
-    assert _trapezoid_net()._plan is not None
-    net = _edited(_trapezoid_net(), edit)
-    assert net._plan is None
-    X = np.linspace(-1.0, 2.0, 41)[:, None]
-    with np.errstate(invalid="ignore"):  # the inf bias makes 0 * inf in the reference
-        got, ref = resnet_forward_batch(net, X), resnet_forward_reference(net, X)
-    assert np.array_equal(got, ref, equal_nan=True)
+    # no model falls back: one outside the plan's conditions is rejected when
+    # it is constructed, with a message that names the condition
+    _edited(_trapezoid_net(), lambda f: None)  # the unedited copy is valid
+    with pytest.raises(ShapeError, match=_MESSAGES[_CONDITIONS[edit]]):
+        _edited(_trapezoid_net(), edit)
+
+
+def test_a_model_without_blocks_is_the_constant_fc_bias():
+    net = _edited(_trapezoid_net(), lambda f: f.update(blocks=[]))
+    X = np.array([[-1.0], [0.25], [3.0], [np.nan]])
+    assert np.array_equal(resnet_forward_batch(net, X), [0.0, 0.0, 0.0, np.nan], equal_nan=True)
+    assert np.array_equal(resnet_forward_batch(net, X[:3]), resnet_forward_reference(net, X[:3]))
+    fc = np.zeros((3, 2))
+    fc[0, 1] = -2.0
+    net = ConvResNetModel(3, 2, [], fc, 0.75, support=BlockSupport(4, []))
+    X = np.random.default_rng(3).uniform(-0.5, 1.5, (9, 3))
+    for forward in (resnet_forward_batch, resnet_forward_dense):
+        assert np.array_equal(forward(net, X), np.full(9, 0.75))
+    fc[1, 1] = 1.0  # a readout below row 0 is outside the plan
+    with pytest.raises(ShapeError, match="the readout must read only row 0"):
+        ConvResNetModel(3, 2, [], fc, 0.75)
+
+
+# a few percent of these models have a product whose rounding depends on its
+# row count (see "Bits" in netcore), hence the many examples
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(list(_MESSAGES)), st.integers(0, 2**32 - 1))
+def test_plan_matches_reference_on_random_models_and_rejects_any_broken_condition(broken, seed):
+    rng = np.random.default_rng(seed)
+    net = _random_model(rng)
+    D, n_blocks = net.input_dim, len(net.blocks)
+    X = rng.uniform(-1.0, 2.0, (int(rng.integers(1, 20)), D))
+    ref = resnet_forward_reference(net, X)
+    assert np.array_equal(resnet_forward_batch(net, X), ref)
+    assert np.array_equal(resnet_forward_dense(net, X), ref)
+    # break one condition in a copy; a model without blocks has only the readout
+    broken = broken if n_blocks else "readout"
+    blocks, fc = copy.deepcopy(net.blocks), net.fc_weight.copy()
+    blk = blocks[rng.integers(n_blocks)] if n_blocks else None
+    if broken == "finite":
+        blk.biases[rng.integers(blk.depth)][-1, -1] = rng.choice([np.inf, -np.inf, np.nan])
+    elif broken == "readout":
+        r = rng.integers(D)  # channel 0 of row 0, or any channel below it
+        fc[r, 0 if r == 0 else rng.integers(net.padding_channels)] = 0.5
+    elif broken == "first":
+        w = blk.filters[0].entries
+        w[rng.integers(w.shape[0]), rng.integers(w.shape[1]), rng.integers(1, w.shape[2])] = 0.5
+    elif rng.integers(2):  # input channel 0 keeps a one-layer block's first filter valid
+        blk.filters[-1].entries[0, rng.integers(blk.filters[-1].width), 0] = 0.5
+    else:
+        blk.biases[-1][rng.integers(D), 0] = 0.5
+    with pytest.raises(ShapeError, match=_MESSAGES[broken]):
+        ConvResNetModel(D, net.padding_channels, blocks, fc, net.fc_bias)

@@ -210,7 +210,8 @@ def test_bad_support_is_rejected_and_eval_exits_2(built_doc, edit, message, tmp_
     with pytest.raises(serialize.SerializationError, match=message):
         serialize.load(path)
     assert main(["eval", "--net", str(path), "--at", "0.3,0.4"]) == 2
-    assert "network file error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "network file error" in err and "Traceback" not in err
 
 
 def test_model_without_support_runs_dense_with_the_same_bits(built_doc):
@@ -236,7 +237,7 @@ def _signed_zero_model():
     assert zero.shape == (1, 2) and not np.any(zero) and not np.any(np.signbit(zero))
     minus = ResidualBlockSpec(blk.filters, [np.full(zero.shape, -0.0)] + blk.biases[1:])
     fc = np.array([[0.0, 1.0, -1.0]])
-    return ConvResNetModel(1, 3, [blk, minus], fc, 0.0, first_row_only=True)
+    return ConvResNetModel(1, 3, [blk, minus], fc, 0.0)
 
 
 @functools.lru_cache(maxsize=None)
@@ -391,6 +392,10 @@ def _string_first_row_only(doc):
     doc["first_row_only"] = "false"
 
 
+def _readout_of_channel_0(doc):
+    doc["fc"]["weight"][0] = 0.5  # row 0, channel 0: x would reach the value
+
+
 # Block 0 of built_doc has 35 layers; its filters are (4, 2, 3), (10, 1, 4),
 # (4, 1, 4), ... and the last two (2, 1, 2), (3, 1, 2), each with a (2, Cout) bias.
 
@@ -438,6 +443,7 @@ def _bias_dropped(doc):
         (_readout_layer_dropped, "shapes: block must map D x C to D x C: .* 3 != last output channels 2"),
         (_bias_of_one_row, "shapes: bias rows 1 != input dim 2"),
         (_bias_dropped, "shapes: block needs matching filter/bias lists, got 35 filters and 34 biases"),
+        (_readout_of_channel_0, "shapes: the readout must read only row 0 and give channel 0 a zero weight"),
     ],
 )
 def test_malformed_document_is_rejected_and_eval_exits_2(built_doc, edit, message, tmp_path, capsys):
@@ -448,4 +454,23 @@ def test_malformed_document_is_rejected_and_eval_exits_2(built_doc, edit, messag
     with pytest.raises(serialize.SerializationError, match=message):
         serialize.load(path)
     assert main(["eval", "--net", str(path), "--at", "0.3,0.4"]) == 2
-    assert "network file error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "network file error" in err and "Traceback" not in err
+
+
+def test_first_row_only_is_read_for_its_type_only(built_doc, tmp_path, capsys):
+    # the writer emits true; false, or no key at all, loads the same model
+    assert built_doc["first_row_only"] is True
+    axis = np.linspace(-0.5, 1.5, 21)
+    X = np.stack(np.meshgrid(axis, axis), axis=-1).reshape(-1, 2)
+    want = resnet_forward_batch(serialize.from_dict(built_doc), X)
+    printed = []
+    for edit in (lambda d: None, lambda d: d.update(first_row_only=False), lambda d: d.pop("first_row_only")):
+        doc = copy.deepcopy(built_doc)
+        edit(doc)
+        assert np.array_equal(resnet_forward_batch(serialize.from_dict(doc), X), want)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        assert main(["eval", "--net", str(path), "--at", "0.3,0.4"]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[1:] == printed[:1] * 2

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from build_oracle import direct_model, direct_nets, direct_term_cnns
 from fold_oracle import eval_oracle, max_intermediate_oracle
+from forward_oracle import fd_consistency
 from hypothesis import given, settings, strategies as st
 
 from sobolev_forge import netcore, scalarnets, taylor
@@ -232,7 +233,7 @@ def test_pairwise_interpolation_inequality(sinprod2, rng):
 
 
 def test_target_fd_consistency(sinprod2, rng):
-    assert sinprod2.fd_consistency(rng) <= 1e-4
+    assert fd_consistency(sinprod2, rng) <= 1e-4
 
 
 def test_intermediate_magnitudes_within_box(sinprod2, rng):
