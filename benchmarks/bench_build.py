@@ -22,11 +22,20 @@ N=4 are the builds of perfbench's ``build`` workload.
   gates, the intermediate-magnitude audit).
 
 A wrapped call inside another counts toward its own stage only.  Each build
-runs ``--reps`` times and every figure is the median.  The model's array
-count, its distinct arrays (same shape and bytes) and its file size are
-reported too, and so is the time to read the file back: ``load_s`` for
-``serialize.load`` and ``first_forward_s`` for the first compiled forward
-of the loaded model at one point, which lowers it.
+runs ``--reps`` times and every figure is the median.  Two counts come from
+the dense equality gate (``resnet_forward_dense`` as ``taylor`` calls it),
+by wrapping ``netcore._group_summands`` and ``netcore._plan_layer``:
+
+* ``dense_rows``: its (block, point) rows;
+* ``shared_rows``: the rows its shared layers past the gather prefix ran,
+  summed over those layers.  A tree that runs every row through every
+  such layer reads ``dense_rows`` (padded to whole tiles) times their
+  number; one that runs each distinct row once reads less.
+
+The model's array count, its distinct arrays (same shape and bytes) and
+its file size are reported too, and so is the time to read the file back:
+``load_s`` for ``serialize.load`` and ``first_forward_s`` for the first
+compiled forward of the loaded model at one point, which lowers it.
 
 For the alpha=2 builds it then times three forwards at 1, 200 and 2000
 uniform points of the unit square (``forward`` in the results):
@@ -185,6 +194,44 @@ class StageClock:
         return seconds
 
 
+class RowCount:
+    """The rows of the dense equality gate: see ``dense_rows`` and
+    ``shared_rows`` in the module docstring."""
+
+    def __init__(self):
+        self.counts = {"dense_rows": 0, "shared_rows": 0}
+        self.dense = False
+
+    @contextmanager
+    def wrapping(self, taylor, netcore):
+        gate, summands, layer = taylor.resnet_forward_dense, netcore._group_summands, netcore._plan_layer
+
+        def dense_gate(*args):
+            self.dense = True
+            try:
+                return gate(*args)
+            finally:
+                self.dense = False
+
+        def counted_summands(g, X, points, *args):
+            if self.dense:
+                self.counts["dense_rows"] += len(points)
+            return summands(g, X, points, *args)
+
+        def counted_layer(planned, H, D, pos):
+            if self.dense and planned.shared and pos is not None:  # pos is None in the prefix
+                self.counts["shared_rows"] += len(H)
+            return layer(planned, H, D, pos)
+
+        taylor.resnet_forward_dense = dense_gate
+        netcore._group_summands, netcore._plan_layer = counted_summands, counted_layer
+        try:
+            yield
+        finally:
+            taylor.resnet_forward_dense = gate
+            netcore._group_summands, netcore._plan_layer = summands, layer
+
+
 def _median_seconds(fn, reps, min_seconds=1.0, max_reps=51):
     fn()  # warm-up
     times = []
@@ -238,11 +285,15 @@ def _read_back(modules, path):
 
 def _one_build(modules, alpha, N, directory):
     np, netcore, serialize, targets, taylor = modules
-    clock = StageClock()
+    clock, rows = StageClock(), RowCount()
     save = clock.wrap("save", serialize.save)
     target = targets.get_target("sinprod", alpha=alpha, dim=2)
     path = Path(directory) / "model.json"
-    with clock.wrapping(taylor, STAGES), clock.wrapping(netcore, LOWERING):
+    with (
+        rows.wrapping(taylor, netcore),
+        clock.wrapping(taylor, STAGES),
+        clock.wrapping(netcore, LOWERING),
+    ):
         start = time.perf_counter()
         approx = taylor.build_euclidean(target, s=0, p=math.inf, N=N)
         save(path, approx.model)
@@ -255,6 +306,7 @@ def _one_build(modules, alpha, N, directory):
         "arrays": len(arrays),
         "distinct_arrays": len({(a.shape, a.tobytes()) for a in arrays}),
         "model_mb": path.stat().st_size / 1e6,
+        **rows.counts,
     }
     return seconds, counts, _read_back(modules, path), approx
 
@@ -359,8 +411,10 @@ def _bench_builds(modules, reps):
             row = {"alpha": alpha, "N": N, "reps": reps, "seconds": seconds}
             row.update(runs[0][1], **read)
             split = "  ".join(f"{k} {v:.3f}" for k, v in {**seconds, **read}.items())
-            print(f"alpha={alpha} N={N:>2} ({runs[0][1]['blocks']} blocks, "
-                  f"{runs[0][1]['model_mb']:.2f} MB): {split}", flush=True)
+            counts = runs[0][1]
+            print(f"alpha={alpha} N={N:>2} ({counts['blocks']} blocks, {counts['model_mb']:.2f} MB, "
+                  f"dense gate rows {counts['dense_rows']}, its shared layers ran "
+                  f"{counts['shared_rows']}): {split}", flush=True)
             if alpha == FORWARD_ALPHA:
                 row["forward"] = _forwards(modules, runs[0][3], reps)
                 for f in row["forward"]:
@@ -401,6 +455,7 @@ def main():
             "median seconds per stage of build_euclidean + serialize.save, then of "
             "serialize.load and the first forward of the loaded model, and (alpha=2, "
             "under forward) of the dense, sparse and functional forward; sinprod D=2; "
+            "dense_rows and shared_rows count the rows of the dense equality gate; "
             "see benchmarks/bench_build.py"
         )
         _store("BENCH_template_build.json", what, np, args.label, rows)

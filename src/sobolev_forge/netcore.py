@@ -23,8 +23,8 @@ shapes) once.  The check of the plan's conditions, the plan, ``audit_class``
 and the file writer read this pool.
 
 Execution plan.  Every model meets the plan's conditions; the constructor
-checks them once (``_check_plan``) and raises a ShapeError that names the
-one that fails:
+checks them once (``_check_plan``) and raises a PlanError (a ShapeError)
+that names the one that fails:
 
 * every filter and bias is finite,
 * the readout reads only row 0 and gives channel 0 a zero weight,
@@ -69,7 +69,18 @@ Dense rows.  The same code with every (block, point) row live serves a
 model without a support (a file written without one, or a compiled manifold
 model, whose charts are not grid-indexed in x), any point outside the safe
 box, and ``resnet_forward_dense``, which the build's equality check runs:
-only it can see a block that fails to annihilate.
+only it can see a block that fails to annihilate.  Most dense rows are one
+and the same row, because a trapezoid factor is exactly 0 away from its
+node.  So on dense rows, after each shared layer that narrows (fewer output
+than input channels), the rows are keyed by their bytes
+(``_distinct_rows``), the layers that follow run on one row per key, and
+the rows are expanded back before the next layer with distinct weights,
+the per-block readout.  At the build's 100 check points the alpha=2 N=4
+model's 7,500 rows are 1,332 distinct rows after the first such layer.
+This is exact: by "Bits" below, a row's value depends only on its own input
+row and the layer, not on which or how many other rows run with it, as the
+sparse == dense gate relies on too.  Sparse rows are not keyed; few of them
+repeat.
 
 Bits.  Each matrix product of a 1-tap layer with D >= 2 runs in tiles of
 ``_TILE_ROWS`` rows, one shape whatever the number of live rows, so a row's
@@ -99,6 +110,10 @@ from . import kernels
 
 class ShapeError(ValueError):
     """Raised when tensor shapes do not compose."""
+
+
+class PlanError(ShapeError):
+    """Raised when a model breaks one of the plan's conditions."""
 
 
 def _as_f64(a):
@@ -389,6 +404,8 @@ _PLAN_ROW_BUDGET = 1 << 14
 # of live rows; a multiple of 16, so no row of a tile falls in the remainder
 # path of a BLAS kernel.
 _TILE_ROWS = 64
+# An odd multiplier of the row hash of _distinct_rows.
+_ROW_HASH = np.uint64(0x9E3779B97F4A7C15)
 # Points that run only their covering blocks: finite and inside this box.
 _SAFE_BOX = (-1.0, 2.0)
 # The cover's reach in grid units: a bump's 2/3 plus the margin of the
@@ -488,8 +505,8 @@ class _Plan:
     def _block_sum(self, X, cover, width):
         """Row 0 of channels 1..C-1 summed over the live (block, point) rows:
         those of the cover, or every row when ``cover`` is None."""
-        D = X.shape[1]
-        if cover is None:
+        D, dense = X.shape[1], cover is None
+        if dense:
             points = np.repeat(np.arange(len(X)), self.n_blocks)
             blocks = np.tile(np.arange(self.n_blocks), len(X))
         else:
@@ -499,7 +516,7 @@ class _Plan:
         for i, g in enumerate(self.groups):
             sel = np.flatnonzero(group == i)
             if sel.size:
-                S[sel] = _group_summands(g, X, points[sel], self.block_pos[blocks[sel]], D)
+                S[sel] = _group_summands(g, X, points[sel], self.block_pos[blocks[sel]], D, dense)
         # the sequential loop adds the summands one block after another; a skipped
         # block's summand is an exact 0.0, which changes no sum
         count = np.bincount(points, minlength=len(X))
@@ -510,20 +527,20 @@ class _Plan:
 
 
 def _check_plan(net):
-    """ShapeError, naming the condition, unless ``net`` meets the plan's
+    """PlanError, naming the condition, unless ``net`` meets the plan's
     conditions (see the module docstring).  Reads each distinct array once."""
     pool = net._pool
     arrays, last = pool.arrays, pool.starts + pool.depths - 1  # each block's last filter
     if arrays and not np.isfinite(np.concatenate([a.ravel() for a in arrays])).all():
-        raise ShapeError("filters and biases must be finite")
+        raise PlanError("filters and biases must be finite")
     if net.fc_weight[0, 0] != 0.0 or np.any(net.fc_weight[1:] != 0.0):
-        raise ShapeError("the readout must read only row 0 and give channel 0 a zero weight")
+        raise PlanError("the readout must read only row 0 and give channel 0 a zero weight")
     if any(np.any(arrays[i][:, :, 1:] != 0.0) for i in np.unique(pool.index[pool.starts])):
-        raise ShapeError("a block's first filter must read only channel 0")
+        raise PlanError("a block's first filter must read only channel 0")
     if any(np.any(arrays[i][0] != 0.0) for i in np.unique(pool.index[last])) or any(
         np.any(arrays[i][:, 0] != 0.0) for i in np.unique(pool.index[last + pool.depths])
     ):
-        raise ShapeError("a block's last filter and last bias must leave channel 0 at zero")
+        raise PlanError("a block's last filter and last bias must leave channel 0 at zero")
 
 
 def _lower(net):
@@ -586,10 +603,13 @@ def _stacked(arrays, index, view):
     return np.stack([view(arrays[i]) for i in named]), position
 
 
-def _group_summands(g, X, points, pos, D):
+def _group_summands(g, X, points, pos, D, dense):
     """Row 0 of channels 1..C-1 of the conv stacks of the rows (points[i],
     block pos[i] of the group): (rows, C-1).  The shared prefix runs once per
-    point; the rows are then padded to whole tiles with copies of the first."""
+    point; the rows are then padded to whole tiles with copies of the first.
+    When the rows are ``dense``, the shared layers after one that narrows
+    run on each distinct row once, up to the next layer with distinct
+    weights."""
     H = X[:, : g.layers[0].rows_in, None]  # channel 0 of the padded input
     for layer in g.layers[: g.prefix]:
         H = _plan_layer(layer, H, D, None)
@@ -597,14 +617,48 @@ def _group_summands(g, X, points, pos, D):
     pad = np.zeros(-R % _TILE_ROWS, dtype=np.int64)
     H = H[np.concatenate([points, pad + points[0]])]
     pos = np.concatenate([pos, pad + pos[0]])
+    place = None  # while set, row i's activations are H[place[i]]
     for layer in g.layers[g.prefix :]:
+        if place is not None and not layer.shared:
+            H, place = H[place], None
         H = _plan_layer(layer, H, D, pos)
+        if dense and layer.shared and layer.filters.shape[1] < layer.filters.shape[3]:
+            H, distinct = _distinct_rows(H)
+            place = distinct if place is None else distinct[place]
+    if place is not None:
+        H = H[place]
     return H[:R, 0, 1:]
+
+
+def _distinct_rows(H):
+    """The distinct rows of H, by their bytes, padded to whole tiles with
+    copies of the first, and each row's place among them.  The rows are
+    sorted by a hash of their bytes, and a row starts a new distinct row
+    where its bytes differ from the row before: a hash collision can only
+    keep equal rows apart, never join different ones."""
+    R = len(H)
+    A = np.ascontiguousarray(H).reshape(R, -1).view(np.uint64)
+    key = A[:, 0].copy()
+    for a in A.T[1:]:
+        key *= _ROW_HASH  # wraps around
+        key += a
+    order = np.argsort(key)
+    S = A.take(order, axis=0)
+    new = np.zeros(R, dtype=bool)
+    new[0] = True
+    for s in S.T:
+        new[1:] |= s[1:] != s[:-1]
+    place = np.empty(R, dtype=np.int64)
+    place[order] = np.cumsum(new) - 1
+    first = order[new]
+    pad = np.zeros(-len(first) % _TILE_ROWS, dtype=np.int64)
+    return H.take(np.concatenate([first, pad + first[0]]), axis=0), place
 
 
 def _plan_layer(layer, H, D, pos):
     """Apply one layer to the activations H (rows, rows_in, Cin); ``pos``
-    gives each row's block in the group (None while the rows are points)."""
+    gives each row's block in the group (None while the rows are points).  A
+    shared layer does not read it."""
     R, r_in, cin = H.shape
     W, r, T = layer.filters, layer.rows_out, _TILE_ROWS
     cout, K = W.shape[1], W.shape[2]

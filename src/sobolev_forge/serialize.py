@@ -19,8 +19,9 @@ Loading raises SerializationError for an unknown version, missing keys
 (``"arrays"`` in a version-2 document too), an index that is not an
 integer in range, a malformed array record, inconsistent shapes, a
 non-finite parameter, or a model outside the plan's conditions (see
-``netcore``).  ``"first_row_only"`` is written ``true`` and read only for
-its type: every model reads out row 0 alone.
+``netcore``), whose message is the condition's own.  ``"first_row_only"``
+is written ``true`` and read only for its type: every model reads out row
+0 alone.
 
 A model with a BlockSupport carries it under the optional key
 ``"support": {"N": grid, "nodes": [[node, ...] per block]}``; a file without
@@ -36,7 +37,7 @@ import tempfile
 
 import numpy as np
 
-from .netcore import BlockSupport, ConvResNetModel, FilterTensor, ResidualBlockSpec, ShapeError
+from .netcore import BlockSupport, ConvResNetModel, FilterTensor, PlanError, ResidualBlockSpec, ShapeError
 
 SCHEMA_VERSION = 2
 _READABLE = (1, 2)
@@ -170,6 +171,8 @@ def from_dict(doc):
             support = BlockSupport(support["N"], support["nodes"])
         blocks = [ResidualBlockSpec(fs, bs) for fs, bs in stacks]
         return ConvResNetModel(D, C, blocks, fc, fc_bias, support)
+    except PlanError as e:  # the message names the condition
+        raise SerializationError(str(e)) from e
     except ShapeError as e:
         raise SerializationError(f"inconsistent network shapes: {e}") from e
 

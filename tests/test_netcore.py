@@ -8,7 +8,7 @@ import pytest
 from forward_oracle import block_forward, conv_forward, reference_psi_mlp, resnet_forward_reference
 from hypothesis import given, settings, strategies as st
 
-from sobolev_forge import kernels, netcore
+from sobolev_forge import kernels, netcore, taylor
 from sobolev_forge.algebra import assemble_resnet, mlp_to_cnn
 from sobolev_forge.netcore import (
     BlockSupport,
@@ -170,7 +170,9 @@ def _built_model(D, alpha, N, Jt=None):
 
 
 def _plan_matches_reference(net, X):
-    assert np.array_equal(resnet_forward_batch(net, X), resnet_forward_reference(net, X))
+    ref = resnet_forward_reference(net, X)
+    assert np.array_equal(resnet_forward_batch(net, X), ref)
+    assert np.array_equal(resnet_forward_dense(net, X), ref)
 
 
 @settings(max_examples=30, deadline=None)
@@ -182,9 +184,14 @@ def _plan_matches_reference(net, X):
     st.integers(0, 2**32 - 1),
 )
 def test_plan_matches_reference_on_built_models(D, alpha, N, n, seed):
+    # random points, trapezoid breakpoints k/(3N) and repeats of both: the
+    # dense forward's rows repeat most there
     net = _built_model(D, alpha, N)
-    X = np.random.default_rng(seed).uniform(-0.25, 1.25, (n, D))
-    _plan_matches_reference(net, X)
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-0.25, 1.25, (n, D))
+    K = rng.integers(-N // 2, 3 * N + N // 2 + 1, (n, D)) / (3.0 * N)
+    X = np.concatenate([X, K])
+    _plan_matches_reference(net, np.concatenate([X, X[rng.integers(0, 2 * n, n)]]))
 
 
 @pytest.mark.parametrize("D, alpha, N, Jt", [(2, 2, 3, 28), (1, 2, 4, 40), (1, 3, 3, 64)])
@@ -221,6 +228,46 @@ def test_plan_is_lowered_once_and_calls_the_kernel_per_layer_at_most(monkeypatch
     monkeypatch.setattr(kernels, "conv_layer", lambda *a: calls.append(1) or conv(*a))
     resnet_forward(net, np.array([0.3, 0.6]))
     assert 0 < len(calls) <= max(blk.depth for blk in net.blocks)
+
+
+def test_dense_forward_runs_the_layers_after_a_narrowing_one_on_distinct_rows(monkeypatch):
+    # after the first shared layer with fewer output than input channels most
+    # (block, point) rows are the same row, since a trapezoid factor is exactly
+    # 0 away from its node, and the shared layers that follow run each once
+    net = _built_model(2, 2, 4)
+    (g,) = net._plan.groups
+    X = np.random.default_rng(0).uniform(0.0, 1.0, (100, 2))
+    assert net._plan.step >= len(X) and all(layer.rows_in == 1 for layer in g.layers[g.prefix :])
+    calls = []
+    conv = kernels.conv_layer
+    spy = lambda w, b, z: calls.append((w.shape, len(z) * z.shape[1])) or conv(w, b, z)
+    monkeypatch.setattr(kernels, "conv_layer", spy)
+    resnet_forward_dense(net, X)
+    # one call per shared layer; past the prefix, z holds whole tiles of one-row activations
+    assert [w for w, _ in calls] == [layer.filters.shape[1:] for layer in g.layers if layer.shared]
+    tail = calls[g.prefix :]
+    narrow = next(i for i, (w, _) in enumerate(tail) if w[0] < w[2])
+    rows = len(X) * len(net.blocks)
+    assert all(r >= rows for _, r in tail[: narrow + 1])
+    assert all(r < rows for _, r in tail[narrow + 1 :])
+
+
+def test_build_fails_when_a_stamped_bias_entry_is_off_by_one(monkeypatch):
+    # the dense gate, with its shared layers on distinct rows, sees one block
+    # whose first layer is stamped wrong: the 16th term, node (1, 1), v = (0, 0)
+    restamp, calls = taylor.restamp, []
+
+    def off_by_one(cnn, bias, scale):
+        calls.append(1)
+        if len(calls) == 16:
+            bias = bias.copy()
+            bias[0] += 1.0
+        return restamp(cnn, bias, scale)
+
+    monkeypatch.setattr(taylor, "restamp", off_by_one)
+    with pytest.raises(CompileEqualityError, match="deviates from functional path"):
+        build_euclidean(get_target("sinprod", alpha=2, dim=2), s=0, p=math.inf, N=3)
+    assert len(calls) == 48
 
 
 # --- the support-sparse forward vs the dense one ------------------------------

@@ -443,7 +443,6 @@ def _bias_dropped(doc):
         (_readout_layer_dropped, "shapes: block must map D x C to D x C: .* 3 != last output channels 2"),
         (_bias_of_one_row, "shapes: bias rows 1 != input dim 2"),
         (_bias_dropped, "shapes: block needs matching filter/bias lists, got 35 filters and 34 biases"),
-        (_readout_of_channel_0, "shapes: the readout must read only row 0 and give channel 0 a zero weight"),
     ],
 )
 def test_malformed_document_is_rejected_and_eval_exits_2(built_doc, edit, message, tmp_path, capsys):
@@ -456,6 +455,43 @@ def test_malformed_document_is_rejected_and_eval_exits_2(built_doc, edit, messag
     assert main(["eval", "--net", str(path), "--at", "0.3,0.4"]) == 2
     err = capsys.readouterr().err
     assert "network file error" in err and "Traceback" not in err
+
+
+def _first_filter_reads_channel_1(doc):
+    doc["arrays"][doc["blocks"][0]["filters"][0]]["data"][1] = 0.5  # (0, 0, 1) of (4, 2, 3)
+
+
+def _last_filter_writes_channel_0(doc):
+    doc["arrays"][doc["blocks"][0]["filters"][-1]]["data"][0] = 0.5  # (0, 0, 0) of (3, 1, 2)
+
+
+def _last_bias_writes_channel_0(doc):
+    doc["arrays"][doc["blocks"][0]["biases"][-1]]["data"][0] = 0.5  # (0, 0) of (2, 3)
+
+
+# the plan's condition each edit breaks, as the model constructor names it
+_PLAN_CONDITIONS = {
+    _readout_of_channel_0: "the readout must read only row 0 and give channel 0 a zero weight",
+    _first_filter_reads_channel_1: "a block's first filter must read only channel 0",
+    _last_filter_writes_channel_0: "a block's last filter and last bias must leave channel 0 at zero",
+    _last_bias_writes_channel_0: "a block's last filter and last bias must leave channel 0 at zero",
+}
+
+
+@pytest.mark.parametrize("edit", list(_PLAN_CONDITIONS))
+def test_off_plan_file_names_its_condition(built_doc, edit, tmp_path, capsys):
+    condition = _PLAN_CONDITIONS[edit]
+    # the message is the condition alone, not an "inconsistent network shapes"
+    doc = copy.deepcopy(built_doc)
+    edit(doc)
+    with pytest.raises(serialize.SerializationError) as raised:
+        serialize.from_dict(doc)
+    assert str(raised.value) == condition
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    assert main(["eval", "--net", str(path), "--at", "0.3,0.4"]) == 2
+    err = capsys.readouterr().err
+    assert condition in err and "shapes" not in err and "Traceback" not in err
 
 
 def test_first_row_only_is_read_for_its_type_only(built_doc, tmp_path, capsys):
