@@ -24,13 +24,14 @@ N=4 are the builds of perfbench's ``build`` workload.
 A wrapped call inside another counts toward its own stage only.  Each build
 runs ``--reps`` times and every figure is the median.  Two counts come from
 the dense equality gate (``resnet_forward_dense`` as ``taylor`` calls it),
-by wrapping ``netcore._group_summands`` and ``netcore._plan_layer``:
+by wrapping ``netcore._group_summands`` and ``kernels.conv_layer``:
 
 * ``dense_rows``: its (block, point) rows;
 * ``shared_rows``: the rows its shared layers past the gather prefix ran,
-  summed over those layers.  A tree that runs every row through every
-  such layer reads ``dense_rows`` (padded to whole tiles) times their
-  number; one that runs each distinct row once reads less.
+  summed over those layers, counted at their ``kernels.conv_layer`` calls
+  (one per shared layer).  A tree that runs every row through every such
+  layer reads ``dense_rows`` (padded to whole tiles) times their number;
+  one that runs each distinct row once reads less.
 
 The model's array count, its distinct arrays (same shape and bytes) and
 its file size are reported too, and so is the time to read the file back:
@@ -47,9 +48,30 @@ uniform points of the unit square (``forward`` in the results):
 
 Each forward timing is the median of at least ``--reps`` calls after a
 warm-up, more while they take under a second.  BLAS threads are pinned to
-1, as in perfbench.  ``BENCH_sparse_forward.json`` holds the forward
-timings of the support-sparse change, as a separate earlier script wrote
-them.
+1, as in perfbench.
+
+For the alpha=2 N=8 build it also splits the single-point
+``resnet_forward`` (perfbench ``serve``'s first part) by network part
+(``forward_parts`` in the results), over 200 uniform points taken one at
+a time, ``--reps`` times (at least three), by wrapping functions of
+``netcore``:
+
+* ``cover``: ``_Cover.rows``, the (point, block) rows of the support index;
+* ``gather_prefix``: the layers every block of a group shares before its
+  first layer with per-block weights, run once per point;
+* ``body``: the shared layers after the prefix, one ``kernels.conv_layer``
+  call each;
+* ``stamped_readout``: the two layers with per-block weights, the stamped
+  first layer and the readout;
+* ``accumulation_readout``: the rest of the call, the block sum, the fc
+  readout and the row gathers and padding between layers.
+
+Each part is the median over the calls of its self time in one call
+(wrapped, so each call of a part adds its wrapper's cost to it), and
+``total_s`` the median of the same calls unwrapped.
+
+``BENCH_sparse_forward.json`` holds the forward timings of the
+support-sparse change, as a separate earlier script wrote them.
 
 Then it times the circle manifold build (circle-sin in R^3, alpha=2,
 r=0.2, 69 charts) at N = 4 and then N = 8 on one atlas, as a manifold rate
@@ -125,6 +147,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 BUILDS = ((2, 2), (2, 4), (3, 2), (2, 8), (2, 16), (3, 16))
 FORWARD_ALPHA = 2
+PARTS_BUILD = (2, 8)  # (alpha, N) of the model whose forward is split by part
+PARTS_POINTS = 200
 POINTS = (1, 200, 2000)
 STAGES = {
     "term_nets": ("monomial_bump_template", "build_monomial_bump"),
@@ -158,14 +182,16 @@ class StageClock:
         self.stack = []  # [stage, start, time of nested wrapped calls]
 
     def wrap(self, stage, fn):
+        """fn timed as ``stage``, or as ``stage(*args)`` when it is callable."""
+
         def timed(*args, **kwargs):
-            self.stack.append([stage, time.perf_counter(), 0.0])
+            self.stack.append([stage(*args) if callable(stage) else stage, time.perf_counter(), 0.0])
             try:
                 return fn(*args, **kwargs)
             finally:
-                _, start, nested = self.stack.pop()
+                name, start, nested = self.stack.pop()
                 spent = time.perf_counter() - start
-                self.seconds[stage] = self.seconds.get(stage, 0.0) + spent - nested
+                self.seconds[name] = self.seconds.get(name, 0.0) + spent - nested
                 if self.stack:
                     self.stack[-1][2] += spent
 
@@ -174,17 +200,23 @@ class StageClock:
     @contextmanager
     def wrapping(self, module, stages):
         """Wrap the functions of module that stages names, for the block."""
-        originals = {}
-        for stage, names in stages.items():
-            for name in names:
-                if hasattr(module, name):
-                    originals[name] = getattr(module, name)
-                    setattr(module, name, self.wrap(stage, originals[name]))
+        with self.wrapping_each([(module, name, stage) for stage, names in stages.items() for name in names]):
+            yield
+
+    @contextmanager
+    def wrapping_each(self, targets):
+        """Wrap attribute ``name`` of ``owner`` as ``stage`` for each (owner,
+        name, stage) of targets that exists, for the block."""
+        originals = []
+        for owner, name, stage in targets:
+            if hasattr(owner, name):
+                originals.append((owner, name, getattr(owner, name)))
+                setattr(owner, name, self.wrap(stage, originals[-1][2]))
         try:
             yield
         finally:
-            for name, fn in originals.items():
-                setattr(module, name, fn)
+            for owner, name, fn in originals:
+                setattr(owner, name, fn)
 
     def split(self, stages, total):
         """Self seconds per stage, ``other`` for the rest of total."""
@@ -201,10 +233,12 @@ class RowCount:
     def __init__(self):
         self.counts = {"dense_rows": 0, "shared_rows": 0}
         self.dense = False
+        self.shared = []  # the shared layers of the group the dense gate runs, in order
 
     @contextmanager
     def wrapping(self, taylor, netcore):
-        gate, summands, layer = taylor.resnet_forward_dense, netcore._group_summands, netcore._plan_layer
+        gate, summands = taylor.resnet_forward_dense, netcore._group_summands
+        conv = netcore.kernels.conv_layer
 
         def dense_gate(*args):
             self.dense = True
@@ -214,22 +248,30 @@ class RowCount:
                 self.dense = False
 
         def counted_summands(g, X, points, *args):
-            if self.dense:
-                self.counts["dense_rows"] += len(points)
-            return summands(g, X, points, *args)
+            if not self.dense:
+                return summands(g, X, points, *args)
+            self.counts["dense_rows"] += len(points)
+            # one conv_layer call per shared layer, the prefix first
+            self.shared, self.calls, self.prefix = [la for la in g.layers if la.shared], 0, g.prefix
+            try:
+                return summands(g, X, points, *args)
+            finally:
+                self.shared = []
 
-        def counted_layer(planned, H, D, pos):
-            if self.dense and planned.shared and pos is not None:  # pos is None in the prefix
-                self.counts["shared_rows"] += len(H)
-            return layer(planned, H, D, pos)
+        def counted_conv(w, b, z):
+            if self.shared:
+                if self.calls >= self.prefix:
+                    self.counts["shared_rows"] += len(z) * z.shape[1] // self.shared[self.calls].rows_in
+                self.calls += 1
+            return conv(w, b, z)
 
         taylor.resnet_forward_dense = dense_gate
-        netcore._group_summands, netcore._plan_layer = counted_summands, counted_layer
+        netcore._group_summands, netcore.kernels.conv_layer = counted_summands, counted_conv
         try:
             yield
         finally:
             taylor.resnet_forward_dense = gate
-            netcore._group_summands, netcore._plan_layer = summands, layer
+            netcore._group_summands, netcore.kernels.conv_layer = summands, conv
 
 
 def _median_seconds(fn, reps, min_seconds=1.0, max_reps=51):
@@ -259,6 +301,38 @@ def _forwards(modules, approx, reps):
             row[f"{name}_s"] = _median_seconds(fn, reps)
         rows.append(row)
     return rows
+
+
+def _forward_parts(modules, model, reps):
+    """Median seconds of the single-point forward of ``model``, in total and
+    by network part: see ``forward_parts`` in the module docstring."""
+    np, netcore = modules[:2]
+    X = np.random.default_rng(0).uniform(0.0, 1.0, (PARTS_POINTS, 2))
+    times = []
+    for _ in range(max(reps, 3)):
+        for x in X:
+            start = time.perf_counter()
+            netcore.resnet_forward(model, x)
+            times.append(time.perf_counter() - start)
+    clock, splits = StageClock(), []
+    layer_part = lambda layer, H, D, pos: (
+        "gather_prefix" if pos is None else "body" if layer.shared else "stamped_readout")
+    # a conv_layer call inside _plan_layer counts toward that layer's part
+    conv_part = lambda *args: clock.stack[-1][0] if clock.stack else "body"
+    parts = ("cover", "gather_prefix", "body", "stamped_readout")
+    with clock.wrapping_each([(netcore._Cover, "rows", "cover"), (netcore, "_plan_layer", layer_part),
+                              (netcore.kernels, "conv_layer", conv_part)]):
+        for _ in range(max(reps, 3)):
+            for x in X:
+                clock.seconds = {}
+                start = time.perf_counter()
+                netcore.resnet_forward(model, x)
+                splits.append(clock.split(parts, time.perf_counter() - start))
+    row = {"points": PARTS_POINTS, "total_s": statistics.median(times)}
+    for part in parts:
+        row[f"{part}_s"] = statistics.median(s[part] for s in splits)
+    row["accumulation_readout_s"] = statistics.median(s["other"] for s in splits)
+    return row
 
 
 def _machine(np):
@@ -420,6 +494,11 @@ def _bench_builds(modules, reps):
                 for f in row["forward"]:
                     ms = "  ".join(f"{k[:-2]} {f[k] * 1e3:.2f} ms" for k in list(f)[1:])
                     print(f"  forward at {f['points']:>4} points: {ms}", flush=True)
+            if (alpha, N) == PARTS_BUILD:
+                row["forward_parts"] = _forward_parts(modules, runs[0][3].model, reps)
+                parts = list(row["forward_parts"].items())[1:]
+                us = "  ".join(f"{k[:-2]} {v * 1e6:.1f} us" for k, v in parts)
+                print(f"  single-point forward by part: {us}", flush=True)
             rows.append(row)
     return rows
 
@@ -454,7 +533,8 @@ def main():
         what = (
             "median seconds per stage of build_euclidean + serialize.save, then of "
             "serialize.load and the first forward of the loaded model, and (alpha=2, "
-            "under forward) of the dense, sparse and functional forward; sinprod D=2; "
+            "under forward) of the dense, sparse and functional forward, and (alpha=2 N=8, under "
+            "forward_parts) of the single-point forward by network part; sinprod D=2; "
             "dense_rows and shared_rows count the rows of the dense equality gate; "
             "see benchmarks/bench_build.py"
         )

