@@ -17,11 +17,12 @@ One ``chart_coefficients`` call computes the Taylor tables of all charts,
 stacked in chart order; its finite differences and ``manifold_norm`` share
 one pullback pass over (chart, point) rows, ``_pullback``, which makes one
 ``chart_invert`` call.
-The gated terms of all charts compile through the Euclidean compile step,
-``taylor.compile_terms``, and pass its build gates.  Coefficients of bumps
-whose support reaches the chart-boundary band are zeroed, which makes every
-per-chart network vanish identically on the indicator's transition band; that
-is the mechanism keeping first-derivative error bounded as the ramp sharpens.
+The gated terms of all charts, those with a nonzero coefficient, compile
+through the Euclidean compile step, ``taylor.compile_terms``, and pass its
+build gates.  Coefficients of bumps whose support reaches the chart-boundary
+band are zeroed, which makes every per-chart network vanish identically on
+the indicator's transition band; that is the mechanism keeping
+first-derivative error bounded as the ramp sharpens.
 
 Evaluation stacks the charts.  The chart sum at a batch of points takes
 every (chart, point) pair within 1.2 r of the chart's center (beyond it the
@@ -678,9 +679,10 @@ class ManifoldApproximator:
         return resnet_forward_batch(self.model, np.atleast_2d(X))
 
     def _terms(self):
-        """Chart by chart, each (m, v) term as a net on the ambient space,
-        times_delta(g(phi_i(x)), indicator_i(x)) with g the net of phi_m x^v
-        stamped from its template, together with c_{m,v}.  The chart map
+        """Chart by chart, each (m, v) term with c_{m,v} != 0 as a net on the
+        ambient space, times_delta(g(phi_i(x)), indicator_i(x)) with g the
+        net of phi_m x^v stamped from its template, together with c_{m,v}; a
+        term with c = 0 adds c * 0 = +-0 and is left out.  The chart map
         moves the bias the template stamps, so each term is a template of
         its own."""
         atlas, coeffs = self.atlas, self.coeffs
@@ -693,6 +695,8 @@ class ManifoldApproximator:
             cvec = atlas.shift - A @ center
             ind_chain = sn_chain(_stamp(self.sqdist_net, bias), self.indicator_net)
             for g, m, c in _bump_terms(replace(coeffs, table=table), templates):
+                if c == 0.0:
+                    continue
                 g_x = sn_input_affine(g.at(m), A, cvec)
                 pair = sn_parallel([(g_x, list(range(D))), (ind_chain, list(range(D)))])
                 yield NodeTemplate(sn_chain(pair, self.times_delta)), (), c

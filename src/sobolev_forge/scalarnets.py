@@ -17,9 +17,10 @@ CNN.  The nets are put together with the combinators (``sn_chain``,
   the product net over monomial factors first, then the per-axis trapezoids.
 
 For a fixed monomial these nets differ from node to node only in the
-trapezoids' first-layer biases 2 - 3 m_k, so ``monomial_bump_template``
-builds one at node 0 and at each unit node and stamps every other node.
-Every term of a build folds the build's one product net.  Arrays are shared
+trapezoids' first-layer biases 2 - 3 m_k, which the fold leaves as the last
+D rows of the net's first layer, so ``monomial_bump_template`` builds the
+net once, at node 0, and stamps every other node there.  Every term of a
+build folds the build's one product net.  Arrays are shared
 between layers and between nets (the combinators reuse the layers they are
 given), so no array is edited once it is in a net.
 
@@ -230,6 +231,11 @@ def bump_weight(m, N, x):
     return float(out[0]) if single else out
 
 
+def _hinge_bias(m):
+    """The first-layer biases 2 - 3 m_k of the trapezoids of node m, exact."""
+    return 2.0 - 3.0 * np.asarray(m, dtype=np.float64)
+
+
 def build_trapezoid(m: int, N: int) -> ScalarNet:
     """Net computing psi(3N(x - m/N)) exactly.
 
@@ -239,7 +245,7 @@ def build_trapezoid(m: int, N: int) -> ScalarNet:
     """
     if not 0 <= m <= N:
         raise ValueError(f"need 0 <= m <= N, got m={m}, N={N}")
-    l1 = (np.array([[3.0 * N]]), np.array([2.0 - 3.0 * m]))
+    l1 = (np.array([[3.0 * N]]), _hinge_bias([m]))
     l2 = (np.ones((4, 1)), np.array([0.0, -1.0, -3.0, -4.0]))
     l3 = (np.array([[1.0, -1.0, -1.0, 1.0]]), np.array([0.0]))
     return ScalarNet([l1, l2, l3])
@@ -363,7 +369,10 @@ def build_monomial_bump(m, v, N: int, times: ScalarNet) -> ScalarNet:
     first, then over the D per-axis trapezoids, matching the nesting
     x(...x(p_v, psi_1)..., psi_D).  Whenever some trapezoid factor vanishes at
     x the whole net output is exactly 0 (annihilation cascades through every
-    later product stage).
+    later product stage).  Each fold stage puts the running net's first layer
+    before the factor's, and a trapezoid's first layer is one row, so the
+    first layer's last D rows are the trapezoids' shifted hinges, in axis
+    order, with biases 2 - 3 m_k.
     """
     m = tuple(int(t) for t in m)
     v = tuple(int(t) for t in v)
@@ -383,21 +392,20 @@ def build_monomial_bump(m, v, N: int, times: ScalarNet) -> ScalarNet:
 
 @dataclass
 class NodeTemplate:
-    """A net built at grid node 0, and how the bias of its first layer moves
-    with the node: the net of node m is ``at(m)``, equal to ``net`` but for
-    the entries ``cols`` of that bias, which are bias[cols] + m @ steps.
+    """A net built at grid node 0, and the rows of its first layer whose
+    bias moves with the node: the net of node m is ``at(m)``, equal to
+    ``net`` but for the biases 2 - 3 m_k of the trapezoid rows ``rows[k]``.
 
-    A template with no columns stands for its net alone (``at(())``).
+    A template with no rows stands for its net alone (``at(())``).
     """
 
     net: ScalarNet
-    cols: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-    steps: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
+    rows: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
 
     def bias(self, m):
         """The first layer's bias of the net of node m."""
         b = self.net.layers[0][1].copy()
-        b[self.cols] += np.asarray(m, dtype=np.float64) @ self.steps
+        b[self.rows] = _hinge_bias(m)
         return b
 
     def at(self, m):
@@ -407,30 +415,11 @@ class NodeTemplate:
 def monomial_bump_template(v, N: int, times: ScalarNet) -> NodeTemplate:
     """The nets phi_m(x) * x^v of every node m in [0, N]^D as one template.
 
-    ``times`` is the build's product net, which every term folds.  Built at
-    node 0 and at each unit node e_k (D + 1 builds); the steps are the
-    differences of the first-layer biases.  Every other weight and bias must
-    agree bit for bit, and the moving entries must be integers, so that
-    bias[cols] + m @ steps is exact and equals the bias of the net built at
-    m (RuntimeError otherwise).
+    ``times`` is the build's product net, which every term folds.  The net
+    is built once, at node 0; its first layer's last D rows are the
+    trapezoids' hinges (``build_monomial_bump``), the only entries that move
+    with the node.
     """
-    D = len(v)
-    base = build_monomial_bump((0,) * D, v, N, times=times)
-    b0 = base.layers[0][1]
-    steps = []
-    for k in range(D):
-        unit = build_monomial_bump(tuple(int(j == k) for j in range(D)), v, N, times=times)
-        fixed = [(base.layers[0][0], unit.layers[0][0])] + [
-            pair for la, lb in zip(base.layers[1:], unit.layers[1:]) for pair in zip(la, lb)
-        ]
-        if unit.depth != base.depth or any(
-            a.shape != b.shape or a.tobytes() != b.tobytes() for a, b in fixed
-        ):
-            raise RuntimeError(f"net of v={v} moves with the node beyond its first-layer bias")
-        steps.append(unit.layers[0][1] - b0)
-    steps = np.array(steps).reshape(D, len(b0))
-    cols = np.flatnonzero(np.any(steps != 0.0, axis=0))
-    moving = np.concatenate([b0[cols], steps[:, cols].ravel()])
-    if np.any(moving != np.round(moving)):
-        raise RuntimeError(f"first-layer bias of v={v} does not move by integers")
-    return NodeTemplate(base, cols, steps[:, cols])
+    net = build_monomial_bump((0,) * len(v), v, N, times=times)
+    n = len(net.layers[0][1])
+    return NodeTemplate(net, np.arange(n - len(v), n))

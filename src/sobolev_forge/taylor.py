@@ -39,6 +39,7 @@ import numpy as np
 from .algebra import assemble_resnet, extend_cnn_depth, mlp_to_cnn, parallel_sum, restamp, widest
 from .netcore import (
     BlockSupport,
+    ConvResNetModel,
     ShapeError,
     _on_finite_rows,
     audit_class,
@@ -369,17 +370,6 @@ def _bump_terms(coeffs: SurrogateCoefficients, templates):
             yield template, m, c
 
 
-def _block_support(coeffs: SurrogateCoefficients, per_block):
-    """The nodes of each block: the terms come in (m, v) order, and
-    parallel_sum packs per_block consecutive terms into one block."""
-    nodes = grid_nodes(coeffs.N, coeffs.dim)
-    term_node = np.repeat(np.arange(len(nodes)), len(coeffs.v_list))
-    return BlockSupport(
-        coeffs.N,
-        [nodes[np.unique(term_node[a : a + per_block])] for a in range(0, len(term_node), per_block)],
-    )
-
-
 def term_cnns(terms):
     """The CNNs of ordered (NodeTemplate, m, c) terms, all of one depth.
 
@@ -401,24 +391,35 @@ def term_cnns(terms):
     return cnns
 
 
-def compile_terms(approx, terms, X, support=None):
+def compile_terms(approx, terms, X, grid=None):
     """Compile ordered (NodeTemplate, m, c) terms into approx.model: each term
     a CNN with its readout scaled by c (``term_cnns``), one depth for all,
-    grouped record["Jt"] channels wide (one term per block when None),
-    assembled, with the BlockSupport support(terms per block) when given.
+    grouped record["Jt"] channels wide (one term per block when None) and
+    assembled; with a ``grid`` N, the model carries the BlockSupport whose
+    block b lists the nodes m of the terms packed into it.  No terms give
+    the model without blocks, whose value is its fc bias 0.
     Fills approx.class_params and the record keys terms, Mt, Jt and
     compile_gap, then gates the build at the points X: the dense forward
     within 1e-8 of approx.eval, then the support-sparse forward equal to the
     dense one bit for bit (CompileEqualityError otherwise)."""
-    cnns = term_cnns(terms)
+    terms = list(terms)
     record = approx.record
-    J0 = widest(cnns)
-    width = record["Jt"] if record["Jt"] is not None else J0
-    groups = parallel_sum(cnns, width)
-    model = assemble_resnet(groups, support(width // J0) if support is not None else None)
+    D, width, groups, support = X.shape[1], record["Jt"], [], None
+    if terms:
+        cnns = term_cnns(terms)
+        J0 = widest(cnns)
+        width = width if width is not None else J0
+        groups = parallel_sum(cnns, width)
+        if grid is not None:  # block b packs the k terms from b * k on
+            k = width // J0
+            nodes = [sorted({tuple(m) for _, m, _ in terms[a : a + k]}) for a in range(0, len(terms), k)]
+            support = BlockSupport(grid, [np.array(a) for a in nodes])
+        model = assemble_resnet(groups, support)
+    else:
+        model = ConvResNetModel(D, 3, [], np.zeros((D, 3)), 0.0)
     approx.model = model
     approx.class_params = audit_class(model)
-    record["terms"] = len(cnns)
+    record["terms"] = len(terms)
     record["Mt"] = record["Mt"] if record["Mt"] is not None else len(groups)
     record["Jt"] = width
 
@@ -490,5 +491,5 @@ def build_euclidean(
 
     X = np.random.default_rng(seed).uniform(0.0, 1.0, size=(check_points, D))
     record["intermediate_magnitude"] = approx.audit_intermediate_magnitudes(X[:50])
-    compile_terms(approx, _bump_terms(coeffs, templates), X, lambda k: _block_support(coeffs, k))
+    compile_terms(approx, _bump_terms(coeffs, templates), X, grid=N)
     return approx

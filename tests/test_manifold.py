@@ -325,6 +325,21 @@ def test_manifold_compile_equality(circle, circle_sin):
     assert ap.class_params.K <= mspec.ambient_dim
 
 
+def test_a_compiled_manifold_model_holds_only_live_terms(circle_sin):
+    """A term with c = 0 adds c * 0 = +-0, so the model holds one block per
+    nonzero coefficient; at N=2 the boundary kill zeroes every coefficient,
+    and the model has no block and is 0 everywhere."""
+    mspec, target = circle_sin
+    atlas = build_atlas(mspec, 0.2, sample_count=1024)
+    pts = mspec.sample_points(200)
+    for N, live in ((4, True), (2, False)):
+        ap = build_manifold_approx(target, mspec, N=N, atlas=atlas, compile_model=True, check_points=25)
+        nonzero = np.count_nonzero(ap.coeffs.table)
+        assert (nonzero > 0) == live
+        assert len(ap.model.blocks) == ap.record["terms"] == nonzero
+    assert np.all(ap.model_eval(pts) == 0.0)
+
+
 @pytest.fixture(scope="module")
 def sphere_atlas():
     return build_atlas(sphere_manifold(), 0.24, sample_count=2400)

@@ -372,7 +372,8 @@ def test_stamped_build_equals_the_per_term_oracle(case, Jt):
 @pytest.mark.parametrize("D, alpha", [(1, 2), (2, 3)])
 def test_a_compiled_build_makes_one_product_net(D, alpha):
     """build_euclidean makes its product net once and hands it to every
-    template; no template or term net builds one of its own."""
+    template; no template or term net builds one of its own, and each
+    template builds its net once, at node 0."""
     target = get_target("sinprod", alpha=alpha, dim=D)
     spies = [
         mock.patch.object(module, name, wraps=getattr(module, name))
@@ -380,10 +381,12 @@ def test_a_compiled_build_makes_one_product_net(D, alpha):
             (taylor, "build_product2"),
             (scalarnets, "build_product2"),
             (taylor, "monomial_bump_template"),
+            (scalarnets, "build_monomial_bump"),
         ]
     ]
-    with spies[0] as build, spies[1] as own, spies[2] as template:
+    with spies[0] as build, spies[1] as own, spies[2] as template, spies[3] as bump:
         ap = build_euclidean(target, s=0, p=math.inf, N=2, check_points=4)
     assert build.call_count == 1 and own.call_count == 0
     assert template.call_count == len(ap.coeffs.v_list)
     assert all(call.args[2] is ap.times_net for call in template.call_args_list)
+    assert [call.args[:2] for call in bump.call_args_list] == [((0,) * D, v) for v in ap.coeffs.v_list]
