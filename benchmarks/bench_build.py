@@ -86,6 +86,26 @@ study builds them, and splits each build by wrapping functions of the
 * ``other``: the rest (the indicator and product nets, the record).
 
 Each rep builds a fresh atlas, untimed, and every figure is the median.
+In the same way it times the compiled circle build
+(``compile_model=True``, 30 check points) at N = 4 and then N = 8
+(``compiled`` in the results), split by wrapping functions of the
+``taylor`` module and ``ManifoldApproximator._terms``:
+
+* ``terms``: ``_terms``, the chart terms' nets or first layers (its
+  stream is listed under the wrap, so its work counts here);
+* ``conversion``: ``mlp_to_cnn``, ``first_filter``, ``extend_cnn_depth``
+  and ``restamp``;
+* ``grouping_assembly``: ``parallel_sum`` and ``assemble_resnet``;
+* ``equality_gates``: ``resnet_forward_dense`` and
+  ``resnet_forward_batch``, the model's lowering included;
+* ``other``: the rest (the coefficients, the boundary data, the nets of
+  the build, the class audit, the functional path of the gates).
+
+with the model's blocks, the ``mlp_to_cnn`` calls of the build, the
+model's distinct arrays (same shape and bytes), the compile gap and the
+sha256 of
+``json.dumps(serialize.to_dict(model))``, so runs of two trees show
+whether they wrote the same model.
 On one more atlas it then times, at each N, what a manifold rate study
 does with the built approximator (``evaluation`` in the results):
 
@@ -171,6 +191,11 @@ MANIFOLD_STAGES = {
     "boundary": ("chart_boundary_data",),
     "coefficients": ("chart_coefficients",),
     "sqdist_nets": ("build_sqdist_nets", "build_sqdist_net"),
+}
+COMPILED_STAGES = {  # wrapped in taylor, and "terms" on ManifoldApproximator._terms
+    "conversion": ("mlp_to_cnn", "first_filter", "extend_cnn_depth", "restamp"),
+    "grouping_assembly": ("parallel_sum", "assemble_resnet"),
+    "equality_gates": ("resnet_forward_dense", "resnet_forward_batch"),
 }
 
 
@@ -401,6 +426,44 @@ def _manifold_builds(manifold, targets):
     return splits, atlas.chart_count
 
 
+def _compiled_manifold_builds(manifold, serialize, targets, taylor):
+    """Stage seconds and counts of one compiled circle build at each N of
+    MANIFOLD_NS, in turn on one fresh atlas: see ``compiled`` in the module
+    docstring."""
+    mspec, target = targets.get_manifold_target("circle-sin", 3, order=2)
+    atlas = manifold.build_atlas(mspec, MANIFOLD_R)
+    owner, convert = manifold.ManifoldApproximator, taylor.mlp_to_cnn
+    terms, calls, rows = owner._terms, [0], []
+
+    def counted(net):
+        calls[0] += 1
+        return convert(net)
+
+    owner._terms = lambda self, *args: list(terms(self, *args))
+    taylor.mlp_to_cnn = counted
+    try:
+        for N in MANIFOLD_NS:
+            clock, calls[0] = StageClock(), 0
+            with clock.wrapping(taylor, COMPILED_STAGES), clock.wrapping_each([(owner, "_terms", "terms")]):
+                start = time.perf_counter()
+                approx = manifold.build_manifold_approx(target, mspec, N=N, atlas=atlas, compile_model=True)
+                total = time.perf_counter() - start
+            model = approx.model
+            arrays = [a for blk in model.blocks for a in [f.entries for f in blk.filters] + blk.biases]
+            doc = json.dumps(serialize.to_dict(model)).encode()
+            rows.append({
+                "seconds": clock.split(["terms", *COMPILED_STAGES], total),
+                "blocks": len(model.blocks),
+                "mlp_to_cnn_calls": calls[0],
+                "distinct_arrays": len({(a.shape, a.tobytes()) for a in arrays}),
+                "compile_gap": approx.record["compile_gap"],
+                "sha256": hashlib.sha256(doc).hexdigest(),
+            })
+    finally:
+        owner._terms, taylor.mlp_to_cnn = terms, convert
+    return rows
+
+
 def _manifold_evaluation(manifold, targets, reps):
     """Median seconds of the norms and the one-point evals of the circle
     approximator at each N of MANIFOLD_NS, on one atlas."""
@@ -503,16 +566,23 @@ def _bench_builds(modules, reps):
     return rows
 
 
-def _bench_manifold(manifold, targets, reps):
+def _bench_manifold(manifold, serialize, targets, taylor, reps):
     runs = [_manifold_builds(manifold, targets) for _ in range(reps)]
+    compiled = [_compiled_manifold_builds(manifold, serialize, targets, taylor) for _ in range(reps)]
     evaluation = _manifold_evaluation(manifold, targets, reps)
     rows = []
     for t, N in enumerate(MANIFOLD_NS):
         seconds = {k: statistics.median(r[0][t][k] for r in runs) for k in runs[0][0][t]}
+        built = {**compiled[0][t], "seconds": {
+            k: statistics.median(r[t]["seconds"][k] for r in compiled) for k in compiled[0][t]["seconds"]}}
         rows.append({"N": N, "r": MANIFOLD_R, "charts": runs[0][1], "reps": reps,
-                     "seconds": seconds, "evaluation": evaluation[t]})
+                     "seconds": seconds, "compiled": built, "evaluation": evaluation[t]})
         split = "  ".join(f"{k} {v:.4f}" for k, v in {**seconds, **evaluation[t]}.items())
         print(f"circle r={MANIFOLD_R} N={N} ({runs[0][1]} charts): {split}", flush=True)
+        split = "  ".join(f"{k} {v:.4f}" for k, v in built["seconds"].items())
+        print(f"  compiled ({built['blocks']} blocks, {built['mlp_to_cnn_calls']} mlp_to_cnn calls, "
+              f"{built['distinct_arrays']} distinct arrays, sha256 {built['sha256'][:12]}): {split}",
+              flush=True)
     return rows
 
 
@@ -540,10 +610,12 @@ def main():
         )
         _store("BENCH_template_build.json", what, np, args.label, rows)
     if args.only in (None, "manifold"):
-        rows = _bench_manifold(manifold, targets, args.reps)
+        rows = _bench_manifold(manifold, serialize, targets, taylor, args.reps)
         what = (
             "median seconds per stage of build_manifold_approx on the circle-sin atlas "
-            "(R^3, alpha=2, r=0.2), N=4 then N=8 on one fresh atlas per rep, and (under "
+            "(R^3, alpha=2, r=0.2), N=4 then N=8 on one fresh atlas per rep, (under "
+            "compiled) of the compiled build, with its blocks, mlp_to_cnn calls, distinct "
+            "arrays and the sha256 of the model document, and (under "
             "evaluation) of manifold_norm of the error at k=0 and k=1, resolution 40, and "
             "of 10 one-point evals; see benchmarks/bench_build.py"
         )

@@ -120,22 +120,10 @@ def mlp_to_cnn(net: ScalarNet) -> CnnFunction:
 
     rows = 1 if D == 1 else D
     for t, (Wt, bt) in enumerate(layers):
-        last = t == len(layers) - 1
-        if t == 0:
-            # read the gathered +/- pairs
-            src = np.zeros((Wt.shape[0], 2 * D))
-            src[:, 0::2] = Wt
-            src[:, 1::2] = -Wt
-        else:
-            src = Wt
-        if last:
-            w = np.zeros((2, 1, src.shape[1]))
-            w[0, 0, :] = src[0]
-            w[1, 0, :] = -src[0]
-            stack.append((FilterTensor(w), _const_bias(rows, [bt[0], -bt[0]])))
-        else:
-            w = src[:, None, :].copy()
-            stack.append((FilterTensor(w), _const_bias(rows, bt)))
+        w = first_filter(Wt) if t == 0 else FilterTensor(Wt[:, None, :].copy())
+        if t == len(layers) - 1:  # the final affine as a +/- pair
+            w, bt = FilterTensor(np.concatenate([w.entries, -w.entries])), [bt[0], -bt[0]]
+        stack.append((w, _const_bias(rows, bt)))
 
     fc = np.zeros((D, 2))
     fc[0, 0] = 1.0
@@ -143,17 +131,26 @@ def mlp_to_cnn(net: ScalarNet) -> CnnFunction:
     return CnnFunction(D, stack, fc, 0.0)
 
 
-def restamp(f: CnnFunction, bias, scale) -> CnnFunction:
-    """f, as mlp_to_cnn realized it, with the bias of the net's first (not
-    last) layer replaced by ``bias`` (kept when None) and the readout scaled
-    by ``scale``.  Every other layer is f's own."""
-    stack = f.conv_stack
-    if bias is not None:
-        t = max(1, f.input_dim - 1)  # the gather layers come first
-        stack = list(stack)
-        if stack[t][1].shape[1] != len(bias):
-            raise ShapeError(f"bias of length {len(bias)} for {stack[t][1].shape[1]} channels")
-        stack[t] = (stack[t][0], _const_bias(f.input_dim, bias))
+def first_filter(W) -> FilterTensor:
+    """The filter of ``mlp_to_cnn`` realizing a net's first layer W (unless
+    it is the last): one tap, whose columns read the gathered +/- pair of
+    each input coordinate."""
+    w = np.zeros((W.shape[0], 1, 2 * W.shape[1]))
+    w[:, 0, 0::2] = W
+    w[:, 0, 1::2] = -W
+    return FilterTensor(w)
+
+
+def restamp(f: CnnFunction, w: FilterTensor, bias, scale) -> CnnFunction:
+    """f, as mlp_to_cnn realized it, with the layer realizing the net's first
+    (not last) layer replaced by the filter ``w`` (a ``first_filter``) and
+    the bias vector ``bias``, and the readout scaled by ``scale``.  Every
+    other layer is f's own."""
+    t = max(1, f.input_dim - 1)  # the gather layers come first
+    want = f.conv_stack[t][0].entries.shape
+    if w.entries.shape != want or len(bias) != w.out_channels:
+        raise ShapeError(f"first layer {w.entries.shape} with {len(bias)} biases for {want}")
+    stack = f.conv_stack[:t] + [(w, _const_bias(f.input_dim, bias))] + f.conv_stack[t + 1 :]
     return CnnFunction(f.input_dim, stack, scale * f.fc_weight, f.fc_bias)
 
 

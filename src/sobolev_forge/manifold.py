@@ -19,10 +19,12 @@ one pullback pass over (chart, point) rows, ``_pullback``, which makes one
 ``chart_invert`` call.
 The gated terms of all charts, those with a nonzero coefficient, compile
 through the Euclidean compile step, ``taylor.compile_terms``, and pass its
-build gates.  Coefficients of bumps whose support reaches the chart-boundary
-band are zeroed, which makes every per-chart network vanish identically on
-the indicator's transition band; that is the mechanism keeping
-first-derivative error bounded as the ramp sharpens.
+build gates; a chart term is its monomial's gated net, built once at chart
+0, with a first layer of its own, since the chart map, the chart's center
+and the node enter the net only there.  Coefficients of bumps whose support
+reaches the chart-boundary band are zeroed, which makes every per-chart
+network vanish identically on the indicator's transition band; that is the
+mechanism keeping first-derivative error bounded as the ramp sharpens.
 
 Evaluation stacks the charts.  The chart sum at a batch of points takes
 every (chart, point) pair within 1.2 r of the chart's center (beyond it the
@@ -45,7 +47,7 @@ atlas at r = 0.2 (c2 = 0.4), so not at N = 4, 8 or 16.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -53,7 +55,6 @@ import numpy as np
 from .metrics import EvalGrid
 from .netcore import _on_finite_rows, resnet_forward_batch
 from .scalarnets import (
-    NodeTemplate,
     ScalarNet,
     build_product2,
     build_square,
@@ -65,9 +66,9 @@ from .scalarnets import (
 )
 from .taylor import (
     SurrogateCoefficients,
-    _bump_terms,
     _monomial_expansion_rows,
     _stacked_fold,
+    check_term_width,
     compile_terms,
     grid_nodes,
     grid_resolution,
@@ -631,11 +632,9 @@ class ManifoldApproximator:
 
     def indicator_values(self, i, X):
         """Indicator of chart i at the rows of X; i is a chart, or an array
-        holding the chart of each row.  A lone row is padded to two, so a
-        row's bits do not depend on the rows beside it."""
-        rows = np.repeat(X, 2, axis=0) if len(X) == 1 else X
-        d2 = _stamp(self.sqdist_net, self.sqdist_biases[i]).forward(rows)
-        return self.indicator_net.forward(d2[:, None])[: len(X)]
+        holding the chart of each row."""
+        d2 = _stamp(self.sqdist_net, self.sqdist_biases[i]).forward(X)
+        return self.indicator_net.forward(d2[:, None])
 
     def per_chart_eval(self, i, X):
         """Contribution of chart i (exactly zero off its indicator support)
@@ -678,28 +677,31 @@ class ManifoldApproximator:
             raise RuntimeError("approximator was built without compilation")
         return resnet_forward_batch(self.model, np.atleast_2d(X))
 
-    def _terms(self):
-        """Chart by chart, each (m, v) term with c_{m,v} != 0 as a net on the
-        ambient space, times_delta(g(phi_i(x)), indicator_i(x)) with g the
-        net of phi_m x^v stamped from its template, together with c_{m,v}; a
-        term with c = 0 adds c * 0 = +-0 and is left out.  The chart map
-        moves the bias the template stamps, so each term is a template of
-        its own."""
+    def _terms(self, templates, nets):
+        """Chart by chart, each (m, v) term with c_{m,v} != 0 as (net, first,
+        m, c).  The term's net on the ambient space is times_delta(g(phi_i(x)),
+        indicator_i(x)), g the net of phi_m x^v (``templates``).  The chart
+        map, the chart's center and the node enter it only through its first
+        layer, so it is v's net at chart 0 and node 0 (``nets``) with its
+        first layer replaced by ``first``: g's first layer at node m read
+        through chart i's map, beside chart i's squared-distance first
+        layer.  A term with c = 0 adds c * 0 = +-0 and is left out."""
         atlas, coeffs = self.atlas, self.coeffs
-        D = atlas.manifold.ambient_dim
-        templates = [monomial_bump_template(v, coeffs.N, self.times_eta) for v in coeffs.v_list]
         tables = coeffs.table.reshape(atlas.chart_count, -1, len(coeffs.v_list))
-        stacks = zip(atlas.centers, atlas.frames, tables, self.sqdist_biases)
-        for center, frame, table, bias in stacks:
-            A = atlas.scale * frame.T
-            cvec = atlas.shift - A @ center
-            ind_chain = sn_chain(_stamp(self.sqdist_net, bias), self.indicator_net)
-            for g, m, c in _bump_terms(replace(coeffs, table=table), templates):
-                if c == 0.0:
-                    continue
-                g_x = sn_input_affine(g.at(m), A, cvec)
-                pair = sn_parallel([(g_x, list(range(D))), (ind_chain, list(range(D)))])
-                yield NodeTemplate(sn_chain(pair, self.times_delta)), (), c
+        for i, table in enumerate(tables):
+            sq_i = ScalarNet([(self.sqdist_net.layers[0][0], self.sqdist_biases[i])])
+            for m, row in zip(grid_nodes(coeffs.N, coeffs.dim).tolist(), table):
+                for template, net, c in zip(templates, nets, row):
+                    if c != 0.0:
+                        g = ScalarNet([template.first(m)])
+                        yield net, _chart_pair(atlas, i, g, sq_i).layers[0], m, c
+
+
+def _chart_pair(atlas, i, g, h):
+    """g read through chart i's map beside h, both on the ambient point."""
+    A = atlas.scale * atlas.frames[i].T
+    g_x, cols = sn_input_affine(g, A, atlas.shift - A @ atlas.centers[i]), list(range(A.shape[1]))
+    return sn_parallel([(g_x, cols), (h, cols)])
 
 
 def build_manifold_approx(
@@ -737,6 +739,11 @@ def build_manifold_approx(
     sqdist = build_sqdist_nets(atlas.centers, theta, B)
     times_eta = build_product2(eta, box_intr)
     times_delta = build_product2(delta, box_intr)
+    if compile_model:  # each v's term net at chart 0, node 0 (see _terms)
+        templates = [monomial_bump_template(v, N, times_eta) for v in multi_indices(d, alpha - 1)]
+        indicator = sn_chain(_stamp(sqdist[0], sqdist[1][0]), indicator_net)
+        nets = [sn_chain(_chart_pair(atlas, 0, t.net, indicator), times_delta) for t in templates]
+        check_term_width(Jt, D, nets)
     z_bound, band = chart_boundary_data(atlas, Delta)
     coeffs, kill_info = chart_coefficients(f_on_M, atlas, N, alpha, 1e-4 * r, z_bound, band)
 
@@ -768,7 +775,7 @@ def build_manifold_approx(
 
     pts = mspec.sample_points(997)
     idx = np.random.default_rng(seed).choice(len(pts), min(check_points, len(pts)), replace=False)
-    compile_terms(approx, approx._terms(), pts[idx])
+    compile_terms(approx, approx._terms(templates, nets), pts[idx])
     return approx
 
 

@@ -38,7 +38,7 @@ class audit of any compiled construction reports kappa_1 <= max(3N, 4).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -56,8 +56,8 @@ class ScalarNet:
     not checked here, since a build makes hundreds of nets;
     ``algebra.mlp_to_cnn`` checks them once per conversion.
 
-    A batch forward reads a column-major copy of each weight, made once per
-    net object at its first such forward, so that x @ w.T hands BLAS a
+    A forward reads a column-major copy of each weight, made once per net
+    object at its first forward, so that x @ w.T hands BLAS a
     row-major (Cin, Cout) operand; the product rounds as with the weight
     itself.  A net's arrays are shared between its layers and with other
     nets, and are never edited: an edit would reach every net holding them.
@@ -95,13 +95,15 @@ class ScalarNet:
     def forward(self, X):
         """Batch forward: (n, in_dim) -> (n,) for scalar nets, else (n, out).
 
-        A single row reads the layers as given: numpy multiplies it by a
-        matrix-vector product, whose bits depend on the weight's layout."""
+        A lone row is padded to two: numpy multiplies one row by a
+        matrix-vector product, which rounds unlike a row of a batch, so a
+        row gets the same bits alone as beside other rows."""
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        out = X
+        out = np.repeat(X, 2, axis=0) if len(X) == 1 else X
         last = self.depth - 1
-        for i, (w, b) in enumerate(self._batch_layers if len(X) > 1 else self.layers):
+        for i, (w, b) in enumerate(self._batch_layers):
             out = kernels.mlp_layer(w, b, out, relu=(i != last))
+        out = out[: len(X)]
         return out[:, 0] if self.out_dim == 1 else out
 
     def __call__(self, *xs):
@@ -393,23 +395,19 @@ def build_monomial_bump(m, v, N: int, times: ScalarNet) -> ScalarNet:
 @dataclass
 class NodeTemplate:
     """A net built at grid node 0, and the rows of its first layer whose
-    bias moves with the node: the net of node m is ``at(m)``, equal to
-    ``net`` but for the biases 2 - 3 m_k of the trapezoid rows ``rows[k]``.
-
-    A template with no rows stands for its net alone (``at(())``).
-    """
+    bias moves with the node: the net of node m is ``net`` with its first
+    layer replaced by ``first(m)``, whose biases at the trapezoid rows
+    ``rows[k]`` are 2 - 3 m_k."""
 
     net: ScalarNet
-    rows: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
+    rows: np.ndarray
 
-    def bias(self, m):
-        """The first layer's bias of the net of node m."""
-        b = self.net.layers[0][1].copy()
+    def first(self, m):
+        """The first layer (W, b) of the net of node m; W is the net's own."""
+        W, b = self.net.layers[0]
+        b = b.copy()
         b[self.rows] = _hinge_bias(m)
-        return b
-
-    def at(self, m):
-        return ScalarNet([(self.net.layers[0][0], self.bias(m))] + self.net.layers[1:])
+        return W, b
 
 
 def monomial_bump_template(v, N: int, times: ScalarNet) -> NodeTemplate:

@@ -8,9 +8,11 @@ realizes every bump-times-monomial term as a CNN and assembles the weighted
 sum into a ConvResNet.
 ``compile_terms`` does this for both pipelines: the Euclidean build passes it
 the terms of the grid nodes, the manifold build the gated terms of each chart.
-Terms arrive as (template, node, coefficient): the Euclidean terms of one
-monomial share a template stamped at every node, so each distinct net is
-built and converted once, and the terms' layers stay shared objects through
+Terms arrive as (net, first, node, coefficient): the terms of one monomial
+share one net in every layer but the first, and ``first`` is a term's own
+first layer, which moves with the node (and on the manifold with the chart).
+So each distinct net is built and converted once, each distinct first-layer
+weight realized once, and the terms' layers stay shared objects through
 grouping, assembly, the class audit and the file writer.
 
 Evaluation is sparse: at any x only the <= 2^D bumps whose support contains
@@ -24,8 +26,8 @@ it keeps only the rows whose node lies in the grid, whose coefficient is
 nonzero and whose fold factors are all nonzero (any other row contributes
 c * 0 = +-0 exactly), groups the terms by fold length and runs one
 product-net pass per fold step over the rows of a group, in chunks of
-``_FOLD_ROWS``.  A lone row is padded to two, so every product is
-matrix-matrix and a point gets the same value alone as inside any batch.
+``_FOLD_ROWS``; ``ScalarNet.forward`` pads a lone row to two, so a point
+gets the same value alone as inside any batch.
 Each point's terms are added in the per-term order, candidate offset and
 then v, so the stacking changes no bit of the sum.
 """
@@ -36,7 +38,8 @@ from itertools import product as iter_product
 
 import numpy as np
 
-from .algebra import assemble_resnet, extend_cnn_depth, mlp_to_cnn, parallel_sum, restamp, widest
+from .algebra import assemble_resnet, extend_cnn_depth, first_filter, mlp_to_cnn
+from .algebra import parallel_sum, restamp, widest
 from .netcore import (
     BlockSupport,
     ConvResNetModel,
@@ -239,19 +242,16 @@ _FOLD_ROWS = 4096
 
 def _fold_rows(A, nets, tracker):
     """Fold along the columns of A: r = A[:, 0], then r = nets[s](r, A[:, s + 1])
-    for each step s, over _FOLD_ROWS rows at a time.  A lone row is padded to
-    two, so every product is matrix-matrix and a row's value does not depend
-    on the rows beside it."""
+    for each step s, over _FOLD_ROWS rows at a time."""
     out = np.empty(len(A))
     for a in range(0, len(A), _FOLD_ROWS):
-        chunk = out[a : a + _FOLD_ROWS]
-        rows = A[a : a + _FOLD_ROWS] if len(chunk) > 1 else np.repeat(A[a:], 2, axis=0)
+        rows = A[a : a + _FOLD_ROWS]
         run = rows[:, 0]
         for s, net in enumerate(nets, 1):
             if tracker is not None:
                 tracker[0] = max(tracker[0], float(np.max(np.abs(run))))
             run = net.forward(np.stack([run, rows[:, s]], axis=1))
-        chunk[:] = run[: len(chunk)]
+        out[a : a + _FOLD_ROWS] = run
     return out
 
 
@@ -362,37 +362,45 @@ class ConstructedApproximator:
 
 
 def _bump_terms(coeffs: SurrogateCoefficients, templates):
-    """(template, m, c_{m,v}) for every term phi_m x^v of the table, in (m, v)
-    order: the NodeTemplate of each v (``templates``, in the order of
-    coeffs.v_list), stamped at every node."""
+    """(net, first, m, c_{m,v}) for every term phi_m x^v of the table, in
+    (m, v) order: the net of v's NodeTemplate (``templates``, in the order of
+    coeffs.v_list) and its first layer at node m."""
     for m, row in zip(grid_nodes(coeffs.N, coeffs.dim).tolist(), coeffs.table):
         for template, c in zip(templates, row):
-            yield template, m, c
+            yield template.net, template.first(m), m, c
+
+
+def check_term_width(Jt, D, nets):
+    """A ConfigError when Jt is below the width of one term's CNN: mlp_to_cnn
+    keeps the widths of the term nets and gathers the input into 2D channels."""
+    width = max([2 * D] + [net.width for net in nets])
+    if Jt is not None and Jt < width:
+        raise ConfigError(f"Jt = {Jt} is below the width {width} of one term's network")
 
 
 def term_cnns(terms):
-    """The CNNs of ordered (NodeTemplate, m, c) terms, all of one depth.
+    """The CNNs of ordered (net, first, m, c) terms, all of one depth.
 
-    Each template is converted and deepened once.  A term's CNN shares every
-    layer with its template's except the one realizing the first layer of
-    the net, whose bias is stamped at node m when it moves, and the readout,
-    scaled by c."""
-    templates, members = {}, []
-    for template, m, c in terms:
-        if id(template) not in templates:  # the dict keeps the template alive
-            templates[id(template)] = (template, mlp_to_cnn(template.net))
-        members.append((id(template), m, c))
-    depth = max(cnn.depth for _, cnn in templates.values())
-    deep = {k: (t, extend_cnn_depth(cnn, depth)) for k, (t, cnn) in templates.items()}
-    cnns = []
-    for k, m, c in members:
-        template, cnn = deep[k]
-        cnns.append(restamp(cnn, template.bias(m) if any(m) else None, c))
-    return cnns
+    A term's net is ``net`` with its first layer replaced by first = (W, b).
+    Each distinct net is converted and deepened once, and each distinct W
+    realized once (``first_filter``).  A term's CNN shares every layer with
+    its net's but the one realizing the first layer, which takes the term's
+    W and b (``restamp``), and the readout, scaled by c."""
+    nets, filters, members = {}, {}, []
+    for net, (W, b), _, c in terms:
+        if id(net) not in nets:  # the dict keeps the net alive
+            nets[id(net)] = (net, mlp_to_cnn(net))
+        key = (W.shape, W.tobytes())
+        if key not in filters:
+            filters[key] = first_filter(W)
+        members.append((id(net), filters[key], b, c))
+    depth = max(cnn.depth for _, cnn in nets.values())
+    deep = {k: extend_cnn_depth(cnn, depth) for k, (_, cnn) in nets.items()}
+    return [restamp(deep[k], w, b, c) for k, w, b, c in members]
 
 
 def compile_terms(approx, terms, X, grid=None):
-    """Compile ordered (NodeTemplate, m, c) terms into approx.model: each term
+    """Compile ordered (net, first, m, c) terms into approx.model: each term
     a CNN with its readout scaled by c (``term_cnns``), one depth for all,
     grouped record["Jt"] channels wide (one term per block when None) and
     assembled; with a ``grid`` N, the model carries the BlockSupport whose
@@ -412,7 +420,7 @@ def compile_terms(approx, terms, X, grid=None):
         groups = parallel_sum(cnns, width)
         if grid is not None:  # block b packs the k terms from b * k on
             k = width // J0
-            nodes = [sorted({tuple(m) for _, m, _ in terms[a : a + k]}) for a in range(0, len(terms), k)]
+            nodes = [sorted({tuple(m) for _, _, m, _ in terms[a : a + k]}) for a in range(0, len(terms), k)]
             support = BlockSupport(grid, [np.array(a) for a in nodes])
         model = assemble_resnet(groups, support)
     else:
@@ -468,10 +476,7 @@ def build_euclidean(
     if compile_model:
         v_list = multi_indices(D, alpha - 1)
         templates = [monomial_bump_template(v, N, times) for v in v_list]
-        # mlp_to_cnn keeps the net's widths and gathers the input into 2D channels
-        width = max([2 * D] + [t.net.width for t in templates])
-        if Jt is not None and Jt < width:
-            raise ConfigError(f"Jt = {Jt} is below the width {width} of one term's network")
+        check_term_width(Jt, D, [t.net for t in templates])
     coeffs = taylor_coeffs(f, N)
     record = {
         "N": N,

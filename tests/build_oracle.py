@@ -9,6 +9,11 @@ templates and the shared-layer model are compared against, and
 ``laid_product2`` keep the square and product nets as they were once laid
 out by hand, block by block, before they were put together from the
 ``scalarnets`` combinators.
+
+The manifold build once made every chart term's net whole, the chart map
+and the chart's squared-distance net folded in term by term;
+``direct_manifold_nets`` keeps that construction as the oracle of the
+terms that share their monomial's net in every layer but the first.
 """
 
 import math
@@ -24,9 +29,25 @@ from sobolev_forge.scalarnets import (
     product_depth,
     sn_affine,
     sn_chain,
+    sn_input_affine,
+    sn_parallel,
     square_depth,
 )
 from sobolev_forge.taylor import grid_nodes
+
+
+def assert_same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape and np.array_equal(a, b)
+    assert a.tobytes() == b.tobytes()  # the sign of every zero too
+
+
+def assert_same_layers(got, want):
+    """Equal (weight or filter, bias) layers, bit for bit."""
+    assert len(got) == len(want)
+    for (fa, ba), (fb, bb) in zip(got, want):
+        assert_same_bits(getattr(fa, "entries", fa), getattr(fb, "entries", fb))
+        assert_same_bits(ba, bb)
 
 
 def chained_pad(f, depth):
@@ -119,6 +140,30 @@ def direct_nets(coeffs, eta, box):
         for m, row in zip(grid_nodes(coeffs.N, coeffs.dim).tolist(), coeffs.table)
         for v, c in zip(coeffs.v_list, row)
     ]
+
+
+def direct_manifold_nets(ap):
+    """(m, v, net, c_{m,v}) for every term of the ManifoldApproximator ``ap``
+    with c != 0, chart by chart and in (m, v) order within a chart: the net
+    on the ambient space times_delta(g(phi_i(x)), indicator_i(x)), with g
+    built at node m and read through chart i's map, and chart i's
+    squared-distance net before the indicator."""
+    atlas, coeffs = ap.atlas, ap.coeffs
+    cols = list(range(atlas.manifold.ambient_dim))
+    (W_sq, _), *rest = ap.sqdist_net.layers
+    tables = coeffs.table.reshape(atlas.chart_count, -1, len(coeffs.v_list))
+    nets = []
+    for center, frame, table, bias in zip(atlas.centers, atlas.frames, tables, ap.sqdist_biases):
+        A = atlas.scale * frame.T
+        cvec = atlas.shift - A @ center
+        ind_chain = sn_chain(ScalarNet([(W_sq, bias)] + rest), ap.indicator_net)
+        for m, row in zip(grid_nodes(coeffs.N, coeffs.dim).tolist(), table):
+            for v, c in zip(coeffs.v_list, row):
+                if c != 0.0:
+                    g_x = sn_input_affine(build_monomial_bump(m, v, coeffs.N, ap.times_eta), A, cvec)
+                    pair = sn_parallel([(g_x, cols), (ind_chain, cols)])
+                    nets.append((m, v, sn_chain(pair, ap.times_delta), c))
+    return nets
 
 
 def direct_term_cnns(nets):

@@ -58,11 +58,15 @@ def plain_forward(net, X):
     return x[:, 0] if x.shape[1] == 1 else x
 
 
+def padded_forward(net, X):
+    """plain_forward with a lone row padded to two, as ScalarNet.forward
+    pads it, since a one-row product takes another BLAS path."""
+    return plain_forward(net, np.repeat(X, 2, axis=0) if len(X) == 1 else X)[: len(X)]
+
+
 def _forward2(net, a, b):
-    """net over the rows (a, b); a lone row is padded to two, as the
-    evaluator pads it, since a one-row product takes another BLAS path."""
-    rows = np.stack([a, b], axis=1)
-    return plain_forward(net, np.repeat(rows, 2, axis=0) if len(rows) == 1 else rows)[: len(rows)]
+    """net over the rows (a, b)."""
+    return padded_forward(net, np.stack([a, b], axis=1))
 
 
 def _sum_terms(coeffs, X, times, term_value):

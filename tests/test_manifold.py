@@ -6,11 +6,18 @@ from unittest import mock
 import numpy as np
 import pytest
 from boundary_oracle import chart_boundary_oracle
+from build_oracle import (
+    assert_same_bits,
+    assert_same_layers,
+    direct_manifold_nets,
+    direct_model,
+    direct_term_cnns,
+)
 from coeff_oracle import chart_coefficients_oracle, per_point_pullback
 from fold_oracle import chart_sum_oracle, per_chart_eval_oracle
 from hypothesis import example, given, settings, strategies as st
 
-from sobolev_forge import manifold
+from sobolev_forge import manifold, taylor
 from sobolev_forge.manifold import (
     ChartError,
     IndicatorParams,
@@ -25,7 +32,10 @@ from sobolev_forge.manifold import (
     sphere_manifold,
     torus_manifold,
 )
+from sobolev_forge.netcore import audit_class
+from sobolev_forge.scalarnets import ScalarNet
 from sobolev_forge.targets import get_manifold_target
+from sobolev_forge.taylor import CompileEqualityError, ConfigError
 
 
 @pytest.fixture(scope="module")
@@ -338,6 +348,83 @@ def test_a_compiled_manifold_model_holds_only_live_terms(circle_sin):
         assert (nonzero > 0) == live
         assert len(ap.model.blocks) == ap.record["terms"] == nonzero
     assert np.all(ap.model_eval(pts) == 0.0)
+
+
+@pytest.mark.parametrize("D", [3, 6])
+def test_compiled_chart_terms_equal_the_per_term_oracle(D, monkeypatch):
+    """Each chart term is its monomial's net with its own first layer: with
+    that layer its net is the per-term net bit for bit, and the model equals
+    the per-term build's.  mlp_to_cnn runs once per v.  In R^6 the CNNs
+    have 5 gather layers before the restamped one."""
+    mspec, target = get_manifold_target("circle-sin", D)
+    atlas = build_atlas(mspec, 0.2, sample_count=1024)
+    compile_terms, terms = manifold.compile_terms, []
+
+    def keep(approx, stream, X):
+        terms[:] = stream
+        return compile_terms(approx, terms, X)
+
+    monkeypatch.setattr(manifold, "compile_terms", keep)
+    for N in (4, 8):
+        with mock.patch.object(taylor, "mlp_to_cnn", wraps=taylor.mlp_to_cnn) as convert:
+            ap = build_manifold_approx(target, mspec, N=N, atlas=atlas, compile_model=True)
+        assert convert.call_count == len(ap.coeffs.v_list)
+        nets = direct_manifold_nets(ap)
+        assert len(nets) == np.count_nonzero(ap.coeffs.table) > 0
+        for (net, first, m, c), (m_direct, _, direct, c_direct) in zip(terms, nets, strict=True):
+            assert m == m_direct and c == c_direct
+            assert_same_layers([first] + net.layers[1:], direct.layers)
+        model = direct_model(direct_term_cnns(nets), ap.record["Jt"])
+        assert len(ap.model.blocks) == len(model.blocks)
+        for got, blk in zip(ap.model.blocks, model.blocks):
+            assert_same_layers(list(zip(got.filters, got.biases)), list(zip(blk.filters, blk.biases)))
+        assert_same_bits(ap.model.fc_weight, model.fc_weight)
+        assert ap.model.fc_bias == model.fc_bias
+        assert ap.class_params == audit_class(model)
+
+
+def test_a_manifold_jt_below_one_terms_width_is_a_config_error(circle_sin):
+    """Jt equal to the width of one term's CNN builds; one less is rejected
+    before the chart coefficients are computed."""
+    mspec, target = circle_sin
+    atlas = build_atlas(mspec, 0.2, sample_count=1024)
+    build = lambda Jt: build_manifold_approx(target, mspec, N=4, Jt=Jt, atlas=atlas, compile_model=True)
+    width = build(None).record["Jt"]
+    assert build(width).record["Jt"] == width
+    with mock.patch.object(manifold, "chart_coefficients") as coefficients:
+        with pytest.raises(ConfigError, match=f"Jt = {width - 1} is below the width {width} "):
+            build(width - 1)
+    coefficients.assert_not_called()
+
+
+def test_build_fails_when_a_charts_compiled_indicator_misses_its_chart(circle_sin, monkeypatch):
+    """The compile gate sees one chart whose compiled squared-distance net
+    measures from a point 2 r away from the chart's center, in every term of
+    the chart, so its compiled indicator reads 0 on the chart: the chart
+    nearest the build's first check point, which lies in the chart's center
+    bump."""
+    mspec, target = circle_sin
+    atlas = build_atlas(mspec, 0.2, sample_count=1024)
+    build = lambda: build_manifold_approx(target, mspec, N=4, atlas=atlas, compile_model=True)
+    assert build().record["compile_gap"] <= 1e-8
+    pts = mspec.sample_points(997)
+    first = pts[np.random.default_rng(0).choice(len(pts), 30, replace=False)[0]]
+    k = int(np.argmin(np.linalg.norm(atlas.centers - first, axis=1)))
+    assert np.linalg.norm(atlas.centers[k] - first) < atlas.r_tilde
+    shift = 2.0 * atlas.r * np.ones(mspec.ambient_dim) / math.sqrt(mspec.ambient_dim)
+    chart_pair, moved = manifold._chart_pair, []
+
+    def moved_center(atlas, i, g, h):
+        if i == k:  # the first-layer bias of the center moved by shift
+            (W, b), *rest = h.layers
+            h = ScalarNet([(W, b - W @ shift)] + rest)
+            moved.append(i)
+        return chart_pair(atlas, i, g, h)
+
+    monkeypatch.setattr(manifold, "_chart_pair", moved_center)
+    with pytest.raises(CompileEqualityError, match="deviates from functional path"):
+        build()
+    assert moved
 
 
 @pytest.fixture(scope="module")

@@ -299,12 +299,12 @@ def test_build_fails_when_a_stamped_bias_entry_is_off_by_one(monkeypatch):
     # whose first layer is stamped wrong: the 16th term, node (1, 1), v = (0, 0)
     restamp, calls = taylor.restamp, []
 
-    def off_by_one(cnn, bias, scale):
+    def off_by_one(cnn, w, bias, scale):
         calls.append(1)
         if len(calls) == 16:
             bias = bias.copy()
             bias[0] += 1.0
-        return restamp(cnn, bias, scale)
+        return restamp(cnn, w, bias, scale)
 
     monkeypatch.setattr(taylor, "restamp", off_by_one)
     with pytest.raises(CompileEqualityError, match="deviates from functional path"):

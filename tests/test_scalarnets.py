@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from build_oracle import chained_pad, laid_product2, laid_square
-from fold_oracle import plain_forward
+from fold_oracle import padded_forward
 from sobolev_forge.netcore import ShapeError
 from sobolev_forge.scalarnets import (
     ScalarNet,
@@ -220,14 +220,14 @@ def _net_and_inputs(kind, eta, B, n, rng):
     st.one_of(st.integers(1, 40), st.sampled_from([_FOLD_ROWS, _FOLD_ROWS + 1, 5000])),
     st.integers(0, 2**32 - 1),
 )
-@example("product", 1.0 / 256, 6.0, 1, 0)  # a lone row takes the matrix-vector product
+@example("product", 1.0 / 256, 6.0, 1, 0)  # a lone row is padded to two
 @example("monomial-bump", 1.0 / 16, 3.0, 2, 0)
 def test_forward_equals_the_plain_layer_loop(kind, eta, B, n, seed):
     """ScalarNet.forward, with its weight copies and in-place biases, gives
     the bits of relu(x @ w.T + b) per layer on the layers as built, from
-    one row to more than a fold chunk."""
+    one row, padded to two, to more than a fold chunk."""
     net, X = _net_and_inputs(kind, eta, B, n, np.random.default_rng(seed))
-    assert np.array_equal(net.forward(X), plain_forward(net, X))
+    assert np.array_equal(net.forward(X), padded_forward(net, X))
 
 
 def _same_layers(got, want):

@@ -5,7 +5,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from build_oracle import direct_model, direct_nets, direct_term_cnns
+from build_oracle import (
+    assert_same_bits,
+    assert_same_layers,
+    direct_model,
+    direct_nets,
+    direct_term_cnns,
+)
 from fold_oracle import eval_oracle, max_intermediate_oracle
 from forward_oracle import fd_consistency
 from hypothesis import given, settings, strategies as st
@@ -315,19 +321,6 @@ _TEMPLATE_CASES = [(D, a, N) for D in (1, 2) for a in (2, 3) for N in range(2, 9
 ]
 
 
-def _assert_same_bits(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    assert a.shape == b.shape and np.array_equal(a, b)
-    assert a.tobytes() == b.tobytes()  # the sign of every zero too
-
-
-def _assert_same_layers(got, want):
-    assert len(got) == len(want)
-    for (fa, ba), (fb, bb) in zip(got, want):
-        _assert_same_bits(getattr(fa, "entries", fa), getattr(fb, "entries", fb))
-        _assert_same_bits(ba, bb)
-
-
 @pytest.mark.parametrize("D", [1, 2, 3])
 def test_jt_below_one_terms_width_is_a_config_error(D):
     """The width check before the build agrees with the width parallel_sum
@@ -350,21 +343,21 @@ def test_stamped_build_equals_the_per_term_oracle(case, Jt):
     nets = direct_nets(ap.coeffs, ap.eta, ap.record["box"])
     templates = [monomial_bump_template(v, N, ap.times_net) for v in ap.coeffs.v_list]
     terms = list(_bump_terms(ap.coeffs, templates))
-    for (template, m, c), (m_direct, _, net, c_direct) in zip(terms, nets, strict=True):
+    for (net, first, m, c), (m_direct, _, direct, c_direct) in zip(terms, nets, strict=True):
         assert m == m_direct and c == c_direct
-        _assert_same_layers(template.at(m).layers, net.layers)
+        assert_same_layers([first] + net.layers[1:], direct.layers)
 
     want = direct_term_cnns(nets)
     for got, cnn in zip(term_cnns(terms), want, strict=True):
-        _assert_same_layers(got.conv_stack, cnn.conv_stack)
-        _assert_same_bits(got.fc_weight, cnn.fc_weight)
+        assert_same_layers(got.conv_stack, cnn.conv_stack)
+        assert_same_bits(got.fc_weight, cnn.fc_weight)
         assert got.fc_bias == cnn.fc_bias
 
     model = direct_model(want, ap.record["Jt"])
     assert len(ap.model.blocks) == len(model.blocks)
     for got, blk in zip(ap.model.blocks, model.blocks):
-        _assert_same_layers(list(zip(got.filters, got.biases)), list(zip(blk.filters, blk.biases)))
-    _assert_same_bits(ap.model.fc_weight, model.fc_weight)
+        assert_same_layers(list(zip(got.filters, got.biases)), list(zip(blk.filters, blk.biases)))
+    assert_same_bits(ap.model.fc_weight, model.fc_weight)
     assert ap.model.fc_bias == model.fc_bias
     assert ap.class_params == audit_class(model)
 
