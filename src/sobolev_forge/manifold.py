@@ -1,13 +1,16 @@
-"""Parametric manifold kit, atlas construction, chart calculus, squared-
-distance and chart-indicator networks, the manifold compile pipeline, and the
-chart-based W^{k,inf} error metric.
+"""Manifold kit, atlas construction, chart calculus, squared-distance and
+chart-indicator networks, the manifold compile pipeline, and the chart-based
+W^{k,inf} error metric.
 
 The atlas is arrays.  Chart i is phi_i(x) = a V_i^T (x - c_i) + b, and every
 chart shares a = 1/(2r) and b = 1/2; so an ``Atlas`` holds the (charts, D)
 stack of centers c_i, the (charts, D, d) stack of orthonormal frames V_i and
 r.  Every atlas step takes one chart per row: ``Atlas.project`` puts row t
 into chart charts[t], and ``chart_invert(atlas, charts, Z)`` inverts all
-rows, whatever their charts, in one call.
+rows, whatever their charts, in one call through the kit's analytic
+``chart_solver``.  The charts are all the pipeline reads of a manifold: the
+parametrization only samples it, and the chart boundaries are bisected along
+chart-coordinate rays.
 
 The pipeline mirrors the Euclidean one on every chart: pull the target back
 through each chart, approximate each pullback on [0,1]^d with
@@ -48,7 +51,6 @@ atlas at r = 0.2 (c2 = 0.4), so not at N = 4, 8 or 16.
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -77,8 +79,8 @@ from .taylor import (
 
 
 class ChartError(RuntimeError):
-    """A chart radius out of range, a covering failure, or a boundary ray
-    without a bracket."""
+    """A chart radius out of range, a covering failure, a point outside every
+    inner ball, or an intrinsic dimension without boundary rays."""
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +90,8 @@ class ChartError(RuntimeError):
 
 @dataclass
 class ManifoldSpec:
-    """Parametric manifold with analytic reach, area, and tangent spaces."""
+    """Parametric manifold with analytic reach, area, tangent spaces and
+    chart inversion."""
 
     name: str
     intrinsic_dim: int
@@ -98,14 +101,22 @@ class ManifoldSpec:
     surface_area: float
     embed: callable  # (n, d) params -> (n, D) ambient
     tangent_basis: callable  # (D,) point on M -> (D, d) orthonormal columns
-    param_of_point: callable  # (D,) -> (d,) parameter
     param_samples: callable  # count -> (n, d) dense deterministic parameters
-    # optional analytic inversion (Z, centers, frames, scale, shift) -> (X, ok):
-    # row t of the (n, d) Z in the chart of centers[t] and frames[t]
-    chart_solver: callable = None
+    # analytic inversion (Z, centers, frames, scale, shift) -> (X, ok): row t
+    # of the (n, d) Z in the chart of centers[t] and frames[t], and the rows
+    # in the solver's domain
+    chart_solver: callable
 
     def sample_points(self, count):
         return self.embed(self.param_samples(count))
+
+
+def _round_lift(Q, C, R, q2):
+    """Points of the round sphere |x| = R over the tangent offsets Q at its
+    points C, q2 the offsets' squared lengths: x = q + c sqrt(R^2 - q2) / R,
+    and the rows with R^2 - q2 >= 0.  Every step acts row by row."""
+    h2 = R * R - q2
+    return Q + C * np.sqrt(np.maximum(h2, 0.0))[:, None] / R, h2 >= 0
 
 
 def _rotation(D, seed=7):
@@ -128,22 +139,14 @@ def circle_manifold(ambient_dim=3, radius=1.0) -> ManifoldSpec:
         t = -s0 * e0 + c * e1
         return t[:, None]
 
-    def param_of(x):
-        return np.array([math.atan2(float(x @ e1), float(x @ e0))])
-
     def samples(count):
         return np.linspace(0.0, 2 * math.pi, count, endpoint=False)[:, None]
 
     def solver(Z, C, V, scale, shift):
-        # in-plane: x = V p + (c/R) sqrt(R^2 - p^2), p the tangent coordinate
-        P = (Z[:, 0] - shift) / scale
-        height = np.sqrt(np.maximum(R * R - P * P, 0.0))
-        X = V[:, :, 0] * P[:, None] + C * height[:, None] / R
-        return X, np.abs(P) <= R
+        P = (Z[:, 0] - shift) / scale  # the tangent coordinate
+        return _round_lift(V[:, :, 0] * P[:, None], C, R, P * P)
 
-    return ManifoldSpec(
-        "circle", 1, D, R, R, 2 * math.pi * R, embed, tangent, param_of, samples, solver
-    )
+    return ManifoldSpec("circle", 1, D, R, R, 2 * math.pi * R, embed, tangent, samples, solver)
 
 
 def sphere_manifold(radius=1.0) -> ManifoldSpec:
@@ -165,10 +168,6 @@ def sphere_manifold(radius=1.0) -> ManifoldSpec:
         t2 = np.cross(n, t1)
         return np.stack([t1, t2], axis=1)
 
-    def param_of(x):
-        r = np.linalg.norm(x)
-        return np.array([math.acos(np.clip(x[2] / r, -1, 1)), math.atan2(x[1], x[0])])
-
     def samples(count):
         # Fibonacci sphere: near-uniform deterministic coverage
         i = np.arange(count) + 0.5
@@ -178,19 +177,15 @@ def sphere_manifold(radius=1.0) -> ManifoldSpec:
 
     def solver(Z, C, V, scale, shift):
         P = (Z - shift) / scale
-        q2 = R * R - _row_dots(P, P)
         # stacked per-row products: each row rounds as a one-point solve does
-        X = np.matmul(V, P[:, :, None])[:, :, 0]
-        X = X + C * np.sqrt(np.maximum(q2, 0.0))[:, None] / R
-        return X, q2 >= 0
+        return _round_lift(np.matmul(V, P[:, :, None])[:, :, 0], C, R, _row_dots(P, P))
 
-    return ManifoldSpec(
-        "sphere", 2, 3, R, R, 4 * math.pi * R * R, embed, tangent, param_of, samples, solver
-    )
+    return ManifoldSpec("sphere", 2, 3, R, R, 4 * math.pi * R * R, embed, tangent, samples, solver)
 
 
 def torus_manifold(r1=None, r2=None) -> ManifoldSpec:
-    """Flat 2-torus in R^4; reach = min(r1, r2)."""
+    """Flat 2-torus in R^4, the product of circles of radii r1 and r2 in the
+    planes of coordinates (0, 1) and (2, 3); reach = min(r1, r2)."""
     r1 = r1 if r1 is not None else 1.0 / math.sqrt(2.0)
     r2 = r2 if r2 is not None else 1.0 / math.sqrt(2.0)
 
@@ -204,27 +199,23 @@ def torus_manifold(r1=None, r2=None) -> ManifoldSpec:
         t2 = np.array([0.0, 0.0, -x[3], x[2]]) / math.hypot(x[2], x[3])
         return np.stack([t1, t2], axis=1)
 
-    def param_of(x):
-        return np.array([math.atan2(x[1], x[0]), math.atan2(x[3], x[2])])
-
     def samples(count):
         n = max(2, int(math.sqrt(count)))
         ax = np.linspace(0, 2 * math.pi, n, endpoint=False)
         uu, vv = np.meshgrid(ax, ax, indexing="ij")
         return np.stack([uu.ravel(), vv.ravel()], axis=1)
 
+    def solver(Z, C, V, scale, shift):
+        # frame column k lies in plane k, so the offset V p splits into one
+        # circle solve per plane, each on that plane's part of the offset
+        Q = np.matmul(V, ((Z - shift) / scale)[:, :, None])[:, :, 0]
+        lifts = [_round_lift(Q[:, k], C[:, k], R, _row_dots(Q[:, k], Q[:, k]))
+                 for k, R in ((slice(0, 2), r1), (slice(2, 4), r2))]
+        return np.hstack([X for X, _ in lifts]), lifts[0][1] & lifts[1][1]
+
     return ManifoldSpec(
-        "torus",
-        2,
-        4,
-        min(r1, r2),
-        max(r1, r2),
-        4 * math.pi * math.pi * r1 * r2,
-        embed,
-        tangent,
-        param_of,
-        samples,
-        None,
+        "torus", 2, 4, min(r1, r2), max(r1, r2), 4 * math.pi * math.pi * r1 * r2,
+        embed, tangent, samples, solver,
     )
 
 
@@ -257,11 +248,6 @@ class Atlas:
     @property
     def chart_count(self):
         return len(self.centers)
-
-    @cached_property
-    def params(self):
-        """(charts, d) stack of the parameters of the chart centers."""
-        return np.array([self.manifold.param_of_point(c) for c in self.centers])
 
     def project(self, charts, X):
         """Row t of X in the coordinates of chart charts[t], as a one-row
@@ -321,46 +307,14 @@ def build_atlas(m: ManifoldSpec, r: float, sample_count=4096, spacing_factor=0.4
 def chart_invert(atlas: Atlas, charts, Z):
     """Manifold points X with phi_i(X[t]) = Z[t], i = charts[t], row by row,
     and the mask of rows that have one: residual <= 1e-8 and the point in
-    the chart ball (other rows of X are nan).  Analytic when the kit
-    provides a solver, Newton otherwise."""
+    the chart ball (other rows of X are nan), by the kit's analytic solver."""
     Z, charts = np.atleast_2d(np.asarray(Z, dtype=np.float64)), np.asarray(charts)
-    m, C = atlas.manifold, atlas.centers[charts]
-    if m.chart_solver is not None:
-        X, ok = m.chart_solver(Z, C, atlas.frames[charts], atlas.scale, atlas.shift)
-    else:
-        X, ok = _newton_invert(atlas, charts, Z)
+    C = atlas.centers[charts]
+    X, ok = atlas.manifold.chart_solver(Z, C, atlas.frames[charts], atlas.scale, atlas.shift)
     gap = np.max(np.abs(atlas.project(charts, X) - Z), axis=1)
     ok &= (gap <= 1e-8) & (_row_norms(X - C) <= atlas.r * (1 + 1e-6))
     X[~ok] = np.nan
     return X, ok
-
-
-def _newton_invert(atlas, charts, Z):
-    """Newton on the parametrization for all rows together, each row started
-    at its chart center's parameter; a row stops once its residual is below
-    1e-13, and a non-finite residual or a singular Jacobian fails only its
-    row."""
-    m, d = atlas.manifold, Z.shape[1]
-    U = atlas.params[charts]
-    ok, live, h = np.ones(len(Z), dtype=bool), np.arange(len(Z)), 1e-6
-
-    def phi(V):
-        return atlas.project(charts[live], m.embed(V))
-
-    for _ in range(60):
-        res = phi(U[live]) - Z[live]
-        err = np.max(np.abs(res), axis=1)
-        ok[live[~np.isfinite(err)]] = False
-        going = np.isfinite(err) & (err >= 1e-13)
-        live, res = live[going], res[going]
-        if not live.size:
-            break
-        J = np.stack([(phi(U[live] + e) - phi(U[live] - e)) / (2 * h) for e in h * np.eye(d)], 2)
-        solved = np.linalg.det(J) != 0.0  # 0 exactly when solve()'s LU has a zero pivot
-        ok[live[~solved]] = False
-        live, J, res = live[solved], J[solved], res[solved]
-        U[live] -= np.linalg.solve(J, res[:, :, None])[:, :, 0]
-    return m.embed(U), ok
 
 
 def rho_weights(atlas: Atlas, x) -> np.ndarray:
@@ -524,11 +478,14 @@ def chart_boundary_data(atlas: Atlas, Delta: float, n_dirs=32):
     rays, d) array, and each chart's chart-coordinate width of the indicator
     transition band {r^2 - Delta <= d^2 <= r^2}, as a (charts,) array.
 
-    Boundary points are found by bisection along parameter-space rays from
-    each chart center: 2 rays for d = 1, n_dirs for d = 2; a ChartError for
-    d >= 3, which no kit manifold has.  The rays of all charts are bisected
-    in one pass; a ray's bracket and halvings depend on that ray alone, so
-    each chart's points are those of a bisection of its rays by themselves.
+    Boundary points are found by bisection along chart-coordinate rays
+    z = 1/2 + t u, t in [0, 1/2], through the kit's solver: 2 rays for
+    d = 1, n_dirs for d = 2; a ChartError for d >= 3, which no kit manifold
+    has.  The bracket holds for every ray: at t = 1/2, |x - c| >=
+    |V^T (x - c)| = r, and a row outside the solver's domain counts as
+    outside the ball.  The rays of all charts are bisected in one pass; a
+    ray's halvings depend on that ray alone, so each chart's points are
+    those of a bisection of its rays by themselves.
     """
     m = atlas.manifold
     d = m.intrinsic_dim
@@ -545,28 +502,20 @@ def chart_boundary_data(atlas: Atlas, Delta: float, n_dirs=32):
     per_chart, charts, r = 2 * len(dirs), atlas.chart_count, atlas.r
     rays = np.tile(np.concatenate([dirs, dirs]), (charts, 1))
     owner = np.repeat(np.arange(charts), per_chart)
-    u0, centers = atlas.params[owner], atlas.centers[owner]
+    C, V = atlas.centers[owner], atlas.frames[owner]
     target = np.tile(np.repeat([r, math.sqrt(max(r * r - Delta, 0.0))], len(dirs)), charts)
 
-    def g(T):
-        return _row_norms(m.embed(u0 + T[:, None] * rays) - centers) - target
+    def outside(T):
+        X, ok = m.chart_solver(atlas.shift + T[:, None] * rays, C, V, atlas.scale, atlas.shift)
+        return ~ok | (_row_norms(X - C) > target)
 
-    t_hi = np.full(len(rays), 1e-3)
-    for _ in range(60):
-        short = ~(g(t_hi) > 0)
-        if not short.any():
-            break
-        t_hi = np.where(short, t_hi * 1.7, t_hi)
-    else:
-        raise ChartError("no boundary bracket along direction")
-    t_lo = np.zeros(len(rays))
-    for _ in range(80):
+    t_lo, t_hi = np.zeros(len(rays)), np.full(len(rays), 0.5)
+    for _ in range(60):  # a bracket 2^-61 wide, finer than the floats near t in [1/4, 1/2]
         mid = 0.5 * (t_lo + t_hi)
-        above = g(mid) > 0
+        above = outside(mid)
         t_hi = np.where(above, mid, t_hi)
         t_lo = np.where(above, t_lo, mid)
-    Xb = m.embed(u0 + (0.5 * (t_lo + t_hi))[:, None] * rays)
-    Zb = atlas.project(owner, Xb).reshape(charts, per_chart, -1)
+    Zb = (atlas.shift + (0.5 * (t_lo + t_hi))[:, None] * rays).reshape(charts, per_chart, -1)
     z_outer, z_inner = Zb[:, : len(dirs)], Zb[:, len(dirs) :]
     return z_outer, np.max(np.abs(z_outer - z_inner), axis=(1, 2))
 
@@ -719,8 +668,8 @@ def build_manifold_approx(
     """Compile a target on M into the chart-sum approximator.
 
     Resolution N = floor((Mt*Jt)^(1/d)) unless given directly; the ramp
-    width is Delta = r^2/(4N).  The atlas caches its centers' parameters,
-    so pass one atlas to every N of a study.
+    width is Delta = r^2/(4N).  A study passes one atlas to every N, so
+    its covering is built once.
     """
     d, D = mspec.intrinsic_dim, mspec.ambient_dim
     alpha = getattr(f_on_M, "order", 2)

@@ -13,9 +13,9 @@ from sobolev_forge.manifold import ChartError, _row_norms
 
 
 def chart_boundary_oracle(atlas, i, Delta, n_dirs=32):
-    """(z_outer, band_width) of chart i, its rays bisected by themselves."""
+    """(z_outer, band_width) of chart i, its chart-coordinate rays z = 1/2 +
+    t u bisected by themselves over t in [0, 1/2]."""
     m = atlas.manifold
-    center, r = atlas.centers[i], atlas.r
     d = m.intrinsic_dim
     if d == 1:
         dirs = np.array([[1.0], [-1.0]])
@@ -24,27 +24,21 @@ def chart_boundary_oracle(atlas, i, Delta, n_dirs=32):
         dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
     else:
         raise ChartError(f"no boundary rays for intrinsic dimension {d}")
-    u0 = m.param_of_point(center)
     rays = np.concatenate([dirs, dirs])
-    target = np.repeat([r, math.sqrt(max(r * r - Delta, 0.0))], len(dirs))
+    C = np.repeat(atlas.centers[i : i + 1], len(rays), axis=0)
+    V = np.repeat(atlas.frames[i : i + 1], len(rays), axis=0)
+    target = np.repeat([atlas.r, math.sqrt(max(atlas.r**2 - Delta, 0.0))], len(dirs))
 
-    def g(T):
-        return _row_norms(m.embed(u0 + T[:, None] * rays) - center) - target
+    def outside(T):
+        X, ok = m.chart_solver(atlas.shift + T[:, None] * rays, C, V, atlas.scale, atlas.shift)
+        return ~ok | (_row_norms(X - C) > target)
 
-    t_hi = np.full(len(rays), 1e-3)
+    t_lo, t_hi = np.zeros(len(rays)), np.full(len(rays), 0.5)
     for _ in range(60):
-        short = ~(g(t_hi) > 0)
-        if not short.any():
-            break
-        t_hi = np.where(short, t_hi * 1.7, t_hi)
-    else:
-        raise ChartError("no boundary bracket along direction")
-    t_lo = np.zeros(len(rays))
-    for _ in range(80):
         mid = 0.5 * (t_lo + t_hi)
-        above = g(mid) > 0
+        above = outside(mid)
         t_hi = np.where(above, mid, t_hi)
         t_lo = np.where(above, t_lo, mid)
-    Zb = atlas.project(np.full(len(rays), i), m.embed(u0 + (0.5 * (t_lo + t_hi))[:, None] * rays))
+    Zb = atlas.shift + (0.5 * (t_lo + t_hi))[:, None] * rays
     z_outer, z_inner = Zb[: len(dirs)], Zb[len(dirs) :]
     return z_outer, float(np.max(np.abs(z_outer - z_inner)))

@@ -49,6 +49,23 @@ def atlas(circle):
 
 
 @pytest.fixture(scope="module")
+def sphere_atlas():
+    return build_atlas(sphere_manifold(), 0.24, sample_count=2400)
+
+
+@pytest.fixture(scope="module")
+def torus_atlas():
+    return build_atlas(torus_manifold(), 0.16, sample_count=256)
+
+
+@pytest.fixture(scope="module")
+def atlases(atlas, sphere_atlas, torus_atlas):
+    # the uneven torus tells its two circle solves apart
+    uneven = build_atlas(torus_manifold(0.6, 0.9), 0.14, sample_count=256)
+    return {"circle": atlas, "sphere": sphere_atlas, "torus": torus_atlas, "uneven-torus": uneven}
+
+
+@pytest.fixture(scope="module")
 def circle_sin():
     m, t = get_manifold_target("circle-sin")
     return m, t
@@ -65,6 +82,19 @@ def test_atlas_radius_guard():
     sphere = sphere_manifold()
     with pytest.raises(ChartError, match="reach"):
         build_atlas(sphere, 0.3)  # reach 1 demands r < 0.25
+
+
+@pytest.mark.parametrize("spacing_factor", [0.55, 0.6])
+def test_atlas_with_a_gap_between_centers_is_a_covering_failure(circle, spacing_factor):
+    """First-fit centers spaced 0.55 r or 0.6 r apart leave a sample at r/2
+    or more from every center on the R^3 circle (0.5 and 0.8 do not)."""
+    with pytest.raises(ChartError, match="covering failure"):
+        build_atlas(circle, 0.2, spacing_factor=spacing_factor)
+
+
+def test_rho_weights_reject_a_point_outside_every_inner_ball(atlas):
+    with pytest.raises(ChartError, match="point not covered by any inner ball"):
+        rho_weights(atlas, [[0.0, 0.0, 0.0]])
 
 
 def test_atlas_chart_count_bound(circle, atlas):
@@ -94,9 +124,10 @@ def test_chart_project_center_and_contraction(circle, atlas, rng):
 
 def test_chart_project_circle_formula(circle, atlas):
     """Near the center the tangent coordinate is sin(dt)/(2r) + 1/2."""
-    t0 = circle.param_of_point(atlas.centers[0])[0]
+    # first-fit takes the first sample, parameter 0, as center 0
+    assert np.array_equal(atlas.centers[0], circle.embed(np.zeros((1, 1)))[0])
     for dt in (0.01, -0.02, 0.05):
-        x = circle.embed(np.array([[t0 + dt]]))
+        x = circle.embed(np.array([[dt]]))
         z = atlas.project([0], x)[0, 0]
         assert z == pytest.approx(0.5 + math.sin(dt) / (2 * atlas.r), abs=1e-12)
 
@@ -116,13 +147,17 @@ def test_chart_invert_center(circle, atlas):
     assert ok[0] and np.max(np.abs(X[0] - atlas.centers[1])) <= 1e-10
 
 
-def test_chart_invert_analytic_vs_newton(circle, atlas):
-    generic = dataclasses.replace(atlas, manifold=dataclasses.replace(circle, chart_solver=None))
-    Z = np.array([[0.31], [0.5], [0.77]])
-    Xa, ok_a = chart_invert(atlas, [5, 5, 5], Z)
-    Xn, ok_n = chart_invert(generic, [5, 5, 5], Z)
-    assert ok_a.all() and ok_n.all()
-    assert np.max(np.abs(Xa - Xn)) <= 1e-10
+@pytest.mark.parametrize("kit", ["circle", "sphere", "torus", "uneven-torus"])
+def test_chart_invert_recovers_manifold_points(kit, atlases):
+    """Every sampled point within 0.95 r of a center, projected into that
+    center's chart, inverts back to itself."""
+    at = atlases[kit]
+    pts = at.manifold.sample_points(4000)
+    points, charts = np.nonzero(manifold._sqdist(pts, at.centers) < (0.95 * at.r) ** 2)
+    assert len(np.unique(charts)) == at.chart_count
+    X, ok = chart_invert(at, charts, at.project(charts, pts[points]))
+    assert ok.all()
+    assert np.max(np.abs(X - pts[points])) <= 1e-12
 
 
 def test_rho_weights_sum_and_support(circle, atlas, rng):
@@ -276,11 +311,11 @@ def test_chart_boundary_data_rejects_intrinsic_dimension_3(atlas):
         manifold.chart_boundary_data(flat3, 0.01)
 
 
-@pytest.mark.parametrize("kit", ["circle", "torus"])
-def test_chart_boundary_data_matches_per_chart_bisection(atlas, kit):
+@pytest.mark.parametrize("kit", ["circle", "sphere", "torus"])
+def test_chart_boundary_data_matches_per_chart_bisection(kit, atlases):
     """Every chart's boundary images and band width, bisected with all other
     charts' rays in one pass, equal those of its rays bisected alone."""
-    at = atlas if kit == "circle" else build_atlas(torus_manifold(), 0.16, sample_count=256)
+    at = atlases[kit]
     Delta = at.r**2 / 16.0  # the build's Delta at N = 4
     z_outer, band = manifold.chart_boundary_data(at, Delta)
     d = at.manifold.intrinsic_dim
@@ -291,20 +326,42 @@ def test_chart_boundary_data_matches_per_chart_bisection(atlas, kit):
         assert band[i] == band_ref
 
 
-def test_sphere_boundary_still_has_no_bracket_near_the_poles():
-    """Parameter rays from a center near a pole never leave the r = 0.2
-    chart ball, so the atlas-wide pass fails as the per-chart one did."""
+def _outer_boundary_distances(at, charts, z_outer):
+    """Distances from their centers of the outer boundary images z_outer of
+    charts, each inverted in its chart."""
+    owner = np.repeat(charts, z_outer.shape[1])
+    X, ok = chart_invert(at, owner, z_outer.reshape(-1, at.manifold.intrinsic_dim))
+    assert ok.all()
+    return np.linalg.norm(X - at.centers[owner], axis=1)
+
+
+@pytest.mark.parametrize("kit", ["circle", "sphere", "torus", "uneven-torus"])
+def test_outer_boundary_images_invert_to_distance_r(kit, atlases):
+    at = atlases[kit]
+    z_outer, band = manifold.chart_boundary_data(at, at.r**2 / 16.0)
+    distances = _outer_boundary_distances(at, np.arange(at.chart_count), z_outer)
+    assert np.max(np.abs(distances - at.r)) <= 1e-12
+    assert np.all(band > 0.0)
+
+
+def test_sphere_boundary_succeeds_at_the_poles():
+    """The charts of the r = 0.2 sphere atlas centered within 0.1 rad of a
+    pole, where parameter-space rays once found no boundary, have their
+    boundary at distance r."""
     at = build_atlas(sphere_manifold(), 0.2)
-    with pytest.raises(ChartError, match="no boundary bracket along direction"):
-        manifold.chart_boundary_data(at, 0.2**2 / 16.0)
+    z_outer, band = manifold.chart_boundary_data(at, 0.2**2 / 16.0)
+    poles = np.flatnonzero(np.abs(at.centers[:, 2]) >= math.cos(0.1))
+    assert poles.size >= 5
+    distances = _outer_boundary_distances(at, poles, z_outer[poles])
+    assert np.max(np.abs(distances - at.r)) <= 1e-12
+    assert np.all(band[poles] > 0.0)
 
 
 @pytest.mark.parametrize("kit", ["circle", "sphere", "torus"])
-def test_stamped_sqdist_nets_equal_per_center_builds(atlas, sphere_atlas, kit):
+def test_stamped_sqdist_nets_equal_per_center_builds(atlases, kit):
     """Each stamped net has the layers of the net built at its center, and
     all of them share every weight and every layer after the first."""
-    at = {"circle": atlas, "sphere": sphere_atlas,
-          "torus": build_atlas(torus_manifold(), 0.16, sample_count=256)}[kit]
+    at = atlases[kit]
     theta, B = at.r**2 / (64.0 * at.manifold.ambient_dim), at.manifold.box_bound
     shared, biases = manifold.build_sqdist_nets(at.centers, theta, B)
     assert biases.shape == (at.chart_count, shared.layers[0][1].size)
@@ -427,11 +484,6 @@ def test_build_fails_when_a_charts_compiled_indicator_misses_its_chart(circle_si
     assert moved
 
 
-@pytest.fixture(scope="module")
-def sphere_atlas():
-    return build_atlas(sphere_manifold(), 0.24, sample_count=2400)
-
-
 @pytest.mark.parametrize("make, r, count", [(circle_manifold, 0.2, 4096), (sphere_manifold, 0.24, 1200)])
 def test_atlas_centers_match_per_center_first_fit(make, r, count):
     m = make()
@@ -442,17 +494,14 @@ def test_atlas_centers_match_per_center_first_fit(make, r, count):
     assert np.array_equal(build_atlas(m, r, sample_count=count).centers, np.array(centers))
 
 
-@pytest.mark.parametrize("kit, newton", [("circle", False), ("circle", True),
-                                         ("sphere", False), ("sphere", True)])
+@pytest.mark.parametrize("kit", ["circle", "sphere", "torus"])
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
-def test_chart_invert_batch_matches_one_point(kit, newton, atlas, sphere_atlas, data):
+def test_chart_invert_batch_matches_one_point(kit, atlases, data):
     """Row t of one inversion over rows of interleaved charts is row t
     inverted alone, bit for bit, including the rows with no preimage in
     their chart ball (z beyond [0, 1] mostly), which are nan."""
-    at = atlas if kit == "circle" else sphere_atlas
-    if newton:
-        at = dataclasses.replace(at, manifold=dataclasses.replace(at.manifold, chart_solver=None))
+    at = atlases[kit]
     d = at.manifold.intrinsic_dim
     coord = st.floats(-3.0, 4.0) | st.floats(0.0, 1.0)
     row = st.tuples(st.integers(0, at.chart_count - 1), st.lists(coord, min_size=d, max_size=d))
@@ -466,21 +515,15 @@ def test_chart_invert_batch_matches_one_point(kit, newton, atlas, sphere_atlas, 
         assert np.array_equal(X[t], x[0], equal_nan=True)
 
 
-def test_newton_singular_jacobian_fails_only_its_row(circle, atlas):
-    """Parametrized by u^2 around the first center (parameter 0), the circle's
-    Newton Jacobian there is exactly 0; the center itself still inverts."""
-    m = dataclasses.replace(circle, chart_solver=None, param_of_point=lambda x: np.zeros(1),
-                            embed=lambda U: circle.embed(np.atleast_2d(U) ** 2))
-    X, ok = chart_invert(dataclasses.replace(atlas, manifold=m), [0, 0], [[0.5], [0.6]])
-    assert ok.tolist() == [True, False]
-    assert np.array_equal(X[0], atlas.centers[0])
-
-
-def test_newton_rejects_a_nan_coordinate_without_warnings(circle, atlas):
-    generic = dataclasses.replace(atlas, manifold=dataclasses.replace(circle, chart_solver=None))
+@pytest.mark.parametrize("kit", ["circle", "sphere", "torus"])
+def test_chart_invert_rejects_a_nan_coordinate_without_warnings(kit, atlases):
+    at = atlases[kit]
+    d = at.manifold.intrinsic_dim
+    Z = np.full((2, d), 0.5)
+    Z[1, -1] = np.nan
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        X, ok = chart_invert(generic, [0, 0], [[0.5], [np.nan]])
+        X, ok = chart_invert(at, [0, 0], Z)
     assert ok.tolist() == [True, False]
     assert np.isnan(X[1]).all()
 
@@ -749,20 +792,28 @@ def test_eval_is_nan_at_a_nonfinite_point_without_warnings(circle, atlas, circle
 # --- the torus kit and the sphere-harmonic target ---------------------------
 
 
-def test_torus_parameters_and_tangents_invert_the_embedding():
+def test_torus_tangents_span_the_embeddings_velocity():
     torus = torus_manifold()
     U = torus.param_samples(400)
     X = torus.embed(U)
     h = 1e-6
     for u, x in zip(U, X):
-        back = torus.param_of_point(x)
-        assert np.max(np.abs(torus.embed(back)[0] - x)) <= 1e-12
         T = torus.tangent_basis(x)
         assert T.shape == (4, 2)
         assert np.max(np.abs(T.T @ T - np.eye(2))) <= 1e-12
         for e in h * np.eye(2):
             velocity = (torus.embed(u + e)[0] - torus.embed(u - e)[0]) / (2 * h)
             assert np.linalg.norm(velocity - T @ (T.T @ velocity)) <= 1e-8
+
+
+def test_torus_solver_domain_needs_both_circles(torus_atlas):
+    """A row is in the solver's domain when each plane's offset is within
+    that plane's circle radius (both 1/sqrt(2) here), whatever the other."""
+    at = torus_atlas
+    P = np.array([[0.5, 0.5], [0.8, 0.0], [0.0, 0.8]])  # tangent offsets
+    C, V = at.centers[[0, 0, 0]], at.frames[[0, 0, 0]]
+    _, ok = at.manifold.chart_solver(at.scale * P + at.shift, C, V, at.scale, at.shift)
+    assert ok.tolist() == [True, False, False]
 
 
 def test_torus_atlas_builds_its_charts():
@@ -775,7 +826,9 @@ def test_torus_atlas_builds_its_charts():
     assert np.max(np.abs(np.hypot(centers[:, 2], centers[:, 3]) - 1 / math.sqrt(2))) <= 1e-12
     T = np.array([torus.tangent_basis(c) for c in centers])
     assert np.max(np.abs(frames @ (frames.transpose(0, 2, 1) @ T) - T)) <= 1e-12
-    # one Newton inversion (the torus has no analytic solver) recovers every center
+    # frame column k lies in plane k, as the torus's solver needs
+    assert not frames[:, 2:, 0].any() and not frames[:, :2, 1].any()
+    # one inversion recovers every center
     every = np.arange(at.chart_count)
     X, ok = chart_invert(at, every, at.project(every, centers))
     assert ok.all() and np.max(np.abs(X - centers)) <= 1e-12
