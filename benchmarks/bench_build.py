@@ -128,13 +128,23 @@ compiling:
 * ``lipschitz_s``: ``metrics.lipschitz_estimate`` at N = 8 over 5000
   pairs and 500 probes;
 * ``adversarial_s``: ``risk.adversarial_risk`` at N = 8 at 200 points,
-  deltas 0 and 0.02, 8 directions and 4 ascent steps.
+  deltas 0 and 0.02, 8 directions and 4 ascent steps;
+* ``rate_study_s``: ``studies.run_study`` of the rate study of
+  perfbench's ``studies`` workload (N = 2, 4, 8, 16, grid 21), its
+  norms and its files.
 
 The sizes and the seed of the inputs are those of perfbench's ``studies``
 workload.  Each figure is the median of at least ``--reps`` calls after a
 warm-up, more while they take under a second, and ``sha256`` digests the
-bytes of every value computed, so runs of two trees show whether their
-outputs are identical.
+bytes of every value computed (of the study, its ``rates.csv`` and
+``summary.json``), so runs of two trees show whether their outputs are
+identical.  Then, under ``fold_steps``, it counts for each request the rows
+of each step of the product-net fold and how many of them are distinct (by
+their bytes), summed over the request's ``taylor._fold_rows`` calls: the
+share of distinct rows is what keying a step can save.  The requests are
+the rate study, the Lipschitz estimate, the adversarial risk, the check
+points of a compiled alpha=3 N=2 build (its audit and its equality gate)
+and 10 one-point evals of the circle-sin approximant at N=4.
 
 ``--src`` times the package in another source tree (a checkout of an
 earlier commit, say); the wrapping names that tree lacks are skipped.  The
@@ -187,6 +197,9 @@ FUNCTIONAL_GRID = 21
 FUNCTIONAL_N = 8
 FUNCTIONAL_SIZES = {"pairs": 5000, "probes": 500, "points": 200, "directions": 8, "steps": 4}
 FUNCTIONAL_DELTAS = (0.0, 0.02)
+FUNCTIONAL_RATE = {"kind": "euclidean-rate", "target": "sinprod", "alpha": 2, "N_list": [2, 4, 8, 16],
+                   "grid": 21}  # perfbench's rate study
+FUNCTIONAL_BUILD = (3, 2)  # (alpha, N) of the compiled build whose check points are counted
 MANIFOLD_STAGES = {
     "boundary": ("chart_boundary_data",),
     "coefficients": ("chart_coefficients",),
@@ -486,11 +499,42 @@ def _manifold_evaluation(manifold, targets, reps):
     return rows
 
 
+def _fold_steps(np, taylor, requests):
+    """Rows and distinct rows (by their bytes) of each fold step, summed
+    over the ``taylor._fold_rows`` calls of each request.  The wrapper runs
+    the steps of a call once more, every row through every step, to count
+    them, and then the call itself."""
+    fold, counts = taylor._fold_rows, {}
+
+    def counting(A, nets, tracker):
+        run = A[:, 0]
+        for s, net in enumerate(nets):
+            rows = np.ascontiguousarray(np.stack([run, A[:, s + 1]], axis=1))
+            distinct = len(np.unique(rows.view(np.dtype((np.void, rows.itemsize * 2)))))
+            while len(steps) <= s:
+                steps.append({"rows": 0, "distinct": 0})
+            steps[s]["rows"] += len(rows)
+            steps[s]["distinct"] += distinct
+            run = net.forward(rows)
+        return fold(A, nets, tracker)
+
+    taylor._fold_rows = counting
+    try:
+        for name, request in requests.items():
+            counts[name] = steps = []
+            request()
+    finally:
+        taylor._fold_rows = fold
+    return counts
+
+
 def _bench_functional(modules, reps):
     """Median seconds of the functional evaluator on the rate study's stencil
     at each N of FUNCTIONAL_NS, then of the Lipschitz estimate and the
-    adversarial risk at N = FUNCTIONAL_N, with a digest of the values."""
-    np, metrics, risk, targets, taylor = modules
+    adversarial risk at N = FUNCTIONAL_N, and of the rate study
+    FUNCTIONAL_RATE, with a digest of the values; then the fold's rows and
+    distinct rows per step in each request."""
+    np, manifold, metrics, risk, studies, targets, taylor = modules
     target = targets.get_target("sinprod", alpha=2, dim=2)
     build = lambda N: taylor.build_euclidean(target, s=0, p=math.inf, N=N, compile_model=False)
     grid = metrics.EvalGrid(2, FUNCTIONAL_GRID).points
@@ -521,9 +565,31 @@ def _bench_functional(modules, reps):
                  "lipschitz_s": _median_seconds(lipschitz, reps),
                  "adversarial_s": _median_seconds(adversarial, reps),
                  "sha256": hashlib.sha256(values.tobytes()).hexdigest()})
-    for row in rows:
+    with tempfile.TemporaryDirectory() as directory:
+        study = lambda: studies.run_study(FUNCTIONAL_RATE, directory)
+        seconds = _median_seconds(study, reps)
+        written = b"".join((Path(directory) / f).read_bytes() for f in ("rates.csv", "summary.json"))
+        rows.append({"rate_study": FUNCTIONAL_RATE, "rate_study_s": seconds,
+                     "sha256": hashlib.sha256(written).hexdigest()})
+        mspec, on_circle = targets.get_manifold_target("circle-sin", 3, order=2)
+        circle = manifold.build_manifold_approx(
+            on_circle, mspec, N=MANIFOLD_NS[0], atlas=manifold.build_atlas(mspec, MANIFOLD_R))
+        alpha, N = FUNCTIONAL_BUILD
+        deep = targets.get_target("sinprod", alpha=alpha, dim=2)
+        rows.append({"fold_steps": _fold_steps(np, taylor, {
+            "rate_study": study,
+            "lipschitz": lipschitz,
+            "adversarial": adversarial,
+            f"build_a{alpha}n{N}_check_points": lambda: taylor.build_euclidean(deep, s=0, p=math.inf, N=N),
+            "manifold_one_point_evals": lambda: [circle.eval(x[None]) for x in
+                                                 mspec.sample_points(MANIFOLD_POINTS)],
+        })})
+    for row in rows[:-1]:
         times = "  ".join(f"{k} {v * 1e3:.2f} ms" for k, v in row.items() if k.endswith("_s"))
-        print(f"functional N={row['N']:>2}: {times}  sha256 {row['sha256'][:12]}", flush=True)
+        print(f"functional {row.get('N', 'study')}: {times}  sha256 {row['sha256'][:12]}", flush=True)
+    for name, steps in rows[-1]["fold_steps"].items():
+        shares = ", ".join(f"{s['distinct'] / s['rows']:.0%} of {s['rows']}" for s in steps)
+        print(f"  fold steps of {name}, distinct rows: {shares}", flush=True)
     return rows
 
 
@@ -596,7 +662,7 @@ def main():
     args = parser.parse_args()
     sys.path.insert(0, args.src)
     import numpy as np
-    from sobolev_forge import manifold, metrics, netcore, risk, serialize, targets, taylor
+    from sobolev_forge import manifold, metrics, netcore, risk, serialize, studies, targets, taylor
 
     if args.only in (None, "build"):
         rows = _bench_builds((np, netcore, serialize, targets, taylor), args.reps)
@@ -621,13 +687,17 @@ def main():
         )
         _store("BENCH_manifold_build.json", what, np, args.label, rows)
     if args.only in (None, "functional"):
-        rows = _bench_functional((np, metrics, risk, targets, taylor), args.reps)
+        rows = _bench_functional((np, manifold, metrics, risk, studies, targets, taylor), args.reps)
         what = (
             "median seconds of ConstructedApproximator.eval of sinprod (D=2, alpha=2) on "
-            "the five 441-point sets of a k=1 grid norm at grid 21 (N=4, 8, 16), and at "
-            "N=8 of lipschitz_estimate (5000 pairs, 500 probes) and adversarial_risk "
-            "(200 points, deltas 0 and 0.02, 8 directions, 4 steps); sha256 of the "
-            "values; see benchmarks/bench_build.py"
+            "the five 441-point sets of a k=1 grid norm at grid 21 (N=4, 8, 16), one call "
+            "per set, at N=8 of lipschitz_estimate (5000 pairs, 500 probes) and "
+            "adversarial_risk (200 points, deltas 0 and 0.02, 8 directions, 4 steps), and "
+            "of run_study of the rate study under rate_study; sha256 of the values and of "
+            "the study's rates.csv and summary.json; under fold_steps, the rows and "
+            "distinct rows of each fold step of the rate study, the two risk requests, "
+            "the check points of a compiled alpha=3 N=2 build and 10 one-point evals of "
+            "the circle-sin approximant at N=4; see benchmarks/bench_build.py"
         )
         _store("BENCH_functional_fold.json", what, np, args.label, rows)
 

@@ -34,7 +34,7 @@ every (chart, point) pair within 1.2 r of the chart's center (beyond it the
 indicator is exactly 0), projects all pairs into their charts' coordinates
 in one call, runs the squared-distance net (each pair with its chart's
 first-layer bias) and the indicator over all pairs, and folds all pairs in
-one ``taylor._stacked_fold`` pass, each pair reading its chart's rows of the
+one ``taylor._stacked_fold`` call, each pair reading its chart's rows of the
 stacked table.  A point's pair values are then added in ascending chart
 order, as a chart-by-chart loop adds them.  Every step acts row by row (the
 chart projection is a one-row product per row), so a point gets the same
@@ -739,6 +739,17 @@ def manifold_norm(e_on_M, atlas: Atlas, k: int, resolution=60, fd_step=1e-5):
     """
     if k not in (0, 1):
         raise ValueError(f"k must be 0 or 1, got {k}")
+    return _chart_norms(e_on_M, atlas, k, resolution, fd_step)[k]
+
+
+def manifold_norms(e_on_M, atlas: Atlas, resolution=60, fd_step=1e-5):
+    """[(W0 value, skipped), (W1 value, skipped)] of ``manifold_norm`` at
+    k = 0 and 1, both from the one ``_pullback`` of the k = 1 norm."""
+    return _chart_norms(e_on_M, atlas, 1, resolution, fd_step)
+
+
+def _chart_norms(e_on_M, atlas, k, resolution, fd_step):
+    """The (value, skipped) pairs of manifold_norm for k = 0 up to k."""
     d, charts = atlas.manifold.intrinsic_dim, atlas.chart_count
     Zg = EvalGrid(d, resolution).points
     # k = 1: the grid, then its +fd_step e_j points, then its -fd_step e_j points
@@ -749,10 +760,12 @@ def manifold_norm(e_on_M, atlas: Atlas, k: int, resolution=60, fd_step=1e-5):
     vals, ok = vals.reshape(charts, -1, len(Zg)), ok.reshape(charts, -1, len(Zg))
     skipped = int(np.count_nonzero(~ok[:, 0]))
     best = np.max(np.abs(vals[:, 0]), axis=1)  # rows without a preimage are 0
+    # the charts' sups added one after another, in chart order
+    out = [(float(np.cumsum(best)[-1]), skipped)]
     if k == 1:
         both = ok[:, :1] & ok[:, 1 : d + 1] & ok[:, d + 1 :]
         skipped += int(np.count_nonzero(ok[:, :1] & ~both))
         slope = np.abs(vals[:, 1 : d + 1] - vals[:, d + 1 :]) / (2.0 * fd_step)
         best = np.maximum(best, np.max(np.where(both, slope, 0.0), axis=(1, 2)))
-    # the charts' sups added one after another, in chart order
-    return float(np.cumsum(best)[-1]), skipped
+        out.append((float(np.cumsum(best)[-1]), skipped))
+    return out

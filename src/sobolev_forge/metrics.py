@@ -39,18 +39,52 @@ def _eval_batch(g, X):
     return np.asarray(g(X), dtype=np.float64).ravel()
 
 
-def fd_gradient_batch(g, X, h):
-    """Central-difference gradients at a batch of points, shape (n, D)."""
-    X = np.atleast_2d(X)
+def _stencil(X, h):
+    """The central-difference points of X (n, D): X + h e_j, then X - h e_j,
+    for each axis j in turn, stacked into (2 D n, D)."""
     n, D = X.shape
-    grads = np.empty((n, D))
+    S = np.tile(X, (2 * D, 1)).reshape(D, 2, n, D)
     for j in range(D):
-        hi = X.copy()
-        lo = X.copy()
-        hi[:, j] += h
-        lo[:, j] -= h
-        grads[:, j] = (_eval_batch(g, hi) - _eval_batch(g, lo)) / (2.0 * h)
+        S[j, 0, :, j] += h
+        S[j, 1, :, j] -= h
+    return S.reshape(-1, D)
+
+
+def _fd_gradients(vals, D, h):
+    """Central-difference gradients (n, D) from the values at _stencil(X, h)."""
+    V = vals.reshape(D, 2, -1)
+    grads = np.empty((V.shape[2], D))
+    for j in range(D):
+        grads[:, j] = (V[j, 0] - V[j, 1]) / (2.0 * h)
     return grads
+
+
+def fd_gradient_batch(g, X, h):
+    """Central-difference gradients at a batch of points, shape (n, D), from
+    one call of g on their stencil."""
+    X = np.atleast_2d(X)
+    return _fd_gradients(_eval_batch(g, _stencil(X, h)), X.shape[1], h)
+
+
+def _norm(vals, grads, p, grid):
+    """The W^{0,p} norm of |values| on the grid, or with |gradients| the
+    W^{1,p} norm."""
+    if p == math.inf:
+        return float(np.max(vals) if grads is None else max(np.max(vals), np.max(grads)))
+    total = np.sum(vals**p) * grid.cell_volume
+    if grads is not None:
+        total += np.sum(grads**p) * grid.cell_volume
+    return float(total ** (1.0 / p))
+
+
+def grid_norms(g, p, grid: EvalGrid, fd_step=FD_STEP_NET):
+    """The W^{0,p} and W^{1,p} norm estimates of ``grid_norm``, from one call
+    of g on the grid and its central-difference stencil."""
+    n, D = grid.points.shape
+    vals = _eval_batch(g, np.concatenate([grid.points, _stencil(grid.points, fd_step)]))
+    absv = np.abs(vals[:n])
+    grads = np.abs(_fd_gradients(vals[n:], D, fd_step))
+    return _norm(absv, None, p, grid), _norm(absv, grads, p, grid)
 
 
 def grid_norm(g, k, p, grid: EvalGrid, fd_step=FD_STEP_NET):
@@ -62,17 +96,9 @@ def grid_norm(g, k, p, grid: EvalGrid, fd_step=FD_STEP_NET):
     """
     if k not in (0, 1):
         raise ValueError(f"k must be 0 or 1, got {k}")
-    vals = np.abs(_eval_batch(g, grid.points))
     if k == 0:
-        if p == math.inf:
-            return float(np.max(vals))
-        return float((np.sum(vals**p) * grid.cell_volume) ** (1.0 / p))
-    grads = np.abs(fd_gradient_batch(g, grid.points, fd_step))
-    if p == math.inf:
-        return float(max(np.max(vals), np.max(grads)))
-    total = np.sum(vals**p) * grid.cell_volume
-    total += np.sum(grads**p) * grid.cell_volume
-    return float(total ** (1.0 / p))
+        return _norm(np.abs(_eval_batch(g, grid.points)), None, p, grid)
+    return grid_norms(g, p, grid, fd_step)[1]
 
 
 def sample_pairs(rng, dim, count, domain=(0.0, 1.0)):
@@ -86,15 +112,24 @@ def sample_pairs(rng, dim, count, domain=(0.0, 1.0)):
 
 def lipschitz_estimate(g, pairs=None, probes=None, fd_step=FD_STEP_NET):
     """Lower bound of the Lipschitz constant: max over pairwise slopes and
-    finite-difference gradient ell_2 norms at probe points."""
-    best = 0.0
+    finite-difference gradient ell_2 norms at probe points, from one call of
+    g on the pairs and the probes' central-difference stencil."""
+    sets = list(pairs) if pairs is not None else []
+    if probes is not None:
+        probes = np.atleast_2d(probes)
+        sets.append(_stencil(probes, fd_step))
+    if not sets:
+        return 0.0
+    vals = _eval_batch(g, np.concatenate(sets))
+    best, n = 0.0, 0
     if pairs is not None:
         X, Y = pairs
-        num = np.abs(_eval_batch(g, X) - _eval_batch(g, Y))
+        n = 2 * len(X)
+        num = np.abs(vals[: len(X)] - vals[len(X) : n])
         den = np.linalg.norm(X - Y, axis=1)
         best = float(np.max(num / den))
     if probes is not None:
-        grads = fd_gradient_batch(g, np.atleast_2d(probes), fd_step)
+        grads = _fd_gradients(vals[n:], probes.shape[1], fd_step)
         best = max(best, float(np.max(np.linalg.norm(grads, axis=1))))
     return best
 

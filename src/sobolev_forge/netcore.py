@@ -73,9 +73,11 @@ only it can see a block that fails to annihilate.  Most dense rows are one
 and the same row, because a trapezoid factor is exactly 0 away from its
 node.  So on dense rows, after each shared layer that narrows (fewer output
 than input channels), the rows are keyed by their bytes
-(``_distinct_rows``), the layers that follow run on one row per key, and
-the rows are expanded back before the next layer with distinct weights,
-the per-block readout.  At the build's 100 check points the alpha=2 N=4
+(``_distinct_rows``), the layers that follow run on one row per key,
+padded to whole tiles, and the rows are expanded back before the next
+layer with distinct weights, the per-block readout.  The functional
+evaluator keys the steps of its product-net fold with the same function
+(``taylor._fold_rows``).  At the build's 100 check points the alpha=2 N=4
 model's 7,500 rows are 1,332 distinct rows after the first such layer.
 This is exact: by "Bits" below, a row's value depends only on its own input
 row and the layer, not on which or how many other rows run with it, as the
@@ -643,18 +645,21 @@ def _group_summands(g, X, points, pos, D, dense):
                 H, place = H[place], None
             H = _plan_layer(layer, H, D, pos)
         if dense and layer.shared and w.shape[0] < w.shape[2]:
-            H, distinct = _distinct_rows(H.reshape(-1, layer.rows_out, w.shape[0]))
+            H = H.reshape(-1, layer.rows_out, w.shape[0])
+            first, distinct = _distinct_rows(H)
+            pad = np.zeros(-len(first) % _TILE_ROWS, dtype=np.int64)
+            H = H.take(np.concatenate([first, pad + first[0]]), axis=0)
             place = distinct if place is None else distinct[place]
     H = H.reshape(-1, H.shape[-1])  # the last layer has one output row
     return (H if place is None else H[place])[:R, 1:]
 
 
 def _distinct_rows(H):
-    """The distinct rows of H, by their bytes, padded to whole tiles with
-    copies of the first, and each row's place among them.  The rows are
-    sorted by a hash of their bytes, and a row starts a new distinct row
-    where its bytes differ from the row before: a hash collision can only
-    keep equal rows apart, never join different ones."""
+    """(first, place): the index of one row of H per distinct row, by their
+    bytes, and each row's place among them, so H[first][place] is H.  The
+    rows are sorted by a hash of their bytes, and a row starts a new
+    distinct row where its bytes differ from the row before: a hash
+    collision can only keep equal rows apart, never join different ones."""
     R = len(H)
     A = np.ascontiguousarray(H).reshape(R, -1).view(np.uint64)
     key = A[:, 0].copy()
@@ -669,9 +674,7 @@ def _distinct_rows(H):
         new[1:] |= s[1:] != s[:-1]
     place = np.empty(R, dtype=np.int64)
     place[order] = np.cumsum(new) - 1
-    first = order[new]
-    pad = np.zeros(-len(first) % _TILE_ROWS, dtype=np.int64)
-    return H.take(np.concatenate([first, pad + first[0]]), axis=0), place
+    return order[new], place
 
 
 def _plan_layer(layer, H, D, pos):

@@ -107,7 +107,9 @@ def adversarial_risk(
     the Euclidean delta-ball; returns {delta: risk} for the sorted deltas.
 
     delta = 0 is always evaluated first and equals the plain empirical risk;
-    larger radii reuse every candidate found at smaller radii.
+    larger radii reuse every candidate found at smaller radii.  The radial
+    candidates of a delta are evaluated in one call of g; the ascent steps
+    that follow depend on each other and call g one by one.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.asarray(y, dtype=np.float64).ravel()
@@ -122,14 +124,14 @@ def adversarial_risk(
         if delta == 0.0:
             out[0.0] = float(np.mean(best))
             continue
-        for frac in (0.25, 0.5, 0.75, 1.0):
-            rad = frac * delta
-            for u in dirs:
-                cand = X + rad * u
-                losses = np.abs(np.asarray(g(cand)).ravel() - y)
-                take = losses > best
-                best = np.where(take, losses, best)
-                best_pt[take] = cand[take]
+        # every radius and direction in one call, then taken in that order
+        rads = np.array([frac * delta for frac in (0.25, 0.5, 0.75, 1.0)])
+        cands = X + (rads[:, None, None] * dirs).reshape(-1, 1, D)
+        all_losses = np.abs(np.asarray(g(cands.reshape(-1, D))).reshape(len(cands), n) - y)
+        for cand, losses in zip(cands, all_losses):
+            take = losses > best
+            best = np.where(take, losses, best)
+            best_pt[take] = cand[take]
         step = delta / 8.0
         for _ in range(ascent_steps):
             improved = False

@@ -11,9 +11,9 @@ import math
 from pathlib import Path
 
 from . import serialize
-from .metrics import EvalGrid, fit_loglog_slope, grid_norm
+from .metrics import EvalGrid, fit_loglog_slope, grid_norm, grid_norms
 from .netcore import audit_class
-from .manifold import build_atlas, build_manifold_approx, manifold_norm
+from .manifold import build_atlas, build_manifold_approx, manifold_norms
 from .risk import RiskConfig, adversarial_gap_check, empirical_residual_study
 from .targets import EUCLIDEAN_TARGETS, MANIFOLD_TARGETS, get_manifold_target, get_target
 from .taylor import ConfigError, build_euclidean
@@ -254,8 +254,7 @@ def run_euclidean_rate(cfg, out: Path):
     for N in cfg["N_list"]:
         ap = build_euclidean(target, s=0, p=p, N=int(N), compile_model=False)
         diff = lambda X: ap.eval(X) - target(X)
-        for k in (0, 1):
-            val = grid_norm(diff, k, p, grid)
+        for k, val in enumerate(grid_norms(diff, p, grid)):
             errs[k].append(val)
             rows.append(
                 [target.name, N, int(N) ** target.dim, k, cfg["p"], val, cfg["grid"], cfg["seed"]]
@@ -276,8 +275,7 @@ def run_manifold_rate(cfg, out: Path):
     for N in cfg["N_list"]:
         ap = build_manifold_approx(target, mspec, N=int(N), atlas=atlas)
         diff = lambda X: ap.eval(X) - target(X)
-        for k in (0, 1):
-            val, _ = manifold_norm(diff, atlas, k, resolution=cfg["resolution"])
+        for k, (val, _) in enumerate(manifold_norms(diff, atlas, resolution=cfg["resolution"])):
             errs[k].append(val)
             rows.append(
                 [mspec.name, mspec.ambient_dim, mspec.intrinsic_dim, N, k, val, atlas.chart_count]

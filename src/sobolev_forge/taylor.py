@@ -24,10 +24,18 @@ functional evaluator folds the shared product net over all of them as one
 stack: each v builds its fold operand once over every (offset, point) row,
 it keeps only the rows whose node lies in the grid, whose coefficient is
 nonzero and whose fold factors are all nonzero (any other row contributes
-c * 0 = +-0 exactly), groups the terms by fold length and runs one
-product-net pass per fold step over the rows of a group, in chunks of
-``_FOLD_ROWS``; ``ScalarNet.forward`` pads a lone row to two, so a point
-gets the same value alone as inside any batch.
+c * 0 = +-0 exactly), groups the terms by fold length and folds the rows of
+a group one step at a time (``_fold_rows``).
+Most rows of a step repeat: grid points share coordinates, the candidate
+offsets share their first factor, and plateau factors read exactly 1.0.
+So a step of ``_KEY_ROWS`` rows or more keys its operand rows (running
+product, next factor) by their bytes, with ``netcore._distinct_rows``, runs
+the product net once per distinct row and gives each row the value of its
+key; a smaller step runs every row.  Each net pass takes ``_FOLD_ROWS``
+rows at a time, and ``ScalarNet.forward`` pads a lone row to two.  A row's
+value depends only on that row, so keying and chunking change no bit, and a
+point gets the same value alone as inside any batch.  The points are taken
+``_STACK_ROWS`` >> D at a time, which bounds the memory of a pass.
 Each point's terms are added in the per-term order, candidate offset and
 then v, so the stacking changes no bit of the sum.
 """
@@ -44,6 +52,7 @@ from .netcore import (
     BlockSupport,
     ConvResNetModel,
     ShapeError,
+    _distinct_rows,
     _on_finite_rows,
     audit_class,
     resnet_forward_batch,
@@ -238,24 +247,57 @@ def _surrogate_sum(coeffs, X):
 # rows per product-net pass: a 12-wide layer over 4096 rows stays in cache,
 # while one pass over a 26k-row stack ran 2x slower per row (2-core Xeon VM)
 _FOLD_ROWS = 4096
+# Fold steps of fewer rows run every row.  Keying a step's rows
+# (_distinct_rows on two columns) costs about 28 us plus 0.04 us a row, and
+# each repeated row it drops saves 0.5 us of the alpha=2 product net, whose
+# pass costs 116 us plus 0.5 us a row (2-core Xeon VM, OpenBLAS).  So below
+# 28 / (0.5 - 0.04) = 61 rows keying cannot pay even when every row repeats,
+# and at 128 rows it pays once half the rows repeat.
+_KEY_ROWS = 128
+# (candidate offset, point) rows of one stacked pass, which bounds its
+# memory: 2^14 rows (4096 points at D = 2) hold about 4 MB of operands, and
+# one pass over the 12,000 points of a Lipschitz estimate held 12 MB
+_STACK_ROWS = 1 << 14
 
 
 def _fold_rows(A, nets, tracker):
     """Fold along the columns of A: r = A[:, 0], then r = nets[s](r, A[:, s + 1])
-    for each step s, over _FOLD_ROWS rows at a time."""
-    out = np.empty(len(A))
-    for a in range(0, len(A), _FOLD_ROWS):
-        rows = A[a : a + _FOLD_ROWS]
-        run = rows[:, 0]
-        for s, net in enumerate(nets, 1):
-            if tracker is not None:
-                tracker[0] = max(tracker[0], float(np.max(np.abs(run))))
-            run = net.forward(np.stack([run, rows[:, s]], axis=1))
-        out[a : a + _FOLD_ROWS] = run
-    return out
+    for each step s.  A step of _KEY_ROWS rows or more runs its net once per
+    distinct operand row (r, A[:, s + 1]), keyed by the bytes
+    (``netcore._distinct_rows``), and gives each row the value of its key;
+    each net pass takes _FOLD_ROWS rows at a time."""
+    run = A[:, 0]
+    for s, net in enumerate(nets, 1):
+        if tracker is not None:
+            tracker[0] = max(tracker[0], float(np.max(np.abs(run))))
+        rows, place = np.stack([run, A[:, s]], axis=1), None
+        if len(rows) >= _KEY_ROWS:
+            first, place = _distinct_rows(rows)
+            rows = rows[first]
+        run = np.concatenate([net.forward(rows[a : a + _FOLD_ROWS])
+                              for a in range(0, len(rows), _FOLD_ROWS)])
+        if place is not None:
+            run = run[place]
+    return run
 
 
 def _stacked_fold(coeffs, X, times, tail=None, tracker=None, offset=None):
+    """``_fold_points`` over the points X, _STACK_ROWS >> D points at a time
+    (with their tail columns and offsets), so that one pass over 2^D
+    candidate offsets holds at most _STACK_ROWS (offset, point) rows."""
+    n, D = X.shape
+    step = max(1, _STACK_ROWS >> D)
+    if n <= step:
+        return _fold_points(coeffs, X, times, tail, tracker, offset)
+    cut = lambda v, a: None if v is None else v[a : a + step]
+    return np.concatenate([
+        _fold_points(coeffs, X[a : a + step], times,
+                     None if tail is None else (tail[0], cut(tail[1], a)), tracker, cut(offset, a))
+        for a in range(0, n, step)
+    ])
+
+
+def _fold_points(coeffs, X, times, tail, tracker, offset):
     """sum_{m, v} c_{m,v} fold_v(x) over the bumps covering the points X.
 
     fold_v folds ``times`` over the monomial factors of x^v and then the D

@@ -4,9 +4,10 @@ The evaluator once ran the shared product net over every point for each
 (candidate offset, v) term in turn, and the manifold evaluator visited the
 charts one by one; these functions keep those loops as the oracles the
 stacked, compacted fold and the stacked chart sum are compared against.
-They run every net through ``plain_forward``, a loop of their own over the
-net's layers, so a fault of ``ScalarNet.forward`` or ``kernels.mlp_layer``
-does not reach the oracles.
+``unkeyed_fold_rows`` keeps the fold of a stack as it ran before its steps
+were keyed: every row through every step.  The oracles run every net
+through ``plain_forward``, a loop of their own over the net's layers, so a
+fault of ``ScalarNet.forward`` or ``kernels.mlp_layer`` does not reach them.
 """
 
 from dataclasses import replace
@@ -67,6 +68,22 @@ def padded_forward(net, X):
 def _forward2(net, a, b):
     """net over the rows (a, b)."""
     return padded_forward(net, np.stack([a, b], axis=1))
+
+
+def unkeyed_fold_rows(A, nets, tracker):
+    """taylor._fold_rows without keying: r = A[:, 0], then r = nets[s](r,
+    A[:, s + 1]) for each step s, over 4096 rows at a time, every row
+    through every step; tracker[0] records the largest |r| entering a step."""
+    out = np.empty(len(A))
+    for a in range(0, len(A), 4096):
+        rows = A[a : a + 4096]
+        run = rows[:, 0]
+        for s, net in enumerate(nets, 1):
+            if tracker is not None:
+                tracker[0] = max(tracker[0], float(np.max(np.abs(run))))
+            run = _forward2(net, run, rows[:, s])
+        out[a : a + 4096] = run
+    return out
 
 
 def _sum_terms(coeffs, X, times, term_value):

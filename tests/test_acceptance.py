@@ -19,18 +19,19 @@ from sobolev_forge.manifold import (
     build_indicator,
     build_manifold_approx,
     build_sqdist_net,
-    manifold_norm,
+    manifold_norms,
 )
 from sobolev_forge.metrics import (
     EvalGrid,
     fit_loglog_slope,
-    grid_norm,
+    grid_norms,
     lipschitz_estimate,
     sample_pairs,
 )
 from sobolev_forge.netcore import resnet_forward_batch
 from sobolev_forge.risk import RiskConfig, adversarial_gap_check, empirical_residual_study
 from sobolev_forge.scalarnets import (
+    ScalarNet,
     build_monomial_bump,
     build_product2,
     build_square,
@@ -66,8 +67,8 @@ def euclid_rate_data(sinprod):
         ap = build_euclidean(sinprod, s=0, p=math.inf, N=N, compile_model=False)
         approxes[N] = ap
         diff = lambda X: ap.eval(X) - sinprod(X)
-        for k in (0, 1):
-            errs[k].append(grid_norm(diff, k, math.inf, grid))
+        for k, val in enumerate(grid_norms(diff, math.inf, grid)):
+            errs[k].append(val)
     return {"Ns": Ns, "errs": errs, "approxes": approxes, "grid": grid}
 
 
@@ -83,8 +84,7 @@ def circle_study():
         ap = build_manifold_approx(target, mspec, N=N, atlas=atlas)
         approxes[N] = ap
         diff = lambda X: ap.eval(X) - target(X)
-        for k in (0, 1):
-            val, _ = manifold_norm(diff, atlas, k, resolution=40)
+        for k, (val, _) in enumerate(manifold_norms(diff, atlas, resolution=40)):
             errs[k].append(val)
     return {
         "mspec": mspec,
@@ -117,7 +117,7 @@ def test_criterion_1_exact_construction(rng):
     _report(1, ok, f"psi dev {worst_psi:.2e}, partition dev {worst_pou:.2e}", t0)
 
 
-def test_criterion_2_multiplication_oracle(rng):
+def _criterion_2(rng, build=build_product2):
     t0 = time.time()
     alpha, D = 2, 2
     worst = {}
@@ -127,7 +127,7 @@ def test_criterion_2_multiplication_oracle(rng):
         XX, YY = np.meshgrid(g, g)
         pts = np.stack([XX.ravel(), YY.ravel()], axis=1)
         for eta in (1e-2, 1e-3, 1e-4):
-            net = build_product2(eta, B)
+            net = build(eta, B)
             err = float(np.max(np.abs(net.forward(pts) - pts[:, 0] * pts[:, 1])))
             worst[(eta, B)] = err
             xs = rng.uniform(-B, B, 1000)
@@ -137,6 +137,23 @@ def test_criterion_2_multiplication_oracle(rng):
     ok = annihilation_ok and all(err <= eta for (eta, _), err in worst.items())
     margin = max(err / eta for (eta, _), err in worst.items())
     _report(2, ok, f"sup-error/eta worst ratio {margin:.3f}, exact annihilation {annihilation_ok}", t0)
+
+
+def test_criterion_2_multiplication_oracle(rng):
+    _criterion_2(rng)
+
+
+def test_criterion_2_fails_for_a_product_net_that_maps_a_zero_factor_off_zero(rng, capsys):
+    # a readout bias of 1e-12 keeps every product within eta, so only the
+    # annihilation check can fail
+    def shifted(eta, B):
+        net = build_product2(eta, B)
+        w, b = net.layers[-1]
+        return ScalarNet(net.layers[:-1] + [(w, b + 1e-12)])
+
+    with pytest.raises(AssertionError, match="criterion 2: .* exact annihilation False"):
+        _criterion_2(rng, shifted)
+    assert "ACCEPTANCE  2 [FAIL]" in capsys.readouterr().out
 
 
 def test_criterion_3_compilation_equivalence(sinprod, rng):

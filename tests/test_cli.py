@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -83,6 +84,42 @@ def test_rate_study_determinism(tmp_path):
     summary = json.loads((tmp_path / "c" / "summary.json").read_text())
     assert summary["window_k0"] == [-2.0 - 0.6, -2.0 + 0.6]
     assert summary["window_k1"] == [-1.0 - 0.6, -1.0 + 0.6]
+
+
+# The CI job's two-N rate study, and a finite-p rate at alpha = 3; the
+# sha256 of rates.csv and summary.json (numpy 2.4.6, OpenBLAS 0.3.31, x86-64:
+# another BLAS or libm may round the values otherwise)
+_RATE_PINS = {
+    "ci-two-N": (
+        {"kind": "euclidean-rate", "target": "sinprod", "alpha": 2, "N_list": [2, 4], "grid": 5,
+         "slope_window_k0": [-6.0, 0.0], "slope_window_k1": [-6.0, 1.0]},
+        "db37f9dac45ec0bb0b7cda11c5a2ac0587880d3b7a727355bcebf7bb6da43fe0",
+        "3b3f6c9a96fc79b32403ebb09b89965bb18c7c4085b69bd945ee8070b6191be4",
+    ),
+    "alpha3-p2": (
+        {"kind": "euclidean-rate", "target": "sinprod", "alpha": 3, "p": 2, "N_list": [2, 4, 8],
+         "grid": 31},
+        "c650e5bef3db26176fd5053fc1b1579961f0cf9c56d6673c219a680ea7dc4481",
+        "5b552262c2bead5a3e763fb74fe874f8dc211dd7ce641dca8daa598207912462",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RATE_PINS))
+def test_rate_study_outputs_keep_their_bytes(tmp_path, name):
+    cfg, rates, summary = _RATE_PINS[name]
+    assert run_study(cfg, tmp_path)[0] == 0
+    digest = lambda f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+    assert (digest("rates.csv"), digest("summary.json")) == (rates, summary)
+
+
+def test_rate_study_makes_one_evaluator_call_per_N(tmp_path, monkeypatch):
+    # both norms of an N come from one call on the grid and its 2D stencils
+    calls, ev = [], taylor.ConstructedApproximator.eval
+    monkeypatch.setattr(taylor.ConstructedApproximator, "eval",
+                        lambda ap, X: calls.append(len(X)) or ev(ap, X))
+    run_study(_RATE_PINS["ci-two-N"][0], tmp_path)
+    assert calls == [5 * 5**2] * 2
 
 
 @pytest.mark.parametrize(

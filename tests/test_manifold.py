@@ -28,6 +28,7 @@ from sobolev_forge.manifold import (
     chart_invert,
     circle_manifold,
     manifold_norm,
+    manifold_norms,
     rho_weights,
     sphere_manifold,
     torus_manifold,
@@ -773,6 +774,18 @@ def test_manifold_norm_of_an_approximation_error_matches_per_point(
     val, skipped = manifold_norm(e, atlas, k, resolution=10)
     assert val > 0.0
     assert (val, skipped) == _per_point_norm(e, atlas, k, 10)
+
+
+def test_manifold_norms_take_both_norms_from_one_pullback(
+    atlas, circle_sin, circle_sin_approx, monkeypatch
+):
+    ap, target = circle_sin_approx[4], circle_sin[1]
+    e = lambda X: ap.eval(X) - target(X)
+    want = [manifold_norm(e, atlas, k, resolution=10) for k in (0, 1)]
+    calls, pullback = [], manifold._pullback
+    monkeypatch.setattr(manifold, "_pullback", lambda *a: calls.append(1) or pullback(*a))
+    assert manifold_norms(e, atlas, resolution=10) == want
+    assert len(calls) == 1
 
 
 def test_eval_is_nan_at_a_nonfinite_point_without_warnings(circle, atlas, circle_sin):

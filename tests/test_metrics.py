@@ -8,6 +8,7 @@ from sobolev_forge.metrics import (
     fd_gradient_batch,
     fit_loglog_slope,
     grid_norm,
+    grid_norms,
     lipschitz_estimate,
     sample_pairs,
 )
@@ -93,6 +94,45 @@ def test_fd_gradient_trapezoid_slopes():
     slopes = [fd_gradient_batch(g, x[None], 1e-8)[0, 0] for x in X]
     for s in slopes:
         assert min(abs(s), abs(s - 3 * N), abs(s + 3 * N)) <= 1e-4
+
+
+def _two_norms(g, p, grid, h):
+    """Both norms of grid_norms, with g called on the grid and on each of
+    its 2D stencil sets in turn."""
+    X = grid.points
+    vals = np.abs(g(X))
+    grads = np.empty(X.shape)
+    for j in range(X.shape[1]):
+        hi, lo = X.copy(), X.copy()
+        hi[:, j] += h
+        lo[:, j] -= h
+        grads[:, j] = (g(hi) - g(lo)) / (2.0 * h)
+    grads = np.abs(grads)
+    if p == math.inf:
+        return float(np.max(vals)), float(max(np.max(vals), np.max(grads)))
+    w0 = np.sum(vals**p) * grid.cell_volume
+    return float(w0 ** (1.0 / p)), float((w0 + np.sum(grads**p) * grid.cell_volume) ** (1.0 / p))
+
+
+@pytest.mark.parametrize("p", [math.inf, 2, 3])
+def test_grid_norms_take_one_call_and_match_separate_calls(p):
+    grid = EvalGrid(2, 17)
+    g = lambda X: np.sin(7.0 * X[:, 0]) * np.abs(X[:, 1] - 0.4)
+    calls = []
+    norms = grid_norms(lambda X: calls.append(len(X)) or g(X), p, grid)
+    assert calls == [5 * 17**2]
+    assert norms == _two_norms(g, p, grid, 1e-6)
+    assert norms == (grid_norm(g, 0, p, grid), grid_norm(g, 1, p, grid))
+
+
+def test_lipschitz_estimate_takes_one_call(rng):
+    g = lambda X: np.sin(5.0 * X[:, 0]) + X[:, 1] ** 2
+    pairs = sample_pairs(rng, 2, 300)
+    probes = rng.uniform(0.1, 0.9, (40, 2))
+    calls = []
+    est = lipschitz_estimate(lambda X: calls.append(len(X)) or g(X), pairs=pairs, probes=probes)
+    assert calls == [2 * len(pairs[0]) + 4 * len(probes)]
+    assert est == max(lipschitz_estimate(g, pairs=pairs), lipschitz_estimate(g, probes=probes))
 
 
 def test_fit_loglog_slope():

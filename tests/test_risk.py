@@ -80,6 +80,14 @@ def test_adversarial_linear_analytic(rng):
     assert risks[delta] == pytest.approx(exact, rel=0.01)
 
 
+def test_adversarial_radial_candidates_of_a_delta_take_one_call(approx, rng):
+    X = rng.uniform(0, 1, (30, 2))
+    calls = []
+    g = lambda Z: calls.append(len(Z)) or approx.eval(Z)
+    adversarial_risk(g, X, approx.eval(X) + 0.1, [0.0, 0.01, 0.02], directions=5, ascent_steps=0)
+    assert calls == [30, 4 * 5 * 30, 4 * 5 * 30]
+
+
 def test_adversarial_determinism(rng):
     g = lambda X: np.sin(X[:, 0] * 2)
     X = rng.uniform(0, 1, (30, 2))

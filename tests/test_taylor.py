@@ -12,7 +12,7 @@ from build_oracle import (
     direct_nets,
     direct_term_cnns,
 )
-from fold_oracle import eval_oracle, max_intermediate_oracle
+from fold_oracle import eval_oracle, max_intermediate_oracle, unkeyed_fold_rows
 from forward_oracle import fd_consistency
 from hypothesis import given, settings, strategies as st
 
@@ -286,6 +286,55 @@ def test_stacked_fold_chunks_and_lone_rows(rng):
     ap = _approx("sinprod", 1, 3, 4)
     X = np.array([[0.25], [2.0]])
     assert np.array_equal(ap.eval(X), eval_oracle(ap, X))
+
+
+@st.composite
+def _fold_stacks(draw):
+    """(A, nets): fold operands with planted repeats, trapezoid plateau rows
+    (1.0), signed zeros, rows one ulp apart and lone rows, some stacks
+    longer than _FOLD_ROWS."""
+    steps = draw(st.integers(1, 4))
+    approxes = st.sampled_from([_approx("sinprod", 2, 2, 4), _approx("sinprod", 3, 3, 8)])
+    nets = [draw(approxes).times_net for _ in range(steps)]
+    value = st.one_of(st.floats(-6.0, 6.0), st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]))
+    pool = np.array(draw(st.lists(st.lists(value, min_size=steps + 1, max_size=steps + 1),
+                                  min_size=1, max_size=12)))
+    if draw(st.booleans()):  # each row with a twin one ulp up in one column
+        twin, col = pool.copy(), draw(st.integers(0, steps))
+        twin[:, col] = np.nextafter(twin[:, col], np.inf)
+        pool = np.concatenate([pool, twin])
+    long = st.integers(taylor._FOLD_ROWS - 2, taylor._FOLD_ROWS + 700)
+    n = draw(st.one_of(st.integers(1, 400), long))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = pool[rng.integers(0, len(pool), n)]
+    lone = rng.random(n) < draw(st.sampled_from([0.0, 0.05, 0.5, 1.0]))
+    A[lone] = rng.uniform(-6.0, 6.0, (np.count_nonzero(lone), steps + 1))
+    return A, nets
+
+
+@settings(max_examples=60, deadline=None)
+@given(_fold_stacks())
+def test_keyed_fold_equals_the_unkeyed_fold_bit_for_bit(case):
+    A, nets = case
+    keyed, unkeyed = [0.0], [0.0]
+    got = taylor._fold_rows(A, nets, keyed)
+    want = unkeyed_fold_rows(A, nets, unkeyed)
+    assert got.tobytes() == want.tobytes()  # keeps +0.0 and -0.0 apart
+    assert keyed == unkeyed
+
+
+def test_a_grid_runs_fewer_product_net_rows_than_fold_operand_rows(monkeypatch):
+    # grid points share coordinates, the candidate offsets share their first
+    # factor and plateau factors read exactly 1.0: most operand rows repeat
+    ap = _approx("sinprod", 2, 2, 8)
+    operand, run = [], []
+    fold, forward = taylor._fold_rows, scalarnets.ScalarNet.forward
+    monkeypatch.setattr(taylor, "_fold_rows",
+                        lambda A, nets, t: operand.append(len(A) * len(nets)) or fold(A, nets, t))
+    monkeypatch.setattr(scalarnets.ScalarNet, "forward",
+                        lambda net, X: run.append(len(X)) or forward(net, X))
+    ap.eval(EvalGrid(2, 21).points)
+    assert 0 < sum(run) < sum(operand) / 2
 
 
 @pytest.mark.parametrize("name, dim, alpha", [("sinprod", 1, 3), ("sinprod", 2, 2),
