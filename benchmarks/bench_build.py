@@ -133,6 +133,17 @@ compiling:
   perfbench's ``studies`` workload (N = 2, 4, 8, 16, grid 21), its
   norms and its files.
 
+Under ``kernel_split`` it splits the forward of the alpha=2 N=8 product
+net (eta = 1/64, box 5, as the evaluator folds it) at 3, 200 and 4096
+uniform rows by part of ``kernels.mlp_layer``, on the net's prepared
+layers: ``product_s`` (x @ w.T), ``bias_add_s`` (the bias added as the
+kernel adds it: a 1-D bias broadcast over the rows, a tile's first rows in
+one add) and ``relu_s``, each the median over the reps of its mean seconds
+per layer (the ReLU over the layers that have one), each op repeated to
+about 4096 rows a timing; ``forward_s`` is the median of the whole
+forward.  ``tiles`` and ``tile_mb`` give the number and size (MiB) of the
+bias tiles (``scalarnets._tiles``) once every request above has run.
+
 The sizes and the seed of the inputs are those of perfbench's ``studies``
 workload.  Each figure is the median of at least ``--reps`` calls after a
 warm-up, more while they take under a second, and ``sha256`` digests the
@@ -200,6 +211,7 @@ FUNCTIONAL_DELTAS = (0.0, 0.02)
 FUNCTIONAL_RATE = {"kind": "euclidean-rate", "target": "sinprod", "alpha": 2, "N_list": [2, 4, 8, 16],
                    "grid": 21}  # perfbench's rate study
 FUNCTIONAL_BUILD = (3, 2)  # (alpha, N) of the compiled build whose check points are counted
+KERNEL_ROWS = (3, 200, 4096)  # rows of the product-net forwards split by kernel part
 MANIFOLD_STAGES = {
     "boundary": ("chart_boundary_data",),
     "coefficients": ("chart_coefficients",),
@@ -528,13 +540,50 @@ def _fold_steps(np, taylor, requests):
     return counts
 
 
+def _kernel_split(np, kernels, scalarnets, reps):
+    """Per-layer median seconds of the product net's forward by kernel part
+    at each count of KERNEL_ROWS rows, and the bias tiles of the process
+    (see ``kernel_split`` in the module docstring)."""
+    net = scalarnets.build_product2(float(FUNCTIONAL_N) ** -2, 5.0)
+    rng = np.random.default_rng(0)
+    split = []
+    for n in KERNEL_ROWS:
+        X = rng.uniform(-5.0, 5.0, (n, 2))
+        forward_s = _median_seconds(lambda: net.forward(X), reps)
+        layers, inputs = net._batch_layers, [X]
+        for w, b in layers[:-1]:
+            inputs.append(kernels.mlp_layer(w, b, inputs[-1]))
+        loops = -(-4096 // n)
+        times = {"product_s": [], "bias_add_s": [], "relu_s": []}
+        for _ in range(max(reps, 5)):
+            spent = dict.fromkeys(times, 0.0)
+            for i, (x, (w, b)) in enumerate(zip(inputs, layers)):
+                y = x @ w.T
+                bias = b if b.ndim == 1 else b[:n]
+                ops = {"product_s": lambda: x @ w.T, "bias_add_s": lambda: np.add(y, bias, out=y)}
+                if i < len(layers) - 1:
+                    ops["relu_s"] = lambda: np.maximum(y, 0.0, out=y)
+                for part, op in ops.items():
+                    start = time.perf_counter()
+                    for _ in range(loops):
+                        op()
+                    spent[part] += (time.perf_counter() - start) / loops
+            for part in times:
+                times[part].append(spent[part] / (len(layers) - (part == "relu_s")))
+        split.append({"rows": n, "layers": len(layers), "forward_s": forward_s,
+                      **{part: statistics.median(t) for part, t in times.items()}})
+    tiles = getattr(scalarnets, "_tiles", {})
+    return {"kernel_split": split, "tiles": len(tiles),
+            "tile_mb": sum(t.nbytes for t in tiles.values()) / 2**20}
+
+
 def _bench_functional(modules, reps):
     """Median seconds of the functional evaluator on the rate study's stencil
     at each N of FUNCTIONAL_NS, then of the Lipschitz estimate and the
     adversarial risk at N = FUNCTIONAL_N, and of the rate study
     FUNCTIONAL_RATE, with a digest of the values; then the fold's rows and
     distinct rows per step in each request."""
-    np, manifold, metrics, risk, studies, targets, taylor = modules
+    np, kernels, manifold, metrics, risk, scalarnets, studies, targets, taylor = modules
     target = targets.get_target("sinprod", alpha=2, dim=2)
     build = lambda N: taylor.build_euclidean(target, s=0, p=math.inf, N=N, compile_model=False)
     grid = metrics.EvalGrid(2, FUNCTIONAL_GRID).points
@@ -584,12 +633,18 @@ def _bench_functional(modules, reps):
             "manifold_one_point_evals": lambda: [circle.eval(x[None]) for x in
                                                  mspec.sample_points(MANIFOLD_POINTS)],
         })})
-    for row in rows[:-1]:
+    rows.append(_kernel_split(np, kernels, scalarnets, reps))
+    for row in rows[:-2]:
         times = "  ".join(f"{k} {v * 1e3:.2f} ms" for k, v in row.items() if k.endswith("_s"))
         print(f"functional {row.get('N', 'study')}: {times}  sha256 {row['sha256'][:12]}", flush=True)
-    for name, steps in rows[-1]["fold_steps"].items():
+    for name, steps in rows[-2]["fold_steps"].items():
         shares = ", ".join(f"{s['distinct'] / s['rows']:.0%} of {s['rows']}" for s in steps)
         print(f"  fold steps of {name}, distinct rows: {shares}", flush=True)
+    for row in rows[-1]["kernel_split"]:
+        us = "  ".join(f"{k[:-2]} {row[k] * 1e6:.2f} us" for k in ("product_s", "bias_add_s", "relu_s"))
+        print(f"  product net at {row['rows']:>4} rows, per layer: {us}; "
+              f"forward {row['forward_s'] * 1e6:.1f} us", flush=True)
+    print(f"  bias tiles: {rows[-1]['tiles']}, {rows[-1]['tile_mb']:.2f} MiB", flush=True)
     return rows
 
 
@@ -662,7 +717,8 @@ def main():
     args = parser.parse_args()
     sys.path.insert(0, args.src)
     import numpy as np
-    from sobolev_forge import manifold, metrics, netcore, risk, serialize, studies, targets, taylor
+    from sobolev_forge import kernels, manifold, metrics, netcore, risk, scalarnets, serialize, studies
+    from sobolev_forge import targets, taylor
 
     if args.only in (None, "build"):
         rows = _bench_builds((np, netcore, serialize, targets, taylor), args.reps)
@@ -687,7 +743,8 @@ def main():
         )
         _store("BENCH_manifold_build.json", what, np, args.label, rows)
     if args.only in (None, "functional"):
-        rows = _bench_functional((np, manifold, metrics, risk, studies, targets, taylor), args.reps)
+        rows = _bench_functional(
+            (np, kernels, manifold, metrics, risk, scalarnets, studies, targets, taylor), args.reps)
         what = (
             "median seconds of ConstructedApproximator.eval of sinprod (D=2, alpha=2) on "
             "the five 441-point sets of a k=1 grid norm at grid 21 (N=4, 8, 16), one call "
@@ -697,7 +754,10 @@ def main():
             "the study's rates.csv and summary.json; under fold_steps, the rows and "
             "distinct rows of each fold step of the rate study, the two risk requests, "
             "the check points of a compiled alpha=3 N=2 build and 10 one-point evals of "
-            "the circle-sin approximant at N=4; see benchmarks/bench_build.py"
+            "the circle-sin approximant at N=4; under kernel_split, the median seconds per "
+            "layer of the product, bias add and ReLU of the alpha=2 N=8 product net's forward "
+            "at 3, 200 and 4096 rows, and the number and MiB of the bias tiles; see "
+            "benchmarks/bench_build.py"
         )
         _store("BENCH_functional_fold.json", what, np, args.label, rows)
 

@@ -360,18 +360,13 @@ def build_sqdist_nets(centers, theta: float, B: float):
 
     A center enters the net only through its first-layer bias, b0 + W0 @ -c;
     so the net is built once, at center 0, and the net of center i is that
-    net with its first bias replaced by row i of the stack (``_stamp``).
+    net with its first bias replaced by row i of the stack
+    (``ScalarNet.with_first_bias``).
     """
     centers = np.asarray(centers, dtype=np.float64)
     net = build_sqdist_net(np.zeros(centers.shape[1]), theta, B)
     W0, b0 = net.layers[0]
     return net, np.array([b0 + W0 @ -c for c in centers])
-
-
-def _stamp(net, bias):
-    """net with its first-layer bias replaced, every array else shared; a
-    (rows, width) bias gives each input row its own."""
-    return ScalarNet([(net.layers[0][0], bias)] + net.layers[1:])
 
 
 @dataclass
@@ -582,7 +577,7 @@ class ManifoldApproximator:
     def indicator_values(self, i, X):
         """Indicator of chart i at the rows of X; i is a chart, or an array
         holding the chart of each row."""
-        d2 = _stamp(self.sqdist_net, self.sqdist_biases[i]).forward(X)
+        d2 = self.sqdist_net.with_first_bias(self.sqdist_biases[i]).forward(X)
         return self.indicator_net.forward(d2[:, None])
 
     def per_chart_eval(self, i, X):
@@ -690,7 +685,7 @@ def build_manifold_approx(
     times_delta = build_product2(delta, box_intr)
     if compile_model:  # each v's term net at chart 0, node 0 (see _terms)
         templates = [monomial_bump_template(v, N, times_eta) for v in multi_indices(d, alpha - 1)]
-        indicator = sn_chain(_stamp(sqdist[0], sqdist[1][0]), indicator_net)
+        indicator = sn_chain(sqdist[0].with_first_bias(sqdist[1][0]), indicator_net)
         nets = [sn_chain(_chart_pair(atlas, 0, t.net, indicator), times_delta) for t in templates]
         check_term_width(Jt, D, nets)
     z_bound, band = chart_boundary_data(atlas, Delta)

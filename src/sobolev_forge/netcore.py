@@ -106,6 +106,9 @@ With OpenBLAS 0.3.31 (Haswell kernels) on a Xeon VM a 64-row tile of a 14 x
 and the two layouts round alike for inner dimensions up to 15 and apart
 from 16 on.  So from ``_ROW_MAJOR_WIDTH`` = 16 on a filter keeps its own
 layout, and the layout changes no bit; a test checks the agreement below.
+Both forward paths tile shared biases: the functional path's
+``ScalarNet`` adds each 1-D bias from a tile of 4096 rows shared by every
+net with that bias (``scalarnets.bias_tile``).
 """
 
 from collections import namedtuple

@@ -47,6 +47,36 @@ from . import kernels
 from .netcore import ShapeError
 
 
+# Rows of a bias tile: the 4096 rows of a fold pass (taylor._FOLD_ROWS) in
+# one add.  On 4096 x 12 that add took 18-19 us, four adds of a 1024-row
+# tile 21-24 us and the broadcast 1-D bias 50-54 us (2-core Xeon VM).
+_TILE_ROWS = 4096
+# Bytes the tiles may hold; past them a bias is added from its 1-D array, to
+# the same bits.  The studies stay far below: every product net, at every
+# eta and B, has the same 6 biases (30 columns, 0.98 MB of tiles), and the
+# rate studies at alpha 2 and 3 for N 2-16 with a circle study for N 4-32
+# hold 12 (41 columns, 1.3 MB).
+_TILE_BYTES = 16 << 20
+_tiles = {}  # (dtype, shape, bytes) of a 1-D bias -> its tile, for the process's life
+
+
+def bias_tile(b):
+    """The (_TILE_ROWS, len(b)) read-only tile of a 1-D bias b, one per
+    distinct bias (by shape and bytes, so +0.0 and -0.0 differ) for the
+    whole process, so that nets built anew share it; b itself once the
+    tiles hold _TILE_BYTES, and a 2-D bias as it is."""
+    if b.ndim != 1:
+        return b
+    key = (b.dtype.str, b.shape, b.tobytes())
+    tile = _tiles.get(key)
+    if tile is None:
+        if sum(t.nbytes for t in _tiles.values()) + _TILE_ROWS * b.nbytes > _TILE_BYTES:
+            return b
+        tile = _tiles[key] = np.tile(b, (_TILE_ROWS, 1))
+        tile.flags.writeable = False
+    return tile
+
+
 @dataclass
 class ScalarNet:
     """Affine/ReLU stack: the package's one feed-forward ReLU net type.
@@ -56,10 +86,12 @@ class ScalarNet:
     not checked here, since a build makes hundreds of nets;
     ``algebra.mlp_to_cnn`` checks them once per conversion.
 
-    A forward reads a column-major copy of each weight, made once per net
-    object at its first forward, so that x @ w.T hands BLAS a
-    row-major (Cin, Cout) operand; the product rounds as with the weight
-    itself.  A net's arrays are shared between its layers and with other
+    A forward runs the net's prepared layers (``_batch_layers``), made once
+    per net object at its first forward: a column-major copy of each
+    weight, so that x @ w.T hands BLAS a row-major (Cin, Cout) operand, and
+    each 1-D bias as its tile from ``bias_tile``, which ``kernels.mlp_layer``
+    adds in contiguous slabs.  Both round as the weight and the bias
+    themselves.  A net's arrays are shared between its layers and with other
     nets, and are never edited: an edit would reach every net holding them.
     """
 
@@ -90,7 +122,15 @@ class ScalarNet:
 
     @cached_property
     def _batch_layers(self):
-        return [(np.asfortranarray(w), b) for w, b in self.layers]
+        return [(np.asfortranarray(w), bias_tile(b)) for w, b in self.layers]
+
+    def with_first_bias(self, bias):
+        """This net with its first-layer bias replaced by ``bias``, every
+        other array shared, and so are its prepared layers past the first; a
+        (rows, width) bias gives each input row its own."""
+        net = ScalarNet([(self.layers[0][0], bias)] + self.layers[1:])
+        net._batch_layers = [(self._batch_layers[0][0], bias)] + self._batch_layers[1:]
+        return net
 
     def forward(self, X):
         """Batch forward: (n, in_dim) -> (n,) for scalar nets, else (n, out).

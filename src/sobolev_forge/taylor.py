@@ -248,12 +248,13 @@ def _surrogate_sum(coeffs, X):
 # while one pass over a 26k-row stack ran 2x slower per row (2-core Xeon VM)
 _FOLD_ROWS = 4096
 # Fold steps of fewer rows run every row.  Keying a step's rows
-# (_distinct_rows on two columns) costs about 28 us plus 0.04 us a row, and
-# each repeated row it drops saves 0.5 us of the alpha=2 product net, whose
-# pass costs 116 us plus 0.5 us a row (2-core Xeon VM, OpenBLAS).  So below
-# 28 / (0.5 - 0.04) = 61 rows keying cannot pay even when every row repeats,
-# and at 128 rows it pays once half the rows repeat.
-_KEY_ROWS = 128
+# (_distinct_rows on two columns) costs about 27 us plus 0.035 us a row, and
+# each repeated row it drops saves 0.30 us of the alpha=2 product net, whose
+# pass costs 106 us plus 0.30 us a row with bias tiles (2-core Xeon VM,
+# OpenBLAS; 0.47 us a row before them).  So below 27 / (0.30 - 0.035) = 102
+# rows keying cannot pay even when every row repeats; at 128 rows it pays
+# only once 82% of the rows repeat, and at 256 once 47% do.
+_KEY_ROWS = 256
 # (candidate offset, point) rows of one stacked pass, which bounds its
 # memory: 2^14 rows (4096 points at D = 2) hold about 4 MB of operands, and
 # one pass over the 12,000 points of a Lipschitz estimate held 12 MB

@@ -5,6 +5,7 @@ lines and timings.  Expensive intermediate results (rate tables, builds) are
 shared through module-scoped fixtures.
 """
 
+import dataclasses
 import math
 import time
 
@@ -28,7 +29,7 @@ from sobolev_forge.metrics import (
     lipschitz_estimate,
     sample_pairs,
 )
-from sobolev_forge.netcore import resnet_forward_batch
+from sobolev_forge.netcore import FilterTensor, ResidualBlockSpec, audit_class, resnet_forward_batch
 from sobolev_forge.risk import RiskConfig, adversarial_gap_check, empirical_residual_study
 from sobolev_forge.scalarnets import (
     ScalarNet,
@@ -222,14 +223,12 @@ def test_criterion_5_polynomial_exactness(rng):
     _report(5, ok, f"surrogate err {surro:.2e}, network error c = {c:.3f} (<= 10)", t0)
 
 
-def test_criterion_6_class_audit(sinprod):
+def _criterion_6(sinprod, build=build_euclidean):
     t0 = time.time()
     stats = {}
     for N in (4, 8):
         Jt = 40
-        ap = build_euclidean(
-            sinprod, s=0, p=math.inf, N=N, Jt=Jt, compile_model=True, check_points=50
-        )
+        ap = build(sinprod, s=0, p=math.inf, N=N, Jt=Jt, compile_model=True, check_points=50)
         params = ap.class_params
         terms = ap.record["terms"]
         stats[N] = {
@@ -246,10 +245,34 @@ def test_criterion_6_class_audit(sinprod):
     sizes_ok = all(s["kappa_ok"] and s["K_ok"] for s in stats.values())
     ok = sizes_ok and 0.5 < drift_J < 2.0 and 0.5 < drift_M < 2.0
     detail = (
-        f"K<=D ok, kappa1 {stats[4]['kappa1']:.0f}/{stats[8]['kappa1']:.0f} vs 3N+1, "
+        f"K<=D ok, kappa1 {stats[4]['kappa1']:.0f}/{stats[8]['kappa1']:.0f} vs 3N+1 "
+        f"{all(s['kappa_ok'] for s in stats.values())}, "
         f"J/Jt drift {drift_J:.2f}x, M/terms drift {drift_M:.2f}x"
     )
     _report(6, ok, detail, t0)
+
+
+def test_criterion_6_class_audit(sinprod):
+    _criterion_6(sinprod)
+
+
+def test_criterion_6_fails_for_a_model_whose_readout_is_scaled_past_kappa1(sinprod, capsys):
+    # the built model's last block gets a copy of its readout filter scaled
+    # so that its largest weight is 3N + 2, and the audit runs on the copy;
+    # shapes, and so K, J and M, stay as built, so only the kappa1 check fails
+    def scaled(target, N, **kwargs):
+        ap = build_euclidean(target, N=N, **kwargs)
+        last = ap.model.blocks[-1]
+        w = last.filters[-1].entries
+        readout = FilterTensor(w * ((3 * N + 2) / np.max(np.abs(w))))
+        blocks = ap.model.blocks[:-1] + [ResidualBlockSpec(last.filters[:-1] + [readout], last.biases)]
+        ap.model = dataclasses.replace(ap.model, blocks=blocks)
+        ap.class_params = audit_class(ap.model)
+        return ap
+
+    with pytest.raises(AssertionError, match=r"criterion 6: .*kappa1 14/26 vs 3N\+1 False"):
+        _criterion_6(sinprod, scaled)
+    assert "ACCEPTANCE  6 [FAIL]" in capsys.readouterr().out
 
 
 def test_criterion_7_lipschitz_bound(sinprod, euclid_rate_data, rng):

@@ -1,8 +1,13 @@
 import numpy as np
 from forward_oracle import conv_forward
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sobolev_forge import kernels
 from sobolev_forge.netcore import FilterTensor
+from sobolev_forge.scalarnets import _TILE_ROWS
+
+T = _TILE_ROWS
 
 
 def test_backends_agree_conv(rng):
@@ -32,6 +37,34 @@ def test_backends_agree_mlp(rng):
     assert np.array_equal(kernels.mlp_layer(w, b, x, relu=True), np.maximum(affine, 0.0))
     assert np.any(affine < 0.0)
     assert kernels.backend_name() == "numpy"
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from([0, 1, 2, T - 1, T, T + 1, 2 * T + 3]),
+    st.integers(1, 12),
+    st.integers(1, 6),
+    st.booleans(),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+@example(0, 3, 2, True, True, 0)  # no rows, and a per-row bias of no rows
+@example(2 * T + 3, 12, 4, False, False, 0)  # three adds of the tile
+def test_a_tiled_or_per_row_bias_adds_as_the_plain_affine_map(n, cout, cin, per_row, relu, seed):
+    """mlp_layer gives the bits of x @ w.T + b, signed zeros included, with
+    b as its tile of T rows or as a per-row bias, at row counts from none
+    to past two tiles."""
+    rng = np.random.default_rng(seed)
+    w, x = rng.standard_normal((cout, cin)), rng.standard_normal((n, cin))
+    b = rng.standard_normal((n, cout) if per_row else cout)
+    for a in (x, b):
+        a[rng.random(a.shape) < 0.2] = 0.0
+        a[rng.random(a.shape) < 0.2] = -0.0
+    want = x @ w.T + b
+    if relu:
+        want = np.maximum(want, 0.0)
+    got = kernels.mlp_layer(w, b if per_row else np.tile(b, (T, 1)), x, relu=relu)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_conv_tail_zero_padding():

@@ -361,18 +361,21 @@ def test_sphere_boundary_succeeds_at_the_poles():
 @pytest.mark.parametrize("kit", ["circle", "sphere", "torus"])
 def test_stamped_sqdist_nets_equal_per_center_builds(atlases, kit):
     """Each stamped net has the layers of the net built at its center, and
-    all of them share every weight and every layer after the first."""
+    all of them share every weight and every layer after the first, the
+    prepared ones too."""
     at = atlases[kit]
     theta, B = at.r**2 / (64.0 * at.manifold.ambient_dim), at.manifold.box_bound
     shared, biases = manifold.build_sqdist_nets(at.centers, theta, B)
     assert biases.shape == (at.chart_count, shared.layers[0][1].size)
     for bias, center in zip(biases, at.centers):
-        net, ref = manifold._stamp(shared, bias), build_sqdist_net(center, theta, B)
+        net, ref = shared.with_first_bias(bias), build_sqdist_net(center, theta, B)
         assert net.depth == ref.depth
         for (W, b), (W_ref, b_ref) in zip(net.layers, ref.layers):
             assert np.array_equal(W, W_ref) and np.array_equal(b, b_ref)
         assert net.layers[0][0] is shared.layers[0][0]
         assert all(a is b for a, b in zip(net.layers[1:], shared.layers[1:]))
+        assert net._batch_layers[0][0] is shared._batch_layers[0][0]
+        assert all(a is b for a, b in zip(net._batch_layers[1:], shared._batch_layers[1:]))
 
 
 def test_manifold_compile_equality(circle, circle_sin):
@@ -547,6 +550,19 @@ def test_per_chart_eval_matches_per_term_oracle(circle, atlas, circle_sin):
 @pytest.fixture(scope="module")
 def circle_sin_approx(circle, atlas, circle_sin):
     return {N: build_manifold_approx(circle_sin[1], circle, N=N, atlas=atlas) for N in (4, 8, 16)}
+
+
+def test_one_point_evals_prepare_no_layer_after_the_first(circle, circle_sin_approx, monkeypatch):
+    """A stamped net reuses its base net's prepared layers, so one-point
+    evals after the first copy no weight for the forward."""
+    ap = circle_sin_approx[4]
+    X = circle.sample_points(10)
+    ap.eval(X[:1])
+    copies = []
+    asfortranarray = np.asfortranarray
+    monkeypatch.setattr(np, "asfortranarray", lambda a: copies.append(a) or asfortranarray(a))
+    values = [ap.eval(x[None])[0] for x in X]
+    assert copies == [] and np.any(np.array(values) != 0.0)
 
 
 _ON_OR_NEAR_CIRCLE = st.tuples(st.floats(0.0, 2 * math.pi), st.floats(0.85, 1.15))

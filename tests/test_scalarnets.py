@@ -6,7 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from build_oracle import chained_pad, laid_product2, laid_square
-from fold_oracle import padded_forward
+from fold_oracle import padded_forward, plain_forward
+from sobolev_forge import scalarnets
 from sobolev_forge.netcore import ShapeError
 from sobolev_forge.scalarnets import (
     ScalarNet,
@@ -196,12 +197,16 @@ def test_partial_product_error_grows_linearly():
 
 
 def _net_and_inputs(kind, eta, B, n, rng):
-    """A product, trapezoid or monomial-bump net and n inputs in its box,
-    some of them exact zeros or grid nodes."""
-    if kind == "product":
+    """A product, stamped product, trapezoid or monomial-bump net and n
+    inputs in its box, some of them exact zeros or grid nodes.  The stamped
+    product net gives each input row a first-layer bias of its own."""
+    if kind in ("product", "stamped"):
         X = rng.uniform(-B, B, (n, 2))
         X[rng.random((n, 2)) < 0.1] = 0.0
-        return build_product2(eta, B), X
+        net = build_product2(eta, B)
+        if kind == "stamped":
+            net = net.with_first_bias(rng.uniform(-0.5, 0.5, (n, 6)))
+        return net, X
     N = int(rng.integers(1, 9))
     if kind == "trapezoid":
         X = rng.uniform(-0.2, 1.2, (n, 1))
@@ -214,20 +219,60 @@ def _net_and_inputs(kind, eta, B, n, rng):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    st.sampled_from(["product", "trapezoid", "monomial-bump"]),
+    st.sampled_from(["product", "stamped", "trapezoid", "monomial-bump"]),
     st.sampled_from([0.25, 1.0 / 16, 1.0 / 256, 1e-5]),
     st.sampled_from([1.0, 3.0, 6.0]),
     st.one_of(st.integers(1, 40), st.sampled_from([_FOLD_ROWS, _FOLD_ROWS + 1, 5000])),
     st.integers(0, 2**32 - 1),
 )
 @example("product", 1.0 / 256, 6.0, 1, 0)  # a lone row is padded to two
+@example("stamped", 1.0 / 256, 6.0, 1, 0)  # and reads the one bias row twice
+@example("stamped", 1.0 / 16, 3.0, 5000, 0)
 @example("monomial-bump", 1.0 / 16, 3.0, 2, 0)
 def test_forward_equals_the_plain_layer_loop(kind, eta, B, n, seed):
-    """ScalarNet.forward, with its weight copies and in-place biases, gives
-    the bits of relu(x @ w.T + b) per layer on the layers as built, from
-    one row, padded to two, to more than a fold chunk."""
+    """ScalarNet.forward, with its weight copies and bias tiles, gives the
+    bits of relu(x @ w.T + b) per layer on the layers as built, from one
+    row, padded to two, to more than a tile, per-row biases too."""
     net, X = _net_and_inputs(kind, eta, B, n, np.random.default_rng(seed))
     assert np.array_equal(net.forward(X), padded_forward(net, X))
+
+
+def test_product_nets_of_every_eta_and_box_share_six_bias_tiles(monkeypatch):
+    """Every product net has the same six biases, so the alpha = 2 and 3
+    nets of N = 2 to 16, as the rate studies build them, and nets of other
+    boxes hold the same six tile objects, the map's only entries."""
+    monkeypatch.setattr(scalarnets, "_tiles", {})
+    shapes = [(float(N) ** -alpha, alpha + 3.0) for alpha in (2, 3) for N in range(2, 17)]
+    nets = [build_product2(eta, B) for eta, B in shapes + [(0.25, 1.0), (1e-5, 0.5)]]
+    X = np.random.default_rng(0).uniform(-0.5, 0.5, (5, 2))
+    for net in nets:
+        assert net.forward(X).tobytes() == plain_forward(net, X).tobytes()
+    tiles = {id(tile) for tile in scalarnets._tiles.values()}
+    assert len(tiles) == 6
+    assert all({id(b) for _, b in net._batch_layers} == tiles for net in nets)
+
+
+def test_biases_that_differ_in_the_sign_of_a_zero_get_their_own_tiles(monkeypatch):
+    """Tiles are keyed by a bias's bytes, so +0.0 and -0.0 get a tile each,
+    each holding its own zero (a key by value would give the second net
+    the first one's); past the byte bound a bias is added as it is, to the
+    same bits."""
+    monkeypatch.setattr(scalarnets, "_tiles", {})
+    X = np.linspace(-1.0, 1.0, 7)[:, None]
+    W = np.array([[1.0], [-1.0]])
+    nets = [ScalarNet([(W, np.array([zero, 0.5])), (np.ones((1, 2)), np.array([zero]))])
+            for zero in (0.0, -0.0)]
+    for net in nets:
+        assert net.forward(X).tobytes() == plain_forward(net, X).tobytes()
+        for (_, b), (_, tile) in zip(net.layers, net._batch_layers):
+            assert tile.shape == (scalarnets._TILE_ROWS, len(b)) and not tile.flags.writeable
+            assert tile.tobytes() == np.tile(b, (scalarnets._TILE_ROWS, 1)).tobytes()
+    assert len(scalarnets._tiles) == 4
+    monkeypatch.setattr(scalarnets, "_TILE_BYTES", 0)
+    net = ScalarNet([(W, np.array([0.25, -0.0]))])
+    assert net._batch_layers[0][1] is net.layers[0][1]
+    assert net.forward(X).tobytes() == plain_forward(net, X).tobytes()
+    assert len(scalarnets._tiles) == 4
 
 
 def _same_layers(got, want):
