@@ -81,11 +81,16 @@ study builds them, and splits each build by wrapping functions of the
 * ``boundary``: ``chart_boundary_data``, the boundary bisection;
 * ``coefficients``: ``chart_coefficients``, the pullback Taylor
   coefficients of all charts and the boundary-band kill, one call per
-  build (a chart at a time in trees before it);
+  build (a chart at a time in trees before it), less its weights;
+* ``rho_weights``: ``rho_weights``, the partition-of-unity weights of the
+  pullback rows;
 * ``sqdist_nets``: ``build_sqdist_nets`` and ``build_sqdist_net``;
 * ``other``: the rest (the indicator and product nets, the record).
 
 Each rep builds a fresh atlas, untimed, and every figure is the median.
+Each build row also holds ``table_sha256``, the sha256 of its coefficient
+table's bytes and its ``kill_info``, so runs of two trees show whether they
+built the same tables.
 In the same way it times the compiled circle build
 (``compile_model=True``, 30 check points) at N = 4 and then N = 8
 (``compiled`` in the results), split by wrapping functions of the
@@ -116,6 +121,12 @@ does with the built approximator (``evaluation`` in the results):
 
 Each of these is the median of at least ``--reps`` calls after a warm-up,
 more while they take under a second.
+
+Last come the sphere rows (``manifold: sphere``): sphere-harmonic on the
+round sphere at r=0.2 (1,020 charts), the N = 4 build, split into the same
+stages (``--reps`` builds on one atlas, the median of each), and the k = 0
+``manifold_norm`` of its error at resolution 8 (``norm_k0_s``, timed as
+above), with the norm's value and skip count.
 
 ``--only functional`` times the functional path of the studies,
 ``ConstructedApproximator.eval`` of sinprod (D=2, alpha=2), without
@@ -203,6 +214,7 @@ MANIFOLD_R = 0.2
 MANIFOLD_NS = (4, 8)
 MANIFOLD_RESOLUTION = 40
 MANIFOLD_POINTS = 10
+SPHERE = {"target": "sphere-harmonic", "r": 0.2, "N": 4, "resolution": 8}
 FUNCTIONAL_NS = (4, 8, 16)
 FUNCTIONAL_GRID = 21
 FUNCTIONAL_N = 8
@@ -215,6 +227,7 @@ KERNEL_ROWS = (3, 200, 4096)  # rows of the product-net forwards split by kernel
 MANIFOLD_STAGES = {
     "boundary": ("chart_boundary_data",),
     "coefficients": ("chart_coefficients",),
+    "rho_weights": ("rho_weights",),
     "sqdist_nets": ("build_sqdist_nets", "build_sqdist_net"),
 }
 COMPILED_STAGES = {  # wrapped in taylor, and "terms" on ManifoldApproximator._terms
@@ -435,20 +448,41 @@ def _one_build(modules, alpha, N, directory):
     return seconds, counts, _read_back(modules, path), approx
 
 
+def _staged_build(manifold, target, mspec, N, atlas):
+    """Stage seconds of one build, the approximator and the sha256 of its
+    table and kill record."""
+    clock = StageClock()
+    with clock.wrapping(manifold, MANIFOLD_STAGES):
+        start = time.perf_counter()
+        approx = manifold.build_manifold_approx(target, mspec, N=N, atlas=atlas)
+        total = time.perf_counter() - start
+    digest = hashlib.sha256(approx.coeffs.table.tobytes() + json.dumps(approx.record["kill_info"]).encode())
+    return clock.split(MANIFOLD_STAGES, total), approx, digest.hexdigest()
+
+
 def _manifold_builds(manifold, targets):
-    """Stage seconds of one circle build at each N of MANIFOLD_NS, in turn on
-    one fresh atlas, and the atlas's chart count."""
+    """Stage seconds and table digest of one circle build at each N of
+    MANIFOLD_NS, in turn on one fresh atlas, and the atlas's chart count."""
     mspec, target = targets.get_manifold_target("circle-sin", 3, order=2)
     atlas = manifold.build_atlas(mspec, MANIFOLD_R)
-    splits = []
-    for N in MANIFOLD_NS:
-        clock = StageClock()
-        with clock.wrapping(manifold, MANIFOLD_STAGES):
-            start = time.perf_counter()
-            manifold.build_manifold_approx(target, mspec, N=N, atlas=atlas)
-            total = time.perf_counter() - start
-        splits.append(clock.split(MANIFOLD_STAGES, total))
-    return splits, atlas.chart_count
+    builds = [_staged_build(manifold, target, mspec, N, atlas) for N in MANIFOLD_NS]
+    return [(seconds, digest) for seconds, _, digest in builds], atlas.chart_count
+
+
+def _sphere_rows(manifold, targets, reps):
+    """The sphere build and its error's k = 0 norm: see the sphere rows in
+    the module docstring."""
+    mspec, target = targets.get_manifold_target(SPHERE["target"], order=2)
+    atlas = manifold.build_atlas(mspec, SPHERE["r"])
+    builds = [_staged_build(manifold, target, mspec, SPHERE["N"], atlas) for _ in range(reps)]
+    approx = builds[0][1]
+    error = lambda X: approx.eval(X) - target(X)
+    norm = lambda: manifold.manifold_norm(error, atlas, 0, resolution=SPHERE["resolution"])
+    value, skipped = norm()
+    return {"manifold": "sphere", **SPHERE, "charts": atlas.chart_count, "reps": reps,
+            "seconds": {k: statistics.median(b[0][k] for b in builds) for k in builds[0][0]},
+            "table_sha256": builds[0][2],
+            "evaluation": {"norm_k0_s": _median_seconds(norm, reps), "norm_k0": value, "skipped": skipped}}
 
 
 def _compiled_manifold_builds(manifold, serialize, targets, taylor):
@@ -693,17 +727,26 @@ def _bench_manifold(manifold, serialize, targets, taylor, reps):
     evaluation = _manifold_evaluation(manifold, targets, reps)
     rows = []
     for t, N in enumerate(MANIFOLD_NS):
-        seconds = {k: statistics.median(r[0][t][k] for r in runs) for k in runs[0][0][t]}
+        seconds = {k: statistics.median(r[0][t][0][k] for r in runs) for k in runs[0][0][t][0]}
         built = {**compiled[0][t], "seconds": {
             k: statistics.median(r[t]["seconds"][k] for r in compiled) for k in compiled[0][t]["seconds"]}}
-        rows.append({"N": N, "r": MANIFOLD_R, "charts": runs[0][1], "reps": reps,
-                     "seconds": seconds, "compiled": built, "evaluation": evaluation[t]})
+        rows.append({"manifold": "circle", "N": N, "r": MANIFOLD_R, "charts": runs[0][1], "reps": reps,
+                     "seconds": seconds, "table_sha256": runs[0][0][t][1], "compiled": built,
+                     "evaluation": evaluation[t]})
         split = "  ".join(f"{k} {v:.4f}" for k, v in {**seconds, **evaluation[t]}.items())
-        print(f"circle r={MANIFOLD_R} N={N} ({runs[0][1]} charts): {split}", flush=True)
+        print(f"circle r={MANIFOLD_R} N={N} ({runs[0][1]} charts, table sha256 "
+              f"{runs[0][0][t][1][:12]}): {split}", flush=True)
         split = "  ".join(f"{k} {v:.4f}" for k, v in built["seconds"].items())
         print(f"  compiled ({built['blocks']} blocks, {built['mlp_to_cnn_calls']} mlp_to_cnn calls, "
               f"{built['distinct_arrays']} distinct arrays, sha256 {built['sha256'][:12]}): {split}",
               flush=True)
+    sphere = _sphere_rows(manifold, targets, reps)
+    rows.append(sphere)
+    split = "  ".join(f"{k} {v:.4f}" for k, v in sphere["seconds"].items())
+    ev = sphere["evaluation"]
+    print(f"sphere r={sphere['r']} N={sphere['N']} ({sphere['charts']} charts, table sha256 "
+          f"{sphere['table_sha256'][:12]}): {split}  norm_k0_s {ev['norm_k0_s']:.4f} "
+          f"(norm {ev['norm_k0']!r}, {ev['skipped']} skipped)", flush=True)
     return rows
 
 
@@ -739,7 +782,9 @@ def main():
             "compiled) of the compiled build, with its blocks, mlp_to_cnn calls, distinct "
             "arrays and the sha256 of the model document, and (under "
             "evaluation) of manifold_norm of the error at k=0 and k=1, resolution 40, and "
-            "of 10 one-point evals; see benchmarks/bench_build.py"
+            "of 10 one-point evals; table_sha256 digests each build's coefficient table and "
+            "kill_info; the last row (manifold: sphere) is the sphere-harmonic build at r=0.2, "
+            "N=4, by stage, and its error's k=0 norm at resolution 8; see benchmarks/bench_build.py"
         )
         _store("BENCH_manifold_build.json", what, np, args.label, rows)
     if args.only in (None, "functional"):

@@ -4,8 +4,8 @@ W^{k,inf} error metric.
 
 The atlas is arrays.  Chart i is phi_i(x) = a V_i^T (x - c_i) + b, and every
 chart shares a = 1/(2r) and b = 1/2; so an ``Atlas`` holds the (charts, D)
-stack of centers c_i, the (charts, D, d) stack of orthonormal frames V_i and
-r.  Every atlas step takes one chart per row: ``Atlas.project`` puts row t
+stack of centers c_i, the (charts, D, d) stack of orthonormal frames V_i, r
+and each chart's neighbours.  Every atlas step takes one chart per row: ``Atlas.project`` puts row t
 into chart charts[t], and ``chart_invert(atlas, charts, Z)`` inverts all
 rows, whatever their charts, in one call through the kit's analytic
 ``chart_solver``.  The charts are all the pipeline reads of a manifold: the
@@ -19,7 +19,9 @@ chart-indicator network (squared-distance net composed with a clipped ramp).
 One ``chart_coefficients`` call computes the Taylor tables of all charts,
 stacked in chart order; its finite differences and ``manifold_norm`` share
 one pullback pass over (chart, point) rows, ``_pullback``, which makes one
-``chart_invert`` call.
+``chart_invert`` call and weighs each row against its chart's neighbours
+only (``rho_weights``): the charts whose inner balls can reach the chart's
+ball, listed once per atlas by ``build_atlas``.
 The gated terms of all charts, those with a nonzero coefficient, compile
 through the Euclidean compile step, ``taylor.compile_terms``, and pass its
 build gates; a chart term is its monomial's gated net, built once at chart
@@ -80,7 +82,8 @@ from .taylor import (
 
 class ChartError(RuntimeError):
     """A chart radius out of range, a covering failure, a point outside every
-    inner ball, or an intrinsic dimension without boundary rays."""
+    inner ball or outside its chart's ball, or an intrinsic dimension without
+    boundary rays."""
 
 
 # ---------------------------------------------------------------------------
@@ -227,13 +230,15 @@ def torus_manifold(r1=None, r2=None) -> ManifoldSpec:
 @dataclass
 class Atlas:
     """Charts phi_i(x) = scale * V_i^T (x - c_i) + shift covering a manifold:
-    the stacks of centers c_i and orthonormal frames V_i, and the radius r
-    that fixes the scale 1/(2r) and the shift 1/2 every chart shares."""
+    the stacks of centers c_i and orthonormal frames V_i, the radius r that
+    fixes the scale 1/(2r) and the shift 1/2 every chart shares, and each
+    chart's neighbours (``_chart_neighbours``)."""
 
     manifold: ManifoldSpec
     centers: np.ndarray  # (charts, D)
     frames: np.ndarray  # (charts, D, d)
     r: float
+    neighbours: np.ndarray  # (charts, width) chart indices, padded with the row's own chart
     T_d: float = 0.0
     shift = 0.5
 
@@ -301,7 +306,28 @@ def build_atlas(m: ManifoldSpec, r: float, sample_count=4096, spacing_factor=0.4
     if np.max(np.abs(gram - np.eye(d))) > 1e-10:
         raise ChartError("tangent frame is not orthonormal")
     T_d = float(np.mean(np.sum(d2 < r * r, axis=1)))
-    return Atlas(m, centers, frames, r, T_d)
+    return Atlas(m, centers, frames, r, _chart_neighbours(centers, r), T_d)
+
+
+def _chart_neighbours(centers, r):
+    """Each chart's neighbours: the charts j with |c_i - c_j| <= 1.5 r (1 +
+    1e-6), as a (charts, width) array of chart indices in ascending order,
+    each row padded with its own chart.
+
+    They hold every inner ball that reaches a point chart_invert accepts for
+    chart i: such a point has |x - c_i| <= r (1 + 1e-6), and h_j(x) > 0
+    needs |x - c_j| < r/2.  Both distances are float sums of D squares, off
+    their exact values by a relative few D ulps, so the test on the computed
+    squared distance takes a relative margin of 1e-9 on top, far more than
+    that for any ambient dimension below a million.  The distances are taken
+    a block of rows at a time, so no (charts, charts, D) temporary is held.
+    """
+    reach2 = (1.5 * r * (1 + 1e-6)) ** 2 * (1 + 1e-9)
+    step = max(1, _PULLBACK_CELLS // len(centers))
+    near = [np.flatnonzero(row) for a in range(0, len(centers), step)
+            for row in _sqdist(centers[a : a + step], centers) <= reach2]
+    width = max(map(len, near))
+    return np.array([np.concatenate([j, np.full(width - len(j), i)]) for i, j in enumerate(near)])
 
 
 def chart_invert(atlas: Atlas, charts, Z):
@@ -317,18 +343,30 @@ def chart_invert(atlas: Atlas, charts, Z):
     return X, ok
 
 
-def rho_weights(atlas: Atlas, x) -> np.ndarray:
-    """Partition-of-unity weights rho_i(x) = h_i / sum_j h_j with
-    h_i = max(0, 1 - ||x - c_i||^2 / (r/2)^2)^3; supported in the inner balls."""
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    X = np.atleast_2d(x)
-    H = np.maximum(0.0, 1.0 - _sqdist(X, atlas.centers) / atlas.r_tilde**2) ** 3
+def rho_weights(atlas: Atlas, charts, X) -> np.ndarray:
+    """Partition-of-unity weights rho_i(X[t]) = h_i / sum_j h_j of each row's
+    own chart i = charts[t], with h_j(x) = max(0, 1 - |x - c_j|^2 / (r/2)^2)^3,
+    supported in the inner ball of radius r/2 and C^{2,1}.
+
+    A row must lie within r (1 + 1e-6) of its chart's center, as every row
+    chart_invert accepts does; so only the chart's neighbours can have h_j > 0
+    there (``_chart_neighbours``), and only they are measured.  Each h_j is
+    computed as a pass over all charts computes it, and put into a zero row
+    as wide as the atlas, so the row sum adds the same terms in the same
+    places and every weight has the bits of that pass.  A ChartError for a
+    row farther from its chart's center, or in no inner ball.
+    """
+    X, charts = np.atleast_2d(np.asarray(X, dtype=np.float64)), np.asarray(charts)
+    if np.any(_row_norms(X - atlas.centers[charts]) > atlas.r * (1 + 1e-6)):
+        raise ChartError("point farther than r from the center of its chart")
+    rows, near = np.arange(len(X)), atlas.neighbours[charts]
+    d2 = np.sum((X[:, None, :] - atlas.centers[near]) ** 2, axis=2)
+    H = np.zeros((len(X), atlas.chart_count))
+    H[rows[:, None], near] = np.maximum(0.0, 1.0 - d2 / atlas.r_tilde**2) ** 3
     total = H.sum(axis=1)
     if np.any(total <= 0.0):
         raise ChartError("point not covered by any inner ball (covering bug)")
-    W = H / total[:, None]
-    return W[0] if single else W
+    return H[rows, charts] / total
 
 
 # ---------------------------------------------------------------------------
@@ -431,8 +469,8 @@ def build_indicator(p: IndicatorParams) -> ScalarNet:
 # ---------------------------------------------------------------------------
 
 
-# rows x charts of one rho_weights call in _pullback: about 3,800 rows on the
-# 69-chart circle atlas, and a bounded distance matrix on larger atlases
+# rows x charts of one rho_weights call in _pullback (about 3,800 rows on the
+# 69-chart circle atlas) and of one block of _chart_neighbours' distances
 _PULLBACK_CELLS = 2**18
 
 
@@ -449,7 +487,7 @@ def _pullback(fun, atlas, charts, Z):
     step = max(1, _PULLBACK_CELLS // atlas.chart_count)
     for a in range(0, len(Z), step):
         rows = a + np.flatnonzero(ok[a : a + step])
-        w = rho_weights(atlas, X[rows])[np.arange(rows.size), charts[rows]]
+        w = rho_weights(atlas, charts[rows], X[rows])
         rows, w = rows[w != 0.0], w[w != 0.0]
         if rows.size:
             vals[rows] = np.asarray(fun(X[rows]), dtype=np.float64).ravel() * w
@@ -480,7 +518,9 @@ def chart_boundary_data(atlas: Atlas, Delta: float, n_dirs=32):
     |V^T (x - c)| = r, and a row outside the solver's domain counts as
     outside the ball.  The rays of all charts are bisected in one pass; a
     ray's halvings depend on that ray alone, so each chart's points are
-    those of a bisection of its rays by themselves.
+    those of a bisection of its rays by themselves.  The passes stop at the
+    first that moves no bracket: every later one would compute the same
+    midpoints and move nothing either.
     """
     m = atlas.manifold
     d = m.intrinsic_dim
@@ -508,6 +548,8 @@ def chart_boundary_data(atlas: Atlas, Delta: float, n_dirs=32):
     for _ in range(60):  # a bracket 2^-61 wide, finer than the floats near t in [1/4, 1/2]
         mid = 0.5 * (t_lo + t_hi)
         above = outside(mid)
+        if np.all(mid == np.where(above, t_hi, t_lo)):
+            break  # no bracket moves, so the next pass has the same midpoints
         t_hi = np.where(above, mid, t_hi)
         t_lo = np.where(above, t_lo, mid)
     Zb = (atlas.shift + (0.5 * (t_lo + t_hi))[:, None] * rays).reshape(charts, per_chart, -1)

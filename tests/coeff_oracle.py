@@ -4,13 +4,31 @@ The build once computed the Taylor table of each chart by itself, one chart
 after another, through a pullback that each chart's finite differences
 called on that chart's nodes; this module keeps that loop, with a pullback
 that inverts, weighs and evaluates one point at a time, as the oracle the
-one-call ``manifold.chart_coefficients`` is compared against.
+one-call ``manifold.chart_coefficients`` is compared against.  The weights
+come from ``all_chart_weights``, which measures every point against every
+chart center, as ``manifold.rho_weights`` once did; it is the oracle the
+neighbour-only weights are compared against.
 """
 
 import numpy as np
 
-from sobolev_forge.manifold import _fd_deriv, chart_invert, rho_weights
+from sobolev_forge.manifold import ChartError, _fd_deriv, _sqdist, chart_invert
 from sobolev_forge.taylor import _monomial_expansion_rows, grid_nodes, multi_indices
+
+
+def all_chart_weights(atlas, x):
+    """Partition-of-unity weights rho_i(x) = h_i / sum_j h_j of every chart i,
+    h_i = max(0, 1 - ||x - c_i||^2 / (r/2)^2)^3, each row of x against every
+    chart center: a (points, charts) array, or (charts,) for one point."""
+    x = np.asarray(x, dtype=np.float64)
+    single = x.ndim == 1
+    X = np.atleast_2d(x)
+    H = np.maximum(0.0, 1.0 - _sqdist(X, atlas.centers) / atlas.r_tilde**2) ** 3
+    total = H.sum(axis=1)
+    if np.any(total <= 0.0):
+        raise ChartError("point not covered by any inner ball (covering bug)")
+    W = H / total[:, None]
+    return W[0] if single else W
 
 
 def per_point_pullback(f_on_M, atlas, i):
@@ -24,7 +42,7 @@ def per_point_pullback(f_on_M, atlas, i):
             x, ok = chart_invert(atlas, [i], z[None])
             if not ok[0]:
                 continue
-            w = rho_weights(atlas, x)[0, i]
+            w = all_chart_weights(atlas, x)[0, i]
             if w != 0.0:
                 out[t] = float(f_on_M(x)[0]) * w
         return out

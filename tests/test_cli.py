@@ -86,29 +86,40 @@ def test_rate_study_determinism(tmp_path):
     assert summary["window_k1"] == [-1.0 - 0.6, -1.0 + 0.6]
 
 
-# The CI job's two-N rate study, and a finite-p rate at alpha = 3; the
-# sha256 of rates.csv and summary.json (numpy 2.4.6, OpenBLAS 0.3.31, x86-64:
-# another BLAS or libm may round the values otherwise)
+# The CI job's two-N rate study, a finite-p rate at alpha = 3, and the CI
+# package job's sphere manifold study, which exits 1 on its pre-asymptotic
+# slope gates; the exit code and the sha256 of rates.csv and summary.json
+# (numpy 2.4.6, OpenBLAS 0.3.31, x86-64: another BLAS or libm may round the
+# values otherwise)
 _RATE_PINS = {
     "ci-two-N": (
         {"kind": "euclidean-rate", "target": "sinprod", "alpha": 2, "N_list": [2, 4], "grid": 5,
          "slope_window_k0": [-6.0, 0.0], "slope_window_k1": [-6.0, 1.0]},
+        0,
         "db37f9dac45ec0bb0b7cda11c5a2ac0587880d3b7a727355bcebf7bb6da43fe0",
         "3b3f6c9a96fc79b32403ebb09b89965bb18c7c4085b69bd945ee8070b6191be4",
     ),
     "alpha3-p2": (
         {"kind": "euclidean-rate", "target": "sinprod", "alpha": 3, "p": 2, "N_list": [2, 4, 8],
          "grid": 31},
+        0,
         "c650e5bef3db26176fd5053fc1b1579961f0cf9c56d6673c219a680ea7dc4481",
         "5b552262c2bead5a3e763fb74fe874f8dc211dd7ce641dca8daa598207912462",
+    ),
+    "ci-sphere": (
+        {"kind": "manifold-rate", "target": "sphere-harmonic", "alpha": 2, "N_list": [2, 4],
+         "resolution": 4, "r": 0.24},
+        1,
+        "956d7741f2c3a3c703176681a3ad252212874553364ef40b3539af0aca2cc9cf",
+        "53d54cb80e0650914fee4d3ab5c161d00d2b037dfcd6f044586416d72c4da269",
     ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_RATE_PINS))
 def test_rate_study_outputs_keep_their_bytes(tmp_path, name):
-    cfg, rates, summary = _RATE_PINS[name]
-    assert run_study(cfg, tmp_path)[0] == 0
+    cfg, code, rates, summary = _RATE_PINS[name]
+    assert run_study(cfg, tmp_path)[0] == code
     digest = lambda f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
     assert (digest("rates.csv"), digest("summary.json")) == (rates, summary)
 

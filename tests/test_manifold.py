@@ -13,7 +13,7 @@ from build_oracle import (
     direct_model,
     direct_term_cnns,
 )
-from coeff_oracle import chart_coefficients_oracle, per_point_pullback
+from coeff_oracle import all_chart_weights, chart_coefficients_oracle, per_point_pullback
 from fold_oracle import chart_sum_oracle, per_chart_eval_oracle
 from hypothesis import example, given, settings, strategies as st
 
@@ -95,7 +95,7 @@ def test_atlas_with_a_gap_between_centers_is_a_covering_failure(circle, spacing_
 
 def test_rho_weights_reject_a_point_outside_every_inner_ball(atlas):
     with pytest.raises(ChartError, match="point not covered by any inner ball"):
-        rho_weights(atlas, [[0.0, 0.0, 0.0]])
+        all_chart_weights(atlas, [[0.0, 0.0, 0.0]])
 
 
 def test_atlas_chart_count_bound(circle, atlas):
@@ -163,7 +163,7 @@ def test_chart_invert_recovers_manifold_points(kit, atlases):
 
 def test_rho_weights_sum_and_support(circle, atlas, rng):
     pts = circle.sample_points(10000)
-    W = rho_weights(atlas, pts)
+    W = all_chart_weights(atlas, pts)
     assert np.max(np.abs(W.sum(axis=1) - 1.0)) <= 1e-12
     assert np.all(W >= 0.0)
     d = np.linalg.norm(pts[:, None, :] - atlas.centers[None], axis=2)
@@ -171,8 +171,113 @@ def test_rho_weights_sum_and_support(circle, atlas, rng):
 
 
 def test_rho_weights_center_dominance(atlas):
-    w = rho_weights(atlas, atlas.centers[:1])[0]
+    w = all_chart_weights(atlas, atlas.centers[:1])[0]
     assert w[0] == np.max(w) and w[0] > 0.9
+
+
+@pytest.fixture(scope="module")
+def weight_atlases(atlas):
+    """Each atlas of the weight property, with its charts' outer boundary
+    images (``chart_boundary_data``) as the rims of their chart balls."""
+    out = {}
+    for name, at in [
+        ("circle-0.2", atlas),
+        ("circle-0.24", build_atlas(circle_manifold(3), 0.24)),
+        ("sphere-0.2", build_atlas(sphere_manifold(), 0.2)),
+        ("torus-0.16", build_atlas(torus_manifold(), 0.16)),
+    ]:
+        out[name] = at, manifold.chart_boundary_data(at, at.r**2 / 16.0)[0]
+    return out
+
+
+_weight_row = st.tuples(
+    st.sampled_from(["inner", "rim", "edge"]),
+    st.integers(0, 2**16),
+    st.integers(0, 2**16),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1.0),
+)
+
+
+def _weight_rows(at, rims, rows):
+    """(charts, X) of chart_invert for the drawn rows, those it accepts:
+    - inner: a point of the unit box in a chart;
+    - rim: a chart's outer boundary image, pulled toward the center by at
+      most 1e-3 of its offset (a rim point itself at u = 0);
+    - edge: a point about r/2 from a chart's center, next to the edge of its
+      inner ball, inverted in one of the charts whose ball holds it."""
+    d = at.manifold.intrinsic_dim
+    charts, Z = [], []
+    for kind, i, k, u, v in rows:
+        i %= at.chart_count
+        if kind == "inner":
+            z = np.array([u, v])[:d]
+        elif kind == "rim":
+            z = 0.5 + (1.0 - 1e-3 * u) * (rims[i, k % len(rims[i])] - 0.5)
+        else:
+            ray = np.array([math.cos(2.0 * math.pi * u), math.sin(2.0 * math.pi * u)])[:d]
+            y, _ = chart_invert(at, [i], [0.5 + (0.24 + 0.02 * v) * ray])
+            held = np.flatnonzero(manifold._row_norms(y - at.centers) <= at.r)
+            i = held[k % len(held)]
+            z = at.project([i], y)[0]
+        charts.append(i)
+        Z.append(z)
+    charts = np.array(charts)
+    X, ok = chart_invert(at, charts, np.array(Z))
+    return charts[ok], X[ok]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["circle-0.2", "circle-0.24", "sphere-0.2", "torus-0.16"]),
+       st.lists(_weight_row, min_size=1, max_size=12))
+@example("circle-0.2", [("rim", 0, 0, 0.0, 0.0), ("rim", 0, 1, 0.0, 0.0)])
+def test_rho_weights_equal_the_all_chart_weights(weight_atlases, kit, rows):
+    """The weight of each row's own chart, measured against its neighbours
+    only, has the bytes of that chart's weight measured against every chart;
+    a row the all-charts pass finds in no inner ball is a ChartError.  A rim
+    row lies in the inner balls of charts up to 1.5 r from its own."""
+    at, rims = weight_atlases[kit]
+    charts, X = _weight_rows(at, rims, rows)
+    try:
+        W = all_chart_weights(at, X)
+    except ChartError:
+        with pytest.raises(ChartError, match="point not covered by any inner ball"):
+            rho_weights(at, charts, X)
+        return
+    assert rho_weights(at, charts, X).tobytes() == W[np.arange(len(X)), charts].tobytes()
+
+
+def test_rho_weights_reject_a_row_beyond_its_chart_ball_or_every_inner_ball(circle, atlas):
+    """A point of the circle (in an inner ball) just beyond r (1 + 1e-6) of
+    its chart's center is a ChartError, and one just within it is weighed;
+    on an atlas of every third chart, centers about 1.4 r apart, a point
+    0.7 r from a center lies in no inner ball."""
+    def at_distance(dist):  # the circle point at chord distance dist from center 0
+        return circle.embed(np.array([[2.0 * math.asin(dist / 2.0)]]))
+
+    assert rho_weights(atlas, [0], at_distance(atlas.r * (1 + 0.9e-6)))[0] == 0.0
+    with pytest.raises(ChartError, match="farther than r from the center of its chart"):
+        rho_weights(atlas, [0, 0], np.vstack([atlas.centers[:1], at_distance(atlas.r * (1 + 1.1e-6))]))
+    centers = atlas.centers[::3]
+    gappy = dataclasses.replace(atlas, centers=centers, frames=atlas.frames[::3],
+                                neighbours=manifold._chart_neighbours(centers, atlas.r))
+    with pytest.raises(ChartError, match="point not covered by any inner ball"):
+        rho_weights(gappy, [0], at_distance(0.7 * atlas.r))
+
+
+def test_chart_neighbours_are_the_charts_within_1_5_r(weight_atlases):
+    """Each chart's row of the neighbour table lists, in ascending order,
+    the charts whose centers lie within 1.5 r (1 + 1e-6) (the margin takes
+    in no other chart), padded with the chart itself, also when the
+    distances are taken a few rows at a time."""
+    at, _ = weight_atlases["sphere-0.2"]
+    d = np.sqrt(manifold._sqdist(at.centers, at.centers))
+    with mock.patch.object(manifold, "_PULLBACK_CELLS", 7 * at.chart_count):
+        table = manifold._chart_neighbours(at.centers, at.r)
+    assert np.array_equal(table, at.neighbours)
+    for i, row in enumerate(table):
+        near = np.flatnonzero(d[i] <= 1.5 * at.r * (1 + 1e-6))
+        assert np.array_equal(row[: len(near)], near) and np.all(row[len(near) :] == i)
 
 
 def test_sqdist_net(circle, atlas, rng):
@@ -287,7 +392,7 @@ def test_per_chart_vanishes_on_boundary_band(circle, atlas, const_one_approx):
 
 def test_pou_pullback_sum(circle, atlas, rng):
     pts = circle.sample_points(500)
-    W = rho_weights(atlas, pts)
+    W = all_chart_weights(atlas, pts)
     assert np.max(np.abs(W.sum(axis=1) - 1.0)) <= 1e-12
 
 
@@ -315,10 +420,14 @@ def test_chart_boundary_data_rejects_intrinsic_dimension_3(atlas):
 @pytest.mark.parametrize("kit", ["circle", "sphere", "torus"])
 def test_chart_boundary_data_matches_per_chart_bisection(kit, atlases):
     """Every chart's boundary images and band width, bisected with all other
-    charts' rays in one pass, equal those of its rays bisected alone."""
+    charts' rays in one pass, equal those of its rays bisected alone for all
+    60 passes; the one pass stops early, at the first that moves nothing."""
     at = atlases[kit]
     Delta = at.r**2 / 16.0  # the build's Delta at N = 4
-    z_outer, band = manifold.chart_boundary_data(at, Delta)
+    passes, solver = [], at.manifold.chart_solver
+    counted = dataclasses.replace(at.manifold, chart_solver=lambda *args: passes.append(1) or solver(*args))
+    z_outer, band = manifold.chart_boundary_data(dataclasses.replace(at, manifold=counted), Delta)
+    assert len(passes) < 60
     d = at.manifold.intrinsic_dim
     assert z_outer.shape == (at.chart_count, 2 if d == 1 else 32, d)
     for i in range(at.chart_count):
@@ -664,9 +773,9 @@ def test_band_kill_zeroes_every_table_below_N_4(circle_sin, r):
 @given(st.lists(st.floats(0.0, 2 * math.pi), min_size=1, max_size=30))
 def test_rho_weights_rows_match_one_point(circle, atlas, params):
     X = circle.embed(np.array(params)[:, None])
-    W = rho_weights(atlas, X)
+    W = all_chart_weights(atlas, X)
     for x, row in zip(X, W):
-        assert np.array_equal(rho_weights(atlas, x), row)
+        assert np.array_equal(all_chart_weights(atlas, x), row)
 
 
 @settings(max_examples=20, deadline=None)
@@ -738,7 +847,7 @@ def _per_point_norm(e_on_M, atlas, k, resolution, fd_step=1e-5):
             x, ok = chart_invert(atlas, [i], z[None])
             if not ok[0]:
                 return None
-            w = rho_weights(atlas, x)[0, i]
+            w = all_chart_weights(atlas, x)[0, i]
             return 0.0 if w == 0.0 else float(e_on_M(x)[0]) * w
 
         best = 0.0
