@@ -128,6 +128,17 @@ stages (``--reps`` builds on one atlas, the median of each), and the k = 0
 ``manifold_norm`` of its error at resolution 8 (``norm_k0_s``, timed as
 above), with the norm's value and skip count.
 
+The peak row (``manifold: peaks``) gives, in MiB, the peak that
+tracemalloc traces (``peak_mb``) while each pass that measures rows
+against every chart runs: ``torus_atlas``, ``build_atlas`` of the flat
+torus at r=0.16 (2,048 charts); ``circle_eval``, ``eval`` of the N = 4
+circle approximator above at 40,000 points of the circle;
+``sphere_coefficients``, ``chart_coefficients`` of the sphere-harmonic
+target at r=0.2, N = 8 (its boundary data computed beforehand); and
+``sphere_eval``, ``eval`` of the sphere N = 4 approximator at 20,000
+points of the sphere, whose median seconds untraced are ``sphere_eval_s``.
+Each approximator evaluates one point before it is traced.
+
 ``--only functional`` times the functional path of the studies,
 ``ConstructedApproximator.eval`` of sinprod (D=2, alpha=2), without
 compiling:
@@ -193,6 +204,7 @@ import statistics
 import sys
 import tempfile
 import time
+import tracemalloc
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -215,6 +227,7 @@ MANIFOLD_NS = (4, 8)
 MANIFOLD_RESOLUTION = 40
 MANIFOLD_POINTS = 10
 SPHERE = {"target": "sphere-harmonic", "r": 0.2, "N": 4, "resolution": 8}
+PEAKS = {"torus_r": 0.16, "circle_eval_points": 40000, "sphere_coefficients_N": 8, "sphere_eval_points": 20000}
 FUNCTIONAL_NS = (4, 8, 16)
 FUNCTIONAL_GRID = 21
 FUNCTIONAL_N = 8
@@ -485,6 +498,41 @@ def _sphere_rows(manifold, targets, reps):
             "evaluation": {"norm_k0_s": _median_seconds(norm, reps), "norm_k0": value, "skipped": skipped}}
 
 
+def _traced_mb(fn):
+    """MiB of the peak tracemalloc traces while fn() runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def _peak_row(manifold, targets, reps):
+    """The traced peaks of the passes over rows and charts, and the seconds
+    of the sphere eval: see the peak row in the module docstring."""
+    circle, on_circle = targets.get_manifold_target("circle-sin", 3, order=2)
+    circle_approx = manifold.build_manifold_approx(
+        on_circle, circle, N=MANIFOLD_NS[0], atlas=manifold.build_atlas(circle, MANIFOLD_R))
+    sphere, on_sphere = targets.get_manifold_target(SPHERE["target"], order=2)
+    atlas = manifold.build_atlas(sphere, SPHERE["r"])
+    sphere_approx = manifold.build_manifold_approx(on_sphere, sphere, N=SPHERE["N"], atlas=atlas)
+    X, Y = circle.sample_points(PEAKS["circle_eval_points"]), sphere.sample_points(PEAKS["sphere_eval_points"])
+    for approx, P in ((circle_approx, X), (sphere_approx, Y)):
+        approx.eval(P[:1])  # warm-up
+    N = PEAKS["sphere_coefficients_N"]
+    boundary = manifold.chart_boundary_data(atlas, atlas.r**2 / (4.0 * N))
+    peaks = {
+        "torus_atlas": lambda: manifold.build_atlas(manifold.torus_manifold(), PEAKS["torus_r"]),
+        "circle_eval": lambda: circle_approx.eval(X),
+        "sphere_coefficients": lambda: manifold.chart_coefficients(
+            on_sphere, atlas, N, 2, 1e-4 * atlas.r, *boundary),
+        "sphere_eval": lambda: sphere_approx.eval(Y),
+    }
+    return {"manifold": "peaks", **PEAKS, "peak_mb": {k: _traced_mb(fn) for k, fn in peaks.items()},
+            "sphere_eval_s": _median_seconds(peaks["sphere_eval"], reps)}
+
+
 def _compiled_manifold_builds(manifold, serialize, targets, taylor):
     """Stage seconds and counts of one compiled circle build at each N of
     MANIFOLD_NS, in turn on one fresh atlas: see ``compiled`` in the module
@@ -747,6 +795,10 @@ def _bench_manifold(manifold, serialize, targets, taylor, reps):
     print(f"sphere r={sphere['r']} N={sphere['N']} ({sphere['charts']} charts, table sha256 "
           f"{sphere['table_sha256'][:12]}): {split}  norm_k0_s {ev['norm_k0_s']:.4f} "
           f"(norm {ev['norm_k0']!r}, {ev['skipped']} skipped)", flush=True)
+    peaks = _peak_row(manifold, targets, reps)
+    rows.append(peaks)
+    split = "  ".join(f"{k} {v:.1f}" for k, v in peaks["peak_mb"].items())
+    print(f"traced peaks (MiB): {split}  sphere_eval_s {peaks['sphere_eval_s']:.4f}", flush=True)
     return rows
 
 
@@ -784,7 +836,10 @@ def main():
             "evaluation) of manifold_norm of the error at k=0 and k=1, resolution 40, and "
             "of 10 one-point evals; table_sha256 digests each build's coefficient table and "
             "kill_info; the last row (manifold: sphere) is the sphere-harmonic build at r=0.2, "
-            "N=4, by stage, and its error's k=0 norm at resolution 8; see benchmarks/bench_build.py"
+            "N=4, by stage, and its error's k=0 norm at resolution 8; the peak row (manifold: peaks) "
+            "holds the tracemalloc peaks in MiB of the torus atlas at r=0.16, a 40,000-point circle "
+            "eval, the sphere N=8 chart_coefficients and a 20,000-point sphere eval, and that eval's "
+            "median seconds; see benchmarks/bench_build.py"
         )
         _store("BENCH_manifold_build.json", what, np, args.label, rows)
     if args.only in (None, "functional"):

@@ -37,10 +37,11 @@ indicator is exactly 0), projects all pairs into their charts' coordinates
 in one call, runs the squared-distance net (each pair with its chart's
 first-layer bias) and the indicator over all pairs, and folds all pairs in
 one ``taylor._stacked_fold`` call, each pair reading its chart's rows of the
-stacked table.  A point's pair values are then added in ascending chart
-order, as a chart-by-chart loop adds them.  Every step acts row by row (the
-chart projection is a one-row product per row), so a point gets the same
-value alone as inside any batch, as on the Euclidean path.
+stacked table; ``np.add.at`` adds a point's pair values in ascending chart
+order, as a chart-by-chart loop does.  Every step acts row by row (the chart
+projection is a one-row product per row), so a point gets the same value
+alone as inside any batch, and every pass over rows and all charts runs a
+row block at a time (``_row_blocks``) without moving a bit.
 
 Parameter policy: eta = N^-alpha and delta = N^-(alpha+d+1) follow the
 asymptotic prescription.  The ramp width is Delta = r^2/(4N), which keeps the
@@ -78,6 +79,12 @@ from .taylor import (
     grid_resolution,
     multi_indices,
 )
+
+
+# rows x cells per row of one row block (``_row_blocks``): about 3,800 rows x
+# charts on the 69-chart circle atlas, 257 on the 1,020-chart sphere at r 0.2
+_PULLBACK_CELLS = 2**18
+_BOUNDARY_DIRS = 32  # chart-coordinate boundary rays of a d = 2 chart
 
 
 class ChartError(RuntimeError):
@@ -122,15 +129,10 @@ def _round_lift(Q, C, R, q2):
     return Q + C * np.sqrt(np.maximum(h2, 0.0))[:, None] / R, h2 >= 0
 
 
-def _rotation(D, seed=7):
-    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((D, D)))
-    return q
-
-
 def circle_manifold(ambient_dim=3, radius=1.0) -> ManifoldSpec:
     """Unit-style circle isometrically embedded in R^D via a fixed rotation."""
     D, R = ambient_dim, radius
-    Q = _rotation(D)
+    Q = np.linalg.qr(np.random.default_rng(7).standard_normal((D, D)))[0]  # a fixed rotation
     e0, e1 = Q[:, 0], Q[:, 1]
 
     def embed(U):
@@ -278,6 +280,16 @@ def _sqdist(X, C):
     return np.sum((X[:, None, :] - C[None]) ** 2, axis=2)
 
 
+def _row_blocks(fun, cells_per_row, *arrays):
+    """fun over blocks of at most _PULLBACK_CELLS // cells_per_row rows of the
+    arrays (one block if they are empty), its results or tuple parts joined."""
+    step = max(1, _PULLBACK_CELLS // cells_per_row)
+    parts = [fun(*(a[s : s + step] for a in arrays)) for s in range(0, len(arrays[0]) or 1, step)]
+    if isinstance(parts[0], tuple):
+        return tuple(map(np.concatenate, zip(*parts)))
+    return np.concatenate(parts)
+
+
 def build_atlas(m: ManifoldSpec, r: float, sample_count=4096, spacing_factor=0.45) -> Atlas:
     """Greedy covering of M by balls of radius r/2 with centers on M.
 
@@ -296,17 +308,15 @@ def build_atlas(m: ManifoldSpec, r: float, sample_count=4096, spacing_factor=0.4
             chosen[k] = x
             k += 1
     centers = chosen[:k].copy()
-    d2 = _sqdist(pts, centers)
-    nearest = np.sqrt(d2.min(axis=1))
-    if np.max(nearest) >= r / 2.0:
-        raise ChartError(f"covering failure: sample at distance {np.max(nearest)} >= r/2")
-    d = m.intrinsic_dim
-    frames = np.array([np.linalg.qr(m.tangent_basis(c))[0][:, :d] for c in centers])
-    gram = np.matmul(frames.transpose(0, 2, 1), frames)
-    if np.max(np.abs(gram - np.eye(d))) > 1e-10:
-        raise ChartError("tangent frame is not orthonormal")
-    T_d = float(np.mean(np.sum(d2 < r * r, axis=1)))
-    return Atlas(m, centers, frames, r, _chart_neighbours(centers, r), T_d)
+
+    def nearest(P):  # each sample's least squared distance and its centers within r
+        d2 = _sqdist(P, centers)
+        return d2.min(axis=1), np.sum(d2 < r * r, axis=1)
+    least, within = _row_blocks(nearest, len(centers), pts)
+    if np.sqrt(np.max(least)) >= r / 2.0:
+        raise ChartError(f"covering failure: sample at distance {np.sqrt(np.max(least))} >= r/2")
+    frames = np.array([np.linalg.qr(m.tangent_basis(c))[0][:, : m.intrinsic_dim] for c in centers])
+    return Atlas(m, centers, frames, r, _chart_neighbours(centers, r), float(np.mean(within)))
 
 
 def _chart_neighbours(centers, r):
@@ -320,14 +330,17 @@ def _chart_neighbours(centers, r):
     their exact values by a relative few D ulps, so the test on the computed
     squared distance takes a relative margin of 1e-9 on top, far more than
     that for any ambient dimension below a million.  The distances are taken
-    a block of rows at a time, so no (charts, charts, D) temporary is held.
+    a row block at a time.
     """
     reach2 = (1.5 * r * (1 + 1e-6)) ** 2 * (1 + 1e-9)
-    step = max(1, _PULLBACK_CELLS // len(centers))
-    near = [np.flatnonzero(row) for a in range(0, len(centers), step)
-            for row in _sqdist(centers[a : a + step], centers) <= reach2]
-    width = max(map(len, near))
-    return np.array([np.concatenate([j, np.full(width - len(j), i)]) for i, j in enumerate(near)])
+
+    def reach(C):  # each row's count of neighbours, and their indices row after row
+        within = _sqdist(C, centers) <= reach2
+        return np.count_nonzero(within, axis=1), np.nonzero(within)[1]
+    counts, near = _row_blocks(reach, len(centers), centers)
+    table = np.repeat(np.arange(len(centers))[:, None], counts.max(), axis=1)
+    table[np.arange(counts.max()) < counts[:, None]] = near
+    return table
 
 
 def chart_invert(atlas: Atlas, charts, Z):
@@ -353,20 +366,24 @@ def rho_weights(atlas: Atlas, charts, X) -> np.ndarray:
     there (``_chart_neighbours``), and only they are measured.  Each h_j is
     computed as a pass over all charts computes it, and put into a zero row
     as wide as the atlas, so the row sum adds the same terms in the same
-    places and every weight has the bits of that pass.  A ChartError for a
-    row farther from its chart's center, or in no inner ball.
+    places and every weight has the bits of that pass, a row block at a
+    time.  A ChartError for a row farther from its chart's center, or in no
+    inner ball.
     """
     X, charts = np.atleast_2d(np.asarray(X, dtype=np.float64)), np.asarray(charts)
     if np.any(_row_norms(X - atlas.centers[charts]) > atlas.r * (1 + 1e-6)):
         raise ChartError("point farther than r from the center of its chart")
-    rows, near = np.arange(len(X)), atlas.neighbours[charts]
-    d2 = np.sum((X[:, None, :] - atlas.centers[near]) ** 2, axis=2)
-    H = np.zeros((len(X), atlas.chart_count))
-    H[rows[:, None], near] = np.maximum(0.0, 1.0 - d2 / atlas.r_tilde**2) ** 3
-    total = H.sum(axis=1)
-    if np.any(total <= 0.0):
-        raise ChartError("point not covered by any inner ball (covering bug)")
-    return H[rows, charts] / total
+
+    def block(X, charts):
+        rows, near = np.arange(len(X)), atlas.neighbours[charts]
+        d2 = np.sum((X[:, None, :] - atlas.centers[near]) ** 2, axis=2)
+        H = np.zeros((len(X), atlas.chart_count))
+        H[rows[:, None], near] = np.maximum(0.0, 1.0 - d2 / atlas.r_tilde**2) ** 3
+        total = H.sum(axis=1)
+        if np.any(total <= 0.0):
+            raise ChartError("point not covered by any inner ball (covering bug)")
+        return H[rows, charts] / total
+    return _row_blocks(block, atlas.chart_count, X, charts)
 
 
 # ---------------------------------------------------------------------------
@@ -437,10 +454,9 @@ class IndicatorParams:
     def w(self):
         """Doubling-layer count: smallest w with 2^-w A <= Delta - 2*dist_err."""
         room = self.Delta - 2.0 * self.dist_err
-        w_cover = math.ceil(math.log2(self.A / room)) if room > 0 else None
-        if w_cover is None:
+        if room <= 0:
             raise ValueError("Delta leaves no room above the distance-net error")
-        return max(1, w_cover, math.ceil(math.log2(self.r**2 / self.Delta)))
+        return max(1, math.ceil(math.log2(max(self.A / room, self.r**2 / self.Delta))))
 
     @property
     def one_threshold(self):
@@ -469,28 +485,20 @@ def build_indicator(p: IndicatorParams) -> ScalarNet:
 # ---------------------------------------------------------------------------
 
 
-# rows x charts of one rho_weights call in _pullback (about 3,800 rows on the
-# 69-chart circle atlas) and of one block of _chart_neighbours' distances
-_PULLBACK_CELLS = 2**18
-
-
 def _pullback(fun, atlas, charts, Z):
     """(fun * rho_i)(phi_i^{-1}(z)) at each row z of Z, with i the row's
     entry of charts, and the mask of rows that have a preimage; a row is 0
     where it has none or rho_i vanishes, and fun is not called there.
 
-    One chart_invert call inverts all rows; rho_weights and fun then run
-    over them in chunks of _PULLBACK_CELLS // charts rows.  Every step acts
-    row by row, so a row has the bits of that row alone."""
+    One chart_invert call inverts all rows, one rho_weights call weighs
+    them, and fun runs once over the rows with a nonzero weight.  Every step
+    acts row by row, so a row has the bits of that row alone."""
     X, ok = chart_invert(atlas, charts, Z)
-    vals = np.zeros(len(Z))
-    step = max(1, _PULLBACK_CELLS // atlas.chart_count)
-    for a in range(0, len(Z), step):
-        rows = a + np.flatnonzero(ok[a : a + step])
-        w = rho_weights(atlas, charts[rows], X[rows])
-        rows, w = rows[w != 0.0], w[w != 0.0]
-        if rows.size:
-            vals[rows] = np.asarray(fun(X[rows]), dtype=np.float64).ravel() * w
+    vals, rows = np.zeros(len(Z)), np.flatnonzero(ok)
+    w = rho_weights(atlas, charts[rows], X[rows])
+    rows, w = rows[w != 0.0], w[w != 0.0]
+    if rows.size:
+        vals[rows] = np.asarray(fun(X[rows]), dtype=np.float64).ravel() * w
     return vals, ok
 
 
@@ -506,15 +514,15 @@ def _fd_deriv(F, Z, a, h):
     return (_fd_deriv(F, hi, a_next, h) - _fd_deriv(F, lo, a_next, h)) / (2.0 * h)
 
 
-def chart_boundary_data(atlas: Atlas, Delta: float, n_dirs=32):
+def chart_boundary_data(atlas: Atlas, Delta: float):
     """Boundary images phi_i(boundary of U_i) of every chart, as a (charts,
     rays, d) array, and each chart's chart-coordinate width of the indicator
     transition band {r^2 - Delta <= d^2 <= r^2}, as a (charts,) array.
 
     Boundary points are found by bisection along chart-coordinate rays
     z = 1/2 + t u, t in [0, 1/2], through the kit's solver: 2 rays for
-    d = 1, n_dirs for d = 2; a ChartError for d >= 3, which no kit manifold
-    has.  The bracket holds for every ray: at t = 1/2, |x - c| >=
+    d = 1, _BOUNDARY_DIRS for d = 2; a ChartError for d >= 3, which no kit
+    manifold has.  The bracket holds for every ray: at t = 1/2, |x - c| >=
     |V^T (x - c)| = r, and a row outside the solver's domain counts as
     outside the ball.  The rays of all charts are bisected in one pass; a
     ray's halvings depend on that ray alone, so each chart's points are
@@ -524,13 +532,10 @@ def chart_boundary_data(atlas: Atlas, Delta: float, n_dirs=32):
     """
     m = atlas.manifold
     d = m.intrinsic_dim
-    if d == 1:
-        dirs = np.array([[1.0], [-1.0]])
-    elif d == 2:
-        angles = np.linspace(0.0, 2.0 * math.pi, n_dirs, endpoint=False)
-        dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    else:
+    if d > 2:
         raise ChartError(f"no boundary rays for intrinsic dimension {d}")
+    angles = np.linspace(0.0, 2.0 * math.pi, 2 if d == 1 else _BOUNDARY_DIRS, endpoint=False)
+    dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)[:, :d]  # d = 1: +1 and -1
 
     # per chart two rays per direction: the outer boundary d = r and the inner
     # edge of the transition band d = sqrt(r^2 - Delta)
@@ -580,8 +585,8 @@ def chart_coefficients(f_on_M, atlas: Atlas, N: int, alpha: int, fd_step: float,
     derivs = {tuple(a): _fd_deriv(F, Z, tuple(a), fd_step) for a in v_list}
     table = _monomial_expansion_rows(Z, derivs, v_list)
     kill_radius = band + 1.0 / N
-    gap = np.min(np.max(np.abs(z_bound[:, None] - nodes[:, None]), axis=3), axis=2)
-    kill = gap <= kill_radius[:, None]
+    gap = lambda zb: np.min(np.max(np.abs(zb[:, None] - nodes[:, None]), axis=3), axis=2)
+    kill = _row_blocks(gap, len(nodes) * z_bound.shape[1], z_bound) <= kill_radius[:, None]
     killed = np.count_nonzero(kill & np.any(table != 0.0, axis=1).reshape(kill.shape), axis=1)
     table[kill.ravel()] = 0.0
     kill_info = [
@@ -632,20 +637,15 @@ class ManifoldApproximator:
         """The chart sum at the points X; nan at a point with a non-finite
         coordinate."""
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        return _on_finite_rows(self._chart_sum, X)
+        return _on_finite_rows(lambda X: _row_blocks(self._chart_sum, self.atlas.chart_count, X), X)
 
     def _chart_sum(self, X):
-        out = np.zeros(X.shape[0])
         # beyond 1.2 r from a center the chart's indicator is exactly 0
-        near = _sqdist(X, self.atlas.centers) <= 1.44 * self.atlas.r**2
-        charts, points = np.nonzero(near.T)
-        values = self._pair_values(X, charts, points)
-        # a point's values are added in ascending chart order: rank r is the
-        # point's r-th chart, and no point appears twice within one rank
-        rank = (np.cumsum(near, axis=1) - 1)[points, charts]
-        for r in range(rank.max(initial=-1) + 1):
-            at = rank == r
-            out[points[at]] += values[at]
+        charts, points = np.nonzero((_sqdist(X, self.atlas.centers) <= 1.44 * self.atlas.r**2).T)
+        # the pairs are chart-major, so add.at adds each point's values from
+        # +0.0 in ascending chart order, as a chart-by-chart loop adds them
+        out = np.zeros(len(X))
+        np.add.at(out, points, self._pair_values(X, charts, points))
         return out
 
     def _pair_values(self, X, charts, points):

@@ -41,12 +41,12 @@ rows.  Blocks are grouped by their layout; a group's leading layers whose
 filter and bias are the same in every block (the gather prefix) run once per
 point, and every later layer runs over the group's live rows: a shared layer
 as one product over them, a layer with distinct weights as one product per
-distinct filter present.  The block summands of a point are added in block
-order.  Points are taken in chunks so the stacked activations stay under
-``_PLAN_ROW_BUDGET`` rows.  A point with a non-finite coordinate gets nan
-without running any block: the readout multiplies x, in channel 0, by a zero
-weight, so its value is nan whatever the blocks give.  A model without
-blocks is the constant ``fc_bias``.
+distinct filter present.  The block summands of a point are added from +0.0
+in block order, one ``np.add.at`` per accumulator channel.  Points are taken
+in chunks so the stacked activations stay under ``_PLAN_ROW_BUDGET`` rows.  A
+point with a non-finite coordinate gets nan without running any block: the
+readout multiplies x, in channel 0, by a zero weight, so its value is nan
+whatever the blocks give.  A model without blocks is the constant ``fc_bias``.
 
 Support index.  A Euclidean build attaches a ``BlockSupport``: the grid N
 and each block's nodes m.  Lowering turns it into a node -> blocks index,
@@ -527,13 +527,13 @@ class _Plan:
             sel = np.flatnonzero(group == i)
             if sel.size:
                 S[sel] = _group_summands(g, X, points[sel], self.block_pos[blocks[sel]], D, dense)
-        # the sequential loop adds the summands one block after another; a skipped
-        # block's summand is an exact 0.0, which changes no sum
-        count = np.bincount(points, minlength=len(X))
-        rank = np.arange(len(points)) - (np.cumsum(count) - count)[points]
-        P = np.zeros((len(X), max(1, int(count.max(initial=0))), width))
-        P[points, rank] = S
-        return np.cumsum(P, axis=1)[:, -1]
+        # the rows are sorted by point and then block, so add.at adds each
+        # point's summands from +0.0 one block after another, as the sequential
+        # loop does; a skipped block's summand is an exact 0.0, which changes no sum
+        out = np.zeros((len(X), width))
+        for c in range(width):
+            np.add.at(out[:, c], points, S[:, c])
+        return out
 
 
 def _check_plan(net):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -713,6 +714,39 @@ def test_chart_sum_matches_per_chart_loop_on_a_dense_sample(circle, circle_sin_a
     assert np.array_equal(ap.eval(X), chart_sum_oracle(ap, X))
 
 
+# a _PULLBACK_CELLS that splits every row-block pass of a kit's run below
+# into several blocks other than the default ones (29 rows on the circle's
+# 69 charts, 98 on the sphere's 1,020 at r 0.2), and the run's N and norm
+# resolution
+_SMALL_BLOCKS = {"circle-sin": (2**11, 16, 10), "sphere-harmonic": (10**5, 4, 1)}
+
+
+def _block_rule_run(name, at):
+    """The bytes of each row-block pass of the kit at r 0.2: the atlas
+    arrays and T_d, a build's table and kill_info, its error's
+    manifold_norms and its eval at 300 points off the manifold."""
+    m, target = get_manifold_target(name)
+    _, N, resolution = _SMALL_BLOCKS[name]
+    at = build_atlas(m, 0.2) if at is None else at
+    ap = build_manifold_approx(target, m, N=N, atlas=at)
+    norms = manifold_norms(lambda X: ap.eval(X) - target(X), at, resolution=resolution)
+    X = m.sample_points(300) * np.linspace(0.9, 1.1, 300)[:, None]
+    parts = [at.centers, at.frames, at.neighbours, ap.coeffs.table, ap.eval(X)]
+    return [a.tobytes() for a in parts] + [repr((at.T_d, ap.record["kill_info"], norms))]
+
+
+@pytest.fixture(scope="module")
+def block_rule_runs(weight_atlases):
+    """Each kit's run in the default blocks (on the module's atlas) and in
+    its small ones (on an atlas built in them)."""
+    runs = []
+    for name, kit in (("circle-sin", "circle-0.2"), ("sphere-harmonic", "sphere-0.2")):
+        with mock.patch.object(manifold, "_PULLBACK_CELLS", _SMALL_BLOCKS[name][0]):
+            small = _block_rule_run(name, None)
+        runs.append((_block_rule_run(name, weight_atlases[kit][0]), small))
+    return runs
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     st.sampled_from([4, 8, 16]),
@@ -723,11 +757,15 @@ def test_chart_sum_matches_per_chart_loop_on_a_dense_sample(circle, circle_sin_a
 )
 @example(4, [(1.3, 1.0), (1.32, 1.0)], [], False, False)
 def test_eval_of_each_point_alone_equals_its_value_in_the_batch(
-    circle, atlas, circle_sin_approx, N, params, lone, origin, nan_row
+    circle, atlas, circle_sin_approx, block_rule_runs, N, params, lone, origin, nan_row
 ):
-    """Every point's chart sum is the same alone as inside the batch.  A
-    point at 1.22 times a chart center is within 1.2 r of that chart only,
-    the origin of none, and a nan row is nan."""
+    """Every point's chart sum is the same alone as inside the batch, and
+    inside blocks of three rows.  A point at 1.22 times a chart center is
+    within 1.2 r of that chart only, the origin of none, and a nan row is
+    nan.  Every row-block pass (the atlas's covering check, T_d and
+    neighbour table, the weights, the kill gap, the chart sum) gives the
+    circle's and the sphere's runs at r 0.2 the same bytes in smaller
+    blocks as in the default ones."""
     ap = circle_sin_approx[N]
     t, s = np.array(params).T
     X = np.vstack([s[:, None] * circle.embed(t[:, None]), 1.22 * atlas.centers[lone]])
@@ -737,6 +775,29 @@ def test_eval_of_each_point_alone_equals_its_value_in_the_batch(
         X = np.vstack([X, [0.5, np.nan, 0.5]])
     alone = [ap.eval(x[None])[0] for x in X]
     assert np.array_equal(ap.eval(X), alone, equal_nan=True)
+    with mock.patch.object(manifold, "_PULLBACK_CELLS", 3 * atlas.chart_count):
+        assert np.array_equal(ap.eval(X), alone, equal_nan=True)
+    for default, small in block_rule_runs:
+        assert default == small
+
+
+def _traced(run):
+    """run()'s value and the peak of the memory tracemalloc traces while it
+    runs."""
+    tracemalloc.start()
+    try:
+        return run(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_large_eval_holds_one_row_block_at_a_time(circle, circle_sin_approx):
+    """A 40,000-point circle eval traces a peak of at most 32 MB: it measures
+    one row block of points against the charts at a time (85 MB when it
+    held all (points, charts) distances and chart ranks at once)."""
+    X = circle.sample_points(40000)
+    _, peak = _traced(lambda: circle_sin_approx[4].eval(X))
+    assert peak <= 32 * 2**20
 
 
 @settings(max_examples=20, deadline=None)
@@ -789,7 +850,7 @@ def test_pullback_rows_match_each_row_alone_and_per_point(
 ):
     """Each (chart, z) row of one pullback over interleaved charts has the
     value and mask of that row alone and the oracle's value, however many
-    rows share a call of the target."""
+    rows share a block of the weights."""
     f = circle_sin[1]
     owner = np.tile(charts, len(zs))
     Z = np.repeat(np.array(zs)[:, None], len(charts), axis=0)
@@ -955,8 +1016,12 @@ def test_torus_solver_domain_needs_both_circles(torus_atlas):
 
 
 def test_torus_atlas_builds_its_charts():
+    """The 2,048-chart torus atlas at r 0.16, whose build traces a peak of
+    at most 32 MB: its covering check holds one row block of (sample,
+    center) differences at a time (320 MB when it held them all)."""
     torus = torus_manifold()
-    at = build_atlas(torus, 0.16)
+    at, peak = _traced(lambda: build_atlas(torus, 0.16))
+    assert peak <= 32 * 2**20
     assert at.chart_count == 2048
     centers, frames = at.centers, at.frames
     # every center lies on the torus and every frame spans its tangent plane
