@@ -78,7 +78,8 @@ r=0.2, 69 charts) at N = 4 and then N = 8 on one atlas, as a manifold rate
 study builds them, and splits each build by wrapping functions of the
 ``manifold`` module:
 
-* ``boundary``: ``chart_boundary_data``, the boundary bisection;
+* ``boundary``: ``chart_boundary_data``, the atlas's closed-form boundary
+  images and band width;
 * ``coefficients``: ``chart_coefficients``, the pullback Taylor
   coefficients of all charts and the boundary-band kill, one call per
   build (a chart at a time in trees before it), less its weights;
@@ -126,7 +127,9 @@ Last come the sphere rows (``manifold: sphere``): sphere-harmonic on the
 round sphere at r=0.2 (1,020 charts), the N = 4 build, split into the same
 stages (``--reps`` builds on one atlas, the median of each), and the k = 0
 ``manifold_norm`` of its error at resolution 8 (``norm_k0_s``, timed as
-above), with the norm's value and skip count.
+above), with the norm's value and skip count.  The torus row (``manifold:
+torus``) is the N = 4 build of the target 2 x0 x2 on the flat torus in R^4
+at r=0.16 (2,048 charts), split and timed as the sphere build.
 
 The peak row (``manifold: peaks``) gives, in MiB, the peak that
 tracemalloc traces (``peak_mb``) while each pass that measures rows
@@ -227,6 +230,7 @@ MANIFOLD_NS = (4, 8)
 MANIFOLD_RESOLUTION = 40
 MANIFOLD_POINTS = 10
 SPHERE = {"target": "sphere-harmonic", "r": 0.2, "N": 4, "resolution": 8}
+TORUS = {"target": "2*x0*x2", "r": 0.16, "N": 4}
 PEAKS = {"torus_r": 0.16, "circle_eval_points": 40000, "sphere_coefficients_N": 8, "sphere_eval_points": 20000}
 FUNCTIONAL_NS = (4, 8, 16)
 FUNCTIONAL_GRID = 21
@@ -482,20 +486,35 @@ def _manifold_builds(manifold, targets):
     return [(seconds, digest) for seconds, _, digest in builds], atlas.chart_count
 
 
+def _kit_builds(manifold, mspec, target, kit, reps):
+    """``reps`` builds at kit's N on one atlas of radius kit's r, split by
+    stage: the row (median seconds per stage), the first build's
+    approximator and the atlas."""
+    atlas = manifold.build_atlas(mspec, kit["r"])
+    builds = [_staged_build(manifold, target, mspec, kit["N"], atlas) for _ in range(reps)]
+    row = {"charts": atlas.chart_count, "reps": reps,
+           "seconds": {k: statistics.median(b[0][k] for b in builds) for k in builds[0][0]},
+           "table_sha256": builds[0][2]}
+    return row, builds[0][1], atlas
+
+
 def _sphere_rows(manifold, targets, reps):
     """The sphere build and its error's k = 0 norm: see the sphere rows in
     the module docstring."""
     mspec, target = targets.get_manifold_target(SPHERE["target"], order=2)
-    atlas = manifold.build_atlas(mspec, SPHERE["r"])
-    builds = [_staged_build(manifold, target, mspec, SPHERE["N"], atlas) for _ in range(reps)]
-    approx = builds[0][1]
+    row, approx, atlas = _kit_builds(manifold, mspec, target, SPHERE, reps)
     error = lambda X: approx.eval(X) - target(X)
     norm = lambda: manifold.manifold_norm(error, atlas, 0, resolution=SPHERE["resolution"])
     value, skipped = norm()
-    return {"manifold": "sphere", **SPHERE, "charts": atlas.chart_count, "reps": reps,
-            "seconds": {k: statistics.median(b[0][k] for b in builds) for k in builds[0][0]},
-            "table_sha256": builds[0][2],
+    return {"manifold": "sphere", **SPHERE, **row,
             "evaluation": {"norm_k0_s": _median_seconds(norm, reps), "norm_k0": value, "skipped": skipped}}
+
+
+def _torus_row(manifold, reps):
+    """The torus build: see the torus row in the module docstring."""
+    target = lambda X: 2.0 * X[:, 0] * X[:, 2]
+    row = _kit_builds(manifold, manifold.torus_manifold(), target, TORUS, reps)[0]
+    return {"manifold": "torus", **TORUS, **row}
 
 
 def _traced_mb(fn):
@@ -795,6 +814,11 @@ def _bench_manifold(manifold, serialize, targets, taylor, reps):
     print(f"sphere r={sphere['r']} N={sphere['N']} ({sphere['charts']} charts, table sha256 "
           f"{sphere['table_sha256'][:12]}): {split}  norm_k0_s {ev['norm_k0_s']:.4f} "
           f"(norm {ev['norm_k0']!r}, {ev['skipped']} skipped)", flush=True)
+    torus = _torus_row(manifold, reps)
+    rows.append(torus)
+    split = "  ".join(f"{k} {v:.4f}" for k, v in torus["seconds"].items())
+    print(f"torus r={torus['r']} N={torus['N']} ({torus['charts']} charts, table sha256 "
+          f"{torus['table_sha256'][:12]}): {split}", flush=True)
     peaks = _peak_row(manifold, targets, reps)
     rows.append(peaks)
     split = "  ".join(f"{k} {v:.1f}" for k, v in peaks["peak_mb"].items())
@@ -835,8 +859,10 @@ def main():
             "arrays and the sha256 of the model document, and (under "
             "evaluation) of manifold_norm of the error at k=0 and k=1, resolution 40, and "
             "of 10 one-point evals; table_sha256 digests each build's coefficient table and "
-            "kill_info; the last row (manifold: sphere) is the sphere-harmonic build at r=0.2, "
-            "N=4, by stage, and its error's k=0 norm at resolution 8; the peak row (manifold: peaks) "
+            "kill_info; the sphere row (manifold: sphere) is the sphere-harmonic build at r=0.2, "
+            "N=4, by stage, and its error's k=0 norm at resolution 8; the torus row (manifold: torus) "
+            "is the build of 2*x0*x2 on the flat torus at r=0.16, N=4, by stage; the peak row "
+            "(manifold: peaks) "
             "holds the tracemalloc peaks in MiB of the torus atlas at r=0.16, a 40,000-point circle "
             "eval, the sphere N=8 chart_coefficients and a 20,000-point sphere eval, and that eval's "
             "median seconds; see benchmarks/bench_build.py"

@@ -9,8 +9,8 @@ and each chart's neighbours.  Every atlas step takes one chart per row: ``Atlas.
 into chart charts[t], and ``chart_invert(atlas, charts, Z)`` inverts all
 rows, whatever their charts, in one call through the kit's analytic
 ``chart_solver``.  The charts are all the pipeline reads of a manifold: the
-parametrization only samples it, and the chart boundaries are bisected along
-chart-coordinate rays.
+parametrization only samples it, and the kit's ``chord_offset`` gives the
+chart boundary in closed form, one for every chart (``chart_boundary_data``).
 
 The pipeline mirrors the Euclidean one on every chart: pull the target back
 through each chart, approximate each pullback on [0,1]^d with
@@ -100,8 +100,8 @@ class ChartError(RuntimeError):
 
 @dataclass
 class ManifoldSpec:
-    """Parametric manifold with analytic reach, area, tangent spaces and
-    chart inversion."""
+    """Parametric manifold with analytic reach, area, tangent spaces, chart
+    inversion and chart boundary."""
 
     name: str
     intrinsic_dim: int
@@ -116,6 +116,8 @@ class ManifoldSpec:
     # of the (n, d) Z in the chart of centers[t] and frames[t], and the rows
     # in the solver's domain
     chart_solver: callable
+    # (rho, U) -> (n,) lengths s: s u, u a unit row of U, lifts to |x - c| = rho
+    chord_offset: callable
 
     def sample_points(self, count):
         return self.embed(self.param_samples(count))
@@ -127,6 +129,11 @@ def _round_lift(Q, C, R, q2):
     and the rows with R^2 - q2 >= 0.  Every step acts row by row."""
     h2 = R * R - q2
     return Q + C * np.sqrt(np.maximum(h2, 0.0))[:, None] / R, h2 >= 0
+
+
+def _round_offset(R):
+    """The chord_offset of a round kit of radius R (``chart_boundary_data``)."""
+    return lambda rho, U: np.full(len(U), math.sqrt(rho * rho - rho**4 / (4.0 * R * R)))
 
 
 def circle_manifold(ambient_dim=3, radius=1.0) -> ManifoldSpec:
@@ -151,7 +158,8 @@ def circle_manifold(ambient_dim=3, radius=1.0) -> ManifoldSpec:
         P = (Z[:, 0] - shift) / scale  # the tangent coordinate
         return _round_lift(V[:, :, 0] * P[:, None], C, R, P * P)
 
-    return ManifoldSpec("circle", 1, D, R, R, 2 * math.pi * R, embed, tangent, samples, solver)
+    return ManifoldSpec("circle", 1, D, R, R, 2 * math.pi * R, embed, tangent, samples, solver,
+                        _round_offset(R))
 
 
 def sphere_manifold(radius=1.0) -> ManifoldSpec:
@@ -185,7 +193,8 @@ def sphere_manifold(radius=1.0) -> ManifoldSpec:
         # stacked per-row products: each row rounds as a one-point solve does
         return _round_lift(np.matmul(V, P[:, :, None])[:, :, 0], C, R, _row_dots(P, P))
 
-    return ManifoldSpec("sphere", 2, 3, R, R, 4 * math.pi * R * R, embed, tangent, samples, solver)
+    return ManifoldSpec("sphere", 2, 3, R, R, 4 * math.pi * R * R, embed, tangent, samples, solver,
+                        _round_offset(R))
 
 
 def torus_manifold(r1=None, r2=None) -> ManifoldSpec:
@@ -218,9 +227,16 @@ def torus_manifold(r1=None, r2=None) -> ManifoldSpec:
                  for k, R in ((slice(0, 2), r1), (slice(2, 4), r2))]
         return np.hstack([X for X, _ in lifts]), lifts[0][1] & lifts[1][1]
 
+    def offset(rho, U):  # the quadratic in e_1 of chart_boundary_data
+        (a1, a2), b1, b2, rho2 = (U**2).T, 0.25 / (r1 * r1), 0.25 / (r2 * r2), rho * rho
+        A, B, C = a1 * b2 - a2 * b1, a1 + a2 - 2.0 * a1 * b2 * rho2, -a1 * rho2 * (1.0 - b2 * rho2)
+        e1 = -2.0 * C / (B + np.sqrt(B * B - 4.0 * A * C))
+        e2 = rho2 - e1
+        return np.sqrt(e1 - b1 * e1 * e1 + e2 - b2 * e2 * e2)
+
     return ManifoldSpec(
         "torus", 2, 4, min(r1, r2), max(r1, r2), 4 * math.pi * math.pi * r1 * r2,
-        embed, tangent, samples, solver,
+        embed, tangent, samples, solver, offset,
     )
 
 
@@ -259,7 +275,10 @@ class Atlas:
     def project(self, charts, X):
         """Row t of X in the coordinates of chart charts[t], as a one-row
         product per row, so a row rounds as it does alone."""
-        C, V = self.centers[charts], self.frames[charts]
+        return self._coords(self.centers[charts], self.frames[charts], X)
+
+    def _coords(self, C, V, X):
+        """Row t of X in the chart of center C[t] and frame V[t]."""
         return np.matmul((self.scale * (X - C))[:, None, :], V)[:, 0] + self.shift
 
 
@@ -346,14 +365,18 @@ def _chart_neighbours(centers, r):
 def chart_invert(atlas: Atlas, charts, Z):
     """Manifold points X with phi_i(X[t]) = Z[t], i = charts[t], row by row,
     and the mask of rows that have one: residual <= 1e-8 and the point in
-    the chart ball (other rows of X are nan), by the kit's analytic solver."""
+    the chart ball (other rows of X are nan), by the kit's analytic solver,
+    a row block at a time, each row's center and frame gathered once."""
     Z, charts = np.atleast_2d(np.asarray(Z, dtype=np.float64)), np.asarray(charts)
-    C = atlas.centers[charts]
-    X, ok = atlas.manifold.chart_solver(Z, C, atlas.frames[charts], atlas.scale, atlas.shift)
-    gap = np.max(np.abs(atlas.project(charts, X) - Z), axis=1)
-    ok &= (gap <= 1e-8) & (_row_norms(X - C) <= atlas.r * (1 + 1e-6))
-    X[~ok] = np.nan
-    return X, ok
+
+    def block(Z, charts):
+        C, V = atlas.centers[charts], atlas.frames[charts]
+        X, ok = atlas.manifold.chart_solver(Z, C, V, atlas.scale, atlas.shift)
+        gap = np.max(np.abs(atlas._coords(C, V, X) - Z), axis=1)
+        ok &= (gap <= 1e-8) & (_row_norms(X - C) <= atlas.r * (1 + 1e-6))
+        X[~ok] = np.nan
+        return X, ok
+    return _row_blocks(block, atlas.frames[0].size, Z, charts)
 
 
 def rho_weights(atlas: Atlas, charts, X) -> np.ndarray:
@@ -515,51 +538,30 @@ def _fd_deriv(F, Z, a, h):
 
 
 def chart_boundary_data(atlas: Atlas, Delta: float):
-    """Boundary images phi_i(boundary of U_i) of every chart, as a (charts,
-    rays, d) array, and each chart's chart-coordinate width of the indicator
-    transition band {r^2 - Delta <= d^2 <= r^2}, as a (charts,) array.
-
-    Boundary points are found by bisection along chart-coordinate rays
-    z = 1/2 + t u, t in [0, 1/2], through the kit's solver: 2 rays for
-    d = 1, _BOUNDARY_DIRS for d = 2; a ChartError for d >= 3, which no kit
-    manifold has.  The bracket holds for every ray: at t = 1/2, |x - c| >=
-    |V^T (x - c)| = r, and a row outside the solver's domain counts as
-    outside the ball.  The rays of all charts are bisected in one pass; a
-    ray's halvings depend on that ray alone, so each chart's points are
-    those of a bisection of its rays by themselves.  The passes stop at the
-    first that moves no bracket: every later one would compute the same
-    midpoints and move nothing either.
+    """The boundary images phi(boundary of U), a (rays, d) array shared by
+    every chart, and their chart-coordinate width of the indicator band
+    {r^2 - Delta <= |x - c|^2 <= r^2}.  The rays are z = 1/2 + t u: 2 for
+    d = 1, _BOUNDARY_DIRS for d = 2, a ChartError for d >= 3.  A ray lifts
+    the offset s u, s = t / scale, one circle per plane (``_round_lift``), so
+    |x - c| never depends on the chart; it is rho at t = scale *
+    chord_offset(rho, u), and t < 1/2 as s < rho <= r:
+    - round kits: |x - c|^2 = s^2 + (sqrt(R^2 - s^2) - R)^2 = 2R^2 -
+      2R sqrt(R^2 - s^2), so s^2 = rho^2 - rho^4/(4R^2) for every u;
+    - torus: plane k's squared chord e_k = 2R_k^2 - 2R_k sqrt(R_k^2 - s^2
+      u_k^2) gives s^2 u_k^2 = e_k - b_k e_k^2, b_k = 1/(4R_k^2).  With e_1 +
+      e_2 = rho^2 and a_k = u_k^2, A e_1^2 + B e_1 + C = 0 for A = a_1 b_2 -
+      a_2 b_1, B = a_1 + a_2 - 2 a_1 b_2 rho^2 > 0 and C = -a_1 rho^2 (1 -
+      b_2 rho^2) <= 0; its root in [0, rho^2] is -2C / (B + sqrt(B^2 - 4AC)),
+      free of cancellation, and s^2 is the sum of e_k - b_k e_k^2.
     """
-    m = atlas.manifold
-    d = m.intrinsic_dim
+    m, d = atlas.manifold, atlas.manifold.intrinsic_dim
     if d > 2:
         raise ChartError(f"no boundary rays for intrinsic dimension {d}")
     angles = np.linspace(0.0, 2.0 * math.pi, 2 if d == 1 else _BOUNDARY_DIRS, endpoint=False)
     dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)[:, :d]  # d = 1: +1 and -1
-
-    # per chart two rays per direction: the outer boundary d = r and the inner
-    # edge of the transition band d = sqrt(r^2 - Delta)
-    per_chart, charts, r = 2 * len(dirs), atlas.chart_count, atlas.r
-    rays = np.tile(np.concatenate([dirs, dirs]), (charts, 1))
-    owner = np.repeat(np.arange(charts), per_chart)
-    C, V = atlas.centers[owner], atlas.frames[owner]
-    target = np.tile(np.repeat([r, math.sqrt(max(r * r - Delta, 0.0))], len(dirs)), charts)
-
-    def outside(T):
-        X, ok = m.chart_solver(atlas.shift + T[:, None] * rays, C, V, atlas.scale, atlas.shift)
-        return ~ok | (_row_norms(X - C) > target)
-
-    t_lo, t_hi = np.zeros(len(rays)), np.full(len(rays), 0.5)
-    for _ in range(60):  # a bracket 2^-61 wide, finer than the floats near t in [1/4, 1/2]
-        mid = 0.5 * (t_lo + t_hi)
-        above = outside(mid)
-        if np.all(mid == np.where(above, t_hi, t_lo)):
-            break  # no bracket moves, so the next pass has the same midpoints
-        t_hi = np.where(above, mid, t_hi)
-        t_lo = np.where(above, t_lo, mid)
-    Zb = (atlas.shift + (0.5 * (t_lo + t_hi))[:, None] * rays).reshape(charts, per_chart, -1)
-    z_outer, z_inner = Zb[:, : len(dirs)], Zb[:, len(dirs) :]
-    return z_outer, np.max(np.abs(z_outer - z_inner), axis=(1, 2))
+    ray_at = lambda rho: atlas.shift + (atlas.scale * m.chord_offset(rho, dirs))[:, None] * dirs
+    z_outer, z_inner = ray_at(atlas.r), ray_at(math.sqrt(max(atlas.r**2 - Delta, 0.0)))
+    return z_outer, float(np.max(np.abs(z_outer - z_inner)))
 
 
 def chart_coefficients(f_on_M, atlas: Atlas, N: int, alpha: int, fd_step: float, z_bound, band):
@@ -571,10 +573,10 @@ def chart_coefficients(f_on_M, atlas: Atlas, N: int, alpha: int, fd_step: float,
     the bits of a build of that chart alone.
 
     Every grid node within band_width + 1/N (sup-norm, chart coordinates) of
-    a boundary image of its chart is zeroed, so bumps whose support can reach
-    the indicator's transition band contribute nothing; each chart's network
+    a boundary image is zeroed, so bumps whose support can reach the
+    indicator's transition band contribute nothing; each chart's network
     then vanishes identically on that band.  ``z_bound`` and ``band`` come
-    from ``chart_boundary_data``.
+    from ``chart_boundary_data``; like them, the zeroed nodes are every chart's.
     """
     d, charts = atlas.manifold.intrinsic_dim, atlas.chart_count
     v_list = multi_indices(d, alpha - 1)
@@ -584,15 +586,11 @@ def chart_coefficients(f_on_M, atlas: Atlas, N: int, alpha: int, fd_step: float,
     F = lambda Z: _pullback(f_on_M, atlas, owner, Z)[0]
     derivs = {tuple(a): _fd_deriv(F, Z, tuple(a), fd_step) for a in v_list}
     table = _monomial_expansion_rows(Z, derivs, v_list)
-    kill_radius = band + 1.0 / N
-    gap = lambda zb: np.min(np.max(np.abs(zb[:, None] - nodes[:, None]), axis=3), axis=2)
-    kill = _row_blocks(gap, len(nodes) * z_bound.shape[1], z_bound) <= kill_radius[:, None]
-    killed = np.count_nonzero(kill & np.any(table != 0.0, axis=1).reshape(kill.shape), axis=1)
-    table[kill.ravel()] = 0.0
-    kill_info = [
-        {"band_width": float(b), "kill_radius": float(k), "killed_nodes": int(n)}
-        for b, k, n in zip(band, kill_radius, killed)
-    ]
+    near = np.min(np.max(np.abs(z_bound[None] - nodes[:, None]), axis=2), axis=1) <= band + 1.0 / N
+    kill = np.tile(near, charts)
+    killed = np.count_nonzero((kill & np.any(table != 0.0, axis=1)).reshape(charts, -1), axis=1)
+    table[kill] = 0.0
+    kill_info = [{"band_width": band, "kill_radius": band + 1.0 / N, "killed_nodes": int(n)} for n in killed]
     return SurrogateCoefficients(d, N, alpha, v_list, table), kill_info
 
 

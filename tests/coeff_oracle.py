@@ -50,9 +50,22 @@ def per_point_pullback(f_on_M, atlas, i):
     return F
 
 
+def band_kill(table, nodes, N, z_bound, band):
+    """Zero the rows of one chart's table at the nodes within band + 1/N
+    (sup-norm) of a boundary image in z_bound, and return (killed_nodes,
+    kill_radius): the count of nonzero rows zeroed, and band + 1/N."""
+    kill_radius = float(band) + 1.0 / N
+    gap = np.min(np.max(np.abs(z_bound[None] - nodes[:, None]), axis=2), axis=1)
+    kill = gap <= kill_radius
+    killed = int(np.count_nonzero(np.any(table[kill] != 0.0, axis=1)))
+    table[kill] = 0.0
+    return killed, kill_radius
+
+
 def chart_coefficients_oracle(f_on_M, atlas, N, alpha, fd_step, z_bound, band):
     """(tables, kill_info): each chart's coefficient table, boundary band
-    killed, and kill record, chart by chart."""
+    killed (z_bound and band as ``chart_boundary_data`` gives them, one for
+    every chart), and kill record, chart by chart."""
     d = atlas.manifold.intrinsic_dim
     v_list = multi_indices(d, alpha - 1)
     nodes = grid_nodes(N, d) / N
@@ -61,13 +74,7 @@ def chart_coefficients_oracle(f_on_M, atlas, N, alpha, fd_step, z_bound, band):
         F = per_point_pullback(f_on_M, atlas, i)
         derivs = {tuple(a): _fd_deriv(F, nodes, tuple(a), fd_step) for a in v_list}
         table = _monomial_expansion_rows(nodes, derivs, v_list)
-        kill_radius = float(band[i]) + 1.0 / N
-        gap = np.min(np.max(np.abs(z_bound[i][None] - nodes[:, None]), axis=2), axis=1)
-        kill = gap <= kill_radius
-        killed = int(np.count_nonzero(np.any(table[kill] != 0.0, axis=1)))
-        table[kill] = 0.0
+        killed, kill_radius = band_kill(table, nodes, N, z_bound, band)
         tables.append(table)
-        kill_info.append(
-            {"band_width": float(band[i]), "kill_radius": kill_radius, "killed_nodes": killed}
-        )
+        kill_info.append({"band_width": float(band), "kill_radius": kill_radius, "killed_nodes": killed})
     return tables, kill_info

@@ -14,7 +14,7 @@ from build_oracle import (
     direct_model,
     direct_term_cnns,
 )
-from coeff_oracle import all_chart_weights, chart_coefficients_oracle, per_point_pullback
+from coeff_oracle import all_chart_weights, band_kill, chart_coefficients_oracle, per_point_pullback
 from fold_oracle import chart_sum_oracle, per_chart_eval_oracle
 from hypothesis import example, given, settings, strategies as st
 
@@ -37,7 +37,7 @@ from sobolev_forge.manifold import (
 from sobolev_forge.netcore import audit_class
 from sobolev_forge.scalarnets import ScalarNet
 from sobolev_forge.targets import get_manifold_target
-from sobolev_forge.taylor import CompileEqualityError, ConfigError
+from sobolev_forge.taylor import CompileEqualityError, ConfigError, grid_nodes
 
 
 @pytest.fixture(scope="module")
@@ -178,8 +178,8 @@ def test_rho_weights_center_dominance(atlas):
 
 @pytest.fixture(scope="module")
 def weight_atlases(atlas):
-    """Each atlas of the weight property, with its charts' outer boundary
-    images (``chart_boundary_data``) as the rims of their chart balls."""
+    """Each atlas of the weight property, with its outer boundary images
+    (``chart_boundary_data``) as the rims of its chart balls."""
     out = {}
     for name, at in [
         ("circle-0.2", atlas),
@@ -214,7 +214,7 @@ def _weight_rows(at, rims, rows):
         if kind == "inner":
             z = np.array([u, v])[:d]
         elif kind == "rim":
-            z = 0.5 + (1.0 - 1e-3 * u) * (rims[i, k % len(rims[i])] - 0.5)
+            z = 0.5 + (1.0 - 1e-3 * u) * (rims[k % len(rims)] - 0.5)
         else:
             ray = np.array([math.cos(2.0 * math.pi * u), math.sin(2.0 * math.pi * u)])[:d]
             y, _ = chart_invert(at, [i], [0.5 + (0.24 + 0.02 * v) * ray])
@@ -418,30 +418,94 @@ def test_chart_boundary_data_rejects_intrinsic_dimension_3(atlas):
         manifold.chart_boundary_data(flat3, 0.01)
 
 
-@pytest.mark.parametrize("kit", ["circle", "sphere", "torus"])
-def test_chart_boundary_data_matches_per_chart_bisection(kit, atlases):
-    """Every chart's boundary images and band width, bisected with all other
-    charts' rays in one pass, equal those of its rays bisected alone for all
-    60 passes; the one pass stops early, at the first that moves nothing."""
+@pytest.mark.parametrize("N", [4, 32])
+@pytest.mark.parametrize("kit", ["circle", "sphere", "torus", "uneven-torus"])
+def test_chart_boundary_data_is_the_bisected_boundary(kit, N, atlases):
+    """The atlas's closed-form boundary images and band width, found with no
+    solver call, are within 1e-15 of every chart's, bisected along its rays
+    through the kit's solver (``chart_boundary_oracle``), at the build's
+    Delta = r^2/(4N)."""
     at = atlases[kit]
-    Delta = at.r**2 / 16.0  # the build's Delta at N = 4
-    passes, solver = [], at.manifold.chart_solver
-    counted = dataclasses.replace(at.manifold, chart_solver=lambda *args: passes.append(1) or solver(*args))
+    Delta = at.r**2 / (4.0 * N)
+    calls, solver = [], at.manifold.chart_solver
+    counted = dataclasses.replace(at.manifold, chart_solver=lambda *args: calls.append(1) or solver(*args))
     z_outer, band = manifold.chart_boundary_data(dataclasses.replace(at, manifold=counted), Delta)
-    assert len(passes) < 60
+    assert calls == []
+    z_ref, band_ref = chart_boundary_oracle(at, Delta)
     d = at.manifold.intrinsic_dim
-    assert z_outer.shape == (at.chart_count, 2 if d == 1 else 32, d)
-    for i in range(at.chart_count):
-        z_ref, band_ref = chart_boundary_oracle(at, i, Delta)
-        assert np.array_equal(z_outer[i], z_ref)
-        assert band[i] == band_ref
+    assert z_outer.shape == z_ref.shape[1:] == (2 if d == 1 else 32, d)
+    assert np.max(np.abs(z_outer - z_ref)) <= 1e-15
+    assert np.max(np.abs(band - band_ref)) <= 1e-15
+
+
+@pytest.fixture(scope="module")
+def build_kits(atlas, sphere_atlas, weight_atlases, circle_sin):
+    """Each kit's atlas and a target on it.  The torus atlases take 4,096
+    samples: on the 256-sample ones a build meets a point in no inner ball."""
+    on_torus = lambda X: 2.0 * X[:, 0] * X[:, 2]
+    return {
+        "circle": (atlas, circle_sin[1]),
+        "sphere": (sphere_atlas, get_manifold_target("sphere-harmonic", order=2)[1]),
+        "torus": (weight_atlases["torus-0.16"][0], on_torus),
+        "uneven-torus": (build_atlas(torus_manifold(0.6, 0.9), 0.14), on_torus),
+    }
+
+
+@pytest.mark.parametrize("N", [3, 4, 8])
+@pytest.mark.parametrize("kit", ["circle", "sphere", "torus", "uneven-torus"])
+def test_bisected_boundaries_kill_the_nodes_of_the_closed_form(kit, N, build_kits):
+    """Tables killed chart by chart at each chart's own bisected boundary
+    (``chart_boundary_oracle``) are the closed-form build's, byte for byte,
+    and each chart zeroes as many nonzero rows.  From N = 4 on, the kill
+    meets only rows the partition weight already zeroed; at N = 3 it zeroes
+    nonzero rows."""
+    at, target = build_kits[kit]
+    ap = build_manifold_approx(target, at.manifold, N=N, atlas=at)
+    d, alpha = at.manifold.intrinsic_dim, ap.record["alpha"]
+    # the tables before the kill: no boundary image reaches a node
+    raw, _ = manifold.chart_coefficients(target, at, N, alpha, 1e-4 * at.r, np.full((1, d), np.inf), 0.0)
+    tables = list(raw.table.reshape(at.chart_count, (N + 1) ** d, -1))
+    z_ref, band_ref = chart_boundary_oracle(at, ap.record["Delta"])
+    nodes = grid_nodes(N, d) / N
+    killed = [band_kill(table, nodes, N, z, b)[0] for table, z, b in zip(tables, z_ref, band_ref)]
+    assert np.array_equal(ap.coeffs.table, np.concatenate(tables))
+    assert [k["killed_nodes"] for k in ap.record["kill_info"]] == killed
+    assert any(killed) == (N == 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kit=st.sampled_from(["circle", "sphere", "torus"]),
+       params=st.tuples(st.floats(0.0, 2.0 * math.pi), st.floats(0.0, math.pi)),
+       angle=st.floats(0.0, 2.0 * math.pi),
+       r_frac=st.floats(0.01, 1.0), rho_frac=st.floats(0.0, 1.0, exclude_min=True),
+       radii=st.tuples(st.floats(0.5, 1.0), st.floats(0.5, 1.0)))
+def test_chord_offset_lifts_to_distance_rho(kit, params, angle, r_frac, rho_frac, radii):
+    """On a random chart of radius r, the ray z = 1/2 + t u with t = scale *
+    chord_offset(rho, u) lifts through the kit's solver to |x - c| = rho,
+    rho in (0, r], within 1e-15; and t < 1/2, inside the chart's box."""
+    m = {"circle": lambda: circle_manifold(3), "sphere": sphere_manifold,
+         "torus": lambda: torus_manifold(*radii)}[kit]()
+    d = m.intrinsic_dim
+    c = m.embed(np.array([params[:d]]))
+    V = np.linalg.qr(m.tangent_basis(c[0]))[0][None, :, :d]
+    r = r_frac * 0.96 * m.reach / 4.0
+    rho, scale = rho_frac * r, 1.0 / (2.0 * r)
+    if d == 1:
+        u = np.array([[math.copysign(1.0, angle - math.pi)]])
+    else:
+        u = np.array([[math.cos(angle), math.sin(angle)]])
+    t = scale * m.chord_offset(rho, u)[0]
+    X, ok = m.chart_solver(0.5 + t * u, c, V, scale, 0.5)
+    assert ok[0]
+    assert abs(np.linalg.norm(X[0] - c[0]) - rho) <= 1e-15
+    assert t < 0.5
 
 
 def _outer_boundary_distances(at, charts, z_outer):
-    """Distances from their centers of the outer boundary images z_outer of
-    charts, each inverted in its chart."""
-    owner = np.repeat(charts, z_outer.shape[1])
-    X, ok = chart_invert(at, owner, z_outer.reshape(-1, at.manifold.intrinsic_dim))
+    """Distances from their centers of the outer boundary images z_outer,
+    inverted in each of charts."""
+    owner = np.repeat(charts, len(z_outer))
+    X, ok = chart_invert(at, owner, np.tile(z_outer, (len(charts), 1)))
     assert ok.all()
     return np.linalg.norm(X - at.centers[owner], axis=1)
 
@@ -452,7 +516,7 @@ def test_outer_boundary_images_invert_to_distance_r(kit, atlases):
     z_outer, band = manifold.chart_boundary_data(at, at.r**2 / 16.0)
     distances = _outer_boundary_distances(at, np.arange(at.chart_count), z_outer)
     assert np.max(np.abs(distances - at.r)) <= 1e-12
-    assert np.all(band > 0.0)
+    assert band > 0.0
 
 
 def test_sphere_boundary_succeeds_at_the_poles():
@@ -463,9 +527,9 @@ def test_sphere_boundary_succeeds_at_the_poles():
     z_outer, band = manifold.chart_boundary_data(at, 0.2**2 / 16.0)
     poles = np.flatnonzero(np.abs(at.centers[:, 2]) >= math.cos(0.1))
     assert poles.size >= 5
-    distances = _outer_boundary_distances(at, poles, z_outer[poles])
+    distances = _outer_boundary_distances(at, poles, z_outer)
     assert np.max(np.abs(distances - at.r)) <= 1e-12
-    assert np.all(band[poles] > 0.0)
+    assert band > 0.0
 
 
 @pytest.mark.parametrize("kit", ["circle", "sphere", "torus"])
