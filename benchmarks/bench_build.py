@@ -90,8 +90,11 @@ study builds them, and splits each build by wrapping functions of the
 
 Each rep builds a fresh atlas, untimed, and every figure is the median.
 Each build row also holds ``table_sha256``, the sha256 of its coefficient
-table's bytes and its ``kill_info``, so runs of two trees show whether they
-built the same tables.
+table's bytes alone (with its ``kill_info`` too in labels before
+``one-pullback-parent``), so runs of two trees show whether they built the
+same tables; ``killed_nodes``, the nodes the boundary-band kill zeroed,
+summed over the charts; and ``pullback_calls``, the build's
+``manifold._pullback`` calls.
 In the same way it times the compiled circle build
 (``compile_model=True``, 30 check points) at N = 4 and then N = 8
 (``compiled`` in the results), split by wrapping functions of the
@@ -466,24 +469,36 @@ def _one_build(modules, alpha, N, directory):
 
 
 def _staged_build(manifold, target, mspec, N, atlas):
-    """Stage seconds of one build, the approximator and the sha256 of its
-    table and kill record."""
-    clock = StageClock()
-    with clock.wrapping(manifold, MANIFOLD_STAGES):
-        start = time.perf_counter()
-        approx = manifold.build_manifold_approx(target, mspec, N=N, atlas=atlas)
-        total = time.perf_counter() - start
-    digest = hashlib.sha256(approx.coeffs.table.tobytes() + json.dumps(approx.record["kill_info"]).encode())
-    return clock.split(MANIFOLD_STAGES, total), approx, digest.hexdigest()
+    """Stage seconds of one build, the approximator and its facts: the
+    sha256 of its table's bytes, its killed nodes and its ``_pullback``
+    calls."""
+    clock, pullback, calls = StageClock(), manifold._pullback, [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return pullback(*args)
+
+    manifold._pullback = counted
+    try:
+        with clock.wrapping(manifold, MANIFOLD_STAGES):
+            start = time.perf_counter()
+            approx = manifold.build_manifold_approx(target, mspec, N=N, atlas=atlas)
+            total = time.perf_counter() - start
+    finally:
+        manifold._pullback = pullback
+    facts = {"table_sha256": hashlib.sha256(approx.coeffs.table.tobytes()).hexdigest(),
+             "killed_nodes": sum(info["killed_nodes"] for info in approx.record["kill_info"]),
+             "pullback_calls": calls[0]}
+    return clock.split(MANIFOLD_STAGES, total), approx, facts
 
 
 def _manifold_builds(manifold, targets):
-    """Stage seconds and table digest of one circle build at each N of
-    MANIFOLD_NS, in turn on one fresh atlas, and the atlas's chart count."""
+    """Stage seconds and facts of one circle build at each N of MANIFOLD_NS,
+    in turn on one fresh atlas, and the atlas's chart count."""
     mspec, target = targets.get_manifold_target("circle-sin", 3, order=2)
     atlas = manifold.build_atlas(mspec, MANIFOLD_R)
     builds = [_staged_build(manifold, target, mspec, N, atlas) for N in MANIFOLD_NS]
-    return [(seconds, digest) for seconds, _, digest in builds], atlas.chart_count
+    return [(seconds, facts) for seconds, _, facts in builds], atlas.chart_count
 
 
 def _kit_builds(manifold, mspec, target, kit, reps):
@@ -494,7 +509,7 @@ def _kit_builds(manifold, mspec, target, kit, reps):
     builds = [_staged_build(manifold, target, mspec, kit["N"], atlas) for _ in range(reps)]
     row = {"charts": atlas.chart_count, "reps": reps,
            "seconds": {k: statistics.median(b[0][k] for b in builds) for k in builds[0][0]},
-           "table_sha256": builds[0][2]}
+           **builds[0][2]}
     return row, builds[0][1], atlas
 
 
@@ -788,6 +803,12 @@ def _bench_builds(modules, reps):
     return rows
 
 
+def _facts(row):
+    """A build row's facts, as its printed line shows them."""
+    return (f"table sha256 {row['table_sha256'][:12]}, {row['killed_nodes']} killed nodes, "
+            f"{row['pullback_calls']} pullbacks")
+
+
 def _bench_manifold(manifold, serialize, targets, taylor, reps):
     runs = [_manifold_builds(manifold, targets) for _ in range(reps)]
     compiled = [_compiled_manifold_builds(manifold, serialize, targets, taylor) for _ in range(reps)]
@@ -798,11 +819,11 @@ def _bench_manifold(manifold, serialize, targets, taylor, reps):
         built = {**compiled[0][t], "seconds": {
             k: statistics.median(r[t]["seconds"][k] for r in compiled) for k in compiled[0][t]["seconds"]}}
         rows.append({"manifold": "circle", "N": N, "r": MANIFOLD_R, "charts": runs[0][1], "reps": reps,
-                     "seconds": seconds, "table_sha256": runs[0][0][t][1], "compiled": built,
+                     "seconds": seconds, **runs[0][0][t][1], "compiled": built,
                      "evaluation": evaluation[t]})
         split = "  ".join(f"{k} {v:.4f}" for k, v in {**seconds, **evaluation[t]}.items())
-        print(f"circle r={MANIFOLD_R} N={N} ({runs[0][1]} charts, table sha256 "
-              f"{runs[0][0][t][1][:12]}): {split}", flush=True)
+        print(f"circle r={MANIFOLD_R} N={N} ({runs[0][1]} charts, {_facts(rows[-1])}): {split}",
+              flush=True)
         split = "  ".join(f"{k} {v:.4f}" for k, v in built["seconds"].items())
         print(f"  compiled ({built['blocks']} blocks, {built['mlp_to_cnn_calls']} mlp_to_cnn calls, "
               f"{built['distinct_arrays']} distinct arrays, sha256 {built['sha256'][:12]}): {split}",
@@ -811,14 +832,14 @@ def _bench_manifold(manifold, serialize, targets, taylor, reps):
     rows.append(sphere)
     split = "  ".join(f"{k} {v:.4f}" for k, v in sphere["seconds"].items())
     ev = sphere["evaluation"]
-    print(f"sphere r={sphere['r']} N={sphere['N']} ({sphere['charts']} charts, table sha256 "
-          f"{sphere['table_sha256'][:12]}): {split}  norm_k0_s {ev['norm_k0_s']:.4f} "
+    print(f"sphere r={sphere['r']} N={sphere['N']} ({sphere['charts']} charts, {_facts(sphere)}): "
+          f"{split}  norm_k0_s {ev['norm_k0_s']:.4f} "
           f"(norm {ev['norm_k0']!r}, {ev['skipped']} skipped)", flush=True)
     torus = _torus_row(manifold, reps)
     rows.append(torus)
     split = "  ".join(f"{k} {v:.4f}" for k, v in torus["seconds"].items())
-    print(f"torus r={torus['r']} N={torus['N']} ({torus['charts']} charts, table sha256 "
-          f"{torus['table_sha256'][:12]}): {split}", flush=True)
+    print(f"torus r={torus['r']} N={torus['N']} ({torus['charts']} charts, {_facts(torus)}): {split}",
+          flush=True)
     peaks = _peak_row(manifold, targets, reps)
     rows.append(peaks)
     split = "  ".join(f"{k} {v:.1f}" for k, v in peaks["peak_mb"].items())
@@ -858,8 +879,9 @@ def main():
             "compiled) of the compiled build, with its blocks, mlp_to_cnn calls, distinct "
             "arrays and the sha256 of the model document, and (under "
             "evaluation) of manifold_norm of the error at k=0 and k=1, resolution 40, and "
-            "of 10 one-point evals; table_sha256 digests each build's coefficient table and "
-            "kill_info; the sphere row (manifold: sphere) is the sphere-harmonic build at r=0.2, "
+            "of 10 one-point evals; table_sha256 digests each build's coefficient table bytes "
+            "(with kill_info before one-pullback-parent), killed_nodes sums its kill_info and "
+            "pullback_calls counts its manifold._pullback calls; the sphere row (manifold: sphere) is the sphere-harmonic build at r=0.2, "
             "N=4, by stage, and its error's k=0 norm at resolution 8; the torus row (manifold: torus) "
             "is the build of 2*x0*x2 on the flat torus at r=0.16, N=4, by stage; the peak row "
             "(manifold: peaks) "

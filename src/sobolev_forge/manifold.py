@@ -17,11 +17,14 @@ through each chart, approximate each pullback on [0,1]^d with
 bump-times-monomial nets, and gate each chart's contribution by a
 chart-indicator network (squared-distance net composed with a clipped ramp).
 One ``chart_coefficients`` call computes the Taylor tables of all charts,
-stacked in chart order; its finite differences and ``manifold_norm`` share
-one pullback pass over (chart, point) rows, ``_pullback``, which makes one
-``chart_invert`` call and weighs each row against its chart's neighbours
-only (``rho_weights``): the charts whose inner balls can reach the chart's
-ball, listed once per atlas by ``build_atlas``.
+stacked in chart order.  It and ``manifold_norm`` read the target through
+one pullback pass over (chart, point) rows, ``_pullback``: the coefficients
+make one per row block, over every finite-difference point set of its
+rows, and a norm makes one.  A pullback makes one ``chart_invert`` call and
+weighs each row against its chart's neighbours only (``rho_weights``): the
+charts whose inner balls can reach the chart's ball, listed once per atlas
+by ``build_atlas``.  Sums of D squares add their columns left to right
+(``_sum_squares``), as ``np.sum`` does below 8 terms.
 The gated terms of all charts, those with a nonzero coefficient, compile
 through the Euclidean compile step, ``taylor.compile_terms``, and pass its
 build gates; a chart term is its monomial's gated net, built once at chart
@@ -293,10 +296,23 @@ def _row_norms(V):
     return np.sqrt(_row_dots(V, V))
 
 
+def _sum_squares(V):
+    """``np.sum(V ** 2, axis=-1)`` with its bits, V squared in place: below 8
+    terms numpy adds the last axis from left to right, as the column adds
+    here do; from 8 on it is ``np.sum`` itself."""
+    np.square(V, out=V)
+    if V.shape[-1] >= 8:
+        return np.sum(V, axis=-1)
+    out = V[..., 0].copy()
+    for k in range(1, V.shape[-1]):
+        out += V[..., k]
+    return out
+
+
 def _sqdist(X, C):
     """(points, centers) squared distances, each summed as the per-center
     ``np.sum((X - c) ** 2, axis=1)`` sums it."""
-    return np.sum((X[:, None, :] - C[None]) ** 2, axis=2)
+    return _sum_squares(X[:, None, :] - C[None])
 
 
 def _row_blocks(fun, cells_per_row, *arrays):
@@ -399,7 +415,7 @@ def rho_weights(atlas: Atlas, charts, X) -> np.ndarray:
 
     def block(X, charts):
         rows, near = np.arange(len(X)), atlas.neighbours[charts]
-        d2 = np.sum((X[:, None, :] - atlas.centers[near]) ** 2, axis=2)
+        d2 = _sum_squares(X[:, None, :] - atlas.centers[near])
         H = np.zeros((len(X), atlas.chart_count))
         H[rows[:, None], near] = np.maximum(0.0, 1.0 - d2 / atlas.r_tilde**2) ** 3
         total = H.sum(axis=1)
@@ -439,12 +455,14 @@ def build_sqdist_nets(centers, theta: float, B: float):
     A center enters the net only through its first-layer bias, b0 + W0 @ -c;
     so the net is built once, at center 0, and the net of center i is that
     net with its first bias replaced by row i of the stack
-    (``ScalarNet.with_first_bias``).
+    (``ScalarNet.with_first_bias``).  The stack is one product: W0 has one
+    nonzero per row, so each entry is one product plus exact zeros, as in
+    the per-center ``W0 @ -c``.
     """
     centers = np.asarray(centers, dtype=np.float64)
     net = build_sqdist_net(np.zeros(centers.shape[1]), theta, B)
     W0, b0 = net.layers[0]
-    return net, np.array([b0 + W0 @ -c for c in centers])
+    return net, b0 + (-centers) @ W0.T
 
 
 @dataclass
@@ -525,18 +543,6 @@ def _pullback(fun, atlas, charts, Z):
     return vals, ok
 
 
-def _fd_deriv(F, Z, a, h):
-    """Iterated central differences of a batch evaluator at points Z."""
-    if sum(a) == 0:
-        return F(Z)
-    j = next(k for k, ak in enumerate(a) if ak > 0)
-    a_next = tuple(ak - (1 if k == j else 0) for k, ak in enumerate(a))
-    hi, lo = Z.copy(), Z.copy()
-    hi[:, j] += h
-    lo[:, j] -= h
-    return (_fd_deriv(F, hi, a_next, h) - _fd_deriv(F, lo, a_next, h)) / (2.0 * h)
-
-
 def chart_boundary_data(atlas: Atlas, Delta: float):
     """The boundary images phi(boundary of U), a (rays, d) array shared by
     every chart, and their chart-coordinate width of the indicator band
@@ -567,10 +573,12 @@ def chart_boundary_data(atlas: Atlas, Delta: float):
 def chart_coefficients(f_on_M, atlas: Atlas, N: int, alpha: int, fd_step: float, z_bound, band):
     """Taylor coefficients of every chart pullback, with the boundary-band
     kill: the charts' tables stacked in chart order, (N+1)^d rows each, and
-    each chart's kill record.  The finite differences run on the grid nodes
-    tiled once per chart, through one ``_pullback`` per evaluation; it, the
-    differences and the expansion act row by row, so a chart's rows have
-    the bits of a build of that chart alone.
+    each chart's kill record.  The grid nodes are tiled once per chart and
+    taken a row block at a time (``_row_blocks``).  A block's derivatives
+    D^a are iterated central differences, (hi - lo) / (2 h) along the first
+    axis a still has, and every point set they read, of every a, is pulled
+    back in one ``_pullback`` call; every step acts row by row, so a chart's
+    rows have the bits of a build of that chart alone.
 
     Every grid node within band_width + 1/N (sup-norm, chart coordinates) of
     a boundary image is zeroed, so bumps whose support can reach the
@@ -581,11 +589,33 @@ def chart_coefficients(f_on_M, atlas: Atlas, N: int, alpha: int, fd_step: float,
     d, charts = atlas.manifold.intrinsic_dim, atlas.chart_count
     v_list = multi_indices(d, alpha - 1)
     nodes = grid_nodes(N, d) / N
-    Z = np.tile(nodes, (charts, 1))
-    owner = np.repeat(np.arange(charts), len(nodes))
-    F = lambda Z: _pullback(f_on_M, atlas, owner, Z)[0]
-    derivs = {tuple(a): _fd_deriv(F, Z, tuple(a), fd_step) for a in v_list}
-    table = _monomial_expansion_rows(Z, derivs, v_list)
+
+    def block(Z, owner):
+        # the point sets of a: Z shifted by +h and -h along each axis of a in
+        # turn, a copy each, the + set of a shift before its - set
+        stencils = []
+        for a in v_list:
+            S = Z[None]
+            for j in (j for j, aj in enumerate(a) for _ in range(aj)):
+                S = np.repeat(S, 2, axis=0)
+                S[0::2, :, j] += fd_step
+                S[1::2, :, j] -= fd_step
+            stencils.append(S)
+        P = np.concatenate(stencils)
+        vals = _pullback(f_on_M, atlas, np.tile(owner, len(P)), P.reshape(-1, d))[0]
+        vals, derivs = vals.reshape(len(P), len(Z)), {}
+        for a, S in zip(v_list, stencils):
+            diff, vals = vals[: len(S)], vals[len(S) :]
+            for _ in range(sum(a)):  # the innermost shift's pairs first
+                diff = (diff[0::2] - diff[1::2]) / (2.0 * fd_step)
+            derivs[a] = diff[0]
+        return _monomial_expansion_rows(Z, derivs, v_list)
+
+    # a coefficient row pulls back one row per point set, each gathering a
+    # (D, d) frame in chart_invert, with a few temporaries of that size
+    sets = sum(2 ** sum(a) for a in v_list)
+    Z, owner = np.tile(nodes, (charts, 1)), np.repeat(np.arange(charts), len(nodes))
+    table = _row_blocks(block, 8 * sets * atlas.frames[0].size, Z, owner)
     near = np.min(np.max(np.abs(z_bound[None] - nodes[:, None]), axis=2), axis=1) <= band + 1.0 / N
     kill = np.tile(near, charts)
     killed = np.count_nonzero((kill & np.any(table != 0.0, axis=1)).reshape(charts, -1), axis=1)

@@ -14,7 +14,13 @@ from build_oracle import (
     direct_model,
     direct_term_cnns,
 )
-from coeff_oracle import all_chart_weights, band_kill, chart_coefficients_oracle, per_point_pullback
+from coeff_oracle import (
+    all_chart_weights,
+    band_kill,
+    chart_coefficients_oracle,
+    chart_coefficients_per_set,
+    per_point_pullback,
+)
 from fold_oracle import chart_sum_oracle, per_chart_eval_oracle
 from hypothesis import example, given, settings, strategies as st
 
@@ -552,6 +558,41 @@ def test_stamped_sqdist_nets_equal_per_center_builds(atlases, kit):
         assert all(a is b for a, b in zip(net._batch_layers[1:], shared._batch_layers[1:]))
 
 
+@pytest.mark.parametrize("kit", ["circle-0.2", "sphere-0.2", "torus-0.16"])
+def test_sqdist_biases_equal_the_per_center_products(weight_atlases, kit):
+    """The (charts, width) first-layer biases, taken as one product, have the
+    bytes of b0 + W0 @ -c center by center; the sphere's centers have
+    coordinates that are exact zeros."""
+    at = weight_atlases[kit][0]
+    theta, B = at.r**2 / (64.0 * at.manifold.ambient_dim), at.manifold.box_bound
+    net, biases = manifold.build_sqdist_nets(at.centers, theta, B)
+    W0, b0 = net.layers[0]
+    assert biases.tobytes() == np.array([b0 + W0 @ -c for c in at.centers]).tobytes()
+
+
+_column_sum_input = st.integers(1, 12).flatmap(
+    lambda D: st.lists(st.integers(1, 5), max_size=2).flatmap(
+        lambda lead: st.lists(
+            st.one_of(st.floats(-2.0, 2.0), st.floats(-1e150, 1e150), st.sampled_from([0.0, -0.0])),
+            min_size=math.prod(lead) * D, max_size=math.prod(lead) * D,
+        ).map(lambda v: np.array(v).reshape(*lead, D))
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_column_sum_input)
+@example(np.array([[-0.0, 0.0, -0.0]]))
+@example(np.array([0.9, -0.38, -0.15]))  # added right to left, its sum moves
+@example(np.arange(24.0).reshape(2, 12) / 7.0)
+def test_column_sum_of_squares_equals_numpy_sum(V):
+    """The left-to-right column adds of D squares have the bytes of
+    np.sum(V ** 2, axis=-1), for D from 1 to 12 (np.sum itself from 8 on),
+    up to three axes and signed zeros."""
+    want = np.sum(V**2, axis=-1)
+    assert manifold._sum_squares(V.copy()).tobytes() == want.tobytes()
+
+
 def test_manifold_compile_equality(circle, circle_sin):
     """Small compiled manifold model agrees with the functional path, on a
     table and at check points where both are nonzero (at N=2 the boundary
@@ -929,17 +970,50 @@ def test_pullback_rows_match_each_row_alone_and_per_point(
 
 def test_each_pullback_makes_one_inversion_call(circle, atlas, circle_sin):
     """A pullback inverts all its (chart, point) rows in one chart_invert
-    call: one per pullback, so 3 in a circle alpha = 2 build (one per
-    finite-difference evaluation) and 1 in a norm."""
+    call: one per pullback, so 1 in a circle alpha = 2 build (its 345 rows
+    are one row block, whose three finite-difference point sets share one
+    pullback) and 1 in a norm."""
     f = circle_sin[1]
     every = np.arange(atlas.chart_count)
     with mock.patch.object(manifold, "chart_invert", wraps=manifold.chart_invert) as spy:
         manifold._pullback(f, atlas, every, np.full((atlas.chart_count, 1), 0.5))
         assert spy.call_count == 1
         ap = build_manifold_approx(f, circle, N=4, atlas=atlas)
-        assert spy.call_count == 1 + 3
+        assert spy.call_count == 1 + 1
         manifold_norm(lambda X: ap.eval(X) - f(X), atlas, 0, resolution=5)
-        assert spy.call_count == 1 + 3 + 1
+        assert spy.call_count == 1 + 1 + 1
+
+
+# the kits of the per-set property: each atlas of weight_atlases, its target,
+# and a _PULLBACK_CELLS that splits the build's coefficient rows into blocks
+_PER_SET_KITS = {
+    "circle-0.2": (lambda a: get_manifold_target("circle-sin", order=a)[1], 2**12),
+    "circle-0.24": (lambda a: get_manifold_target("circle-sin", order=a)[1], 2**12),
+    "sphere-0.2": (lambda a: get_manifold_target("sphere-harmonic", order=a)[1], 2**17),
+    "torus-0.16": (lambda a: lambda X: 2.0 * X[:, 0] * X[:, 2], 2**17),
+}
+
+
+@pytest.mark.parametrize(
+    "kit, alpha, N",
+    [(kit, alpha, N) for kit in ("circle-0.2", "circle-0.24") for alpha in (2, 3) for N in (3, 4, 8, 16)]
+    + [("sphere-0.2", 2, 4), ("sphere-0.2", 3, 4), ("torus-0.16", 2, 4)],
+)
+def test_chart_coefficients_equal_one_pullback_per_point_set(weight_atlases, kit, alpha, N):
+    """The table and kill_info of one pullback per row block, in blocks of
+    a few rows, have the bytes of the recursive central differences with
+    one pullback per point set over the rows of every chart."""
+    at, make_target, cells = weight_atlases[kit][0], *_PER_SET_KITS[kit]
+    target, fd_step = make_target(alpha), 1e-4 * at.r
+    boundary = manifold.chart_boundary_data(at, at.r**2 / (4.0 * N))
+    table, kill_info = chart_coefficients_per_set(target, at, N, alpha, fd_step, *boundary)
+    with mock.patch.object(manifold, "_PULLBACK_CELLS", cells), \
+            mock.patch.object(manifold, "_pullback", wraps=manifold._pullback) as spy:
+        coeffs, info = manifold.chart_coefficients(target, at, N, alpha, fd_step, *boundary)
+    assert spy.call_count > 1
+    assert coeffs.table.tobytes() == table.tobytes()
+    assert repr(info) == repr(kill_info)
+    assert np.any(table != 0.0) or any(i["killed_nodes"] for i in kill_info)
 
 
 @pytest.mark.parametrize("alpha, N", [(2, 3), (2, 8), (3, 8)])
