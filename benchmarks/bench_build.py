@@ -124,7 +124,12 @@ does with the built approximator (``evaluation`` in the results):
   one point per call, as a served request makes them.
 
 Each of these is the median of at least ``--reps`` calls after a warm-up,
-more while they take under a second.
+more while they take under a second.  Beside them, for the k = 0 norm and
+the 10 evals, ``norm_k0_pairs`` and ``evals_pairs`` count the (chart,
+point) pairs of their chart sums (``_pair_values``), and
+``norm_k0_net_pairs`` and ``evals_net_pairs`` the pairs among them that
+ran the indicator nets (``indicator_values``: every pair in trees before
+``flat-ramp-change``, the band pairs after it).
 
 Last come the sphere rows (``manifold: sphere``): sphere-harmonic on the
 round sphere at r=0.2 (1,020 charts), the N = 4 build, split into the same
@@ -247,7 +252,7 @@ KERNEL_ROWS = (3, 200, 4096)  # rows of the product-net forwards split by kernel
 MANIFOLD_STAGES = {
     "boundary": ("chart_boundary_data",),
     "coefficients": ("chart_coefficients",),
-    "rho_weights": ("rho_weights",),
+    "rho_weights": ("rho_weights", "_weights"),
     "sqdist_nets": ("build_sqdist_nets", "build_sqdist_net"),
 }
 COMPILED_STAGES = {  # wrapped in taylor, and "terms" on ManifoldApproximator._terms
@@ -623,8 +628,37 @@ def _manifold_evaluation(manifold, targets, reps):
             for k in (0, 1)
         }
         row["evals_s"] = _median_seconds(lambda: [approx.eval(x[None]) for x in points], reps)
+        row.update(_pair_counts(manifold, {
+            "norm_k0": lambda: manifold.manifold_norm(error, atlas, 0, resolution=MANIFOLD_RESOLUTION),
+            "evals": lambda: [approx.eval(x[None]) for x in points],
+        }))
         rows.append(row)
     return rows
+
+
+def _pair_counts(manifold, requests):
+    """``<name>_pairs``, the (chart, point) pairs of the chart sums of each
+    request, and ``<name>_net_pairs``, the pairs among them that ran the
+    indicator nets (``indicator_values``), once each request has run."""
+    owner, counts = manifold.ManifoldApproximator, {}
+    originals = {name: getattr(owner, name) for name in ("_pair_values", "indicator_values")}
+
+    def counting(name, key):
+        def counted(self, *args):
+            counts[key] += len(args[1])  # the pairs' charts, or their points
+            return originals[name](self, *args)
+        return counted
+
+    try:
+        for request, run in requests.items():
+            counts[f"{request}_pairs"] = counts[f"{request}_net_pairs"] = 0
+            owner._pair_values = counting("_pair_values", f"{request}_pairs")
+            owner.indicator_values = counting("indicator_values", f"{request}_net_pairs")
+            run()
+    finally:
+        for name, fn in originals.items():
+            setattr(owner, name, fn)
+    return counts
 
 
 def _fold_steps(np, taylor, requests):
@@ -821,7 +855,8 @@ def _bench_manifold(manifold, serialize, targets, taylor, reps):
         rows.append({"manifold": "circle", "N": N, "r": MANIFOLD_R, "charts": runs[0][1], "reps": reps,
                      "seconds": seconds, **runs[0][0][t][1], "compiled": built,
                      "evaluation": evaluation[t]})
-        split = "  ".join(f"{k} {v:.4f}" for k, v in {**seconds, **evaluation[t]}.items())
+        split = "  ".join(f"{k} {v:.4f}" if isinstance(v, float) else f"{k} {v}"
+                          for k, v in {**seconds, **evaluation[t]}.items())
         print(f"circle r={MANIFOLD_R} N={N} ({runs[0][1]} charts, {_facts(rows[-1])}): {split}",
               flush=True)
         split = "  ".join(f"{k} {v:.4f}" for k, v in built["seconds"].items())
@@ -879,7 +914,9 @@ def main():
             "compiled) of the compiled build, with its blocks, mlp_to_cnn calls, distinct "
             "arrays and the sha256 of the model document, and (under "
             "evaluation) of manifold_norm of the error at k=0 and k=1, resolution 40, and "
-            "of 10 one-point evals; table_sha256 digests each build's coefficient table bytes "
+            "of 10 one-point evals, with the chart-sum pairs of the k=0 norm and of the evals "
+            "and the pairs among them that ran the indicator nets (norm_k0_pairs, "
+            "norm_k0_net_pairs, evals_pairs, evals_net_pairs); table_sha256 digests each build's coefficient table bytes "
             "(with kill_info before one-pullback-parent), killed_nodes sums its kill_info and "
             "pullback_calls counts its manifold._pullback calls; the sphere row (manifold: sphere) is the sphere-harmonic build at r=0.2, "
             "N=4, by stage, and its error's k=0 norm at resolution 8; the torus row (manifold: torus) "

@@ -24,7 +24,8 @@ rows, and a norm makes one.  A pullback makes one ``chart_invert`` call and
 weighs each row against its chart's neighbours only (``rho_weights``): the
 charts whose inner balls can reach the chart's ball, listed once per atlas
 by ``build_atlas``.  Sums of D squares add their columns left to right
-(``_sum_squares``), as ``np.sum`` does below 8 terms.
+(``_sum_squares``), as ``np.sum`` does below 8 terms, and squared
+distances add one coordinate plane at a time in that order (``_sqdist``).
 The gated terms of all charts, those with a nonzero coefficient, compile
 through the Euclidean compile step, ``taylor.compile_terms``, and pass its
 build gates; a chart term is its monomial's gated net, built once at chart
@@ -37,8 +38,14 @@ mechanism keeping first-derivative error bounded as the ramp sharpens.
 Evaluation stacks the charts.  The chart sum at a batch of points takes
 every (chart, point) pair within 1.2 r of the chart's center (beyond it the
 indicator is exactly 0), projects all pairs into their charts' coordinates
-in one call, runs the squared-distance net (each pair with its chart's
-first-layer bias) and the indicator over all pairs, and folds all pairs in
+in one call, and reads each pair's indicator from the squared distance
+that picked it where the ramp is flat: exactly 1.0 well below its
+one-threshold and +0.0 well above its zero-threshold, the values the nets
+give there bit for bit (``IndicatorParams.one_below``).  Only the pairs on
+the band between run the squared-distance net (each pair with its chart's
+first-layer bias) and the indicator, most points have none, and
+``indicator_values`` and the compiled terms still run the nets on every
+pair.  All pairs fold in
 one ``taylor._stacked_fold`` call, each pair reading its chart's rows of the
 stacked table; ``np.add.at`` adds a point's pair values in ascending chart
 order, as a chart-by-chart loop does.  Every step acts row by row (the chart
@@ -88,6 +95,9 @@ from .taylor import (
 # charts on the 69-chart circle atlas, 257 on the 1,020-chart sphere at r 0.2
 _PULLBACK_CELLS = 2**18
 _BOUNDARY_DIRS = 32  # chart-coordinate boundary rays of a d = 2 chart
+# The margin of the indicator's flat-ramp thresholds, relative to 4 B^2 D:
+# see the rounding argument at ``IndicatorParams.one_below``.
+_FLAT_MARGIN = 2.0**-30
 
 
 class ChartError(RuntimeError):
@@ -309,10 +319,22 @@ def _sum_squares(V):
     return out
 
 
-def _sqdist(X, C):
+def _sqdist(X, C, near=None):
     """(points, centers) squared distances, each summed as the per-center
-    ``np.sum((X - c) ** 2, axis=1)`` sums it."""
-    return _sum_squares(X[:, None, :] - C[None])
+    ``np.sum((X - c) ** 2, axis=1)`` sums it; with ``near``, a (points, k)
+    array of rows of C, point t's distances to the centers C[near[t]] only.
+    Below 8 coordinates the squares are added one coordinate plane at a
+    time, left to right as ``_sum_squares`` adds them, so no (points,
+    centers, D) array is made."""
+    if X.shape[1] >= 8:
+        return _sum_squares(X[:, None, :] - (C[None] if near is None else C[near]))
+    plane = lambda k: X[:, k, None] - (C[None, :, k] if near is None else C[near, k])
+    out = plane(0)
+    np.square(out, out=out)
+    for k in range(1, X.shape[1]):
+        diff = plane(k)
+        out += np.square(diff, out=diff)
+    return out
 
 
 def _row_blocks(fun, cells_per_row, *arrays):
@@ -412,10 +434,16 @@ def rho_weights(atlas: Atlas, charts, X) -> np.ndarray:
     X, charts = np.atleast_2d(np.asarray(X, dtype=np.float64)), np.asarray(charts)
     if np.any(_row_norms(X - atlas.centers[charts]) > atlas.r * (1 + 1e-6)):
         raise ChartError("point farther than r from the center of its chart")
+    return _weights(atlas, charts, X)
+
+
+def _weights(atlas, charts, X):
+    """rho_weights without its distance check, for rows chart_invert has
+    accepted, which pass that check by its own test."""
 
     def block(X, charts):
         rows, near = np.arange(len(X)), atlas.neighbours[charts]
-        d2 = _sum_squares(X[:, None, :] - atlas.centers[near])
+        d2 = _sqdist(X, atlas.centers, near)
         H = np.zeros((len(X), atlas.chart_count))
         H[rows[:, None], near] = np.maximum(0.0, 1.0 - d2 / atlas.r_tilde**2) ** 3
         total = H.sum(axis=1)
@@ -503,6 +531,43 @@ class IndicatorParams:
     def one_threshold(self):
         return (1.0 - 2.0 ** (-self.w)) * self.A
 
+    @property
+    def flat_margin(self):
+        """_FLAT_MARGIN times 4 B^2 D, the scale of the squared-distance
+        net's values (see ``one_below``)."""
+        return _FLAT_MARGIN * 4.0 * self.B**2 * self.D
+
+    @property
+    def one_below(self):
+        """A computed squared distance |x - c|^2 at most this has indicator
+        exactly 1.0, and one at least ``zero_above`` exactly +0.0: the
+        thresholds T1 - dist_err - margin and A + dist_err + margin, with
+        T1 the one-threshold and the margin ``flat_margin``.
+
+        The rounding argument.  On an offset x - c in the box [-2B, 2B]^D
+        the net's exact value is within dist_err of |x - c|^2; an offset
+        outside it makes the net's value at least 4B^2 > A, as the sawtooth
+        of an input of at least 1 is that input.  Rounding moves the
+        computed |x - c|^2 (D products, D - 1 adds) by a relative (D + 1)
+        2^-53, and the net's value by less than 2^-40 4B^2 D: its wires
+        hold values of at most 4 per coordinate, a tent step doubles the
+        error it inherits but step t enters the sum at 4^-t, and the
+        readout scales a coordinate by 4B^2.  Both are far inside the
+        margin, so the net's value a is below T1 or above A + margin/2 at
+        such a distance.  At a < T1 the ramp's first layer gives a - T1 < 0,
+        its ReLU 0 (either sign), the doublings 0, and relu(1 - 0/A) = 1.0
+        comes out bit for bit; at a > A + margin/2 the doubled excess
+        2^w (a - T1) exceeds A by far more than the few ulps of A that
+        rounding moves it, so relu(1 - v/A) is a zero and the last layer's
+        +0.0 bias makes it +0.0.
+        """
+        return self.one_threshold - self.dist_err - self.flat_margin
+
+    @property
+    def zero_above(self):
+        """See ``one_below``."""
+        return self.A + self.dist_err + self.flat_margin
+
 
 def build_indicator(p: IndicatorParams) -> ScalarNet:
     """Exact clipped ramp: 1 below (1-2^-w) A, 0 above A, linear between.
@@ -531,12 +596,13 @@ def _pullback(fun, atlas, charts, Z):
     entry of charts, and the mask of rows that have a preimage; a row is 0
     where it has none or rho_i vanishes, and fun is not called there.
 
-    One chart_invert call inverts all rows, one rho_weights call weighs
-    them, and fun runs once over the rows with a nonzero weight.  Every step
-    acts row by row, so a row has the bits of that row alone."""
+    One chart_invert call inverts all rows, one pass of rho_weights weighs
+    them (without its distance check, which chart_invert's ball test has
+    made), and fun runs once over the rows with a nonzero weight.  Every
+    step acts row by row, so a row has the bits of that row alone."""
     X, ok = chart_invert(atlas, charts, Z)
     vals, rows = np.zeros(len(Z)), np.flatnonzero(ok)
-    w = rho_weights(atlas, charts[rows], X[rows])
+    w = _weights(atlas, charts[rows], X[rows])
     rows, w = rows[w != 0.0], w[w != 0.0]
     if rows.size:
         vals[rows] = np.asarray(fun(X[rows]), dtype=np.float64).ravel() * w
@@ -632,13 +698,14 @@ def chart_coefficients(f_on_M, atlas: Atlas, N: int, alpha: int, fd_step: float,
 class ManifoldApproximator:
     """Functional evaluator + optional compiled model of the chart-sum net."""
 
-    def __init__(self, f_on_M, atlas, coeffs, sqdist, indicator_net,
+    def __init__(self, f_on_M, atlas, coeffs, sqdist, indicator,
                  times_eta, times_delta, record):
         self.f_on_M = f_on_M
         self.atlas = atlas
         self.coeffs = coeffs  # SurrogateCoefficients, the charts' tables stacked
         self.sqdist_net, self.sqdist_biases = sqdist  # as build_sqdist_nets gives them
-        self.indicator_net = indicator_net
+        self.indicator_net, params = indicator  # build_indicator's net and its IndicatorParams
+        self.one_below, self.zero_above = params.one_below, params.zero_above
         self.times_eta = times_eta
         self.times_delta = times_delta
         self.record = record
@@ -659,7 +726,8 @@ class ManifoldApproximator:
         """Contribution of chart i (exactly zero off its indicator support)
         at the points X: the chart sum's pass over the pairs (i, x)."""
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        return self._pair_values(X, np.full(len(X), i), np.arange(len(X)))
+        d2 = _sqdist(X, self.atlas.centers[[i]])[:, 0]
+        return self._pair_values(X, np.full(len(X), i), np.arange(len(X)), d2)
 
     def eval(self, X):
         """The chart sum at the points X; nan at a point with a non-finite
@@ -668,23 +736,37 @@ class ManifoldApproximator:
         return _on_finite_rows(lambda X: _row_blocks(self._chart_sum, self.atlas.chart_count, X), X)
 
     def _chart_sum(self, X):
+        d2 = _sqdist(X, self.atlas.centers)
         # beyond 1.2 r from a center the chart's indicator is exactly 0
-        charts, points = np.nonzero((_sqdist(X, self.atlas.centers) <= 1.44 * self.atlas.r**2).T)
+        charts, points = np.nonzero((d2 <= 1.44 * self.atlas.r**2).T)
         # the pairs are chart-major, so add.at adds each point's values from
         # +0.0 in ascending chart order, as a chart-by-chart loop adds them
         out = np.zeros(len(X))
-        np.add.at(out, points, self._pair_values(X, charts, points))
+        np.add.at(out, points, self._pair_values(X, charts, points, d2[points, charts]))
         return out
 
-    def _pair_values(self, X, charts, points):
-        """Contribution of chart charts[t] at the point X[points[t]]: one
-        projection, one indicator pass and one stacked fold over all pairs,
+    def _pair_values(self, X, charts, points, d2):
+        """Contribution of chart charts[t] at the point X[points[t]], d2[t]
+        the pair's squared distance (``_sqdist``): one projection, the
+        indicators (``_indicators``) and one stacked fold over all pairs,
         each pair reading the rows of its chart in the stacked table."""
         P = X[points]
         Z = self.atlas.project(charts, P)
         offset = charts * (self.coeffs.N + 1) ** self.coeffs.dim
-        tail = (self.times_delta, self.indicator_values(charts, P))
+        tail = (self.times_delta, self._indicators(charts, P, d2))
         return _stacked_fold(self.coeffs, Z, self.times_eta, tail=tail, offset=offset)
+
+    def _indicators(self, charts, P, d2):
+        """indicator_values(charts, P) with its bits, read from the squared
+        distances d2 where the ramp is flat: 1.0 at most ``one_below``, +0.0
+        at least ``zero_above`` (``IndicatorParams.one_below``), and the
+        nets only on the band pairs between and at a nan distance."""
+        one = d2 <= self.one_below
+        ind = one.astype(np.float64)
+        band = np.flatnonzero(~one & ~(d2 >= self.zero_above))
+        if band.size:
+            ind[band] = self.indicator_values(charts[band], P[band])
+        return ind
 
     def model_eval(self, X):
         if self.model is None:
@@ -782,7 +864,7 @@ def build_manifold_approx(
         "coeff_bound": coeffs.max_abs,
     }
     approx = ManifoldApproximator(
-        f_on_M, atlas, coeffs, sqdist, indicator_net, times_eta, times_delta, record
+        f_on_M, atlas, coeffs, sqdist, (indicator_net, ind_params), times_eta, times_delta, record
     )
     if not compile_model:
         return approx

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -570,11 +571,11 @@ def test_sqdist_biases_equal_the_per_center_products(weight_atlases, kit):
     assert biases.tobytes() == np.array([b0 + W0 @ -c for c in at.centers]).tobytes()
 
 
+_coordinate = st.one_of(st.floats(-2.0, 2.0), st.floats(-1e150, 1e150), st.sampled_from([0.0, -0.0]))
 _column_sum_input = st.integers(1, 12).flatmap(
     lambda D: st.lists(st.integers(1, 5), max_size=2).flatmap(
         lambda lead: st.lists(
-            st.one_of(st.floats(-2.0, 2.0), st.floats(-1e150, 1e150), st.sampled_from([0.0, -0.0])),
-            min_size=math.prod(lead) * D, max_size=math.prod(lead) * D,
+            _coordinate, min_size=math.prod(lead) * D, max_size=math.prod(lead) * D,
         ).map(lambda v: np.array(v).reshape(*lead, D))
     )
 )
@@ -591,6 +592,41 @@ def test_column_sum_of_squares_equals_numpy_sum(V):
     up to three axes and signed zeros."""
     want = np.sum(V**2, axis=-1)
     assert manifold._sum_squares(V.copy()).tobytes() == want.tobytes()
+
+
+_point_sets = st.integers(1, 12).flatmap(lambda D: st.tuples(*(
+    st.lists(st.lists(_coordinate, min_size=D, max_size=D), min_size=1, max_size=6).map(np.array)
+    for _ in range(2)
+)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_point_sets)
+@example((np.array([[-0.0, 0.0, -0.0]]), np.array([[0.0, -0.0, 0.0], [-0.0, -0.0, -0.0]])))
+@example((np.array([[0.9, -0.38, -0.15]]), np.zeros((1, 3))))  # added right to left, its sum moves
+@example((np.arange(24.0).reshape(2, 12) / 7.0, np.ones((3, 12))))
+def test_sqdist_by_coordinate_plane_equals_the_per_center_sums(sets):
+    """The (points, centers) squared distances, added one coordinate plane
+    at a time below 8 coordinates, have the bytes of the per-center
+    np.sum((X - c) ** 2, axis=1), for D from 1 to 12 and signed zeros."""
+    X, C = sets
+    want = np.array([np.sum((X - c) ** 2, axis=1) for c in C]).T
+    assert manifold._sqdist(X, C).tobytes() == want.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_point_sets, st.integers(1, 4), st.data())
+def test_gathered_sqdist_equals_the_sum_of_squares_of_the_gather(sets, width, data):
+    """Each point's squared distances to its own rows of C, added by
+    coordinate plane, have the bytes of _sum_squares over the gathered
+    (points, width, D) offsets."""
+    X, C = sets
+    near = np.array(data.draw(st.lists(
+        st.lists(st.integers(0, len(C) - 1), min_size=width, max_size=width),
+        min_size=len(X), max_size=len(X),
+    )))
+    want = manifold._sum_squares(X[:, None] - C[near])
+    assert manifold._sqdist(X, C, near).tobytes() == want.tobytes()
 
 
 def test_manifold_compile_equality(circle, circle_sin):
@@ -769,15 +805,20 @@ def circle_sin_approx(circle, atlas, circle_sin):
 
 def test_one_point_evals_prepare_no_layer_after_the_first(circle, circle_sin_approx, monkeypatch):
     """A stamped net reuses its base net's prepared layers, so one-point
-    evals after the first copy no weight for the forward."""
+    evals after the first copy no weight for the forward.  The warm-up
+    point X[3] has a pair on the indicator's band, so it runs the nets, and
+    so does some eval after it."""
     ap = circle_sin_approx[4]
     X = circle.sample_points(10)
-    ap.eval(X[:1])
-    copies = []
+    ap.eval(X[3:4])
+    copies, net_pairs = [], []
     asfortranarray = np.asfortranarray
     monkeypatch.setattr(np, "asfortranarray", lambda a: copies.append(a) or asfortranarray(a))
+    indicator_values = ap.indicator_values
+    monkeypatch.setattr(ap, "indicator_values", lambda i, P: net_pairs.append(len(P)) or indicator_values(i, P))
     values = [ap.eval(x[None])[0] for x in X]
     assert copies == [] and np.any(np.array(values) != 0.0)
+    assert net_pairs
 
 
 _ON_OR_NEAR_CIRCLE = st.tuples(st.floats(0.0, 2 * math.pi), st.floats(0.85, 1.15))
@@ -921,6 +962,43 @@ def test_indicator_of_each_near_pair_alone_equals_its_batch_value(
     charts, points = np.nonzero(near.T)
     alone = [ap.indicator_values(c, X[p][None])[0] for c, p in zip(charts, points)]
     assert np.array_equal(ap.indicator_values(charts, X[points]), alone)
+
+
+def _indicator_approx(at, N):
+    """The approximator a build at resolution N makes on the atlas, with its
+    chart tables left out: its indicators read no coefficient."""
+    no_tables = lambda *args: (SimpleNamespace(max_abs=0.0), [])
+    with mock.patch.object(manifold, "chart_coefficients", no_tables):
+        return build_manifold_approx(lambda X: X[:, 0], at.manifold, N=N, atlas=at)
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 8, 16, 32])
+@pytest.mark.parametrize("kit", ["circle-0.2", "circle-0.24", "sphere-0.2", "torus-0.16"])
+def test_indicators_read_from_the_flat_ramp_equal_the_nets(weight_atlases, kit, N):
+    """The chart sum's indicators, 1.0 and +0.0 read from the squared
+    distance where the ramp is flat and the nets on the band pairs, have
+    the bytes of the nets on every pair within 1.2 r: at points off the
+    manifold, radii 0.85 to 1.15, and at points a few ulps from either
+    threshold, each on a ray from a chart's center.  Pairs below, in and
+    above the band all occur."""
+    at = weight_atlases[kit][0]
+    ap, m = _indicator_approx(at, N), at.manifold
+    rng = np.random.default_rng(N)
+    off = m.embed(rng.uniform(0.0, 2.0 * math.pi, (300, m.intrinsic_dim)))
+    off *= rng.uniform(0.85, 1.15, (300, 1))
+    rays = rng.standard_normal((8, m.ambient_dim))
+    rays /= np.linalg.norm(rays, axis=1, keepdims=True)
+    centers = at.centers[rng.choice(at.chart_count, 8, replace=False)]
+    ulps = 1.0 + 2.0**-52 * np.arange(-4, 5)
+    near = [c + math.sqrt(t) * s * u for t in (ap.one_below, ap.zero_above)
+            for c, u in zip(centers, rays) for s in ulps]
+    X = np.vstack([off, near])
+    d2 = manifold._sqdist(X, at.centers)
+    charts, points = np.nonzero((d2 <= 1.44 * at.r**2).T)
+    d2, P = d2[points, charts], X[points]
+    assert ap._indicators(charts, P, d2).tobytes() == ap.indicator_values(charts, P).tobytes()
+    assert np.any(d2 <= ap.one_below) and np.any(d2 >= ap.zero_above)
+    assert np.any((d2 > ap.one_below) & (d2 < ap.zero_above))
 
 
 @pytest.mark.parametrize("r", [0.2, None])
