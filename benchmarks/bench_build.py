@@ -106,7 +106,9 @@ In the same way it times the compiled circle build
   and ``restamp``;
 * ``grouping_assembly``: ``parallel_sum`` and ``assemble_resnet``;
 * ``equality_gates``: ``resnet_forward_dense`` and
-  ``resnet_forward_batch``, the model's lowering included;
+  ``resnet_forward_batch``, the model's lowering included (from
+  ``one-path-change`` on, a model without a support, as every manifold
+  model is, runs the dense gate only);
 * ``other``: the rest (the coefficients, the boundary data, the nets of
   the build, the class audit, the functional path of the gates).
 
@@ -126,7 +128,9 @@ does with the built approximator (``evaluation`` in the results):
 Each of these is the median of at least ``--reps`` calls after a warm-up,
 more while they take under a second.  Beside them, for the k = 0 norm and
 the 10 evals, ``norm_k0_pairs`` and ``evals_pairs`` count the (chart,
-point) pairs of their chart sums (``_pair_values``), and
+point) pairs of their chart sums (``_pair_values``: the pairs within
+1.2 r of the chart's center in trees before ``one-path-change``, those
+below the indicator's ``zero_above`` after it), and
 ``norm_k0_net_pairs`` and ``evals_net_pairs`` the pairs among them that
 ran the indicator nets (``indicator_values``: every pair in trees before
 ``flat-ramp-change``, the band pairs after it).
@@ -252,7 +256,7 @@ KERNEL_ROWS = (3, 200, 4096)  # rows of the product-net forwards split by kernel
 MANIFOLD_STAGES = {
     "boundary": ("chart_boundary_data",),
     "coefficients": ("chart_coefficients",),
-    "rho_weights": ("rho_weights", "_weights"),
+    "rho_weights": ("rho_weights",),
     "sqdist_nets": ("build_sqdist_nets", "build_sqdist_net"),
 }
 COMPILED_STAGES = {  # wrapped in taylor, and "terms" on ManifoldApproximator._terms

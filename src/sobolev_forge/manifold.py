@@ -36,16 +36,17 @@ network vanish identically on the indicator's transition band; that is the
 mechanism keeping first-derivative error bounded as the ramp sharpens.
 
 Evaluation stacks the charts.  The chart sum at a batch of points takes
-every (chart, point) pair within 1.2 r of the chart's center (beyond it the
-indicator is exactly 0), projects all pairs into their charts' coordinates
-in one call, and reads each pair's indicator from the squared distance
-that picked it where the ramp is flat: exactly 1.0 well below its
-one-threshold and +0.0 well above its zero-threshold, the values the nets
-give there bit for bit (``IndicatorParams.one_below``).  Only the pairs on
-the band between run the squared-distance net (each pair with its chart's
-first-layer bias) and the indicator, most points have none, and
-``indicator_values`` and the compiled terms still run the nets on every
-pair.  All pairs fold in
+every (chart, point) pair whose squared distance lies below the
+indicator's ``zero_above`` (from there on the nets give +0.0 bit for bit,
+and the pair adds nothing), projects all pairs into their charts'
+coordinates in one call, and reads each pair's indicator from the squared
+distance that picked it where the ramp is flat: exactly 1.0 well below its
+one-threshold, the value the nets give there bit for bit
+(``IndicatorParams.one_below``).  Only the pairs on the band above run the
+squared-distance net (each pair with its chart's first-layer bias) and the
+indicator, most points have none, and ``indicator_values`` and the
+compiled terms still run the nets on every pair.  ``per_chart_eval`` is
+the same pass over one chart.  All pairs fold in
 one ``taylor._stacked_fold`` call, each pair reading its chart's rows of the
 stacked table; ``np.add.at`` adds a point's pair values in ascending chart
 order, as a chart-by-chart loop does.  Every step acts row by row (the chart
@@ -67,7 +68,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import EvalGrid
+from .metrics import EvalGrid, _stencil
 from .netcore import _on_finite_rows, resnet_forward_batch
 from .scalarnets import (
     ScalarNet,
@@ -102,8 +103,7 @@ _FLAT_MARGIN = 2.0**-30
 
 class ChartError(RuntimeError):
     """A chart radius out of range, a covering failure, a point outside every
-    inner ball or outside its chart's ball, or an intrinsic dimension without
-    boundary rays."""
+    inner ball, or an intrinsic dimension without boundary rays."""
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +144,18 @@ def _round_lift(Q, C, R, q2):
     return Q + C * np.sqrt(np.maximum(h2, 0.0))[:, None] / R, h2 >= 0
 
 
+def _round_solver(R):
+    """The chart_solver of a round kit of radius R: the tangent offset V p,
+    p = (z - shift) / scale, lifted by ``_round_lift``.  The products are
+    stacked per row, so each row rounds as a one-point solve does; at d = 1
+    each is a single product."""
+
+    def solver(Z, C, V, scale, shift):
+        P = (Z - shift) / scale
+        return _round_lift(np.matmul(V, P[:, :, None])[:, :, 0], C, R, _row_dots(P, P))
+    return solver
+
+
 def _round_offset(R):
     """The chord_offset of a round kit of radius R (``chart_boundary_data``)."""
     return lambda rho, U: np.full(len(U), math.sqrt(rho * rho - rho**4 / (4.0 * R * R)))
@@ -167,12 +179,8 @@ def circle_manifold(ambient_dim=3, radius=1.0) -> ManifoldSpec:
     def samples(count):
         return np.linspace(0.0, 2 * math.pi, count, endpoint=False)[:, None]
 
-    def solver(Z, C, V, scale, shift):
-        P = (Z[:, 0] - shift) / scale  # the tangent coordinate
-        return _round_lift(V[:, :, 0] * P[:, None], C, R, P * P)
-
-    return ManifoldSpec("circle", 1, D, R, R, 2 * math.pi * R, embed, tangent, samples, solver,
-                        _round_offset(R))
+    return ManifoldSpec("circle", 1, D, R, R, 2 * math.pi * R, embed, tangent, samples,
+                        _round_solver(R), _round_offset(R))
 
 
 def sphere_manifold(radius=1.0) -> ManifoldSpec:
@@ -201,13 +209,8 @@ def sphere_manifold(radius=1.0) -> ManifoldSpec:
         ph = math.pi * (1 + math.sqrt(5.0)) * i
         return np.stack([th, ph % (2 * math.pi)], axis=1)
 
-    def solver(Z, C, V, scale, shift):
-        P = (Z - shift) / scale
-        # stacked per-row products: each row rounds as a one-point solve does
-        return _round_lift(np.matmul(V, P[:, :, None])[:, :, 0], C, R, _row_dots(P, P))
-
-    return ManifoldSpec("sphere", 2, 3, R, R, 4 * math.pi * R * R, embed, tangent, samples, solver,
-                        _round_offset(R))
+    return ManifoldSpec("sphere", 2, 3, R, R, 4 * math.pi * R * R, embed, tangent, samples,
+                        _round_solver(R), _round_offset(R))
 
 
 def torus_manifold(r1=None, r2=None) -> ManifoldSpec:
@@ -422,24 +425,16 @@ def rho_weights(atlas: Atlas, charts, X) -> np.ndarray:
     own chart i = charts[t], with h_j(x) = max(0, 1 - |x - c_j|^2 / (r/2)^2)^3,
     supported in the inner ball of radius r/2 and C^{2,1}.
 
-    A row must lie within r (1 + 1e-6) of its chart's center, as every row
-    chart_invert accepts does; so only the chart's neighbours can have h_j > 0
-    there (``_chart_neighbours``), and only they are measured.  Each h_j is
-    computed as a pass over all charts computes it, and put into a zero row
-    as wide as the atlas, so the row sum adds the same terms in the same
-    places and every weight has the bits of that pass, a row block at a
-    time.  A ChartError for a row farther from its chart's center, or in no
+    Precondition: a row lies within r (1 + 1e-6) of its chart's center, as
+    every row chart_invert accepts does by its ball test.  So only the
+    chart's neighbours can have h_j > 0 there (``_chart_neighbours``), and
+    only they are measured.  Each h_j is computed as a pass over all charts
+    computes it, and put into a zero row as wide as the atlas, so the row
+    sum adds the same terms in the same places and every weight has the
+    bits of that pass, a row block at a time.  A ChartError for a row in no
     inner ball.
     """
     X, charts = np.atleast_2d(np.asarray(X, dtype=np.float64)), np.asarray(charts)
-    if np.any(_row_norms(X - atlas.centers[charts]) > atlas.r * (1 + 1e-6)):
-        raise ChartError("point farther than r from the center of its chart")
-    return _weights(atlas, charts, X)
-
-
-def _weights(atlas, charts, X):
-    """rho_weights without its distance check, for rows chart_invert has
-    accepted, which pass that check by its own test."""
 
     def block(X, charts):
         rows, near = np.arange(len(X)), atlas.neighbours[charts]
@@ -596,13 +591,13 @@ def _pullback(fun, atlas, charts, Z):
     entry of charts, and the mask of rows that have a preimage; a row is 0
     where it has none or rho_i vanishes, and fun is not called there.
 
-    One chart_invert call inverts all rows, one pass of rho_weights weighs
-    them (without its distance check, which chart_invert's ball test has
-    made), and fun runs once over the rows with a nonzero weight.  Every
-    step acts row by row, so a row has the bits of that row alone."""
+    One chart_invert call inverts all rows, one rho_weights call weighs the
+    rows it accepts (its ball test is rho_weights' precondition), and fun
+    runs once over the rows with a nonzero weight.  Every step acts row by
+    row, so a row has the bits of that row alone."""
     X, ok = chart_invert(atlas, charts, Z)
     vals, rows = np.zeros(len(Z)), np.flatnonzero(ok)
-    w = _weights(atlas, charts[rows], X[rows])
+    w = rho_weights(atlas, charts[rows], X[rows])
     rows, w = rows[w != 0.0], w[w != 0.0]
     if rows.size:
         vals[rows] = np.asarray(fun(X[rows]), dtype=np.float64).ravel() * w
@@ -698,9 +693,7 @@ def chart_coefficients(f_on_M, atlas: Atlas, N: int, alpha: int, fd_step: float,
 class ManifoldApproximator:
     """Functional evaluator + optional compiled model of the chart-sum net."""
 
-    def __init__(self, f_on_M, atlas, coeffs, sqdist, indicator,
-                 times_eta, times_delta, record):
-        self.f_on_M = f_on_M
+    def __init__(self, atlas, coeffs, sqdist, indicator, times_eta, times_delta, record):
         self.atlas = atlas
         self.coeffs = coeffs  # SurrogateCoefficients, the charts' tables stacked
         self.sqdist_net, self.sqdist_biases = sqdist  # as build_sqdist_nets gives them
@@ -712,10 +705,6 @@ class ManifoldApproximator:
         self.model = None
         self.class_params = None
 
-    @property
-    def N(self):
-        return self.record["N"]
-
     def indicator_values(self, i, X):
         """Indicator of chart i at the rows of X; i is a chart, or an array
         holding the chart of each row."""
@@ -724,10 +713,10 @@ class ManifoldApproximator:
 
     def per_chart_eval(self, i, X):
         """Contribution of chart i (exactly zero off its indicator support)
-        at the points X: the chart sum's pass over the pairs (i, x)."""
+        at the points X: the chart sum's pass over chart i alone; nan at a
+        point with a non-finite coordinate."""
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        d2 = _sqdist(X, self.atlas.centers[[i]])[:, 0]
-        return self._pair_values(X, np.full(len(X), i), np.arange(len(X)), d2)
+        return _on_finite_rows(lambda X: self._chart_sum(X, [i]), X)
 
     def eval(self, X):
         """The chart sum at the points X; nan at a point with a non-finite
@@ -735,21 +724,26 @@ class ManifoldApproximator:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         return _on_finite_rows(lambda X: _row_blocks(self._chart_sum, self.atlas.chart_count, X), X)
 
-    def _chart_sum(self, X):
-        d2 = _sqdist(X, self.atlas.centers)
-        # beyond 1.2 r from a center the chart's indicator is exactly 0
-        charts, points = np.nonzero((d2 <= 1.44 * self.atlas.r**2).T)
+    def _chart_sum(self, X, charts=None):
+        """The sum over every chart, or over the ascending charts given, of
+        its contribution at the rows of X, all finite: the pairs (chart,
+        point) with a squared distance below ``zero_above`` add their
+        values, and the others, whose indicator is +0.0, add nothing."""
+        d2 = _sqdist(X, self.atlas.centers if charts is None else self.atlas.centers[charts])
+        cols, points = np.nonzero((d2 < self.zero_above).T)
+        pair_charts = cols if charts is None else np.asarray(charts)[cols]
         # the pairs are chart-major, so add.at adds each point's values from
         # +0.0 in ascending chart order, as a chart-by-chart loop adds them
         out = np.zeros(len(X))
-        np.add.at(out, points, self._pair_values(X, charts, points, d2[points, charts]))
+        np.add.at(out, points, self._pair_values(X, pair_charts, points, d2[points, cols]))
         return out
 
     def _pair_values(self, X, charts, points, d2):
         """Contribution of chart charts[t] at the point X[points[t]], d2[t]
-        the pair's squared distance (``_sqdist``): one projection, the
-        indicators (``_indicators``) and one stacked fold over all pairs,
-        each pair reading the rows of its chart in the stacked table."""
+        the pair's squared distance (``_sqdist``), below ``zero_above``: one
+        projection, the indicators (``_indicators``) and one stacked fold
+        over all pairs, each pair reading the rows of its chart in the
+        stacked table."""
         P = X[points]
         Z = self.atlas.project(charts, P)
         offset = charts * (self.coeffs.N + 1) ** self.coeffs.dim
@@ -757,13 +751,13 @@ class ManifoldApproximator:
         return _stacked_fold(self.coeffs, Z, self.times_eta, tail=tail, offset=offset)
 
     def _indicators(self, charts, P, d2):
-        """indicator_values(charts, P) with its bits, read from the squared
-        distances d2 where the ramp is flat: 1.0 at most ``one_below``, +0.0
-        at least ``zero_above`` (``IndicatorParams.one_below``), and the
-        nets only on the band pairs between and at a nan distance."""
+        """indicator_values(charts, P) with its bits at pairs whose squared
+        distances d2 lie below ``zero_above``: 1.0 at most ``one_below``,
+        read from d2 where the ramp is flat (``IndicatorParams.one_below``),
+        and the nets on the band pairs above it."""
         one = d2 <= self.one_below
         ind = one.astype(np.float64)
-        band = np.flatnonzero(~one & ~(d2 >= self.zero_above))
+        band = np.flatnonzero(~one)
         if band.size:
             ind[band] = self.indicator_values(charts[band], P[band])
         return ind
@@ -864,7 +858,7 @@ def build_manifold_approx(
         "coeff_bound": coeffs.max_abs,
     }
     approx = ManifoldApproximator(
-        f_on_M, atlas, coeffs, sqdist, (indicator_net, ind_params), times_eta, times_delta, record
+        atlas, coeffs, sqdist, (indicator_net, ind_params), times_eta, times_delta, record
     )
     if not compile_model:
         return approx
@@ -899,9 +893,9 @@ def _chart_norms(e_on_M, atlas, k, resolution, fd_step):
     """The (value, skipped) pairs of manifold_norm for k = 0 up to k."""
     d, charts = atlas.manifold.intrinsic_dim, atlas.chart_count
     Zg = EvalGrid(d, resolution).points
-    # k = 1: the grid, then its +fd_step e_j points, then its -fd_step e_j points
-    steps = fd_step * np.eye(d)[:, None, :]
-    Z = (Zg[None] if k == 0 else np.concatenate([Zg[None], Zg + steps, Zg - steps])).reshape(-1, d)
+    # k = 1: the grid, then its central-difference points, the +fd_step e_j
+    # and -fd_step e_j sets of axis j at 1 + 2j and 2 + 2j
+    Z = Zg if k == 0 else np.concatenate([Zg, _stencil(Zg, fd_step)])
     owner = np.repeat(np.arange(charts), len(Z))
     vals, ok = _pullback(e_on_M, atlas, owner, np.tile(Z, (charts, 1)))
     vals, ok = vals.reshape(charts, -1, len(Zg)), ok.reshape(charts, -1, len(Zg))
@@ -910,9 +904,9 @@ def _chart_norms(e_on_M, atlas, k, resolution, fd_step):
     # the charts' sups added one after another, in chart order
     out = [(float(np.cumsum(best)[-1]), skipped)]
     if k == 1:
-        both = ok[:, :1] & ok[:, 1 : d + 1] & ok[:, d + 1 :]
+        both = ok[:, :1] & ok[:, 1::2] & ok[:, 2::2]
         skipped += int(np.count_nonzero(ok[:, :1] & ~both))
-        slope = np.abs(vals[:, 1 : d + 1] - vals[:, d + 1 :]) / (2.0 * fd_step)
+        slope = np.abs(vals[:, 1::2] - vals[:, 2::2]) / (2.0 * fd_step)
         best = np.maximum(best, np.max(np.where(both, slope, 0.0), axis=(1, 2)))
         out.append((float(np.cumsum(best)[-1]), skipped))
     return out

@@ -19,7 +19,7 @@ from .targets import EUCLIDEAN_TARGETS, MANIFOLD_TARGETS, get_manifold_target, g
 from .taylor import ConfigError, build_euclidean
 
 
-STUDY_KINDS = ("euclidean-rate", "manifold-rate", "risk", "adversarial", "audit")
+STUDY_KINDS = ("euclidean-rate", "manifold-rate", "risk", "adversarial")
 
 _SCHEMAS = {
     "euclidean-rate": {
@@ -51,7 +51,6 @@ _SCHEMAS = {
         "required": {"target", "alpha", "N"},
         "optional": {"dim": 2, "n_data": 200, "deltas": [0.01, 0.02, 0.05], "eps": None},
     },
-    "audit": {"required": {"net"}, "optional": {}},
     # the config of ``cli build``, which is not a study and names no kind
     "build": {
         "required": {"target", "alpha"},
@@ -81,7 +80,6 @@ def _is_window(value):
 # default is null also takes null.
 _RULES = {
     "target": (lambda v: isinstance(v, str), "a target name"),
-    "net": (lambda v: isinstance(v, str), "a path"),
     "alpha": _int_rule(1),
     "dim": _int_rule(1),
     "ambient_dim": _int_rule(2),
@@ -341,7 +339,7 @@ def run_adversarial(cfg, out: Path):
 
 def audit_document(net_path):
     """Class parameters of the saved network at ``net_path`` as the audit
-    document that ``audit`` prints and the audit study writes."""
+    document that ``audit`` prints and writes to audit.json."""
     params = audit_class(serialize.load(net_path))
     return {
         "kind": "audit",
@@ -357,12 +355,6 @@ def audit_document(net_path):
     }
 
 
-def run_audit(cfg, out: Path):
-    doc = audit_document(cfg["net"])
-    write_json(out / "summary.json", doc)
-    return 0, doc
-
-
 def run_study(doc, out_dir):
     """Validate and execute one study; returns (exit_code, summary)."""
     cfg = validate_config(doc)
@@ -375,6 +367,4 @@ def run_study(doc, out_dir):
         return run_manifold_rate(cfg, out)
     if kind == "risk":
         return run_risk(cfg, out)
-    if kind == "adversarial":
-        return run_adversarial(cfg, out)
-    return run_audit(cfg, out)
+    return run_adversarial(cfg, out)

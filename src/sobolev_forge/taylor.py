@@ -451,8 +451,9 @@ def compile_terms(approx, terms, X, grid=None):
     the model without blocks, whose value is its fc bias 0.
     Fills approx.class_params and the record keys terms, Mt, Jt and
     compile_gap, then gates the build at the points X: the dense forward
-    within 1e-8 of approx.eval, then the support-sparse forward equal to the
-    dense one bit for bit (CompileEqualityError otherwise)."""
+    within 1e-8 of approx.eval, then, for a model with a support, the
+    support-sparse forward equal to the dense one bit for bit
+    (CompileEqualityError otherwise); without a support both are one pass."""
     terms = list(terms)
     record = approx.record
     D, width, groups, support = X.shape[1], record["Jt"], [], None
@@ -482,11 +483,12 @@ def compile_terms(approx, terms, X, grid=None):
             f"compiled model deviates from functional path by {record['compile_gap']:.3e} "
             f"at {X[np.argmax(gaps)]}"
         )
-    miss = np.flatnonzero(resnet_forward_batch(model, X) != dense)
-    if miss.size:
-        raise CompileEqualityError(
-            f"support-sparse forward differs from the dense forward at {X[miss[0]]}"
-        )
+    if support is not None:
+        miss = np.flatnonzero(resnet_forward_batch(model, X) != dense)
+        if miss.size:
+            raise CompileEqualityError(
+                f"support-sparse forward differs from the dense forward at {X[miss[0]]}"
+            )
 
 
 def build_euclidean(

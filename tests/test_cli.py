@@ -220,9 +220,9 @@ def test_audit_json_matches_audit_class(tmp_path):
     net = assemble_resnet([mlp_to_cnn(build_trapezoid(1, 4))])
     path = tmp_path / "psi.json"
     serialize.save(path, net)
-    code, doc = run_study({"kind": "audit", "net": str(path)}, tmp_path / "out")
+    assert main(["audit", "--net", str(path), "--out", str(tmp_path / "out")]) == 0
+    doc = json.loads((tmp_path / "out" / "audit.json").read_text())
     params = audit_class(net)
-    assert code == 0
     assert (doc["M"], doc["L"], doc["J"], doc["K"]) == (params.M, params.L, params.J, params.K)
     assert doc["kappa1"] == params.kappa1
 

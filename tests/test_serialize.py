@@ -425,6 +425,34 @@ def _bias_dropped(doc):
     doc["blocks"][0]["biases"].pop()
 
 
+def _no_version(doc):
+    del doc["version"]
+
+
+def _blocks_not_a_list(doc):
+    doc["blocks"] = doc["blocks"][0]
+
+
+def _filters_not_a_list(doc):
+    doc["blocks"][0]["filters"] = doc["blocks"][0]["filters"][0]
+
+
+def _biases_not_a_list(doc):
+    doc["blocks"][1]["biases"] = {"0": doc["blocks"][1]["biases"][0]}
+
+
+def _pool_not_a_list(doc):
+    doc["arrays"] = {"0": doc["arrays"][0]}
+
+
+def _fc_weight_of_strings(doc):
+    doc["fc"]["weight"] = ["w"] * len(doc["fc"]["weight"])
+
+
+def _negative_dims(doc):
+    doc["arrays"][0]["dims"][0] = -doc["arrays"][0]["dims"][0]
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -443,6 +471,13 @@ def _bias_dropped(doc):
         (_readout_layer_dropped, "shapes: block must map D x C to D x C: .* 3 != last output channels 2"),
         (_bias_of_one_row, "shapes: bias rows 1 != input dim 2"),
         (_bias_dropped, "shapes: block needs matching filter/bias lists, got 35 filters and 34 biases"),
+        (_no_version, r"not a network document \(missing version\)"),
+        (_blocks_not_a_list, "blocks must be a list of block records"),
+        (_filters_not_a_list, "a block's filters and biases must be lists"),
+        (_biases_not_a_list, "a block's filters and biases must be lists"),
+        (_pool_not_a_list, "arrays must be a list of array records"),
+        (_fc_weight_of_strings, "malformed fc record"),
+        (_negative_dims, r"malformed array record: dims \[-4, 2, 3\] are not non-negative integers"),
     ],
 )
 def test_malformed_document_is_rejected_and_eval_exits_2(built_doc, edit, message, tmp_path, capsys):
