@@ -54,13 +54,12 @@ For the alpha=2 N=8 build it also splits the single-point
 ``resnet_forward`` (perfbench ``serve``'s first part) by network part
 (``forward_parts`` in the results), over 200 uniform points taken one at
 a time, ``--reps`` times (at least three), by wrapping functions of
-``netcore``:
+``netcore`` (a layer counts toward its part at its ``_plan_layer`` call):
 
 * ``cover``: ``_Cover.rows``, the (point, block) rows of the support index;
 * ``gather_prefix``: the layers every block of a group shares before its
   first layer with per-block weights, run once per point;
-* ``body``: the shared layers after the prefix, one ``kernels.conv_layer``
-  call each;
+* ``body``: the shared layers after the prefix;
 * ``stamped_readout``: the two layers with per-block weights, the stamped
   first layer and the readout;
 * ``accumulation_readout``: the rest of the call, the block sum, the fc
@@ -409,11 +408,8 @@ def _forward_parts(modules, model, reps):
     clock, splits = StageClock(), []
     layer_part = lambda layer, H, D, pos: (
         "gather_prefix" if pos is None else "body" if layer.shared else "stamped_readout")
-    # a conv_layer call inside _plan_layer counts toward that layer's part
-    conv_part = lambda *args: clock.stack[-1][0] if clock.stack else "body"
     parts = ("cover", "gather_prefix", "body", "stamped_readout")
-    with clock.wrapping_each([(netcore._Cover, "rows", "cover"), (netcore, "_plan_layer", layer_part),
-                              (netcore.kernels, "conv_layer", conv_part)]):
+    with clock.wrapping_each([(netcore._Cover, "rows", "cover"), (netcore, "_plan_layer", layer_part)]):
         for _ in range(max(reps, 3)):
             for x in X:
                 clock.seconds = {}

@@ -52,7 +52,7 @@ stacked table; ``np.add.at`` adds a point's pair values in ascending chart
 order, as a chart-by-chart loop does.  Every step acts row by row (the chart
 projection is a one-row product per row), so a point gets the same value
 alone as inside any batch, and every pass over rows and all charts runs a
-row block at a time (``_row_blocks``) without moving a bit.
+row block at a time (``netcore._row_blocks``) without moving a bit.
 
 Parameter policy: eta = N^-alpha and delta = N^-(alpha+d+1) follow the
 asymptotic prescription.  The ramp width is Delta = r^2/(4N), which keeps the
@@ -69,7 +69,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metrics import EvalGrid, _stencil
-from .netcore import _on_finite_rows, resnet_forward_batch
+from .netcore import _on_finite_rows, _row_blocks, resnet_forward_batch
 from .scalarnets import (
     ScalarNet,
     build_product2,
@@ -92,9 +92,6 @@ from .taylor import (
 )
 
 
-# rows x cells per row of one row block (``_row_blocks``): about 3,800 rows x
-# charts on the 69-chart circle atlas, 257 on the 1,020-chart sphere at r 0.2
-_PULLBACK_CELLS = 2**18
 _BOUNDARY_DIRS = 32  # chart-coordinate boundary rays of a d = 2 chart
 # The margin of the indicator's flat-ramp thresholds, relative to 4 B^2 D:
 # see the rounding argument at ``IndicatorParams.one_below``.
@@ -340,16 +337,6 @@ def _sqdist(X, C, near=None):
     return out
 
 
-def _row_blocks(fun, cells_per_row, *arrays):
-    """fun over blocks of at most _PULLBACK_CELLS // cells_per_row rows of the
-    arrays (one block if they are empty), its results or tuple parts joined."""
-    step = max(1, _PULLBACK_CELLS // cells_per_row)
-    parts = [fun(*(a[s : s + step] for a in arrays)) for s in range(0, len(arrays[0]) or 1, step)]
-    if isinstance(parts[0], tuple):
-        return tuple(map(np.concatenate, zip(*parts)))
-    return np.concatenate(parts)
-
-
 def build_atlas(m: ManifoldSpec, r: float, sample_count=4096, spacing_factor=0.45) -> Atlas:
     """Greedy covering of M by balls of radius r/2 with centers on M.
 
@@ -432,7 +419,7 @@ def rho_weights(atlas: Atlas, charts, X) -> np.ndarray:
     computes it, and put into a zero row as wide as the atlas, so the row
     sum adds the same terms in the same places and every weight has the
     bits of that pass, a row block at a time.  A ChartError for a row in no
-    inner ball.
+    inner ball names the first such row and its chart.
     """
     X, charts = np.atleast_2d(np.asarray(X, dtype=np.float64)), np.asarray(charts)
 
@@ -443,7 +430,10 @@ def rho_weights(atlas: Atlas, charts, X) -> np.ndarray:
         H[rows[:, None], near] = np.maximum(0.0, 1.0 - d2 / atlas.r_tilde**2) ** 3
         total = H.sum(axis=1)
         if np.any(total <= 0.0):
-            raise ChartError("point not covered by any inner ball (covering bug)")
+            t = np.flatnonzero(total <= 0.0)[0]
+            raise ChartError(
+                f"point not covered by any inner ball (covering bug): {X[t].tolist()} of chart {charts[t]}"
+            )
         return H[rows, charts] / total
     return _row_blocks(block, atlas.chart_count, X, charts)
 
@@ -747,8 +737,8 @@ class ManifoldApproximator:
         P = X[points]
         Z = self.atlas.project(charts, P)
         offset = charts * (self.coeffs.N + 1) ** self.coeffs.dim
-        tail = (self.times_delta, self._indicators(charts, P, d2))
-        return _stacked_fold(self.coeffs, Z, self.times_eta, tail=tail, offset=offset)
+        indicators = self._indicators(charts, P, d2)
+        return _stacked_fold(self.coeffs, Z, self.times_eta, self.times_delta, indicators, offset=offset)
 
     def _indicators(self, charts, P, d2):
         """indicator_values(charts, P) with its bits at pairs whose squared

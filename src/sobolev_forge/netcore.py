@@ -43,7 +43,7 @@ point, and every later layer runs over the group's live rows: a shared layer
 as one product over them, a layer with distinct weights as one product per
 distinct filter present.  The block summands of a point are added from +0.0
 in block order, one ``np.add.at`` per accumulator channel.  Points are taken
-in chunks so the stacked activations stay under ``_PLAN_ROW_BUDGET`` rows.  A
+in row blocks (``_row_blocks``) of at most 2^14 stacked activation rows.  A
 point with a non-finite coordinate gets nan without running any block: the
 readout multiplies x, in channel 0, by a zero weight, so its value is nan
 whatever the blocks give.  A model without blocks is the constant ``fc_bias``.
@@ -342,7 +342,7 @@ def _check_batch(net, X):
 
 def _readout(net, Z):
     # the product np.tensordot(Z, net.fc_weight, 2) makes, without its overhead
-    return np.dot(Z.reshape(len(Z), -1), net.fc_weight.reshape(-1, 1))[:, 0] + net.fc_bias
+    return np.dot(Z.reshape(len(Z), net.fc_weight.size), net.fc_weight.reshape(-1, 1))[:, 0] + net.fc_bias
 
 
 def resnet_forward_batch(net: ConvResNetModel, X: np.ndarray) -> np.ndarray:
@@ -373,6 +373,25 @@ def _on_finite_rows(evaluate, X):
     out = np.full(X.shape[0], np.nan)
     out[finite] = evaluate(X[finite])
     return out
+
+
+# Cells (rows x cells per row) of one block of ``_row_blocks``: the package's
+# one budget for the rows a pass takes at a time.
+_BLOCK_CELLS = 2**18
+
+
+def _row_blocks(fun, cells_per_row, *arrays):
+    """fun over blocks of at most _BLOCK_CELLS // cells_per_row rows of the
+    arrays (None stays None), its results or tuple parts joined; a lone
+    block (also of no rows) is the arrays themselves, its result uncopied."""
+    step, n = max(1, _BLOCK_CELLS // cells_per_row), len(arrays[0])
+    if n <= step:
+        return fun(*arrays)
+    cut = lambda a, s: None if a is None else a[s : s + step]
+    parts = [fun(*(cut(a, s) for a in arrays)) for s in range(0, n, step)]
+    if isinstance(parts[0], tuple):
+        return tuple(map(np.concatenate, zip(*parts)))
+    return np.concatenate(parts)
 
 
 def resnet_forward(net: ConvResNetModel, x: np.ndarray) -> float:
@@ -410,9 +429,6 @@ def audit_class(net: ConvResNetModel) -> NetClassParams:
     return NetClassParams(M=M, L=L, J=J, K=K, kappa1=kappa1, kappa2=kappa2)
 
 
-# Stacked activations of one chunk of points stay under this many rows,
-# counted over (block, point, row).
-_PLAN_ROW_BUDGET = 1 << 14
 # Rows of every matrix product of a 1-tap layer (D >= 2), whatever the number
 # of live rows; a multiple of 16, so no row of a tile falls in the remainder
 # path of a BLAS kernel.
@@ -471,7 +487,7 @@ class _Cover:
     grid: int
     starts: np.ndarray
     blocks: np.ndarray
-    step: int  # points per chunk
+    cells: int  # per point: 16 per stacked activation row
     offsets: np.ndarray  # (2^D, 1, D): the candidate offsets {0, 1}^D
 
     def rows(self, X, n_blocks):
@@ -497,7 +513,7 @@ class _Plan:
     n_blocks: int
     block_group: np.ndarray  # each block's group
     block_pos: np.ndarray  # and its position there
-    step: int  # points per chunk when every row is live
+    cells: int  # per point when every row is live: 16 per stacked activation row
     cover: object  # a _Cover, or None for a model without a support
 
     def forward(self, net, X, sparse):
@@ -506,10 +522,9 @@ class _Plan:
         if sparse and self.cover is not None:
             covered = np.all((X >= _SAFE_BOX[0]) & (X <= _SAFE_BOX[1]), axis=1)
         for rows, cover in ((np.flatnonzero(~covered), None), (np.flatnonzero(covered), self.cover)):
-            step = self.step if cover is None else cover.step
-            for a in range(0, len(rows), step):
-                at = rows[a : a + step]
-                Z[at, 0, 1:] = self._block_sum(X[at], cover, Z.shape[2] - 1)
+            if len(rows):
+                block_sum = lambda P: self._block_sum(P, cover, Z.shape[2] - 1)
+                Z[rows, 0, 1:] = _row_blocks(block_sum, self.cells if cover is None else cover.cells, X[rows])
         return _readout(net, Z)
 
     def _block_sum(self, X, cover, width):
@@ -565,9 +580,8 @@ def _lower(net):
         block_pos[g.blocks] = np.arange(len(g.blocks))
     rows = max((layer.rows_in for g in plan for layer in g.layers), default=1)
     per_point = max((len(g.blocks) * max(layer.rows_in for layer in g.layers) for g in plan), default=1)
-    step = max(1, _PLAN_ROW_BUDGET // max(n_blocks, per_point))
     cover = _lower_cover(net.support, rows) if net.support is not None and n_blocks else None
-    return _Plan(plan, n_blocks, pool.layouts, block_pos, step, cover)
+    return _Plan(plan, n_blocks, pool.layouts, block_pos, 16 * max(n_blocks, per_point), cover)
 
 
 def _lower_cover(support, rows):
@@ -578,9 +592,8 @@ def _lower_cover(support, rows):
     starts = np.concatenate([[0], np.cumsum(count)])
     # at most two candidate nodes per axis
     live = min(len(support.nodes), 2**D * int(count.max()))
-    step = max(1, _PLAN_ROW_BUDGET // (live * rows))
     offsets = np.array(list(iter_product((0, 1), repeat=D)), dtype=np.int64)[:, None]
-    return _Cover(N, starts, block[np.lexsort((block, node))], step, offsets)
+    return _Cover(N, starts, block[np.lexsort((block, node))], 16 * live * rows, offsets)
 
 
 def _lower_group(net, index):
@@ -639,16 +652,10 @@ def _group_summands(g, X, points, pos, D, dense):
     pos = np.concatenate([pos, pad + pos[0]])
     place = None  # while set, row i's activations are H[place[i]]
     for layer in g.layers[g.prefix :]:
-        w, b = layer.filters[0], layer.biases[0]
-        if layer.tiled:  # whole tiles: (tiles, _TILE_ROWS * rows, Cin)
-            H = kernels.conv_layer(w, b, H.reshape(-1, len(b), w.shape[2]))
-        else:
-            H = H.reshape(-1, layer.rows_in, w.shape[2])
-            if place is not None and not layer.shared:
-                H, place = H[place], None
-            H = _plan_layer(layer, H, D, pos)
-        if dense and layer.shared and w.shape[0] < w.shape[2]:
-            H = H.reshape(-1, layer.rows_out, w.shape[0])
+        if place is not None and not layer.shared:
+            H, place = H[place], None
+        H = _plan_layer(layer, H, D, pos)
+        if dense and layer.shared and layer.filters.shape[1] < layer.filters.shape[3]:
             first, distinct = _distinct_rows(H)
             pad = np.zeros(-len(first) % _TILE_ROWS, dtype=np.int64)
             H = H.take(np.concatenate([first, pad + first[0]]), axis=0)

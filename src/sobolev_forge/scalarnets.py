@@ -47,9 +47,10 @@ from . import kernels
 from .netcore import ShapeError
 
 
-# Rows of a bias tile: the 4096 rows of a fold pass (taylor._FOLD_ROWS) in
-# one add.  On 4096 x 12 that add took 18-19 us, four adds of a 1024-row
-# tile 21-24 us and the broadcast 1-D bias 50-54 us (2-core Xeon VM).
+# Rows of a bias tile, and so of a product-net pass of the functional fold
+# (taylor._NET_CELLS), which adds each bias in one add.  On 4096 x 12 that
+# add took 18-19 us, four adds of a 1024-row tile 21-24 us and the
+# broadcast 1-D bias 50-54 us (2-core Xeon VM).
 _TILE_ROWS = 4096
 # Bytes the tiles may hold; past them a bias is added from its 1-D array, to
 # the same bits.  The studies stay far below: every product net, at every

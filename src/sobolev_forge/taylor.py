@@ -31,11 +31,12 @@ offsets share their first factor, and plateau factors read exactly 1.0.
 So a step of ``_KEY_ROWS`` rows or more keys its operand rows (running
 product, next factor) by their bytes, with ``netcore._distinct_rows``, runs
 the product net once per distinct row and gives each row the value of its
-key; a smaller step runs every row.  Each net pass takes ``_FOLD_ROWS``
-rows at a time, and ``ScalarNet.forward`` pads a lone row to two.  A row's
-value depends only on that row, so keying and chunking change no bit, and a
+key; a smaller step runs every row.  Each net pass takes one bias tile of
+rows, and ``ScalarNet.forward`` pads a lone row to two.  A row's value
+depends only on that row, so keying and chunking change no bit, and a
 point gets the same value alone as inside any batch.  The points are taken
-``_STACK_ROWS`` >> D at a time, which bounds the memory of a pass.
+2^14 >> D at a time, which bounds the memory of a pass; both take their
+blocks from ``netcore._row_blocks``.
 Each point's terms are added in the per-term order, candidate offset and
 then v, so the stacking changes no bit of the sum.
 """
@@ -52,13 +53,16 @@ from .netcore import (
     BlockSupport,
     ConvResNetModel,
     ShapeError,
+    _BLOCK_CELLS,
     _distinct_rows,
     _on_finite_rows,
+    _row_blocks,
     audit_class,
     resnet_forward_batch,
     resnet_forward_dense,
 )
 from .scalarnets import (
+    _TILE_ROWS,
     build_product2,
     monomial_bump_template,
     monomial_factors,
@@ -244,9 +248,10 @@ def _surrogate_sum(coeffs, X):
     return out
 
 
-# rows per product-net pass: a 12-wide layer over 4096 rows stays in cache,
-# while one pass over a 26k-row stack ran 2x slower per row (2-core Xeon VM)
-_FOLD_ROWS = 4096
+# cells per row of a product-net pass, so that a pass takes one bias tile of
+# rows (4096): a 12-wide layer over 4096 rows stays in cache, while one pass
+# over a 26k-row stack ran 2x slower per row (2-core Xeon VM)
+_NET_CELLS = _BLOCK_CELLS // _TILE_ROWS
 # Fold steps of fewer rows run every row.  Keying a step's rows
 # (_distinct_rows on two columns) costs about 27 us plus 0.035 us a row, and
 # each repeated row it drops saves 0.30 us of the alpha=2 product net, whose
@@ -255,10 +260,11 @@ _FOLD_ROWS = 4096
 # rows keying cannot pay even when every row repeats; at 128 rows it pays
 # only once 82% of the rows repeat, and at 256 once 47% do.
 _KEY_ROWS = 256
-# (candidate offset, point) rows of one stacked pass, which bounds its
-# memory: 2^14 rows (4096 points at D = 2) hold about 4 MB of operands, and
-# one pass over the 12,000 points of a Lipschitz estimate held 12 MB
-_STACK_ROWS = 1 << 14
+# cells per (candidate offset, point) row of a stacked pass, so that a block
+# of 2^14 rows (4096 points at D = 2) bounds its memory: about 4 MB of
+# operands, where one pass over the 12,000 points of a Lipschitz estimate
+# held 12 MB
+_STACK_CELLS = 16
 
 
 def _fold_rows(A, nets, tracker):
@@ -266,7 +272,7 @@ def _fold_rows(A, nets, tracker):
     for each step s.  A step of _KEY_ROWS rows or more runs its net once per
     distinct operand row (r, A[:, s + 1]), keyed by the bytes
     (``netcore._distinct_rows``), and gives each row the value of its key;
-    each net pass takes _FOLD_ROWS rows at a time."""
+    each net pass takes one bias tile of rows at a time."""
     run = A[:, 0]
     for s, net in enumerate(nets, 1):
         if tracker is not None:
@@ -275,35 +281,26 @@ def _fold_rows(A, nets, tracker):
         if len(rows) >= _KEY_ROWS:
             first, place = _distinct_rows(rows)
             rows = rows[first]
-        run = np.concatenate([net.forward(rows[a : a + _FOLD_ROWS])
-                              for a in range(0, len(rows), _FOLD_ROWS)])
+        run = _row_blocks(net.forward, _NET_CELLS, rows)
         if place is not None:
             run = run[place]
     return run
 
 
-def _stacked_fold(coeffs, X, times, tail=None, tracker=None, offset=None):
-    """``_fold_points`` over the points X, _STACK_ROWS >> D points at a time
-    (with their tail columns and offsets), so that one pass over 2^D
-    candidate offsets holds at most _STACK_ROWS (offset, point) rows."""
-    n, D = X.shape
-    step = max(1, _STACK_ROWS >> D)
-    if n <= step:
-        return _fold_points(coeffs, X, times, tail, tracker, offset)
-    cut = lambda v, a: None if v is None else v[a : a + step]
-    return np.concatenate([
-        _fold_points(coeffs, X[a : a + step], times,
-                     None if tail is None else (tail[0], cut(tail[1], a)), tracker, cut(offset, a))
-        for a in range(0, n, step)
-    ])
+def _stacked_fold(coeffs, X, times, tail=None, col=None, tracker=None, offset=None):
+    """``_fold_points`` over the points X a row block at a time (with their
+    tail columns and offsets), so that one pass over 2^D candidate offsets
+    holds at most 2^14 (offset, point) rows."""
+    fold = lambda X, col, offset: _fold_points(coeffs, X, times, tail, col, tracker, offset)
+    return _row_blocks(fold, _STACK_CELLS << X.shape[1], X, col, offset)
 
 
-def _fold_points(coeffs, X, times, tail, tracker, offset):
+def _fold_points(coeffs, X, times, tail, col, tracker, offset):
     """sum_{m, v} c_{m,v} fold_v(x) over the bumps covering the points X.
 
     fold_v folds ``times`` over the monomial factors of x^v and then the D
-    trapezoid factors of node m; with ``tail = (net, col)`` it takes one more
-    step, net(fold, col).  With an ``offset`` per row, row x reads its
+    trapezoid factors of node m; with a ``tail`` net it takes one more step,
+    tail(fold, col[x]).  With an ``offset`` per row, row x reads its
     coefficients at table row offset[x] + (raveled node), so one pass folds
     rows of several tables stacked into coeffs.table.  The rows are the
     (candidate offset, point) pairs of ``_cover``, stacked offset-major, and
@@ -323,7 +320,7 @@ def _fold_points(coeffs, X, times, tail, tracker, offset):
         idx = idx + offset
     F = psi.reshape(K * n, D)  # the factors folded after the monomial's
     if tail is not None:
-        F = np.column_stack([F, np.tile(tail[1], K)])
+        F = np.column_stack([F, np.tile(col, K)])
     valid = valid.ravel()
     rows = np.arange(K * n) if every else np.flatnonzero(valid & np.all(F != 0.0, axis=1))
     c = np.where(valid[rows, None], coeffs.table[idx.ravel()[rows]], 0.0)
@@ -341,7 +338,7 @@ def _fold_points(coeffs, X, times, tail, tracker, offset):
         groups.setdefault(width, []).append(A)
         terms.append((rows[keep], j, c[keep, j], width, sizes.get(width, 0)))
         sizes[width] = sizes.get(width, 0) + len(A)
-    tail_nets = [tail[0]] if tail is not None else []
+    tail_nets = [tail] if tail is not None else []
     values = {}
     for width, parts in groups.items():
         nets = [times] * (width - 1 - len(tail_nets)) + tail_nets

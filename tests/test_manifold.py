@@ -25,7 +25,7 @@ from coeff_oracle import (
 from fold_oracle import chart_sum_oracle, per_chart_eval_oracle
 from hypothesis import example, given, settings, strategies as st
 
-from sobolev_forge import manifold, taylor
+from sobolev_forge import manifold, netcore, taylor
 from sobolev_forge.manifold import (
     ChartError,
     IndicatorParams,
@@ -41,10 +41,10 @@ from sobolev_forge.manifold import (
     sphere_manifold,
     torus_manifold,
 )
-from sobolev_forge.netcore import audit_class
+from sobolev_forge.netcore import ConvResNetModel, audit_class, resnet_forward_batch, resnet_forward_dense
 from sobolev_forge.scalarnets import ScalarNet
-from sobolev_forge.targets import get_manifold_target
-from sobolev_forge.taylor import CompileEqualityError, ConfigError, grid_nodes
+from sobolev_forge.targets import get_manifold_target, get_target
+from sobolev_forge.taylor import CompileEqualityError, ConfigError, build_euclidean, grid_nodes
 
 
 @pytest.fixture(scope="module")
@@ -258,7 +258,8 @@ def test_rho_weights_equal_the_all_chart_weights(weight_atlases, kit, rows):
 def test_rho_weights_reject_a_row_beyond_its_chart_ball_or_every_inner_ball(circle, atlas):
     """A point of the circle (in an inner ball) just within r (1 + 1e-6) of
     its chart's center is weighed; on an atlas of every third chart, centers
-    about 1.4 r apart, a point 0.7 r from a center lies in no inner ball."""
+    about 1.4 r apart, a point 0.7 r from a center lies in no inner ball,
+    and the error names the first such row's coordinates and its chart."""
     def at_distance(dist):  # the circle point at chord distance dist from center 0
         return circle.embed(np.array([[2.0 * math.asin(dist / 2.0)]]))
 
@@ -268,6 +269,11 @@ def test_rho_weights_reject_a_row_beyond_its_chart_ball_or_every_inner_ball(circ
                                 neighbours=manifold._chart_neighbours(centers, atlas.r))
     with pytest.raises(ChartError, match="point not covered by any inner ball"):
         rho_weights(gappy, [0], at_distance(0.7 * atlas.r))
+    gap = at_distance(0.7 * atlas.r)
+    rows = np.vstack([at_distance(0.1 * atlas.r), gap, gap])
+    with pytest.raises(ChartError, match="point not covered by any inner ball") as err:
+        rho_weights(gappy, [0, 1, 0], rows)
+    assert f"{gap[0].tolist()} of chart 1" in str(err.value)
 
 
 def test_chart_neighbours_are_the_charts_within_1_5_r(weight_atlases):
@@ -277,7 +283,7 @@ def test_chart_neighbours_are_the_charts_within_1_5_r(weight_atlases):
     distances are taken a few rows at a time."""
     at, _ = weight_atlases["sphere-0.2"]
     d = np.sqrt(manifold._sqdist(at.centers, at.centers))
-    with mock.patch.object(manifold, "_PULLBACK_CELLS", 7 * at.chart_count):
+    with mock.patch.object(netcore, "_BLOCK_CELLS", 7 * at.chart_count):
         table = manifold._chart_neighbours(at.centers, at.r)
     assert np.array_equal(table, at.neighbours)
     for i, row in enumerate(table):
@@ -659,6 +665,58 @@ def test_a_compiled_manifold_model_holds_only_live_terms(circle_sin):
     assert np.all(ap.model_eval(pts) == 0.0)
 
 
+@pytest.fixture(scope="module")
+def euclid_and_circle_models(circle, atlas, circle_sin):
+    """The compiled Euclidean sinprod alpha = 2, N = 4 build and the
+    compiled circle-sin N = 4 build."""
+    euclid = build_euclidean(get_target("sinprod", alpha=2, dim=2), s=0, p=math.inf, N=4, check_points=4)
+    return euclid, build_manifold_approx(circle_sin[1], circle, N=4, atlas=atlas, compile_model=True)
+
+
+def test_every_forward_of_no_points_is_an_empty_float_array(euclid_and_circle_models):
+    """The functional and compiled forwards of the Euclidean and circle
+    models, and of a model without blocks (its fc bias alone), map 0 points
+    to shape (0,) float64."""
+    euclid, ap = euclid_and_circle_models
+    bias_only = ConvResNetModel(2, 3, [], np.zeros((2, 3)), 0.5)
+    D2, D3 = np.empty((0, 2)), np.empty((0, 3))
+    outs = [euclid.eval(D2), euclid.surrogate(D2), euclid.model_eval(D2), ap.eval(D3), ap.model_eval(D3)]
+    for model, X in ((euclid.model, D2), (ap.model, D3), (bias_only, D2)):
+        outs += [resnet_forward_batch(model, X), resnet_forward_dense(model, X)]
+    for out in outs:
+        assert out.shape == (0,) and out.dtype == np.float64
+
+
+# a netcore._BLOCK_CELLS that splits every row-block pass below into blocks
+# of a few rows: 8 points of a fold stack at D = 2 and 8 rows of a
+# product-net pass, one point of a plan chunk, 7 rows against the circle's
+# 69 charts and 170 of an inversion
+_SPLIT_CELLS = 2**9
+
+
+def test_a_small_row_block_budget_moves_no_bit(circle, atlas, circle_sin, euclid_and_circle_models):
+    """Every pass that takes its rows a block at a time gives the same bytes
+    when netcore._BLOCK_CELLS splits it: the Euclidean functional eval and
+    its magnitude audit, the compiled sparse and dense forwards, the
+    manifold eval and manifold_norms, and a circle build's table and its
+    compiled forward."""
+    euclid, built = euclid_and_circle_models
+    X = np.random.default_rng(0).uniform(-0.5, 2.5, (40, 2))  # some outside the safe box
+    P = circle.sample_points(40) * np.linspace(0.9, 1.1, 40)[:, None]
+    f = circle_sin[1]
+
+    def run(ap):
+        arrays = [euclid.eval(X), resnet_forward_batch(euclid.model, X),
+                  resnet_forward_dense(euclid.model, X), ap.coeffs.table, ap.eval(P), ap.model_eval(P)]
+        norms = manifold_norms(lambda Y: ap.eval(Y) - f(Y), atlas, resolution=5)
+        return [a.tobytes() for a in arrays] + [repr((euclid.audit_intermediate_magnitudes(X), norms))]
+
+    default = run(built)
+    with mock.patch.object(netcore, "_BLOCK_CELLS", _SPLIT_CELLS):
+        small = run(build_manifold_approx(f, circle, N=4, atlas=atlas, compile_model=True))
+    assert small == default
+
+
 @pytest.mark.parametrize("D", [3, 6])
 def test_compiled_chart_terms_equal_the_per_term_oracle(D, monkeypatch):
     """Each chart term is its monomial's net with its own first layer: with
@@ -857,7 +915,7 @@ def test_chart_sum_matches_per_chart_loop_on_a_dense_sample(circle, circle_sin_a
     assert np.array_equal(ap.eval(X), chart_sum_oracle(ap, X))
 
 
-# a _PULLBACK_CELLS that splits every row-block pass of a kit's run below
+# a _BLOCK_CELLS that splits every row-block pass of a kit's run below
 # into several blocks other than the default ones (29 rows on the circle's
 # 69 charts, 98 on the sphere's 1,020 at r 0.2), and the run's N and norm
 # resolution
@@ -884,7 +942,7 @@ def block_rule_runs(weight_atlases):
     its small ones (on an atlas built in them)."""
     runs = []
     for name, kit in (("circle-sin", "circle-0.2"), ("sphere-harmonic", "sphere-0.2")):
-        with mock.patch.object(manifold, "_PULLBACK_CELLS", _SMALL_BLOCKS[name][0]):
+        with mock.patch.object(netcore, "_BLOCK_CELLS", _SMALL_BLOCKS[name][0]):
             small = _block_rule_run(name, None)
         runs.append((_block_rule_run(name, weight_atlases[kit][0]), small))
     return runs
@@ -918,7 +976,7 @@ def test_eval_of_each_point_alone_equals_its_value_in_the_batch(
         X = np.vstack([X, [0.5, np.nan, 0.5]])
     alone = [ap.eval(x[None])[0] for x in X]
     assert np.array_equal(ap.eval(X), alone, equal_nan=True)
-    with mock.patch.object(manifold, "_PULLBACK_CELLS", 3 * atlas.chart_count):
+    with mock.patch.object(netcore, "_BLOCK_CELLS", 3 * atlas.chart_count):
         assert np.array_equal(ap.eval(X), alone, equal_nan=True)
     for default, small in block_rule_runs:
         assert default == small
@@ -1037,7 +1095,7 @@ def test_pullback_rows_match_each_row_alone_and_per_point(
     f = circle_sin[1]
     owner = np.tile(charts, len(zs))
     Z = np.repeat(np.array(zs)[:, None], len(charts), axis=0)
-    with mock.patch.object(manifold, "_PULLBACK_CELLS", chunk_rows * atlas.chart_count):
+    with mock.patch.object(netcore, "_BLOCK_CELLS", chunk_rows * atlas.chart_count):
         vals, ok = manifold._pullback(f, atlas, owner, Z)
     for t in range(len(Z)):
         one, one_ok = manifold._pullback(f, atlas, owner[t : t + 1], Z[t : t + 1])
@@ -1063,7 +1121,7 @@ def test_each_pullback_makes_one_inversion_call(circle, atlas, circle_sin):
 
 
 # the kits of the per-set property: each atlas of weight_atlases, its target,
-# and a _PULLBACK_CELLS that splits the build's coefficient rows into blocks
+# and a _BLOCK_CELLS that splits the build's coefficient rows into blocks
 _PER_SET_KITS = {
     "circle-0.2": (lambda a: get_manifold_target("circle-sin", order=a)[1], 2**12),
     "circle-0.24": (lambda a: get_manifold_target("circle-sin", order=a)[1], 2**12),
@@ -1085,7 +1143,7 @@ def test_chart_coefficients_equal_one_pullback_per_point_set(weight_atlases, kit
     target, fd_step = make_target(alpha), 1e-4 * at.r
     boundary = manifold.chart_boundary_data(at, at.r**2 / (4.0 * N))
     table, kill_info = chart_coefficients_per_set(target, at, N, alpha, fd_step, *boundary)
-    with mock.patch.object(manifold, "_PULLBACK_CELLS", cells), \
+    with mock.patch.object(netcore, "_BLOCK_CELLS", cells), \
             mock.patch.object(manifold, "_pullback", wraps=manifold._pullback) as spy:
         coeffs, info = manifold.chart_coefficients(target, at, N, alpha, fd_step, *boundary)
     assert spy.call_count > 1

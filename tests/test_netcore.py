@@ -216,8 +216,9 @@ def test_plan_on_wide_layers_agrees_to_rounding(alpha, N, Jt, rng):
 
 def test_plan_chunks_a_batch_larger_than_the_row_budget(rng):
     net = _built_model(2, 2, 2)
-    assert net._plan.step * len(net.blocks) <= netcore._PLAN_ROW_BUDGET
-    _plan_matches_reference(net, rng.uniform(0.0, 1.0, (2 * net._plan.step + 3, 2)))
+    step = netcore._BLOCK_CELLS // net._plan.cells
+    assert 16 * step * len(net.blocks) <= netcore._BLOCK_CELLS
+    _plan_matches_reference(net, rng.uniform(0.0, 1.0, (2 * step + 3, 2)))
 
 
 def test_plan_is_lowered_once_and_calls_the_kernel_per_layer_at_most(monkeypatch, rng):
@@ -237,7 +238,8 @@ def test_dense_forward_runs_the_layers_after_a_narrowing_one_on_distinct_rows(mo
     net = _built_model(2, 2, 4)
     (g,) = net._plan.groups
     X = np.random.default_rng(0).uniform(0.0, 1.0, (100, 2))
-    assert net._plan.step >= len(X) and all(layer.rows_in == 1 for layer in g.layers[g.prefix :])
+    assert netcore._BLOCK_CELLS // net._plan.cells >= len(X)
+    assert all(layer.rows_in == 1 for layer in g.layers[g.prefix :])
     calls = []
     conv = kernels.conv_layer
     spy = lambda w, b, z: calls.append((w.shape, len(z) * z.shape[1])) or conv(w, b, z)
@@ -365,9 +367,30 @@ def test_nonfinite_rows_give_nan_without_warnings_and_keep_the_finite_bits(rng):
             assert np.array_equal(got[finite], forward(net, X)[finite])
 
 
+def test_row_blocks_join_the_blocks_and_hand_a_lone_block_through(monkeypatch):
+    """_row_blocks calls fun on blocks of _BLOCK_CELLS // cells_per_row rows,
+    each None array passed as None, and joins the results, or each part of
+    tuple results; a lone block, also of no rows, is the arrays themselves,
+    and its result comes back uncopied."""
+    monkeypatch.setattr(netcore, "_BLOCK_CELLS", 12)
+    A, B, calls = np.arange(10.0), np.arange(10, 20), []
+
+    def fun(a, none, b):
+        calls.append((a, none, b))
+        return 2.0 * a, b
+    doubled, same = netcore._row_blocks(fun, 3, A, None, B)
+    assert [len(a) for a, _, _ in calls] == [4, 4, 2] and all(n is None for _, n, _ in calls)
+    assert np.array_equal(doubled, 2.0 * A) and np.array_equal(same, B)
+    assert np.array_equal(netcore._row_blocks(lambda a: a + 1.0, 5, A), A + 1.0)
+    for lone in (A[:4], np.empty((0, 2))):
+        calls, out = [], np.zeros(3)
+        got = netcore._row_blocks(lambda a, none: calls.append((a, none)) or out, 3, lone, None)
+        assert got is out and len(calls) == 1 and calls[0][0] is lone and calls[0][1] is None
+
+
 def test_sparse_forward_chunks_a_batch_larger_than_its_step(rng):
     net = _built_model(2, 2, 2)
-    X = rng.uniform(-0.2, 1.2, (2 * net._plan.cover.step + 3, 2))
+    X = rng.uniform(-0.2, 1.2, (2 * (netcore._BLOCK_CELLS // net._plan.cover.cells) + 3, 2))
     assert np.array_equal(resnet_forward_batch(net, X), resnet_forward_dense(net, X))
 
 

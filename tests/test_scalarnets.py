@@ -10,6 +10,7 @@ from fold_oracle import padded_forward, plain_forward
 from sobolev_forge import scalarnets
 from sobolev_forge.netcore import ShapeError
 from sobolev_forge.scalarnets import (
+    _TILE_ROWS,
     ScalarNet,
     build_monomial_bump,
     build_product2,
@@ -20,7 +21,6 @@ from sobolev_forge.scalarnets import (
     sn_parallel,
     trapezoid_value,
 )
-from sobolev_forge.taylor import _FOLD_ROWS
 
 KINK_OFF = math.sqrt(2.0) * 1e-7
 
@@ -222,7 +222,7 @@ def _net_and_inputs(kind, eta, B, n, rng):
     st.sampled_from(["product", "stamped", "trapezoid", "monomial-bump"]),
     st.sampled_from([0.25, 1.0 / 16, 1.0 / 256, 1e-5]),
     st.sampled_from([1.0, 3.0, 6.0]),
-    st.one_of(st.integers(1, 40), st.sampled_from([_FOLD_ROWS, _FOLD_ROWS + 1, 5000])),
+    st.one_of(st.integers(1, 40), st.sampled_from([_TILE_ROWS, _TILE_ROWS + 1, 5000])),
     st.integers(0, 2**32 - 1),
 )
 @example("product", 1.0 / 256, 6.0, 1, 0)  # a lone row is padded to two

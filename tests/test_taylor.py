@@ -292,7 +292,7 @@ def test_stacked_fold_chunks_and_lone_rows(rng):
 def _fold_stacks(draw):
     """(A, nets): fold operands with planted repeats, trapezoid plateau rows
     (1.0), signed zeros, rows one ulp apart and lone rows, some stacks
-    longer than _FOLD_ROWS."""
+    longer than a product-net pass."""
     steps = draw(st.integers(1, 4))
     approxes = st.sampled_from([_approx("sinprod", 2, 2, 4), _approx("sinprod", 3, 3, 8)])
     nets = [draw(approxes).times_net for _ in range(steps)]
@@ -303,7 +303,8 @@ def _fold_stacks(draw):
         twin, col = pool.copy(), draw(st.integers(0, steps))
         twin[:, col] = np.nextafter(twin[:, col], np.inf)
         pool = np.concatenate([pool, twin])
-    long = st.integers(taylor._FOLD_ROWS - 2, taylor._FOLD_ROWS + 700)
+    rows = netcore._BLOCK_CELLS // taylor._NET_CELLS  # of a net pass
+    long = st.integers(rows - 2, rows + 700)
     n = draw(st.one_of(st.integers(1, 400), long))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     A = pool[rng.integers(0, len(pool), n)]
