@@ -111,8 +111,9 @@ In the same way it times the compiled circle build
 * ``other``: the rest (the coefficients, the boundary data, the nets of
   the build, the class audit, the functional path of the gates).
 
-with the model's blocks, the ``mlp_to_cnn`` calls of the build, the
-model's distinct arrays (same shape and bytes), the compile gap and the
+with the model's blocks, its depth (``L`` of ``audit_class``), the
+``mlp_to_cnn`` calls of the build, the model's distinct arrays (same shape
+and bytes), the compile gap and the
 sha256 of
 ``json.dumps(serialize.to_dict(model))``, so runs of two trees show
 whether they wrote the same model.
@@ -600,6 +601,7 @@ def _compiled_manifold_builds(manifold, serialize, targets, taylor):
             rows.append({
                 "seconds": clock.split(["terms", *COMPILED_STAGES], total),
                 "blocks": len(model.blocks),
+                "L": approx.class_params.L,
                 "mlp_to_cnn_calls": calls[0],
                 "distinct_arrays": len({(a.shape, a.tobytes()) for a in arrays}),
                 "compile_gap": approx.record["compile_gap"],
@@ -860,7 +862,8 @@ def _bench_manifold(manifold, serialize, targets, taylor, reps):
         print(f"circle r={MANIFOLD_R} N={N} ({runs[0][1]} charts, {_facts(rows[-1])}): {split}",
               flush=True)
         split = "  ".join(f"{k} {v:.4f}" for k, v in built["seconds"].items())
-        print(f"  compiled ({built['blocks']} blocks, {built['mlp_to_cnn_calls']} mlp_to_cnn calls, "
+        print(f"  compiled ({built['blocks']} blocks, L {built['L']}, "
+              f"{built['mlp_to_cnn_calls']} mlp_to_cnn calls, "
               f"{built['distinct_arrays']} distinct arrays, sha256 {built['sha256'][:12]}): {split}",
               flush=True)
     sphere = _sphere_rows(manifold, targets, reps)
@@ -911,7 +914,7 @@ def main():
         what = (
             "median seconds per stage of build_manifold_approx on the circle-sin atlas "
             "(R^3, alpha=2, r=0.2), N=4 then N=8 on one fresh atlas per rep, (under "
-            "compiled) of the compiled build, with its blocks, mlp_to_cnn calls, distinct "
+            "compiled) of the compiled build, with its blocks, depth L, mlp_to_cnn calls, distinct "
             "arrays and the sha256 of the model document, and (under "
             "evaluation) of manifold_norm of the error at k=0 and k=1, resolution 40, and "
             "of 10 one-point evals, with the chart-sum pairs of the k=0 norm and of the evals "

@@ -54,9 +54,16 @@ projection is a one-row product per row), so a point gets the same value
 alone as inside any batch, and every pass over rows and all charts runs a
 row block at a time (``netcore._row_blocks``) without moving a bit.
 
-Parameter policy: eta = N^-alpha and delta = N^-(alpha+d+1) follow the
-asymptotic prescription.  The ramp width is Delta = r^2/(4N), which keeps the
-transition band narrower than one bump at the resolutions the studies run.
+Parameter policy: eta = N^-alpha follows the asymptotic prescription, for
+the one product net of the chart terms, on the box B = alpha + d + 1.  A
+chart term g is not multiplied by its chart's indicator s but gated by it
+(``scalarnets.build_gate``), which needs no accuracy parameter: off its
+ramp band s is exactly 1.0 or +0.0, where the gate gives g s bit for bit,
+and on the band every kept term has g = 0 exactly at points of M, where it
+gives +0.0.  Off M a band point can project onto a live bump, and there the
+gate gives a clipped g, not g s; neither path claims an approximation off
+M.  The ramp width is Delta = r^2/(4N), which keeps the transition band
+narrower than one bump at the resolutions the studies run.
 The paper's asymptotic Delta = 8 c2 r / N, with c2 the lower-Lipschitz
 constant of the chart inverses, meets the indicator's cover bound
 Delta <= 0.75 r^2 only for N >= 32 c2 / (3 r): above N = 21 on the circle
@@ -72,6 +79,7 @@ from .metrics import EvalGrid, _stencil
 from .netcore import _on_finite_rows, _row_blocks, resnet_forward_batch
 from .scalarnets import (
     ScalarNet,
+    build_gate,
     build_product2,
     build_square,
     monomial_bump_template,
@@ -143,13 +151,16 @@ def _round_lift(Q, C, R, q2):
 
 def _round_solver(R):
     """The chart_solver of a round kit of radius R: the tangent offset V p,
-    p = (z - shift) / scale, lifted by ``_round_lift``.  The products are
-    stacked per row, so each row rounds as a one-point solve does; at d = 1
-    each is a single product."""
+    p = (z - shift) / scale, lifted by ``_round_lift``.  V p is the sum of
+    the columns V[:, :, k] p_k, added elementwise from k = 0 on, so each row
+    rounds as a one-point solve does; at d = 1 it is a single product."""
 
     def solver(Z, C, V, scale, shift):
         P = (Z - shift) / scale
-        return _round_lift(np.matmul(V, P[:, :, None])[:, :, 0], C, R, _row_dots(P, P))
+        Q = V[:, :, 0] * P[:, :1]
+        for k in range(1, P.shape[1]):
+            Q += V[:, :, k] * P[:, k : k + 1]
+        return _round_lift(Q, C, R, _row_dots(P, P))
     return solver
 
 
@@ -683,14 +694,14 @@ def chart_coefficients(f_on_M, atlas: Atlas, N: int, alpha: int, fd_step: float,
 class ManifoldApproximator:
     """Functional evaluator + optional compiled model of the chart-sum net."""
 
-    def __init__(self, atlas, coeffs, sqdist, indicator, times_eta, times_delta, record):
+    def __init__(self, atlas, coeffs, sqdist, indicator, times_eta, gate, record):
         self.atlas = atlas
         self.coeffs = coeffs  # SurrogateCoefficients, the charts' tables stacked
         self.sqdist_net, self.sqdist_biases = sqdist  # as build_sqdist_nets gives them
         self.indicator_net, params = indicator  # build_indicator's net and its IndicatorParams
         self.one_below, self.zero_above = params.one_below, params.zero_above
         self.times_eta = times_eta
-        self.times_delta = times_delta
+        self.gate = gate  # build_gate's net: a chart term gated by its indicator
         self.record = record
         self.model = None
         self.class_params = None
@@ -733,12 +744,12 @@ class ManifoldApproximator:
         the pair's squared distance (``_sqdist``), below ``zero_above``: one
         projection, the indicators (``_indicators``) and one stacked fold
         over all pairs, each pair reading the rows of its chart in the
-        stacked table."""
+        stacked table, each term's last step the gate by its indicator."""
         P = X[points]
         Z = self.atlas.project(charts, P)
         offset = charts * (self.coeffs.N + 1) ** self.coeffs.dim
         indicators = self._indicators(charts, P, d2)
-        return _stacked_fold(self.coeffs, Z, self.times_eta, self.times_delta, indicators, offset=offset)
+        return _stacked_fold(self.coeffs, Z, self.times_eta, self.gate, indicators, offset=offset)
 
     def _indicators(self, charts, P, d2):
         """indicator_values(charts, P) with its bits at pairs whose squared
@@ -759,13 +770,14 @@ class ManifoldApproximator:
 
     def _terms(self, templates, nets):
         """Chart by chart, each (m, v) term with c_{m,v} != 0 as (net, first,
-        m, c).  The term's net on the ambient space is times_delta(g(phi_i(x)),
-        indicator_i(x)), g the net of phi_m x^v (``templates``).  The chart
-        map, the chart's center and the node enter it only through its first
-        layer, so it is v's net at chart 0 and node 0 (``nets``) with its
-        first layer replaced by ``first``: g's first layer at node m read
-        through chart i's map, beside chart i's squared-distance first
-        layer.  A term with c = 0 adds c * 0 = +-0 and is left out."""
+        m, c).  The term's net on the ambient space is gate(g(phi_i(x)),
+        indicator_i(x)), with g the net of phi_m x^v (``templates``) and
+        gate the build's ``build_gate`` net.  The chart map, the chart's
+        center and the node enter it only through its first layer, so it is
+        v's net at chart 0 and node 0 (``nets``) with its first layer
+        replaced by ``first``: g's first layer at node m read through chart
+        i's map, beside chart i's squared-distance first layer.  A term with
+        c = 0 adds c * 0 = +-0 and is left out."""
         atlas, coeffs = self.atlas, self.coeffs
         tables = coeffs.table.reshape(atlas.chart_count, -1, len(coeffs.v_list))
         for i, table in enumerate(tables):
@@ -812,17 +824,16 @@ def build_manifold_approx(
     B = mspec.box_bound
     theta = Delta / (16.0 * B * B * D)
     eta = float(N) ** (-float(alpha))
-    delta = max(float(N) ** (-float(alpha + d + 1)), 1e-10)
     box_intr = alpha + d + 1.0
     ind_params = IndicatorParams(r=r, Delta=Delta, theta=theta, B=B, D=D)
     indicator_net = build_indicator(ind_params)
     sqdist = build_sqdist_nets(atlas.centers, theta, B)
     times_eta = build_product2(eta, box_intr)
-    times_delta = build_product2(delta, box_intr)
+    gate = build_gate(box_intr)
     if compile_model:  # each v's term net at chart 0, node 0 (see _terms)
         templates = [monomial_bump_template(v, N, times_eta) for v in multi_indices(d, alpha - 1)]
         indicator = sn_chain(sqdist[0].with_first_bias(sqdist[1][0]), indicator_net)
-        nets = [sn_chain(_chart_pair(atlas, 0, t.net, indicator), times_delta) for t in templates]
+        nets = [sn_chain(_chart_pair(atlas, 0, t.net, indicator), gate) for t in templates]
         check_term_width(Jt, D, nets)
     z_bound, band = chart_boundary_data(atlas, Delta)
     coeffs, kill_info = chart_coefficients(f_on_M, atlas, N, alpha, 1e-4 * r, z_bound, band)
@@ -834,8 +845,6 @@ def build_manifold_approx(
         "N": N,
         "alpha": alpha,
         "eta": eta,
-        "delta": delta,
-        "delta_capped": float(N) ** (-float(alpha + d + 1)) < 1e-10,
         "Delta": Delta,
         "theta": theta,
         "w": ind_params.w,
@@ -848,7 +857,7 @@ def build_manifold_approx(
         "coeff_bound": coeffs.max_abs,
     }
     approx = ManifoldApproximator(
-        atlas, coeffs, sqdist, (indicator_net, ind_params), times_eta, times_delta, record
+        atlas, coeffs, sqdist, (indicator_net, ind_params), times_eta, gate, record
     )
     if not compile_model:
         return approx

@@ -16,6 +16,9 @@ CNN.  The nets are put together with the combinators (``sn_chain``,
 * ``build_monomial_bump`` -- the bump-times-monomial nets obtained by folding
   the product net over monomial factors first, then the per-axis trapezoids.
 
+``build_gate`` cuts a value off by an indicator, exactly where the
+indicator is 1.0 or +0.0: the manifold build's gate of each chart term.
+
 For a fixed monomial these nets differ from node to node only in the
 trapezoids' first-layer biases 2 - 3 m_k, which the fold leaves as the last
 D rows of the net's first layer, so ``monomial_bump_template`` builds the
@@ -34,7 +37,9 @@ Two float-level guarantees are load-bearing and deliberately engineered:
 
 Large fixed scalings (2B^2 and the 2^w style factors) are spread over
 doubling layers with weights <= 4, never stored as single big weights, so a
-class audit of any compiled construction reports kappa_1 <= max(3N, 4).
+class audit of any compiled Euclidean construction reports kappa_1 <=
+max(3N, 4).  A manifold term reads its trapezoids through the chart map,
+scaled by 1/(2r), and its gate weighs by the box B = alpha + d + 1.
 """
 
 import math
@@ -390,6 +395,42 @@ def build_product2(eta: float, B: float) -> ScalarNet:
     signed = (np.array([[1.0, -1.0, -1.0], [-1.0, 1.0, 1.0]]), np.zeros(2))
     layers = [(W1, np.zeros(6))] + branches.layers + [signed]
     return ScalarNet(layers + _rescale(2.0 * B * B, [1.0, -1.0]))
+
+
+def build_gate(B: float) -> ScalarNet:
+    """Net gating g by an indicator s in [0, 1], exactly where s is 1.0 or
+    +0.0 or g is +-0.0: relu(g - B u) - relu(-g - B u), u = relu(1 - s).
+
+    The first layer gives the wires relu(g), relu(-g) and u; the second
+    layer's rows add 1 relu(g), -1 relu(-g) and -B u, and the third reads
+    their difference, plus a +0.0 bias.  A sum whose operands are all
+    zeros but one is that operand exactly, and a sum of zeros plus the
+    bias +0.0 is +0.0.  With |g| <= B:
+    - s = 1.0 gives u = 0 exactly, so the rows are g and -g exactly, and
+      the output is relu(g) - relu(-g) = g bit for bit (+0.0 at g = +-0.0);
+    - s = +0.0 gives u = 1 exactly, so the rows are +-g - B <= 0, which
+      rounding keeps at or below 0, both ReLUs give a zero and the output
+      is +0.0;
+    - g = +-0.0 leaves the rows at -B u <= 0, so the output is +0.0 at
+      every s in [0, 1].
+    Between, 0 < s < 1, it gives sign(g) max(|g| - B (1 - s), 0) up to
+    rounding, a clipped g, not g s.
+
+    A manifold build gates each chart term g = phi_m(z) z^v by its chart's
+    indicator, with B the product net's box alpha + d + 1.  Then |g| <= B
+    wherever the gate runs.  g is an exact 0.0 unless its d trapezoid
+    factors are all nonzero (the product net annihilates a zero factor),
+    and then each chart coordinate z_k lies in (-2/(3N), 1 + 2/(3N)),
+    inside (-1/3, 4/3) as N >= 2.  g folds the product net over the |v| <=
+    alpha - 1 coordinates of z^v and then the trapezoids, in [0, 1], each
+    step within eta = N^-alpha of the exact product, so a running value r
+    grows to at most (4/3) |r| + eta per coordinate and |r| + eta per
+    trapezoid: |g| <= (1 + 3 eta) (4/3)^(alpha - 1) + d eta, below B for
+    every alpha up to 9.
+    """
+    split = (np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, -1.0]]), np.array([0.0, 0.0, 1.0]))
+    cut = (np.array([[1.0, -1.0, -B], [-1.0, 1.0, -B]]), np.zeros(2))
+    return ScalarNet([split, cut, (np.array([[1.0, -1.0]]), np.zeros(1))])
 
 
 # ---------------------------------------------------------------------------

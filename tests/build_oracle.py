@@ -145,9 +145,9 @@ def direct_nets(coeffs, eta, box):
 def direct_manifold_nets(ap):
     """(m, v, net, c_{m,v}) for every term of the ManifoldApproximator ``ap``
     with c != 0, chart by chart and in (m, v) order within a chart: the net
-    on the ambient space times_delta(g(phi_i(x)), indicator_i(x)), with g
-    built at node m and read through chart i's map, and chart i's
-    squared-distance net before the indicator."""
+    on the ambient space gate(g(phi_i(x)), indicator_i(x)), with g built at
+    node m and read through chart i's map, and chart i's squared-distance
+    net before the indicator."""
     atlas, coeffs = ap.atlas, ap.coeffs
     cols = list(range(atlas.manifold.ambient_dim))
     (W_sq, _), *rest = ap.sqdist_net.layers
@@ -162,7 +162,7 @@ def direct_manifold_nets(ap):
                 if c != 0.0:
                     g_x = sn_input_affine(build_monomial_bump(m, v, coeffs.N, ap.times_eta), A, cvec)
                     pair = sn_parallel([(g_x, cols), (ind_chain, cols)])
-                    nets.append((m, v, sn_chain(pair, ap.times_delta), c))
+                    nets.append((m, v, sn_chain(pair, ap.gate), c))
     return nets
 
 

@@ -126,7 +126,7 @@ def per_chart_eval_oracle(ap, i, X):
     rows = (ap.coeffs.N + 1) ** ap.coeffs.dim
     return _sum_terms(
         replace(ap.coeffs, table=ap.coeffs.table[i * rows : (i + 1) * rows]), Z, ap.times_eta,
-        lambda g: _forward2(ap.times_delta, g, ind),
+        lambda g: _forward2(ap.gate, g, ind),
     )
 
 

@@ -110,8 +110,8 @@ _RATE_PINS = {
         {"kind": "manifold-rate", "target": "sphere-harmonic", "alpha": 2, "N_list": [2, 4],
          "resolution": 4, "r": 0.24},
         1,
-        "956d7741f2c3a3c703176681a3ad252212874553364ef40b3539af0aca2cc9cf",
-        "53d54cb80e0650914fee4d3ab5c161d00d2b037dfcd6f044586416d72c4da269",
+        "2a4004f5e5d28d065a1a19353e826b9b90c8d40c7e65960c14631fe2c9ec7b63",
+        "4370b5cb841e8bbfd7def423c43ebf26dbc063073f736199cb50f4c67826dce1",
     ),
 }
 

@@ -650,6 +650,24 @@ def test_manifold_compile_equality(circle, circle_sin):
     assert ap.class_params.K <= mspec.ambient_dim
 
 
+def test_compiled_circle_model_audit(atlas, circle_sin):
+    """The compiled circle model at r = 0.2, N = 8: each chart term's gate
+    is three layers, so the depth L is at most 40 (57 with a product net in
+    its place), with M = 414 blocks, J = 24 channels and the compile gap
+    within 1e-8.  Criterion 6's kernel bound K <= 2 holds, and the largest
+    weight is the trapezoids' 3N read through the chart map, scaled by
+    1/(2r)."""
+    mspec, target = circle_sin
+    N = 8
+    ap = build_manifold_approx(target, mspec, N=N, atlas=atlas, compile_model=True)
+    audit = ap.class_params
+    assert audit.L <= 40
+    assert (audit.M, audit.J) == (414, 24)
+    assert ap.record["compile_gap"] <= 1e-8
+    assert audit.K <= 2 and audit.first_row_only
+    assert audit.kappa1 <= 3 * N * atlas.scale
+
+
 def test_a_compiled_manifold_model_holds_only_live_terms(circle_sin):
     """A term with c = 0 adds c * 0 = +-0, so the model holds one block per
     nonzero coefficient; at N=2 the boundary kill zeroes every coefficient,
@@ -1057,6 +1075,45 @@ def test_indicators_read_from_the_flat_ramp_equal_the_nets(weight_atlases, kit, 
     assert nets[above].tobytes() == np.zeros(np.count_nonzero(above)).tobytes()
     assert np.any(d2 <= ap.one_below) and np.any(above)
     assert np.any((d2 > ap.one_below) & (d2 < ap.zero_above))
+
+
+# |g| = relu(g) + relu(-g) of a fold's running value g, read beside a
+# column of ones: the fold's last step in place of the gate
+_ABS_STEP = ScalarNet([(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.zeros(2)), (np.ones((1, 2)), np.zeros(1))])
+
+
+@pytest.mark.parametrize("N", [4, 8])
+@pytest.mark.parametrize("kit", ["circle-0.2", "circle-0.24", "sphere-0.24", "sphere-0.2", "torus-0.16"])
+def test_every_kept_term_folds_to_zero_on_the_band_at_points_of_the_manifold(
+    weight_atlases, sphere_atlas, kit, N
+):
+    """At points of M, each term a chart sum keeps (c != 0) folds to an
+    exact 0.0 at every pair (chart, point) on its indicator's band,
+    one_below < d^2 < zero_above: the sum of |g| over the kept terms, the
+    chart sum's fold with a table of ones where c != 0 and |g| as its last
+    step, is +0.0.  So the gate, exact where the indicator is 1.0 or +0.0
+    and at g = +-0.0, gives g s at every pair the chart sum folds on M.
+    The same fold is nonzero at pairs below the band."""
+    at = sphere_atlas if kit == "sphere-0.24" else weight_atlases[kit][0]
+    m, d = at.manifold, at.manifold.intrinsic_dim
+    target = {"circle": get_manifold_target("circle-sin")[1],
+              "sphere": get_manifold_target("sphere-harmonic")[1],
+              "torus": lambda X: 2.0 * X[:, 0] * X[:, 2]}[m.name]
+    ap = build_manifold_approx(target, m, N=N, atlas=at)
+    kept = dataclasses.replace(ap.coeffs, table=(ap.coeffs.table != 0.0).astype(np.float64))
+    X = m.embed(np.random.default_rng(N).uniform(0.0, 2.0 * math.pi, (2000 if d == 1 else 400, d)))
+    d2 = manifold._sqdist(X, at.centers)
+
+    def folds(pairs):
+        charts, points = np.nonzero(pairs.T)
+        Z = at.project(charts, X[points])
+        offset = charts * (N + 1) ** d
+        return taylor._stacked_fold(kept, Z, ap.times_eta, _ABS_STEP, np.ones(len(Z)), offset=offset)
+
+    band = folds((d2 > ap.one_below) & (d2 < ap.zero_above))
+    assert band.size >= 20
+    assert band.tobytes() == np.zeros(band.size).tobytes()
+    assert np.count_nonzero(folds(d2 <= ap.one_below)) > 0
 
 
 @pytest.mark.parametrize("r", [0.2, None])

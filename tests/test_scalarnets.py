@@ -12,6 +12,7 @@ from sobolev_forge.netcore import ShapeError
 from sobolev_forge.scalarnets import (
     _TILE_ROWS,
     ScalarNet,
+    build_gate,
     build_monomial_bump,
     build_product2,
     build_square,
@@ -142,6 +143,42 @@ def test_product_accuracy_monotone():
 def test_product_guards():
     with pytest.raises(ValueError):
         build_product2(0.9, 1.0)
+
+
+@st.composite
+def _gated_values(draw):
+    """A box B and values g with |g| <= B, among them +-0.0, +-B and
+    subnormals, with indicators s in [0, 1]."""
+    B = draw(st.floats(0.5, 16.0))
+    g = draw(st.lists(st.floats(-B, B) | st.sampled_from([0.0, -0.0, B, -B, 5e-324, -5e-324]),
+                      min_size=1, max_size=24))
+    s = draw(st.lists(st.floats(0.0, 1.0), min_size=len(g), max_size=len(g)))
+    return B, np.array(g), np.array(s)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_gated_values())
+@example((4.0, np.array([4.0, -4.0, 0.0, -0.0, 1.0 / 3.0]), np.array([0.0, 1.0, 0.5, 0.5, 1.0])))
+def test_gate_is_exact_at_indicator_one_and_zero_and_at_a_zero_term(values):
+    """For |g| <= B: gate(g, 1.0) is g bit for bit (+0.0 at g = -0.0),
+    gate(g, +0.0) is +0.0, and gate(+-0.0, s) is +0.0 at every s in [0, 1];
+    in a batch and each row alone."""
+    B, g, s = values
+    gate = build_gate(B)
+    zero = np.zeros_like(g)
+    cases = [(g, np.ones_like(g), np.where(g == 0.0, 0.0, g)), (g, zero, zero), (np.copysign(zero, g), s, zero)]
+    for a, b, want in cases:
+        rows = np.stack([a, b], axis=1)
+        assert gate.forward(rows).tobytes() == want.tobytes()
+        assert np.array([gate(*row) for row in rows]).tobytes() == want.tobytes()
+
+
+def test_gate_clips_g_between_indicator_zero_and_one():
+    """On the ramp band the gate cuts |g| down by B (1 - s), which is not g s."""
+    gate = build_gate(4.0)
+    got = gate.forward(np.array([[3.0, 0.75], [-3.0, 0.75], [1.0, 0.5], [-1.0, 0.5]]))
+    assert got.tolist() == [2.0, -2.0, 0.0, 0.0]
+    assert [w.shape for w, _ in gate.layers] == [(3, 2), (2, 3), (1, 2)]
 
 
 def test_bump_outside_support_exact_zero(rng):
