@@ -77,23 +77,23 @@ r=0.2, 69 charts) at N = 4 and then N = 8 on one atlas, as a manifold rate
 study builds them, and splits each build by wrapping functions of the
 ``manifold`` module:
 
-* ``boundary``: ``chart_boundary_data``, the atlas's closed-form boundary
-  images and band width;
 * ``coefficients``: ``chart_coefficients``, the pullback Taylor
-  coefficients of all charts and the boundary-band kill, one call per
-  build (a chart at a time in trees before it), less its weights;
+  coefficients of all charts, one call per build (a chart at a time in
+  trees before it), less its weights;
 * ``rho_weights``: ``rho_weights``, the partition-of-unity weights of the
   pullback rows;
 * ``sqdist_nets``: ``build_sqdist_nets`` and ``build_sqdist_net``;
 * ``other``: the rest (the indicator and product nets, the record).
 
+Labels before ``no-kill-change`` have a ``boundary`` stage too
+(``chart_boundary_data``, the closed-form boundary images the boundary-band
+kill read) and ``killed_nodes``, the nodes that kill zeroed.
 Each rep builds a fresh atlas, untimed, and every figure is the median.
 Each build row also holds ``table_sha256``, the sha256 of its coefficient
 table's bytes alone (with its ``kill_info`` too in labels before
 ``one-pullback-parent``), so runs of two trees show whether they built the
-same tables; ``killed_nodes``, the nodes the boundary-band kill zeroed,
-summed over the charts; and ``pullback_calls``, the build's
-``manifold._pullback`` calls.
+same tables, and ``pullback_calls``, the build's ``manifold._pullback``
+calls.
 In the same way it times the compiled circle build
 (``compile_model=True``, 30 check points) at N = 4 and then N = 8
 (``compiled`` in the results), split by wrapping functions of the
@@ -108,8 +108,8 @@ In the same way it times the compiled circle build
   ``resnet_forward_batch``, the model's lowering included (from
   ``one-path-change`` on, a model without a support, as every manifold
   model is, runs the dense gate only);
-* ``other``: the rest (the coefficients, the boundary data, the nets of
-  the build, the class audit, the functional path of the gates).
+* ``other``: the rest (the coefficients, the nets of the build, the class
+  audit, the functional path of the gates).
 
 with the model's blocks, its depth (``L`` of ``audit_class``), the
 ``mlp_to_cnn`` calls of the build, the model's distinct arrays (same shape
@@ -149,7 +149,8 @@ against every chart runs: ``torus_atlas``, ``build_atlas`` of the flat
 torus at r=0.16 (2,048 charts); ``circle_eval``, ``eval`` of the N = 4
 circle approximator above at 40,000 points of the circle;
 ``sphere_coefficients``, ``chart_coefficients`` of the sphere-harmonic
-target at r=0.2, N = 8 (its boundary data computed beforehand); and
+target at r=0.2, N = 8 (in labels before ``no-kill-change``, with its
+boundary data computed beforehand); and
 ``sphere_eval``, ``eval`` of the sphere N = 4 approximator at 20,000
 points of the sphere, whose median seconds untraced are ``sphere_eval_s``.
 Each approximator evaluates one point before it is traced.
@@ -254,7 +255,6 @@ FUNCTIONAL_RATE = {"kind": "euclidean-rate", "target": "sinprod", "alpha": 2, "N
 FUNCTIONAL_BUILD = (3, 2)  # (alpha, N) of the compiled build whose check points are counted
 KERNEL_ROWS = (3, 200, 4096)  # rows of the product-net forwards split by kernel part
 MANIFOLD_STAGES = {
-    "boundary": ("chart_boundary_data",),
     "coefficients": ("chart_coefficients",),
     "rho_weights": ("rho_weights",),
     "sqdist_nets": ("build_sqdist_nets", "build_sqdist_net"),
@@ -476,8 +476,7 @@ def _one_build(modules, alpha, N, directory):
 
 def _staged_build(manifold, target, mspec, N, atlas):
     """Stage seconds of one build, the approximator and its facts: the
-    sha256 of its table's bytes, its killed nodes and its ``_pullback``
-    calls."""
+    sha256 of its table's bytes and its ``_pullback`` calls."""
     clock, pullback, calls = StageClock(), manifold._pullback, [0]
 
     def counted(*args):
@@ -493,7 +492,6 @@ def _staged_build(manifold, target, mspec, N, atlas):
     finally:
         manifold._pullback = pullback
     facts = {"table_sha256": hashlib.sha256(approx.coeffs.table.tobytes()).hexdigest(),
-             "killed_nodes": sum(info["killed_nodes"] for info in approx.record["kill_info"]),
              "pullback_calls": calls[0]}
     return clock.split(MANIFOLD_STAGES, total), approx, facts
 
@@ -561,12 +559,11 @@ def _peak_row(manifold, targets, reps):
     for approx, P in ((circle_approx, X), (sphere_approx, Y)):
         approx.eval(P[:1])  # warm-up
     N = PEAKS["sphere_coefficients_N"]
-    boundary = manifold.chart_boundary_data(atlas, atlas.r**2 / (4.0 * N))
     peaks = {
         "torus_atlas": lambda: manifold.build_atlas(manifold.torus_manifold(), PEAKS["torus_r"]),
         "circle_eval": lambda: circle_approx.eval(X),
         "sphere_coefficients": lambda: manifold.chart_coefficients(
-            on_sphere, atlas, N, 2, 1e-4 * atlas.r, *boundary),
+            on_sphere, atlas, N, 2, 1e-4 * atlas.r),
         "sphere_eval": lambda: sphere_approx.eval(Y),
     }
     return {"manifold": "peaks", **PEAKS, "peak_mb": {k: _traced_mb(fn) for k, fn in peaks.items()},
@@ -841,8 +838,7 @@ def _bench_builds(modules, reps):
 
 def _facts(row):
     """A build row's facts, as its printed line shows them."""
-    return (f"table sha256 {row['table_sha256'][:12]}, {row['killed_nodes']} killed nodes, "
-            f"{row['pullback_calls']} pullbacks")
+    return f"table sha256 {row['table_sha256'][:12]}, {row['pullback_calls']} pullbacks"
 
 
 def _bench_manifold(manifold, serialize, targets, taylor, reps):
@@ -920,8 +916,9 @@ def main():
             "of 10 one-point evals, with the chart-sum pairs of the k=0 norm and of the evals "
             "and the pairs among them that ran the indicator nets (norm_k0_pairs, "
             "norm_k0_net_pairs, evals_pairs, evals_net_pairs); table_sha256 digests each build's coefficient table bytes "
-            "(with kill_info before one-pullback-parent), killed_nodes sums its kill_info and "
-            "pullback_calls counts its manifold._pullback calls; the sphere row (manifold: sphere) is the sphere-harmonic build at r=0.2, "
+            "(with kill_info before one-pullback-parent), pullback_calls counts its "
+            "manifold._pullback calls (before no-kill-change a boundary stage and killed_nodes, "
+            "the nodes the boundary-band kill zeroed, too); the sphere row (manifold: sphere) is the sphere-harmonic build at r=0.2, "
             "N=4, by stage, and its error's k=0 norm at resolution 8; the torus row (manifold: torus) "
             "is the build of 2*x0*x2 on the flat torus at r=0.16, N=4, by stage; the peak row "
             "(manifold: peaks) "

@@ -9,8 +9,7 @@ and each chart's neighbours.  Every atlas step takes one chart per row: ``Atlas.
 into chart charts[t], and ``chart_invert(atlas, charts, Z)`` inverts all
 rows, whatever their charts, in one call through the kit's analytic
 ``chart_solver``.  The charts are all the pipeline reads of a manifold: the
-parametrization only samples it, and the kit's ``chord_offset`` gives the
-chart boundary in closed form, one for every chart (``chart_boundary_data``).
+parametrization only samples it.
 
 The pipeline mirrors the Euclidean one on every chart: pull the target back
 through each chart, approximate each pullback on [0,1]^d with
@@ -30,10 +29,11 @@ The gated terms of all charts, those with a nonzero coefficient, compile
 through the Euclidean compile step, ``taylor.compile_terms``, and pass its
 build gates; a chart term is its monomial's gated net, built once at chart
 0, with a first layer of its own, since the chart map, the chart's center
-and the node enter the net only there.  Coefficients of bumps whose support
-reaches the chart-boundary band are zeroed, which makes every per-chart
-network vanish identically on the indicator's transition band; that is the
-mechanism keeping first-derivative error bounded as the ramp sharpens.
+and the node enter the net only there.  From N = 4 on, no bump with a
+nonzero coefficient reaches its chart's indicator band at points of M (the
+reach argument at ``chart_coefficients``), so every per-chart network
+vanishes identically on that band; that keeps the first-derivative error
+bounded as the ramp sharpens, and it is why a build takes N >= ``LEAST_N``.
 
 Evaluation stacks the charts.  The chart sum at a batch of points takes
 every (chart, point) pair whose squared distance lies below the
@@ -100,15 +100,15 @@ from .taylor import (
 )
 
 
-_BOUNDARY_DIRS = 32  # chart-coordinate boundary rays of a d = 2 chart
+LEAST_N = 4  # a manifold build's least N: see the band property at chart_coefficients
 # The margin of the indicator's flat-ramp thresholds, relative to 4 B^2 D:
 # see the rounding argument at ``IndicatorParams.one_below``.
 _FLAT_MARGIN = 2.0**-30
 
 
 class ChartError(RuntimeError):
-    """A chart radius out of range, a covering failure, a point outside every
-    inner ball, or an intrinsic dimension without boundary rays."""
+    """A chart radius out of range, a covering failure or a point outside
+    every inner ball."""
 
 
 # ---------------------------------------------------------------------------
@@ -118,8 +118,8 @@ class ChartError(RuntimeError):
 
 @dataclass
 class ManifoldSpec:
-    """Parametric manifold with analytic reach, area, tangent spaces, chart
-    inversion and chart boundary."""
+    """Parametric manifold with analytic reach, area, tangent spaces and
+    chart inversion."""
 
     name: str
     intrinsic_dim: int
@@ -134,8 +134,6 @@ class ManifoldSpec:
     # of the (n, d) Z in the chart of centers[t] and frames[t], and the rows
     # in the solver's domain
     chart_solver: callable
-    # (rho, U) -> (n,) lengths s: s u, u a unit row of U, lifts to |x - c| = rho
-    chord_offset: callable
 
     def sample_points(self, count):
         return self.embed(self.param_samples(count))
@@ -164,11 +162,6 @@ def _round_solver(R):
     return solver
 
 
-def _round_offset(R):
-    """The chord_offset of a round kit of radius R (``chart_boundary_data``)."""
-    return lambda rho, U: np.full(len(U), math.sqrt(rho * rho - rho**4 / (4.0 * R * R)))
-
-
 def circle_manifold(ambient_dim=3, radius=1.0) -> ManifoldSpec:
     """Unit-style circle isometrically embedded in R^D via a fixed rotation."""
     D, R = ambient_dim, radius
@@ -188,7 +181,7 @@ def circle_manifold(ambient_dim=3, radius=1.0) -> ManifoldSpec:
         return np.linspace(0.0, 2 * math.pi, count, endpoint=False)[:, None]
 
     return ManifoldSpec("circle", 1, D, R, R, 2 * math.pi * R, embed, tangent, samples,
-                        _round_solver(R), _round_offset(R))
+                        _round_solver(R))
 
 
 def sphere_manifold(radius=1.0) -> ManifoldSpec:
@@ -218,7 +211,7 @@ def sphere_manifold(radius=1.0) -> ManifoldSpec:
         return np.stack([th, ph % (2 * math.pi)], axis=1)
 
     return ManifoldSpec("sphere", 2, 3, R, R, 4 * math.pi * R * R, embed, tangent, samples,
-                        _round_solver(R), _round_offset(R))
+                        _round_solver(R))
 
 
 def torus_manifold(r1=None, r2=None) -> ManifoldSpec:
@@ -251,17 +244,8 @@ def torus_manifold(r1=None, r2=None) -> ManifoldSpec:
                  for k, R in ((slice(0, 2), r1), (slice(2, 4), r2))]
         return np.hstack([X for X, _ in lifts]), lifts[0][1] & lifts[1][1]
 
-    def offset(rho, U):  # the quadratic in e_1 of chart_boundary_data
-        (a1, a2), b1, b2, rho2 = (U**2).T, 0.25 / (r1 * r1), 0.25 / (r2 * r2), rho * rho
-        A, B, C = a1 * b2 - a2 * b1, a1 + a2 - 2.0 * a1 * b2 * rho2, -a1 * rho2 * (1.0 - b2 * rho2)
-        e1 = -2.0 * C / (B + np.sqrt(B * B - 4.0 * A * C))
-        e2 = rho2 - e1
-        return np.sqrt(e1 - b1 * e1 * e1 + e2 - b2 * e2 * e2)
-
-    return ManifoldSpec(
-        "torus", 2, 4, min(r1, r2), max(r1, r2), 4 * math.pi * math.pi * r1 * r2,
-        embed, tangent, samples, solver, offset,
-    )
+    return ManifoldSpec("torus", 2, 4, min(r1, r2), max(r1, r2), 4 * math.pi * math.pi * r1 * r2,
+                        embed, tangent, samples, solver)
 
 
 # ---------------------------------------------------------------------------
@@ -605,48 +589,35 @@ def _pullback(fun, atlas, charts, Z):
     return vals, ok
 
 
-def chart_boundary_data(atlas: Atlas, Delta: float):
-    """The boundary images phi(boundary of U), a (rays, d) array shared by
-    every chart, and their chart-coordinate width of the indicator band
-    {r^2 - Delta <= |x - c|^2 <= r^2}.  The rays are z = 1/2 + t u: 2 for
-    d = 1, _BOUNDARY_DIRS for d = 2, a ChartError for d >= 3.  A ray lifts
-    the offset s u, s = t / scale, one circle per plane (``_round_lift``), so
-    |x - c| never depends on the chart; it is rho at t = scale *
-    chord_offset(rho, u), and t < 1/2 as s < rho <= r:
-    - round kits: |x - c|^2 = s^2 + (sqrt(R^2 - s^2) - R)^2 = 2R^2 -
-      2R sqrt(R^2 - s^2), so s^2 = rho^2 - rho^4/(4R^2) for every u;
-    - torus: plane k's squared chord e_k = 2R_k^2 - 2R_k sqrt(R_k^2 - s^2
-      u_k^2) gives s^2 u_k^2 = e_k - b_k e_k^2, b_k = 1/(4R_k^2).  With e_1 +
-      e_2 = rho^2 and a_k = u_k^2, A e_1^2 + B e_1 + C = 0 for A = a_1 b_2 -
-      a_2 b_1, B = a_1 + a_2 - 2 a_1 b_2 rho^2 > 0 and C = -a_1 rho^2 (1 -
-      b_2 rho^2) <= 0; its root in [0, rho^2] is -2C / (B + sqrt(B^2 - 4AC)),
-      free of cancellation, and s^2 is the sum of e_k - b_k e_k^2.
-    """
-    m, d = atlas.manifold, atlas.manifold.intrinsic_dim
-    if d > 2:
-        raise ChartError(f"no boundary rays for intrinsic dimension {d}")
-    angles = np.linspace(0.0, 2.0 * math.pi, 2 if d == 1 else _BOUNDARY_DIRS, endpoint=False)
-    dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)[:, :d]  # d = 1: +1 and -1
-    ray_at = lambda rho: atlas.shift + (atlas.scale * m.chord_offset(rho, dirs))[:, None] * dirs
-    z_outer, z_inner = ray_at(atlas.r), ray_at(math.sqrt(max(atlas.r**2 - Delta, 0.0)))
-    return z_outer, float(np.max(np.abs(z_outer - z_inner)))
+def chart_coefficients(f_on_M, atlas: Atlas, N: int, alpha: int, fd_step: float):
+    """Taylor coefficients of every chart pullback: the charts' tables
+    stacked in chart order, (N+1)^d rows each.  The grid nodes are tiled
+    once per chart and taken a row block at a time (``_row_blocks``).  A
+    block's derivatives D^a are iterated central differences, (hi - lo) /
+    (2 h) along the first axis a still has, and every point set they read,
+    of every a, is pulled back in one ``_pullback`` call; every step acts row
+    by row, so a chart's rows have the bits of a build of that chart alone.
 
-
-def chart_coefficients(f_on_M, atlas: Atlas, N: int, alpha: int, fd_step: float, z_bound, band):
-    """Taylor coefficients of every chart pullback, with the boundary-band
-    kill: the charts' tables stacked in chart order, (N+1)^d rows each, and
-    each chart's kill record.  The grid nodes are tiled once per chart and
-    taken a row block at a time (``_row_blocks``).  A block's derivatives
-    D^a are iterated central differences, (hi - lo) / (2 h) along the first
-    axis a still has, and every point set they read, of every a, is pulled
-    back in one ``_pullback`` call; every step acts row by row, so a chart's
-    rows have the bits of a build of that chart alone.
-
-    Every grid node within band_width + 1/N (sup-norm, chart coordinates) of
-    a boundary image is zeroed, so bumps whose support can reach the
-    indicator's transition band contribute nothing; each chart's network
-    then vanishes identically on that band.  ``z_bound`` and ``band`` come
-    from ``chart_boundary_data``; like them, the zeroed nodes are every chart's.
+    The band property: from N = 4 on, at points of M, every term with a
+    nonzero coefficient is an exact 0 at every pair on its chart's
+    indicator band, one_below < |x - c|^2 < zero_above, as the build's gate
+    needs (``scalarnets.build_gate``).  With eps = (alpha - 1) fd_step:
+    1. A node m has a nonzero row only if its stencil, within eps of m/N,
+       reaches rho_i > 0, that is |x - c_i| < r/2; as |z - 1/2| =
+       |V_i^T (x - c_i)| / (2r) <= |x - c_i| / (2r), |m/N - 1/2|_2 < 1/4 + eps.
+    2. Its bump is an exact 0 outside |z - m/N|_inf < 2/(3N).
+    3. A band point has |x - c|^2 > one_below >= r^2 (1 - 1/(4N)) - flat_margin.
+       With r < tau/4, Federer's reach bound dist(x - c, T_c M) <=
+       |x - c|^2 / (2 tau) gives |V^T (x - c)|^2 >= (63/64) |x - c|^2, so
+       |z - 1/2| >= sqrt(1 - 1/(4N)) sqrt(63/64) / 2: 0.4803 at N = 4 and
+       0.4835 at N = 5.
+    4. The farthest corner of a live bump's box lies inside that radius
+       (every kit has d <= 2): at d = 1, N >= 4, 1/4 + 1/6 = 0.417; at
+       d = 2, N >= 5, 1/4 + sqrt(2) 2/(3N) <= 0.4386; at d = 2, N = 4 only
+       the center node and its four axis neighbours are live, and the
+       corner lies at |(5/12, 1/6)| = 0.4488.
+    At d = 2, N = 3 the bound fails (the live nodes 1/2 + (+-1/6, +-1/6)
+    reach 0.55), so a build takes N >= ``LEAST_N``.
     """
     d, charts = atlas.manifold.intrinsic_dim, atlas.chart_count
     v_list = multi_indices(d, alpha - 1)
@@ -678,12 +649,7 @@ def chart_coefficients(f_on_M, atlas: Atlas, N: int, alpha: int, fd_step: float,
     sets = sum(2 ** sum(a) for a in v_list)
     Z, owner = np.tile(nodes, (charts, 1)), np.repeat(np.arange(charts), len(nodes))
     table = _row_blocks(block, 8 * sets * atlas.frames[0].size, Z, owner)
-    near = np.min(np.max(np.abs(z_bound[None] - nodes[:, None]), axis=2), axis=1) <= band + 1.0 / N
-    kill = np.tile(near, charts)
-    killed = np.count_nonzero((kill & np.any(table != 0.0, axis=1)).reshape(charts, -1), axis=1)
-    table[kill] = 0.0
-    kill_info = [{"band_width": band, "kill_radius": band + 1.0 / N, "killed_nodes": int(n)} for n in killed]
-    return SurrogateCoefficients(d, N, alpha, v_list, table), kill_info
+    return SurrogateCoefficients(d, N, alpha, v_list, table)
 
 
 # ---------------------------------------------------------------------------
@@ -810,13 +776,14 @@ def build_manifold_approx(
 ) -> ManifoldApproximator:
     """Compile a target on M into the chart-sum approximator.
 
-    Resolution N = floor((Mt*Jt)^(1/d)) unless given directly; the ramp
-    width is Delta = r^2/(4N).  A study passes one atlas to every N, so
-    its covering is built once.
+    Resolution N = floor((Mt*Jt)^(1/d)) unless given directly, and at
+    least ``LEAST_N`` (``chart_coefficients``' band property; a ConfigError
+    below it); the ramp width is Delta = r^2/(4N).  A study passes one atlas
+    to every N, so its covering is built once.
     """
     d, D = mspec.intrinsic_dim, mspec.ambient_dim
     alpha = getattr(f_on_M, "order", 2)
-    N = grid_resolution(N, Mt, Jt, d, least=2)
+    N = grid_resolution(N, Mt, Jt, d, least=LEAST_N)
     if atlas is None:
         atlas = build_atlas(mspec, r if r is not None else 0.96 * mspec.reach / 4.0)
     r = atlas.r
@@ -835,8 +802,7 @@ def build_manifold_approx(
         indicator = sn_chain(sqdist[0].with_first_bias(sqdist[1][0]), indicator_net)
         nets = [sn_chain(_chart_pair(atlas, 0, t.net, indicator), gate) for t in templates]
         check_term_width(Jt, D, nets)
-    z_bound, band = chart_boundary_data(atlas, Delta)
-    coeffs, kill_info = chart_coefficients(f_on_M, atlas, N, alpha, 1e-4 * r, z_bound, band)
+    coeffs = chart_coefficients(f_on_M, atlas, N, alpha, 1e-4 * r)
 
     record = {
         "manifold": mspec.name,
@@ -853,7 +819,6 @@ def build_manifold_approx(
         "T_d": atlas.T_d,
         "Mt": Mt,
         "Jt": Jt,
-        "kill_info": kill_info,
         "coeff_bound": coeffs.max_abs,
     }
     approx = ManifoldApproximator(

@@ -13,7 +13,7 @@ from pathlib import Path
 from . import serialize
 from .metrics import EvalGrid, fit_loglog_slope, grid_norm, grid_norms
 from .netcore import audit_class
-from .manifold import build_atlas, build_manifold_approx, manifold_norms
+from .manifold import LEAST_N, build_atlas, build_manifold_approx, manifold_norms
 from .risk import RiskConfig, adversarial_gap_check, empirical_residual_study
 from .targets import EUCLIDEAN_TARGETS, MANIFOLD_TARGETS, get_manifold_target, get_target
 from .taylor import ConfigError, build_euclidean
@@ -141,6 +141,9 @@ def validate_config(doc, kind=None):
         if out["target"] not in known:
             raise ConfigError(f"unknown target {out['target']!r} for kind {kind!r}; "
                               f"known: {sorted(known)}")
+    if kind == "manifold-rate" and any(N < LEAST_N for N in out["N_list"]):
+        raise ConfigError(f"N_list must be a list of integers >= {LEAST_N} on a manifold, "
+                          f"got {out['N_list']!r}")
     if "N_list" in out and len(set(out["N_list"])) < 2:
         raise ConfigError(f"N_list needs at least 2 distinct values to fit a slope, "
                           f"got {out['N_list']}")

@@ -68,50 +68,27 @@ def per_point_pullback(f_on_M, atlas, i):
     return F
 
 
-def band_kill(table, nodes, N, z_bound, band):
-    """Zero the rows of one chart's table at the nodes within band + 1/N
-    (sup-norm) of a boundary image in z_bound, and return (killed_nodes,
-    kill_radius): the count of nonzero rows zeroed, and band + 1/N."""
-    kill_radius = float(band) + 1.0 / N
-    gap = np.min(np.max(np.abs(z_bound[None] - nodes[:, None]), axis=2), axis=1)
-    kill = gap <= kill_radius
-    killed = int(np.count_nonzero(np.any(table[kill] != 0.0, axis=1)))
-    table[kill] = 0.0
-    return killed, kill_radius
-
-
-def chart_coefficients_oracle(f_on_M, atlas, N, alpha, fd_step, z_bound, band):
-    """(tables, kill_info): each chart's coefficient table, boundary band
-    killed (z_bound and band as ``chart_boundary_data`` gives them, one for
-    every chart), and kill record, chart by chart."""
+def chart_coefficients_oracle(f_on_M, atlas, N, alpha, fd_step):
+    """Each chart's coefficient table, chart by chart."""
     d = atlas.manifold.intrinsic_dim
     v_list = multi_indices(d, alpha - 1)
     nodes = grid_nodes(N, d) / N
-    tables, kill_info = [], []
+    tables = []
     for i in range(atlas.chart_count):
         F = per_point_pullback(f_on_M, atlas, i)
         derivs = {tuple(a): fd_deriv(F, nodes, tuple(a), fd_step) for a in v_list}
-        table = _monomial_expansion_rows(nodes, derivs, v_list)
-        killed, kill_radius = band_kill(table, nodes, N, z_bound, band)
-        tables.append(table)
-        kill_info.append({"band_width": float(band), "kill_radius": kill_radius, "killed_nodes": killed})
-    return tables, kill_info
+        tables.append(_monomial_expansion_rows(nodes, derivs, v_list))
+    return tables
 
 
-def chart_coefficients_per_set(f_on_M, atlas, N, alpha, fd_step, z_bound, band):
-    """(table, kill_info) as ``manifold.chart_coefficients`` gives them, from
-    the nodes of every chart stacked, one ``_pullback`` call over all rows
-    for each point set that ``fd_deriv`` evaluates, and the boundary band
-    killed chart by chart."""
+def chart_coefficients_per_set(f_on_M, atlas, N, alpha, fd_step):
+    """The table as ``manifold.chart_coefficients`` gives it, from the nodes
+    of every chart stacked, one ``_pullback`` call over all rows for each
+    point set that ``fd_deriv`` evaluates."""
     d, charts = atlas.manifold.intrinsic_dim, atlas.chart_count
     v_list = multi_indices(d, alpha - 1)
     nodes = grid_nodes(N, d) / N
     Z, owner = np.tile(nodes, (charts, 1)), np.repeat(np.arange(charts), len(nodes))
     F = lambda Z: _pullback(f_on_M, atlas, owner, Z)[0]
     derivs = {tuple(a): fd_deriv(F, Z, tuple(a), fd_step) for a in v_list}
-    tables = np.split(_monomial_expansion_rows(Z, derivs, v_list), charts)
-    kill_info = []
-    for table in tables:
-        killed, kill_radius = band_kill(table, nodes, N, z_bound, band)
-        kill_info.append({"band_width": band, "kill_radius": kill_radius, "killed_nodes": killed})
-    return np.concatenate(tables), kill_info
+    return _monomial_expansion_rows(Z, derivs, v_list)

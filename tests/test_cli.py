@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from sobolev_forge import cli, serialize, taylor
+from sobolev_forge import cli, manifold, serialize, taylor
 from sobolev_forge.algebra import assemble_resnet, mlp_to_cnn
 from sobolev_forge.cli import main
 from sobolev_forge.netcore import audit_class
@@ -87,8 +87,8 @@ def test_rate_study_determinism(tmp_path):
 
 
 # The CI job's two-N rate study, a finite-p rate at alpha = 3, and the CI
-# package job's sphere manifold study, which exits 1 on its pre-asymptotic
-# slope gates; the exit code and the sha256 of rates.csv and summary.json
+# package job's sphere manifold study, which passes its default slope
+# windows (slopes -1.56 and -0.82); the exit code and the sha256 of rates.csv and summary.json
 # (numpy 2.4.6, OpenBLAS 0.3.31, x86-64: another BLAS or libm may round the
 # values otherwise)
 _RATE_PINS = {
@@ -107,11 +107,11 @@ _RATE_PINS = {
         "5b552262c2bead5a3e763fb74fe874f8dc211dd7ce641dca8daa598207912462",
     ),
     "ci-sphere": (
-        {"kind": "manifold-rate", "target": "sphere-harmonic", "alpha": 2, "N_list": [2, 4],
-         "resolution": 4, "r": 0.24},
-        1,
-        "2a4004f5e5d28d065a1a19353e826b9b90c8d40c7e65960c14631fe2c9ec7b63",
-        "4370b5cb841e8bbfd7def423c43ebf26dbc063073f736199cb50f4c67826dce1",
+        {"kind": "manifold-rate", "target": "sphere-harmonic", "alpha": 2, "N_list": [4, 8],
+         "resolution": 4, "r": 0.2},
+        0,
+        "0282c24cbb44f1d77ce8f35e6d69c40c05ba1334d6040e8dd5c9f1610af67fdd",
+        "d48c5464c75f30385e2d5e3b99f29dec3246bce67cdc827c361b9ebc4847b1d5",
     ),
 }
 
@@ -267,17 +267,9 @@ def test_manifold_study_mini(tmp_path):
 
 
 def test_manifold_rate_study_determinism(tmp_path):
-    """The CI package job's circle study, run twice, writes the same bytes."""
-    cfg = {
-        "kind": "manifold-rate",
-        "target": "circle-sin",
-        "alpha": 2,
-        "N_list": [2, 4],
-        "resolution": 8,
-        "slope_window_k0": [-6.0, 0.0],
-        "slope_window_k1": [-6.0, 1.0],
-        "separation_slope": -0.5,
-    }
+    """The CI package job's circle study, run twice, writes the same bytes
+    and passes its default slope windows."""
+    cfg = {"kind": "manifold-rate", "target": "circle-sin", "alpha": 2, "N_list": [4, 8], "resolution": 20}
     assert run_study(cfg, tmp_path / "a")[0] == 0
     assert run_study(cfg, tmp_path / "b")[0] == 0
     for name in ("rates.csv", "summary.json", "rates.svg"):
@@ -440,11 +432,22 @@ def test_study_rejects_N_below_2_before_any_build(
         ("adv-study", {"n_data": 0}, "n_data must be an integer >= 1, got 0"),
         ("risk-study", {"eps": 0.5}, "eps must be below min(sigma, 1) = 0.2"),
         ("manifold-study", {"r": 0.5}, "r must be below reach/4 = 0.25"),
+        ("manifold-study", {"N_list": [2, 4]}, "N_list must be a list of integers >= 4"),
+        ("manifold-study", {"N_list": [3, 8]}, "N_list must be a list of integers >= 4"),
     ],
 )
-def test_study_rejects_a_malformed_value_with_exit_2(tmp_path, capsys, command, change, message):
+def test_study_rejects_a_malformed_value_with_exit_2(
+    tmp_path, capsys, monkeypatch, command, change, message
+):
+    """A manifold study is rejected before it computes a coefficient: one
+    that did would reach the patched chart_coefficients and exit 3."""
+
+    def no_coefficients(*args, **kwargs):
+        raise AssertionError("coefficients computed for a study that cannot build")
+
     if command == "manifold-study":
-        base = {"target": "circle-sin", "alpha": 2, "N_list": [2, 4]}
+        base = {"target": "circle-sin", "alpha": 2, "N_list": [4, 8]}
+        monkeypatch.setattr(manifold, "chart_coefficients", no_coefficients)
     else:
         base = {"target": "sinprod", "alpha": 2, "N": 2}
     cfg = _write_cfg(tmp_path, {**base, **change})

@@ -2,12 +2,10 @@ import dataclasses
 import math
 import tracemalloc
 import warnings
-from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
 import pytest
-from boundary_oracle import chart_boundary_oracle
 from build_oracle import (
     assert_same_bits,
     assert_same_layers,
@@ -17,7 +15,6 @@ from build_oracle import (
 )
 from coeff_oracle import (
     all_chart_weights,
-    band_kill,
     chart_coefficients_oracle,
     chart_coefficients_per_set,
     per_point_pullback,
@@ -33,6 +30,7 @@ from sobolev_forge.manifold import (
     build_indicator,
     build_manifold_approx,
     build_sqdist_net,
+    build_sqdist_nets,
     chart_invert,
     circle_manifold,
     manifold_norm,
@@ -42,7 +40,7 @@ from sobolev_forge.manifold import (
     torus_manifold,
 )
 from sobolev_forge.netcore import ConvResNetModel, audit_class, resnet_forward_batch, resnet_forward_dense
-from sobolev_forge.scalarnets import ScalarNet
+from sobolev_forge.scalarnets import ScalarNet, build_product2
 from sobolev_forge.targets import get_manifold_target, get_target
 from sobolev_forge.taylor import CompileEqualityError, ConfigError, build_euclidean, grid_nodes
 
@@ -183,10 +181,32 @@ def test_rho_weights_center_dominance(atlas):
     assert w[0] == np.max(w) and w[0] > 0.9
 
 
+def _rims(at, n_dirs=32, rho=None):
+    """Chart 0's outer boundary images, or with rho given its images of the
+    sphere |x - c| = rho <= r: its rays z = 1/2 + t u, u one of 2 (d = 1) or
+    n_dirs (d = 2) unit directions, each bisected for 60 passes over t in
+    [0, 1/2] to the last t whose lift through the kit's solver lies within
+    rho of the center (at t = 1/2, |x - c| >= |V^T (x - c)| = r).  A ray
+    lifts its offset one circle per plane, so |x - c| along it does not
+    depend on the chart, and these are every chart's rims."""
+    m, d = at.manifold, at.manifold.intrinsic_dim
+    rho = at.r if rho is None else rho
+    angles = np.linspace(0.0, 2.0 * math.pi, 2 if d == 1 else n_dirs, endpoint=False)
+    dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)[:, :d]  # d = 1: +1 and -1
+    C, V = np.repeat(at.centers[:1], len(dirs), axis=0), np.repeat(at.frames[:1], len(dirs), axis=0)
+    t_lo, t_hi = np.zeros(len(dirs)), np.full(len(dirs), 0.5)
+    for _ in range(60):
+        mid = 0.5 * (t_lo + t_hi)
+        X, ok = m.chart_solver(at.shift + mid[:, None] * dirs, C, V, at.scale, at.shift)
+        beyond = ~ok | (manifold._row_norms(X - C) > rho)
+        t_lo, t_hi = np.where(beyond, t_lo, mid), np.where(beyond, mid, t_hi)
+    return at.shift + t_lo[:, None] * dirs
+
+
 @pytest.fixture(scope="module")
 def weight_atlases(atlas):
     """Each atlas of the weight property, with its outer boundary images
-    (``chart_boundary_data``) as the rims of its chart balls."""
+    (``_rims``) as the rims of its chart balls."""
     out = {}
     for name, at in [
         ("circle-0.2", atlas),
@@ -194,7 +214,7 @@ def weight_atlases(atlas):
         ("sphere-0.2", build_atlas(sphere_manifold(), 0.2)),
         ("torus-0.16", build_atlas(torus_manifold(), 0.16)),
     ]:
-        out[name] = at, manifold.chart_boundary_data(at, at.r**2 / 16.0)[0]
+        out[name] = at, _rims(at)
     return out
 
 
@@ -417,103 +437,111 @@ def test_manifold_norm_zero_and_one(circle, atlas):
 
 
 def test_manifold_build_guards(circle, atlas, circle_sin):
+    """A manifold build needs N >= 4 (``chart_coefficients``' band
+    property), and fails before it computes a coefficient."""
     _, target = circle_sin
-    with pytest.raises(ValueError, match="N"):
-        build_manifold_approx(target, circle, N=1, atlas=atlas)
-
-
-def test_chart_boundary_data_rejects_intrinsic_dimension_3(atlas):
-    flat3 = dataclasses.replace(atlas, manifold=dataclasses.replace(atlas.manifold, intrinsic_dim=3))
-    with pytest.raises(ChartError, match="intrinsic dimension 3"):
-        manifold.chart_boundary_data(flat3, 0.01)
-
-
-@pytest.mark.parametrize("N", [4, 32])
-@pytest.mark.parametrize("kit", ["circle", "sphere", "torus", "uneven-torus"])
-def test_chart_boundary_data_is_the_bisected_boundary(kit, N, atlases):
-    """The atlas's closed-form boundary images and band width, found with no
-    solver call, are within 1e-15 of every chart's, bisected along its rays
-    through the kit's solver (``chart_boundary_oracle``), at the build's
-    Delta = r^2/(4N)."""
-    at = atlases[kit]
-    Delta = at.r**2 / (4.0 * N)
-    calls, solver = [], at.manifold.chart_solver
-    counted = dataclasses.replace(at.manifold, chart_solver=lambda *args: calls.append(1) or solver(*args))
-    z_outer, band = manifold.chart_boundary_data(dataclasses.replace(at, manifold=counted), Delta)
-    assert calls == []
-    z_ref, band_ref = chart_boundary_oracle(at, Delta)
-    d = at.manifold.intrinsic_dim
-    assert z_outer.shape == z_ref.shape[1:] == (2 if d == 1 else 32, d)
-    assert np.max(np.abs(z_outer - z_ref)) <= 1e-15
-    assert np.max(np.abs(band - band_ref)) <= 1e-15
+    with mock.patch.object(manifold, "chart_coefficients", side_effect=AssertionError):
+        for N in (1, 2, 3):
+            with pytest.raises(ConfigError, match="resolution N must be >= 4"):
+                build_manifold_approx(target, circle, N=N, atlas=atlas)
 
 
 @pytest.fixture(scope="module")
 def build_kits(atlas, sphere_atlas, weight_atlases, circle_sin):
-    """Each kit's atlas and a target on it.  The torus atlases take 4,096
-    samples: on the 256-sample ones a build meets a point in no inner ball."""
+    """Each kit's atlas, a target on it and a cache of its builds by N.  The
+    torus atlases take 4,096 samples: on the 256-sample ones a build meets a
+    point in no inner ball."""
     on_torus = lambda X: 2.0 * X[:, 0] * X[:, 2]
-    return {
+    kits = {
         "circle": (atlas, circle_sin[1]),
         "sphere": (sphere_atlas, get_manifold_target("sphere-harmonic", order=2)[1]),
         "torus": (weight_atlases["torus-0.16"][0], on_torus),
         "uneven-torus": (build_atlas(torus_manifold(0.6, 0.9), 0.14), on_torus),
     }
+    builds = {}
+
+    def build(kit, N):
+        if (kit, N) not in builds:
+            at, target = kits[kit]
+            builds[kit, N] = build_manifold_approx(target, at.manifold, N=N, atlas=at)
+        return builds[kit, N]
+
+    return kits, build
+
+
+def _band_kill(at, N, table):
+    """The table with the boundary-band kill that builds below ``LEAST_N``
+    once needed: every chart's rows at the nodes within band + 1/N
+    (sup-norm) of an outer boundary image (``_rims``) zeroed, band the
+    widest chart-coordinate step from an outer image to its ray's image at
+    the ramp's inner edge |x - c| = sqrt(r^2 - Delta), Delta = r^2/(4N)."""
+    d = at.manifold.intrinsic_dim
+    z_outer = _rims(at)
+    band = np.max(np.abs(z_outer - _rims(at, rho=at.r * math.sqrt(1.0 - 1.0 / (4.0 * N)))))
+    nodes = grid_nodes(N, d) / N
+    near = np.min(np.max(np.abs(z_outer[None] - nodes[:, None]), axis=2), axis=1) <= band + 1.0 / N
+    killed = table.reshape(at.chart_count, (N + 1) ** d, -1).copy()
+    killed[:, near] = 0.0
+    return killed.reshape(table.shape)
 
 
 @pytest.mark.parametrize("N", [3, 4, 8])
 @pytest.mark.parametrize("kit", ["circle", "sphere", "torus", "uneven-torus"])
 def test_bisected_boundaries_kill_the_nodes_of_the_closed_form(kit, N, build_kits):
-    """Tables killed chart by chart at each chart's own bisected boundary
-    (``chart_boundary_oracle``) are the closed-form build's, byte for byte,
-    and each chart zeroes as many nonzero rows.  From N = 4 on, the kill
-    meets only rows the partition weight already zeroed; at N = 3 it zeroes
-    nonzero rows."""
-    at, target = build_kits[kit]
-    ap = build_manifold_approx(target, at.manifold, N=N, atlas=at)
-    d, alpha = at.manifold.intrinsic_dim, ap.record["alpha"]
-    # the tables before the kill: no boundary image reaches a node
-    raw, _ = manifold.chart_coefficients(target, at, N, alpha, 1e-4 * at.r, np.full((1, d), np.inf), 0.0)
-    tables = list(raw.table.reshape(at.chart_count, (N + 1) ** d, -1))
-    z_ref, band_ref = chart_boundary_oracle(at, ap.record["Delta"])
-    nodes = grid_nodes(N, d) / N
-    killed = [band_kill(table, nodes, N, z, b)[0] for table, z, b in zip(tables, z_ref, band_ref)]
-    assert np.array_equal(ap.coeffs.table, np.concatenate(tables))
-    assert [k["killed_nodes"] for k in ap.record["kill_info"]] == killed
-    assert any(killed) == (N == 3)
-
-
-@settings(max_examples=60, deadline=None)
-@given(kit=st.sampled_from(["circle", "sphere", "torus"]),
-       params=st.tuples(st.floats(0.0, 2.0 * math.pi), st.floats(0.0, math.pi)),
-       angle=st.floats(0.0, 2.0 * math.pi),
-       r_frac=st.floats(0.01, 1.0), rho_frac=st.floats(0.0, 1.0, exclude_min=True),
-       radii=st.tuples(st.floats(0.5, 1.0), st.floats(0.5, 1.0)))
-def test_chord_offset_lifts_to_distance_rho(kit, params, angle, r_frac, rho_frac, radii):
-    """On a random chart of radius r, the ray z = 1/2 + t u with t = scale *
-    chord_offset(rho, u) lifts through the kit's solver to |x - c| = rho,
-    rho in (0, r], within 1e-15; and t < 1/2, inside the chart's box."""
-    m = {"circle": lambda: circle_manifold(3), "sphere": sphere_manifold,
-         "torus": lambda: torus_manifold(*radii)}[kit]()
-    d = m.intrinsic_dim
-    c = m.embed(np.array([params[:d]]))
-    V = np.linalg.qr(m.tangent_basis(c[0]))[0][None, :, :d]
-    r = r_frac * 0.96 * m.reach / 4.0
-    rho, scale = rho_frac * r, 1.0 / (2.0 * r)
-    if d == 1:
-        u = np.array([[math.copysign(1.0, angle - math.pi)]])
+    """A boundary-band kill at the bisected boundaries (``_band_kill``)
+    meets only rows the partition weight already zeroed from N = 4 on: the
+    build's tables, which no kill touches, are the killed ones byte for
+    byte.  At N = 3, below a build's least N, the kill zeroes nonzero rows
+    of ``chart_coefficients``' tables."""
+    (at, target), build = build_kits[0][kit], build_kits[1]
+    if N < manifold.LEAST_N:
+        table = manifold.chart_coefficients(target, at, N, getattr(target, "order", 2), 1e-4 * at.r).table
     else:
-        u = np.array([[math.cos(angle), math.sin(angle)]])
-    t = scale * m.chord_offset(rho, u)[0]
-    X, ok = m.chart_solver(0.5 + t * u, c, V, scale, 0.5)
-    assert ok[0]
-    assert abs(np.linalg.norm(X[0] - c[0]) - rho) <= 1e-15
-    assert t < 0.5
+        table = build(kit, N).coeffs.table
+    assert np.any(table != 0.0)
+    assert (_band_kill(at, N, table).tobytes() == table.tobytes()) == (N >= manifold.LEAST_N)
+
+
+@pytest.mark.parametrize("r", [0.2, None])
+def test_band_kill_zeroes_every_table_below_N_4(circle_sin, r):
+    """Why a build takes N >= 4: on the circle atlas, at r = 0.2 and at the
+    default r, the boundary-band kill (``_band_kill``) reaches each chart's
+    center node at N = 2 and 3, the only node where rho_i does not vanish,
+    so it zeroes every row of ``chart_coefficients``' tables, and a fitted N
+    there would measure the target's own norm; N = 4 leaves every nonzero
+    row of the build's table."""
+    m, target = circle_sin
+    at = build_atlas(m, r if r is not None else 0.96 * m.reach / 4.0)
+    for N in (2, 3):
+        table = manifold.chart_coefficients(target, at, N, 2, 1e-4 * at.r).table
+        assert np.any(table != 0.0)
+        assert not np.any(_band_kill(at, N, table) != 0.0)
+    table = build_manifold_approx(target, m, N=4, atlas=at).coeffs.table
+    assert np.any(table != 0.0)
+    assert _band_kill(at, 4, table).tobytes() == table.tobytes()
+
+
+@pytest.mark.parametrize("N", [4, 5, 8])
+@pytest.mark.parametrize("kit", ["circle", "sphere", "torus", "uneven-torus"])
+def test_live_bump_boxes_end_inside_the_band_radius(kit, N, build_kits):
+    """Steps 3 and 4 of ``chart_coefficients``' band property, measured on
+    the build: the band's inner edge |x - c|^2 = one_below, bisected along
+    the chart rays (``_rims``), lies at |z - 1/2| >= sqrt(1 - 1/(4N))
+    sqrt(63/64) / 2, and the farthest corner of the bump box |z - m/N|_inf
+    < 2/(3N) of every node m with a nonzero row lies inside it."""
+    at = build_kits[0][kit][0]
+    ap = build_kits[1](kit, N)
+    d = at.manifold.intrinsic_dim
+    edge = np.min(np.linalg.norm(_rims(at, rho=math.sqrt(ap.one_below)) - at.shift, axis=1))
+    assert edge >= math.sqrt(1.0 - 1.0 / (4.0 * N)) * math.sqrt(63.0 / 64.0) / 2.0
+    live = np.any(ap.coeffs.table.reshape(at.chart_count, (N + 1) ** d, -1) != 0.0, axis=(0, 2))
+    corners = np.linalg.norm(np.abs(grid_nodes(N, d)[live] / N - 0.5) + 2.0 / (3.0 * N), axis=1)
+    assert live.any() and np.max(corners) < edge
 
 
 def _outer_boundary_distances(at, charts, z_outer):
-    """Distances from their centers of the outer boundary images z_outer,
-    inverted in each of charts."""
+    """Distances from their centers of the outer boundary images z_outer
+    (``_rims``), inverted in each of charts."""
     owner = np.repeat(charts, len(z_outer))
     X, ok = chart_invert(at, owner, np.tile(z_outer, (len(charts), 1)))
     assert ok.all()
@@ -523,10 +551,8 @@ def _outer_boundary_distances(at, charts, z_outer):
 @pytest.mark.parametrize("kit", ["circle", "sphere", "torus", "uneven-torus"])
 def test_outer_boundary_images_invert_to_distance_r(kit, atlases):
     at = atlases[kit]
-    z_outer, band = manifold.chart_boundary_data(at, at.r**2 / 16.0)
-    distances = _outer_boundary_distances(at, np.arange(at.chart_count), z_outer)
+    distances = _outer_boundary_distances(at, np.arange(at.chart_count), _rims(at))
     assert np.max(np.abs(distances - at.r)) <= 1e-12
-    assert band > 0.0
 
 
 def test_sphere_boundary_succeeds_at_the_poles():
@@ -534,12 +560,10 @@ def test_sphere_boundary_succeeds_at_the_poles():
     pole, where parameter-space rays once found no boundary, have their
     boundary at distance r."""
     at = build_atlas(sphere_manifold(), 0.2)
-    z_outer, band = manifold.chart_boundary_data(at, 0.2**2 / 16.0)
     poles = np.flatnonzero(np.abs(at.centers[:, 2]) >= math.cos(0.1))
     assert poles.size >= 5
-    distances = _outer_boundary_distances(at, poles, z_outer)
+    distances = _outer_boundary_distances(at, poles, _rims(at))
     assert np.max(np.abs(distances - at.r)) <= 1e-12
-    assert band > 0.0
 
 
 @pytest.mark.parametrize("kit", ["circle", "sphere", "torus"])
@@ -634,8 +658,7 @@ def test_gathered_sqdist_equals_the_sum_of_squares_of_the_gather(sets, width, da
 
 def test_manifold_compile_equality(circle, circle_sin):
     """Small compiled manifold model agrees with the functional path, on a
-    table and at check points where both are nonzero (at N=2 the boundary
-    kill zeroes every coefficient, so the gap there compares zeros)."""
+    table and at check points where both are nonzero."""
     mspec, target = circle_sin
     atlas = build_atlas(mspec, 0.2, sample_count=1024)
     ap = build_manifold_approx(
@@ -670,13 +693,14 @@ def test_compiled_circle_model_audit(atlas, circle_sin):
 
 def test_a_compiled_manifold_model_holds_only_live_terms(circle_sin):
     """A term with c = 0 adds c * 0 = +-0, so the model holds one block per
-    nonzero coefficient; at N=2 the boundary kill zeroes every coefficient,
-    and the model has no block and is 0 everywhere."""
+    nonzero coefficient; every coefficient of the zero target is 0, and its
+    model has no block and is 0 everywhere."""
     mspec, target = circle_sin
     atlas = build_atlas(mspec, 0.2, sample_count=1024)
     pts = mspec.sample_points(200)
-    for N, live in ((4, True), (2, False)):
-        ap = build_manifold_approx(target, mspec, N=N, atlas=atlas, compile_model=True, check_points=25)
+    zero = lambda X: np.zeros(len(X))
+    for f, live in ((target, True), (zero, False)):
+        ap = build_manifold_approx(f, mspec, N=4, atlas=atlas, compile_model=True, check_points=25)
         nonzero = np.count_nonzero(ap.coeffs.table)
         assert (nonzero > 0) == live
         assert len(ap.model.blocks) == ap.record["terms"] == nonzero
@@ -858,7 +882,7 @@ def test_chart_invert_rejects_a_nan_coordinate_without_warnings(kit, atlases):
 
 def test_per_chart_eval_matches_per_term_oracle(circle, atlas, circle_sin):
     """The stacked fold with the indicator as its last step equals the
-    per-term loop, with killed (zeroed) nodes in every other chart."""
+    per-term loop, with zeroed rows in every other chart."""
     m, target = circle_sin
     ap = build_manifold_approx(target, m, N=8, atlas=atlas)
     rng = np.random.default_rng(4)
@@ -942,7 +966,7 @@ _SMALL_BLOCKS = {"circle-sin": (2**11, 16, 10), "sphere-harmonic": (10**5, 4, 1)
 
 def _block_rule_run(name, at):
     """The bytes of each row-block pass of the kit at r 0.2: the atlas
-    arrays and T_d, a build's table and kill_info, its error's
+    arrays and T_d, a build's table, its error's
     manifold_norms and its eval at 300 points off the manifold."""
     m, target = get_manifold_target(name)
     _, N, resolution = _SMALL_BLOCKS[name]
@@ -951,7 +975,7 @@ def _block_rule_run(name, at):
     norms = manifold_norms(lambda X: ap.eval(X) - target(X), at, resolution=resolution)
     X = m.sample_points(300) * np.linspace(0.9, 1.1, 300)[:, None]
     parts = [at.centers, at.frames, at.neighbours, ap.coeffs.table, ap.eval(X)]
-    return [a.tobytes() for a in parts] + [repr((at.T_d, ap.record["kill_info"], norms))]
+    return [a.tobytes() for a in parts] + [repr((at.T_d, norms))]
 
 
 @pytest.fixture(scope="module")
@@ -982,7 +1006,7 @@ def test_eval_of_each_point_alone_equals_its_value_in_the_batch(
     inside blocks of three rows.  A point at 1.22 times a chart center is
     within 1.2 r of that chart only, the origin of none, and a nan row is
     nan.  Every row-block pass (the atlas's covering check, T_d and
-    neighbour table, the weights, the kill gap, the chart sum) gives the
+    neighbour table, the weights, the coefficients, the chart sum) gives the
     circle's and the sphere's runs at r 0.2 the same bytes in smaller
     blocks as in the default ones."""
     ap = circle_sin_approx[N]
@@ -1038,11 +1062,16 @@ def test_indicator_of_each_near_pair_alone_equals_its_batch_value(
 
 
 def _indicator_approx(at, N):
-    """The approximator a build at resolution N makes on the atlas, with its
-    chart tables left out: its indicators read no coefficient."""
-    no_tables = lambda *args: (SimpleNamespace(max_abs=0.0), [])
-    with mock.patch.object(manifold, "chart_coefficients", no_tables):
-        return build_manifold_approx(lambda X: X[:, 0], at.manifold, N=N, atlas=at)
+    """An approximator of the atlas's squared-distance nets and indicator at
+    the ramp width Delta = r^2/(4N), with the parameters a build at
+    resolution N takes, and no chart tables: its indicators read no
+    coefficient.  N = 2 and 3, below a build's least N, give the wider
+    ramps r^2/8 and r^2/12."""
+    m = at.manifold
+    B, D, Delta = m.box_bound, m.ambient_dim, at.r**2 / (4.0 * N)
+    params = IndicatorParams(r=at.r, Delta=Delta, theta=Delta / (16.0 * B * B * D), B=B, D=D)
+    sqdist = build_sqdist_nets(at.centers, params.theta, B)
+    return manifold.ManifoldApproximator(at, None, sqdist, (build_indicator(params), params), None, None, {})
 
 
 @pytest.mark.parametrize("N", [2, 3, 4, 8, 16, 32])
@@ -1082,25 +1111,13 @@ def test_indicators_read_from_the_flat_ramp_equal_the_nets(weight_atlases, kit, 
 _ABS_STEP = ScalarNet([(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.zeros(2)), (np.ones((1, 2)), np.zeros(1))])
 
 
-@pytest.mark.parametrize("N", [4, 8])
-@pytest.mark.parametrize("kit", ["circle-0.2", "circle-0.24", "sphere-0.24", "sphere-0.2", "torus-0.16"])
-def test_every_kept_term_folds_to_zero_on_the_band_at_points_of_the_manifold(
-    weight_atlases, sphere_atlas, kit, N
-):
-    """At points of M, each term a chart sum keeps (c != 0) folds to an
-    exact 0.0 at every pair (chart, point) on its indicator's band,
-    one_below < d^2 < zero_above: the sum of |g| over the kept terms, the
-    chart sum's fold with a table of ones where c != 0 and |g| as its last
-    step, is +0.0.  So the gate, exact where the indicator is 1.0 or +0.0
-    and at g = +-0.0, gives g s at every pair the chart sum folds on M.
-    The same fold is nonzero at pairs below the band."""
-    at = sphere_atlas if kit == "sphere-0.24" else weight_atlases[kit][0]
+def _band_folds(at, coeffs, times_eta, one_below, zero_above, N):
+    """At 2,000 (d = 1) or 400 (d = 2) points of M, the sum of |g| over the
+    kept terms (c != 0) of each pair (chart, point) on the indicator's band,
+    one_below < d^2 < zero_above, and of each pair below it: the chart
+    sum's fold with a table of ones where c != 0 and |g| as its last step."""
     m, d = at.manifold, at.manifold.intrinsic_dim
-    target = {"circle": get_manifold_target("circle-sin")[1],
-              "sphere": get_manifold_target("sphere-harmonic")[1],
-              "torus": lambda X: 2.0 * X[:, 0] * X[:, 2]}[m.name]
-    ap = build_manifold_approx(target, m, N=N, atlas=at)
-    kept = dataclasses.replace(ap.coeffs, table=(ap.coeffs.table != 0.0).astype(np.float64))
+    kept = dataclasses.replace(coeffs, table=(coeffs.table != 0.0).astype(np.float64))
     X = m.embed(np.random.default_rng(N).uniform(0.0, 2.0 * math.pi, (2000 if d == 1 else 400, d)))
     d2 = manifold._sqdist(X, at.centers)
 
@@ -1108,24 +1125,51 @@ def test_every_kept_term_folds_to_zero_on_the_band_at_points_of_the_manifold(
         charts, points = np.nonzero(pairs.T)
         Z = at.project(charts, X[points])
         offset = charts * (N + 1) ** d
-        return taylor._stacked_fold(kept, Z, ap.times_eta, _ABS_STEP, np.ones(len(Z)), offset=offset)
+        return taylor._stacked_fold(kept, Z, times_eta, _ABS_STEP, np.ones(len(Z)), offset=offset)
 
-    band = folds((d2 > ap.one_below) & (d2 < ap.zero_above))
+    return folds((d2 > one_below) & (d2 < zero_above)), folds(d2 <= one_below)
+
+
+_BAND_KITS = ["circle-0.2", "circle-0.24", "sphere-0.24", "sphere-0.2", "torus-0.16"]
+
+
+@pytest.mark.parametrize(
+    "kit, N",
+    [(kit, N) for kit in _BAND_KITS for N in (4, 5, 8)] + [("circle-0.2", 16), ("circle-0.24", 16)],
+)
+def test_every_kept_term_folds_to_zero_on_the_band_at_points_of_the_manifold(
+    weight_atlases, sphere_atlas, kit, N
+):
+    """At points of M, each term a chart sum keeps (c != 0) folds to an
+    exact 0.0 at every pair (chart, point) on its indicator's band
+    (``_band_folds``), as ``chart_coefficients``' band property has it from
+    N = 4 on.  So the gate, exact where the indicator is 1.0 or +0.0 and at
+    g = +-0.0, gives g s at every pair the chart sum folds on M.  The same
+    fold is nonzero at pairs below the band."""
+    at = sphere_atlas if kit == "sphere-0.24" else weight_atlases[kit][0]
+    m = at.manifold
+    target = {"circle": get_manifold_target("circle-sin")[1],
+              "sphere": get_manifold_target("sphere-harmonic")[1],
+              "torus": lambda X: 2.0 * X[:, 0] * X[:, 2]}[m.name]
+    ap = build_manifold_approx(target, m, N=N, atlas=at)
+    band, below = _band_folds(at, ap.coeffs, ap.times_eta, ap.one_below, ap.zero_above, N)
     assert band.size >= 20
     assert band.tobytes() == np.zeros(band.size).tobytes()
-    assert np.count_nonzero(folds(d2 <= ap.one_below)) > 0
+    assert np.count_nonzero(below) > 0
 
 
-@pytest.mark.parametrize("r", [0.2, None])
-def test_band_kill_zeroes_every_table_below_N_4(circle_sin, r):
-    """On the circle atlas, at r = 0.2 and at the default r, the kill radius
-    band_width + 1/N reaches each chart's center node at N = 2 and 3, the
-    only node where rho_i does not vanish, so every table row is 0 and the
-    approximant is identically 0; N = 4 leaves nonzero rows."""
-    m, target = circle_sin
-    for N in (2, 3, 4):
-        table = build_manifold_approx(target, m, N=N, r=r).coeffs.table
-        assert np.any(table != 0.0) == (N == 4)
+def test_kept_terms_reach_the_band_on_the_sphere_at_N_3(sphere_atlas):
+    """The control of the band property: on the r = 0.24 sphere at N = 3,
+    below a build's least N, the table of ``chart_coefficients`` keeps
+    terms whose bumps reach the band along their box's diagonal, and band
+    pairs fold to nonzero values, so N = 4 is the least N that holds."""
+    N, alpha, at = 3, 2, sphere_atlas
+    target = get_manifold_target("sphere-harmonic", order=alpha)[1]
+    coeffs = manifold.chart_coefficients(target, at, N, alpha, 1e-4 * at.r)
+    ind = _indicator_approx(at, N)
+    times_eta = build_product2(float(N) ** -alpha, alpha + 2 + 1.0)
+    band, _ = _band_folds(at, coeffs, times_eta, ind.one_below, ind.zero_above, N)
+    assert np.count_nonzero(band) > 0
 
 
 @settings(max_examples=20, deadline=None)
@@ -1193,38 +1237,31 @@ _PER_SET_KITS = {
     + [("sphere-0.2", 2, 4), ("sphere-0.2", 3, 4), ("torus-0.16", 2, 4)],
 )
 def test_chart_coefficients_equal_one_pullback_per_point_set(weight_atlases, kit, alpha, N):
-    """The table and kill_info of one pullback per row block, in blocks of
-    a few rows, have the bytes of the recursive central differences with
-    one pullback per point set over the rows of every chart."""
+    """The table of one pullback per row block, in blocks of a few rows,
+    has the bytes of the recursive central differences with one pullback
+    per point set over the rows of every chart."""
     at, make_target, cells = weight_atlases[kit][0], *_PER_SET_KITS[kit]
     target, fd_step = make_target(alpha), 1e-4 * at.r
-    boundary = manifold.chart_boundary_data(at, at.r**2 / (4.0 * N))
-    table, kill_info = chart_coefficients_per_set(target, at, N, alpha, fd_step, *boundary)
+    table = chart_coefficients_per_set(target, at, N, alpha, fd_step)
     with mock.patch.object(netcore, "_BLOCK_CELLS", cells), \
             mock.patch.object(manifold, "_pullback", wraps=manifold._pullback) as spy:
-        coeffs, info = manifold.chart_coefficients(target, at, N, alpha, fd_step, *boundary)
+        coeffs = manifold.chart_coefficients(target, at, N, alpha, fd_step)
     assert spy.call_count > 1
     assert coeffs.table.tobytes() == table.tobytes()
-    assert repr(info) == repr(kill_info)
-    assert np.any(table != 0.0) or any(i["killed_nodes"] for i in kill_info)
+    assert np.any(table != 0.0)
 
 
 @pytest.mark.parametrize("alpha, N", [(2, 3), (2, 8), (3, 8)])
 def test_circle_build_matches_per_chart_per_point_coefficients(atlas, alpha, N):
-    """The one-call coefficients of all charts have the bits of the loop that
-    pulled the target back chart by chart and point by point; at alpha = 3
-    the second differences run on the stacked rows too, and at N = 3 the
-    boundary-band kill zeroes nodes of every chart."""
-    m, target = get_manifold_target("circle-sin", order=alpha)
-    ap = build_manifold_approx(target, m, N=N, atlas=atlas)
-    rec = ap.record
-    z_bound, band = manifold.chart_boundary_data(atlas, rec["Delta"])
-    tables, kill_info = chart_coefficients_oracle(
-        target, atlas, N, alpha, 1e-4 * atlas.r, z_bound, band
-    )
-    assert np.array_equal(ap.coeffs.table, np.concatenate(tables))
-    assert rec["kill_info"] == kill_info
-    assert any(np.any(t != 0.0) for t in tables) or any(i["killed_nodes"] for i in kill_info)
+    """The one-call coefficients of all charts, at the build's step 1e-4 r,
+    have the bits of the loop that pulled the target back chart by chart and
+    point by point; at alpha = 3 the second differences run on the stacked
+    rows too."""
+    target = get_manifold_target("circle-sin", order=alpha)[1]
+    coeffs = manifold.chart_coefficients(target, atlas, N, alpha, 1e-4 * atlas.r)
+    tables = chart_coefficients_oracle(target, atlas, N, alpha, 1e-4 * atlas.r)
+    assert np.array_equal(coeffs.table, np.concatenate(tables))
+    assert any(np.any(t != 0.0) for t in tables)
 
 
 def _per_point_norm(e_on_M, atlas, k, resolution, fd_step=1e-5):

@@ -252,7 +252,7 @@ def _written(name):
         mspec, target = get_manifold_target("circle-sin")
         atlas = build_atlas(mspec, 0.2, sample_count=1024)
         return build_manifold_approx(
-            target, mspec, N=2, atlas=atlas, compile_model=True, check_points=4
+            target, mspec, N=4, atlas=atlas, compile_model=True, check_points=4
         ).model
     if name == "loaded":
         with tempfile.TemporaryDirectory() as d:
