@@ -202,6 +202,13 @@ results are stored under ``--label`` in ``BENCH_template_build.json``,
 repository root, next to the labels already there; ``--only`` runs one of
 the three.
 
+A run times one tree in one process, and its medians move with the state
+of the machine and of the process: on code that neither tree changed, the
+before/after rows of one run per tree have swung by 30-40% (the torus N=4
+build read 0.35-0.49 s in three runs of one tree and 0.28-0.31 s in three
+of the other).  To compare two trees, run them alternately, several runs
+each, and quote the median of each tree's runs with their spread.
+
 Usage: python benchmarks/bench_build.py [--src DIR] [--label NAME] [--reps R]
                                         [--only build|manifold|functional]
 """

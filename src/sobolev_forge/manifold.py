@@ -475,20 +475,18 @@ def build_sqdist_nets(centers, theta: float, B: float):
 
 @dataclass
 class IndicatorParams:
-    """Clipped-ramp parameters for the chart membership indicator."""
+    """Clipped-ramp parameters for the chart membership indicator.  The
+    squared-distance nets' accuracy is tied to the ramp width: theta =
+    Delta / (16 B^2 D), so their error 4 B^2 D theta is Delta / 4."""
 
     r: float
     Delta: float
-    theta: float
     B: float
     D: int
 
-    def __post_init__(self):
-        if self.Delta < 8.0 * self.B**2 * self.D * self.theta:
-            raise ValueError(
-                f"need Delta >= 8 B^2 D theta = {8 * self.B**2 * self.D * self.theta}, "
-                f"got {self.Delta}"
-            )
+    @property
+    def theta(self):
+        return self.Delta / (16.0 * self.B * self.B * self.D)
 
     @property
     def dist_err(self):
@@ -501,10 +499,9 @@ class IndicatorParams:
 
     @property
     def w(self):
-        """Doubling-layer count: smallest w with 2^-w A <= Delta - 2*dist_err."""
+        """Doubling-layer count: smallest w with 2^-w A <= Delta - 2*dist_err,
+        which is Delta / 2 as dist_err is Delta / 4."""
         room = self.Delta - 2.0 * self.dist_err
-        if room <= 0:
-            raise ValueError("Delta leaves no room above the distance-net error")
         return max(1, math.ceil(math.log2(max(self.A / room, self.r**2 / self.Delta))))
 
     @property
@@ -765,34 +762,33 @@ def _chart_pair(atlas, i, g, h):
 def build_manifold_approx(
     f_on_M,
     mspec: ManifoldSpec,
-    Mt: int = None,
+    *,
+    N: int,
+    atlas: Atlas,
     Jt: int = None,
-    N: int = None,
-    r: float = None,
-    atlas: Atlas = None,
     compile_model: bool = False,
     check_points: int = 30,
     seed: int = 0,
 ) -> ManifoldApproximator:
-    """Compile a target on M into the chart-sum approximator.
+    """Compile a target on M into the chart-sum approximator at resolution
+    N over the covering ``atlas`` of ``mspec``.
 
-    Resolution N = floor((Mt*Jt)^(1/d)) unless given directly, and at
-    least ``LEAST_N`` (``chart_coefficients``' band property; a ConfigError
-    below it); the ramp width is Delta = r^2/(4N).  A study passes one atlas
-    to every N, so its covering is built once.
+    N must be at least ``LEAST_N`` (``chart_coefficients``' band property; a
+    ConfigError below it); the ramp width is Delta = r^2/(4N) with r the
+    atlas radius.  A study passes one atlas to every N, so its covering is
+    built once.  A compiled model groups its terms ``Jt`` channels wide
+    (one term per block when None).
     """
     d, D = mspec.intrinsic_dim, mspec.ambient_dim
     alpha = getattr(f_on_M, "order", 2)
-    N = grid_resolution(N, Mt, Jt, d, least=LEAST_N)
-    if atlas is None:
-        atlas = build_atlas(mspec, r if r is not None else 0.96 * mspec.reach / 4.0)
+    N = grid_resolution(N, None, None, d, least=LEAST_N)
     r = atlas.r
     Delta = r * r / (4.0 * N)
     B = mspec.box_bound
-    theta = Delta / (16.0 * B * B * D)
+    ind_params = IndicatorParams(r=r, Delta=Delta, B=B, D=D)
+    theta = ind_params.theta
     eta = float(N) ** (-float(alpha))
     box_intr = alpha + d + 1.0
-    ind_params = IndicatorParams(r=r, Delta=Delta, theta=theta, B=B, D=D)
     indicator_net = build_indicator(ind_params)
     sqdist = build_sqdist_nets(atlas.centers, theta, B)
     times_eta = build_product2(eta, box_intr)
@@ -817,7 +813,7 @@ def build_manifold_approx(
         "r": r,
         "chart_count": atlas.chart_count,
         "T_d": atlas.T_d,
-        "Mt": Mt,
+        "Mt": None,  # a compiled build's block count (compile_terms)
         "Jt": Jt,
         "coeff_bound": coeffs.max_abs,
     }

@@ -13,7 +13,6 @@ import numpy as np
 
 KINK_OFFSET = math.sqrt(2.0) * 1e-7
 FD_STEP_NET = 1e-6  # piecewise-linear evaluators: exact slopes off kinks
-FD_STEP_SMOOTH = 1e-4  # smooth analytic targets: truncation/rounding balance
 
 
 @dataclass

@@ -314,7 +314,6 @@ class NetClassParams:
     K: int
     kappa1: float
     kappa2: float
-    first_row_only: bool = True  # not measured: a plan condition every model meets
 
 
 def block_stack(block: ResidualBlockSpec, Z_batch: np.ndarray) -> np.ndarray:

@@ -70,9 +70,7 @@ def bias_tile(b):
     """The (_TILE_ROWS, len(b)) read-only tile of a 1-D bias b, one per
     distinct bias (by shape and bytes, so +0.0 and -0.0 differ) for the
     whole process, so that nets built anew share it; b itself once the
-    tiles hold _TILE_BYTES, and a 2-D bias as it is."""
-    if b.ndim != 1:
-        return b
+    tiles hold _TILE_BYTES."""
     key = (b.dtype.str, b.shape, b.tobytes())
     tile = _tiles.get(key)
     if tile is None:

@@ -11,17 +11,17 @@ array once, and every filter and bias of ``"blocks"`` is an integer index
 into it.  The writer emits the pool the model computed when it was built.
 Loading builds each pooled array once and hands it, and for a filter one
 FilterTensor, to every block that names it, so a loaded model shares its
-arrays as a built one does.  Version-1 documents, which hold the record
-inline at every occurrence, still load; each record is resolved where it
-stands.
+arrays as a built one does.  Version 2 is the only schema read: a
+version-1 document, which held each record inline at every occurrence, is
+rejected as any other unknown version is, and rebuilding the model writes
+it anew.
 
 Loading raises SerializationError for an unknown version, missing keys
-(``"arrays"`` in a version-2 document too), an index that is not an
-integer in range, a malformed array record, inconsistent shapes, a
-non-finite parameter, or a model outside the plan's conditions (see
-``netcore``), whose message is the condition's own.  ``"first_row_only"``
-is written ``true`` and read only for its type: every model reads out row
-0 alone.
+(``"arrays"`` among them), an index that is not an integer in range, a
+malformed array record, inconsistent shapes, a non-finite parameter, or a
+model outside the plan's conditions (see ``netcore``), whose message is
+the condition's own.  ``"first_row_only"`` is written ``true`` and read
+only for its type: every model reads out row 0 alone.
 
 A model with a BlockSupport carries it under the optional key
 ``"support": {"N": grid, "nodes": [[node, ...] per block]}``; a file without
@@ -30,7 +30,6 @@ as strictly as the weights: integer nodes in [0, N]^D, one non-empty list
 per block.
 """
 
-import itertools
 import json
 import os
 import tempfile
@@ -40,7 +39,6 @@ import numpy as np
 from .netcore import BlockSupport, ConvResNetModel, FilterTensor, PlanError, ResidualBlockSpec, ShapeError
 
 SCHEMA_VERSION = 2
-_READABLE = (1, 2)
 _REFS = ("filters", "biases")
 
 
@@ -111,8 +109,7 @@ def to_dict(obj):
 
 
 def _stacks(doc):
-    """Each block's (FilterTensors, bias arrays).  A version-1 document's
-    inline records become a pool of their own, one entry per occurrence."""
+    """Each block's (FilterTensors, bias arrays)."""
     blocks = doc["blocks"]
     if not isinstance(blocks, list):
         raise SerializationError("blocks must be a list of block records")
@@ -120,15 +117,10 @@ def _stacks(doc):
         _require(block, _REFS, "block record")
         if not all(isinstance(block[k], list) for k in _REFS):
             raise SerializationError("a block's filters and biases must be lists")
-    if doc["version"] == 1:
-        records = [r for block in blocks for k in _REFS for r in block[k]]
-        at = itertools.count()
-        blocks = [{k: [next(at) for _ in block[k]] for k in _REFS} for block in blocks]
-    else:
-        _require(doc, ("arrays",), "network document")
-        records = doc["arrays"]
-        if not isinstance(records, list):
-            raise SerializationError("arrays must be a list of array records")
+    _require(doc, ("arrays",), "network document")
+    records = doc["arrays"]
+    if not isinstance(records, list):
+        raise SerializationError("arrays must be a list of array records")
     pool = [_unarr(r) for r in records]
     _finite(pool, "network parameters")
     refs = [i for block in blocks for k in _REFS for i in block[k]]
@@ -145,13 +137,13 @@ def _stacks(doc):
 
 
 def from_dict(doc):
-    """The model of a version-1 or version-2 document."""
+    """The model of a version-2 document."""
     if not isinstance(doc, dict) or "version" not in doc:
         raise SerializationError("not a network document (missing version)")
     version, kind = doc["version"], doc.get("kind")
-    if type(version) is not int or version not in _READABLE:
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise SerializationError(
-            f"unsupported schema version {version!r}, expected one of {_READABLE}"
+            f"unsupported schema version {version!r}, expected {SCHEMA_VERSION}"
         )
     if kind != "convresnet":
         raise SerializationError(f"unknown document kind {kind!r}")

@@ -353,8 +353,6 @@ def audit_document(net_path):
         "K": params.K,
         "kappa1": params.kappa1,
         "kappa2": params.kappa2,
-        "first_row_only": params.first_row_only,
-        "pass": True,
     }
 
 

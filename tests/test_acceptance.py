@@ -313,7 +313,7 @@ def test_criterion_9_chart_machinery(circle_study, rng):
     rec = ap.record
 
     # indicator branches, exactly per the three-branch formula
-    p = IndicatorParams(r=rec["r"], Delta=rec["Delta"], theta=rec["theta"], B=1.0, D=3)
+    p = IndicatorParams(r=rec["r"], Delta=rec["Delta"], B=1.0, D=3)
     net = build_indicator(p)
     a_lo = rng.uniform(0.0, p.one_threshold, 400)
     a_hi = rng.uniform(p.A, 2.0 * p.r**2, 400)

@@ -132,7 +132,6 @@ def test_assemble_single_and_kappa2_bound(psi_cnn):
     params = audit_class(net)
     k1, k2 = psi_cnn.kappa1, psi_cnn.kappa2
     assert params.kappa2 <= k2 * max(1.0, 1.0 / k1) + 1e-12
-    assert params.first_row_only
 
 
 def test_assemble_rejects_heterogeneous(psi_cnn):

@@ -227,6 +227,14 @@ def test_audit_json_matches_audit_class(tmp_path):
     assert doc["kappa1"] == params.kappa1
 
 
+def test_audit_document_holds_the_class_parameters_only(tmp_path, capsys):
+    path = _psi_file(tmp_path)
+    assert main(["audit", "--net", path]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert sorted(doc) == ["J", "K", "L", "M", "kappa1", "kappa2", "kind", "net"]
+    assert (doc["kind"], doc["net"]) == ("audit", path)
+
+
 def test_saved_trapezoid_reload_identical(tmp_path):
     net = assemble_resnet([mlp_to_cnn(build_trapezoid(0, 1))])
     path = tmp_path / "t.json"
@@ -491,6 +499,20 @@ def _psi_file(tmp_path):
     path = tmp_path / "net.json"
     serialize.save(path, assemble_resnet([mlp_to_cnn(build_trapezoid(1, 4))]))
     return str(path)
+
+
+@pytest.mark.parametrize(
+    "command", [["eval", "--at", "0.3"], ["audit"], ["net-io", "check"]], ids=["eval", "audit", "net-io"]
+)
+def test_a_version_1_document_is_a_network_file_error(tmp_path, capsys, command):
+    path = _psi_file(tmp_path)
+    doc = json.loads((tmp_path / "net.json").read_text())
+    doc["version"] = 1
+    (tmp_path / "net.json").write_text(json.dumps(doc))
+    assert main(command[:1] + ["--net", path] + command[1:]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("network file error:") and "unsupported schema version 1, expected 2" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(

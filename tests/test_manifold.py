@@ -326,7 +326,7 @@ def test_sqdist_net(circle, atlas, rng):
 
 
 def test_indicator_branches():
-    p = IndicatorParams(r=0.2, Delta=0.01, theta=0.01 / (16.0 * 3.0), B=1.0, D=3)
+    p = IndicatorParams(r=0.2, Delta=0.01, B=1.0, D=3)
     net = build_indicator(p)
     assert net(0.0) == 1.0
     assert net(p.r**2) == 0.0
@@ -338,13 +338,17 @@ def test_indicator_branches():
     assert net.depth <= p.w + 3 + 1
 
 
-def test_indicator_params_guard():
-    with pytest.raises(ValueError, match="8 B"):
-        IndicatorParams(r=0.2, Delta=1e-4, theta=1e-3, B=1.0, D=3)
+def test_indicator_theta_is_the_builds_expression():
+    for Delta, B, D in ((0.01, 1.0, 3), (0.2**2 / 16.0, 1.5, 2), (0.8 / 7.0, 3.25, 5)):
+        p = IndicatorParams(r=0.2, Delta=Delta, B=B, D=D)
+        assert p.theta == Delta / (16.0 * B * B * D)
+        assert p.dist_err == 4.0 * B**2 * D * p.theta
+    with pytest.raises(TypeError, match="theta"):
+        IndicatorParams(r=0.2, Delta=0.01, theta=1e-3, B=1.0, D=3)
 
 
 def test_indicator_band_slope(circle, atlas):
-    p = IndicatorParams(r=0.2, Delta=0.005, theta=0.005 / (16.0 * 3.0), B=1.0, D=3)
+    p = IndicatorParams(r=0.2, Delta=0.005, B=1.0, D=3)
     net = build_indicator(p)
     h = 1e-9
     inside = 0.5 * (p.one_threshold + p.A)
@@ -669,7 +673,6 @@ def test_manifold_compile_equality(circle, circle_sin):
     checks = pts[np.random.default_rng(0).choice(len(pts), 25, replace=False)]
     assert np.count_nonzero(ap.eval(checks)) > 0
     assert ap.record["compile_gap"] <= 1e-8
-    assert ap.class_params.first_row_only
     assert ap.class_params.K <= mspec.ambient_dim
 
 
@@ -687,7 +690,7 @@ def test_compiled_circle_model_audit(atlas, circle_sin):
     assert audit.L <= 40
     assert (audit.M, audit.J) == (414, 24)
     assert ap.record["compile_gap"] <= 1e-8
-    assert audit.K <= 2 and audit.first_row_only
+    assert audit.K <= 2
     assert audit.kappa1 <= 3 * N * atlas.scale
 
 
@@ -1069,7 +1072,7 @@ def _indicator_approx(at, N):
     ramps r^2/8 and r^2/12."""
     m = at.manifold
     B, D, Delta = m.box_bound, m.ambient_dim, at.r**2 / (4.0 * N)
-    params = IndicatorParams(r=at.r, Delta=Delta, theta=Delta / (16.0 * B * B * D), B=B, D=D)
+    params = IndicatorParams(r=at.r, Delta=Delta, B=B, D=D)
     sqdist = build_sqdist_nets(at.centers, params.theta, B)
     return manifold.ManifoldApproximator(at, None, sqdist, (build_indicator(params), params), None, None, {})
 

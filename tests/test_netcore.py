@@ -138,7 +138,7 @@ def test_audit_hand_built():
     params = audit_class(net)
     assert (params.M, params.K, params.kappa1) == (1, 2, 1.0)
     assert params.L == 2 and params.J == 3
-    assert params.kappa2 == 0.5 and params.first_row_only
+    assert params.kappa2 == 0.5
 
 
 def test_audit_zero_network():

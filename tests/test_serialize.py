@@ -82,7 +82,7 @@ def test_corrupt_file(tmp_path):
 
 def test_unknown_kind(tmp_path):
     path = tmp_path / "odd.json"
-    path.write_text(json.dumps({"version": 1, "kind": "mystery"}))
+    path.write_text(json.dumps({"version": 2, "kind": "mystery"}))
     with pytest.raises(serialize.SerializationError, match="kind"):
         serialize.load(path)
 
@@ -93,16 +93,6 @@ def test_atomic_write_no_partial(tmp_path):
     assert path.read_text() == "hello"
     leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
     assert not leftovers
-
-
-def _v1(doc):
-    """The version-1 document of a version-2 one: the array record inline at
-    every occurrence, as version-1 writers emitted it."""
-    pool = doc["arrays"]
-    v1 = {k: v for k, v in doc.items() if k != "arrays"}
-    v1["version"] = 1
-    v1["blocks"] = [{k: [pool[i] for i in b[k]] for k in ("filters", "biases")} for b in doc["blocks"]]
-    return v1
 
 
 def _psi_doc():
@@ -121,13 +111,6 @@ def test_nan_fc_bias_rejected(tmp_path):
 def test_inf_filter_entry_rejected():
     doc = _psi_doc()
     doc["arrays"][doc["blocks"][0]["filters"][1]]["data"][0] = float("inf")
-    with pytest.raises(serialize.SerializationError, match="non-finite"):
-        serialize.from_dict(doc)
-
-
-def test_inf_filter_entry_rejected_in_a_v1_document():
-    doc = _v1(_psi_doc())
-    doc["blocks"][0]["filters"][1]["data"][0] = float("inf")
     with pytest.raises(serialize.SerializationError, match="non-finite"):
         serialize.from_dict(doc)
 
@@ -315,22 +298,19 @@ def _build(D, alpha, N, Jt):
 @given(
     st.sampled_from([1, 2, 3]), st.sampled_from([2, 3]), st.integers(2, 4), st.sampled_from([None, 40])
 )
-def test_v1_and_v2_documents_load_to_the_built_model(D, alpha, N, Jt):
+def test_a_document_loads_to_the_built_model(D, alpha, N, Jt):
     ap = _build(D, alpha, N, Jt)
-    built, doc = ap.model, serialize.to_dict(ap.model)
+    built = ap.model
     X = np.random.default_rng(N).uniform(-0.2, 1.2, (64, D))
-    want = resnet_forward_batch(built, X)
-    # the v1 document goes in as a dict: its text is megabytes, and a JSON
-    # round trip of lists of floats and ints gives the same lists
-    for back in (serialize.from_dict(_v1(doc)), serialize.from_dict(json.loads(json.dumps(doc)))):
-        for a, b in zip(_arrays(built), _arrays(back), strict=True):
-            assert a.shape == b.shape and a.tobytes() == b.tobytes()
-        assert np.array_equal(back.fc_weight, built.fc_weight) and back.fc_bias == built.fc_bias
-        assert back.support.grid == built.support.grid
-        for a, b in zip(back.support.nodes, built.support.nodes, strict=True):
-            assert np.array_equal(a, b)
-        assert np.array_equal(resnet_forward_batch(back, X), want)
-        assert audit_class(back) == ap.class_params
+    back = serialize.from_dict(json.loads(json.dumps(serialize.to_dict(built))))
+    for a, b in zip(_arrays(built), _arrays(back), strict=True):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert np.array_equal(back.fc_weight, built.fc_weight) and back.fc_bias == built.fc_bias
+    assert back.support.grid == built.support.grid
+    for a, b in zip(back.support.nodes, built.support.nodes, strict=True):
+        assert np.array_equal(a, b)
+    assert np.array_equal(resnet_forward_batch(back, X), resnet_forward_batch(built, X))
+    assert audit_class(back) == ap.class_params
 
 
 @pytest.mark.parametrize("name", ["plain", "grouped", "manifold"])
@@ -340,16 +320,6 @@ def test_a_loaded_model_holds_one_object_per_pooled_array(name):
     assert len({id(a) for a in _arrays(back)}) == len(doc["arrays"])
     filters = [f for blk in back.blocks for f in blk.filters]
     assert len({id(f) for f in filters}) == len({i for b in doc["blocks"] for i in b["filters"]})
-
-
-def test_eval_of_a_v1_file_prints_what_the_v2_file_prints(built_doc, tmp_path, capsys):
-    out = []
-    for name, doc in (("v1", _v1(built_doc)), ("v2", built_doc)):
-        path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps(doc))
-        assert main(["eval", "--net", str(path), "--grid", "5"]) == 0
-        out.append(capsys.readouterr().out)
-    assert out[0] == out[1] and len(out[0].splitlines()) == 26
 
 
 def _index_out_of_range(doc):
@@ -382,6 +352,10 @@ def _no_pool(doc):
 
 def _bool_version(doc):
     doc["version"] = True
+
+
+def _version_1(doc):
+    doc["version"] = 1
 
 
 def _string_dimension(doc):
@@ -464,6 +438,7 @@ def _negative_dims(doc):
         (_short_pool_record, "malformed array record"),
         (_no_pool, r"missing required keys \['arrays'\]"),
         (_bool_version, "version"),
+        (_version_1, "unsupported schema version 1, expected 2"),
         (_string_dimension, "D and C must be integers"),
         (_string_first_row_only, "first_row_only must be true or false"),
         (_bias_of_another_width, r"shapes: bias shape \(2, 4\) does not match filter out-channels 10"),
